@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .exactla import matmul
+
 HOM_POLY = "hom_poly"  # keys (i, s): homological degree, polynomial degree
 PAGE = "page"          # keys (p, q) = (s, i - s): filtration degree first
 
@@ -261,19 +263,8 @@ class HomMatrix:
             raise ValueError("ring mismatch")
         if self.source_degrees != other.target_degrees:
             raise ValueError("middle degree lists do not match")
-        rows = []
-        for r in range(self.nrows):
-            srow = self.entries[r]
-            rows.append(
-                tuple(
-                    sum(
-                        (srow[j] * other.entries[j][c] for j in range(self.ncols)),
-                        Fraction(0),
-                    )
-                    for c in range(other.ncols)
-                )
-            )
-        return HomMatrix(self.ring, other.source_degrees, self.target_degrees, tuple(rows))
+        rows = matmul(self.entries, other.entries, other.ncols)
+        return HomMatrix(self.ring, other.source_degrees, self.target_degrees, rows)
 
     def reduced_mod_a(self):
         """Scalar rows with every positive-exponent entry set to 0."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -331,13 +332,14 @@ def _parse_lambdas(text: str):
         if not chunk:
             continue
         j, _, val = chunk.partition("=")
-        out.append((int(j), Fraction(val)))
+        out.append((int(j), jsonio.parse_rational(val)))
     return tuple(out)
 
 
 def cmd_twobraid(args) -> int:
     if args.i is not None:
-        spec = TwoBraidSpec.power_basis(args.N, args.i, Fraction(args.coefficient))
+        coefficient = 1 if args.coefficient is None else jsonio.parse_rational(args.coefficient)
+        spec = TwoBraidSpec.power_basis(args.N, args.i, coefficient)
     else:
         if args.k is None or args.lambdas is None:
             raise SchemaError("need either --i or both --k and --lambdas")
@@ -375,7 +377,7 @@ def cmd_link(args) -> int:
 
 def cmd_delta(args) -> int:
     scalings = (
-        tuple(Fraction(x) for x in args.scalings.split(","))
+        tuple(jsonio.parse_rational(x) for x in args.scalings.split(","))
         if args.scalings
         else (Fraction(1), Fraction(5), Fraction(-2, 3))
     )
@@ -454,8 +456,17 @@ def cmd_verify(args) -> int:
 # -- parser ------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads "-" then a digit ("-3/2", "-2/3,5") as a value, not an
+    option; no twkit option looks like a number."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twkit",
         description="Exact decomposition, spectral-sequence, and recovery "
         "toolkit for graded complexes over k[a].",
@@ -518,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("twobraid", help="closed 2-braid report for general N")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--i", type=int, default=None, help="power-basis potential exponent")
-    p.add_argument("--coefficient", default="1", help="coefficient on the b x^i term")
+    p.add_argument("--coefficient", default=None, help="coefficient on the b x^i term (default 1)")
     p.add_argument("--k", type=int, default=None, help="half the degree of a (general potential)")
     p.add_argument("--lambdas", default=None, help='general potential, e.g. "1=-1,2=1/3"')
     add_common(p)
@@ -551,7 +562,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "coefficient", None) is not None and args.i is None:
+        parser.error("twobraid: --coefficient applies only with --i")
     try:
         return args.func(args)
     except ComplexError as e:

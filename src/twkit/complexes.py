@@ -231,12 +231,8 @@ class FieldComplex:
             if nxt is None:
                 continue
             cur = self.mats[i]
-            for r in range(len(nxt)):
-                for c in range(len(cur[0])):
-                    if sum(nxt[r][j] * cur[j][c] for j in range(len(cur))) != 0:
-                        raise ComplexError(
-                            "d^2 != 0 on the square starting at degree %d" % i
-                        )
+            if any(x for row in exactla.matmul(nxt, cur, len(cur[0])) for x in row):
+                raise ComplexError("d^2 != 0 on the square starting at degree %d" % i)
 
     def rank(self, i: int) -> int:
         return len(self.degrees.get(i, ()))
@@ -536,12 +532,8 @@ def first_differential(c: GradedComplex) -> FirstDifferential:
             sigma = rep_degrees[i][vi]
             w = [Fraction(0)] * len(tgt_degs)
             if d is not None:
-                for t in range(d.nrows):
+                for t, acc in enumerate(exactla.matvec(d.entries, v)):
                     gap = sigma - tgt_degs[t]
-                    acc = sum(
-                        (d.entries[t][g] * v[g] for g in range(d.ncols) if v[g]),
-                        Fraction(0),
-                    )
                     if gap == 0:
                         if acc:
                             raise ComplexError(
@@ -569,10 +561,7 @@ def first_differential(c: GradedComplex) -> FirstDifferential:
     out = FirstDifferential(k=k, dims=dict(hb.dims), rep_degrees=rep_degrees, blocks=blocks)
     for i in sorted(hb.dims):
         if i + 2 in hb.dims:
-            a = out.block(i + 1)
-            b = out.block(i)
-            for r in range(len(a)):
-                for cc in range(len(b[0]) if b else 0):
-                    if sum(a[r][j] * b[j][cc] for j in range(len(b))) != 0:
-                        raise ComplexError("induced differential fails d^2 = 0")
+            square = exactla.matmul(out.block(i + 1), out.block(i), hb.dims[i])
+            if any(x for row in square for x in row):
+                raise ComplexError("induced differential fails d^2 = 0")
     return out

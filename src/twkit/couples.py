@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .algebra import HOM_POLY, BigradedTable
 from .decompose import Decomposition, torsion_width
-from .exactla import image_basis, kernel_basis, pivot_columns, rank, solve
+from .exactla import image_basis, kernel_basis, matmul, matvec, pivot_columns, rank, solve
 
 
 class InsufficientWindow(RuntimeError):
@@ -32,21 +32,6 @@ class InsufficientWindow(RuntimeError):
 
 def _zeros(nrows, ncols):
     return tuple(tuple(Fraction(0) for _ in range(ncols)) for _ in range(nrows))
-
-
-def _mul(a, b, bcols):
-    """a @ b where a is (m x n), b is (n x bcols) as row lists."""
-    return tuple(
-        tuple(
-            sum((a[r][j] * b[j][c] for j in range(len(b))), Fraction(0))
-            for c in range(bcols)
-        )
-        for r in range(len(a))
-    )
-
-
-def _matvec(rows, v):
-    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in rows]
 
 
 def _cols_to_rows(cols, nrows):
@@ -161,7 +146,7 @@ class ExactCouple:
         """d = g o h out of E at (i, s); bidegree (1, g_shift - 2k)."""
         h = self.h_at(i, s)
         g = self.g_at(i + 1, s - 2 * self.k)
-        return _mul(g, h, self.e_dim(i, s))
+        return matmul(g, h, self.e_dim(i, s))
 
     def is_trivial(self) -> bool:
         return not self._a and not self._e
@@ -205,11 +190,11 @@ class ExactCouple:
             h_in = self.h_at(i - 1, s + k2)
             if rank(list(f_in)) + rank(list(g_out)) != dim:
                 raise ValueError("exactness fails at A (%d, %d): im f vs ker g" % (i, s))
-            if not _is_zero(_mul(g_out, f_in, self.a_dim(i, s - k2))):
+            if not _is_zero(matmul(g_out, f_in, self.a_dim(i, s - k2))):
                 raise ValueError("g o f is nonzero at (%d, %d)" % (i, s - k2))
             if rank(list(h_in)) + rank(list(f_out)) != dim:
                 raise ValueError("exactness fails at A (%d, %d): im h vs ker f" % (i, s))
-            if not _is_zero(_mul(f_out, h_in, self.e_dim(i - 1, s + k2))):
+            if not _is_zero(matmul(f_out, h_in, self.e_dim(i - 1, s + k2))):
                 raise ValueError("f o h is nonzero at (%d, %d)" % (i - 1, s + k2))
         for (i, s) in sorted(self._e):
             if not (self.inside(s - self.g_shift) and interior(s - self.g_shift)):
@@ -220,7 +205,7 @@ class ExactCouple:
             h_out = self.h_at(i, s)
             if rank(list(g_in)) + rank(list(h_out)) != self.e_dim(i, s):
                 raise ValueError("exactness fails at E (%d, %d): im g vs ker h" % (i, s))
-            if not _is_zero(_mul(h_out, g_in, self.a_dim(i, s - self.g_shift))):
+            if not _is_zero(matmul(h_out, g_in, self.a_dim(i, s - self.g_shift))):
                 raise ValueError("h o g is nonzero at (%d, %d)" % (i, s - self.g_shift))
 
     # -- derivation ----------------------------------------------------
@@ -297,7 +282,7 @@ class ExactCouple:
         for (i, s), cols in sorted(iota.items()):
             # f' = f restricted to the image basis
             if s + k2 <= new_hi:
-                f_cols = [_matvec(self.f_at(i, s), col) for col in cols]
+                f_cols = [matvec(self.f_at(i, s), col) for col in cols]
                 target = iota.get((i, s + k2), [])
                 if target:
                     sols = solve(
@@ -318,14 +303,14 @@ class ExactCouple:
                 raise AssertionError("image basis column not in the image of f")
             g_pos = (i, s + new_shift)
             g_cols = [
-                project(g_pos, _matvec(self.g_at(i, s - k2), b)) for b in back
+                project(g_pos, matvec(self.g_at(i, s - k2), b)) for b in back
             ]
             g_new[(i, s)] = _cols_to_rows(g_cols, e_new.get(g_pos, 0))
 
         for (i, s), chosen in sorted(reps.items()):
             if not chosen:
                 continue
-            h_vecs = [_matvec(self.h_at(i, s), c) for c in chosen]
+            h_vecs = [matvec(self.h_at(i, s), c) for c in chosen]
             if not any(any(v) for v in h_vecs):
                 continue
             t_pos = (i + 1, s - k2)

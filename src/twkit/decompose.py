@@ -135,8 +135,7 @@ def _split_pieces(c: GradedComplex):
                     nxt[r] = [nxt[r][j] for j in pt]
 
         while src:
-            pivots = [r for r in range(len(d))] if d else []
-            pivots = [r for r in pivots if d[r][0]]
+            pivots = [r for r, row in enumerate(d or ()) if row[0]]
             if not pivots:
                 free.append((n, src[0]))
                 del src[0]
@@ -150,32 +149,7 @@ def _split_pieces(c: GradedComplex):
             if gap < 0 or gap % two_k:
                 raise AssertionError("pivot violates homogeneity")
             m = gap // two_k
-            pivot = d[l][0]
-            row_l = d[l]
-
-            # clear the column below the pivot; the ratios also rewrite
-            # the pivot target's outgoing column, which must then vanish
-            ratios = []
-            for i in pivots[1:]:
-                ratio = d[i][0] / pivot
-                ratios.append((i, ratio))
-                d[i] = [d[i][j] - ratio * row_l[j] for j in range(len(row_l))]
-            if nxt is not None:
-                for r in range(len(nxt)):
-                    acc = nxt[r][l]
-                    for i, ratio in ratios:
-                        acc += ratio * nxt[r][i]
-                    if acc:
-                        raise AssertionError(
-                            "outgoing column of a split target did not vanish"
-                        )
-                    del nxt[r][l]
-
-            # the pivot column is now supported on row l only, so
-            # clearing the pivot row changes no other entry
-            for j in range(1, len(row_l)):
-                row_l[j] = Fraction(0)
-
+            _clear_pivot_column(d, nxt, pivots)
             if m == 0:
                 dropped += 1
             else:
@@ -187,6 +161,30 @@ def _split_pieces(c: GradedComplex):
             del d[l]
 
     return free, torsion, dropped
+
+
+def _clear_pivot_column(d, nxt, pivots):
+    """Clear column 0 of d below pivot row pivots[0], then check and
+    delete the pivot target's column of the next differential nxt (or
+    None), which the same row operations make vanish when d^2 = 0."""
+    l = pivots[0]
+    row_l = d[l]
+    support = [j for j, x in enumerate(row_l) if x]
+    ratios = []
+    for i in pivots[1:]:
+        row = d[i]
+        ratio = row[0] / row_l[0]
+        ratios.append((i, ratio))
+        for j in support:
+            row[j] -= ratio * row_l[j]
+    for row in nxt or ():
+        acc = row[l]
+        for i, ratio in ratios:
+            if row[i]:
+                acc += ratio * row[i]
+        if acc:
+            raise AssertionError("outgoing column of a split target did not vanish")
+        del row[l]
 
 
 def homology_structure(d: Decomposition):

@@ -1,13 +1,14 @@
 """Exact rational linear algebra kernel.
 
-row_reduce is the single hot primitive; everything else here is a thin
-derivation of it.  At import time the compiled backend is preferred,
-with the pure-Python reference as fallback.  Set TWKIT_PURE_KERNEL=1 to
-force the fallback (the two are bit-identical, so this only changes
-speed).  BACKEND records which one is active.
+row_reduce (elimination) and matmul / matvec (products) skip zero
+entries; everything else here derives from them.  An optional compiled
+row_reduce twin is preferred at import time when built, and must give
+identical output.  Set TWKIT_PURE_KERNEL=1 to force the pure one.
+BACKEND records which one is active.
 """
 
 import os
+from fractions import Fraction
 
 from . import _pure
 
@@ -23,6 +24,26 @@ else:
         BACKEND = "pure"
 
 row_reduce = _impl.row_reduce
+
+
+def matmul(a, b, ncols):
+    """a @ b as Fraction row lists; ncols is b's column count."""
+    b_support = [[(c, y) for c, y in enumerate(row) if y] for row in b]
+    out = []
+    for arow in a:
+        acc = [Fraction(0)] * ncols
+        for j, x in enumerate(arow):
+            if x:
+                for c, y in b_support[j]:
+                    acc[c] += x * y
+        out.append(acc)
+    return out
+
+
+def matvec(rows, v):
+    """rows @ v as a list of Fraction."""
+    support = [(j, x) for j, x in enumerate(v) if x]
+    return [sum((row[j] * x for j, x in support if row[j]), Fraction(0)) for row in rows]
 
 
 def rank(rows):

@@ -1,6 +1,9 @@
 """Reduced row echelon form over exact rationals, reference implementation.
 
-The compiled twin in _speedups.pyx must produce bit-identical output.
+Elimination does arithmetic only on the nonzero columns of each pivot
+row; finding pivots and supports still scans the dense rows.  The
+optional compiled twin in _speedups.pyx must produce bit-identical
+output.
 """
 
 from fractions import Fraction
@@ -30,13 +33,19 @@ def row_reduce(rows):
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
         prow = mat[r]
+        # rows r.. are zero left of column c, so the pivot row's
+        # support starts there
+        support = [j for j in range(c, ncols) if prow[j]]
+        inv = 1 / prow[c]
+        for j in support:
+            prow[j] *= inv
         for i in range(nrows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], prow)]
+            row = mat[i]
+            f = row[c]
+            if f and i != r:
+                for j in support:
+                    row[j] -= f * prow[j]
         pivots.append(c)
         r += 1
     return mat, pivots

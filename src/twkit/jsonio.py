@@ -29,6 +29,14 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def parse_rational(x) -> Fraction:
+    """Exact scalar from an int or "p/q"; SchemaError on a zero denominator."""
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise SchemaError("zero denominator in %r" % (x,))
+
+
 def _check_header(data, expected_type):
     if not isinstance(data, dict):
         raise SchemaError("expected a JSON object")
@@ -67,7 +75,7 @@ def complex_from_json(data) -> GradedComplex:
     try:
         modules = {int(i): [int(s) for s in degs] for i, degs in data["modules"].items()}
         diffs = {
-            int(i): [[Fraction(x) for x in row] for row in rows]
+            int(i): [[parse_rational(x) for x in row] for row in rows]
             for i, rows in data.get("differentials", {}).items()
         }
         k = int(data["k"])

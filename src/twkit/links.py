@@ -34,6 +34,7 @@ from .complexes import (
     first_differential,
     reduce_mod_a,
 )
+from .exactla import matmul
 
 
 # -- diagrams ----------------------------------------------------------
@@ -537,15 +538,6 @@ def build_twobraid_unreduced(spec: TwoBraidSpec) -> GradedComplex:
 # -- the battery of induced differentials ------------------------------
 
 
-def _compose(a, b):
-    if not a or not b or not b[0]:
-        return []
-    return [
-        [sum((a[r][t] * b[t][c] for t in range(len(b))), Fraction(0)) for c in range(len(b[0]))]
-        for r in range(len(a))
-    ]
-
-
 def _blocks_equal_scaled(g: FirstDifferential, base: FirstDifferential, lam) -> bool:
     degrees = set(g.dims) | set(base.dims)
     for i in sorted(degrees):
@@ -620,12 +612,11 @@ def delta_battery(N: int, scalings=(Fraction(1), Fraction(5), Fraction(-2, 3))) 
     for i in range(1, N):
         for j in range(i, N):
             for l in hom_degrees:
-                left = _compose(deltas[i].block(l + 1), deltas[j].block(l))
-                right = _compose(deltas[j].block(l + 1), deltas[i].block(l))
-                for r in range(len(left)):
-                    for c in range(len(left[r])):
-                        if left[r][c] + right[r][c] != 0:
-                            anticommute = False
+                ncols = deltas[i].dims.get(l, 0)
+                left = matmul(deltas[i].block(l + 1), deltas[j].block(l), ncols)
+                right = matmul(deltas[j].block(l + 1), deltas[i].block(l), ncols)
+                if any(x + y for lr, rr in zip(left, right) for x, y in zip(lr, rr)):
+                    anticommute = False
 
     scaling_ok = True
     for i in range(1, N):

@@ -23,7 +23,7 @@ from .algebra import (
 )
 from .complexes import FilteredFieldComplex
 from .decompose import Decomposition, torsion_width
-from .exactla import kernel_basis, rank
+from .exactla import kernel_basis, matvec, rank
 
 
 class PageTable:
@@ -191,19 +191,7 @@ def _lowered_kernel(levels, out_levels, d_out, p, bound):
 def _boundary_gens(levels, in_levels, d_in, p, source_bound):
     """Images d(y), in full coordinates, of chains y supported on
     filtration <= source_bound with d(y) in filtration <= p."""
-    cols = [j for j, lv in enumerate(in_levels) if lv <= source_bound]
-    rows = [t for t, lv in enumerate(levels) if lv > p]
-    sub = [[d_in[t][j] for j in cols] for t in rows]
-    gens = []
-    for v in kernel_basis(sub, ncols=len(cols)):
-        image = [0] * len(levels)
-        for idx, j in enumerate(cols):
-            x = v[idx]
-            if x:
-                for t in range(len(levels)):
-                    image[t] += x * d_in[t][j]
-        gens.append(image)
-    return gens
+    return [matvec(d_in, y) for y in _lowered_kernel(in_levels, levels, d_in, source_bound, p)]
 
 
 def generic_pages(c: FilteredFieldComplex, r: int) -> PageTable:

@@ -167,6 +167,12 @@ class TestTwoBraid:
     def test_bad_lambdas_exit_1(self, capsys):
         run(capsys, "twobraid", "--N", "3", "--lambdas", "nope", expect=1)
 
+    def test_coefficient_without_i_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["twobraid", "--N", "4", "--k", "2", "--lambdas", "2=1", "--coefficient", "3"])
+        assert exc.value.code == 2
+        assert "--coefficient applies only with --i" in capsys.readouterr().err
+
 
 class TestLink:
     def test_braid_report(self, capsys):
@@ -194,6 +200,43 @@ class TestDelta:
     def test_table(self, capsys):
         out, _ = run(capsys, "delta", "--N", "2", "--format", "table")
         assert "verdict: ok" in out
+
+
+ZERO_DENOMINATOR_CX = json.dumps(
+    {
+        "format": "tw/1",
+        "type": "complex",
+        "k": 1,
+        "modules": {"0": [2], "1": [0]},
+        "differentials": {"0": [["1/0"]]},
+    }
+)
+
+
+class TestRationalValues:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("decompose", ZERO_DENOMINATOR_CX),
+            ("twobraid", "--N", "3", "--i", "1", "--coefficient=1/0"),
+            ("link", "--braid", "1", "--lambdas", "1=1/0"),
+            ("delta", "--N", "3", "--scalings", "1,1/0"),
+        ],
+    )
+    def test_zero_denominator_exit_1(self, capsys, argv):
+        _, err = run(capsys, *argv, expect=1)
+        assert err.count("\n") == 1 and "zero denominator in '1/0'" in err
+
+    def test_negative_coefficient_as_separate_value(self, capsys):
+        a, _ = run(capsys, "twobraid", "--N", "3", "--i", "1", "--coefficient", "-3/2")
+        b, _ = run(capsys, "twobraid", "--N", "3", "--i", "1", "--coefficient=-3/2")
+        assert a == b and json.loads(a)["type"] == "report"
+
+    def test_negative_scalings_as_separate_value(self, capsys):
+        out, _ = run(capsys, "delta", "--N", "3", "--scalings", "-2/3,5")
+        assert json.loads(out)["scaling_ok"] is True
+        same, _ = run(capsys, "delta", "--N", "3", "--scalings=-2/3,5")
+        assert out == same
 
 
 class TestVerify:

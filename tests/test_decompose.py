@@ -1,6 +1,8 @@
 """Splitting complexes into elementary pieces and the derived invariants."""
 
+import copy
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from twkit.complexes import complex_from_data, direct_sum
 from twkit.corpus import conjugate, random_decomposition
 from twkit.decompose import (
     Decomposition,
+    _clear_pivot_column,
     contractible_pairs,
     decompose,
     hn_table,
@@ -171,3 +174,69 @@ def test_rank_accounting_property(seed):
     c = reassemble(d)
     assert len(d.free_pieces) + 2 * len(d.torsion_pieces) == c.total_rank()
     assert contractible_pairs(c) == 0
+
+
+def dense_clear_pivot_column(d, nxt, pivots):
+    """The dense column clearing decompose used before it skipped zeros,
+    frozen as the reference."""
+    l = pivots[0]
+    pivot = d[l][0]
+    row_l = d[l]
+    ratios = []
+    for i in pivots[1:]:
+        ratio = d[i][0] / pivot
+        ratios.append((i, ratio))
+        d[i] = [d[i][j] - ratio * row_l[j] for j in range(len(row_l))]
+    if nxt is not None:
+        for r in range(len(nxt)):
+            acc = nxt[r][l]
+            for i, ratio in ratios:
+                acc += ratio * nxt[r][i]
+            if acc:
+                raise AssertionError("outgoing column of a split target did not vanish")
+            del nxt[r][l]
+
+
+def random_rows(rng, nr, nc, density):
+    return [
+        [
+            Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3)) if rng.random() < density else Fraction(0)
+            for _ in range(nc)
+        ]
+        for _ in range(nr)
+    ]
+
+
+def test_clear_pivot_column_matches_dense_reference():
+    """Same rows, same deleted column, and the same verdict on whether
+    the next differential's column vanished, on seeded sparse and dense
+    inputs; half the next differentials are built to pass the check."""
+    rng = random.Random(31)
+    raised = 0
+    for _ in range(2000):
+        density = rng.choice((0.0, 1.0, rng.random()))
+        nr, nc = rng.randint(1, 8), rng.randint(1, 8)
+        d = random_rows(rng, nr, nc, density)
+        if nr > 1 and rng.random() < 0.3:
+            d[rng.randrange(nr)] = list(d[rng.randrange(nr)])
+        d[rng.randrange(nr)][0] = Fraction(rng.choice((-2, 1, 3)))
+        pivots = [r for r, row in enumerate(d) if row[0]]
+        nxt = None
+        if rng.random() < 0.8:
+            nxt = random_rows(rng, rng.randint(0, 6), nr, density)
+            if rng.random() < 0.5:
+                l = pivots[0]
+                for row in nxt:
+                    row[l] = -sum((d[i][0] / d[l][0] * row[i] for i in pivots[1:]), Fraction(0))
+        want_d, want_nxt = copy.deepcopy((d, nxt))
+        try:
+            dense_clear_pivot_column(want_d, want_nxt, pivots)
+        except AssertionError:
+            with pytest.raises(AssertionError):
+                _clear_pivot_column(d, nxt, pivots)
+            raised += 1
+            continue
+        _clear_pivot_column(d, nxt, pivots)
+        assert (d, nxt) == (want_d, want_nxt)
+        assert all(type(x) is Fraction for row in d + (nxt or []) for x in row)
+    assert 200 < raised < 1800

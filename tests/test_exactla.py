@@ -6,11 +6,6 @@ from fractions import Fraction
 from twkit import exactla
 from twkit.exactla import _pure
 
-try:
-    from twkit.exactla import _speedups
-except ImportError:
-    _speedups = None
-
 
 def F(n, d=1):
     return Fraction(n, d)
@@ -133,12 +128,94 @@ def test_solve_zero_rows():
     assert exactla.solve([], [[], []], ncols=2) == [[0, 0], [0, 0]]
 
 
-def test_backends_bit_identical():
-    if _speedups is None:
-        return
+# -- differential tests against the dense code the kernel replaced ------
+
+
+def dense_row_reduce(rows):
+    """The dense Gauss-Jordan elimination the zero-skipping kernel
+    replaced, frozen as the reference."""
+    mat = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in rows]
+    nrows = len(mat)
+    ncols = len(mat[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        prow = mat[r]
+        for i in range(nrows):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], prow)]
+        pivots.append(c)
+        r += 1
+    return mat, pivots
+
+
+def dense_matmul(a, b, ncols):
+    return [
+        [sum((a[r][j] * b[j][c] for j in range(len(b))), Fraction(0)) for c in range(ncols)]
+        for r in range(len(a))
+    ]
+
+
+def dense_matvec(rows, v):
+    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in rows]
+
+
+def sparse_matrix(rng, nr, nc):
+    """Seeded matrix at a random density in [0, 1], with Fraction and
+    int entries, and sometimes a zeroed or a duplicated row."""
+    density = rng.choice((0.0, 1.0, rng.random()))
+    rows = [
+        [
+            rng.choice((Fraction(rng.choice((-3, -2, -1, 1, 2, 5)), rng.randint(1, 4)), rng.randint(-2, 2)))
+            if rng.random() < density
+            else rng.choice((0, Fraction(0)))
+            for _ in range(nc)
+        ]
+        for _ in range(nr)
+    ]
+    if nr and rng.random() < 0.3:
+        rows[rng.randrange(nr)] = [Fraction(0)] * nc
+    if nr > 1 and rng.random() < 0.3:
+        rows[rng.randrange(nr)] = list(rows[rng.randrange(nr)])
+    return rows
+
+
+def all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+def test_row_reduce_matches_dense_reference():
     rng = random.Random(77)
-    for _ in range(25):
-        mat = random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
-        assert _pure.row_reduce([list(r) for r in mat]) == _speedups.row_reduce(
-            [list(r) for r in mat]
-        )
+    for _ in range(2000):
+        mat = sparse_matrix(rng, rng.randint(0, 9), rng.randint(0, 9))
+        frozen = [list(row) for row in mat]
+        want = dense_row_reduce(mat)
+        for kernel in (_pure.row_reduce, exactla.row_reduce):
+            rref, pivots = kernel(mat)
+            assert (rref, pivots) == want
+            assert all_fractions(rref)
+        assert mat == frozen
+
+
+def test_products_match_dense_reference():
+    rng = random.Random(78)
+    for _ in range(2000):
+        m, n, p = rng.randint(0, 7), rng.randint(0, 7), rng.randint(0, 7)
+        a = sparse_matrix(rng, m, n)
+        b = sparse_matrix(rng, n, p)
+        product = exactla.matmul(a, b, p)
+        assert product == dense_matmul(a, b, p)
+        assert all_fractions(product)
+        v = [row[0] for row in sparse_matrix(rng, n, 1)]
+        image = exactla.matvec(a, v)
+        assert image == dense_matvec(a, v)
+        assert all_fractions([image])
