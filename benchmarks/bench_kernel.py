@@ -1,23 +1,25 @@
-"""Timing harness for the row_reduce kernel: pure Python vs compiled.
+"""Timing harness for the row_reduce kernel against the dense reference.
 
-Both backends are imported side by side (independent of the import-time
-selection in twkit.exactla), run on identical seeded inputs, and checked
-for bit-identical output before any number is reported.  Run as
+The sparse kernel in twkit.exactla and the frozen dense Gauss-Jordan
+elimination it replaced (dense_row_reduce in tests/test_exactla.py) run
+on identical seeded inputs: five random shapes and the 600 x 624
+identity stack of the 2-braid at N = 25.  Every output is checked for
+equality before any time is printed.  Run from the repository root as
 
-    python benchmarks/bench_kernel.py [--seed N] [--repeats N]
+    PYTHONPATH=src python benchmarks/bench_kernel.py [--seed N] [--repeats N]
 """
 
 import argparse
+import pathlib
 import random
+import sys
 import time
 from fractions import Fraction
 
-from twkit.exactla import _pure
+from twkit.exactla import row_reduce
 
-try:
-    from twkit.exactla import _speedups
-except ImportError:
-    _speedups = None
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
+from test_exactla import dense_row_reduce, identity_stack  # noqa: E402
 
 
 def random_matrix(rng, nrows, ncols, density, span=9):
@@ -48,9 +50,8 @@ CASES = [
 def best_of(fn, arg, repeats):
     best = None
     for _ in range(repeats):
-        rows = [list(r) for r in arg]
         t0 = time.perf_counter()
-        fn(rows)
+        fn(arg)
         dt = time.perf_counter() - t0
         best = dt if best is None else min(best, dt)
     return best
@@ -59,33 +60,24 @@ def best_of(fn, arg, repeats):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=20260814)
-    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
 
-    if _speedups is None:
-        print("compiled backend not built; timing pure backend only")
-
     rng = random.Random(args.seed)
-    header = "%-14s %6s %8s  %10s  %10s  %7s" % (
-        "case", "shape", "density", "pure", "compiled", "speedup")
+    inputs = [(name, random_matrix(rng, nr, nc, density)) for name, nr, nc, density in CASES]
+    inputs.append(("2-braid stack", identity_stack()))
+    for name, mat in inputs:
+        assert row_reduce(mat) == dense_row_reduce(mat), "kernel disagrees with the dense reference on %s" % name
+
+    header = "%-14s %7s %8s  %10s  %10s  %7s" % ("case", "shape", "nonzero", "dense", "sparse", "speedup")
     print(header)
     print("-" * len(header))
-    for name, nr, nc, density in CASES:
-        mat = random_matrix(rng, nr, nc, density)
-        if _speedups is not None:
-            got_pure = _pure.row_reduce([list(r) for r in mat])
-            got_fast = _speedups.row_reduce([list(r) for r in mat])
-            assert got_pure == got_fast, "backends disagree on %s" % name
-        t_pure = best_of(_pure.row_reduce, mat, args.repeats)
-        if _speedups is not None:
-            t_fast = best_of(_speedups.row_reduce, mat, args.repeats)
-            ratio = "%6.2fx" % (t_pure / t_fast)
-            fast_s = "%8.2f ms" % (t_fast * 1e3)
-        else:
-            ratio = "-"
-            fast_s = "-"
-        print("%-14s %3dx%-3d %7.0f%%  %8.2f ms  %10s  %7s" % (
-            name, nr, nc, density * 100, t_pure * 1e3, fast_s, ratio))
+    for name, mat in inputs:
+        nonzero = sum(1 for row in mat for x in row if x) / (len(mat) * len(mat[0]))
+        t_dense = best_of(dense_row_reduce, mat, args.repeats)
+        t_sparse = best_of(row_reduce, mat, args.repeats)
+        print("%-14s %3dx%-3d %7.1f%%  %7.2f ms  %7.2f ms  %6.1fx" % (
+            name, len(mat), len(mat[0]), nonzero * 100, t_dense * 1e3, t_sparse * 1e3, t_dense / t_sparse))
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import exactla, jsonio
@@ -301,7 +300,13 @@ def cmd_couple(args) -> int:
     dumps = []
     texts = []
     for r in range(r_lo, r_hi + 1):
-        table = couple_pages(couple, r)
+        if r == r_lo:
+            table = couple_pages(couple, r)
+        else:
+            # only a range has further pages, and it starts at r_lo = 1
+            # with couple underived: each further page is one derivation
+            couple = couple.derive()
+            table = couple.e_table()
         if args.hat_index:
             # E-hat position (q, p - q) at page 2k(r-1)+1 carries the
             # same dimension as the derived-couple page r at (p, q)
@@ -332,7 +337,14 @@ def _parse_lambdas(text: str):
         if not chunk:
             continue
         j, _, val = chunk.partition("=")
-        out.append((int(j), jsonio.parse_rational(val)))
+        try:
+            out.append((int(j), jsonio.parse_rational(val)))
+        except SchemaError:
+            raise
+        except ValueError:
+            raise SchemaError(
+                "--lambdas: cannot read %r, expected j=value such as 1=-3/2" % chunk
+            ) from None
     return tuple(out)
 
 
@@ -421,9 +433,7 @@ def cmd_verify(args) -> int:
     if env is not None:
         seed = int(env)
     seeds = item_seeds(seed, args.count)
-    workers = args.jobs if args.jobs else min(8, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(verify_item, seeds))
+    results = [verify_item(s) for s in seeds]
     failures = [
         {"item": n, "seed": s, "failures": fails}
         for n, (s, fails) in enumerate(zip(seeds, results))
@@ -554,7 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the seeded cross-check suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=100)
-    p.add_argument("--jobs", type=int, default=None)
     add_common(p)
     p.set_defaults(func=cmd_verify)
 

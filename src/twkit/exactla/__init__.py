@@ -1,29 +1,17 @@
 """Exact rational linear algebra kernel.
 
-row_reduce (elimination) and matmul / matvec (products) skip zero
-entries; everything else here derives from them.  An optional compiled
-row_reduce twin is preferred at import time when built, and must give
-identical output.  Set TWKIT_PURE_KERNEL=1 to force the pure one.
-BACKEND records which one is active.
+row_reduce (elimination, on sparse rows) and matmul / matvec
+(products) skip zero entries; everything else here derives from them.
+Helpers look row_reduce up in this module when called, so replacing
+the module attribute (e.g. to count calls) reaches them too.  There is
+one kernel, in pure Python; BACKEND names it.
 """
 
-import os
 from fractions import Fraction
 
-from . import _pure
+from ._pure import row_reduce
 
-if os.environ.get("TWKIT_PURE_KERNEL"):
-    _impl = _pure
-    BACKEND = "pure"
-else:
-    try:
-        from . import _speedups as _impl
-        BACKEND = "compiled"
-    except ImportError:
-        _impl = _pure
-        BACKEND = "pure"
-
-row_reduce = _impl.row_reduce
+BACKEND = "pure"
 
 
 def matmul(a, b, ncols):

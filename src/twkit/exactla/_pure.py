@@ -1,11 +1,13 @@
-"""Reduced row echelon form over exact rationals, reference implementation.
+"""Reduced row echelon form over exact rationals, on sparse rows.
 
-Elimination does arithmetic only on the nonzero columns of each pivot
-row; finding pivots and supports still scans the dense rows.  The
-optional compiled twin in _speedups.pyx must produce bit-identical
-output.
+Each row is held as {col: Fraction} with its nonzeros only, and a
+column index {col: ids of the rows with a nonzero there} names the rows
+a pivot step must touch; fill-in enters the index and cancelled entries
+leave both the row and the index.  Input cells are scanned once, to
+find the nonzeros; after that the work follows the nonzeros alone.
 """
 
+from collections import defaultdict
 from fractions import Fraction
 
 
@@ -15,37 +17,66 @@ def row_reduce(rows):
     rows: sequence of equal-length sequences of Fraction (or int).
     Returns (rref, pivots): rref as a list of lists of Fraction, pivots
     the list of pivot column indices in row order.  The input is not
-    modified.  Pivot choice is leftmost column, topmost nonzero row, so
-    the result is canonical.
+    modified.  RREF is unique, so the pivot row chosen in each column
+    (the sparsest row that holds it, after Markowitz) does not change
+    the result.
     """
-    mat = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    for row in mat:
+    ncols = len(rows[0]) if rows else 0
+    sparse = []
+    holders = defaultdict(set)
+    for i, row in enumerate(rows):
         if len(row) != ncols:
             raise ValueError("ragged matrix")
+        entries = {}
+        for j, x in enumerate(row):
+            if x:
+                entries[j] = x if isinstance(x, Fraction) else Fraction(x)
+                holders[j].add(i)
+        sparse.append(entries)
+    pending = set(range(len(rows)))
+    order = []
     pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
+    # pivot rows only subtract at their own columns, all right of the
+    # current one, so no new column ever gains a nonzero
+    for c in sorted(holders):
+        if not pending:
             break
-        pr = next((i for i in range(r, nrows) if mat[i][c]), None)
-        if pr is None:
+        hold = holders[c]
+        candidates = hold & pending
+        if not candidates:
             continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        prow = mat[r]
-        # rows r.. are zero left of column c, so the pivot row's
-        # support starts there
-        support = [j for j in range(c, ncols) if prow[j]]
+        p = min(candidates, key=lambda i: (len(sparse[i]), i))
+        prow = sparse[p]
         inv = 1 / prow[c]
-        for j in support:
-            prow[j] *= inv
-        for i in range(nrows):
-            row = mat[i]
-            f = row[c]
-            if f and i != r:
-                for j in support:
-                    row[j] -= f * prow[j]
+        tail = [(j, x * inv) for j, x in prow.items() if j != c]
+        prow.update(tail)
+        prow[c] = Fraction(1)
+        for i in hold:
+            if i == p:
+                continue
+            row = sparse[i]
+            f = row.pop(c)
+            for j, x in tail:
+                y = row.get(j)
+                if y is None:
+                    row[j] = -f * x
+                    holders[j].add(i)
+                else:
+                    y -= f * x
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+                        holders[j].discard(i)
+        pending.discard(p)
+        order.append(p)
         pivots.append(c)
-        r += 1
-    return mat, pivots
+    zero = Fraction(0)
+    rref = []
+    for i in order:
+        dense = [zero] * ncols
+        for j, x in sparse[i].items():
+            dense[j] = x
+        rref.append(dense)
+    rref.extend([zero] * ncols for _ in range(len(rows) - len(order)))
+    return rref, pivots

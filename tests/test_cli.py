@@ -8,12 +8,17 @@ seeding.
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
+from twkit import jsonio
 from twkit.cli import main
+from twkit.corpus import conjugate, random_decomposition
+from twkit.couples import ExactCouple, couple_from_decomposition, couple_pages
+from twkit.decompose import decompose, reassemble, torsion_width
 
 TORSION_CX = json.dumps(
     {
@@ -141,6 +146,29 @@ class TestCouple:
         assert doc["r"] == 3
         assert doc["entries"] == [[-4, 8, 1], [1, -1, 1]]
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_pages_match_couple_pages_with_one_derivation_each(self, capsys, monkeypatch, seed):
+        rng = random.Random(seed)
+        doc = jsonio.dumps(jsonio.complex_to_data(conjugate(rng, reassemble(random_decomposition(rng)))))
+        d = decompose(jsonio.complex_from_json(json.loads(doc)))
+        couple = couple_from_decomposition(d)
+        r_hi = torsion_width(d) + 2
+        derive = ExactCouple.derive
+        calls = []
+        monkeypatch.setattr(ExactCouple, "derive", lambda c: calls.append(1) or derive(c))
+        out, _ = run(capsys, "couple", doc)
+        monkeypatch.undo()
+        lines = [json.loads(line) for line in out.strip().splitlines()]
+        assert [line["r"] for line in lines] == list(range(1, r_hi + 1))
+        assert len(calls) == r_hi - 1
+        for line in lines:
+            want = couple_pages(couple, line["r"]).to_page()
+            assert {(p, q): v for p, q, v in line["entries"]} == dict(want.items())
+
+    def test_single_page_below_one_is_refused(self, capsys):
+        _, err = run(capsys, "couple", TORSION_CX, "--r", "0", expect=1)
+        assert err == "error: couple pages start at r = 1\n"
+
 
 class TestTwoBraid:
     def test_report(self, capsys):
@@ -165,7 +193,13 @@ class TestTwoBraid:
         assert all(m >= 2 for _, m, _ in rep["decomposition"]["torsion"])
 
     def test_bad_lambdas_exit_1(self, capsys):
-        run(capsys, "twobraid", "--N", "3", "--lambdas", "nope", expect=1)
+        _, err = run(capsys, "twobraid", "--N", "3", "--k", "2", "--lambdas", "nope", expect=1)
+        assert err == "error: --lambdas: cannot read 'nope', expected j=value such as 1=-3/2\n"
+
+    @pytest.mark.parametrize("chunk", ["x=1", "2", "2=half"])
+    def test_bad_lambdas_chunk_is_named(self, capsys, chunk):
+        _, err = run(capsys, "twobraid", "--N", "3", "--k", "2", "--lambdas", "1=1," + chunk, expect=1)
+        assert err == "error: --lambdas: cannot read %r, expected j=value such as 1=-3/2\n" % chunk
 
     def test_coefficient_without_i_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -187,6 +221,10 @@ class TestLink:
         a, _ = run(capsys, "link", "--pd", pd)
         b, _ = run(capsys, "link", "--braid", "1 1")
         assert json.loads(a) == json.loads(b)
+
+    def test_bad_lambdas_exit_1(self, capsys):
+        _, err = run(capsys, "link", "--braid", "1 1 1", "--lambdas", "nope", expect=1)
+        assert err == "error: --lambdas: cannot read 'nope', expected j=value such as 1=-3/2\n"
 
 
 class TestDelta:

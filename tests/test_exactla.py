@@ -4,7 +4,6 @@ import random
 from fractions import Fraction
 
 from twkit import exactla
-from twkit.exactla import _pure
 
 
 def F(n, d=1):
@@ -132,8 +131,8 @@ def test_solve_zero_rows():
 
 
 def dense_row_reduce(rows):
-    """The dense Gauss-Jordan elimination the zero-skipping kernel
-    replaced, frozen as the reference."""
+    """The dense Gauss-Jordan elimination (leftmost column, topmost
+    nonzero row) the sparse kernel replaced, frozen as the reference."""
     mat = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
@@ -198,11 +197,9 @@ def test_row_reduce_matches_dense_reference():
     for _ in range(2000):
         mat = sparse_matrix(rng, rng.randint(0, 9), rng.randint(0, 9))
         frozen = [list(row) for row in mat]
-        want = dense_row_reduce(mat)
-        for kernel in (_pure.row_reduce, exactla.row_reduce):
-            rref, pivots = kernel(mat)
-            assert (rref, pivots) == want
-            assert all_fractions(rref)
+        rref, pivots = exactla.row_reduce(mat)
+        assert (rref, pivots) == dense_row_reduce(mat)
+        assert all_fractions(rref)
         assert mat == frozen
 
 
@@ -219,3 +216,84 @@ def test_products_match_dense_reference():
         image = exactla.matvec(a, v)
         assert image == dense_matvec(a, v)
         assert all_fractions([image])
+
+
+def identity_stack(n=600, block=24):
+    """[I_n | B] with B the n // block identity blocks I_block stacked,
+    as int 0/1 rows: the shape of the 2-braid kernel stack at N = 25."""
+    return [
+        [int(j == i) for j in range(n)] + [int(j == i % block) for j in range(block)]
+        for i in range(n)
+    ]
+
+
+def permuted(rows, rng, columns=False):
+    rows = [list(row) for row in rows]
+    rng.shuffle(rows)
+    if columns:
+        order = list(range(len(rows[0])))
+        rng.shuffle(order)
+        rows = [[row[j] for j in order] for row in rows]
+    return rows
+
+
+def with_duplicate_and_zero_rows(rows, rng):
+    rows = [list(row) for row in rows]
+    for _ in range(len(rows) // 10):
+        rows[rng.randrange(len(rows))] = list(rows[rng.randrange(len(rows))])
+    for _ in range(len(rows) // 20):
+        rows[rng.randrange(len(rows))] = [0] * len(rows[0])
+    return rows
+
+
+def with_zero_columns(rows, rng):
+    """A zero column before every third column, and a zero block at
+    the right, in Fraction zeros."""
+    out = []
+    for row in rows:
+        wide = []
+        for j, x in enumerate(row):
+            if j % 3 == 0:
+                wide.append(Fraction(0))
+            wide.append(Fraction(x) * rng.choice((1, -2, Fraction(1, 3))) if x else x)
+        out.append(wide + [Fraction(0)] * 24)
+    return out
+
+
+def test_row_reduce_identity_stack():
+    """At full size the RREF is known, so the dense reference (seconds
+    here) is not needed: each row of the stack has its own pivot, so
+    the RREF is the distinct nonzero rows in pivot order, then zero
+    rows, whatever the row order."""
+    stack = identity_stack()
+    rng = random.Random(79)
+    for mat in (stack, permuted(stack, rng), with_duplicate_and_zero_rows(permuted(stack, rng), rng)):
+        frozen = [list(row) for row in mat]
+        kept = sorted({tuple(row) for row in mat if any(row)}, reverse=True)
+        rref, pivots = exactla.row_reduce(mat)
+        assert pivots == [row.index(1) for row in kept]
+        assert rref == [list(row) for row in kept] + [[0] * 624] * (600 - len(kept))
+        assert all_fractions(rref)
+        assert mat == frozen
+
+
+def sparse_shapes():
+    rng = random.Random(80)
+    stack = identity_stack(120, 12)
+    return {
+        "permuted rows and columns": permuted(stack, rng, columns=True),
+        "duplicate and zero rows": with_duplicate_and_zero_rows(permuted(stack, rng, columns=True), rng),
+        "all-zero columns": with_zero_columns(permuted(stack, rng, columns=True), rng),
+        "tuple rows": [tuple(row) for row in permuted(stack, rng, columns=True)],
+    }
+
+
+def test_row_reduce_large_sparse_shapes():
+    for name, mat in sparse_shapes().items():
+        frozen = [list(row) for row in mat]
+        rref, pivots = exactla.row_reduce(mat)
+        want_rref, want_pivots = dense_row_reduce(mat)
+        assert pivots == want_pivots, name
+        assert rref == want_rref, name
+        assert all_fractions(rref), name
+        assert [list(row) for row in mat] == frozen, name
