@@ -239,12 +239,13 @@ def cmd_pages(args) -> int:
     d, c = _load_decomposition(args.input)
     if args.generic and c is None:
         raise SchemaError("--generic needs a complex document as input")
+    fc = specialize_a_to_1(c) if args.generic else None
 
     def page_at(r):
         if args.module:
             return assembled_pages(d, False, r)
         if args.generic:
-            return generic_pages(specialize_a_to_1(c), r)
+            return generic_pages(fc, r)
         return assembled_pages(d, True, r)
 
     if args.page is not None:
@@ -261,13 +262,7 @@ def cmd_pages(args) -> int:
     if args.module:
         raise SchemaError("--module needs an explicit --page index")
     count = args.r_max if args.r_max is not None else len(pages_from_decomposition(d))
-    if args.generic:
-        tables = [page_at(2 * d.k * (r - 1) + 1) for r in range(1, count + 1)]
-    else:
-        tables = [
-            assembled_pages(d, True, 2 * d.k * (r - 1) + 1)
-            for r in range(1, count + 1)
-        ]
+    tables = [page_at(2 * d.k * (r - 1) + 1) for r in range(1, count + 1)]
     if args.format == "table":
         chunks = [
             "page %d (filtered index %d):\n%s"
@@ -322,8 +317,6 @@ def cmd_couple(args) -> int:
         texts.append("page r=%d:\n%s" % (label, render_page(page)))
     if args.format == "table":
         _emit("\n\n".join(texts))
-    elif len(dumps) == 1:
-        _emit(jsonio.dumps(dumps[0]))
     else:
         _emit("\n".join(jsonio.dumps(x) for x in dumps))
     return EXIT_OK
@@ -576,6 +569,8 @@ def main(argv=None) -> int:
     if getattr(args, "coefficient", None) is not None and args.i is None:
         parser.error("twobraid: --coefficient applies only with --i")
     try:
+        if getattr(args, "r_max", None) is not None and args.r_max < 1:
+            raise SchemaError("%s pages start at r = 1: --r-max must be at least 1" % args.subcommand)
         return args.func(args)
     except ComplexError as e:
         print("error: %s" % e, file=sys.stderr)

@@ -5,6 +5,7 @@ connecting-homomorphism differential on the a=0 homology.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -250,12 +251,39 @@ class FilteredFieldComplex(FieldComplex):
     the differential may only keep or lower the level (the a -> 1
     specialization, levels = old polynomial degrees)."""
 
+    __slots__ = ("_profiles",)
+
+    def __init__(self, degrees, mats, validate=True):
+        super().__init__(degrees, mats, validate)
+        object.__setattr__(self, "_profiles", {})
+
     @property
     def levels(self):
         return self.degrees
 
     def _label_ok(self, src_label, tgt_label):
         return tgt_label <= src_label
+
+    def lowered_rank(self, n: int, above: int, upto: int) -> int:
+        """Rank of the differential out of degree n from the generators
+        at level <= upto to the targets at level > above.
+
+        Built on first use and kept per degree: for each distinct set of
+        target rows, one elimination with the columns sorted by level,
+        whose pivot columns' levels answer every upto by bisection.
+        """
+        if n not in self._profiles:
+            src, tgt = self.degrees.get(n, ()), self.degrees.get(n + 1, ())
+            rows = self.mats.get(n, ())
+            order = sorted(range(len(src)), key=src.__getitem__)
+            cuts = sorted(set(tgt))
+            pivot_levels = []
+            for b in [float("-inf")] + cuts:
+                kept = [[row[j] for j in order] for row, lv in zip(rows, tgt) if lv > b]
+                pivot_levels.append([src[order[j]] for j in exactla.pivot_columns(kept)])
+            self._profiles[n] = cuts, pivot_levels
+        cuts, pivot_levels = self._profiles[n]
+        return bisect_right(pivot_levels[bisect_right(cuts, above)], upto)
 
 
 def reduce_mod_a(c: GradedComplex) -> FieldComplex:
@@ -419,29 +447,17 @@ def homology_field(fc: FieldComplex) -> FieldHomologyBasis:
     bigraded = {}
     for i in sorted(hom_degrees):
         n = fc.rank(i)
-        d_out = fc.mats.get(i)
-        if d_out is not None:
-            cycles = exactla.kernel_basis([list(r) for r in d_out], ncols=n)
-        else:
-            cycles = exactla.kernel_basis([], ncols=n)
-        d_in = fc.mats.get(i - 1)
-        if d_in is not None:
-            image = exactla.image_basis([list(r) for r in d_in])
-        else:
-            image = []
+        cycles = exactla.kernel_basis([list(r) for r in fc.mats.get(i, ())], ncols=n)
+        image = exactla.image_basis([list(r) for r in fc.mats.get(i - 1, ())])
         bnds[i] = tuple(tuple(v) for v in image)
         # columns [image | cycles]; the pivot columns landing in the
         # cycle block are the chosen representatives
-        ncand = len(image) + len(cycles)
-        if ncand:
-            stacked = [
-                [image[j][r] for j in range(len(image))]
-                + [cycles[j][r] for j in range(len(cycles))]
-                for r in range(n)
-            ]
-            pivots = exactla.pivot_columns(stacked)
-        else:
-            pivots = []
+        stacked = [
+            [image[j][r] for j in range(len(image))]
+            + [cycles[j][r] for j in range(len(cycles))]
+            for r in range(n)
+        ]
+        pivots = exactla.pivot_columns(stacked)
         chosen = [cycles[p - len(image)] for p in pivots if p >= len(image)]
         dims[i] = len(chosen)
         reps[i] = tuple(tuple(v) for v in chosen)

@@ -10,6 +10,7 @@ identical inputs produce byte-identical documents.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .algebra import HOM_POLY, BigradedTable, GradedModuleDescriptor
@@ -31,10 +32,19 @@ def dumps(obj) -> str:
 
 def parse_rational(x) -> Fraction:
     """Exact scalar from an int or "p/q"; SchemaError on a zero denominator."""
+    if type(x) is not int and not (isinstance(x, str) and re.fullmatch(r"\s*[+-]?\d+(/\d+)?\s*", x)):
+        raise ValueError("expected an integer or a \"p/q\" string, got %s" % json.dumps(x))
     try:
         return Fraction(x)
     except ZeroDivisionError:
         raise SchemaError("zero denominator in %r" % (x,))
+
+
+def _int(x) -> int:
+    """A tw/1 integer: a JSON int, never a bool, a float or a string."""
+    if type(x) is not int:
+        raise ValueError("expected an integer, got %s" % json.dumps(x))
+    return x
 
 
 def _check_header(data, expected_type):
@@ -50,7 +60,7 @@ def _check_header(data, expected_type):
 
 def _int_pair(x):
     a, b = x
-    return int(a), int(b)
+    return _int(a), _int(b)
 
 
 # -- complexes ---------------------------------------------------------
@@ -73,12 +83,12 @@ def complex_to_data(c: GradedComplex) -> dict:
 def complex_from_json(data) -> GradedComplex:
     _check_header(data, "complex")
     try:
-        modules = {int(i): [int(s) for s in degs] for i, degs in data["modules"].items()}
+        modules = {int(i): [_int(s) for s in degs] for i, degs in data["modules"].items()}
         diffs = {
             int(i): [[parse_rational(x) for x in row] for row in rows]
             for i, rows in data.get("differentials", {}).items()
         }
-        k = int(data["k"])
+        k = _int(data["k"])
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError("malformed complex document: %s" % e)
     return complex_from_data(k, modules, diffs)
@@ -101,9 +111,9 @@ def decomposition_from_json(data) -> Decomposition:
     _check_header(data, "decomposition")
     try:
         return Decomposition(
-            int(data["k"]),
+            _int(data["k"]),
             tuple(_int_pair(p) for p in data.get("free", ())),
-            tuple((int(i), int(m), int(s)) for i, m, s in data.get("torsion", ())),
+            tuple((_int(i), _int(m), _int(s)) for i, m, s in data.get("torsion", ())),
         )
     except (KeyError, TypeError, ValueError) as e:
         if isinstance(e, SchemaError):
@@ -123,7 +133,7 @@ def descriptor_to_data(desc: GradedModuleDescriptor) -> dict:
 
 def descriptor_from_data(data) -> GradedModuleDescriptor:
     return GradedModuleDescriptor(
-        tuple(int(s) for s in data.get("free", ())),
+        tuple(_int(s) for s in data.get("free", ())),
         tuple(_int_pair(t) for t in data.get("torsion", ())),
     )
 
@@ -150,12 +160,12 @@ def page_from_json(data) -> PageTable:
         hat = bool(data["hat"])
         entries = {}
         for p, q, value in data["entries"]:
-            key = (int(p), int(q))
-            value = value if hat else descriptor_from_data(value)
+            key = (_int(p), _int(q))
+            value = _int(value) if hat else descriptor_from_data(value)
             if key in entries:
                 raise SchemaError("duplicate page position %r" % (key,))
             entries[key] = value
-        return PageTable(int(data["r"]), entries, hat)
+        return PageTable(_int(data["r"]), entries, hat)
     except (KeyError, TypeError, ValueError) as e:
         if isinstance(e, SchemaError):
             raise
@@ -197,11 +207,11 @@ def pages_from_json(data) -> PageSequence:
     try:
         tables = [
             BigradedTable(
-                [((int(i), int(s)), int(dim)) for i, s, dim in page], HOM_POLY
+                [((_int(i), _int(s)), _int(dim)) for i, s, dim in page], HOM_POLY
             )
             for page in data["pages"]
         ]
-        k = int(data["k"])
+        k = _int(data["k"])
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError("malformed pages document: %s" % e)
     return PageSequence(k, tables)

@@ -277,6 +277,75 @@ class TestRationalValues:
         assert out == same
 
 
+@pytest.mark.parametrize("command", ["pages", "couple"])
+@pytest.mark.parametrize("r_max", ["0", "-2"])
+def test_empty_page_range_refused(capsys, command, r_max):
+    out, err = run(capsys, command, TORSION_CX, "--r-max", r_max, expect=1)
+    assert out == ""
+    assert err == "error: %s pages start at r = 1: --r-max must be at least 1\n" % command
+
+
+def _complex_doc(k=1, degrees=(4,), entry="1"):
+    return json.dumps(
+        {
+            "format": "tw/1",
+            "type": "complex",
+            "k": k,
+            "modules": {"0": list(degrees), "1": [0]},
+            "differentials": {"0": [[entry]]},
+        }
+    )
+
+
+def _decomposition_doc(k=1, free=((0, 2),)):
+    return json.dumps({"format": "tw/1", "type": "decomposition", "k": k, "free": free, "torsion": [[1, 2, 0]]})
+
+
+class TestStrictScalars:
+    """tw/1 integers are JSON ints; exact entries are ints or "p/q"
+    strings.  Anything else exits 1 with one line, never coerced."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("decompose", _complex_doc(k=True)), "malformed complex document: expected an integer, got true"),
+            (("decompose", _complex_doc(degrees=(-7.3,))), "malformed complex document: expected an integer, got -7.3"),
+            (("decompose", _complex_doc(degrees=(4.0,))), "malformed complex document: expected an integer, got 4.0"),
+            (("decompose", _complex_doc(degrees=("4",))), 'malformed complex document: expected an integer, got "4"'),
+            (
+                ("decompose", _complex_doc(entry=0.1)),
+                'malformed complex document: expected an integer or a "p/q" string, got 0.1',
+            ),
+            (
+                ("decompose", _complex_doc(entry=True)),
+                'malformed complex document: expected an integer or a "p/q" string, got true',
+            ),
+            (
+                ("decompose", _complex_doc(entry="0.1")),
+                'malformed complex document: expected an integer or a "p/q" string, got "0.1"',
+            ),
+            (("couple", _decomposition_doc(k=True)), "malformed decomposition document: expected an integer, got true"),
+            (
+                ("pages", _decomposition_doc(free=((0, 2.5),))),
+                "malformed decomposition document: expected an integer, got 2.5",
+            ),
+            (
+                ("recover", json.dumps({"format": "tw/1", "type": "pages", "k": 1, "pages": [[[0, 2, 1.0]]]})),
+                "malformed pages document: expected an integer, got 1.0",
+            ),
+        ],
+    )
+    def test_rejected_with_one_line(self, capsys, argv, message):
+        out, err = run(capsys, *argv, expect=1)
+        assert out == "" and err == "error: %s\n" % message
+
+    def test_integers_and_fraction_strings_accepted(self, capsys):
+        out, _ = run(capsys, "decompose", _complex_doc(entry="-7/3"))
+        assert json.loads(out)["torsion"] == [[1, 2, 0]]
+        same, _ = run(capsys, "decompose", _complex_doc(entry=5))
+        assert same == out
+
+
 class TestVerify:
     def test_pass_line(self, capsys):
         out, _ = run(capsys, "verify", "--seed", "0", "--count", "12", "--format", "table")

@@ -4,10 +4,12 @@ import random
 
 import pytest
 
+from twkit import exactla
 from twkit.algebra import GradedModuleDescriptor
-from twkit.complexes import specialize_a_to_1
-from twkit.corpus import random_decomposition, summed_piece_pages
-from twkit.decompose import Decomposition, reassemble
+from twkit.complexes import FilteredFieldComplex, specialize_a_to_1
+from twkit.corpus import conjugate, random_decomposition, summed_piece_pages
+from twkit.decompose import Decomposition, reassemble, torsion_width
+from twkit.exactla import kernel_basis, matvec, rank
 from twkit.pages import (
     PageTable,
     assembled_pages,
@@ -120,6 +122,136 @@ class TestAssembledPages:
                 am = assembled_pages(d, False, r)
                 sm = summed_piece_pages(d, False, r)
                 assert am.same_entries(sm)
+
+
+# -- frozen reference: generic pages from three kernel bases per
+# (degree, level), as computed before the rank profile replaced them
+
+
+def _lowered_kernel(levels, out_levels, d_out, p, bound):
+    """Basis, in full coordinates, of the space of chains supported on
+    filtration <= p whose differential lands in filtration <= bound."""
+    cols = [j for j, lv in enumerate(levels) if lv <= p]
+    rows = [t for t, lv in enumerate(out_levels) if lv > bound]
+    sub = [[d_out[t][j] for j in cols] for t in rows]
+    vecs = []
+    for v in kernel_basis(sub, ncols=len(cols)):
+        full = [0] * len(levels)
+        for idx, j in enumerate(cols):
+            full[j] = v[idx]
+        vecs.append(full)
+    return vecs
+
+
+def _boundary_gens(levels, in_levels, d_in, p, source_bound):
+    """Images d(y), in full coordinates, of chains y supported on
+    filtration <= source_bound with d(y) in filtration <= p."""
+    return [matvec(d_in, y) for y in _lowered_kernel(in_levels, levels, d_in, source_bound, p)]
+
+
+def reference_generic_pages(c, r):
+    """E_r at (p, q) as len(Z_r) - rank(Z_{r-1} one step down + B_{r-1})."""
+    if r < 0:
+        raise ValueError("page index must be >= 0")
+    entries = {}
+    for n in sorted(c.degrees):
+        levels = c.degrees[n]
+        in_levels = c.degrees.get(n - 1, ())
+        out_levels = c.degrees.get(n + 1, ())
+        d_out = c.matrix(n)
+        d_in = c.matrix(n - 1)
+        for p in sorted(set(levels)):
+            z_r = _lowered_kernel(levels, out_levels, d_out, p, p - r)
+            if not z_r:
+                continue
+            z_prev = _lowered_kernel(levels, out_levels, d_out, p - 1, p - r)
+            bounds = _boundary_gens(levels, in_levels, d_in, p, p + r - 1)
+            dim = len(z_r) - rank(z_prev + bounds)
+            if dim:
+                entries[(p, n - p)] = dim
+    return PageTable(r, entries, True)
+
+
+def draw_decomposition(rng, k, max_generators, torsion=False):
+    """A corpus.random_decomposition with this k (and, if asked, a
+    torsion piece), by rejection."""
+    while True:
+        d = random_decomposition(rng, max_generators=max_generators)
+        if d.k == k and (d.torsion_pieces or not torsion):
+            return d
+
+
+def page_range(d):
+    """r = 0 through 2k tw + 3: every page up to past the collapse."""
+    return range(0, 2 * d.k * torsion_width(d) + 4)
+
+
+# filtered complexes with one feature each; d^2 = 0 and the level
+# rule are checked on construction
+HAND_BUILT = {
+    # degree 0 empty, non-contiguous levels, top degree 2 with no
+    # outgoing map
+    "empty degree": (
+        {-2: (1,), -1: (1, 0), 1: (5, 2), 2: (2, 0)},
+        {-2: [[1], [0]], 1: [[1, 3], [0, -2]]},
+    ),
+    "tied levels": (
+        {0: (3, 3, 3, 1), 1: (3, 3, 1, 1)},
+        {0: [[1, 1, 0, 0], [2, 2, 0, 0], [0, 1, 0, 1], [1, 0, 0, 0]]},
+    ),
+    "non-contiguous levels": (
+        {0: (9, 4, 4, 0), 1: (9, 4, 0, -3), 2: (-3, -8)},
+        {0: [[1, 0, 0, 0], [2, 0, 1, 0], [0, 0, 0, 0], [3, 5, 0, -1]], 1: [[0, 0, 0, 0], [0, 0, 0, 0]]},
+    ),
+    "d squared through a middle degree": (
+        {0: (2, 0), 1: (2, 1, 0), 2: (0,)},
+        {0: [[1, 0], [0, 0], [0, 1]], 1: [[0, 1, 0]]},
+    ),
+    "zero differential": ({0: (0, 2), 1: (1,)}, {0: [[0, 0]]}),
+    "no differential": ({4: (7, 7, -1)}, {}),
+}
+
+
+class TestGenericPagesAgainstReference:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_seeded_complexes(self, k):
+        rng = random.Random(400 + k)
+        for _ in range(10):
+            d = draw_decomposition(rng, k, 16, torsion=True)
+            for c in (reassemble(d), conjugate(rng, reassemble(d))):
+                fc = specialize_a_to_1(c)
+                for r in page_range(d):
+                    assert generic_pages(fc, r) == reference_generic_pages(fc, r), (d, r)
+
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT))
+    def test_hand_built_complexes(self, name):
+        degrees, mats = HAND_BUILT[name]
+        fc = FilteredFieldComplex(degrees, mats)
+        for r in range(0, 12):
+            assert generic_pages(fc, r) == reference_generic_pages(fc, r), r
+
+    def test_order_of_queries_does_not_matter(self):
+        rng = random.Random(77)
+        d = draw_decomposition(rng, 2, 12, torsion=True)
+        fc = specialize_a_to_1(conjugate(rng, reassemble(d)))
+        rs = list(page_range(d))
+        want = {r: reference_generic_pages(fc, r) for r in rs}
+        for r in rs[::-1] + rs:
+            assert generic_pages(fc, r) == want[r], r
+
+    def test_profile_is_built_once_per_complex(self, monkeypatch):
+        rng = random.Random(5)
+        d = draw_decomposition(rng, 1, 12, torsion=True)
+        fc = specialize_a_to_1(conjugate(rng, reassemble(d)))
+        calls = []
+        row_reduce = exactla.row_reduce
+        monkeypatch.setattr(exactla, "row_reduce", lambda rows: calls.append(1) or row_reduce(rows))
+        generic_pages(fc, 0)
+        built = len(calls)
+        assert built
+        for r in page_range(d):
+            generic_pages(fc, r)
+        assert len(calls) == built
 
 
 class TestGenericPages:
