@@ -60,10 +60,10 @@ EXIT_WINDOW = 4
 
 
 def _read_document(spec: str):
-    """Path, "-" for stdin, or inline JSON text."""
+    """Path, "-" for stdin, or inline JSON text (an object or array)."""
     if spec == "-":
         text = sys.stdin.read()
-    elif spec.lstrip().startswith("{"):
+    elif spec.lstrip().startswith(("{", "[")):
         text = spec
     elif os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as fh:
@@ -80,7 +80,9 @@ def _load_decomposition(spec: str):
     """Decomposition from a decomposition or complex document; the
     complex is returned too when available."""
     data = _read_document(spec)
-    kind = data.get("type") if isinstance(data, dict) else None
+    if not isinstance(data, dict):
+        raise SchemaError("expected a decomposition or complex document, got %s" % jsonio.json_kind(data))
+    kind = data.get("type")
     if kind == "decomposition":
         return jsonio.decomposition_from_json(data), None
     if kind == "complex":

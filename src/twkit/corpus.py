@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .algebra import HomMatrix
 from .complexes import GradedComplex, specialize_a_to_1
-from .couples import correspondence_check
+from .couples import correspondence_check, couple_tables
 from .decompose import (
     Decomposition,
     decompose,
@@ -29,7 +29,7 @@ from .pages import (
     piece_pages,
     stabilization_page,
 )
-from .recover import roundtrip
+from .recover import padded_sequence, recover, roundtrip
 
 
 def random_decomposition(
@@ -178,13 +178,16 @@ def cross_checks(d: Decomposition, rng: random.Random = None):
             % (stabilization_page(generic), collapse_page(d))
         )
 
-    res = correspondence_check(d, tw + 2)
+    # one derivation chain serves both couple checks: pages 1..tw+2
+    # for the correspondence, 1..tw+1 for the round trip
+    tables = couple_tables(d, tw + 2)
+    res = correspondence_check(d, tw + 2, tables)
     if not res.ok:
         failures.append("couple/page correspondence fails at r=%r" % (res.first_mismatch,))
 
     if not roundtrip(d):
         failures.append("recover round-trip (assembled pages) fails")
-    if not roundtrip(d, use_couple=True):
+    if recover(padded_sequence(k, tables[: tw + 1])) != d:
         failures.append("recover round-trip (couple pages) fails")
 
     table = hn_table(d)

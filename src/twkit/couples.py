@@ -14,6 +14,14 @@ and is stored exactly.  Every operation that would need A-data outside
 the window raises InsufficientWindow instead of guessing.  Deriving
 shrinks the window by 2k at each end: data in the outermost strip can
 no longer be trusted once f has been restricted.
+
+A model couple and the couples derived from it form one derivation
+chain, which shares one memo of eliminations keyed by the matrix
+entries (and by the right-hand sides of a solve).  Free towers repeat
+the same small maps slot after slot, so along a chain each distinct
+matrix is eliminated once.  A derived couple reads A' as the columns
+of f at f's own pivot columns, so the pullback of a basis column
+through f is a unit vector and g' needs no solve against f.
 """
 
 from __future__ import annotations
@@ -21,9 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import exactla
 from .algebra import HOM_POLY, BigradedTable
 from .decompose import Decomposition, torsion_width
-from .exactla import image_basis, kernel_basis, matmul, matvec, pivot_columns, rank, solve
+from .exactla import kernel_basis, kernel_from_reduction, matmul, matvec, solution_from_reduction
 
 
 class InsufficientWindow(RuntimeError):
@@ -42,6 +51,42 @@ def _is_zero(rows):
     return all(not x for row in rows for x in row)
 
 
+class _Eliminations:
+    """One derivation chain's memo: exactla.row_reduce results keyed
+    by the matrix entries, a tuple of row tuples.  A solve is the
+    elimination of the augmented matrix [A | B], so its key holds the
+    right-hand sides too.  Results are shared; nothing mutates them."""
+
+    __slots__ = ("_done",)
+
+    def __init__(self):
+        self._done = {}
+
+    def reduce(self, rows):
+        out = self._done.get(rows)
+        if out is None:
+            out = self._done[rows] = exactla.row_reduce(rows)
+        return out
+
+    def pivots(self, rows):
+        return self.reduce(rows)[1] if rows and rows[0] else []
+
+    def image(self, rows):
+        """exactla.image_basis: the matrix's own pivot columns."""
+        return [[row[c] for row in rows] for c in self.pivots(rows)]
+
+    def kernel(self, rows, ncols):
+        """exactla.kernel_basis of an m x ncols matrix; () is zero."""
+        if not rows or not ncols:
+            return kernel_basis([], ncols)
+        return kernel_from_reduction(self.reduce(rows), ncols)
+
+    def solve(self, rows, rhs_columns):
+        """exactla.solve for nonempty rows and right-hand sides."""
+        aug = tuple(row + tuple(b[r] for b in rhs_columns) for r, row in enumerate(rows))
+        return solution_from_reduction(self.reduce(aug), len(rows[0]), len(rhs_columns))
+
+
 class ExactCouple:
     """Windowed exact couple with per-bidegree rational matrices.
 
@@ -49,12 +94,14 @@ class ExactCouple:
     source bidegree, shaped target-dim x source-dim.  g_shift records
     the accumulated polynomial bidegree of g.  Exactness of the
     triangle is validated on construction at every bidegree whose
-    referenced slots all lie inside the window.
+    referenced slots all lie inside the window.  memo is the
+    derivation chain's memo of eliminations, which derive passes on;
+    a couple built without one starts a new chain.
     """
 
-    __slots__ = ("k", "window", "g_shift", "_a", "_e", "_f", "_g", "_h")
+    __slots__ = ("k", "window", "g_shift", "_a", "_e", "_f", "_g", "_h", "_memo")
 
-    def __init__(self, k, window, a_dims, e_dims, f, g, h, g_shift=0, validate=True):
+    def __init__(self, k, window, a_dims, e_dims, f, g, h, g_shift=0, validate=True, memo=None):
         if k < 1:
             raise ValueError("k must be a positive integer")
         lo, hi = int(window[0]), int(window[1])
@@ -82,6 +129,7 @@ class ExactCouple:
         object.__setattr__(self, "_f", self._clean(f))
         object.__setattr__(self, "_g", self._clean(g))
         object.__setattr__(self, "_h", self._clean(h))
+        object.__setattr__(self, "_memo", _Eliminations() if memo is None else memo)
         if validate:
             self._check_shapes()
             self._check_exactness()
@@ -93,7 +141,7 @@ class ExactCouple:
     def _clean(maps):
         out = {}
         for key, rows in maps.items():
-            rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
+            rows = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows)
             if rows and rows[0] and not _is_zero(rows):
                 out[(int(key[0]), int(key[1]))] = rows
         return out
@@ -143,10 +191,16 @@ class ExactCouple:
         return _zeros(self.a_dim(i + 1, s - 2 * self.k), self.e_dim(i, s))
 
     def differential(self, i, s):
-        """d = g o h out of E at (i, s); bidegree (1, g_shift - 2k)."""
-        h = self.h_at(i, s)
-        g = self.g_at(i + 1, s - 2 * self.k)
-        return matmul(g, h, self.e_dim(i, s))
+        """d = g o h out of E at (i, s) as a tuple of rows, bidegree
+        (1, g_shift - 2k); () when g or h is absent there (d = 0).
+        Either way the target's A slot must lie inside the window."""
+        k2 = 2 * self.k
+        h = self._h.get((i, s))
+        g = self._g.get((i + 1, s - k2))
+        if h is None or g is None:
+            self.a_dim(i + 1, s - k2)
+            return ()
+        return tuple(map(tuple, matmul(g, h, self.e_dim(i, s))))
 
     def is_trivial(self) -> bool:
         return not self._a and not self._e
@@ -176,6 +230,21 @@ class ExactCouple:
     def _check_exactness(self):
         k2 = 2 * self.k
         lo, hi = self.window
+        maps = {"f": self._f, "g": self._g, "h": self._h}
+        ranks = {}
+
+        def rank_of(name, key):
+            # each map borders two slots; an absent map has rank 0
+            if (name, key) not in ranks:
+                rows = maps[name].get(key)
+                ranks[(name, key)] = len(self._memo.pivots(rows)) if rows else 0
+            return ranks[(name, key)]
+
+        def vanishes(left, key_left, right, key_right):
+            # the composite left o right; zero when either map is absent
+            a = maps[left].get(key_left)
+            b = maps[right].get(key_right)
+            return a is None or b is None or _is_zero(matmul(a, b, len(b[0])))
 
         def interior(s):
             return lo + k2 <= s <= hi - k2
@@ -184,29 +253,24 @@ class ExactCouple:
             if not interior(s):
                 continue
             dim = self._a[(i, s)]
-            f_in = self.f_at(i, s - k2)
-            f_out = self.f_at(i, s)
-            g_out = self.g_at(i, s)
-            h_in = self.h_at(i - 1, s + k2)
-            if rank(list(f_in)) + rank(list(g_out)) != dim:
+            if rank_of("f", (i, s - k2)) + rank_of("g", (i, s)) != dim:
                 raise ValueError("exactness fails at A (%d, %d): im f vs ker g" % (i, s))
-            if not _is_zero(matmul(g_out, f_in, self.a_dim(i, s - k2))):
+            if not vanishes("g", (i, s), "f", (i, s - k2)):
                 raise ValueError("g o f is nonzero at (%d, %d)" % (i, s - k2))
-            if rank(list(h_in)) + rank(list(f_out)) != dim:
+            if rank_of("h", (i - 1, s + k2)) + rank_of("f", (i, s)) != dim:
                 raise ValueError("exactness fails at A (%d, %d): im h vs ker f" % (i, s))
-            if not _is_zero(matmul(f_out, h_in, self.e_dim(i - 1, s + k2))):
+            if not vanishes("f", (i, s), "h", (i - 1, s + k2)):
                 raise ValueError("f o h is nonzero at (%d, %d)" % (i - 1, s + k2))
         for (i, s) in sorted(self._e):
             if not (self.inside(s - self.g_shift) and interior(s - self.g_shift)):
                 continue
             if not self.inside(s - k2):
                 continue
-            g_in = self.g_at(i, s - self.g_shift)
-            h_out = self.h_at(i, s)
-            if rank(list(g_in)) + rank(list(h_out)) != self.e_dim(i, s):
+            g_key = (i, s - self.g_shift)
+            if rank_of("g", g_key) + rank_of("h", (i, s)) != self.e_dim(i, s):
                 raise ValueError("exactness fails at E (%d, %d): im g vs ker h" % (i, s))
-            if not _is_zero(matmul(h_out, g_in, self.a_dim(i, s - self.g_shift))):
-                raise ValueError("h o g is nonzero at (%d, %d)" % (i, s - self.g_shift))
+            if not vanishes("h", (i, s), "g", g_key):
+                raise ValueError("h o g is nonzero at (%d, %d)" % g_key)
 
     # -- derivation ----------------------------------------------------
 
@@ -217,10 +281,18 @@ class ExactCouple:
         The window shrinks by 2k at each end.  Raises
         InsufficientWindow when a nonzero map cannot be represented in
         the shrunk window.
+
+        The derived couple shares this couple's memo of eliminations,
+        so along one chain each distinct matrix is eliminated once.
+        A' at (i, s) has as basis the columns of f at f's own pivot
+        columns p, so the pullback of basis column p through f is the
+        unit vector at p, and g' there is g's column p, projected onto
+        E' by one solve per bidegree.
         """
+        memo = self._memo
         if self.is_trivial():
             return ExactCouple(
-                self.k, self.window, {}, {}, {}, {}, {}, self.g_shift, validate=False
+                self.k, self.window, {}, {}, {}, {}, {}, self.g_shift, validate=False, memo=memo
             )
         k2 = 2 * self.k
         lo, hi = self.window
@@ -238,79 +310,72 @@ class ExactCouple:
         e_new = {}
         for (i, s) in self.e_support():
             dim = self.e_dim(i, s)
-            d_out = self.differential(i, s)
-            kern = kernel_basis(list(d_out), ncols=dim)
+            kern = memo.kernel(self.differential(i, s), dim)
             src = (i - 1, s + k2 - self.g_shift)
-            if self.e_dim(*src):
-                img = image_basis(list(self.differential(*src)))
-            else:
-                img = []
+            img = memo.image(self.differential(*src)) if self.e_dim(*src) else []
             stacked = img + kern
-            matrix = _cols_to_rows(stacked, dim)
-            chosen = [stacked[p] for p in pivot_columns(list(matrix)) if p >= len(img)]
+            chosen = [stacked[p] for p in memo.pivots(_cols_to_rows(stacked, dim)) if p >= len(img)]
             if chosen:
                 e_new[(i, s)] = len(chosen)
             reps[(i, s)] = chosen
             proj[(i, s)] = (img, chosen)
 
-        def project(pos, vec):
+        def project(pos, vecs):
             img, chosen = proj.get(pos, ([], []))
             if not img and not chosen:
-                if any(vec):
+                if any(any(v) for v in vecs):
                     raise AssertionError("class fell outside the kernel basis")
-                return []
-            basis = img + chosen
-            sols = solve(list(_cols_to_rows(basis, len(vec))), [vec], ncols=len(basis))
+                return [[] for _ in vecs]
+            sols = memo.solve(_cols_to_rows(img + chosen, len(vecs[0])), vecs)
             if sols is None:
                 raise AssertionError("class fell outside the kernel basis")
-            return sols[0][len(img):]
+            return [x[len(img):] for x in sols]
 
         # A': image basis of f per bidegree, kept inside the new window.
         iota = {}
+        f_pivots = {}
         a_new = {}
         for (i, s) in sorted((i, s + k2) for (i, s) in self._f):
             if not new_lo <= s <= new_hi:
                 continue
-            cols = image_basis(list(self.f_at(i, s - k2)))
-            if cols:
-                iota[(i, s)] = cols
-                a_new[(i, s)] = len(cols)
+            f_in = self._f[(i, s - k2)]
+            pivots = memo.pivots(f_in)
+            if pivots:
+                iota[(i, s)] = [[row[c] for row in f_in] for c in pivots]
+                f_pivots[(i, s)] = pivots
+                a_new[(i, s)] = len(pivots)
 
         f_new = {}
         g_new = {}
         h_new = {}
         for (i, s), cols in sorted(iota.items()):
-            # f' = f restricted to the image basis
-            if s + k2 <= new_hi:
-                f_cols = [matvec(self.f_at(i, s), col) for col in cols]
+            # f' = f restricted to the image basis; where f is absent
+            # its image above is empty too, and f' = 0
+            f_out = self._f.get((i, s))
+            if s + k2 <= new_hi and f_out is not None:
+                f_cols = [matvec(f_out, col) for col in cols]
                 target = iota.get((i, s + k2), [])
                 if target:
-                    sols = solve(
-                        list(_cols_to_rows(target, self.a_dim(i, s + k2))),
-                        f_cols,
-                        ncols=len(target),
-                    )
+                    sols = memo.solve(_cols_to_rows(target, self.a_dim(i, s + k2)), f_cols)
                     if sols is None:
                         raise AssertionError("f does not preserve its own image")
                     f_new[(i, s)] = _cols_to_rows(sols, len(target))
                 elif any(any(v) for v in f_cols):
                     raise AssertionError("f does not preserve its own image")
-            # g'(f(b)) = g(b): pull each basis column back through f
-            back = solve(
-                list(self.f_at(i, s - k2)), cols, ncols=self.a_dim(i, s - k2)
-            )
-            if back is None:
-                raise AssertionError("image basis column not in the image of f")
-            g_pos = (i, s + new_shift)
-            g_cols = [
-                project(g_pos, matvec(self.g_at(i, s - k2), b)) for b in back
-            ]
-            g_new[(i, s)] = _cols_to_rows(g_cols, e_new.get(g_pos, 0))
+            # g'(f(b)) = g(b), with b the unit vector at f's pivot column
+            g_in = self._g.get((i, s - k2))
+            if g_in is not None:
+                g_pos = (i, s + new_shift)
+                g_cols = project(g_pos, [[row[p] for row in g_in] for p in f_pivots[(i, s)]])
+                g_new[(i, s)] = _cols_to_rows(g_cols, e_new.get(g_pos, 0))
 
         for (i, s), chosen in sorted(reps.items()):
-            if not chosen:
+            # an absent h sends every class to 0; its target slot was
+            # already checked against the window with d out of (i, s)
+            h_out = self._h.get((i, s))
+            if not chosen or h_out is None:
                 continue
-            h_vecs = [matvec(self.h_at(i, s), c) for c in chosen]
+            h_vecs = [matvec(h_out, c) for c in chosen]
             if not any(any(v) for v in h_vecs):
                 continue
             t_pos = (i + 1, s - k2)
@@ -320,15 +385,7 @@ class ExactCouple:
                     % (i, s, new_lo, new_hi)
                 )
             target = iota.get(t_pos, [])
-            sols = (
-                solve(
-                    list(_cols_to_rows(target, self.a_dim(*t_pos))),
-                    h_vecs,
-                    ncols=len(target),
-                )
-                if target
-                else None
-            )
+            sols = memo.solve(_cols_to_rows(target, self.a_dim(*t_pos)), h_vecs) if target else None
             if sols is None:
                 raise AssertionError("h of a surviving class left the image of f")
             h_new[(i, s)] = _cols_to_rows(sols, len(target))
@@ -342,6 +399,7 @@ class ExactCouple:
             g_new,
             h_new,
             new_shift,
+            memo=memo,
         )
 
 
@@ -466,6 +524,17 @@ def couple_pages(c: ExactCouple, r: int) -> BigradedTable:
     return c.e_table()
 
 
+def couple_tables(d: Decomposition, count: int):
+    """Pages 1..count of the model couple of d, from one derivation
+    chain (count - 1 derivations; the first page when count < 1)."""
+    c = couple_from_decomposition(d)
+    tables = [c.e_table()]
+    while len(tables) < count:
+        c = c.derive()
+        tables.append(c.e_table())
+    return tables
+
+
 @dataclass(frozen=True)
 class CorrespondenceResult:
     ok: bool
@@ -476,20 +545,21 @@ class CorrespondenceResult:
         return self.ok
 
 
-def correspondence_check(d: Decomposition, r_max: int) -> CorrespondenceResult:
+def correspondence_check(d: Decomposition, r_max: int, tables=None) -> CorrespondenceResult:
     """Couple pages against assembled hat pages.
 
     For r = 1..r_max the couple page at (p, q) = (hom, filt) must equal
     the hat page 2k(r-1)+1 at position (q, p - q).  Returns the first
-    failing r, if any.
+    failing r, if any.  tables, when given, are couple_tables(d, n)
+    for some n >= r_max, so a caller that needs the pages elsewhere
+    derives the couple once.
     """
     from .pages import assembled_pages
 
-    current = couple_from_decomposition(d)
+    if tables is None:
+        tables = couple_tables(d, r_max)
     for r in range(1, r_max + 1):
-        if r > 1:
-            current = current.derive()
-        lhs = current.e_table().to_page()
+        lhs = tables[r - 1].to_page()
         rhs = assembled_pages(d, True, 2 * d.k * (r - 1) + 1).table()
         if lhs != rhs:
             return CorrespondenceResult(False, r_max, r)

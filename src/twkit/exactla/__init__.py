@@ -62,7 +62,13 @@ def kernel_basis(rows, ncols=None):
     ncols = len(rows[0])
     if ncols == 0:
         return []
-    rref, pivots = row_reduce(rows)
+    return kernel_from_reduction(row_reduce(rows), ncols)
+
+
+def kernel_from_reduction(reduction, ncols):
+    """kernel_basis read off row_reduce's (rref, pivots) of a matrix
+    with ncols > 0 columns."""
+    rref, pivots = reduction
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -102,7 +108,13 @@ def solve(rows, rhs_columns, ncols=None):
     if nrows == 0:
         return [[0] * ncols for _ in range(nb)]
     aug = [list(rows[i]) + [b[i] for b in rhs_columns] for i in range(nrows)]
-    rref, pivots = row_reduce(aug)
+    return solution_from_reduction(row_reduce(aug), ncols, nb)
+
+
+def solution_from_reduction(reduction, ncols, nb):
+    """solve's answer read off row_reduce's (rref, pivots) of [A | B],
+    A with ncols columns and B with nb > 0."""
+    rref, pivots = reduction
     if any(p >= ncols for p in pivots):
         return None
     sols = []

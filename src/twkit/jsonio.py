@@ -47,9 +47,14 @@ def _int(x) -> int:
     return x
 
 
+def json_kind(data) -> str:
+    """What a JSON value that is not an object is, for error messages."""
+    return {list: "an array", str: "a string", bool: "a bool", type(None): "null"}.get(type(data), "a number")
+
+
 def _check_header(data, expected_type):
     if not isinstance(data, dict):
-        raise SchemaError("expected a JSON object")
+        raise SchemaError("expected a JSON object, got %s" % json_kind(data))
     if data.get("format") != FORMAT:
         raise SchemaError("missing or wrong format marker, expected %r" % FORMAT)
     if data.get("type") != expected_type:
@@ -157,7 +162,9 @@ def page_to_data(page: PageTable) -> dict:
 def page_from_json(data) -> PageTable:
     _check_header(data, "page")
     try:
-        hat = bool(data["hat"])
+        hat = data["hat"]
+        if type(hat) is not bool:
+            raise ValueError('expected true or false for "hat", got %s' % json.dumps(hat))
         entries = {}
         for p, q, value in data["entries"]:
             key = (_int(p), _int(q))

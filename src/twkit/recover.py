@@ -159,23 +159,26 @@ def pages_from_decomposition(d: Decomposition, use_couple: bool = False) -> Page
     from .pages import assembled_pages
 
     tw = torsion_width(d)
-    seq = []
     if use_couple:
-        from .couples import couple_from_decomposition
+        from .couples import couple_tables
 
-        couple = couple_from_decomposition(d)
-        for r in range(1, tw + 2):
-            if r > 1:
-                couple = couple.derive()
-            seq.append(couple.e_table())
+        seq = couple_tables(d, tw + 1)
     else:
-        for r in range(1, tw + 2):
-            seq.append(assembled_pages(d, True, 2 * d.k * (r - 1) + 1).table().to_hom_poly())
+        seq = [
+            assembled_pages(d, True, 2 * d.k * (r - 1) + 1).table().to_hom_poly()
+            for r in range(1, tw + 2)
+        ]
+    return padded_sequence(d.k, seq)
+
+
+def padded_sequence(k: int, seq) -> PageSequence:
+    """Pages [E^(1), ..., E^(n)], the last repeated up to page tau+1."""
+    seq = list(seq)
     if not seq[0].is_empty():
-        tau = _tau_of(seq[0], d.k)
+        tau = _tau_of(seq[0], k)
         while len(seq) < tau + 1:
             seq.append(seq[-1])
-    return PageSequence(d.k, seq)
+    return PageSequence(k, seq)
 
 
 def roundtrip(d: Decomposition, use_couple: bool = False) -> bool:

@@ -345,6 +345,49 @@ class TestStrictScalars:
         same, _ = run(capsys, "decompose", _complex_doc(entry=5))
         assert same == out
 
+    @pytest.mark.parametrize("hat", ["false", "true", 0, 1, None, [True]])
+    def test_page_hat_must_be_a_json_bool(self, hat):
+        # the CLI reports a SchemaError as one line with exit 1
+        doc = {"format": "tw/1", "type": "page", "r": 1, "hat": hat, "entries": [[0, 0, 1]]}
+        with pytest.raises(jsonio.SchemaError) as caught:
+            jsonio.page_from_json(doc)
+        assert str(caught.value) == 'malformed page document: expected true or false for "hat", got %s' % json.dumps(hat)
+
+    def test_page_hat_bools_accepted(self):
+        doc = {"format": "tw/1", "type": "page", "r": 1, "hat": True, "entries": [[0, 0, 1]]}
+        assert jsonio.page_from_json(doc).hat is True
+        doc.update(hat=False, entries=[[0, 0, {"free": [0]}]])
+        assert jsonio.page_from_json(doc).hat is False
+
+
+class TestTopLevelArray:
+    """Inline text starting with "[" is JSON, so an array is a wrong
+    document, not a missing file."""
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("decompose", "expected a JSON object, got an array"),
+            ("recover", "expected a JSON object, got an array"),
+            ("pages", "expected a decomposition or complex document, got an array"),
+            ("couple", "expected a decomposition or complex document, got an array"),
+        ],
+    )
+    @pytest.mark.parametrize("text", ["[1,2]", " [ ]"])
+    def test_wrong_document_type(self, capsys, command, message, text):
+        out, err = run(capsys, command, text, expect=1)
+        assert out == "" and err == "error: %s\n" % message
+
+    def test_broken_array_is_a_parse_error(self, capsys):
+        _, err = run(capsys, "decompose", "[1,", expect=1)
+        assert err.startswith("error: cannot parse JSON input:") and err.count("\n") == 1
+
+    def test_array_file(self, capsys, tmp_path):
+        path = tmp_path / "array.json"
+        path.write_text("[]")
+        _, err = run(capsys, "couple", str(path), expect=1)
+        assert err == "error: expected a decomposition or complex document, got an array\n"
+
 
 class TestVerify:
     def test_pass_line(self, capsys):
