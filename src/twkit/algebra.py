@@ -267,16 +267,14 @@ class HomMatrix:
         return HomMatrix(self.ring, other.source_degrees, self.target_degrees, rows)
 
     def reduced_mod_a(self):
-        """Scalar rows with every positive-exponent entry set to 0."""
+        """Sparse scalar rows, {col: Fraction}, of the nonzero
+        exponent-0 entries; every positive-exponent entry is dropped."""
+        same_degree = {}
+        for c, sdeg in enumerate(self.source_degrees):
+            same_degree.setdefault(sdeg, []).append(c)
         out = []
-        for r, trow in enumerate(self.entries):
-            tdeg = self.target_degrees[r]
-            out.append(
-                [
-                    x if x and self.source_degrees[c] == tdeg else Fraction(0)
-                    for c, x in enumerate(trow)
-                ]
-            )
+        for tdeg, trow in zip(self.target_degrees, self.entries):
+            out.append({c: trow[c] for c in same_degree.get(tdeg, ()) if trow[c]})
         return out
 
 

@@ -5,7 +5,8 @@ versioned "tw/1", byte-identical for identical arguments and seed);
 --format table renders the same data as aligned text grids.  Exit
 codes: 0 success, 1 generic or failed verification, 2 structural
 complex error (d^2 != 0, inhomogeneous entries), 3 inconsistent pages,
-4 insufficient couple window.
+4 insufficient couple window, 5 internal invariant failure (a defect in
+twkit; the one-line message names the stage).
 
 The TW_SEED environment variable overrides --seed wherever a seed is
 accepted.
@@ -25,6 +26,7 @@ from .algebra import BigradedTable, GradedModuleDescriptor
 from .complexes import (
     ComplexError,
     GradedComplex,
+    InternalError,
     first_differential,
     specialize_a_to_1,
 )
@@ -54,6 +56,7 @@ EXIT_GENERIC = 1
 EXIT_COMPLEX = 2
 EXIT_PAGES = 3
 EXIT_WINDOW = 4
+EXIT_INTERNAL = 5
 
 
 # -- input plumbing ----------------------------------------------------
@@ -583,6 +586,9 @@ def main(argv=None) -> int:
     except InsufficientWindow as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_WINDOW
+    except InternalError as e:
+        print("error: %s" % e, file=sys.stderr)
+        return EXIT_INTERNAL
     except (SchemaError, ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_GENERIC

@@ -25,6 +25,15 @@ class ComplexError(ValueError):
     entries, or d^2 != 0."""
 
 
+class InternalError(RuntimeError):
+    """An internal invariant failed: a defect in twkit, not in its
+    input.  stage names the computation that found it."""
+
+    def __init__(self, stage: str, message: str):
+        super().__init__("internal error in %s: %s" % (stage, message))
+        self.stage = stage
+
+
 class GradedComplex:
     """Bounded complex of graded-free k[a]-modules.
 
@@ -190,7 +199,14 @@ def complex_from_data(k: int, modules, differentials) -> GradedComplex:
 
 class FieldComplex:
     """Complex of graded C-spaces with a degree-preserving differential
-    (the a -> 0 reduction)."""
+    (the a -> 0 reduction).
+
+    mats[i], the differential out of degree i, is a tuple of sparse
+    rows, one per generator at degree i + 1: {col: Fraction} maps of
+    the nonzero entries.  The constructor takes sparse rows or dense
+    ones (sequences of rationals, one cell per generator at degree i);
+    matrix(i) is the dense view.
+    """
 
     __slots__ = ("degrees", "mats")
 
@@ -199,10 +215,11 @@ class FieldComplex:
         ms = {}
         for i, rows in mats.items():
             i = int(i)
-            rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
-            if not rows or not rows[0]:
+            ncols = len(degs.get(i, ()))
+            # no rows, or no columns and nothing in them: a zero map
+            if not rows or not (ncols or any(rows)):
                 continue
-            ms[i] = rows
+            ms[i] = tuple(_sparse_row(row, ncols, i) for row in rows)
         object.__setattr__(self, "degrees", degs)
         object.__setattr__(self, "mats", ms)
         if validate:
@@ -218,11 +235,11 @@ class FieldComplex:
         for i, rows in sorted(self.mats.items()):
             src = self.degrees.get(i, ())
             tgt = self.degrees.get(i + 1, ())
-            if len(rows) != len(tgt) or any(len(r) != len(src) for r in rows):
+            if len(rows) != len(tgt) or any(c < 0 or c >= len(src) for row in rows for c in row):
                 raise ComplexError("shape mismatch at degree %d" % i)
             for r, row in enumerate(rows):
-                for c, x in enumerate(row):
-                    if x and not self._label_ok(src[c], tgt[r]):
+                for c in sorted(row):
+                    if not self._label_ok(src[c], tgt[r]):
                         raise ComplexError(
                             "entry (%d, %d) at degree %d violates the grading"
                             % (r, c, i)
@@ -232,18 +249,34 @@ class FieldComplex:
             if nxt is None:
                 continue
             cur = self.mats[i]
-            if any(x for row in exactla.matmul(nxt, cur, len(cur[0])) for x in row):
-                raise ComplexError("d^2 != 0 on the square starting at degree %d" % i)
+            for row in nxt:
+                acc = {}
+                for j, x in row.items():
+                    for c, y in cur[j].items():
+                        acc[c] = acc.get(c, 0) + x * y
+                if any(acc.values()):
+                    raise ComplexError("d^2 != 0 on the square starting at degree %d" % i)
 
     def rank(self, i: int) -> int:
         return len(self.degrees.get(i, ()))
 
     def matrix(self, i: int):
-        """Differential out of degree i as list rows (may be empty)."""
-        rows = self.mats.get(i)
-        if rows is not None:
-            return [list(r) for r in rows]
-        return [[Fraction(0)] * self.rank(i) for _ in range(self.rank(i + 1))]
+        """Differential out of degree i as dense list rows (may be empty)."""
+        zero = Fraction(0)
+        rows = self.mats.get(i, ({},) * self.rank(i + 1))
+        return [[row.get(c, zero) for c in range(self.rank(i))] for row in rows]
+
+
+def _sparse_row(row, ncols, i):
+    """{col: Fraction} of a sparse or dense row's nonzeros; a dense row
+    must have ncols cells."""
+    if isinstance(row, dict):
+        items = row.items()
+    elif len(row) != ncols:
+        raise ComplexError("shape mismatch at degree %d" % i)
+    else:
+        items = enumerate(row)
+    return {c: x if type(x) is Fraction else Fraction(x) for c, x in items if x}
 
 
 class FilteredFieldComplex(FieldComplex):
@@ -274,13 +307,15 @@ class FilteredFieldComplex(FieldComplex):
         """
         if n not in self._profiles:
             src, tgt = self.degrees.get(n, ()), self.degrees.get(n + 1, ())
-            rows = self.mats.get(n, ())
             order = sorted(range(len(src)), key=src.__getitem__)
+            at = {j: p for p, j in enumerate(order)}
+            rows = [{at[j]: x for j, x in row.items()} for row in self.mats.get(n, ())]
             cuts = sorted(set(tgt))
             pivot_levels = []
             for b in [float("-inf")] + cuts:
-                kept = [[row[j] for j in order] for row, lv in zip(rows, tgt) if lv > b]
-                pivot_levels.append([src[order[j]] for j in exactla.pivot_columns(kept)])
+                kept = [row for row, lv in zip(rows, tgt) if lv > b]
+                pivots = exactla.row_reduce(kept, len(src))[1] if kept else []
+                pivot_levels.append([src[order[j]] for j in pivots])
             self._profiles[n] = cuts, pivot_levels
         cuts, pivot_levels = self._profiles[n]
         return bisect_right(pivot_levels[bisect_right(cuts, above)], upto)
@@ -402,18 +437,34 @@ def _eliminate_field(c: FieldComplex, h: int, row: int, col: int) -> FieldComple
         raise ComplexError("pivot position out of range")
     if src[col] != tgt[row]:
         raise ComplexError("pivot does not preserve the level, not invertible")
-    if not rows[row][col]:
+    prow = rows[row]
+    if col not in prow:
         raise ComplexError("pivot entry is zero")
 
+    def without(r, j):
+        """Sparse row r with column j removed and later columns moved left."""
+        return {cc - (cc > j): x for cc, x in r.items() if cc != j}
+
     degs = dict(c.degrees)
-    mats = {i: [list(r) for r in m] for i, m in c.mats.items()}
+    mats = dict(c.mats)
     degs[h] = tuple(x for i, x in enumerate(src) if i != col)
     degs[h + 1] = tuple(x for i, x in enumerate(tgt) if i != row)
-    mats[h] = _schur(rows, row, col)
+    # epsilon - gamma phi^{-1} delta, on the nonzeros
+    schur = []
+    for r, full in enumerate(rows):
+        if r == row:
+            continue
+        if col in full:
+            ratio = full[col] / prow[col]
+            full = dict(full)
+            for cc, x in prow.items():
+                full[cc] = full.get(cc, 0) - ratio * x
+        schur.append(without(full, col))
+    mats[h] = schur
     if h - 1 in mats:
         mats[h - 1] = [r for i, r in enumerate(mats[h - 1]) if i != col]
     if h + 1 in mats:
-        mats[h + 1] = [[x for i, x in enumerate(r) if i != row] for r in mats[h + 1]]
+        mats[h + 1] = [without(r, row) for r in mats[h + 1]]
     cls = type(c)
     return cls(degs, mats)
 
@@ -422,11 +473,12 @@ def _eliminate_field(c: FieldComplex, h: int, row: int, col: int) -> FieldComple
 class FieldHomologyBasis:
     """Homology of a field complex with pinned cycle representatives.
 
-    dims: {i: dim}; representatives: {i: tuple of coordinate vectors};
+    dims: {i: dim}; representatives: {i: tuple of cycles};
     boundaries: {i: tuple of vectors spanning the image of d^{i-1}};
     bigraded: dimension table by (i, generator degree) when the input
-    was graded, else None.  Representatives come from reduced row
-    echelon pivoting in generator order, so they are reproducible.
+    was graded, else None.  Every vector is sparse, a {coordinate:
+    Fraction} map of its nonzeros.  Representatives come from reduced
+    row echelon pivoting in generator order, so they are reproducible.
     """
 
     dims: dict
@@ -438,34 +490,63 @@ class FieldHomologyBasis:
         return sum(self.dims.values())
 
 
+def _stack(columns, n):
+    """Sparse rows of the n-row matrix whose columns are the given
+    sparse vectors, in order."""
+    rows = [{} for _ in range(n)]
+    for j, v in enumerate(columns):
+        for r, x in v.items():
+            rows[r][j] = x
+    return rows
+
+
 def homology_field(fc: FieldComplex) -> FieldHomologyBasis:
+    """Each differential d^i is eliminated once: its rref gives the
+    kernel at degree i, and its pivot columns the image at degree i+1."""
     graded = not isinstance(fc, FilteredFieldComplex)
-    hom_degrees = set(fc.degrees)
+    one = Fraction(1)
+    kernels = {}
+    images = {}
+    for i, rows in fc.mats.items():
+        rref, pivots = exactla.row_reduce(rows, fc.rank(i))
+        # one kernel vector per free column j: 1 at j and minus the
+        # rref entry at j on each pivot column
+        minus = {}
+        for pc, prow in zip(pivots, rref):
+            for j, x in prow.items():
+                if j != pc:
+                    minus.setdefault(j, {})[pc] = -x
+        is_pivot = set(pivots)
+        kernels[i] = [
+            {j: one, **minus.get(j, {})} for j in range(fc.rank(i)) if j not in is_pivot
+        ]
+        columns = {c: {} for c in pivots}
+        for r, row in enumerate(rows):
+            for c, x in row.items():
+                if c in columns:
+                    columns[c][r] = x
+        images[i + 1] = [columns[c] for c in pivots]
+
     dims = {}
     reps = {}
     bnds = {}
     bigraded = {}
-    for i in sorted(hom_degrees):
+    for i in sorted(fc.degrees):
         n = fc.rank(i)
-        cycles = exactla.kernel_basis([list(r) for r in fc.mats.get(i, ())], ncols=n)
-        image = exactla.image_basis([list(r) for r in fc.mats.get(i - 1, ())])
-        bnds[i] = tuple(tuple(v) for v in image)
-        # columns [image | cycles]; the pivot columns landing in the
-        # cycle block are the chosen representatives
-        stacked = [
-            [image[j][r] for j in range(len(image))]
-            + [cycles[j][r] for j in range(len(cycles))]
-            for r in range(n)
-        ]
-        pivots = exactla.pivot_columns(stacked)
+        cycles = kernels[i] if i in kernels else [{j: one} for j in range(n)]
+        image = images.get(i, [])
+        bnds[i] = tuple(image)
+        # columns [image | cycles], one row per coordinate; the pivot
+        # columns landing in the cycle block are the chosen representatives
+        stacked = _stack(image + cycles, n)
+        pivots = exactla.row_reduce(stacked, len(image) + len(cycles))[1] if image or cycles else []
         chosen = [cycles[p - len(image)] for p in pivots if p >= len(image)]
         dims[i] = len(chosen)
-        reps[i] = tuple(tuple(v) for v in chosen)
+        reps[i] = tuple(chosen)
         if graded:
             degs = fc.degrees[i]
             for v in chosen:
-                support = [c for c, x in enumerate(v) if x]
-                vdegs = {degs[c] for c in support}
+                vdegs = {degs[c] for c in v}
                 if len(vdegs) != 1:
                     raise ComplexError("representative mixes degrees")
                 key = (i, vdegs.pop())
@@ -527,50 +608,52 @@ def first_differential(c: GradedComplex) -> FirstDifferential:
     fc = reduce_mod_a(c)
     hb = homology_field(fc)
     k = c.ring.k
-    rep_degrees = {}
-    for i, reps in hb.representatives.items():
-        degs = fc.degrees.get(i, ())
-        out = []
-        for v in reps:
-            support = [ci for ci, x in enumerate(v) if x]
-            out.append(degs[support[0]])
-        rep_degrees[i] = tuple(out)
+    rep_degrees = {
+        i: tuple(fc.degrees[i][min(v)] for v in reps) for i, reps in hb.representatives.items()
+    }
 
+    zero = Fraction(0)
     blocks = {}
     for i in sorted(hb.dims):
         reps = hb.representatives[i]
-        if not reps or hb.dims.get(i + 1, 0) == 0:
-            continue
+        reps_next = hb.representatives.get(i + 1, ())
         d = c.differentials.get(i)
-        tgt_degs = fc.degrees.get(i + 1, ())
-        cols = []
-        for vi, v in enumerate(reps):
-            sigma = rep_degrees[i][vi]
-            w = [Fraction(0)] * len(tgt_degs)
-            if d is not None:
-                for t, acc in enumerate(exactla.matvec(d.entries, v)):
-                    gap = sigma - tgt_degs[t]
-                    if gap == 0:
-                        if acc:
-                            raise ComplexError(
-                                "lift of a mod-a cycle has nonzero a^0 image"
-                            )
-                    elif gap == 2 * k:
-                        w[t] = acc
-            cols.append(w)
-        image = [list(v) for v in hb.boundaries.get(i + 1, ())]
-        reps_next = [list(v) for v in hb.representatives.get(i + 1, ())]
-        basis_cols = image + reps_next
-        n = len(tgt_degs)
-        mat = [[basis_cols[j][r] for j in range(len(basis_cols))] for r in range(n)]
-        sols = exactla.solve(mat, cols, ncols=len(basis_cols))
-        if sols is None:
+        if not reps or not reps_next or d is None:
+            continue
+        # a representative of degree sigma meets only targets of degree
+        # sigma (its a^0 image, zero on a mod-a cycle) and sigma - 2k
+        # (its a^1 image, the lift)
+        targets = {}
+        for t, tdeg in enumerate(d.target_degrees):
+            targets.setdefault(tdeg, []).append(t)
+        lifts = []
+        for v, sigma in zip(reps, rep_degrees[i]):
+            for t in targets.get(sigma, ()):
+                row = d.entries[t]
+                if sum((row[j] * x for j, x in v.items() if row[j]), zero):
+                    raise ComplexError("lift of a mod-a cycle has nonzero a^0 image")
+            w = {}
+            for t in targets.get(sigma - 2 * k, ()):
+                row = d.entries[t]
+                acc = sum((row[j] * x for j, x in v.items() if row[j]), zero)
+                if acc:
+                    w[t] = acc
+            lifts.append(w)
+        # one elimination of [image | representatives | lifts], read as
+        # solve reads it: free variables 0
+        image = hb.boundaries.get(i + 1, ())
+        nb = len(image) + len(reps_next)
+        stacked = _stack(image + reps_next + tuple(lifts), fc.rank(i + 1))
+        rref, pivots = exactla.row_reduce(stacked, nb + len(lifts))
+        if any(p >= nb for p in pivots):
             raise ComplexError("projection onto the homology basis failed")
-        nb = len(image)
-        block = [
-            [sols[ci][nb + ri] for ci in range(len(reps))]
-            for ri in range(len(reps_next))
-        ]
+        block = [[zero] * len(reps) for _ in reps_next]
+        for pc, prow in zip(pivots, rref):
+            if pc >= len(image):
+                out = block[pc - len(image)]
+                for j, x in prow.items():
+                    if j >= nb:
+                        out[j - nb] = x
         if any(x for row in block for x in row):
             blocks[i] = tuple(tuple(row) for row in block)
 

@@ -31,6 +31,7 @@ from fractions import Fraction
 
 from . import exactla
 from .algebra import HOM_POLY, BigradedTable
+from .complexes import InternalError
 from .decompose import Decomposition, torsion_width
 from .exactla import kernel_basis, kernel_from_reduction, matmul, matvec, solution_from_reduction
 
@@ -324,11 +325,11 @@ class ExactCouple:
             img, chosen = proj.get(pos, ([], []))
             if not img and not chosen:
                 if any(any(v) for v in vecs):
-                    raise AssertionError("class fell outside the kernel basis")
+                    raise InternalError("couples", "class fell outside the kernel basis")
                 return [[] for _ in vecs]
             sols = memo.solve(_cols_to_rows(img + chosen, len(vecs[0])), vecs)
             if sols is None:
-                raise AssertionError("class fell outside the kernel basis")
+                raise InternalError("couples", "class fell outside the kernel basis")
             return [x[len(img):] for x in sols]
 
         # A': image basis of f per bidegree, kept inside the new window.
@@ -358,10 +359,10 @@ class ExactCouple:
                 if target:
                     sols = memo.solve(_cols_to_rows(target, self.a_dim(i, s + k2)), f_cols)
                     if sols is None:
-                        raise AssertionError("f does not preserve its own image")
+                        raise InternalError("couples", "f does not preserve its own image")
                     f_new[(i, s)] = _cols_to_rows(sols, len(target))
                 elif any(any(v) for v in f_cols):
-                    raise AssertionError("f does not preserve its own image")
+                    raise InternalError("couples", "f does not preserve its own image")
             # g'(f(b)) = g(b), with b the unit vector at f's pivot column
             g_in = self._g.get((i, s - k2))
             if g_in is not None:
@@ -387,7 +388,7 @@ class ExactCouple:
             target = iota.get(t_pos, [])
             sols = memo.solve(_cols_to_rows(target, self.a_dim(*t_pos)), h_vecs) if target else None
             if sols is None:
-                raise AssertionError("h of a surviving class left the image of f")
+                raise InternalError("couples", "h of a surviving class left the image of f")
             h_new[(i, s)] = _cols_to_rows(sols, len(target))
 
         return ExactCouple(

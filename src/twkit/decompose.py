@@ -27,7 +27,7 @@ from .algebra import (
     HomMatrix,
     descriptor_dim_table,
 )
-from .complexes import GradedComplex
+from .complexes import GradedComplex, InternalError
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ def decompose(c: GradedComplex) -> Decomposition:
     """
     free, torsion, dropped = _split_pieces(c)
     if len(free) + 2 * len(torsion) + 2 * dropped != c.total_rank():
-        raise AssertionError("piece count does not account for every generator")
+        raise InternalError("decompose", "piece count does not account for every generator")
     return Decomposition(c.ring.k, tuple(free), tuple(torsion))
 
 
@@ -107,9 +107,12 @@ def _split_pieces(c: GradedComplex):
     two_k = c.ring.a_degree
     degs = {i: list(c.modules[i].degrees) for i in c.degrees_present()}
     mats = {}
+    zero = Fraction(0)
     for i in sorted(degs):
         if i + 1 in degs:
-            mats[i] = c.differential(i).scalar_rows()
+            # an absent differential is zero rows sharing one Fraction(0)
+            d = c.differentials.get(i)
+            mats[i] = d.scalar_rows() if d is not None else [[zero] * len(degs[i]) for _ in degs[i + 1]]
 
     free = []
     torsion = []
@@ -147,7 +150,7 @@ def _split_pieces(c: GradedComplex):
             l = pivots[0]
             gap = src[0] - tgt[l]
             if gap < 0 or gap % two_k:
-                raise AssertionError("pivot violates homogeneity")
+                raise InternalError("decompose", "pivot violates homogeneity")
             m = gap // two_k
             _clear_pivot_column(d, nxt, pivots)
             if m == 0:
@@ -183,7 +186,7 @@ def _clear_pivot_column(d, nxt, pivots):
             if row[i]:
                 acc += ratio * row[i]
         if acc:
-            raise AssertionError("outgoing column of a split target did not vanish")
+            raise InternalError("decompose", "outgoing column of a split target did not vanish")
         del row[l]
 
 

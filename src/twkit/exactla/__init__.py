@@ -2,9 +2,13 @@
 
 row_reduce (elimination, on sparse rows) and matmul / matvec
 (products) skip zero entries; everything else here derives from them.
+row_reduce takes dense rows, or sparse ones ({col: Fraction} maps of
+the nonzeros) together with the column count ncols, and returns the
+rref in the form it was given.  The helpers below take dense rows.
 Helpers look row_reduce up in this module when called, so replacing
-the module attribute (e.g. to count calls) reaches them too.  There is
-one kernel, in pure Python; BACKEND names it.
+the module attribute (e.g. to count calls) reaches them too; callers
+elsewhere go through the module attribute as well.  There is one
+kernel, in pure Python; BACKEND names it.
 """
 
 from fractions import Fraction

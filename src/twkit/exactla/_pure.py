@@ -3,36 +3,47 @@
 Each row is held as {col: Fraction} with its nonzeros only, and a
 column index {col: ids of the rows with a nonzero there} names the rows
 a pivot step must touch; fill-in enters the index and cancelled entries
-leave both the row and the index.  Input cells are scanned once, to
-find the nonzeros; after that the work follows the nonzeros alone.
+leave both the row and the index.  Dense input cells are scanned once,
+to find the nonzeros; sparse input is taken as it is.  After that the
+work follows the nonzeros alone.
 """
 
 from collections import defaultdict
 from fractions import Fraction
 
 
-def row_reduce(rows):
+def row_reduce(rows, ncols=None):
     """RREF of a rational matrix.
 
-    rows: sequence of equal-length sequences of Fraction (or int).
-    Returns (rref, pivots): rref as a list of lists of Fraction, pivots
-    the list of pivot column indices in row order.  The input is not
-    modified.  RREF is unique, so the pivot row chosen in each column
-    (the sparsest row that holds it, after Markowitz) does not change
-    the result.
+    rows: sequence of equal-length sequences of Fraction (or int); or,
+    when ncols is given, {col: Fraction} maps of each row's nonzeros,
+    with every col < ncols.  Returns (rref, pivots): rref in the form
+    of the input (lists of Fraction, or {col: Fraction} maps of the
+    nonzeros), pivots the list of pivot column indices in row order.
+    The input is not modified.  RREF is unique, so the pivot row chosen
+    in each column (the sparsest row that holds it, after Markowitz)
+    does not change the result.
     """
-    ncols = len(rows[0]) if rows else 0
-    sparse = []
     holders = defaultdict(set)
-    for i, row in enumerate(rows):
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
-        entries = {}
-        for j, x in enumerate(row):
-            if x:
-                entries[j] = x if isinstance(x, Fraction) else Fraction(x)
+    if ncols is None:
+        dense = True
+        ncols = len(rows[0]) if rows else 0
+        sparse = []
+        for i, row in enumerate(rows):
+            if len(row) != ncols:
+                raise ValueError("ragged matrix")
+            entries = {}
+            for j, x in enumerate(row):
+                if x:
+                    entries[j] = x if isinstance(x, Fraction) else Fraction(x)
+                    holders[j].add(i)
+            sparse.append(entries)
+    else:
+        dense = False
+        sparse = [dict(row) for row in rows]
+        for i, row in enumerate(sparse):
+            for j in row:
                 holders[j].add(i)
-        sparse.append(entries)
     pending = set(range(len(rows)))
     order = []
     pivots = []
@@ -71,12 +82,16 @@ def row_reduce(rows):
         pending.discard(p)
         order.append(p)
         pivots.append(c)
+    if not dense:
+        rref = [sparse[i] for i in order]
+        rref.extend({} for _ in range(len(rows) - len(order)))
+        return rref, pivots
     zero = Fraction(0)
     rref = []
     for i in order:
-        dense = [zero] * ncols
+        dense_row = [zero] * ncols
         for j, x in sparse[i].items():
-            dense[j] = x
-        rref.append(dense)
+            dense_row[j] = x
+        rref.append(dense_row)
     rref.extend([zero] * ncols for _ in range(len(rows) - len(order)))
     return rref, pivots

@@ -31,6 +31,7 @@ from .complexes import (
     ComplexError,
     FirstDifferential,
     GradedComplex,
+    InternalError,
     first_differential,
     reduce_mod_a,
 )
@@ -470,7 +471,7 @@ def _scalar_entries(poly_mat, negate=False):
         new = []
         for entry in row:
             if len(entry) > 1:
-                raise AssertionError("entry is not a monomial")
+                raise InternalError("links", "entry is not a monomial")
             scalar = next(iter(entry.values())) if entry else Fraction(0)
             new.append(-scalar if negate else scalar)
         out.append(tuple(new))
@@ -592,10 +593,8 @@ def delta_battery(N: int, scalings=(Fraction(1), Fraction(5), Fraction(-2, 3))) 
     for i in range(1, N + 1):
         cx = build_twobraid(TwoBraidSpec.power_basis(N, i))
         fc = reduce_mod_a(cx)
-        sig = (
-            {h: tuple(d) for h, d in fc.degrees.items()},
-            {h: tuple(map(tuple, m)) for h, m in fc.mats.items()},
-        )
+        # sparse rows compare by value, zeros left out
+        sig = (fc.degrees, fc.mats)
         if signature is None:
             signature = sig
         elif sig != signature:

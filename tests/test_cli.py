@@ -5,12 +5,15 @@ a real subprocess to cover the console script, stdin, and environment
 seeding.
 """
 
+import importlib
 import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -387,6 +390,41 @@ class TestTopLevelArray:
         path.write_text("[]")
         _, err = run(capsys, "couple", str(path), expect=1)
         assert err == "error: expected a decomposition or complex document, got an array\n"
+
+
+class TestInternalInvariants:
+    """A failed internal invariant exits 5 with one stderr line naming
+    the stage, never a traceback.  Each test breaks one invariant."""
+
+    # the package re-exports functions named like these modules
+    couples, decompose, links = (
+        importlib.import_module("twkit." + name) for name in ("couples", "decompose", "links")
+    )
+
+    def test_decompose(self, capsys, monkeypatch):
+        monkeypatch.setattr(self.decompose, "_split_pieces", lambda c: ([], [], 0))
+        out, err = run(capsys, "decompose", TORSION_CX, expect=5)
+        assert out == ""
+        assert err == "error: internal error in decompose: piece count does not account for every generator\n"
+
+    def test_couples(self, capsys, monkeypatch):
+        monkeypatch.setattr(self.couples, "solution_from_reduction", lambda *args: None)
+        out, err = run(capsys, "couple", TORSION_CX, expect=5)
+        assert out == ""
+        assert re.fullmatch(r"error: internal error in couples: [^\n]+\n", err), err
+
+    def test_links(self, capsys, monkeypatch):
+        power = self.links._poly_mat_power
+
+        def with_a_binomial(m, p):
+            out = power(m, p)
+            out[0][0] = {0: Fraction(1), 1: Fraction(1)}
+            return out
+
+        monkeypatch.setattr(self.links, "_poly_mat_power", with_a_binomial)
+        out, err = run(capsys, "twobraid", "--N", "3", "--i", "1", expect=5)
+        assert out == ""
+        assert err == "error: internal error in links: entry is not a monomial\n"
 
 
 class TestVerify:

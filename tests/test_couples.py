@@ -9,6 +9,7 @@ import pytest
 
 from twkit import corpus, exactla
 from twkit.algebra import HOM_POLY, BigradedTable
+from twkit.complexes import InternalError
 from twkit.corpus import cross_checks, random_decomposition
 from twkit.couples import (
     CorrespondenceResult,
@@ -339,7 +340,7 @@ def outcome(step, c):
     """(step(c), None), or (None, the error) when it raises."""
     try:
         out = step(c)
-    except (InsufficientWindow, AssertionError, ValueError) as e:
+    except (InsufficientWindow, AssertionError, InternalError, ValueError) as e:
         return None, "%s: %s" % (type(e).__name__, e)
     return out, None
 

@@ -1,0 +1,288 @@
+"""Mod-a homology and the first differential against frozen dense
+references.
+
+reduce_mod_a, homology_field and first_differential run on sparse rows:
+one elimination per differential gives the kernel at its source and the
+image at its target, and the projection is one sparse elimination of
+[basis | lifts].  The dense code they replaced is kept below, verbatim
+up to storage, as the reference; every answer must agree with it as
+equal Fractions.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from twkit import complexes, exactla
+from twkit.complexes import (
+    ComplexError,
+    FieldComplex,
+    FieldHomologyBasis,
+    FilteredFieldComplex,
+    complex_from_data,
+    first_differential,
+    homology_field,
+    reduce_mod_a,
+    specialize_a_to_1,
+)
+from twkit.corpus import conjugate, random_decomposition
+from twkit.decompose import reassemble
+from twkit.links import LinkDiagram, Sl2Potential, TwoBraidSpec, build_sl2_cube, build_twobraid
+
+# -- the frozen dense reference -----------------------------------------
+
+
+def reference_reduce_mod_a(c):
+    """(degrees, dense rows): a = 0, one Fraction per cell."""
+    mats = {}
+    for i, d in c.differentials.items():
+        mats[i] = [
+            [x if x and d.source_degrees[cc] == tdeg else Fraction(0) for cc, x in enumerate(row)]
+            for tdeg, row in zip(d.target_degrees, d.entries)
+        ]
+    return {i: m.degrees for i, m in c.modules.items()}, mats
+
+
+def reference_homology(degrees, mats, graded=True):
+    """Kernel at i and image of d^{i-1} each by its own elimination,
+    then pivot columns of the dense [image | cycles] stack."""
+    dims, reps, bnds, bigraded = {}, {}, {}, {}
+    for i in sorted(degrees):
+        n = len(degrees[i])
+        cycles = exactla.kernel_basis([list(r) for r in mats.get(i, ())], ncols=n)
+        image = exactla.image_basis([list(r) for r in mats.get(i - 1, ())])
+        bnds[i] = tuple(tuple(v) for v in image)
+        stacked = [
+            [image[j][r] for j in range(len(image))] + [cycles[j][r] for j in range(len(cycles))]
+            for r in range(n)
+        ]
+        pivots = exactla.pivot_columns(stacked)
+        chosen = [cycles[p - len(image)] for p in pivots if p >= len(image)]
+        dims[i] = len(chosen)
+        reps[i] = tuple(tuple(v) for v in chosen)
+        if graded:
+            for v in chosen:
+                vdegs = {degrees[i][c] for c, x in enumerate(v) if x}
+                assert len(vdegs) == 1
+                key = (i, vdegs.pop())
+                bigraded[key] = bigraded.get(key, 0) + 1
+    return dims, reps, bnds, bigraded if graded else None
+
+
+def reference_first_differential(c):
+    """(dims, rep_degrees, blocks): lift by dense matvec, project by
+    exactla.solve on the dense transposed basis."""
+    degrees, mats = reference_reduce_mod_a(c)
+    dims, reps_by_degree, bnds, _ = reference_homology(degrees, mats)
+    k = c.ring.k
+    rep_degrees = {}
+    for i, reps in reps_by_degree.items():
+        rep_degrees[i] = tuple(degrees[i][[ci for ci, x in enumerate(v) if x][0]] for v in reps)
+    blocks = {}
+    for i in sorted(dims):
+        reps = reps_by_degree[i]
+        if not reps or dims.get(i + 1, 0) == 0:
+            continue
+        d = c.differentials.get(i)
+        tgt_degs = degrees.get(i + 1, ())
+        cols = []
+        for vi, v in enumerate(reps):
+            sigma = rep_degrees[i][vi]
+            w = [Fraction(0)] * len(tgt_degs)
+            if d is not None:
+                for t, acc in enumerate(exactla.matvec(d.entries, v)):
+                    gap = sigma - tgt_degs[t]
+                    if gap == 0:
+                        if acc:
+                            raise ComplexError("lift of a mod-a cycle has nonzero a^0 image")
+                    elif gap == 2 * k:
+                        w[t] = acc
+            cols.append(w)
+        basis_cols = [list(v) for v in bnds.get(i + 1, ())] + [list(v) for v in reps_by_degree.get(i + 1, ())]
+        mat = [[basis_cols[j][r] for j in range(len(basis_cols))] for r in range(len(tgt_degs))]
+        sols = exactla.solve(mat, cols, ncols=len(basis_cols))
+        assert sols is not None
+        nb = len(bnds.get(i + 1, ()))
+        block = [[sols[ci][nb + ri] for ci in range(len(reps))] for ri in range(dims[i + 1])]
+        if any(x for row in block for x in row):
+            blocks[i] = block
+    return dims, rep_degrees, blocks
+
+
+# -- comparison ----------------------------------------------------------
+
+
+def dense(v, n):
+    """A sparse vector as a dense list; every stored value a nonzero Fraction."""
+    assert all(type(x) is Fraction and x for x in v.values()), v
+    assert all(0 <= j < n for j in v), v
+    return [v.get(j, 0) for j in range(n)]
+
+
+def assert_homology_matches(fc, degrees, mats, graded=True):
+    hb = homology_field(fc)
+    dims, reps, bnds, bigraded = reference_homology(degrees, mats, graded)
+    assert hb.dims == dims
+    if graded:
+        assert hb.bigraded.items() == sorted(bigraded.items())
+    else:
+        assert hb.bigraded is None
+    for i in dims:
+        n = len(degrees[i])
+        assert [dense(v, n) for v in hb.representatives[i]] == [list(v) for v in reps[i]], i
+        assert [dense(v, n) for v in hb.boundaries[i]] == [list(v) for v in bnds[i]], i
+    return hb
+
+
+def assert_graded_matches(c):
+    """reduce_mod_a, homology_field and first_differential of c, and
+    homology_field of its a = 1 specialization, against the reference."""
+    fc = reduce_mod_a(c)
+    degrees, mats = reference_reduce_mod_a(c)
+    assert fc.degrees == {i: tuple(v) for i, v in degrees.items() if v}
+    for i in mats:
+        assert fc.matrix(i) == mats[i], i
+    assert_homology_matches(fc, degrees, mats)
+    fd = first_differential(c)
+    dims, rep_degrees, blocks = reference_first_differential(c)
+    assert (fd.dims, fd.rep_degrees) == (dims, rep_degrees)
+    assert sorted(fd.blocks) == sorted(blocks)
+    for i, block in blocks.items():
+        assert all(type(x) is Fraction for row in fd.blocks[i] for x in row)
+        assert fd.block(i) == block, i
+    filtered = specialize_a_to_1(c)
+    dense_mats = {i: [list(row) for row in d.entries] for i, d in c.differentials.items()}
+    assert_homology_matches(filtered, degrees, dense_mats, graded=False)
+    return fd
+
+
+# -- inputs -------------------------------------------------------------
+
+# the benchmark's link ladder plus T(3,4), the knot 8_19
+LINK_LADDER = (("1 1 1", 2), ("1 -2 1 -2", 3), ("1 1 1 1 1", 2), ("1 1 1 2 -1 2", 3), ("1 2 1 2 1 2 1 2", 3))
+POTENTIALS = (Sl2Potential.standard(), Sl2Potential(2, ((1, Fraction(-3, 2)),)))
+
+
+@pytest.fixture(scope="module")
+def link_complexes():
+    return {
+        (word, n): build_sl2_cube(LinkDiagram.from_braid_text(word, strands), potential)
+        for word, strands in LINK_LADDER
+        for n, potential in enumerate(POTENTIALS)
+    }
+
+
+@pytest.mark.parametrize("word", [w for w, _ in LINK_LADDER])
+@pytest.mark.parametrize("potential", range(len(POTENTIALS)))
+def test_link_ladder(link_complexes, word, potential):
+    assert_graded_matches(link_complexes[(word, potential)])
+
+
+@pytest.mark.parametrize("N", range(2, 13))
+def test_twobraids(N):
+    for i in range(1, N + 1):
+        fd = assert_graded_matches(build_twobraid(TwoBraidSpec.power_basis(N, i)))
+        # N - i width-one torsion pieces, each a rank-one block entry
+        assert fd.rank() == N - i
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_seeded_corpus_complexes(k):
+    rng = random.Random(6000 + k)
+    done = nonzero = 0
+    while done < 21:
+        d = random_decomposition(rng, max_generators=24)
+        if d.k != k:
+            continue
+        if assert_graded_matches(conjugate(rng, reassemble(d))).blocks:
+            nonzero += 1
+        done += 1
+    assert nonzero >= 5
+
+
+# field complexes with one feature each; both row forms must agree
+HAND_BUILT = {
+    # degree 1 empty, degree 3 has no outgoing map
+    "empty degree": ({0: (0, 0), 2: (2,), 3: (2, 2)}, {2: [[1], [0]]}),
+    "zero differential": ({0: (0, 2), 1: (0,)}, {0: [[0, 0]]}),
+    "absent map": ({0: (1, 1), 1: (1, 1)}, {}),
+    "through a middle degree": (
+        {0: (0, 0), 1: (0, 0, 0), 2: (0,)},
+        {0: [[1, 0], [0, 0], [0, 1]], 1: [[0, 1, 0]]},
+    ),
+    "mixed degrees": ({0: (0, 0, 4), 1: (0, 4), 2: (4,)}, {0: [[1, -1, 0], [0, 0, 0]], 1: [[0, 2]]}),
+}
+
+
+def sparse_rows(mats):
+    return {i: [{j: x for j, x in enumerate(row) if x} for row in rows] for i, rows in mats.items()}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+@pytest.mark.parametrize("form", ["dense", "sparse"])
+def test_hand_built_field_complexes(name, form):
+    degrees, mats = HAND_BUILT[name]
+    given = sparse_rows(mats) if form == "sparse" else mats
+    fc = FieldComplex(degrees, given)
+    for i in mats:
+        assert fc.matrix(i) == mats[i]
+    assert all(type(x) is Fraction and x for rows in fc.mats.values() for row in rows for x in row.values())
+    assert_homology_matches(fc, degrees, mats)
+    assert_homology_matches(FilteredFieldComplex(degrees, given), degrees, mats, graded=False)
+
+
+def test_row_forms_reject_the_same_defects():
+    for mats in ({0: [[1]]}, {0: [{0: 1}]}):
+        with pytest.raises(ComplexError, match="violates the grading"):
+            FieldComplex({0: (0,), 1: (2,)}, mats)
+    with pytest.raises(ComplexError, match="shape mismatch"):
+        FieldComplex({0: (0,), 1: (0,)}, {0: [{1: 1}]})
+    with pytest.raises(ComplexError, match="shape mismatch"):
+        FieldComplex({0: (0,), 1: (0,)}, {0: [[1, 0]]})
+    with pytest.raises(ComplexError, match="d\\^2"):
+        FieldComplex({0: (0,), 1: (0,), 2: (0,)}, {0: [{0: 1}], 1: [{0: 1}]})
+
+
+# -- one elimination per differential ------------------------------------
+
+
+def normalized(rows):
+    """Rows of either form as {col: value} maps of their nonzeros."""
+    return [{j: x for j, x in (r.items() if isinstance(r, dict) else enumerate(r)) if x} for r in rows]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_sl2_cube(LinkDiagram.from_braid_text("1 -2 1 -2", 3), Sl2Potential.standard()),
+        lambda: build_twobraid(TwoBraidSpec.power_basis(6, 3)),
+    ],
+    ids=["cube", "2-braid"],
+)
+def test_each_differential_is_eliminated_at_most_once(monkeypatch, build):
+    fc = reduce_mod_a(build())
+    seen = []
+    row_reduce = exactla.row_reduce
+
+    def counting(rows, ncols=None):
+        seen.append(normalized(rows))
+        return row_reduce(rows, ncols)
+
+    monkeypatch.setattr(exactla, "row_reduce", counting)
+    homology_field(fc)
+    assert len(seen) <= len(fc.mats) + len(fc.degrees)
+    for i, rows in fc.mats.items():
+        assert seen.count(normalized(rows)) <= 1, i
+
+
+def test_a0_lift_check_fires(monkeypatch):
+    """A representative that is no mod-a cycle must be refused, not lifted."""
+    c = complex_from_data(1, {0: [0], 1: [0]}, {0: [[1]]})
+    unit = ({0: Fraction(1)},)
+    doctored = FieldHomologyBasis(
+        dims={0: 1, 1: 1}, representatives={0: unit, 1: unit}, boundaries={0: (), 1: ()}, bigraded=None
+    )
+    monkeypatch.setattr(complexes, "homology_field", lambda fc: doctored)
+    with pytest.raises(ComplexError, match="nonzero a\\^0 image"):
+        first_differential(c)
