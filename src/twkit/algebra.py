@@ -1,18 +1,19 @@
 """Graded base ring k[a], bigraded tables, module descriptors, and
 homogeneous matrices.
 
-Matrix entries over k[a] are stored as bare rational scalars; the
-a-exponent of a nonzero entry is never stored but derived from the
-source and target generator degrees.  Because every entry of a
-homogeneous matrix is a monomial, composition of two such matrices is
-plain rational matrix multiplication: all terms contributing to one
-entry carry the same power of a.
+Matrix entries over k[a] are stored as bare rational scalars, in sparse
+rows of the nonzeros; the a-exponent of a nonzero entry is never stored
+but derived from the source and target generator degrees.  Because
+every entry of a homogeneous matrix is a monomial, composition of two
+such matrices is plain rational matrix multiplication: all terms
+contributing to one entry carry the same power of a.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .exactla import matmul
 
@@ -182,56 +183,80 @@ class GradedFreeModule:
         return GradedFreeModule(tuple(d + ds for d in self.degrees))
 
 
+def canonical(x):
+    """An exact scalar as an int when it is integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    x = x if type(x) is Fraction else Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def add_to_row(row, col, x):
+    """row[col] += x on a sparse row, dropping a zero sum."""
+    x += row.get(col, 0)
+    if x:
+        row[col] = x
+    else:
+        row.pop(col, None)
+
+
 @dataclass(frozen=True)
 class HomMatrix:
     """Degree-homogeneous matrix between graded free modules.
 
-    entries[r][c] is the rational scalar of the monomial entry; its
-    a-exponent is (source_degrees[c] - target_degrees[r]) / 2k.  Shape
-    is (len(target_degrees), len(source_degrees)); either may be 0.
+    rows[r] maps each column c with a nonzero entry at (r, c) to the
+    rational scalar of that monomial entry; its a-exponent is
+    (source_degrees[c] - target_degrees[r]) / 2k.  Shape is
+    (len(target_degrees), len(source_degrees)); either may be 0.
+    Values are canonical: an int when integral, a Fraction otherwise,
+    and zero is never stored.  The constructor takes sparse rows or
+    dense ones (one cell per source generator); entries is the dense
+    view, for output.
     """
 
     ring: GradedRing
     source_degrees: tuple
     target_degrees: tuple
-    entries: tuple
+    rows: tuple
 
     def __post_init__(self):
         src = tuple(int(d) for d in self.source_degrees)
         tgt = tuple(int(d) for d in self.target_degrees)
-        rows = tuple(
-            tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row)
-            for row in self.entries
-        )
-        if len(rows) != len(tgt):
+        if len(self.rows) != len(tgt):
             raise ValueError("row count does not match target rank")
-        for row in rows:
-            if len(row) != len(src):
+        ncols = len(src)
+        rows = []
+        for row in self.rows:
+            if isinstance(row, dict):
+                if any(type(c) is not int or not 0 <= c < ncols for c in row):
+                    raise ValueError("column index out of range")
+                items = row.items()
+            elif len(row) != ncols:
                 raise ValueError("column count does not match source rank")
+            else:
+                items = enumerate(row)
+            rows.append({c: canonical(x) for c, x in items if x})
         object.__setattr__(self, "source_degrees", src)
         object.__setattr__(self, "target_degrees", tgt)
-        object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "rows", tuple(rows))
 
     @classmethod
     def zero(cls, ring, source_degrees, target_degrees):
-        return cls(
-            ring,
-            tuple(source_degrees),
-            tuple(target_degrees),
-            tuple(tuple(Fraction(0) for _ in source_degrees) for _ in target_degrees),
-        )
+        return cls(ring, tuple(source_degrees), tuple(target_degrees), ({},) * len(target_degrees))
 
     @classmethod
     def identity(cls, ring, degrees):
-        n = len(degrees)
-        return cls(
-            ring,
-            tuple(degrees),
-            tuple(degrees),
-            tuple(
-                tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-            ),
-        )
+        return cls(ring, tuple(degrees), tuple(degrees), tuple({i: 1} for i in range(len(degrees))))
+
+    def __hash__(self):
+        rows = tuple(frozenset(row.items()) for row in self.rows)
+        return hash((self.ring, self.source_degrees, self.target_degrees, rows))
+
+    @cached_property
+    def entries(self):
+        """Dense view: one tuple of cells per row, zeros included."""
+        ncols = self.ncols
+        return tuple(tuple(row.get(c, 0) for c in range(ncols)) for row in self.rows)
 
     @property
     def nrows(self) -> int:
@@ -250,11 +275,7 @@ class HomMatrix:
         return gap // self.ring.a_degree
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.entries for x in row)
-
-    def scalar_rows(self):
-        """Entries as mutable list-of-lists of Fraction."""
-        return [list(row) for row in self.entries]
+        return not any(self.rows)
 
     def compose(self, other: "HomMatrix") -> "HomMatrix":
         """self after other.  Plain rational matmul is exact here: every
@@ -263,36 +284,32 @@ class HomMatrix:
             raise ValueError("ring mismatch")
         if self.source_degrees != other.target_degrees:
             raise ValueError("middle degree lists do not match")
-        rows = matmul(self.entries, other.entries, other.ncols)
-        return HomMatrix(self.ring, other.source_degrees, self.target_degrees, rows)
+        rows = matmul(self.rows, other.rows, other.ncols)
+        return HomMatrix(self.ring, other.source_degrees, self.target_degrees, tuple(rows))
 
     def reduced_mod_a(self):
         """Sparse scalar rows, {col: Fraction}, of the nonzero
         exponent-0 entries; every positive-exponent entry is dropped."""
-        same_degree = {}
-        for c, sdeg in enumerate(self.source_degrees):
-            same_degree.setdefault(sdeg, []).append(c)
-        out = []
-        for tdeg, trow in zip(self.target_degrees, self.entries):
-            out.append({c: trow[c] for c in same_degree.get(tdeg, ()) if trow[c]})
-        return out
+        src = self.source_degrees
+        return [
+            {c: x if type(x) is Fraction else Fraction(x) for c, x in row.items() if src[c] == tdeg}
+            for tdeg, row in zip(self.target_degrees, self.rows)
+        ]
 
 
 def hom_matrix_validate(m: HomMatrix):
-    """None if homogeneous, else the first violating (row, col).
+    """None if homogeneous, else the first violating (row, col) in
+    row-major order.
 
     A violation is a nonzero entry whose degree gap is negative or not
     a multiple of 2k.
     """
     d2k = m.ring.a_degree
-    for r in range(m.nrows):
-        tdeg = m.target_degrees[r]
-        row = m.entries[r]
-        for c in range(m.ncols):
-            if row[c]:
-                gap = m.source_degrees[c] - tdeg
-                if gap < 0 or gap % d2k:
-                    return (r, c)
+    src = m.source_degrees
+    for r, (tdeg, row) in enumerate(zip(m.target_degrees, m.rows)):
+        bad = [c for c in row if src[c] < tdeg or (src[c] - tdeg) % d2k]
+        if bad:
+            return (r, min(bad))
     return None
 
 

@@ -16,6 +16,7 @@ from .algebra import (
     GradedFreeModule,
     GradedRing,
     HomMatrix,
+    add_to_row,
     hom_matrix_validate,
 )
 
@@ -80,13 +81,13 @@ class GradedComplex:
                     "differential at degree %d is not homogeneous at entry %r"
                     % (i, bad)
                 )
-        for i in sorted(self.differentials):
-            if i + 1 in self.differentials:
-                if not self.differentials[i + 1].compose(self.differentials[i]).is_zero():
-                    raise ComplexError(
-                        "d^2 != 0 on the square starting at degree %d (maps %d->%d->%d)"
-                        % (i, i, i + 1, i + 2)
-                    )
+        for i, d in sorted(self.differentials.items()):
+            nxt = self.differentials.get(i + 1)
+            if nxt is not None and any(exactla.matmul(nxt.rows, d.rows, d.ncols)):
+                raise ComplexError(
+                    "d^2 != 0 on the square starting at degree %d (maps %d->%d->%d)"
+                    % (i, i, i + 1, i + 2)
+                )
 
     def degrees_present(self):
         return sorted(self.modules)
@@ -135,7 +136,7 @@ class GradedComplex:
                     self.ring,
                     tuple(x + ds for x in d.source_degrees),
                     tuple(x + ds for x in d.target_degrees),
-                    d.entries,
+                    d.rows,
                 )
                 for i, d in self.differentials.items()
             },
@@ -160,22 +161,16 @@ def direct_sum(*complexes: GradedComplex) -> GradedComplex:
     for c in complexes:
         hom_degrees.update(c.differentials)
     for i in hom_degrees:
-        src = degrees.get(i, [])
-        tgt = degrees.get(i + 1, [])
-        rows = [[Fraction(0)] * len(src) for _ in range(len(tgt))]
-        roff = 0
+        rows = []
         coff = 0
         for c in complexes:
-            nr = c.rank(i + 1)
-            nc = c.rank(i)
             d = c.differentials.get(i)
-            if d is not None:
-                for r in range(nr):
-                    for cc in range(nc):
-                        rows[roff + r][coff + cc] = d.entries[r][cc]
-            roff += nr
-            coff += nc
-        diffs[i] = HomMatrix(ring, tuple(src), tuple(tgt), tuple(map(tuple, rows)))
+            if d is None:
+                rows.extend({} for _ in range(c.rank(i + 1)))
+            else:
+                rows.extend({coff + cc: x for cc, x in row.items()} for row in d.rows)
+            coff += c.rank(i)
+        diffs[i] = HomMatrix(ring, tuple(degrees.get(i, ())), tuple(degrees.get(i + 1, ())), tuple(rows))
     return GradedComplex(
         ring,
         {i: GradedFreeModule(tuple(d)) for i, d in degrees.items()},
@@ -193,7 +188,7 @@ def complex_from_data(k: int, modules, differentials) -> GradedComplex:
         i = int(i)
         src = mods[i].degrees if i in mods else ()
         tgt = mods[i + 1].degrees if i + 1 in mods else ()
-        diffs[i] = HomMatrix(ring, src, tgt, tuple(tuple(row) for row in rows))
+        diffs[i] = HomMatrix(ring, src, tgt, tuple(rows))
     return GradedComplex(ring, mods, diffs)
 
 
@@ -244,18 +239,10 @@ class FieldComplex:
                             "entry (%d, %d) at degree %d violates the grading"
                             % (r, c, i)
                         )
-        for i in sorted(self.mats):
+        for i, rows in sorted(self.mats.items()):
             nxt = self.mats.get(i + 1)
-            if nxt is None:
-                continue
-            cur = self.mats[i]
-            for row in nxt:
-                acc = {}
-                for j, x in row.items():
-                    for c, y in cur[j].items():
-                        acc[c] = acc.get(c, 0) + x * y
-                if any(acc.values()):
-                    raise ComplexError("d^2 != 0 on the square starting at degree %d" % i)
+            if nxt is not None and any(exactla.matmul(nxt, rows, self.rank(i))):
+                raise ComplexError("d^2 != 0 on the square starting at degree %d" % i)
 
     def rank(self, i: int) -> int:
         return len(self.degrees.get(i, ()))
@@ -336,7 +323,7 @@ def specialize_a_to_1(c: GradedComplex) -> FilteredFieldComplex:
     level."""
     return FilteredFieldComplex(
         {i: m.degrees for i, m in c.modules.items()},
-        {i: d.entries for i, d in c.differentials.items()},
+        {i: d.rows for i, d in c.differentials.items()},
         validate=False,
     )
 
@@ -357,23 +344,28 @@ def gaussian_eliminate(c, hom_degree: int, row: int, col: int):
     raise TypeError("unsupported complex type")
 
 
-def _schur(rows, row: int, col: int):
-    phi = rows[row][col]
-    if not phi:
-        raise ComplexError("pivot entry is zero")
-    inv = 1 / phi
+def _without(row, j):
+    """Sparse row with column j removed and later columns moved left."""
+    return {c - (c > j): x for c, x in row.items() if c != j}
+
+
+def _schur_complement(rows, row: int, col: int):
+    """epsilon - gamma phi^{-1} delta on sparse rows: every row but
+    `row`, less its multiple of that row that clears column `col`, with
+    column `col` removed.  The caller checks that phi is nonzero."""
+    prow = rows[row]
+    inv = Fraction(1) / prow[col]
     out = []
     for r, full in enumerate(rows):
         if r == row:
             continue
-        gamma = full[col]
-        out.append(
-            tuple(
-                full[cc] - gamma * inv * rows[row][cc]
-                for cc in range(len(full))
-                if cc != col
-            )
-        )
+        gamma = full.get(col)
+        if gamma:
+            ratio = gamma * inv
+            full = dict(full)
+            for cc, x in prow.items():
+                add_to_row(full, cc, -ratio * x)
+        out.append(_without(full, col))
     return out
 
 
@@ -387,7 +379,7 @@ def _eliminate_graded(c: GradedComplex, h: int, row: int, col: int) -> GradedCom
         raise ComplexError("pivot position out of range")
     if src[col] != tgt[row]:
         raise ComplexError("pivot has positive a-exponent, not invertible")
-    if not d.entries[row][col]:
+    if col not in d.rows[row]:
         raise ComplexError("pivot entry is zero")
 
     new_src = tuple(x for i, x in enumerate(src) if i != col)
@@ -406,7 +398,7 @@ def _eliminate_graded(c: GradedComplex, h: int, row: int, col: int) -> GradedCom
 
     diffs.pop(h, None)
     if new_src and new_tgt:
-        diffs[h] = HomMatrix(c.ring, new_src, new_tgt, tuple(_schur(d.entries, row, col)))
+        diffs[h] = HomMatrix(c.ring, new_src, new_tgt, tuple(_schur_complement(d.rows, row, col)))
 
     prev = diffs.pop(h - 1, None)
     if prev is not None and new_src:
@@ -414,15 +406,12 @@ def _eliminate_graded(c: GradedComplex, h: int, row: int, col: int) -> GradedCom
             c.ring,
             prev.source_degrees,
             new_src,
-            tuple(r for i, r in enumerate(prev.entries) if i != col),
+            tuple(r for i, r in enumerate(prev.rows) if i != col),
         )
     nxt = diffs.pop(h + 1, None)
     if nxt is not None and new_tgt:
         diffs[h + 1] = HomMatrix(
-            c.ring,
-            new_tgt,
-            nxt.target_degrees,
-            tuple(tuple(x for i, x in enumerate(r) if i != row) for r in nxt.entries),
+            c.ring, new_tgt, nxt.target_degrees, tuple(_without(r, row) for r in nxt.rows)
         )
     return GradedComplex(c.ring, mods, diffs)
 
@@ -437,34 +426,18 @@ def _eliminate_field(c: FieldComplex, h: int, row: int, col: int) -> FieldComple
         raise ComplexError("pivot position out of range")
     if src[col] != tgt[row]:
         raise ComplexError("pivot does not preserve the level, not invertible")
-    prow = rows[row]
-    if col not in prow:
+    if col not in rows[row]:
         raise ComplexError("pivot entry is zero")
-
-    def without(r, j):
-        """Sparse row r with column j removed and later columns moved left."""
-        return {cc - (cc > j): x for cc, x in r.items() if cc != j}
 
     degs = dict(c.degrees)
     mats = dict(c.mats)
     degs[h] = tuple(x for i, x in enumerate(src) if i != col)
     degs[h + 1] = tuple(x for i, x in enumerate(tgt) if i != row)
-    # epsilon - gamma phi^{-1} delta, on the nonzeros
-    schur = []
-    for r, full in enumerate(rows):
-        if r == row:
-            continue
-        if col in full:
-            ratio = full[col] / prow[col]
-            full = dict(full)
-            for cc, x in prow.items():
-                full[cc] = full.get(cc, 0) - ratio * x
-        schur.append(without(full, col))
-    mats[h] = schur
+    mats[h] = _schur_complement(rows, row, col)
     if h - 1 in mats:
         mats[h - 1] = [r for i, r in enumerate(mats[h - 1]) if i != col]
     if h + 1 in mats:
-        mats[h + 1] = [without(r, row) for r in mats[h + 1]]
+        mats[h + 1] = [_without(r, row) for r in mats[h + 1]]
     cls = type(c)
     return cls(degs, mats)
 
@@ -629,13 +602,13 @@ def first_differential(c: GradedComplex) -> FirstDifferential:
         lifts = []
         for v, sigma in zip(reps, rep_degrees[i]):
             for t in targets.get(sigma, ()):
-                row = d.entries[t]
-                if sum((row[j] * x for j, x in v.items() if row[j]), zero):
+                row = d.rows[t]
+                if sum((v[j] * x for j, x in row.items() if j in v), zero):
                     raise ComplexError("lift of a mod-a cycle has nonzero a^0 image")
             w = {}
             for t in targets.get(sigma - 2 * k, ()):
-                row = d.entries[t]
-                acc = sum((row[j] * x for j, x in v.items() if row[j]), zero)
+                row = d.rows[t]
+                acc = sum((v[j] * x for j, x in row.items() if j in v), zero)
                 if acc:
                     w[t] = acc
             lifts.append(w)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .algebra import HomMatrix
+from .algebra import HomMatrix, add_to_row
 from .complexes import GradedComplex, specialize_a_to_1
 from .couples import correspondence_check, couple_tables
 from .decompose import (
@@ -92,8 +92,8 @@ def _random_automorphism(rng, ring, degrees, ops):
     multiple of 2k; diagonal scalings use any nonzero rational.
     """
     n = len(degrees)
-    g = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    ginv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    g = [{i: 1} for i in range(n)]
+    ginv = [{i: 1} for i in range(n)]
     addable = [
         (r, c)
         for r in range(n)
@@ -107,20 +107,22 @@ def _random_automorphism(rng, ring, degrees, ops):
             r, c = rng.choice(addable)
             x = rng.choice(_SCALARS)
             # g := (I + x e_{rc}) g ; ginv := ginv (I - x e_{rc})
-            for j in range(n):
-                g[r][j] += x * g[c][j]
-            for i in range(n):
-                ginv[i][c] -= x * ginv[i][r]
+            for j, y in g[c].items():
+                add_to_row(g[r], j, x * y)
+            for row in ginv:
+                if r in row:
+                    add_to_row(row, c, -x * row[r])
         else:
             r = rng.randrange(n)
             u = rng.choice(_SCALARS)
-            for j in range(n):
+            for j in g[r]:
                 g[r][j] *= u
-            for i in range(n):
-                ginv[i][r] /= u
+            for row in ginv:
+                if r in row:
+                    row[r] /= u
     return (
-        HomMatrix(ring, degrees, degrees, tuple(map(tuple, g))),
-        HomMatrix(ring, degrees, degrees, tuple(map(tuple, ginv))),
+        HomMatrix(ring, degrees, degrees, tuple(g)),
+        HomMatrix(ring, degrees, degrees, tuple(ginv)),
     )
 
 

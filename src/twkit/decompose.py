@@ -25,9 +25,11 @@ from .algebra import (
     GradedModuleDescriptor,
     GradedRing,
     HomMatrix,
+    canonical,
     descriptor_dim_table,
 )
 from .complexes import GradedComplex, InternalError
+from .exactla import column_index
 
 
 @dataclass(frozen=True)
@@ -64,13 +66,6 @@ class Decomposition:
         object.__setattr__(self, "torsion_pieces", tors)
 
 
-def _argsort(values, reverse=False):
-    """Indices sorting `values`, stable, optionally descending."""
-    idx = list(range(len(values)))
-    idx.sort(key=(lambda r: -values[r]) if reverse else (lambda r: values[r]))
-    return idx
-
-
 def decompose(c: GradedComplex) -> Decomposition:
     """Split `c` into elementary pieces.
 
@@ -105,89 +100,91 @@ def contractible_pairs(c: GradedComplex) -> int:
 
 def _split_pieces(c: GradedComplex):
     two_k = c.ring.a_degree
-    degs = {i: list(c.modules[i].degrees) for i in c.degrees_present()}
-    mats = {}
-    zero = Fraction(0)
-    for i in sorted(degs):
-        if i + 1 in degs:
-            # an absent differential is zero rows sharing one Fraction(0)
-            d = c.differentials.get(i)
-            mats[i] = d.scalar_rows() if d is not None else [[zero] * len(degs[i]) for _ in degs[i + 1]]
-
     free = []
     torsion = []
     dropped = 0
-    for n in sorted(degs):
-        src = degs[n]
-        if not src:
-            continue
-        ps = _argsort(src)
-        src[:] = [src[j] for j in ps]
-        d = mats.get(n)
-        tgt = degs.get(n + 1)
-        nxt = mats.get(n + 1)
-        if d is not None:
-            for r in range(len(d)):
-                d[r] = [d[r][j] for j in ps]
-            pt = _argsort(tgt, reverse=True)
-            tgt[:] = [tgt[r] for r in pt]
-            mats[n] = [d[r] for r in pt]
-            d = mats[n]
-            if nxt is not None:
-                for r in range(len(nxt)):
-                    nxt[r] = [nxt[r][j] for j in pt]
+    # the current differential's rows and the generators of its source
+    # already split off as targets, as the step below left them
+    rows = None
+    split = set()
+    for n in c.degrees_present():
+        src = c.modules[n].degrees
+        tgt = c.modules[n + 1].degrees if n + 1 in c.modules else ()
+        if rows is None:
+            d = c.differentials.get(n)
+            rows = [dict(row) for row in d.rows] if d is not None else []
+        d = c.differentials.get(n + 1)
+        nxt = [dict(row) for row in d.rows] if d is not None else []
+        holders = column_index(rows)
+        nxt_holders = column_index(nxt)
+        split_next = set()
 
-        while src:
-            pivots = [r for r, row in enumerate(d or ()) if row[0]]
-            if not pivots:
-                free.append((n, src[0]))
-                del src[0]
-                if d:
-                    for r in range(len(d)):
-                        del d[r][0]
+        # sources by ascending degree, ties in generator order
+        for j in sorted(set(range(len(src))) - split, key=lambda j: (src[j], j)):
+            cand = holders.get(j)
+            if not cand:
+                free.append((n, src[j]))
                 continue
-
-            l = pivots[0]
-            gap = src[0] - tgt[l]
+            # the holder of highest target degree (first in generator
+            # order among equals) has the minimal exponent
+            l = min(cand, key=lambda r: (-tgt[r], r))
+            gap = src[j] - tgt[l]
             if gap < 0 or gap % two_k:
                 raise InternalError("decompose", "pivot violates homogeneity")
             m = gap // two_k
-            _clear_pivot_column(d, nxt, pivots)
+            _clear_pivot_column(rows, holders, nxt, nxt_holders, j, l)
             if m == 0:
                 dropped += 1
             else:
                 torsion.append((n + 1, m, tgt[l]))
-            del src[0]
-            for r in range(len(d)):
-                del d[r][0]
-            del tgt[l]
-            del d[l]
+            for cc in rows[l]:
+                holders[cc].discard(l)
+            split_next.add(l)
+
+        rows, split = (nxt, split_next) if n + 1 in c.modules else (None, set())
 
     return free, torsion, dropped
 
 
-def _clear_pivot_column(d, nxt, pivots):
-    """Clear column 0 of d below pivot row pivots[0], then check and
-    delete the pivot target's column of the next differential nxt (or
-    None), which the same row operations make vanish when d^2 = 0."""
-    l = pivots[0]
+def _clear_pivot_column(d, holders, nxt, nxt_holders, j, l):
+    """Clear column j of d below pivot row l, then check and drop the
+    pivot target's column l of the next differential nxt, which the
+    same row operations make vanish when d^2 = 0.
+
+    d and nxt are sparse rows, with column indices holders and
+    nxt_holders ({col: rows with a nonzero there}, see column_index).
+    Fill-in joins the index, cancelled entries leave it, and values
+    stay canonical.
+    """
     row_l = d[l]
-    support = [j for j, x in enumerate(row_l) if x]
+    pivot = row_l[j]
+    inv = pivot if pivot == 1 or pivot == -1 else Fraction(1) / pivot
     ratios = []
-    for i in pivots[1:]:
+    for i in holders[j] - {l}:
         row = d[i]
-        ratio = row[0] / row_l[0]
+        ratio = canonical(row[j] * inv)
         ratios.append((i, ratio))
-        for j in support:
-            row[j] -= ratio * row_l[j]
-    for row in nxt or ():
-        acc = row[l]
-        for i, ratio in ratios:
-            if row[i]:
-                acc += ratio * row[i]
-        if acc:
-            raise InternalError("decompose", "outgoing column of a split target did not vanish")
-        del row[l]
+        for cc, y in row_l.items():
+            x = row.get(cc)
+            if x is None:
+                row[cc] = canonical(-ratio * y)
+                holders[cc].add(i)
+            else:
+                x -= ratio * y
+                if x:
+                    row[cc] = canonical(x)
+                else:
+                    del row[cc]
+                    holders[cc].discard(i)
+    # column l of nxt after the same row operations, on its nonzeros
+    acc = {r: nxt[r][l] for r in nxt_holders.get(l, ())}
+    for i, ratio in ratios:
+        for r in nxt_holders.get(i, ()):
+            acc[r] = acc.get(r, 0) + ratio * nxt[r][i]
+    if any(acc.values()):
+        raise InternalError("decompose", "outgoing column of a split target did not vanish")
+    for r in nxt_holders.pop(l, ()):
+        del nxt[r][l]
 
 
 def homology_structure(d: Decomposition):
@@ -290,10 +287,8 @@ def reassemble(d: Decomposition, ring: GradedRing = None) -> GradedComplex:
     modules = {i: GradedFreeModule(tuple(v)) for i, v in degrees.items()}
     diffs = {}
     for i, positions in units.items():
-        rows = [[Fraction(0)] * len(degrees[i]) for _ in degrees[i + 1]]
+        rows = [{} for _ in degrees[i + 1]]
         for r, c in positions:
-            rows[r][c] = Fraction(1)
-        diffs[i] = HomMatrix(
-            ring, tuple(degrees[i]), tuple(degrees[i + 1]), tuple(map(tuple, rows))
-        )
+            rows[r][c] = 1
+        diffs[i] = HomMatrix(ring, tuple(degrees[i]), tuple(degrees[i + 1]), tuple(rows))
     return GradedComplex(ring, modules, diffs)

@@ -2,9 +2,12 @@
 
 row_reduce (elimination, on sparse rows) and matmul / matvec
 (products) skip zero entries; everything else here derives from them.
-row_reduce takes dense rows, or sparse ones ({col: Fraction} maps of
-the nonzeros) together with the column count ncols, and returns the
-rref in the form it was given.  The helpers below take dense rows.
+row_reduce takes dense rows, or sparse ones ({col: value} maps of the
+nonzeros) together with the column count ncols, and returns the rref in
+the form it was given; matmul, too, takes and gives dense or sparse
+rows.  Integer entries meet a Fraction inverse, never true division.
+column_index builds the {col: rows} index that row_reduce (and
+decompose's splitting) follow.  The other helpers take dense rows.
 Helpers look row_reduce up in this module when called, so replacing
 the module attribute (e.g. to count calls) reaches them too; callers
 elsewhere go through the module attribute as well.  There is one
@@ -13,13 +16,23 @@ kernel, in pure Python; BACKEND names it.
 
 from fractions import Fraction
 
-from ._pure import row_reduce
+from ._pure import column_index, row_reduce
 
 BACKEND = "pure"
 
 
 def matmul(a, b, ncols):
-    """a @ b as Fraction row lists; ncols is b's column count."""
+    """a @ b, ncols being b's column count: Fraction row lists from dense
+    rows, sparse rows of the nonzero sums from sparse rows."""
+    if a and isinstance(a[0], dict):
+        out = []
+        for arow in a:
+            acc = {}
+            for j, x in arow.items():
+                for c, y in b[j].items():
+                    acc[c] = acc.get(c, 0) + x * y
+            out.append({c: v for c, v in acc.items() if v})
+        return out
     b_support = [[(c, y) for c, y in enumerate(row) if y] for row in b]
     out = []
     for arow in a:

@@ -12,41 +12,43 @@ from collections import defaultdict
 from fractions import Fraction
 
 
+def column_index(rows):
+    """{col: set of the ids of the sparse rows with a nonzero there}."""
+    holders = defaultdict(set)
+    for i, row in enumerate(rows):
+        for j in row:
+            holders[j].add(i)
+    return holders
+
+
 def row_reduce(rows, ncols=None):
     """RREF of a rational matrix.
 
     rows: sequence of equal-length sequences of Fraction (or int); or,
-    when ncols is given, {col: Fraction} maps of each row's nonzeros,
-    with every col < ncols.  Returns (rref, pivots): rref in the form
-    of the input (lists of Fraction, or {col: Fraction} maps of the
-    nonzeros), pivots the list of pivot column indices in row order.
-    The input is not modified.  RREF is unique, so the pivot row chosen
-    in each column (the sparsest row that holds it, after Markowitz)
-    does not change the result.
+    when ncols is given, {col: value} maps of each row's nonzeros
+    (Fraction or int), with every col < ncols.  Returns (rref, pivots):
+    rref in the form of the input (lists of Fraction, or {col: value}
+    maps of the nonzeros, exact throughout), pivots the list of pivot
+    column indices in row order.  The input is not modified.  RREF is
+    unique, so the pivot row chosen in each column (the sparsest row
+    that holds it, after Markowitz) does not change the result.
     """
-    holders = defaultdict(set)
     if ncols is None:
         dense = True
         ncols = len(rows[0]) if rows else 0
         sparse = []
-        for i, row in enumerate(rows):
+        for row in rows:
             if len(row) != ncols:
                 raise ValueError("ragged matrix")
-            entries = {}
-            for j, x in enumerate(row):
-                if x:
-                    entries[j] = x if isinstance(x, Fraction) else Fraction(x)
-                    holders[j].add(i)
-            sparse.append(entries)
+            sparse.append({j: x if isinstance(x, Fraction) else Fraction(x) for j, x in enumerate(row) if x})
     else:
         dense = False
         sparse = [dict(row) for row in rows]
-        for i, row in enumerate(sparse):
-            for j in row:
-                holders[j].add(i)
+    holders = column_index(sparse)
     pending = set(range(len(rows)))
     order = []
     pivots = []
+    one = Fraction(1)
     # pivot rows only subtract at their own columns, all right of the
     # current one, so no new column ever gains a nonzero
     for c in sorted(holders):
@@ -58,10 +60,10 @@ def row_reduce(rows, ncols=None):
             continue
         p = min(candidates, key=lambda i: (len(sparse[i]), i))
         prow = sparse[p]
-        inv = 1 / prow[c]
+        inv = one / prow[c]
         tail = [(j, x * inv) for j, x in prow.items() if j != c]
         prow.update(tail)
-        prow[c] = Fraction(1)
+        prow[c] = one
         for i in hold:
             if i == p:
                 continue

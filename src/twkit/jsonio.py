@@ -90,7 +90,7 @@ def complex_from_json(data) -> GradedComplex:
     try:
         modules = {int(i): [_int(s) for s in degs] for i, degs in data["modules"].items()}
         diffs = {
-            int(i): [[parse_rational(x) for x in row] for row in rows]
+            int(i): [[0 if x == "0" else parse_rational(x) for x in row] for row in rows]
             for i, rows in data.get("differentials", {}).items()
         }
         k = _int(data["k"])

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .algebra import GradedFreeModule, GradedRing, HomMatrix
+from .algebra import GradedFreeModule, GradedRing, HomMatrix, add_to_row
 from .complexes import (
     ComplexError,
     FirstDifferential,
@@ -271,9 +271,7 @@ def build_sl2_cube(diagram: LinkDiagram, potential: Sl2Potential) -> GradedCompl
     mats = {}
     for i, degs in degree_lists.items():
         if i + 1 in degree_lists:
-            mats[i] = [
-                [Fraction(0)] * len(degs) for _ in degree_lists[i + 1]
-            ]
+            mats[i] = [{} for _ in degree_lists[i + 1]]
 
     for v in vertices:
         for c in range(n):
@@ -305,9 +303,9 @@ def build_sl2_cube(diagram: LinkDiagram, potential: Sl2Potential) -> GradedCompl
                     total = bits[pair[0]] + bits[pair[1]]
                     terms = []
                     if total == 0:
-                        terms.append((0, Fraction(1)))
+                        terms.append((0, 1))
                     elif total == 1:
-                        terms.append((1, Fraction(1)))
+                        terms.append((1, 1))
                     else:
                         if alpha is not None:
                             terms.append((1, alpha[0]))
@@ -317,7 +315,7 @@ def build_sl2_cube(diagram: LinkDiagram, potential: Sl2Potential) -> GradedCompl
                     for joined_bit, scalar in terms:
                         tgt = list(tgt_base)
                         tgt[join_cj] = joined_bit
-                        rows[tgt_off + bit_index(tgt)][col] += sgn * scalar
+                        add_to_row(rows[tgt_off + bit_index(tgt)], col, sgn * scalar)
             elif cu == cv + 1:
                 fwd = {}
                 for cj, srcs in back.items():
@@ -335,12 +333,12 @@ def build_sl2_cube(diagram: LinkDiagram, potential: Sl2Potential) -> GradedCompl
                         tgt_base[cu + t] = bits[cv + t]
                     terms = []
                     if bits[split_ci] == 0:
-                        terms.append(((0, 1), Fraction(1)))
-                        terms.append(((1, 0), Fraction(1)))
+                        terms.append(((0, 1), 1))
+                        terms.append(((1, 0), 1))
                         if alpha is not None:
                             terms.append(((0, 0), -alpha[0]))
                     else:
-                        terms.append(((1, 1), Fraction(1)))
+                        terms.append(((1, 1), 1))
                         if beta is not None:
                             terms.append(((0, 0), beta[0]))
                     col = src_off + bit_index(bits)
@@ -348,7 +346,7 @@ def build_sl2_cube(diagram: LinkDiagram, potential: Sl2Potential) -> GradedCompl
                         tgt = list(tgt_base)
                         tgt[out_pair[0]] = b1
                         tgt[out_pair[1]] = b2
-                        rows[tgt_off + bit_index(tgt)][col] += sgn * scalar
+                        add_to_row(rows[tgt_off + bit_index(tgt)], col, sgn * scalar)
             else:
                 raise ComplexError(
                     "invalid PD code: resolution change is not a merge or split"
@@ -359,13 +357,8 @@ def build_sl2_cube(diagram: LinkDiagram, potential: Sl2Potential) -> GradedCompl
     }
     diffs = {}
     for i, rows in mats.items():
-        if rows and rows[0]:
-            diffs[i] = HomMatrix(
-                ring,
-                modules[i].degrees,
-                modules[i + 1].degrees,
-                tuple(tuple(row) for row in rows),
-            )
+        if rows:
+            diffs[i] = HomMatrix(ring, modules[i].degrees, modules[i + 1].degrees, tuple(rows))
     return GradedComplex(ring, modules, diffs)
 
 
@@ -465,16 +458,18 @@ def _poly_mat_power(m, power):
 
 def _scalar_entries(poly_mat, negate=False):
     """Collapse monomial entries to bare scalars (exponents are implied
-    by the degree bookkeeping of the enclosing complex)."""
+    by the degree bookkeeping of the enclosing complex), as sparse rows
+    of the nonzeros."""
     out = []
     for row in poly_mat:
-        new = []
-        for entry in row:
+        new = {}
+        for c, entry in enumerate(row):
             if len(entry) > 1:
                 raise InternalError("links", "entry is not a monomial")
-            scalar = next(iter(entry.values())) if entry else Fraction(0)
-            new.append(-scalar if negate else scalar)
-        out.append(tuple(new))
+            if entry:
+                scalar = next(iter(entry.values()))
+                new[c] = -scalar if negate else scalar
+        out.append(new)
     return tuple(out)
 
 
@@ -519,20 +514,18 @@ def build_twobraid_unreduced(spec: TwoBraidSpec) -> GradedComplex:
     tgt = tuple(d + shift for shift in tgt_shifts for d in mdegs)
     X = _x_matrix(spec)
     neg_x = _scalar_entries(X, negate=True)
-    rows = [[Fraction(0)] * len(src) for _ in range(len(tgt))]
+    rows = [{} for _ in tgt]
 
     def fill(block_r, block_c, scalars):
-        for r in range(N):
-            for c in range(N):
-                if scalars[r][c]:
-                    rows[block_r * N + r][block_c * N + c] = scalars[r][c]
+        for r, row in enumerate(scalars):
+            rows[block_r * N + r].update((block_c * N + c, x) for c, x in row.items())
 
     for r in range(N - 2):
-        fill(r, r, [[Fraction(1) if a == b else Fraction(0) for b in range(N)] for a in range(N)])
+        fill(r, r, [{a: 1} for a in range(N)])
         fill(r, r + 1, neg_x)
     fill(N - 2, 0, neg_x)
     modules = {2: GradedFreeModule(src), 3: GradedFreeModule(tgt)}
-    diff = HomMatrix(ring, src, tgt, tuple(tuple(row) for row in rows))
+    diff = HomMatrix(ring, src, tgt, tuple(rows))
     return GradedComplex(ring, modules, {2: diff})
 
 

@@ -18,6 +18,8 @@ of polynomial degree s in homological degree i therefore lands at
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .algebra import (
     HOM_POLY,
     PAGE,
@@ -35,7 +37,8 @@ class PageTable:
 
     hat pages carry field dimensions; module pages carry graded module
     descriptors whose internal shifts repeat the filtration degree p of
-    their position.  Zero entries are dropped on construction.
+    their position.  Entries given twice at one position add up, and
+    zero entries are dropped, on construction.
     """
 
     __slots__ = ("r", "hat", "_entries")
@@ -45,6 +48,7 @@ class PageTable:
         if r < 0:
             raise ValueError("page index must be >= 0")
         data = {}
+        parts = {}
         items = entries.items() if hasattr(entries, "items") else entries
         for key, value in items:
             key = (int(key[0]), int(key[1]))
@@ -59,7 +63,12 @@ class PageTable:
                 if not isinstance(value, GradedModuleDescriptor):
                     raise ValueError("module pages carry descriptors")
                 if value:
-                    data[key] = data[key].merge(value) if key in data else value
+                    free, torsions = parts.setdefault(key, ([], []))
+                    free.extend(value.free_shifts)
+                    torsions.extend(value.torsions)
+        # one descriptor per position, which sorts its own summands
+        for key, (free, torsions) in parts.items():
+            data[key] = GradedModuleDescriptor(tuple(free), tuple(torsions))
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "hat", bool(hat))
         object.__setattr__(self, "_entries", data)
@@ -166,15 +175,10 @@ def assembled_pages(d: Decomposition, hat: bool, r: int) -> PageTable:
     """
     if r < 1:
         raise ValueError("assembled pages start at r = 1")
-    counts = {}
-    for i, s in d.free_pieces:
-        counts[(i, s)] = counts.get((i, s), 0) + 1
-    page = boxtimes(
-        BigradedTable(counts, HOM_POLY), piece_pages((0, 0), hat, r, d.k)
-    )
-    for piece in d.torsion_pieces:
-        page = page.merge(piece_pages(piece, hat, r, d.k))
-    return page
+    counts = BigradedTable([(piece, 1) for piece in d.free_pieces], HOM_POLY)
+    free = boxtimes(counts, piece_pages((0, 0), hat, r, d.k))
+    torsion = (item for piece in d.torsion_pieces for item in piece_pages(piece, hat, r, d.k).items())
+    return PageTable(r, chain(free.items(), torsion), hat)
 
 
 def generic_pages(c: FilteredFieldComplex, r: int) -> PageTable:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twkit.algebra import HOM_POLY, PAGE, BigradedTable
+from twkit.algebra import HOM_POLY, PAGE, BigradedTable, canonical
 from twkit.complexes import InternalError, complex_from_data, direct_sum
 from twkit.corpus import conjugate, random_decomposition
 from twkit.decompose import (
@@ -22,6 +22,7 @@ from twkit.decompose import (
     thickness,
     torsion_width,
 )
+from twkit.exactla import column_index
 
 
 def torsion_fixture():
@@ -210,7 +211,9 @@ def random_rows(rng, nr, nc, density):
 def test_clear_pivot_column_matches_dense_reference():
     """Same rows, same deleted column, and the same verdict on whether
     the next differential's column vanished, on seeded sparse and dense
-    inputs; half the next differentials are built to pass the check."""
+    inputs; half the next differentials are built to pass the check.
+    The sparse rows keep canonical values and their column indices
+    match their nonzeros."""
     rng = random.Random(31)
     raised = 0
     for _ in range(2000):
@@ -229,14 +232,27 @@ def test_clear_pivot_column_matches_dense_reference():
                 for row in nxt:
                     row[l] = -sum((d[i][0] / d[l][0] * row[i] for i in pivots[1:]), Fraction(0))
         want_d, want_nxt = copy.deepcopy((d, nxt))
+        rows, nxt_rows = sparse_rows(d), sparse_rows(nxt or [])
+        holders, nxt_holders = column_index(rows), column_index(nxt_rows)
         try:
             dense_clear_pivot_column(want_d, want_nxt, pivots)
         except AssertionError:
             with pytest.raises(InternalError, match="split target did not vanish"):
-                _clear_pivot_column(d, nxt, pivots)
+                _clear_pivot_column(rows, holders, nxt_rows, nxt_holders, 0, pivots[0])
             raised += 1
             continue
-        _clear_pivot_column(d, nxt, pivots)
-        assert (d, nxt) == (want_d, want_nxt)
-        assert all(type(x) is Fraction for row in d + (nxt or []) for x in row)
+        _clear_pivot_column(rows, holders, nxt_rows, nxt_holders, 0, pivots[0])
+        got_nxt = [[row.get(j, 0) for j in range(nr) if j != pivots[0]] for row in nxt_rows]
+        assert [[row.get(j, 0) for j in range(nc)] for row in rows] == want_d
+        assert got_nxt == (want_nxt or [])
+        for sparse, index in ((rows, holders), (nxt_rows, nxt_holders)):
+            assert {j: v for j, v in index.items() if v} == column_index(sparse)
+            for row in sparse:
+                for x in row.values():
+                    assert (type(x) is int and x) or (type(x) is Fraction and x.denominator > 1)
     assert 200 < raised < 1800
+
+
+def sparse_rows(rows):
+    """{col: canonical value} rows of dense Fraction rows' nonzeros."""
+    return [{c: canonical(x) for c, x in enumerate(row) if x} for row in rows]

@@ -1,0 +1,503 @@
+"""Graded complexes on sparse rows against frozen dense references.
+
+HomMatrix stores {col: value} rows of its nonzeros, each value an int
+when integral and a Fraction otherwise.  Validation (homogeneity and
+d^2 = 0), decompose's splitting and Gaussian elimination all follow
+the nonzeros.  The dense code they replaced is kept below, verbatim up
+to storage, as the reference: every piece, verdict, error message and
+eliminated complex must agree with it.
+"""
+
+import importlib
+import random
+from fractions import Fraction
+
+import pytest
+
+from twkit import exactla
+from twkit.algebra import GradedRing, HomMatrix, hom_matrix_validate
+from twkit.complexes import (
+    ComplexError,
+    FieldComplex,
+    GradedComplex,
+    InternalError,
+    complex_from_data,
+    direct_sum,
+    gaussian_eliminate,
+)
+from twkit.corpus import conjugate, random_decomposition
+from twkit.decompose import Decomposition, _split_pieces, decompose, reassemble
+from twkit.links import (
+    LinkDiagram,
+    Sl2Potential,
+    TwoBraidSpec,
+    build_sl2_cube,
+    build_twobraid,
+    build_twobraid_unreduced,
+)
+
+# twkit re-exports a function named decompose over the module's name
+decompose_module = importlib.import_module("twkit.decompose")
+
+# -- the frozen dense reference -----------------------------------------
+
+
+def dense(d):
+    """A HomMatrix's cells as mutable lists of Fraction."""
+    return [[Fraction(x) for x in row] for row in d.entries]
+
+
+def reference_hom_matrix_validate(ring, src, tgt, rows):
+    d2k = ring.a_degree
+    for r in range(len(tgt)):
+        tdeg = tgt[r]
+        row = rows[r]
+        for c in range(len(src)):
+            if row[c]:
+                gap = src[c] - tdeg
+                if gap < 0 or gap % d2k:
+                    return (r, c)
+    return None
+
+
+def dense_mats(c):
+    return {i: dense(d) for i, d in c.differentials.items()}
+
+
+def reference_validate(c, mats=None):
+    """GradedComplex._validate on dense cells (mats, from dense_mats by
+    default): raises the same ComplexError, or returns None."""
+    mats = dense_mats(c) if mats is None else mats
+    for i, d in sorted(c.differentials.items()):
+        if d.ring != c.ring:
+            raise ComplexError("ring mismatch in differential at degree %d" % i)
+        if d.source_degrees != c.modules[i].degrees:
+            raise ComplexError("source degrees mismatch at degree %d" % i)
+        if d.target_degrees != c.modules[i + 1].degrees:
+            raise ComplexError("target degrees mismatch at degree %d" % i)
+        bad = reference_hom_matrix_validate(d.ring, d.source_degrees, d.target_degrees, mats[i])
+        if bad is not None:
+            raise ComplexError(
+                "differential at degree %d is not homogeneous at entry %r" % (i, bad)
+            )
+    for i in sorted(c.differentials):
+        if i + 1 in c.differentials:
+            product = exactla.matmul(mats[i + 1], mats[i], c.differentials[i].ncols)
+            if not all(not x for row in product for x in row):
+                raise ComplexError(
+                    "d^2 != 0 on the square starting at degree %d (maps %d->%d->%d)"
+                    % (i, i, i + 1, i + 2)
+                )
+
+
+def _argsort(values, reverse=False):
+    idx = list(range(len(values)))
+    idx.sort(key=(lambda r: -values[r]) if reverse else (lambda r: values[r]))
+    return idx
+
+
+def reference_split_pieces(c, dense_rows=None):
+    """decompose's (free, torsion, dropped) on dense cells (dense_rows,
+    from dense_mats by default, left unchanged)."""
+    dense_rows = dense_mats(c) if dense_rows is None else dense_rows
+    two_k = c.ring.a_degree
+    degs = {i: list(c.modules[i].degrees) for i in c.degrees_present()}
+    mats = {}
+    zero = Fraction(0)
+    for i in sorted(degs):
+        if i + 1 in degs:
+            d = dense_rows.get(i)
+            mats[i] = [list(r) for r in d] if d is not None else [[zero] * len(degs[i]) for _ in degs[i + 1]]
+
+    free = []
+    torsion = []
+    dropped = 0
+    for n in sorted(degs):
+        src = degs[n]
+        if not src:
+            continue
+        ps = _argsort(src)
+        src[:] = [src[j] for j in ps]
+        d = mats.get(n)
+        tgt = degs.get(n + 1)
+        nxt = mats.get(n + 1)
+        if d is not None:
+            for r in range(len(d)):
+                d[r] = [d[r][j] for j in ps]
+            pt = _argsort(tgt, reverse=True)
+            tgt[:] = [tgt[r] for r in pt]
+            mats[n] = [d[r] for r in pt]
+            d = mats[n]
+            if nxt is not None:
+                for r in range(len(nxt)):
+                    nxt[r] = [nxt[r][j] for j in pt]
+
+        while src:
+            pivots = [r for r, row in enumerate(d or ()) if row[0]]
+            if not pivots:
+                free.append((n, src[0]))
+                del src[0]
+                if d:
+                    for r in range(len(d)):
+                        del d[r][0]
+                continue
+
+            l = pivots[0]
+            gap = src[0] - tgt[l]
+            if gap < 0 or gap % two_k:
+                raise InternalError("decompose", "pivot violates homogeneity")
+            m = gap // two_k
+            reference_clear_pivot_column(d, nxt, pivots)
+            if m == 0:
+                dropped += 1
+            else:
+                torsion.append((n + 1, m, tgt[l]))
+            del src[0]
+            for r in range(len(d)):
+                del d[r][0]
+            del tgt[l]
+            del d[l]
+
+    return free, torsion, dropped
+
+
+def reference_clear_pivot_column(d, nxt, pivots):
+    l = pivots[0]
+    row_l = d[l]
+    support = [j for j, x in enumerate(row_l) if x]
+    ratios = []
+    for i in pivots[1:]:
+        row = d[i]
+        ratio = row[0] / row_l[0]
+        ratios.append((i, ratio))
+        for j in support:
+            row[j] -= ratio * row_l[j]
+    for row in nxt or ():
+        acc = row[l]
+        for i, ratio in ratios:
+            if row[i]:
+                acc += ratio * row[i]
+        if acc:
+            raise InternalError("decompose", "outgoing column of a split target did not vanish")
+        del row[l]
+
+
+def reference_schur(rows, row, col):
+    phi = rows[row][col]
+    inv = 1 / phi
+    out = []
+    for r, full in enumerate(rows):
+        if r == row:
+            continue
+        gamma = full[col]
+        out.append([full[cc] - gamma * inv * rows[row][cc] for cc in range(len(full)) if cc != col])
+    return out
+
+
+def reference_eliminate_graded(c, h, row, col):
+    """({degree: generator degrees}, {degree: dense rows}) of the
+    eliminated complex, by the dense Schur complement."""
+    degrees = {i: list(m.degrees) for i, m in c.modules.items()}
+    mats = {i: dense(d) for i, d in c.differentials.items()}
+    d = mats.pop(h)
+    del degrees[h][col]
+    del degrees[h + 1][row]
+    if degrees[h] and degrees[h + 1]:
+        mats[h] = reference_schur(d, row, col)
+    if h - 1 in mats:
+        if degrees[h]:
+            mats[h - 1] = [r for i, r in enumerate(mats[h - 1]) if i != col]
+        else:
+            del mats[h - 1]
+    if h + 1 in mats:
+        if degrees[h + 1]:
+            mats[h + 1] = [[x for i, x in enumerate(r) if i != row] for r in mats[h + 1]]
+        else:
+            del mats[h + 1]
+    return {i: v for i, v in degrees.items() if v}, mats
+
+
+# -- inputs ---------------------------------------------------------------
+
+LAMBDA = Sl2Potential(2, ((1, Fraction(-3, 2)),))
+BRAIDS = (
+    ("1 1 1", 2),
+    ("1 -2 1 -2", 3),
+    ("1 1 1 1 1", 2),
+    ("1 1 1 2 -1 2", 3),
+    ("1 2 1 2 1 2 1 2", 3),
+)
+
+
+@pytest.fixture(scope="module")
+def cubes():
+    return [
+        (word, build_sl2_cube(LinkDiagram.from_braid_text(word, strands), potential))
+        for word, strands in BRAIDS
+        for potential in (Sl2Potential.standard(), LAMBDA)
+    ]
+
+
+def twobraids():
+    return [
+        build_twobraid(TwoBraidSpec.power_basis(N, i)) for N in range(2, 13) for i in range(1, N + 1)
+    ]
+
+
+def corpus_complexes(count_per_k=21):
+    """Seeded conjugated corpus complexes, count_per_k for each k = 1..3."""
+    rng = random.Random(77)
+    out = {1: [], 2: [], 3: []}
+    while min(len(v) for v in out.values()) < count_per_k:
+        d = random_decomposition(rng, max_generators=rng.randint(4, 30))
+        if len(out[d.k]) < count_per_k:
+            out[d.k].append(conjugate(rng, reassemble(d), ops=12))
+    return [c for k in (1, 2, 3) for c in out[k]]
+
+
+def assert_canonical(c):
+    """Every stored value is a nonzero int or a non-integral Fraction."""
+    for d in c.differentials.values():
+        for row in d.rows:
+            for x in row.values():
+                assert (type(x) is int and x) or (type(x) is Fraction and x.denominator > 1), x
+
+
+def assert_matches_reference(c):
+    reference_validate(c)
+    c._validate()
+    assert _split_pieces(c) == reference_split_pieces(c)
+    assert_canonical(c)
+
+
+# -- decompose and validation ---------------------------------------------
+
+
+def test_cubes_match_reference(cubes):
+    for _, c in cubes:
+        assert_matches_reference(c)
+
+
+def test_twobraids_match_reference():
+    for c in twobraids():
+        assert_matches_reference(c)
+    for N in range(2, 9):
+        assert_matches_reference(build_twobraid_unreduced(TwoBraidSpec.power_basis(N, max(1, N // 2))))
+
+
+def test_corpus_matches_reference():
+    complexes = corpus_complexes()
+    assert len(complexes) >= 60
+    assert {c.ring.k for c in complexes} == {1, 2, 3}
+    for c in complexes:
+        assert_matches_reference(c)
+
+
+def test_split_pieces_exercises_clearing(cubes, monkeypatch):
+    """The cube inputs reach the clearing step with several holders in
+    a column, with fill-in and with a next differential to check, so the
+    comparisons are not vacuous."""
+    seen = {"holders": 0, "fill": 0, "next": 0}
+    original = decompose_module._clear_pivot_column
+
+    def counting(d, holders, nxt, nxt_holders, j, l):
+        before = sum(len(row) for row in d)
+        cleared = len(holders[j]) - 1
+        if cleared:
+            seen["holders"] += 1
+        if nxt_holders.get(l):
+            seen["next"] += 1
+        original(d, holders, nxt, nxt_holders, j, l)
+        # more entries than the cleared column left behind: fill-in
+        if sum(len(row) for row in d) > before - cleared:
+            seen["fill"] += 1
+
+    monkeypatch.setattr(decompose_module, "_clear_pivot_column", counting)
+    for _, c in cubes:
+        _split_pieces(c)
+    assert min(seen.values()) > 20, seen
+
+
+def _error(fn):
+    try:
+        fn()
+    except ComplexError as e:
+        return str(e)
+    return None
+
+
+def _with_entry(c, i, r, col, x):
+    """c with differential i's entry (r, col) set to x, unvalidated."""
+    d = c.differentials[i]
+    rows = list(d.rows)
+    rows[r] = dict(rows[r])
+    rows[r][col] = x
+    diffs = dict(c.differentials)
+    diffs[i] = HomMatrix(d.ring, d.source_degrees, d.target_degrees, tuple(rows))
+    return GradedComplex(c.ring, c.modules, diffs, validate=False)
+
+
+def test_bad_complexes_give_the_same_errors(cubes):
+    """An inhomogeneous entry and a d^2 != 0 square, planted at random
+    in valid complexes, give the reference's error message."""
+    rng = random.Random(5)
+    inputs = [c for _, c in cubes[:6]] + corpus_complexes(5)
+    seen = {"homogeneous": 0, "d^2": 0}
+    for c in inputs:
+        for _ in range(6):
+            i = rng.choice(sorted(c.differentials))
+            d = c.differentials[i]
+            r, col = rng.randrange(d.nrows), rng.randrange(d.ncols)
+            gap = d.source_degrees[col] - d.target_degrees[r]
+            x = rng.choice((1, -2, Fraction(1, 3)))
+            if gap >= 0 and gap % c.ring.a_degree == 0:
+                # homogeneous: likely breaks d^2 = 0 instead
+                x = d.rows[r].get(col, 0) + x
+                if not x:
+                    continue
+            bad = _with_entry(c, i, r, col, x)
+            want = _error(lambda: reference_validate(bad))
+            assert _error(bad._validate) == want
+            if want is not None:
+                seen["homogeneous" if "homogeneous" in want else "d^2"] += 1
+    assert seen["homogeneous"] > 10 and seen["d^2"] > 10
+
+
+def test_hom_matrix_validate_matches_reference():
+    """The first bad (row, col) in row-major order, also when a row's
+    columns were inserted out of order."""
+    rng = random.Random(11)
+    ring = GradedRing(2)
+    for _ in range(400):
+        src = [rng.randint(-6, 6) for _ in range(rng.randint(1, 7))]
+        tgt = [rng.randint(-6, 6) for _ in range(rng.randint(1, 7))]
+        cells = [[rng.choice((0, 0, 0, 1, -1, Fraction(2, 3))) for _ in src] for _ in tgt]
+        rows = [dict(sorted(((c, x) for c, x in enumerate(row) if x), reverse=True)) for row in cells]
+        m = HomMatrix(ring, src, tgt, rows)
+        assert m.rows == HomMatrix(ring, src, tgt, cells).rows
+        assert hom_matrix_validate(m) == reference_hom_matrix_validate(ring, src, tgt, cells)
+
+
+# -- storage ---------------------------------------------------------------
+
+
+class TestStorage:
+    R = GradedRing(1)
+
+    def test_dense_and_sparse_rows_agree(self):
+        dense_rows = ((Fraction(2), 0, Fraction(1, 2)), (0, 0, 0))
+        m = HomMatrix(self.R, (2, 2, 4), (0, 2), dense_rows)
+        assert m.rows == ({0: 2, 2: Fraction(1, 2)}, {})
+        assert type(m.rows[0][0]) is int
+        assert m == HomMatrix(self.R, (2, 2, 4), (0, 2), ({2: Fraction(1, 2), 0: Fraction(4, 2)}, {}))
+        assert m.entries == ((2, 0, Fraction(1, 2)), (0, 0, 0))
+        assert hash(m) == hash(HomMatrix(self.R, (2, 2, 4), (0, 2), dense_rows))
+
+    def test_zero_is_never_stored(self):
+        m = HomMatrix(self.R, (0, 0), (0,), ({0: 0, 1: Fraction(0)},))
+        assert m.rows == ({},) and m.is_zero()
+
+    def test_bad_sparse_column_rejected(self):
+        with pytest.raises(ValueError, match="column index out of range"):
+            HomMatrix(self.R, (0,), (0,), ({1: 1},))
+
+    def test_sums_and_shifts_store_canonical_values(self):
+        for c in corpus_complexes(4):
+            total = direct_sum(c, c.shifted(1, 2))
+            assert_canonical(total)
+            d = decompose(c)
+            assert decompose(total) == Decomposition(
+                d.k,
+                d.free_pieces + tuple((i + 1, s + 2) for i, s in d.free_pieces),
+                d.torsion_pieces + tuple((i + 1, m, s + 2) for i, m, s in d.torsion_pieces),
+            )
+
+
+# -- Gaussian elimination ---------------------------------------------------
+
+
+def unit_pivots(c, h):
+    d = c.differentials[h]
+    return [
+        (r, col)
+        for r, row in enumerate(d.rows)
+        for col in row
+        if d.source_degrees[col] == d.target_degrees[r]
+    ]
+
+
+def test_eliminate_graded_matches_reference(cubes):
+    rng = random.Random(3)
+    inputs = [c for _, c in cubes[:4]] + corpus_complexes(6)
+    inputs += [build_twobraid_unreduced(TwoBraidSpec.power_basis(N, 2)) for N in (3, 5, 7)]
+    steps = 0
+    for c in inputs:
+        for _ in range(3):
+            if not c.differentials:
+                break
+            h = rng.choice(sorted(c.differentials))
+            pivots = unit_pivots(c, h)
+            if not pivots:
+                continue
+            row, col = rng.choice(pivots)
+            degrees, mats = reference_eliminate_graded(c, h, row, col)
+            out = gaussian_eliminate(c, h, row, col)
+            assert {i: list(m.degrees) for i, m in out.modules.items()} == degrees
+            got = {i: dense(d) for i, d in out.differentials.items() if not d.is_zero()}
+            assert got == {i: rows for i, rows in mats.items() if any(any(r) for r in rows)}
+            assert_canonical(out)
+            steps += 1
+            c = out
+    assert steps > 20
+
+
+# -- integer inputs stay exact -------------------------------------------------
+
+
+def _no_float(value):
+    if isinstance(value, dict):
+        return all(_no_float(x) for x in value.values())
+    if isinstance(value, (list, tuple)):
+        return all(_no_float(x) for x in value)
+    return not isinstance(value, float)
+
+
+def test_integer_inputs_stay_exact():
+    """Integer-valued dense and sparse input gives no float anywhere,
+    and the answers equal those for the same input as Fractions."""
+    rng = random.Random(8)
+    for _ in range(200):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        ints = [[rng.choice((0, 0, 1, -1, 2, 3)) for _ in range(nc)] for _ in range(nr)]
+        fracs = [[Fraction(x) for x in row] for row in ints]
+        sparse = [{c: x for c, x in enumerate(row) if x} for row in ints]
+        sparse_fracs = [{c: Fraction(x) for c, x in row.items()} for row in sparse]
+        want = exactla.row_reduce(fracs)
+        got = exactla.row_reduce(ints)
+        assert _no_float(got) and got == want
+        got = exactla.row_reduce(sparse, nc)
+        assert _no_float(got) and got == exactla.row_reduce(sparse_fracs, nc)
+        assert got[1] == want[1]
+    assert exactla.row_reduce([{0: 2, 1: 1}], 2) == ([{0: 1, 1: Fraction(1, 2)}], [0])
+
+    # a graded complex with an integer pivot of 2 and a field complex
+    # given sparse integer rows
+    c = complex_from_data(1, {0: [0, 0], 1: [0, 0]}, {0: [[2, 1], [3, 1]]})
+    out = gaussian_eliminate(c, 0, 0, 0)
+    assert out.differentials[0].rows == ({0: Fraction(-1, 2)},)
+    fc = FieldComplex({0: (0, 0), 1: (0, 0)}, {0: [{0: 2, 1: 1}, {0: 3, 1: 1}]})
+    out = gaussian_eliminate(fc, 0, 0, 0)
+    assert out.mats[0] == ({0: Fraction(-1, 2)},)
+    assert all(type(x) is Fraction for x in out.mats[0][0].values())
+
+    for c in corpus_complexes(4):
+        as_fractions = GradedComplex(
+            c.ring,
+            c.modules,
+            {
+                i: HomMatrix(d.ring, d.source_degrees, d.target_degrees, dense(d))
+                for i, d in c.differentials.items()
+            },
+        )
+        assert decompose(as_fractions) == decompose(c)
+        assert _no_float(_split_pieces(c))

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from twkit import exactla
-from twkit.algebra import GradedModuleDescriptor
+from twkit.algebra import HOM_POLY, BigradedTable, GradedModuleDescriptor, boxtimes
 from twkit.complexes import FilteredFieldComplex, specialize_a_to_1
 from twkit.corpus import conjugate, random_decomposition, summed_piece_pages
 from twkit.decompose import Decomposition, reassemble, torsion_width
@@ -122,6 +122,33 @@ class TestAssembledPages:
                 am = assembled_pages(d, False, r)
                 sm = summed_piece_pages(d, False, r)
                 assert am.same_entries(sm)
+
+    def test_matches_frozen_merge_loop(self):
+        """One dict and one PageTable give the pages the merge-per-piece
+        loop gave, on seeded decompositions with many pieces that share
+        positions."""
+        rng = random.Random(47)
+        for n in range(60):
+            d = random_decomposition(rng, max_generators=rng.choice((4, 40, 120)), degree_span=(-6, 6))
+            for r in (1, 2, 3, 5, 7, 13):
+                for hat in (True, False):
+                    want = reference_assembled_pages(d, hat, r)
+                    got = assembled_pages(d, hat, r)
+                    assert got == want
+                    assert got.items() == want.items()
+                    assert got.same_entries(summed_piece_pages(d, hat, r))
+
+
+def reference_assembled_pages(d, hat, r):
+    """assembled_pages as it merged one piece page at a time, frozen as
+    the reference."""
+    counts = {}
+    for i, s in d.free_pieces:
+        counts[(i, s)] = counts.get((i, s), 0) + 1
+    page = boxtimes(BigradedTable(counts, HOM_POLY), piece_pages((0, 0), hat, r, d.k))
+    for piece in d.torsion_pieces:
+        page = page.merge(piece_pages(piece, hat, r, d.k))
+    return page
 
 
 # -- frozen reference: generic pages from three kernel bases per
