@@ -57,6 +57,13 @@ def builders():
     return out
 
 
+def check(label, c, mats):
+    """Both validations accept c and both splittings give the same pieces."""
+    reference_validate(c, mats)
+    if _split_pieces(c) != reference_split_pieces(c, mats):
+        raise SystemExit("%s: pieces differ from the reference" % label)
+
+
 def best_of(fn, repeats):
     best = None
     for _ in range(repeats):
@@ -76,9 +83,7 @@ def main():
     for label, build in builders():
         c = build()
         mats = dense_mats(c)
-        reference_validate(c, mats)
-        if _split_pieces(c) != reference_split_pieces(c, mats):
-            raise SystemExit("%s: pieces differ from the reference" % label)
+        check(label, c, mats)
         cases.append((label, build, c, mats))
 
     header = "%-30s %5s  %8s  %10s  %10s  %7s  %10s  %10s  %7s" % (

@@ -29,16 +29,18 @@ from twkit.decompose import decompose, reassemble, torsion_width
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
 from test_couples import couple_state, reference_check_exactness, reference_derive  # noqa: E402
 
+SEED = 20261018
 DOCS = 9
 MIN_GENERATORS = 20
 MAX_GENERATORS = 60
 
 
-def ladder(seed):
-    """[decomposition of a conjugated complex], sizes climbing evenly."""
+def ladder(seed, count=DOCS):
+    """[decomposition of a conjugated complex], sizes climbing evenly:
+    the first count of the DOCS documents."""
     rng = random.Random(seed)
     out = []
-    for n in range(DOCS):
+    for n in range(count):
         k = 1 + n % 3
         generators = MIN_GENERATORS + (MAX_GENERATORS - MIN_GENERATORS) * n // (DOCS - 1)
         while True:
@@ -68,6 +70,13 @@ def reference_chain(model, derivations):
     return out
 
 
+def check(n, model, derivations):
+    """The chain and the reference chain agree, couple for couple."""
+    got = [couple_state(c) for c in chain(model, derivations)]
+    want = [couple_state(c) for c in reference_chain(model, derivations)]
+    assert got == want, "the derivation chain disagrees with the reference on document %d" % n
+
+
 def best_of(route, model, derivations, repeats):
     best = None
     for _ in range(repeats):
@@ -80,15 +89,13 @@ def best_of(route, model, derivations, repeats):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seed", type=int, default=20261018)
+    ap.add_argument("--seed", type=int, default=SEED)
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
 
     docs = [(d, couple_from_decomposition(d), torsion_width(d) + 1) for d in ladder(args.seed)]
     for n, (d, model, derivations) in enumerate(docs):
-        got = [couple_state(c) for c in chain(model, derivations)]
-        want = [couple_state(c) for c in reference_chain(model, derivations)]
-        assert got == want, "the derivation chain disagrees with the reference on document %d" % n
+        check(n, model, derivations)
 
     header = "%-4s %2s %4s %6s  %10s  %10s  %7s" % ("doc", "k", "gens", "derive", "reference", "memo", "speedup")
     print(header)

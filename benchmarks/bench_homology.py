@@ -48,14 +48,16 @@ LINKS = (
 TWOBRAID_N = (10, 20, 30)
 
 
-def inputs():
-    """[(label, graded complex)] in ladder order."""
+def builders():
+    """[(label, zero-argument builder of the graded complex)] in ladder order."""
     out = []
     for word, strands, potential in LINKS:
         label = "link %s%s" % (word, "" if potential is LAMBDA else " (standard)")
-        out.append((label, build_sl2_cube(LinkDiagram.from_braid_text(word, strands), potential)))
+        diagram = LinkDiagram.from_braid_text(word, strands)
+        out.append((label, lambda d=diagram, p=potential: build_sl2_cube(d, p)))
     for N in TWOBRAID_N:
-        out.append(("2-braid N=%d i=%d" % (N, N // 2), build_twobraid(TwoBraidSpec.power_basis(N, N // 2))))
+        spec = TwoBraidSpec.power_basis(N, N // 2)
+        out.append(("2-braid N=%d i=%d" % (N, N // 2), lambda s=spec: build_twobraid(s)))
     return out
 
 
@@ -74,7 +76,7 @@ def main():
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
 
-    cases = inputs()
+    cases = [(label, build()) for label, build in builders()]
     for label, c in cases:
         assert_graded_matches(c)
 

@@ -28,16 +28,18 @@ from twkit.pages import generic_pages
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
 from test_pages import reference_generic_pages  # noqa: E402
 
+SEED = 20261018
 DOCS = 9
 MIN_GENERATORS = 20
 MAX_GENERATORS = 60
 
 
-def ladder(seed):
-    """[(k, generators, graded complex)], sizes climbing evenly."""
+def ladder(seed, count=DOCS):
+    """[(decomposition, graded complex)], sizes climbing evenly: the
+    first count of the DOCS documents."""
     rng = random.Random(seed)
     out = []
-    for n in range(DOCS):
+    for n in range(count):
         k = 1 + n % 3
         generators = MIN_GENERATORS + (MAX_GENERATORS - MIN_GENERATORS) * n // (DOCS - 1)
         while True:
@@ -53,6 +55,16 @@ def all_pages(route, c, rs):
     return [route(fc, r) for r in rs]
 
 
+def page_range(d):
+    return range(0, 2 * d.k * torsion_width(d) + 4)
+
+
+def check(n, c, rs):
+    assert all_pages(generic_pages, c, rs) == all_pages(reference_generic_pages, c, rs), (
+        "generic_pages disagrees with the reference on document %d" % n
+    )
+
+
 def best_of(route, c, rs, repeats):
     best = None
     for _ in range(repeats):
@@ -65,15 +77,13 @@ def best_of(route, c, rs, repeats):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seed", type=int, default=20261018)
+    ap.add_argument("--seed", type=int, default=SEED)
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
 
-    docs = [(d, c, range(0, 2 * d.k * torsion_width(d) + 4)) for d, c in ladder(args.seed)]
+    docs = [(d, c, page_range(d)) for d, c in ladder(args.seed)]
     for n, (d, c, rs) in enumerate(docs):
-        assert all_pages(generic_pages, c, rs) == all_pages(reference_generic_pages, c, rs), (
-            "generic_pages disagrees with the reference on document %d" % n
-        )
+        check(n, c, rs)
 
     header = "%-4s %2s %4s %5s  %10s  %10s  %7s" % ("doc", "k", "gens", "pages", "reference", "profile", "speedup")
     print(header)

@@ -284,7 +284,7 @@ class HomMatrix:
             raise ValueError("ring mismatch")
         if self.source_degrees != other.target_degrees:
             raise ValueError("middle degree lists do not match")
-        rows = matmul(self.rows, other.rows, other.ncols)
+        rows = matmul(self.rows, other.rows)
         return HomMatrix(self.ring, other.source_degrees, self.target_degrees, tuple(rows))
 
     def reduced_mod_a(self):

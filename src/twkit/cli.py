@@ -21,7 +21,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import exactla, jsonio
+from . import jsonio
 from .algebra import BigradedTable, GradedModuleDescriptor
 from .complexes import (
     ComplexError,
@@ -174,7 +174,7 @@ def _full_report(c: GradedComplex) -> dict:
         except ValueError:
             pass
     cp = collapse_page(d)
-    fd = first_differential(c)
+    ranks = first_differential(c).ranks()
     return {
         "format": jsonio.FORMAT,
         "type": "report",
@@ -189,10 +189,8 @@ def _full_report(c: GradedComplex) -> dict:
             jsonio.page_to_data(assembled_pages(d, True, r))
             for r in range(1, cp + 1)
         ],
-        "delta_rank": fd.rank(),
-        "delta_ranks": {
-            str(i): exactla.rank(fd.block(i)) for i in sorted(fd.blocks)
-        },
+        "delta_rank": sum(ranks.values()),
+        "delta_ranks": {str(i): r for i, r in ranks.items()},
     }
 
 
@@ -404,7 +402,7 @@ def cmd_delta(args) -> int:
         "ok": battery.ok(),
         "matrices": {
             str(i): {
-                str(h): [[str(x) for x in row] for row in fd.blocks[h]]
+                str(h): [[str(x) for x in row] for row in fd.block(h)]
                 for h in sorted(fd.blocks)
             }
             for i, fd in sorted(battery.deltas.items())

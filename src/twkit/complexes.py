@@ -17,6 +17,7 @@ from .algebra import (
     GradedRing,
     HomMatrix,
     add_to_row,
+    canonical,
     hom_matrix_validate,
 )
 
@@ -83,7 +84,7 @@ class GradedComplex:
                 )
         for i, d in sorted(self.differentials.items()):
             nxt = self.differentials.get(i + 1)
-            if nxt is not None and any(exactla.matmul(nxt.rows, d.rows, d.ncols)):
+            if nxt is not None and any(exactla.matmul(nxt.rows, d.rows)):
                 raise ComplexError(
                     "d^2 != 0 on the square starting at degree %d (maps %d->%d->%d)"
                     % (i, i, i + 1, i + 2)
@@ -241,7 +242,7 @@ class FieldComplex:
                         )
         for i, rows in sorted(self.mats.items()):
             nxt = self.mats.get(i + 1)
-            if nxt is not None and any(exactla.matmul(nxt, rows, self.rank(i))):
+            if nxt is not None and any(exactla.matmul(nxt, rows)):
                 raise ComplexError("d^2 != 0 on the square starting at degree %d" % i)
 
     def rank(self, i: int) -> int:
@@ -463,16 +464,6 @@ class FieldHomologyBasis:
         return sum(self.dims.values())
 
 
-def _stack(columns, n):
-    """Sparse rows of the n-row matrix whose columns are the given
-    sparse vectors, in order."""
-    rows = [{} for _ in range(n)]
-    for j, v in enumerate(columns):
-        for r, x in v.items():
-            rows[r][j] = x
-    return rows
-
-
 def homology_field(fc: FieldComplex) -> FieldHomologyBasis:
     """Each differential d^i is eliminated once: its rref gives the
     kernel at degree i, and its pivot columns the image at degree i+1."""
@@ -481,24 +472,9 @@ def homology_field(fc: FieldComplex) -> FieldHomologyBasis:
     kernels = {}
     images = {}
     for i, rows in fc.mats.items():
-        rref, pivots = exactla.row_reduce(rows, fc.rank(i))
-        # one kernel vector per free column j: 1 at j and minus the
-        # rref entry at j on each pivot column
-        minus = {}
-        for pc, prow in zip(pivots, rref):
-            for j, x in prow.items():
-                if j != pc:
-                    minus.setdefault(j, {})[pc] = -x
-        is_pivot = set(pivots)
-        kernels[i] = [
-            {j: one, **minus.get(j, {})} for j in range(fc.rank(i)) if j not in is_pivot
-        ]
-        columns = {c: {} for c in pivots}
-        for r, row in enumerate(rows):
-            for c, x in row.items():
-                if c in columns:
-                    columns[c][r] = x
-        images[i + 1] = [columns[c] for c in pivots]
+        reduction = exactla.row_reduce(rows, fc.rank(i))
+        kernels[i] = exactla.kernel_from_reduction(reduction, fc.rank(i))
+        images[i + 1] = exactla.columns(rows, reduction[1])
 
     dims = {}
     reps = {}
@@ -511,7 +487,7 @@ def homology_field(fc: FieldComplex) -> FieldHomologyBasis:
         bnds[i] = tuple(image)
         # columns [image | cycles], one row per coordinate; the pivot
         # columns landing in the cycle block are the chosen representatives
-        stacked = _stack(image + cycles, n)
+        stacked = exactla.from_columns(image + cycles, n)
         pivots = exactla.row_reduce(stacked, len(image) + len(cycles))[1] if image or cycles else []
         chosen = [cycles[p - len(image)] for p in pivots if p >= len(image)]
         dims[i] = len(chosen)
@@ -538,7 +514,11 @@ class FirstDifferential:
 
     blocks[i] maps homology at degree i to homology at degree i+1 in
     the bases pinned by homology_field; entries drop the polynomial
-    degree by 2k.  rep_degrees records the degree of each basis class.
+    degree by 2k.  Each block is a tuple of rows, one per class at
+    degree i+1, each a {col: value} map of the nonzero entries with
+    canonical values (an int when integral, a Fraction otherwise); only
+    nonzero blocks are stored.  block(i) is the dense view, for output.
+    rep_degrees records the degree of each basis class.
     """
 
     k: int
@@ -547,23 +527,20 @@ class FirstDifferential:
     blocks: dict
 
     def block(self, i: int):
-        b = self.blocks.get(i)
-        if b is not None:
-            return [list(r) for r in b]
-        nr = self.dims.get(i + 1, 0)
-        nc = self.dims.get(i, 0)
-        return [[Fraction(0)] * nc for _ in range(nr)]
+        """The block out of degree i as dense list rows (zeros if absent)."""
+        rows = self.blocks.get(i, ({},) * self.dims.get(i + 1, 0))
+        return [[row.get(c, 0) for c in range(self.dims.get(i, 0))] for row in rows]
+
+    def ranks(self):
+        """{i: rank of the block out of i} over the stored blocks."""
+        return {i: exactla.rank(b, self.dims.get(i, 0)) for i, b in sorted(self.blocks.items())}
 
     def rank(self) -> int:
-        return sum(exactla.rank(self.block(i)) for i in self.dims)
+        return sum(self.ranks().values())
 
     def nonzero_degrees(self):
         """Degrees i where the block out of i has a nonzero entry."""
-        return sorted(
-            i
-            for i, b in self.blocks.items()
-            if any(x for row in b for x in row)
-        )
+        return sorted(i for i, b in self.blocks.items() if any(b))
 
     def is_zero(self) -> bool:
         return not self.nonzero_degrees()
@@ -616,24 +593,22 @@ def first_differential(c: GradedComplex) -> FirstDifferential:
         # solve reads it: free variables 0
         image = hb.boundaries.get(i + 1, ())
         nb = len(image) + len(reps_next)
-        stacked = _stack(image + reps_next + tuple(lifts), fc.rank(i + 1))
-        rref, pivots = exactla.row_reduce(stacked, nb + len(lifts))
-        if any(p >= nb for p in pivots):
+        stacked = exactla.from_columns(image + reps_next + tuple(lifts), fc.rank(i + 1))
+        sols = exactla.solution_from_reduction(
+            exactla.row_reduce(stacked, nb + len(lifts)), nb, len(lifts)
+        )
+        if sols is None:
             raise ComplexError("projection onto the homology basis failed")
-        block = [[zero] * len(reps) for _ in reps_next]
-        for pc, prow in zip(pivots, rref):
-            if pc >= len(image):
-                out = block[pc - len(image)]
-                for j, x in prow.items():
-                    if j >= nb:
-                        out[j - nb] = x
-        if any(x for row in block for x in row):
-            blocks[i] = tuple(tuple(row) for row in block)
+        # the coordinates on the representatives, one column per lift
+        block = [{} for _ in reps_next]
+        for j, x in enumerate(sols):
+            for p, y in x.items():
+                if p >= len(image):
+                    block[p - len(image)][j] = canonical(y)
+        if any(block):
+            blocks[i] = tuple(block)
 
-    out = FirstDifferential(k=k, dims=dict(hb.dims), rep_degrees=rep_degrees, blocks=blocks)
-    for i in sorted(hb.dims):
-        if i + 2 in hb.dims:
-            square = exactla.matmul(out.block(i + 1), out.block(i), hb.dims[i])
-            if any(x for row in square for x in row):
-                raise ComplexError("induced differential fails d^2 = 0")
-    return out
+    for i in sorted(blocks):
+        if i + 1 in blocks and any(exactla.matmul(blocks[i + 1], blocks[i])):
+            raise ComplexError("induced differential fails d^2 = 0")
+    return FirstDifferential(k=k, dims=dict(hb.dims), rep_degrees=rep_degrees, blocks=blocks)

@@ -27,77 +27,71 @@ through f is a unit vector and g' needs no solve against f.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import exactla
-from .algebra import HOM_POLY, BigradedTable
+from .algebra import HOM_POLY, BigradedTable, canonical
 from .complexes import InternalError
 from .decompose import Decomposition, torsion_width
-from .exactla import kernel_basis, kernel_from_reduction, matmul, matvec, solution_from_reduction
+from .exactla import columns, from_columns, kernel_from_reduction, matmul, solution_from_reduction
 
 
 class InsufficientWindow(RuntimeError):
     """A computation reached outside the stored polynomial window."""
 
 
-def _zeros(nrows, ncols):
-    return tuple(tuple(Fraction(0) for _ in range(ncols)) for _ in range(nrows))
+def _fits(rows, nrows, ncols):
+    return len(rows) == nrows and all(0 <= c < ncols for row in rows for c in row)
 
 
-def _cols_to_rows(cols, nrows):
-    return tuple(tuple(col[r] for col in cols) for r in range(nrows))
-
-
-def _is_zero(rows):
-    return all(not x for row in rows for x in row)
+def _restricted(rows, cols):
+    """The given columns of the matrix, renumbered from 0, as rows."""
+    return [{j: row[c] for j, c in enumerate(cols) if c in row} for row in rows]
 
 
 class _Eliminations:
     """One derivation chain's memo: exactla.row_reduce results keyed
-    by the matrix entries, a tuple of row tuples.  A solve is the
-    elimination of the augmented matrix [A | B], so its key holds the
-    right-hand sides too.  Results are shared; nothing mutates them."""
+    by the matrix's rows, each as its (col, value) pairs in column
+    order.  A solve is the elimination of the augmented matrix [A | B],
+    so its key holds the right-hand sides too.  Results are shared;
+    nothing mutates them."""
 
     __slots__ = ("_done",)
 
     def __init__(self):
         self._done = {}
 
-    def reduce(self, rows):
-        out = self._done.get(rows)
+    def reduce(self, rows, ncols):
+        key = tuple(tuple(sorted(row.items())) for row in rows)
+        out = self._done.get(key)
         if out is None:
-            out = self._done[rows] = exactla.row_reduce(rows)
+            out = self._done[key] = exactla.row_reduce(rows, ncols)
         return out
 
-    def pivots(self, rows):
-        return self.reduce(rows)[1] if rows and rows[0] else []
+    def pivots(self, rows, ncols):
+        return self.reduce(rows, ncols)[1]
 
-    def image(self, rows):
-        """exactla.image_basis: the matrix's own pivot columns."""
-        return [[row[c] for row in rows] for c in self.pivots(rows)]
-
-    def kernel(self, rows, ncols):
-        """exactla.kernel_basis of an m x ncols matrix; () is zero."""
-        if not rows or not ncols:
-            return kernel_basis([], ncols)
-        return kernel_from_reduction(self.reduce(rows), ncols)
-
-    def solve(self, rows, rhs_columns):
-        """exactla.solve for nonempty rows and right-hand sides."""
-        aug = tuple(row + tuple(b[r] for b in rhs_columns) for r, row in enumerate(rows))
-        return solution_from_reduction(self.reduce(aug), len(rows[0]), len(rhs_columns))
+    def solve(self, basis, nbasis, rhs, nb):
+        """exactla.solve of basis @ X = rhs, both given by their rows,
+        with nbasis and nb columns."""
+        aug = [{**a, **{nbasis + j: x for j, x in b.items()}} for a, b in zip(basis, rhs)]
+        return solution_from_reduction(self.reduce(aug, nbasis + nb), nbasis, nb)
 
 
 class ExactCouple:
     """Windowed exact couple with per-bidegree rational matrices.
 
     a_dims / e_dims: {(i, s): dim}; f, g, h: matrices keyed by the
-    source bidegree, shaped target-dim x source-dim.  g_shift records
-    the accumulated polynomial bidegree of g.  Exactness of the
-    triangle is validated on construction at every bidegree whose
-    referenced slots all lie inside the window.  memo is the
-    derivation chain's memo of eliminations, which derive passes on;
-    a couple built without one starts a new chain.
+    source bidegree, shaped target-dim x source-dim.  Each map is held
+    as a tuple of rows, one per target generator, each a {col: value}
+    map of the nonzeros with canonical values (an int when integral, a
+    Fraction otherwise); zero maps are not stored, and f_at, g_at and
+    h_at give them as empty rows.  The constructor takes sparse rows or
+    dense ones (one cell per source generator).  g_shift records the
+    accumulated polynomial bidegree of g.  Exactness of the triangle is
+    validated on construction at every bidegree whose referenced slots
+    all lie inside the window.  memo is the derivation chain's memo of
+    eliminations, which derive passes on; a couple built without one
+    starts a new chain.
     """
 
     __slots__ = ("k", "window", "g_shift", "_a", "_e", "_f", "_g", "_h", "_memo")
@@ -127,9 +121,9 @@ class ExactCouple:
                 e[(int(i), int(s))] = int(dim)
         object.__setattr__(self, "_a", a)
         object.__setattr__(self, "_e", e)
-        object.__setattr__(self, "_f", self._clean(f))
-        object.__setattr__(self, "_g", self._clean(g))
-        object.__setattr__(self, "_h", self._clean(h))
+        object.__setattr__(self, "_f", self._clean(f, "f", a))
+        object.__setattr__(self, "_g", self._clean(g, "g", a))
+        object.__setattr__(self, "_h", self._clean(h, "h", e))
         object.__setattr__(self, "_memo", _Eliminations() if memo is None else memo)
         if validate:
             self._check_shapes()
@@ -139,12 +133,23 @@ class ExactCouple:
         raise AttributeError("ExactCouple is immutable")
 
     @staticmethod
-    def _clean(maps):
+    def _clean(maps, name, sources):
+        """The nonzero maps as sparse rows; a dense row must have one
+        cell per generator of the source slot."""
         out = {}
         for key, rows in maps.items():
-            rows = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows)
-            if rows and rows[0] and not _is_zero(rows):
-                out[(int(key[0]), int(key[1]))] = rows
+            key = (int(key[0]), int(key[1]))
+            sparse = []
+            for row in rows:
+                if isinstance(row, dict):
+                    items = row.items()
+                elif len(row) != sources.get(key, 0):
+                    raise ValueError("%s shape mismatch at (%d, %d)" % (name, key[0], key[1]))
+                else:
+                    items = enumerate(row)
+                sparse.append({c: canonical(x) for c, x in items if x})
+            if any(sparse):
+                out[key] = tuple(sparse)
         return out
 
     # -- dimensions and materialized maps ------------------------------
@@ -177,19 +182,21 @@ class ExactCouple:
         mat = self._f.get((i, s))
         if mat is not None:
             return mat
-        return _zeros(self.a_dim(i, s + 2 * self.k), self.a_dim(i, s))
+        self.a_dim(i, s)
+        return ({},) * self.a_dim(i, s + 2 * self.k)
 
     def g_at(self, i, s):
         mat = self._g.get((i, s))
         if mat is not None:
             return mat
-        return _zeros(self.e_dim(i, s + self.g_shift), self.a_dim(i, s))
+        self.a_dim(i, s)
+        return ({},) * self.e_dim(i, s + self.g_shift)
 
     def h_at(self, i, s):
         mat = self._h.get((i, s))
         if mat is not None:
             return mat
-        return _zeros(self.a_dim(i + 1, s - 2 * self.k), self.e_dim(i, s))
+        return ({},) * self.a_dim(i + 1, s - 2 * self.k)
 
     def differential(self, i, s):
         """d = g o h out of E at (i, s) as a tuple of rows, bidegree
@@ -201,7 +208,7 @@ class ExactCouple:
         if h is None or g is None:
             self.a_dim(i + 1, s - k2)
             return ()
-        return tuple(map(tuple, matmul(g, h, self.e_dim(i, s))))
+        return tuple(matmul(g, h))
 
     def is_trivial(self) -> bool:
         return not self._a and not self._e
@@ -213,39 +220,40 @@ class ExactCouple:
         for (i, s), rows in self._f.items():
             if not (self.inside(s) and self.inside(s + k2)):
                 raise ValueError("f at (%d, %d) reaches outside the window" % (i, s))
-            if len(rows) != self.a_dim(i, s + k2) or len(rows[0]) != self.a_dim(i, s):
+            if not _fits(rows, self.a_dim(i, s + k2), self.a_dim(i, s)):
                 raise ValueError("f shape mismatch at (%d, %d)" % (i, s))
         for (i, s), rows in self._g.items():
             if not self.inside(s):
                 raise ValueError("g at (%d, %d) reaches outside the window" % (i, s))
-            if len(rows) != self.e_dim(i, s + self.g_shift) or len(rows[0]) != self.a_dim(i, s):
+            if not _fits(rows, self.e_dim(i, s + self.g_shift), self.a_dim(i, s)):
                 raise ValueError("g shape mismatch at (%d, %d)" % (i, s))
         for (i, s), rows in self._h.items():
             if not self.inside(s - k2):
                 raise InsufficientWindow(
                     "insufficient window: h at (%d, %d) targets outside it" % (i, s)
                 )
-            if len(rows) != self.a_dim(i + 1, s - k2) or len(rows[0]) != self.e_dim(i, s):
+            if not _fits(rows, self.a_dim(i + 1, s - k2), self.e_dim(i, s)):
                 raise ValueError("h shape mismatch at (%d, %d)" % (i, s))
 
     def _check_exactness(self):
         k2 = 2 * self.k
         lo, hi = self.window
-        maps = {"f": self._f, "g": self._g, "h": self._h}
+        maps = {"f": (self._f, self._a), "g": (self._g, self._a), "h": (self._h, self._e)}
         ranks = {}
 
         def rank_of(name, key):
             # each map borders two slots; an absent map has rank 0
             if (name, key) not in ranks:
-                rows = maps[name].get(key)
-                ranks[(name, key)] = len(self._memo.pivots(rows)) if rows else 0
+                found, sources = maps[name]
+                rows = found.get(key)
+                ranks[(name, key)] = len(self._memo.pivots(rows, sources[key])) if rows else 0
             return ranks[(name, key)]
 
         def vanishes(left, key_left, right, key_right):
             # the composite left o right; zero when either map is absent
-            a = maps[left].get(key_left)
-            b = maps[right].get(key_right)
-            return a is None or b is None or _is_zero(matmul(a, b, len(b[0])))
+            a = maps[left][0].get(key_left)
+            b = maps[right][0].get(key_right)
+            return a is None or b is None or not any(matmul(a, b))
 
         def interior(s):
             return lo + k2 <= s <= hi - k2
@@ -306,33 +314,40 @@ class ExactCouple:
 
         # E': subquotient basis per bidegree.  im(d in) sits inside
         # ker(d out); representatives are kernel columns extending it.
-        reps = {}
+        # Each d is eliminated once, for its kernel and its image.
+        d_out = {pos: self.differential(*pos) for pos in self.e_support()}
+        reduced = {pos: memo.reduce(d, self.e_dim(*pos)) for pos, d in d_out.items()}
         proj = {}
         e_new = {}
-        for (i, s) in self.e_support():
+        for (i, s) in d_out:
             dim = self.e_dim(i, s)
-            kern = memo.kernel(self.differential(i, s), dim)
+            kern = kernel_from_reduction(reduced[(i, s)], dim)
             src = (i - 1, s + k2 - self.g_shift)
-            img = memo.image(self.differential(*src)) if self.e_dim(*src) else []
+            img = columns(d_out[src], reduced[src][1]) if src in d_out else []
             stacked = img + kern
-            chosen = [stacked[p] for p in memo.pivots(_cols_to_rows(stacked, dim)) if p >= len(img)]
+            pivots = memo.pivots(from_columns(stacked, dim), len(stacked))
+            chosen = [stacked[p] for p in pivots if p >= len(img)]
             if chosen:
                 e_new[(i, s)] = len(chosen)
-            reps[(i, s)] = chosen
             proj[(i, s)] = (img, chosen)
 
-        def project(pos, vecs):
+        def project(pos, rhs, nb):
+            """E' coordinates of the classes in rhs's nb columns, as rows."""
             img, chosen = proj.get(pos, ([], []))
             if not img and not chosen:
-                if any(any(v) for v in vecs):
+                if any(rhs):
                     raise InternalError("couples", "class fell outside the kernel basis")
-                return [[] for _ in vecs]
-            sols = memo.solve(_cols_to_rows(img + chosen, len(vecs[0])), vecs)
+                return ()
+            basis = from_columns(img + chosen, len(rhs))
+            sols = memo.solve(basis, len(img) + len(chosen), rhs, nb)
             if sols is None:
                 raise InternalError("couples", "class fell outside the kernel basis")
-            return [x[len(img):] for x in sols]
+            n = len(img)
+            coords = [{p - n: x for p, x in sol.items() if p >= n} for sol in sols]
+            return from_columns(coords, len(chosen))
 
-        # A': image basis of f per bidegree, kept inside the new window.
+        # A': image basis of f per bidegree, kept inside the new window,
+        # as the rows of f restricted to its pivot columns
         iota = {}
         f_pivots = {}
         a_new = {}
@@ -340,44 +355,43 @@ class ExactCouple:
             if not new_lo <= s <= new_hi:
                 continue
             f_in = self._f[(i, s - k2)]
-            pivots = memo.pivots(f_in)
+            pivots = memo.pivots(f_in, self.a_dim(i, s - k2))
             if pivots:
-                iota[(i, s)] = [[row[c] for row in f_in] for c in pivots]
+                iota[(i, s)] = _restricted(f_in, pivots)
                 f_pivots[(i, s)] = pivots
                 a_new[(i, s)] = len(pivots)
 
         f_new = {}
         g_new = {}
         h_new = {}
-        for (i, s), cols in sorted(iota.items()):
+        for (i, s), basis in sorted(iota.items()):
             # f' = f restricted to the image basis; where f is absent
             # its image above is empty too, and f' = 0
             f_out = self._f.get((i, s))
             if s + k2 <= new_hi and f_out is not None:
-                f_cols = [matvec(f_out, col) for col in cols]
-                target = iota.get((i, s + k2), [])
+                f_rhs = matmul(f_out, basis)
+                target = iota.get((i, s + k2))
                 if target:
-                    sols = memo.solve(_cols_to_rows(target, self.a_dim(i, s + k2)), f_cols)
+                    sols = memo.solve(target, a_new[(i, s + k2)], f_rhs, a_new[(i, s)])
                     if sols is None:
                         raise InternalError("couples", "f does not preserve its own image")
-                    f_new[(i, s)] = _cols_to_rows(sols, len(target))
-                elif any(any(v) for v in f_cols):
+                    f_new[(i, s)] = from_columns(sols, a_new[(i, s + k2)])
+                elif any(f_rhs):
                     raise InternalError("couples", "f does not preserve its own image")
             # g'(f(b)) = g(b), with b the unit vector at f's pivot column
             g_in = self._g.get((i, s - k2))
             if g_in is not None:
-                g_pos = (i, s + new_shift)
-                g_cols = project(g_pos, [[row[p] for row in g_in] for p in f_pivots[(i, s)]])
-                g_new[(i, s)] = _cols_to_rows(g_cols, e_new.get(g_pos, 0))
+                g_rhs = _restricted(g_in, f_pivots[(i, s)])
+                g_new[(i, s)] = project((i, s + new_shift), g_rhs, a_new[(i, s)])
 
-        for (i, s), chosen in sorted(reps.items()):
+        for (i, s), (_, chosen) in sorted(proj.items()):
             # an absent h sends every class to 0; its target slot was
             # already checked against the window with d out of (i, s)
             h_out = self._h.get((i, s))
             if not chosen or h_out is None:
                 continue
-            h_vecs = [matvec(h_out, c) for c in chosen]
-            if not any(any(v) for v in h_vecs):
+            h_rhs = matmul(h_out, from_columns(chosen, self.e_dim(i, s)))
+            if not any(h_rhs):
                 continue
             t_pos = (i + 1, s - k2)
             if not new_lo <= t_pos[1] <= new_hi:
@@ -385,11 +399,11 @@ class ExactCouple:
                     "insufficient window: h' at (%d, %d) targets outside [%d, %d]"
                     % (i, s, new_lo, new_hi)
                 )
-            target = iota.get(t_pos, [])
-            sols = memo.solve(_cols_to_rows(target, self.a_dim(*t_pos)), h_vecs) if target else None
+            target = iota.get(t_pos)
+            sols = memo.solve(target, a_new[t_pos], h_rhs, len(chosen)) if target else None
             if sols is None:
                 raise InternalError("couples", "h of a surviving class left the image of f")
-            h_new[(i, s)] = _cols_to_rows(sols, len(target))
+            h_new[(i, s)] = from_columns(sols, a_new[t_pos])
 
         return ExactCouple(
             self.k,
@@ -452,18 +466,15 @@ def couple_from_decomposition(d: Decomposition) -> ExactCouple:
         if not target:
             continue
         pos = {tag: r for r, tag in enumerate(target)}
-        rows = [[Fraction(0)] * len(tags) for _ in target]
-        hit = False
+        rows = [{} for _ in target]
         for c, tag in enumerate(tags):
             kind, idx, t = tag
             succ = (kind, idx, t + 1)
             if kind == "T" and t + 1 >= torsion_m[idx]:
                 continue
             if succ in pos:
-                rows[pos[succ]][c] = Fraction(1)
-                hit = True
-        if hit:
-            f[(i, s)] = tuple(map(tuple, rows))
+                rows[pos[succ]][c] = 1
+        f[(i, s)] = rows
 
     g = {}
     for (i, s), tags in a_basis.items():
@@ -471,18 +482,15 @@ def couple_from_decomposition(d: Decomposition) -> ExactCouple:
         if not etags:
             continue
         pos = {tag: r for r, tag in enumerate(etags)}
-        rows = [[Fraction(0)] * len(tags) for _ in etags]
-        hit = False
+        rows = [{} for _ in etags]
         for c, tag in enumerate(tags):
             kind, idx, t = tag
             if t != 0:
                 continue
             etag = ("F", idx) if kind == "F" else ("Tb", idx)
             if etag in pos:
-                rows[pos[etag]][c] = Fraction(1)
-                hit = True
-        if hit:
-            g[(i, s)] = tuple(map(tuple, rows))
+                rows[pos[etag]][c] = 1
+        g[(i, s)] = rows
 
     h = {}
     for (i, s), etags in e_basis.items():
@@ -490,18 +498,15 @@ def couple_from_decomposition(d: Decomposition) -> ExactCouple:
         if not target:
             continue
         pos = {tag: r for r, tag in enumerate(target)}
-        rows = [[Fraction(0)] * len(etags) for _ in target]
-        hit = False
+        rows = [{} for _ in target]
         for c, etag in enumerate(etags):
             if etag[0] != "Tt":
                 continue
             idx = etag[1]
             top = ("T", idx, torsion_m[idx] - 1)
             if top in pos:
-                rows[pos[top]][c] = Fraction(1)
-                hit = True
-        if hit:
-            h[(i, s)] = tuple(map(tuple, rows))
+                rows[pos[top]][c] = 1
+        h[(i, s)] = rows
 
     return ExactCouple(
         d.k,

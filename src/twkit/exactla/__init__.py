@@ -1,17 +1,21 @@
-"""Exact rational linear algebra kernel.
+"""Exact rational linear algebra kernel, on sparse rows.
 
-row_reduce (elimination, on sparse rows) and matmul / matvec
-(products) skip zero entries; everything else here derives from them.
-row_reduce takes dense rows, or sparse ones ({col: value} maps of the
-nonzeros) together with the column count ncols, and returns the rref in
-the form it was given; matmul, too, takes and gives dense or sparse
-rows.  Integer entries meet a Fraction inverse, never true division.
+A matrix is a sequence of rows, each a {col: value} map of its
+nonzeros (Fraction or int values); a vector is one such map, keyed by
+coordinate.  row_reduce (elimination, which needs the column count
+ncols) and matmul (products) follow the nonzeros; kernel_from_reduction
+and solution_from_reduction read the right kernel and the solutions of
+a linear system off an elimination, so a caller that keeps eliminations
+(as the couple memo does) reads them the same way.  rank,
+pivot_columns, kernel_basis, image_basis and solve are built on these.
+columns and from_columns turn rows into column vectors and back.
+Integer entries meet a Fraction inverse, never true division.
 column_index builds the {col: rows} index that row_reduce (and
-decompose's splitting) follow.  The other helpers take dense rows.
-Helpers look row_reduce up in this module when called, so replacing
-the module attribute (e.g. to count calls) reaches them too; callers
-elsewhere go through the module attribute as well.  There is one
-kernel, in pure Python; BACKEND names it.
+decompose's splitting) follow.  Helpers look row_reduce up in this
+module when called, so replacing the module attribute (e.g. to count
+calls) reaches them too; callers elsewhere go through the module
+attribute as well.  There is one kernel, in pure Python; BACKEND names
+it.
 """
 
 from fractions import Fraction
@@ -21,123 +25,98 @@ from ._pure import column_index, row_reduce
 BACKEND = "pure"
 
 
-def matmul(a, b, ncols):
-    """a @ b, ncols being b's column count: Fraction row lists from dense
-    rows, sparse rows of the nonzero sums from sparse rows."""
-    if a and isinstance(a[0], dict):
-        out = []
-        for arow in a:
-            acc = {}
-            for j, x in arow.items():
-                for c, y in b[j].items():
-                    acc[c] = acc.get(c, 0) + x * y
-            out.append({c: v for c, v in acc.items() if v})
-        return out
-    b_support = [[(c, y) for c, y in enumerate(row) if y] for row in b]
+def matmul(a, b):
+    """a @ b: sparse rows of the nonzero sums."""
     out = []
     for arow in a:
-        acc = [Fraction(0)] * ncols
-        for j, x in enumerate(arow):
-            if x:
-                for c, y in b_support[j]:
-                    acc[c] += x * y
-        out.append(acc)
+        acc = {}
+        for j, x in arow.items():
+            for c, y in b[j].items():
+                acc[c] = acc.get(c, 0) + x * y
+        out.append({c: v for c, v in acc.items() if v})
     return out
 
 
-def matvec(rows, v):
-    """rows @ v as a list of Fraction."""
-    support = [(j, x) for j, x in enumerate(v) if x]
-    return [sum((row[j] * x for j, x in support if row[j]), Fraction(0)) for row in rows]
+def columns(rows, cols):
+    """The given columns of the matrix, in order, as vectors keyed by row."""
+    out = {c: {} for c in cols}
+    for r, row in enumerate(rows):
+        for c, x in row.items():
+            if c in out:
+                out[c][r] = x
+    return list(out.values())
 
 
-def rank(rows):
-    if not rows or not rows[0]:
-        return 0
-    return len(row_reduce(rows)[1])
+def from_columns(vectors, nrows):
+    """Rows of the nrows-row matrix whose columns are the given vectors."""
+    rows = [{} for _ in range(nrows)]
+    for j, v in enumerate(vectors):
+        for r, x in v.items():
+            rows[r][j] = x
+    return rows
 
 
-def pivot_columns(rows):
+def rank(rows, ncols):
+    return len(row_reduce(rows, ncols)[1])
+
+
+def pivot_columns(rows, ncols):
     """Column indices c such that column c adds new rank left to right."""
-    if not rows or not rows[0]:
-        return []
-    return row_reduce(rows)[1]
+    return row_reduce(rows, ncols)[1]
 
 
-def kernel_basis(rows, ncols=None):
-    """Basis of the right kernel, one vector per non-pivot column.
-
-    For the kernel of an (m x n) matrix acting on column vectors,
-    returns vectors of length n in the standard RREF parametrization
-    (free column gets 1), ordered by free column index.  Deterministic.
-    ncols is required when rows is empty (a 0 x n matrix, full kernel).
-    """
-    if not rows:
-        if not ncols:
-            return []
-        return [[1 if j == i else 0 for j in range(ncols)] for i in range(ncols)]
-    ncols = len(rows[0])
-    if ncols == 0:
-        return []
-    return kernel_from_reduction(row_reduce(rows), ncols)
+def kernel_basis(rows, ncols):
+    """Basis of the right kernel of a matrix with ncols columns, one
+    vector per non-pivot column, in the standard RREF parametrization
+    (free column gets 1), ordered by free column index.  Deterministic."""
+    return kernel_from_reduction(row_reduce(rows, ncols), ncols)
 
 
 def kernel_from_reduction(reduction, ncols):
-    """kernel_basis read off row_reduce's (rref, pivots) of a matrix
-    with ncols > 0 columns."""
+    """kernel_basis read off row_reduce's (rref, pivots): for each free
+    column j, 1 at j and minus the rref entry at j on each pivot column.
+    Every value is a Fraction."""
     rref, pivots = reduction
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][fc]
-        basis.append(v)
-    return basis
+    minus = {}
+    for pc, prow in zip(pivots, rref):
+        for j, x in prow.items():
+            if j != pc:
+                minus.setdefault(j, {})[pc] = -x
+    one = Fraction(1)
+    is_pivot = set(pivots)
+    return [{j: one, **minus.get(j, {})} for j in range(ncols) if j not in is_pivot]
 
 
-def image_basis(rows):
+def image_basis(rows, ncols):
     """The pivot columns of the matrix itself: a basis of the column space."""
-    if not rows or not rows[0]:
-        return []
-    cols = pivot_columns(rows)
-    return [[row[c] for row in rows] for c in cols]
+    return columns(rows, pivot_columns(rows, ncols))
 
 
-def solve(rows, rhs_columns, ncols=None):
-    """Solve A @ X = B columnwise; B given as a list of column vectors.
+def solve(rows, rhs_columns, ncols):
+    """Solve A @ X = B columnwise, A given by its rows (ncols columns)
+    and B as a list of column vectors.
 
-    Returns the list of solution vectors (length = #columns of A), or
-    None if any column of B is outside the column space.  When A has a
-    nontrivial kernel the particular solution with free variables 0 is
-    returned.  ncols is required when rows is empty (a 0 x n matrix).
+    Returns the list of solution vectors, or None if any column of B is
+    outside the column space.  When A has a nontrivial kernel the
+    particular solution with free variables 0 is returned.
     """
     nb = len(rhs_columns)
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else (ncols or 0)
-    if nb == 0:
-        return []
-    for b in rhs_columns:
-        if len(b) != nrows:
-            raise ValueError("right-hand side length mismatch")
-    if nrows == 0:
-        return [[0] * ncols for _ in range(nb)]
-    aug = [list(rows[i]) + [b[i] for b in rhs_columns] for i in range(nrows)]
-    return solution_from_reduction(row_reduce(aug), ncols, nb)
+    aug = [dict(row) for row in rows]
+    for j, b in enumerate(rhs_columns):
+        for r, x in b.items():
+            aug[r][ncols + j] = x
+    return solution_from_reduction(row_reduce(aug, ncols + nb), ncols, nb)
 
 
 def solution_from_reduction(reduction, ncols, nb):
     """solve's answer read off row_reduce's (rref, pivots) of [A | B],
-    A with ncols columns and B with nb > 0."""
+    A with ncols columns and B with nb: the solution vectors, or None."""
     rref, pivots = reduction
     if any(p >= ncols for p in pivots):
         return None
-    sols = []
-    for j in range(nb):
-        x = [0] * ncols
-        for r, pc in enumerate(pivots):
-            x[pc] = rref[r][ncols + j]
-        sols.append(x)
+    sols = [{} for _ in range(nb)]
+    for pc, prow in zip(pivots, rref):
+        for j, x in prow.items():
+            if j >= ncols:
+                sols[j - ncols][pc] = x
     return sols

@@ -3,9 +3,8 @@
 Each row is held as {col: Fraction} with its nonzeros only, and a
 column index {col: ids of the rows with a nonzero there} names the rows
 a pivot step must touch; fill-in enters the index and cancelled entries
-leave both the row and the index.  Dense input cells are scanned once,
-to find the nonzeros; sparse input is taken as it is.  After that the
-work follows the nonzeros alone.
+leave both the row and the index, so the work follows the nonzeros
+alone.
 """
 
 from collections import defaultdict
@@ -21,29 +20,18 @@ def column_index(rows):
     return holders
 
 
-def row_reduce(rows, ncols=None):
+def row_reduce(rows, ncols):
     """RREF of a rational matrix.
 
-    rows: sequence of equal-length sequences of Fraction (or int); or,
-    when ncols is given, {col: value} maps of each row's nonzeros
-    (Fraction or int), with every col < ncols.  Returns (rref, pivots):
-    rref in the form of the input (lists of Fraction, or {col: value}
-    maps of the nonzeros, exact throughout), pivots the list of pivot
-    column indices in row order.  The input is not modified.  RREF is
-    unique, so the pivot row chosen in each column (the sparsest row
-    that holds it, after Markowitz) does not change the result.
+    rows: {col: value} maps of each row's nonzeros (Fraction or int),
+    with every col < ncols.  Returns (rref, pivots): rref as {col:
+    Fraction} maps of the nonzeros, one per input row (zero rows last),
+    pivots the list of pivot column indices in row order.  The input is
+    not modified.  RREF is unique, so the pivot row chosen in each
+    column (the sparsest row that holds it, after Markowitz) does not
+    change the result.
     """
-    if ncols is None:
-        dense = True
-        ncols = len(rows[0]) if rows else 0
-        sparse = []
-        for row in rows:
-            if len(row) != ncols:
-                raise ValueError("ragged matrix")
-            sparse.append({j: x if isinstance(x, Fraction) else Fraction(x) for j, x in enumerate(row) if x})
-    else:
-        dense = False
-        sparse = [dict(row) for row in rows]
+    sparse = [dict(row) for row in rows]
     holders = column_index(sparse)
     pending = set(range(len(rows)))
     order = []
@@ -84,16 +72,6 @@ def row_reduce(rows, ncols=None):
         pending.discard(p)
         order.append(p)
         pivots.append(c)
-    if not dense:
-        rref = [sparse[i] for i in order]
-        rref.extend({} for _ in range(len(rows) - len(order)))
-        return rref, pivots
-    zero = Fraction(0)
-    rref = []
-    for i in order:
-        dense_row = [zero] * ncols
-        for j, x in sparse[i].items():
-            dense_row[j] = x
-        rref.append(dense_row)
-    rref.extend([zero] * ncols for _ in range(len(rows) - len(order)))
+    rref = [sparse[i] for i in order]
+    rref.extend({} for _ in range(len(rows) - len(order)))
     return rref, pivots

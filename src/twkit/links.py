@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import product, zip_longest
 
 from .algebra import GradedFreeModule, GradedRing, HomMatrix, add_to_row
 from .complexes import (
@@ -533,17 +533,18 @@ def build_twobraid_unreduced(spec: TwoBraidSpec) -> GradedComplex:
 
 
 def _blocks_equal_scaled(g: FirstDifferential, base: FirstDifferential, lam) -> bool:
-    degrees = set(g.dims) | set(base.dims)
-    for i in sorted(degrees):
-        gb = g.block(i)
-        bb = base.block(i)
-        if len(gb) != len(bb) or (gb and len(gb[0]) != len(bb[0])):
-            return False
-        for r in range(len(gb)):
-            for c in range(len(gb[r])):
-                if gb[r][c] != lam * bb[r][c]:
-                    return False
-    return True
+    """g's blocks are lam (nonzero) times base's, on the same dims."""
+    scaled = {
+        i: tuple({c: lam * x for c, x in row.items()} for row in b) for i, b in base.blocks.items()
+    }
+    return g.dims == base.dims and g.blocks == scaled
+
+
+def _after(outer: FirstDifferential, inner: FirstDifferential, l: int):
+    """outer's block out of l + 1 after inner's block out of l, as
+    sparse rows; no rows when either block is zero."""
+    a, b = outer.blocks.get(l + 1), inner.blocks.get(l)
+    return matmul(a, b) if a and b else []
 
 
 @dataclass(frozen=True)
@@ -604,11 +605,11 @@ def delta_battery(N: int, scalings=(Fraction(1), Fraction(5), Fraction(-2, 3))) 
     for i in range(1, N):
         for j in range(i, N):
             for l in hom_degrees:
-                ncols = deltas[i].dims.get(l, 0)
-                left = matmul(deltas[i].block(l + 1), deltas[j].block(l), ncols)
-                right = matmul(deltas[j].block(l + 1), deltas[i].block(l), ncols)
-                if any(x + y for lr, rr in zip(left, right) for x, y in zip(lr, rr)):
-                    anticommute = False
+                left = _after(deltas[i], deltas[j], l)
+                right = _after(deltas[j], deltas[i], l)
+                for lr, rr in zip_longest(left, right, fillvalue={}):
+                    if any(lr.get(c, 0) + rr.get(c, 0) for c in lr.keys() | rr.keys()):
+                        anticommute = False
 
     scaling_ok = True
     for i in range(1, N):

@@ -408,8 +408,12 @@ class TestInternalInvariants:
         assert err == "error: internal error in decompose: piece count does not account for every generator\n"
 
     def test_couples(self, capsys, monkeypatch):
-        monkeypatch.setattr(self.couples, "solution_from_reduction", lambda *args: None)
+        # every solve of a derivation reads its answer off an
+        # elimination here; none finds one
+        calls = []
+        monkeypatch.setattr(self.couples, "solution_from_reduction", lambda *args: calls.append(1))
         out, err = run(capsys, "couple", TORSION_CX, expect=5)
+        assert calls
         assert out == ""
         assert re.fullmatch(r"error: internal error in couples: [^\n]+\n", err), err
 

@@ -7,6 +7,15 @@ from fractions import Fraction
 
 import pytest
 
+from dense_la import (
+    dense_image_basis,
+    dense_kernel_basis,
+    dense_matmul,
+    dense_matvec,
+    dense_pivot_columns,
+    dense_rank,
+    dense_solve,
+)
 from twkit import corpus, exactla
 from twkit.algebra import HOM_POLY, BigradedTable
 from twkit.complexes import InternalError
@@ -21,7 +30,6 @@ from twkit.couples import (
     couple_tables,
 )
 from twkit.decompose import Decomposition, hn_table, torsion_width
-from twkit.exactla import image_basis, kernel_basis, matmul, matvec, pivot_columns, rank, solve
 from twkit.pages import assembled_pages
 
 
@@ -45,7 +53,7 @@ class TestModelCouple:
         assert all(i == 0 and 0 <= s <= hi and s % 2 == 0 for i, s in slots)
         assert c.a_dim(0, 0) == 1
         # f is injective on an infinite tower window except at the top
-        assert c.f_at(0, hi - 2) == ((1,),)
+        assert c.f_at(0, hi - 2) == ({0: 1},)
 
     def test_torsion_tower_length(self):
         d = width_two_fixture()
@@ -53,7 +61,7 @@ class TestModelCouple:
         assert c.a_dim(1, 0) == 1 and c.a_dim(1, 2) == 1
         assert c.a_dim(1, 4) == 0
         # h carries the top class of E one degree up into the tower
-        assert c.h_at(0, 4) == ((1,),)
+        assert c.h_at(0, 4) == ({0: 1},)
 
     def test_empty_decomposition(self):
         c = couple_from_decomposition(Decomposition(2))
@@ -173,11 +181,15 @@ class TestCorrespondence:
 
 
 # -- frozen reference: derivation and exactness check as computed
-# before the chain's memo of eliminations replaced them
+# before the chain's memo of eliminations replaced them, on dense views
+# of the maps with the dense helpers of dense_la
 
 
-def _zeros(nrows, ncols):
-    return tuple(tuple(Fraction(0) for _ in range(ncols)) for _ in range(nrows))
+def dense_map(c, name, i, s):
+    """c's map f, g or h out of (i, s) as dense Fraction rows."""
+    rows = getattr(c, name + "_at")(i, s)
+    ncols = c.e_dim(i, s) if name == "h" else c.a_dim(i, s)
+    return tuple(tuple(Fraction(row.get(j, 0)) for j in range(ncols)) for row in rows)
 
 
 def _cols_to_rows(cols, nrows):
@@ -189,9 +201,9 @@ def _is_zero(rows):
 
 
 def reference_differential(c, i, s):
-    h = c.h_at(i, s)
-    g = c.g_at(i + 1, s - 2 * c.k)
-    return matmul(g, h, c.e_dim(i, s))
+    h = dense_map(c, "h", i, s)
+    g = dense_map(c, "g", i + 1, s - 2 * c.k)
+    return dense_matmul(g, h, c.e_dim(i, s))
 
 
 def reference_check_exactness(c):
@@ -205,28 +217,28 @@ def reference_check_exactness(c):
         if not interior(s):
             continue
         dim = c.a_dim(i, s)
-        f_in = c.f_at(i, s - k2)
-        f_out = c.f_at(i, s)
-        g_out = c.g_at(i, s)
-        h_in = c.h_at(i - 1, s + k2)
-        if rank(list(f_in)) + rank(list(g_out)) != dim:
+        f_in = dense_map(c, "f", i, s - k2)
+        f_out = dense_map(c, "f", i, s)
+        g_out = dense_map(c, "g", i, s)
+        h_in = dense_map(c, "h", i - 1, s + k2)
+        if dense_rank(list(f_in)) + dense_rank(list(g_out)) != dim:
             raise ValueError("exactness fails at A (%d, %d): im f vs ker g" % (i, s))
-        if not _is_zero(matmul(g_out, f_in, c.a_dim(i, s - k2))):
+        if not _is_zero(dense_matmul(g_out, f_in, c.a_dim(i, s - k2))):
             raise ValueError("g o f is nonzero at (%d, %d)" % (i, s - k2))
-        if rank(list(h_in)) + rank(list(f_out)) != dim:
+        if dense_rank(list(h_in)) + dense_rank(list(f_out)) != dim:
             raise ValueError("exactness fails at A (%d, %d): im h vs ker f" % (i, s))
-        if not _is_zero(matmul(f_out, h_in, c.e_dim(i - 1, s + k2))):
+        if not _is_zero(dense_matmul(f_out, h_in, c.e_dim(i - 1, s + k2))):
             raise ValueError("f o h is nonzero at (%d, %d)" % (i - 1, s + k2))
     for (i, s) in c.e_support():
         if not (c.inside(s - c.g_shift) and interior(s - c.g_shift)):
             continue
         if not c.inside(s - k2):
             continue
-        g_in = c.g_at(i, s - c.g_shift)
-        h_out = c.h_at(i, s)
-        if rank(list(g_in)) + rank(list(h_out)) != c.e_dim(i, s):
+        g_in = dense_map(c, "g", i, s - c.g_shift)
+        h_out = dense_map(c, "h", i, s)
+        if dense_rank(list(g_in)) + dense_rank(list(h_out)) != c.e_dim(i, s):
             raise ValueError("exactness fails at E (%d, %d): im g vs ker h" % (i, s))
-        if not _is_zero(matmul(h_out, g_in, c.a_dim(i, s - c.g_shift))):
+        if not _is_zero(dense_matmul(h_out, g_in, c.a_dim(i, s - c.g_shift))):
             raise ValueError("h o g is nonzero at (%d, %d)" % (i, s - c.g_shift))
 
 
@@ -248,15 +260,15 @@ def reference_derive(c):
     for (i, s) in c.e_support():
         dim = c.e_dim(i, s)
         d_out = reference_differential(c, i, s)
-        kern = kernel_basis(list(d_out), ncols=dim)
+        kern = dense_kernel_basis(list(d_out), ncols=dim)
         src = (i - 1, s + k2 - c.g_shift)
         if c.e_dim(*src):
-            img = image_basis(list(reference_differential(c, *src)))
+            img = dense_image_basis(list(reference_differential(c, *src)))
         else:
             img = []
         stacked = img + kern
         matrix = _cols_to_rows(stacked, dim)
-        chosen = [stacked[p] for p in pivot_columns(list(matrix)) if p >= len(img)]
+        chosen = [stacked[p] for p in dense_pivot_columns(list(matrix)) if p >= len(img)]
         if chosen:
             e_new[(i, s)] = len(chosen)
         reps[(i, s)] = chosen
@@ -269,7 +281,7 @@ def reference_derive(c):
                 raise AssertionError("class fell outside the kernel basis")
             return []
         basis = img + chosen
-        sols = solve(list(_cols_to_rows(basis, len(vec))), [vec], ncols=len(basis))
+        sols = dense_solve(list(_cols_to_rows(basis, len(vec))), [vec], ncols=len(basis))
         if sols is None:
             raise AssertionError("class fell outside the kernel basis")
         return sols[0][len(img):]
@@ -279,7 +291,7 @@ def reference_derive(c):
     for (i, s) in sorted((i, s + k2) for (i, s) in c._f):
         if not new_lo <= s <= new_hi:
             continue
-        cols = image_basis(list(c.f_at(i, s - k2)))
+        cols = dense_image_basis(list(dense_map(c, "f", i, s - k2)))
         if cols:
             iota[(i, s)] = cols
             a_new[(i, s)] = len(cols)
@@ -289,26 +301,26 @@ def reference_derive(c):
     h_new = {}
     for (i, s), cols in sorted(iota.items()):
         if s + k2 <= new_hi:
-            f_cols = [matvec(c.f_at(i, s), col) for col in cols]
+            f_cols = [dense_matvec(dense_map(c, "f", i, s), col) for col in cols]
             target = iota.get((i, s + k2), [])
             if target:
-                sols = solve(list(_cols_to_rows(target, c.a_dim(i, s + k2))), f_cols, ncols=len(target))
+                sols = dense_solve(list(_cols_to_rows(target, c.a_dim(i, s + k2))), f_cols, ncols=len(target))
                 if sols is None:
                     raise AssertionError("f does not preserve its own image")
                 f_new[(i, s)] = _cols_to_rows(sols, len(target))
             elif any(any(v) for v in f_cols):
                 raise AssertionError("f does not preserve its own image")
-        back = solve(list(c.f_at(i, s - k2)), cols, ncols=c.a_dim(i, s - k2))
+        back = dense_solve(list(dense_map(c, "f", i, s - k2)), cols, ncols=c.a_dim(i, s - k2))
         if back is None:
             raise AssertionError("image basis column not in the image of f")
         g_pos = (i, s + new_shift)
-        g_cols = [project(g_pos, matvec(c.g_at(i, s - k2), b)) for b in back]
+        g_cols = [project(g_pos, dense_matvec(dense_map(c, "g", i, s - k2), b)) for b in back]
         g_new[(i, s)] = _cols_to_rows(g_cols, e_new.get(g_pos, 0))
 
     for (i, s), chosen in sorted(reps.items()):
         if not chosen:
             continue
-        h_vecs = [matvec(c.h_at(i, s), v) for v in chosen]
+        h_vecs = [dense_matvec(dense_map(c, "h", i, s), v) for v in chosen]
         if not any(any(v) for v in h_vecs):
             continue
         t_pos = (i + 1, s - k2)
@@ -317,7 +329,7 @@ def reference_derive(c):
                 "insufficient window: h' at (%d, %d) targets outside [%d, %d]" % (i, s, new_lo, new_hi)
             )
         target = iota.get(t_pos, [])
-        sols = solve(list(_cols_to_rows(target, c.a_dim(*t_pos))), h_vecs, ncols=len(target)) if target else None
+        sols = dense_solve(list(_cols_to_rows(target, c.a_dim(*t_pos))), h_vecs, ncols=len(target)) if target else None
         if sols is None:
             raise AssertionError("h of a surviving class left the image of f")
         h_new[(i, s)] = _cols_to_rows(sols, len(target))
@@ -328,12 +340,21 @@ def reference_derive(c):
     return out
 
 
+def is_canonical(x):
+    """A nonzero int, or a Fraction that is not integral."""
+    return (type(x) is int and x != 0) or (type(x) is Fraction and x.denominator > 1)
+
+
 def couple_state(c):
-    """Everything a couple holds, with every map entry a Fraction."""
-    for maps in (c._f, c._g, c._h):
+    """Everything a couple holds, each map as its dense view; every
+    stored map is a tuple of sparse rows with canonical values."""
+    views = []
+    for name, maps in (("f", c._f), ("g", c._g), ("h", c._h)):
         for rows in maps.values():
-            assert all(type(x) is Fraction for row in rows for x in row)
-    return (c.k, c.window, c.g_shift, c._a, c._e, c._f, c._g, c._h)
+            assert type(rows) is tuple and any(rows)
+            assert all(is_canonical(x) for row in rows for x in row.values())
+        views.append({key: dense_map(c, name, *key) for key in maps})
+    return (c.k, c.window, c.g_shift, c._a, c._e, *views)
 
 
 def outcome(step, c):
@@ -368,7 +389,7 @@ def random_automorphism(rng, n):
         if r != t:
             m[r] = [x + y for x, y in zip(m[r], m[t])]
     unit = [[1 if r == c else 0 for r in range(n)] for c in range(n)]
-    return m, _cols_to_rows(solve(m, unit, ncols=n), n)
+    return m, _cols_to_rows(dense_solve(m, unit, ncols=n), n)
 
 
 def conjugated(rng, c):
@@ -377,11 +398,12 @@ def conjugated(rng, c):
     a = {pos: random_automorphism(rng, dim) for pos, dim in c._a.items()}
     e = {pos: random_automorphism(rng, dim) for pos, dim in c._e.items()}
 
-    def change(maps, source, target, shift):
+    def change(name, source, target, shift):
         out = {}
-        for (i, s), rows in maps.items():
-            inner = matmul(rows, source[(i, s)][1], len(rows[0]))
-            out[(i, s)] = matmul(target[shift(i, s)][0], inner, len(rows[0]))
+        for (i, s) in getattr(c, "_" + name):
+            rows = dense_map(c, name, i, s)
+            inner = dense_matmul(rows, source[(i, s)][1], len(rows[0]))
+            out[(i, s)] = dense_matmul(target[shift(i, s)][0], inner, len(rows[0]))
         return out
 
     return ExactCouple(
@@ -389,9 +411,9 @@ def conjugated(rng, c):
         c.window,
         c._a,
         c._e,
-        change(c._f, a, a, lambda i, s: (i, s + k2)),
-        change(c._g, a, e, lambda i, s: (i, s + c.g_shift)),
-        change(c._h, e, a, lambda i, s: (i + 1, s - k2)),
+        change("f", a, a, lambda i, s: (i, s + k2)),
+        change("g", a, e, lambda i, s: (i, s + c.g_shift)),
+        change("h", e, a, lambda i, s: (i + 1, s - k2)),
         c.g_shift,
     )
 
@@ -437,7 +459,7 @@ class TestDerivationAgainstReference:
         # two towers from one slot, the shorter listed first: f kills
         # the slot's first basis vector, so its pivot column is 1
         chain_through(Decomposition(1, ((0, 2),), ((0, 1, 0), (0, 2, 0))), 6)
-        assert couple_from_decomposition(Decomposition(1, (), ((0, 1, 0), (0, 2, 0)))).f_at(0, 0) == ((0, 1),)
+        assert couple_from_decomposition(Decomposition(1, (), ((0, 1, 0), (0, 2, 0)))).f_at(0, 0) == ({1: 1},)
 
     def test_chains_never_share_a_memo(self):
         d = seeded_decompositions(34, 1)[0]
@@ -450,9 +472,9 @@ class TestDerivationAgainstReference:
         seen = []
         row_reduce = exactla.row_reduce
 
-        def counting(rows):
-            seen.append(tuple(map(tuple, rows)))
-            return row_reduce(rows)
+        def counting(rows, ncols):
+            seen.append(tuple(tuple(sorted(row.items())) for row in rows))
+            return row_reduce(rows, ncols)
 
         monkeypatch.setattr(exactla, "row_reduce", counting)
         for d in seeded_decompositions(35, 9):
@@ -528,3 +550,20 @@ class TestExactnessErrors:
         c._check_shapes()
         with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             reference_check_exactness(c)
+
+    def test_maps_with_empty_first_rows(self):
+        """The defaults with the basis of A(0, 0) swapped, so f into it
+        and h into it have an empty first row: their ranks must count,
+        in the exactness check and in derive."""
+        maps = {
+            "f": {(0, -2): ((0,), (1,)), (0, 0): ((1, 0),)},
+            "g": {(0, 0): ((1, 0),)},
+            "h": {(-1, 2): ((0,), (1,))},
+        }
+        c = hand_built(**maps)
+        assert c.f_at(0, -2) == ({}, {0: 1}) and c.h_at(-1, 2) == ({}, {0: 1})
+        reference_check_exactness(c)
+        got = c.derive()
+        assert couple_state(got) == couple_state(reference_derive(c))
+        # A' is the image of f out of A(0, -2), and h' reaches it
+        assert got.a_dim(0, 0) == 1 and got.h_at(-1, 2) == ({0: 1},)

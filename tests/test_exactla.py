@@ -1,13 +1,44 @@
-"""Row reduction kernel and the linear algebra derived from it."""
+"""Row reduction kernel and the linear algebra derived from it.
+
+twkit.exactla works on sparse rows ({col: value} maps of the nonzeros)
+and sparse vectors; the tests write matrices densely, convert them with
+sparse(), and read results back with dense() against the frozen dense
+references in dense_la.
+"""
 
 import random
 from fractions import Fraction
 
+from dense_la import (
+    dense_image_basis,
+    dense_kernel_basis,
+    dense_matmul,
+    dense_pivot_columns,
+    dense_rank,
+    dense_row_reduce,
+    dense_solve,
+)
 from twkit import exactla
 
 
 def F(n, d=1):
     return Fraction(n, d)
+
+
+def sparse(rows):
+    """Dense rows as {col: value} maps of their nonzeros."""
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
+def dense(rows, ncols):
+    """Sparse rows as dense lists, checking that no zero is stored."""
+    assert all(x for row in rows for x in row.values()), rows
+    return [[row.get(c, 0) for c in range(ncols)] for row in rows]
+
+
+def vec(v, n):
+    """A sparse vector as a dense list."""
+    return dense([v], n)[0]
 
 
 def random_matrix(rng, nr, nc, density=0.6):
@@ -36,22 +67,18 @@ def assert_rref(rref, pivots):
 
 
 def test_row_reduce_pinned():
-    rows = [[F(2), F(4), F(-2)], [F(1), F(2), F(0)], [F(0), F(0), F(3)]]
-    rref, pivots = exactla.row_reduce(rows)
+    rows = [{0: F(2), 1: F(4), 2: F(-2)}, {0: F(1), 1: F(2)}, {2: F(3)}]
+    rref, pivots = exactla.row_reduce(rows, 3)
     assert pivots == [0, 2]
-    assert rref == [
-        [F(1), F(2), F(0)],
-        [F(0), F(0), F(1)],
-        [F(0), F(0), F(0)],
-    ]
+    assert rref == [{0: F(1), 1: F(2)}, {2: F(1)}, {}]
     # input untouched
-    assert rows[0] == [F(2), F(4), F(-2)]
+    assert rows[0] == {0: F(2), 1: F(4), 2: F(-2)}
 
 
 def test_row_reduce_accepts_ints():
-    rref, pivots = exactla.row_reduce([[1, 2], [2, 4]])
+    rref, pivots = exactla.row_reduce([{0: 1, 1: 2}, {0: 2, 1: 4}], 2)
     assert pivots == [0]
-    assert rref == [[F(1), F(2)], [F(0), F(0)]]
+    assert rref == [{0: F(1), 1: F(2)}, {}]
     assert isinstance(rref[0][0], Fraction)
 
 
@@ -60,16 +87,17 @@ def test_row_reduce_shapes():
     for _ in range(40):
         nr = rng.randint(1, 7)
         nc = rng.randint(1, 7)
-        mat = random_matrix(rng, nr, nc)
-        rref, pivots = exactla.row_reduce(mat)
-        assert_rref(rref, pivots)
+        rref, pivots = exactla.row_reduce(sparse(random_matrix(rng, nr, nc)), nc)
+        assert_rref(dense(rref, nc), pivots)
 
 
 def test_rank_examples():
-    assert exactla.rank([]) == 0
-    assert exactla.rank([[F(0), F(0)]]) == 0
-    assert exactla.rank([[F(1), F(2)], [F(2), F(4)]]) == 1
-    assert exactla.rank([[F(1), F(0)], [F(0), F(1)]]) == 2
+    assert exactla.rank([], 0) == 0
+    assert exactla.rank([{}], 2) == 0
+    assert exactla.rank([{0: F(1), 1: F(2)}, {0: F(2), 1: F(4)}], 2) == 1
+    assert exactla.rank([{0: F(1)}, {1: F(1)}], 2) == 2
+    # an empty first row says nothing about the rows below it
+    assert exactla.rank([{}, {1: F(1)}], 2) == 1
 
 
 def test_kernel_basis_annihilates():
@@ -78,25 +106,21 @@ def test_kernel_basis_annihilates():
         nr = rng.randint(1, 6)
         nc = rng.randint(1, 6)
         mat = random_matrix(rng, nr, nc)
-        basis = exactla.kernel_basis(mat)
-        assert len(basis) == nc - exactla.rank(mat)
+        basis = exactla.kernel_basis(sparse(mat), nc)
+        assert len(basis) == nc - exactla.rank(sparse(mat), nc)
         for v in basis:
-            assert all(
-                sum(mat[r][c] * v[c] for c in range(nc)) == 0 for r in range(nr)
-            )
+            assert all(sum(mat[r][c] * x for c, x in v.items()) == 0 for r in range(nr))
 
 
 def test_kernel_basis_empty_matrix():
-    # a 0 x n matrix has full kernel; n must be passed explicitly
-    basis = exactla.kernel_basis([], ncols=3)
-    assert basis == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert exactla.kernel_basis([], ncols=0) == []
+    # a 0 x n matrix has full kernel
+    assert exactla.kernel_basis([], 3) == [{0: 1}, {1: 1}, {2: 1}]
+    assert exactla.kernel_basis([], 0) == []
 
 
 def test_image_basis_spans_columns():
-    mat = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(0), F(1)]]
-    img = exactla.image_basis(mat)
-    assert img == [[F(1), F(2), F(0)], [F(3), F(6), F(1)]]
+    mat = [{0: F(1), 1: F(2), 2: F(3)}, {0: F(2), 1: F(4), 2: F(6)}, {2: F(1)}]
+    assert exactla.image_basis(mat, 3) == [{0: F(1), 1: F(2)}, {0: F(3), 1: F(6), 2: F(1)}]
 
 
 def test_solve_round_trip():
@@ -106,66 +130,28 @@ def test_solve_round_trip():
         nc = rng.randint(1, 6)
         mat = random_matrix(rng, nr, nc)
         xs = [[Fraction(rng.randint(-4, 4)) for _ in range(nc)] for _ in range(2)]
-        rhs = [
-            [sum(mat[r][c] * x[c] for c in range(nc)) for r in range(nr)]
-            for x in xs
-        ]
-        sols = exactla.solve(mat, rhs)
+        rhs = [[sum(mat[r][c] * x[c] for c in range(nc)) for r in range(nr)] for x in xs]
+        sols = exactla.solve(sparse(mat), sparse(rhs), nc)
         assert sols is not None
         for x, b in zip(sols, rhs):
-            assert [
-                sum(mat[r][c] * x[c] for c in range(nc)) for r in range(nr)
-            ] == b
+            assert [sum(mat[r][c] * y for c, y in x.items()) for r in range(nr)] == b
 
 
 def test_solve_detects_inconsistency():
-    mat = [[F(1), F(0)], [F(0), F(0)]]
-    assert exactla.solve(mat, [[F(0), F(1)]]) is None
+    assert exactla.solve([{0: F(1)}, {}], [{1: F(1)}], 2) is None
 
 
 def test_solve_zero_rows():
-    assert exactla.solve([], [[], []], ncols=2) == [[0, 0], [0, 0]]
+    assert exactla.solve([], [{}, {}], 2) == [{}, {}]
 
 
-# -- differential tests against the dense code the kernel replaced ------
+def test_columns_round_trip():
+    rows = [{0: 1, 2: F(1, 2)}, {}, {1: -3}]
+    assert exactla.columns(rows, [2, 0]) == [{0: F(1, 2)}, {0: 1}]
+    assert exactla.from_columns(exactla.columns(rows, range(3)), 3) == rows
 
 
-def dense_row_reduce(rows):
-    """The dense Gauss-Jordan elimination (leftmost column, topmost
-    nonzero row) the sparse kernel replaced, frozen as the reference."""
-    mat = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if mat[i][c]), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        prow = mat[r]
-        for i in range(nrows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], prow)]
-        pivots.append(c)
-        r += 1
-    return mat, pivots
-
-
-def dense_matmul(a, b, ncols):
-    return [
-        [sum((a[r][j] * b[j][c] for j in range(len(b))), Fraction(0)) for c in range(ncols)]
-        for r in range(len(a))
-    ]
-
-
-def dense_matvec(rows, v):
-    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in rows]
+# -- differential tests against the frozen dense references ------------
 
 
 def sparse_matrix(rng, nr, nc):
@@ -188,19 +174,59 @@ def sparse_matrix(rng, nr, nc):
     return rows
 
 
-def all_fractions(rows):
-    return all(type(x) is Fraction for row in rows for x in row)
+def seeded_matrices(seed, count=2000):
+    """(matrix, ncols): count seeded matrices of up to 9 x 9, each
+    followed by its copy with the first row zeroed when a later row is
+    nonzero, then every 0 x n and m x 0 shape up to 4."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        nr, nc = rng.randint(0, 9), rng.randint(0, 9)
+        mat = sparse_matrix(rng, nr, nc)
+        yield mat, nc
+        if any(x for row in mat[1:] for x in row):
+            yield [[0] * nc] + mat[1:], nc
+    for n in range(5):
+        yield [], n
+        yield [[]] * n, 0
 
 
 def test_row_reduce_matches_dense_reference():
-    rng = random.Random(77)
-    for _ in range(2000):
-        mat = sparse_matrix(rng, rng.randint(0, 9), rng.randint(0, 9))
-        frozen = [list(row) for row in mat]
-        rref, pivots = exactla.row_reduce(mat)
-        assert (rref, pivots) == dense_row_reduce(mat)
-        assert all_fractions(rref)
-        assert mat == frozen
+    first_row_empty = 0
+    for mat, nc in seeded_matrices(77):
+        rows = sparse(mat)
+        frozen = [dict(row) for row in rows]
+        rref, pivots = exactla.row_reduce(rows, nc)
+        assert (dense(rref, nc), pivots) == dense_row_reduce(mat)
+        assert all(type(x) is Fraction for row in rref for x in row.values())
+        assert len(rref) == len(rows)
+        assert rows == frozen
+        first_row_empty += bool(rows and not rows[0] and pivots)
+    assert first_row_empty > 100
+
+
+def test_derived_helpers_match_dense_reference():
+    """rank, pivot_columns, kernel_basis, image_basis and solve against
+    the dense helpers they replaced, on the same matrices."""
+    rng = random.Random(81)
+    solvable = 0
+    for mat, nc in seeded_matrices(80):
+        rows, nr = sparse(mat), len(mat)
+        assert exactla.rank(rows, nc) == dense_rank(mat)
+        assert exactla.pivot_columns(rows, nc) == dense_pivot_columns(mat)
+        kernel = exactla.kernel_basis(rows, nc)
+        assert [vec(v, nc) for v in kernel] == dense_kernel_basis(mat, nc)
+        assert [vec(v, nr) for v in exactla.image_basis(rows, nc)] == dense_image_basis(mat)
+        # right-hand sides in the column space and drawn at random
+        xs = [[rng.randint(-2, 2) for _ in range(nc)] for _ in range(rng.randint(0, 2))]
+        rhs = [[sum((mat[r][c] * x[c] for c in range(nc)), 0) for r in range(nr)] for x in xs]
+        rhs += [[rng.choice((0, 1, F(-1, 2))) for _ in range(nr)] for _ in range(rng.randint(0, 2))]
+        got = exactla.solve(rows, sparse(rhs), nc)
+        want = dense_solve(mat, rhs, nc)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert [vec(x, nc) for x in got] == want
+            solvable += bool(xs)
+    assert solvable > 500
 
 
 def test_products_match_dense_reference():
@@ -209,13 +235,12 @@ def test_products_match_dense_reference():
         m, n, p = rng.randint(0, 7), rng.randint(0, 7), rng.randint(0, 7)
         a = sparse_matrix(rng, m, n)
         b = sparse_matrix(rng, n, p)
-        product = exactla.matmul(a, b, p)
-        assert product == dense_matmul(a, b, p)
-        assert all_fractions(product)
-        v = [row[0] for row in sparse_matrix(rng, n, 1)]
-        image = exactla.matvec(a, v)
-        assert image == dense_matvec(a, v)
-        assert all_fractions([image])
+        if m > 1 and rng.random() < 0.2:
+            a[0] = [0] * n
+        product = exactla.matmul(sparse(a), sparse(b))
+        assert len(product) == m
+        assert dense(product, p) == dense_matmul(a, b, p)
+        assert not any(isinstance(x, float) for row in product for x in row.values())
 
 
 def identity_stack(n=600, block=24):
@@ -268,13 +293,11 @@ def test_row_reduce_identity_stack():
     stack = identity_stack()
     rng = random.Random(79)
     for mat in (stack, permuted(stack, rng), with_duplicate_and_zero_rows(permuted(stack, rng), rng)):
-        frozen = [list(row) for row in mat]
         kept = sorted({tuple(row) for row in mat if any(row)}, reverse=True)
-        rref, pivots = exactla.row_reduce(mat)
+        rref, pivots = exactla.row_reduce(sparse(mat), 624)
         assert pivots == [row.index(1) for row in kept]
-        assert rref == [list(row) for row in kept] + [[0] * 624] * (600 - len(kept))
-        assert all_fractions(rref)
-        assert mat == frozen
+        assert dense(rref, 624) == [list(row) for row in kept] + [[0] * 624] * (600 - len(kept))
+        assert all(type(x) is Fraction for row in rref for x in row.values())
 
 
 def sparse_shapes():
@@ -290,10 +313,7 @@ def sparse_shapes():
 
 def test_row_reduce_large_sparse_shapes():
     for name, mat in sparse_shapes().items():
-        frozen = [list(row) for row in mat]
-        rref, pivots = exactla.row_reduce(mat)
+        rref, pivots = exactla.row_reduce(sparse(mat), len(mat[0]))
         want_rref, want_pivots = dense_row_reduce(mat)
         assert pivots == want_pivots, name
-        assert rref == want_rref, name
-        assert all_fractions(rref), name
-        assert [list(row) for row in mat] == frozen, name
+        assert dense(rref, len(mat[0])) == want_rref, name

@@ -5,8 +5,8 @@ reduce_mod_a, homology_field and first_differential run on sparse rows:
 one elimination per differential gives the kernel at its source and the
 image at its target, and the projection is one sparse elimination of
 [basis | lifts].  The dense code they replaced is kept below, verbatim
-up to storage, as the reference; every answer must agree with it as
-equal Fractions.
+up to storage and on the dense helpers of dense_la, as the reference;
+every answer must agree with it value for value.
 """
 
 import random
@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from dense_la import dense_image_basis, dense_kernel_basis, dense_matvec, dense_pivot_columns, dense_solve
 from twkit import complexes, exactla
 from twkit.complexes import (
     ComplexError,
@@ -50,14 +51,14 @@ def reference_homology(degrees, mats, graded=True):
     dims, reps, bnds, bigraded = {}, {}, {}, {}
     for i in sorted(degrees):
         n = len(degrees[i])
-        cycles = exactla.kernel_basis([list(r) for r in mats.get(i, ())], ncols=n)
-        image = exactla.image_basis([list(r) for r in mats.get(i - 1, ())])
+        cycles = dense_kernel_basis([list(r) for r in mats.get(i, ())], ncols=n)
+        image = dense_image_basis([list(r) for r in mats.get(i - 1, ())])
         bnds[i] = tuple(tuple(v) for v in image)
         stacked = [
             [image[j][r] for j in range(len(image))] + [cycles[j][r] for j in range(len(cycles))]
             for r in range(n)
         ]
-        pivots = exactla.pivot_columns(stacked)
+        pivots = dense_pivot_columns(stacked)
         chosen = [cycles[p - len(image)] for p in pivots if p >= len(image)]
         dims[i] = len(chosen)
         reps[i] = tuple(tuple(v) for v in chosen)
@@ -71,8 +72,8 @@ def reference_homology(degrees, mats, graded=True):
 
 
 def reference_first_differential(c):
-    """(dims, rep_degrees, blocks): lift by dense matvec, project by
-    exactla.solve on the dense transposed basis."""
+    """(dims, rep_degrees, blocks): lift by dense matvec, project by a
+    dense solve on the dense transposed basis."""
     degrees, mats = reference_reduce_mod_a(c)
     dims, reps_by_degree, bnds, _ = reference_homology(degrees, mats)
     k = c.ring.k
@@ -91,7 +92,7 @@ def reference_first_differential(c):
             sigma = rep_degrees[i][vi]
             w = [Fraction(0)] * len(tgt_degs)
             if d is not None:
-                for t, acc in enumerate(exactla.matvec(d.entries, v)):
+                for t, acc in enumerate(dense_matvec(d.entries, v)):
                     gap = sigma - tgt_degs[t]
                     if gap == 0:
                         if acc:
@@ -101,7 +102,7 @@ def reference_first_differential(c):
             cols.append(w)
         basis_cols = [list(v) for v in bnds.get(i + 1, ())] + [list(v) for v in reps_by_degree.get(i + 1, ())]
         mat = [[basis_cols[j][r] for j in range(len(basis_cols))] for r in range(len(tgt_degs))]
-        sols = exactla.solve(mat, cols, ncols=len(basis_cols))
+        sols = dense_solve(mat, cols, ncols=len(basis_cols))
         assert sols is not None
         nb = len(bnds.get(i + 1, ()))
         block = [[sols[ci][nb + ri] for ci in range(len(reps))] for ri in range(dims[i + 1])]
@@ -118,6 +119,11 @@ def dense(v, n):
     assert all(type(x) is Fraction and x for x in v.values()), v
     assert all(0 <= j < n for j in v), v
     return [v.get(j, 0) for j in range(n)]
+
+
+def is_canonical(x):
+    """A nonzero int, or a Fraction that is not integral."""
+    return (type(x) is int and x != 0) or (type(x) is Fraction and x.denominator > 1)
 
 
 def assert_homology_matches(fc, degrees, mats, graded=True):
@@ -149,7 +155,9 @@ def assert_graded_matches(c):
     assert (fd.dims, fd.rep_degrees) == (dims, rep_degrees)
     assert sorted(fd.blocks) == sorted(blocks)
     for i, block in blocks.items():
-        assert all(type(x) is Fraction for row in fd.blocks[i] for x in row)
+        assert type(fd.blocks[i]) is tuple and len(fd.blocks[i]) == dims[i + 1]
+        assert all(is_canonical(x) for row in fd.blocks[i] for x in row.values())
+        assert all(0 <= c < dims[i] for row in fd.blocks[i] for c in row)
         assert fd.block(i) == block, i
     filtered = specialize_a_to_1(c)
     dense_mats = {i: [list(row) for row in d.entries] for i, d in c.differentials.items()}
