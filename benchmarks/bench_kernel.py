@@ -63,7 +63,7 @@ def inputs(seed):
 
 def check(name, mat):
     """The kernel on the sparse rows of mat agrees with the dense reference."""
-    rref, pivots = row_reduce(sparse(mat), len(mat[0]))
+    rref, pivots = row_reduce(sparse(mat))
     assert (dense(rref, len(mat[0])), pivots) == dense_row_reduce(mat), (
         "kernel disagrees with the dense reference on %s" % name
     )
@@ -96,7 +96,7 @@ def main():
         nonzero = sum(1 for row in mat for x in row if x) / (len(mat) * len(mat[0]))
         rows = sparse(mat)
         t_dense = best_of(dense_row_reduce, mat, args.repeats)
-        t_sparse = best_of(lambda r: row_reduce(r, len(mat[0])), rows, args.repeats)
+        t_sparse = best_of(row_reduce, rows, args.repeats)
         print("%-14s %3dx%-3d %7.1f%%  %7.2f ms  %7.2f ms  %6.1fx" % (
             name, len(mat), len(mat[0]), nonzero * 100, t_dense * 1e3, t_sparse * 1e3, t_dense / t_sparse))
 

@@ -302,7 +302,7 @@ class FilteredFieldComplex(FieldComplex):
             pivot_levels = []
             for b in [float("-inf")] + cuts:
                 kept = [row for row, lv in zip(rows, tgt) if lv > b]
-                pivots = exactla.row_reduce(kept, len(src))[1] if kept else []
+                pivots = exactla.row_reduce(kept)[1] if kept else []
                 pivot_levels.append([src[order[j]] for j in pivots])
             self._profiles[n] = cuts, pivot_levels
         cuts, pivot_levels = self._profiles[n]
@@ -472,7 +472,7 @@ def homology_field(fc: FieldComplex) -> FieldHomologyBasis:
     kernels = {}
     images = {}
     for i, rows in fc.mats.items():
-        reduction = exactla.row_reduce(rows, fc.rank(i))
+        reduction = exactla.row_reduce(rows)
         kernels[i] = exactla.kernel_from_reduction(reduction, fc.rank(i))
         images[i + 1] = exactla.columns(rows, reduction[1])
 
@@ -488,7 +488,7 @@ def homology_field(fc: FieldComplex) -> FieldHomologyBasis:
         # columns [image | cycles], one row per coordinate; the pivot
         # columns landing in the cycle block are the chosen representatives
         stacked = exactla.from_columns(image + cycles, n)
-        pivots = exactla.row_reduce(stacked, len(image) + len(cycles))[1] if image or cycles else []
+        pivots = exactla.row_reduce(stacked)[1] if image or cycles else []
         chosen = [cycles[p - len(image)] for p in pivots if p >= len(image)]
         dims[i] = len(chosen)
         reps[i] = tuple(chosen)
@@ -533,7 +533,7 @@ class FirstDifferential:
 
     def ranks(self):
         """{i: rank of the block out of i} over the stored blocks."""
-        return {i: exactla.rank(b, self.dims.get(i, 0)) for i, b in sorted(self.blocks.items())}
+        return {i: exactla.rank(b) for i, b in sorted(self.blocks.items())}
 
     def rank(self) -> int:
         return sum(self.ranks().values())
@@ -594,9 +594,7 @@ def first_differential(c: GradedComplex) -> FirstDifferential:
         image = hb.boundaries.get(i + 1, ())
         nb = len(image) + len(reps_next)
         stacked = exactla.from_columns(image + reps_next + tuple(lifts), fc.rank(i + 1))
-        sols = exactla.solution_from_reduction(
-            exactla.row_reduce(stacked, nb + len(lifts)), nb, len(lifts)
-        )
+        sols = exactla.solution_from_reduction(exactla.row_reduce(stacked), nb, len(lifts))
         if sols is None:
             raise ComplexError("projection onto the homology basis failed")
         # the coordinates on the representatives, one column per lift

@@ -60,21 +60,21 @@ class _Eliminations:
     def __init__(self):
         self._done = {}
 
-    def reduce(self, rows, ncols):
+    def reduce(self, rows):
         key = tuple(tuple(sorted(row.items())) for row in rows)
         out = self._done.get(key)
         if out is None:
-            out = self._done[key] = exactla.row_reduce(rows, ncols)
+            out = self._done[key] = exactla.row_reduce(rows)
         return out
 
-    def pivots(self, rows, ncols):
-        return self.reduce(rows, ncols)[1]
+    def pivots(self, rows):
+        return self.reduce(rows)[1]
 
     def solve(self, basis, nbasis, rhs, nb):
         """exactla.solve of basis @ X = rhs, both given by their rows,
         with nbasis and nb columns."""
         aug = [{**a, **{nbasis + j: x for j, x in b.items()}} for a, b in zip(basis, rhs)]
-        return solution_from_reduction(self.reduce(aug, nbasis + nb), nbasis, nb)
+        return solution_from_reduction(self.reduce(aug), nbasis, nb)
 
 
 class ExactCouple:
@@ -91,10 +91,11 @@ class ExactCouple:
     validated on construction at every bidegree whose referenced slots
     all lie inside the window.  memo is the derivation chain's memo of
     eliminations, which derive passes on; a couple built without one
-    starts a new chain.
+    starts a new chain.  The couple keeps the pivot columns of each of
+    its own maps once looked up, so each map's memo key is built once.
     """
 
-    __slots__ = ("k", "window", "g_shift", "_a", "_e", "_f", "_g", "_h", "_memo")
+    __slots__ = ("k", "window", "g_shift", "_a", "_e", "_f", "_g", "_h", "_memo", "_pivots")
 
     def __init__(self, k, window, a_dims, e_dims, f, g, h, g_shift=0, validate=True, memo=None):
         if k < 1:
@@ -125,6 +126,7 @@ class ExactCouple:
         object.__setattr__(self, "_g", self._clean(g, "g", a))
         object.__setattr__(self, "_h", self._clean(h, "h", e))
         object.__setattr__(self, "_memo", _Eliminations() if memo is None else memo)
+        object.__setattr__(self, "_pivots", {})
         if validate:
             self._check_shapes()
             self._check_exactness()
@@ -213,6 +215,16 @@ class ExactCouple:
     def is_trivial(self) -> bool:
         return not self._a and not self._e
 
+    def _map_pivots(self, name, key):
+        """Pivot columns of the map name ("f", "g" or "h") out of the
+        bidegree key, [] where it is absent (zero)."""
+        found = self._pivots.get((name, key))
+        if found is None:
+            rows = {"f": self._f, "g": self._g, "h": self._h}[name].get(key)
+            found = self._memo.pivots(rows) if rows is not None else []
+            self._pivots[(name, key)] = found
+        return found
+
     # -- validation ----------------------------------------------------
 
     def _check_shapes(self):
@@ -238,21 +250,15 @@ class ExactCouple:
     def _check_exactness(self):
         k2 = 2 * self.k
         lo, hi = self.window
-        maps = {"f": (self._f, self._a), "g": (self._g, self._a), "h": (self._h, self._e)}
-        ranks = {}
+        maps = {"f": self._f, "g": self._g, "h": self._h}
 
         def rank_of(name, key):
-            # each map borders two slots; an absent map has rank 0
-            if (name, key) not in ranks:
-                found, sources = maps[name]
-                rows = found.get(key)
-                ranks[(name, key)] = len(self._memo.pivots(rows, sources[key])) if rows else 0
-            return ranks[(name, key)]
+            return len(self._map_pivots(name, key))
 
         def vanishes(left, key_left, right, key_right):
             # the composite left o right; zero when either map is absent
-            a = maps[left][0].get(key_left)
-            b = maps[right][0].get(key_right)
+            a = maps[left].get(key_left)
+            b = maps[right].get(key_right)
             return a is None or b is None or not any(matmul(a, b))
 
         def interior(s):
@@ -316,7 +322,7 @@ class ExactCouple:
         # ker(d out); representatives are kernel columns extending it.
         # Each d is eliminated once, for its kernel and its image.
         d_out = {pos: self.differential(*pos) for pos in self.e_support()}
-        reduced = {pos: memo.reduce(d, self.e_dim(*pos)) for pos, d in d_out.items()}
+        reduced = {pos: memo.reduce(d) for pos, d in d_out.items()}
         proj = {}
         e_new = {}
         for (i, s) in d_out:
@@ -325,7 +331,7 @@ class ExactCouple:
             src = (i - 1, s + k2 - self.g_shift)
             img = columns(d_out[src], reduced[src][1]) if src in d_out else []
             stacked = img + kern
-            pivots = memo.pivots(from_columns(stacked, dim), len(stacked))
+            pivots = memo.pivots(from_columns(stacked, dim))
             chosen = [stacked[p] for p in pivots if p >= len(img)]
             if chosen:
                 e_new[(i, s)] = len(chosen)
@@ -354,10 +360,9 @@ class ExactCouple:
         for (i, s) in sorted((i, s + k2) for (i, s) in self._f):
             if not new_lo <= s <= new_hi:
                 continue
-            f_in = self._f[(i, s - k2)]
-            pivots = memo.pivots(f_in, self.a_dim(i, s - k2))
+            pivots = self._map_pivots("f", (i, s - k2))
             if pivots:
-                iota[(i, s)] = _restricted(f_in, pivots)
+                iota[(i, s)] = _restricted(self._f[(i, s - k2)], pivots)
                 f_pivots[(i, s)] = pivots
                 a_new[(i, s)] = len(pivots)
 

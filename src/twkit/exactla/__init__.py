@@ -2,20 +2,20 @@
 
 A matrix is a sequence of rows, each a {col: value} map of its
 nonzeros (Fraction or int values); a vector is one such map, keyed by
-coordinate.  row_reduce (elimination, which needs the column count
-ncols) and matmul (products) follow the nonzeros; kernel_from_reduction
-and solution_from_reduction read the right kernel and the solutions of
-a linear system off an elimination, so a caller that keeps eliminations
-(as the couple memo does) reads them the same way.  rank,
-pivot_columns, kernel_basis, image_basis and solve are built on these.
-columns and from_columns turn rows into column vectors and back.
-Integer entries meet a Fraction inverse, never true division.
-column_index builds the {col: rows} index that row_reduce (and
-decompose's splitting) follow.  Helpers look row_reduce up in this
-module when called, so replacing the module attribute (e.g. to count
-calls) reaches them too; callers elsewhere go through the module
-attribute as well.  There is one kernel, in pure Python; BACKEND names
-it.
+coordinate.  row_reduce (elimination) and matmul (products) follow
+the nonzeros; kernel_from_reduction and solution_from_reduction read
+the right kernel and the solutions of a linear system off an
+elimination, given the column counts the rows leave implicit, so a
+caller that keeps eliminations (as the couple memo does) reads them
+the same way.  rank, pivot_columns, kernel_basis, image_basis and
+solve are built on these.  columns and from_columns turn rows into
+column vectors and back.  Integer entries meet a Fraction inverse,
+never true division.  column_index builds the {col: rows} index that
+row_reduce (and decompose's splitting) follow.  Helpers look
+row_reduce up in this module when called, so replacing the module
+attribute (e.g. to count calls) reaches them too; callers elsewhere go
+through the module attribute as well.  There is one kernel, in pure
+Python; BACKEND names it.
 """
 
 from fractions import Fraction
@@ -56,20 +56,20 @@ def from_columns(vectors, nrows):
     return rows
 
 
-def rank(rows, ncols):
-    return len(row_reduce(rows, ncols)[1])
+def rank(rows):
+    return len(row_reduce(rows)[1])
 
 
-def pivot_columns(rows, ncols):
+def pivot_columns(rows):
     """Column indices c such that column c adds new rank left to right."""
-    return row_reduce(rows, ncols)[1]
+    return row_reduce(rows)[1]
 
 
 def kernel_basis(rows, ncols):
     """Basis of the right kernel of a matrix with ncols columns, one
     vector per non-pivot column, in the standard RREF parametrization
     (free column gets 1), ordered by free column index.  Deterministic."""
-    return kernel_from_reduction(row_reduce(rows, ncols), ncols)
+    return kernel_from_reduction(row_reduce(rows), ncols)
 
 
 def kernel_from_reduction(reduction, ncols):
@@ -87,9 +87,9 @@ def kernel_from_reduction(reduction, ncols):
     return [{j: one, **minus.get(j, {})} for j in range(ncols) if j not in is_pivot]
 
 
-def image_basis(rows, ncols):
+def image_basis(rows):
     """The pivot columns of the matrix itself: a basis of the column space."""
-    return columns(rows, pivot_columns(rows, ncols))
+    return columns(rows, pivot_columns(rows))
 
 
 def solve(rows, rhs_columns, ncols):
@@ -105,7 +105,7 @@ def solve(rows, rhs_columns, ncols):
     for j, b in enumerate(rhs_columns):
         for r, x in b.items():
             aug[r][ncols + j] = x
-    return solution_from_reduction(row_reduce(aug, ncols + nb), ncols, nb)
+    return solution_from_reduction(row_reduce(aug), ncols, nb)
 
 
 def solution_from_reduction(reduction, ncols, nb):

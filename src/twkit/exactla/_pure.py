@@ -20,16 +20,16 @@ def column_index(rows):
     return holders
 
 
-def row_reduce(rows, ncols):
+def row_reduce(rows):
     """RREF of a rational matrix.
 
-    rows: {col: value} maps of each row's nonzeros (Fraction or int),
-    with every col < ncols.  Returns (rref, pivots): rref as {col:
-    Fraction} maps of the nonzeros, one per input row (zero rows last),
-    pivots the list of pivot column indices in row order.  The input is
-    not modified.  RREF is unique, so the pivot row chosen in each
-    column (the sparsest row that holds it, after Markowitz) does not
-    change the result.
+    rows: {col: value} maps of each row's nonzeros (Fraction or int).
+    Returns (rref, pivots): rref as {col: Fraction} maps of the
+    nonzeros, one per input row (zero rows last), pivots the list of
+    pivot column indices in row order.  Only nonzeros are visited, so
+    the column count is never needed.  The input is not modified.  RREF
+    is unique, so the pivot row chosen in each column (the sparsest row
+    that holds it, after Markowitz) does not change the result.
     """
     sparse = [dict(row) for row in rows]
     holders = column_index(sparse)

@@ -3,39 +3,34 @@
 Matrices are lists of equal-length rows of rationals; vectors are
 lists.  dense_row_reduce is the dense Gauss-Jordan elimination (leftmost
 column, topmost nonzero row) the sparse kernel in twkit.exactla
-replaced, and the helpers below are the dense rank, kernel, image,
-solve and products twkit.exactla once had, now built on it.  Nothing
-in here imports twkit, so the references that use these helpers stay
-independent of the code they check.
+replaced, kept as the tests had it.  The products, rank, kernel, image
+and solve below are the dense ones twkit.exactla once had, the last
+four now built on dense_row_reduce.  Nothing in here imports twkit, so
+the references that use these helpers stay independent of the code
+they check.
 """
 
 from fractions import Fraction
 
 
 def dense_row_reduce(rows):
-    """(rref as lists of Fraction, pivot columns in row order).
-
-    Gauss-Jordan on dense rows, leftmost column first.  The pivot row
-    of a column is the one with the fewest nonzeros among the rows
-    still free, topmost among equals, and each step scales and
-    subtracts over the pivot row's nonzeros only; the rref is unique,
-    so neither choice changes the answer, only the fill-in.  Zeros are
-    kept as the int 0."""
-    mat = [[0 if not x else x if type(x) is Fraction else Fraction(x) for x in row] for row in rows]
+    """The dense Gauss-Jordan elimination (leftmost column, topmost
+    nonzero row) the sparse kernel replaced, frozen as the reference.
+    Scaling the pivot row and subtracting it skip the pivot row's zero
+    cells, where the full-row update would leave every cell as it is
+    (x * inv stays a Fraction zero, x - f * 0 stays x)."""
+    mat = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
-    count = [sum(1 for x in row if x) for row in mat]
     pivots = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        held = [i for i in range(r, nrows) if mat[i][c]]
-        if not held:
+        pr = next((i for i in range(r, nrows) if mat[i][c]), None)
+        if pr is None:
             continue
-        pr = min(held, key=lambda i: (count[i], i))
         mat[r], mat[pr] = mat[pr], mat[r]
-        count[r], count[pr] = count[pr], count[r]
         prow = mat[r]
         inv = 1 / prow[c]
         support = [j for j, x in enumerate(prow) if x]
@@ -46,9 +41,7 @@ def dense_row_reduce(rows):
                 row = mat[i]
                 f = row[c]
                 for j in support:
-                    was = row[j]
-                    row[j] = was - f * prow[j] or 0
-                    count[i] += bool(row[j]) - bool(was)
+                    row[j] -= f * prow[j]
         pivots.append(c)
         r += 1
     return mat, pivots

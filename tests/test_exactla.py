@@ -68,7 +68,7 @@ def assert_rref(rref, pivots):
 
 def test_row_reduce_pinned():
     rows = [{0: F(2), 1: F(4), 2: F(-2)}, {0: F(1), 1: F(2)}, {2: F(3)}]
-    rref, pivots = exactla.row_reduce(rows, 3)
+    rref, pivots = exactla.row_reduce(rows)
     assert pivots == [0, 2]
     assert rref == [{0: F(1), 1: F(2)}, {2: F(1)}, {}]
     # input untouched
@@ -76,7 +76,7 @@ def test_row_reduce_pinned():
 
 
 def test_row_reduce_accepts_ints():
-    rref, pivots = exactla.row_reduce([{0: 1, 1: 2}, {0: 2, 1: 4}], 2)
+    rref, pivots = exactla.row_reduce([{0: 1, 1: 2}, {0: 2, 1: 4}])
     assert pivots == [0]
     assert rref == [{0: F(1), 1: F(2)}, {}]
     assert isinstance(rref[0][0], Fraction)
@@ -87,17 +87,17 @@ def test_row_reduce_shapes():
     for _ in range(40):
         nr = rng.randint(1, 7)
         nc = rng.randint(1, 7)
-        rref, pivots = exactla.row_reduce(sparse(random_matrix(rng, nr, nc)), nc)
+        rref, pivots = exactla.row_reduce(sparse(random_matrix(rng, nr, nc)))
         assert_rref(dense(rref, nc), pivots)
 
 
 def test_rank_examples():
-    assert exactla.rank([], 0) == 0
-    assert exactla.rank([{}], 2) == 0
-    assert exactla.rank([{0: F(1), 1: F(2)}, {0: F(2), 1: F(4)}], 2) == 1
-    assert exactla.rank([{0: F(1)}, {1: F(1)}], 2) == 2
+    assert exactla.rank([]) == 0
+    assert exactla.rank([{}]) == 0
+    assert exactla.rank([{0: F(1), 1: F(2)}, {0: F(2), 1: F(4)}]) == 1
+    assert exactla.rank([{0: F(1)}, {1: F(1)}]) == 2
     # an empty first row says nothing about the rows below it
-    assert exactla.rank([{}, {1: F(1)}], 2) == 1
+    assert exactla.rank([{}, {1: F(1)}]) == 1
 
 
 def test_kernel_basis_annihilates():
@@ -107,7 +107,7 @@ def test_kernel_basis_annihilates():
         nc = rng.randint(1, 6)
         mat = random_matrix(rng, nr, nc)
         basis = exactla.kernel_basis(sparse(mat), nc)
-        assert len(basis) == nc - exactla.rank(sparse(mat), nc)
+        assert len(basis) == nc - exactla.rank(sparse(mat))
         for v in basis:
             assert all(sum(mat[r][c] * x for c, x in v.items()) == 0 for r in range(nr))
 
@@ -120,7 +120,7 @@ def test_kernel_basis_empty_matrix():
 
 def test_image_basis_spans_columns():
     mat = [{0: F(1), 1: F(2), 2: F(3)}, {0: F(2), 1: F(4), 2: F(6)}, {2: F(1)}]
-    assert exactla.image_basis(mat, 3) == [{0: F(1), 1: F(2)}, {0: F(3), 1: F(6), 2: F(1)}]
+    assert exactla.image_basis(mat) == [{0: F(1), 1: F(2)}, {0: F(3), 1: F(6), 2: F(1)}]
 
 
 def test_solve_round_trip():
@@ -195,7 +195,7 @@ def test_row_reduce_matches_dense_reference():
     for mat, nc in seeded_matrices(77):
         rows = sparse(mat)
         frozen = [dict(row) for row in rows]
-        rref, pivots = exactla.row_reduce(rows, nc)
+        rref, pivots = exactla.row_reduce(rows)
         assert (dense(rref, nc), pivots) == dense_row_reduce(mat)
         assert all(type(x) is Fraction for row in rref for x in row.values())
         assert len(rref) == len(rows)
@@ -211,11 +211,11 @@ def test_derived_helpers_match_dense_reference():
     solvable = 0
     for mat, nc in seeded_matrices(80):
         rows, nr = sparse(mat), len(mat)
-        assert exactla.rank(rows, nc) == dense_rank(mat)
-        assert exactla.pivot_columns(rows, nc) == dense_pivot_columns(mat)
+        assert exactla.rank(rows) == dense_rank(mat)
+        assert exactla.pivot_columns(rows) == dense_pivot_columns(mat)
         kernel = exactla.kernel_basis(rows, nc)
         assert [vec(v, nc) for v in kernel] == dense_kernel_basis(mat, nc)
-        assert [vec(v, nr) for v in exactla.image_basis(rows, nc)] == dense_image_basis(mat)
+        assert [vec(v, nr) for v in exactla.image_basis(rows)] == dense_image_basis(mat)
         # right-hand sides in the column space and drawn at random
         xs = [[rng.randint(-2, 2) for _ in range(nc)] for _ in range(rng.randint(0, 2))]
         rhs = [[sum((mat[r][c] * x[c] for c in range(nc)), 0) for r in range(nr)] for x in xs]
@@ -294,10 +294,13 @@ def test_row_reduce_identity_stack():
     rng = random.Random(79)
     for mat in (stack, permuted(stack, rng), with_duplicate_and_zero_rows(permuted(stack, rng), rng)):
         kept = sorted({tuple(row) for row in mat if any(row)}, reverse=True)
-        rref, pivots = exactla.row_reduce(sparse(mat), 624)
+        rows = sparse(mat)
+        frozen = [dict(row) for row in rows]
+        rref, pivots = exactla.row_reduce(rows)
         assert pivots == [row.index(1) for row in kept]
         assert dense(rref, 624) == [list(row) for row in kept] + [[0] * 624] * (600 - len(kept))
         assert all(type(x) is Fraction for row in rref for x in row.values())
+        assert rows == frozen
 
 
 def sparse_shapes():
@@ -313,7 +316,11 @@ def sparse_shapes():
 
 def test_row_reduce_large_sparse_shapes():
     for name, mat in sparse_shapes().items():
-        rref, pivots = exactla.row_reduce(sparse(mat), len(mat[0]))
+        rows = sparse(mat)
+        frozen = [dict(row) for row in rows]
+        rref, pivots = exactla.row_reduce(rows)
         want_rref, want_pivots = dense_row_reduce(mat)
         assert pivots == want_pivots, name
         assert dense(rref, len(mat[0])) == want_rref, name
+        assert all(type(x) is Fraction for row in rref for x in row.values()), name
+        assert rows == frozen, name

@@ -472,10 +472,10 @@ def test_integer_inputs_stay_exact():
         ints = [[rng.choice((0, 0, 1, -1, 2, 3)) for _ in range(nc)] for _ in range(nr)]
         sparse = [{c: x for c, x in enumerate(row) if x} for row in ints]
         sparse_fracs = [{c: Fraction(x) for c, x in row.items()} for row in sparse]
-        got = exactla.row_reduce(sparse, nc)
-        assert _no_float(got) and got == exactla.row_reduce(sparse_fracs, nc)
+        got = exactla.row_reduce(sparse)
+        assert _no_float(got) and got == exactla.row_reduce(sparse_fracs)
         assert got[1] == dense_row_reduce(ints)[1]
-    assert exactla.row_reduce([{0: 2, 1: 1}], 2) == ([{0: 1, 1: Fraction(1, 2)}], [0])
+    assert exactla.row_reduce([{0: 2, 1: 1}]) == ([{0: 1, 1: Fraction(1, 2)}], [0])
 
     # a graded complex with an integer pivot of 2 and a field complex
     # given sparse integer rows
