@@ -12,10 +12,9 @@ contributing to one entry carry the same power of a.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
-from .exactla import matmul
+from .exactla import canonical, matmul
 
 HOM_POLY = "hom_poly"  # keys (i, s): homological degree, polynomial degree
 PAGE = "page"          # keys (p, q) = (s, i - s): filtration degree first
@@ -183,14 +182,6 @@ class GradedFreeModule:
         return GradedFreeModule(tuple(d + ds for d in self.degrees))
 
 
-def canonical(x):
-    """An exact scalar as an int when it is integral, else a Fraction."""
-    if type(x) is int:
-        return x
-    x = x if type(x) is Fraction else Fraction(x)
-    return x.numerator if x.denominator == 1 else x
-
-
 def add_to_row(row, col, x):
     """row[col] += x on a sparse row, dropping a zero sum."""
     x += row.get(col, 0)
@@ -288,11 +279,12 @@ class HomMatrix:
         return HomMatrix(self.ring, other.source_degrees, self.target_degrees, tuple(rows))
 
     def reduced_mod_a(self):
-        """Sparse scalar rows, {col: Fraction}, of the nonzero
-        exponent-0 entries; every positive-exponent entry is dropped."""
+        """Sparse scalar rows, {col: value} with canonical values as
+        stored, of the nonzero exponent-0 entries; every
+        positive-exponent entry is dropped."""
         src = self.source_degrees
         return [
-            {c: x if type(x) is Fraction else Fraction(x) for c, x in row.items() if src[c] == tdeg}
+            {c: x for c, x in row.items() if src[c] == tdeg}
             for tdeg, row in zip(self.target_degrees, self.rows)
         ]
 

@@ -369,9 +369,7 @@ def cmd_link(args) -> int:
             entries = json.loads(raw)
         except json.JSONDecodeError as e:
             raise SchemaError("cannot parse PD JSON: %s" % e)
-        diagram = LinkDiagram(
-            tuple((sign, tuple(arcs)) for sign, arcs in entries), args.free_loops
-        )
+        diagram = LinkDiagram(entries, args.free_loops)
     else:
         raise SchemaError("need --braid or --pd")
     if args.lambdas is not None:

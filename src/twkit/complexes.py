@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import exactla
 from .algebra import (
@@ -16,8 +15,6 @@ from .algebra import (
     GradedFreeModule,
     GradedRing,
     HomMatrix,
-    add_to_row,
-    canonical,
     hom_matrix_validate,
 )
 
@@ -198,8 +195,9 @@ class FieldComplex:
     (the a -> 0 reduction).
 
     mats[i], the differential out of degree i, is a tuple of sparse
-    rows, one per generator at degree i + 1: {col: Fraction} maps of
-    the nonzero entries.  The constructor takes sparse rows or dense
+    rows, one per generator at degree i + 1: {col: value} maps of the
+    nonzero entries, values canonical (an int when integral, a
+    Fraction otherwise).  The constructor takes sparse rows or dense
     ones (sequences of rationals, one cell per generator at degree i);
     matrix(i) is the dense view.
     """
@@ -250,21 +248,20 @@ class FieldComplex:
 
     def matrix(self, i: int):
         """Differential out of degree i as dense list rows (may be empty)."""
-        zero = Fraction(0)
         rows = self.mats.get(i, ({},) * self.rank(i + 1))
-        return [[row.get(c, zero) for c in range(self.rank(i))] for row in rows]
+        return [[row.get(c, 0) for c in range(self.rank(i))] for row in rows]
 
 
 def _sparse_row(row, ncols, i):
-    """{col: Fraction} of a sparse or dense row's nonzeros; a dense row
-    must have ncols cells."""
+    """{col: canonical value} of a sparse or dense row's nonzeros; a
+    dense row must have ncols cells."""
     if isinstance(row, dict):
         items = row.items()
     elif len(row) != ncols:
         raise ComplexError("shape mismatch at degree %d" % i)
     else:
         items = enumerate(row)
-    return {c: x if type(x) is Fraction else Fraction(x) for c, x in items if x}
+    return {c: exactla.canonical(x) for c, x in items if x}
 
 
 class FilteredFieldComplex(FieldComplex):
@@ -352,22 +349,12 @@ def _without(row, j):
 
 def _schur_complement(rows, row: int, col: int):
     """epsilon - gamma phi^{-1} delta on sparse rows: every row but
-    `row`, less its multiple of that row that clears column `col`, with
-    column `col` removed.  The caller checks that phi is nonzero."""
-    prow = rows[row]
-    inv = Fraction(1) / prow[col]
-    out = []
-    for r, full in enumerate(rows):
-        if r == row:
-            continue
-        gamma = full.get(col)
-        if gamma:
-            ratio = gamma * inv
-            full = dict(full)
-            for cc, x in prow.items():
-                add_to_row(full, cc, -ratio * x)
-        out.append(_without(full, col))
-    return out
+    `row`, less its multiple of that row that clears column `col`
+    (exactla.clear_column, on a copy), with column `col` removed.  The
+    caller checks that phi is nonzero."""
+    rows = [dict(r) for r in rows]
+    exactla.clear_column(rows, exactla.column_index(rows), row, col)
+    return [_without(full, col) for r, full in enumerate(rows) if r != row]
 
 
 def _eliminate_graded(c: GradedComplex, h: int, row: int, col: int) -> GradedComplex:
@@ -451,8 +438,9 @@ class FieldHomologyBasis:
     boundaries: {i: tuple of vectors spanning the image of d^{i-1}};
     bigraded: dimension table by (i, generator degree) when the input
     was graded, else None.  Every vector is sparse, a {coordinate:
-    Fraction} map of its nonzeros.  Representatives come from reduced
-    row echelon pivoting in generator order, so they are reproducible.
+    value} map of its nonzeros with canonical values.  Representatives
+    come from reduced row echelon pivoting in generator order, so they
+    are reproducible.
     """
 
     dims: dict
@@ -468,7 +456,6 @@ def homology_field(fc: FieldComplex) -> FieldHomologyBasis:
     """Each differential d^i is eliminated once: its rref gives the
     kernel at degree i, and its pivot columns the image at degree i+1."""
     graded = not isinstance(fc, FilteredFieldComplex)
-    one = Fraction(1)
     kernels = {}
     images = {}
     for i, rows in fc.mats.items():
@@ -482,7 +469,7 @@ def homology_field(fc: FieldComplex) -> FieldHomologyBasis:
     bigraded = {}
     for i in sorted(fc.degrees):
         n = fc.rank(i)
-        cycles = kernels[i] if i in kernels else [{j: one} for j in range(n)]
+        cycles = kernels[i] if i in kernels else [{j: 1} for j in range(n)]
         image = images.get(i, [])
         bnds[i] = tuple(image)
         # columns [image | cycles], one row per coordinate; the pivot
@@ -562,7 +549,6 @@ def first_differential(c: GradedComplex) -> FirstDifferential:
         i: tuple(fc.degrees[i][min(v)] for v in reps) for i, reps in hb.representatives.items()
     }
 
-    zero = Fraction(0)
     blocks = {}
     for i in sorted(hb.dims):
         reps = hb.representatives[i]
@@ -580,12 +566,12 @@ def first_differential(c: GradedComplex) -> FirstDifferential:
         for v, sigma in zip(reps, rep_degrees[i]):
             for t in targets.get(sigma, ()):
                 row = d.rows[t]
-                if sum((v[j] * x for j, x in row.items() if j in v), zero):
+                if sum(v[j] * x for j, x in row.items() if j in v):
                     raise ComplexError("lift of a mod-a cycle has nonzero a^0 image")
             w = {}
             for t in targets.get(sigma - 2 * k, ()):
                 row = d.rows[t]
-                acc = sum((v[j] * x for j, x in row.items() if j in v), zero)
+                acc = sum(v[j] * x for j, x in row.items() if j in v)
                 if acc:
                     w[t] = acc
             lifts.append(w)
@@ -602,7 +588,7 @@ def first_differential(c: GradedComplex) -> FirstDifferential:
         for j, x in enumerate(sols):
             for p, y in x.items():
                 if p >= len(image):
-                    block[p - len(image)][j] = canonical(y)
+                    block[p - len(image)][j] = y
         if any(block):
             blocks[i] = tuple(block)
 

@@ -29,10 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import exactla
-from .algebra import HOM_POLY, BigradedTable, canonical
+from .algebra import HOM_POLY, BigradedTable
 from .complexes import InternalError
 from .decompose import Decomposition, torsion_width
-from .exactla import columns, from_columns, kernel_from_reduction, matmul, solution_from_reduction
+from .exactla import canonical, columns, from_columns, kernel_from_reduction, matmul, solution_from_reduction
 
 
 class InsufficientWindow(RuntimeError):

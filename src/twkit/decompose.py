@@ -16,7 +16,6 @@ an isomorphism invariant of the complex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import (
     HOM_POLY,
@@ -25,11 +24,10 @@ from .algebra import (
     GradedModuleDescriptor,
     GradedRing,
     HomMatrix,
-    canonical,
     descriptor_dim_table,
 )
 from .complexes import GradedComplex, InternalError
-from .exactla import column_index
+from .exactla import clear_column, column_index
 
 
 @dataclass(frozen=True)
@@ -147,35 +145,16 @@ def _split_pieces(c: GradedComplex):
 
 
 def _clear_pivot_column(d, holders, nxt, nxt_holders, j, l):
-    """Clear column j of d below pivot row l, then check and drop the
-    pivot target's column l of the next differential nxt, which the
-    same row operations make vanish when d^2 = 0.
+    """Clear column j of d below pivot row l (exactla.clear_column),
+    then check and drop the pivot target's column l of the next
+    differential nxt, which the same row operations make vanish when
+    d^2 = 0.
 
-    d and nxt are sparse rows, with column indices holders and
-    nxt_holders ({col: rows with a nonzero there}, see column_index).
-    Fill-in joins the index, cancelled entries leave it, and values
-    stay canonical.
+    d and nxt are sparse rows with canonical values, with column
+    indices holders and nxt_holders ({col: rows with a nonzero there},
+    see column_index).
     """
-    row_l = d[l]
-    pivot = row_l[j]
-    inv = pivot if pivot == 1 or pivot == -1 else Fraction(1) / pivot
-    ratios = []
-    for i in holders[j] - {l}:
-        row = d[i]
-        ratio = canonical(row[j] * inv)
-        ratios.append((i, ratio))
-        for cc, y in row_l.items():
-            x = row.get(cc)
-            if x is None:
-                row[cc] = canonical(-ratio * y)
-                holders[cc].add(i)
-            else:
-                x -= ratio * y
-                if x:
-                    row[cc] = canonical(x)
-                else:
-                    del row[cc]
-                    holders[cc].discard(i)
+    ratios = clear_column(d, holders, l, j)
     # column l of nxt after the same row operations, on its nonzeros
     acc = {r: nxt[r][l] for r in nxt_holders.get(l, ())}
     for i, ratio in ratios:

@@ -1,39 +1,39 @@
 """Exact rational linear algebra kernel, on sparse rows.
 
 A matrix is a sequence of rows, each a {col: value} map of its
-nonzeros (Fraction or int values); a vector is one such map, keyed by
-coordinate.  row_reduce (elimination) and matmul (products) follow
-the nonzeros; kernel_from_reduction and solution_from_reduction read
+nonzeros; a vector is one such map, keyed by coordinate.  Every value
+this kernel writes is canonical (an int when integral, a Fraction
+otherwise; see canonical), and integer entries meet a Fraction
+inverse, never true division.  clear_column is the one sparse pivot
+step: row_reduce (elimination), decompose's splitting and Gaussian
+elimination of a contractible pair all call it, on the {col: rows}
+index that column_index builds.  matmul (products) follows the
+nonzeros too.  kernel_from_reduction and solution_from_reduction read
 the right kernel and the solutions of a linear system off an
 elimination, given the column counts the rows leave implicit, so a
 caller that keeps eliminations (as the couple memo does) reads them
 the same way.  rank, pivot_columns, kernel_basis, image_basis and
 solve are built on these.  columns and from_columns turn rows into
-column vectors and back.  Integer entries meet a Fraction inverse,
-never true division.  column_index builds the {col: rows} index that
-row_reduce (and decompose's splitting) follow.  Helpers look
-row_reduce up in this module when called, so replacing the module
-attribute (e.g. to count calls) reaches them too; callers elsewhere go
-through the module attribute as well.  There is one kernel, in pure
-Python; BACKEND names it.
+column vectors and back.  Helpers look row_reduce up in this module
+when called, so replacing the module attribute (e.g. to count calls)
+reaches them too; callers elsewhere go through the module attribute
+as well.  There is one kernel, in pure Python; BACKEND names it.
 """
 
-from fractions import Fraction
-
-from ._pure import column_index, row_reduce
+from ._pure import canonical, clear_column, column_index, row_reduce
 
 BACKEND = "pure"
 
 
 def matmul(a, b):
-    """a @ b: sparse rows of the nonzero sums."""
+    """a @ b: sparse rows of the nonzero sums, canonical."""
     out = []
     for arow in a:
         acc = {}
         for j, x in arow.items():
             for c, y in b[j].items():
                 acc[c] = acc.get(c, 0) + x * y
-        out.append({c: v for c, v in acc.items() if v})
+        out.append({c: canonical(v) for c, v in acc.items() if v})
     return out
 
 
@@ -75,16 +75,15 @@ def kernel_basis(rows, ncols):
 def kernel_from_reduction(reduction, ncols):
     """kernel_basis read off row_reduce's (rref, pivots): for each free
     column j, 1 at j and minus the rref entry at j on each pivot column.
-    Every value is a Fraction."""
+    Values are canonical, as in the rref."""
     rref, pivots = reduction
     minus = {}
     for pc, prow in zip(pivots, rref):
         for j, x in prow.items():
             if j != pc:
                 minus.setdefault(j, {})[pc] = -x
-    one = Fraction(1)
     is_pivot = set(pivots)
-    return [{j: one, **minus.get(j, {})} for j in range(ncols) if j not in is_pivot]
+    return [{j: 1, **minus.get(j, {})} for j in range(ncols) if j not in is_pivot]
 
 
 def image_basis(rows):

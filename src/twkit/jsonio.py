@@ -63,6 +63,14 @@ def _check_header(data, expected_type):
         )
 
 
+def _degree(key) -> int:
+    """A homological degree written as an object key: one spelling per
+    integer, "0" or an optional minus and no leading zero."""
+    if not re.fullmatch(r"0|-?[1-9][0-9]*", key):
+        raise ValueError("expected a degree key like \"-1\" or \"2\", got %s" % json.dumps(key))
+    return int(key)
+
+
 def _int_pair(x):
     a, b = x
     return _int(a), _int(b)
@@ -88,13 +96,13 @@ def complex_to_data(c: GradedComplex) -> dict:
 def complex_from_json(data) -> GradedComplex:
     _check_header(data, "complex")
     try:
-        modules = {int(i): [_int(s) for s in degs] for i, degs in data["modules"].items()}
+        modules = {_degree(i): [_int(s) for s in degs] for i, degs in data["modules"].items()}
         diffs = {
-            int(i): [[0 if x == "0" else parse_rational(x) for x in row] for row in rows]
+            _degree(i): [[0 if x == "0" else parse_rational(x) for x in row] for row in rows]
             for i, rows in data.get("differentials", {}).items()
         }
         k = _int(data["k"])
-    except (KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise SchemaError("malformed complex document: %s" % e)
     return complex_from_data(k, modules, diffs)
 

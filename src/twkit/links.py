@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product, zip_longest
 
-from .algebra import GradedFreeModule, GradedRing, HomMatrix, add_to_row
+from .algebra import GradedFreeModule, GradedRing, HomMatrix, add_to_row, hom_matrix_validate
 from .complexes import (
     ComplexError,
     FirstDifferential,
@@ -35,7 +35,7 @@ from .complexes import (
     first_differential,
     reduce_mod_a,
 )
-from .exactla import matmul
+from .exactla import canonical, matmul
 
 
 # -- diagrams ----------------------------------------------------------
@@ -43,24 +43,37 @@ from .exactla import matmul
 
 @dataclass(frozen=True)
 class LinkDiagram:
-    """A link diagram as signed PD crossings plus crossingless loops."""
+    """A link diagram as signed PD crossings plus crossingless loops.
+
+    crossings: a sequence of (sign, (a, b, c, d)) pairs, as a parsed
+    JSON PD code gives them, with the sign an int +1 or -1 and the arc
+    labels ints (never a bool or a float); anything else is refused as
+    an invalid PD code.
+    """
 
     crossings: tuple = ()
     free_loops: int = 0
 
     def __post_init__(self):
+        sequences = (list, tuple)
+        if not isinstance(self.crossings, sequences):
+            raise ValueError("invalid PD code: expected an array of [sign, [a, b, c, d]] crossings")
         norm = []
         seen = {}
         for entry in self.crossings:
+            if not (isinstance(entry, sequences) and len(entry) == 2 and isinstance(entry[1], sequences)):
+                raise ValueError("invalid PD code: a crossing must be [sign, [a, b, c, d]]")
             sign, arcs = entry
-            if sign not in (1, -1):
+            if type(sign) is not int or sign not in (1, -1):
                 raise ValueError("invalid PD code: crossing sign must be +1 or -1")
-            arcs = tuple(int(a) for a in arcs)
+            if any(type(a) is not int for a in arcs):
+                raise ValueError("invalid PD code: arc labels must be integers")
+            arcs = tuple(arcs)
             if len(arcs) != 4:
                 raise ValueError("invalid PD code: crossing needs 4 arc labels")
             for a in arcs:
                 seen[a] = seen.get(a, 0) + 1
-            norm.append((int(sign), arcs))
+            norm.append((sign, arcs))
         for a, count in sorted(seen.items()):
             if count != 2:
                 raise ValueError(
@@ -414,63 +427,19 @@ class TwoBraidSpec:
 
 def _x_matrix(spec: TwoBraidSpec):
     """Multiplication by x2 on the basis {1, x2, ..., x2^(N-1)} of
-    M = C[x2, a]/(dP/dx2), entries as {a-exponent: scalar}."""
+    M = C[x2, a]/(dP/dx2), as sparse scalar rows.  Every entry is a
+    monomial, and its a-exponent follows from the degrees: x2 maps
+    x2^c to a^e x2^r with 2c + 2 = 2r + 2ke."""
     N = spec.N
-    X = [[{} for _ in range(N)] for _ in range(N)]
-    for j in range(N - 1):
-        X[j + 1][j][0] = Fraction(1)
+    X = [{r - 1: 1} if r else {} for r in range(N)]
     # x2^N = -sum_j lambda_j (N+1-jk)/(N+1) a^j x2^(N-jk)
     for j, lam in spec.lambdas:
-        row = N - j * spec.k
-        X[row][N - 1][j] = -lam * Fraction(spec.N + 1 - j * spec.k, spec.N + 1)
+        X[N - j * spec.k][N - 1] = canonical(-lam * Fraction(N + 1 - j * spec.k, N + 1))
     return X
 
 
-def _poly_mat_mul(a, b):
-    n = len(a)
-    out = [[{} for _ in range(n)] for _ in range(n)]
-    for r in range(n):
-        for c in range(n):
-            acc = out[r][c]
-            for t in range(n):
-                left = a[r][t]
-                right = b[t][c]
-                if not left or not right:
-                    continue
-                for e1, s1 in left.items():
-                    for e2, s2 in right.items():
-                        e = e1 + e2
-                        s = acc.get(e, Fraction(0)) + s1 * s2
-                        if s:
-                            acc[e] = s
-                        elif e in acc:
-                            del acc[e]
-    return out
-
-
-def _poly_mat_power(m, power):
-    n = len(m)
-    out = [[{0: Fraction(1)} if r == c else {} for c in range(n)] for r in range(n)]
-    for _ in range(power):
-        out = _poly_mat_mul(out, m)
-    return out
-
-
-def _scalar_entries(poly_mat, negate=False):
-    """Collapse monomial entries to bare scalars (exponents are implied
-    by the degree bookkeeping of the enclosing complex), as sparse rows
-    of the nonzeros."""
-    out = []
-    for row in poly_mat:
-        new = {}
-        for c, entry in enumerate(row):
-            if len(entry) > 1:
-                raise InternalError("links", "entry is not a monomial")
-            if entry:
-                scalar = next(iter(entry.values()))
-                new[c] = -scalar if negate else scalar
-        out.append(new)
-    return tuple(out)
+def _negated(rows):
+    return tuple({c: -x for c, x in row.items()} for row in rows)
 
 
 def build_twobraid(spec: TwoBraidSpec) -> GradedComplex:
@@ -491,13 +460,13 @@ def build_twobraid(spec: TwoBraidSpec) -> GradedComplex:
             tuple(d - 4 * N - 4 - 2 * l for l in range(N - 1) for d in mdegs)
         ),
     }
-    power = _poly_mat_power(_x_matrix(spec), N - 1)
-    diff = HomMatrix(
-        ring,
-        modules[2].degrees,
-        modules[3].degrees,
-        _scalar_entries(power, negate=True),
-    )
+    X = power = _x_matrix(spec)
+    for _ in range(N - 2):
+        power = matmul(power, X)
+    diff = HomMatrix(ring, modules[2].degrees, modules[3].degrees, _negated(power))
+    bad = hom_matrix_validate(diff)
+    if bad is not None:
+        raise InternalError("links", "x2^(N-1) is not homogeneous at entry %r" % (bad,))
     return GradedComplex(ring, modules, {2: diff})
 
 
@@ -512,8 +481,7 @@ def build_twobraid_unreduced(spec: TwoBraidSpec) -> GradedComplex:
     src = tuple(d + 2 * j + 4 - 6 * N for j in range(N - 1) for d in mdegs)
     tgt_shifts = [2 * r + 4 - 6 * N for r in range(N - 2)] + [2 - 6 * N]
     tgt = tuple(d + shift for shift in tgt_shifts for d in mdegs)
-    X = _x_matrix(spec)
-    neg_x = _scalar_entries(X, negate=True)
+    neg_x = _negated(_x_matrix(spec))
     rows = [{} for _ in tgt]
 
     def fill(block_r, block_c, scalars):

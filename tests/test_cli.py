@@ -13,7 +13,6 @@ import random
 import re
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
@@ -225,6 +224,20 @@ class TestLink:
         b, _ = run(capsys, "link", "--braid", "1 1")
         assert json.loads(a) == json.loads(b)
 
+    @pytest.mark.parametrize(
+        "pd, message",
+        [
+            ("[1]", "a crossing must be [sign, [a, b, c, d]]"),
+            ("[[1,[1,2,2,1]],[1,null]]", "a crossing must be [sign, [a, b, c, d]]"),
+            ("[[true,[1,2,2,1]]]", "crossing sign must be +1 or -1"),
+            ("[[1,[1,2,2,1.5]]]", "arc labels must be integers"),
+            ('{"1": [1, 2, 2, 1]}', "expected an array of [sign, [a, b, c, d]] crossings"),
+        ],
+    )
+    def test_invalid_pd_code_exit_1(self, capsys, pd, message):
+        out, err = run(capsys, "link", "--pd", pd, expect=1)
+        assert out == "" and err == "error: invalid PD code: %s\n" % message
+
     def test_bad_lambdas_exit_1(self, capsys):
         _, err = run(capsys, "link", "--braid", "1 1 1", "--lambdas", "nope", expect=1)
         assert err == "error: --lambdas: cannot read 'nope', expected j=value such as 1=-3/2\n"
@@ -363,6 +376,46 @@ class TestStrictScalars:
         assert jsonio.page_from_json(doc).hat is False
 
 
+class TestStrictDegreeKeys:
+    """Each homological degree has one spelling as a key of modules or
+    differentials; any other key exits 1 with one line, instead of
+    being read by int() into a lost module or a colliding map."""
+
+    @pytest.mark.parametrize(
+        "modules, differentials, key",
+        [
+            ({"0": [0], "00": [2], "1_0": [4]}, {}, "00"),
+            ({"0": [0], "1_0": [4]}, {}, "1_0"),
+            ({"0": [4], "1": [0]}, {"0": [["1"]], "+0": [["0"]]}, "+0"),
+            ({"-0": [0]}, {}, "-0"),
+            ({" 1": [0]}, {}, " 1"),
+            ({"0": [0], "1": [0]}, {"0.0": [["1"]]}, "0.0"),
+        ],
+    )
+    def test_rejected_with_one_line(self, capsys, modules, differentials, key):
+        doc = json.dumps(
+            {"format": "tw/1", "type": "complex", "k": 1, "modules": modules, "differentials": differentials}
+        )
+        out, err = run(capsys, "decompose", doc, expect=1)
+        assert out == ""
+        assert err == 'error: malformed complex document: expected a degree key like "-1" or "2", got %s\n' % (
+            json.dumps(key)
+        )
+
+    def test_negative_and_multi_digit_degrees_accepted(self, capsys):
+        doc = json.dumps(
+            {"format": "tw/1", "type": "complex", "k": 1, "modules": {"-10": [4], "-9": [0], "10": [2]},
+             "differentials": {"-10": [["1"]]}}
+        )
+        out, _ = run(capsys, "decompose", doc)
+        assert json.loads(out)["free"] == [[10, 2]] and json.loads(out)["torsion"] == [[-9, 2, 0]]
+
+    def test_modules_must_be_an_object(self, capsys):
+        doc = json.dumps({"format": "tw/1", "type": "complex", "k": 1, "modules": []})
+        out, err = run(capsys, "decompose", doc, expect=1)
+        assert out == "" and err.startswith("error: malformed complex document: ") and err.count("\n") == 1
+
+
 class TestTopLevelArray:
     """Inline text starting with "[" is JSON, so an array is a wrong
     document, not a missing file."""
@@ -418,17 +471,19 @@ class TestInternalInvariants:
         assert re.fullmatch(r"error: internal error in couples: [^\n]+\n", err), err
 
     def test_links(self, capsys, monkeypatch):
-        power = self.links._poly_mat_power
+        # each product of the x2 power gains an entry at (0, 0); at
+        # N = 3, i = 1 it joins degrees 4 apart, and deg a = 6
+        matmul = self.links.matmul
 
-        def with_a_binomial(m, p):
-            out = power(m, p)
-            out[0][0] = {0: Fraction(1), 1: Fraction(1)}
+        def with_a_stray_entry(a, b):
+            out = matmul(a, b)
+            out[0][0] = 1
             return out
 
-        monkeypatch.setattr(self.links, "_poly_mat_power", with_a_binomial)
+        monkeypatch.setattr(self.links, "matmul", with_a_stray_entry)
         out, err = run(capsys, "twobraid", "--N", "3", "--i", "1", expect=5)
         assert out == ""
-        assert err == "error: internal error in links: entry is not a monomial\n"
+        assert err == "error: internal error in links: x2^(N-1) is not homogeneous at entry (0, 0)\n"
 
 
 class TestVerify:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twkit.algebra import HOM_POLY, PAGE, BigradedTable, canonical
+from twkit.algebra import HOM_POLY, PAGE, BigradedTable
 from twkit.complexes import InternalError, complex_from_data, direct_sum
 from twkit.corpus import conjugate, random_decomposition
 from twkit.decompose import (
@@ -22,7 +22,7 @@ from twkit.decompose import (
     thickness,
     torsion_width,
 )
-from twkit.exactla import column_index
+from twkit.exactla import canonical, column_index
 
 
 def torsion_fixture():

@@ -36,6 +36,11 @@ def dense(rows, ncols):
     return [[row.get(c, 0) for c in range(ncols)] for row in rows]
 
 
+def is_canonical(x):
+    """A nonzero int, or a Fraction that is not integral."""
+    return (type(x) is int and x != 0) or (type(x) is Fraction and x.denominator > 1)
+
+
 def vec(v, n):
     """A sparse vector as a dense list."""
     return dense([v], n)[0]
@@ -78,8 +83,44 @@ def test_row_reduce_pinned():
 def test_row_reduce_accepts_ints():
     rref, pivots = exactla.row_reduce([{0: 1, 1: 2}, {0: 2, 1: 4}])
     assert pivots == [0]
-    assert rref == [{0: F(1), 1: F(2)}, {}]
-    assert isinstance(rref[0][0], Fraction)
+    assert rref == [{0: 1, 1: 2}, {}]
+    assert all(type(x) is int for x in rref[0].values())
+
+
+def test_row_reduce_writes_canonical_values():
+    # integral Fractions in, ints out; the third row only turns
+    # integral by cancellation
+    rows = [{0: F(2), 1: F(3)}, {1: F(1, 2), 2: F(4)}, {0: F(1, 3), 2: F(5, 3)}]
+    rref, pivots = exactla.row_reduce(rows)
+    assert pivots == [0, 1, 2]
+    assert rref == [{0: 1}, {1: 1}, {2: 1}]
+    assert all(is_canonical(x) for row in rref for x in row.values())
+    rref, _ = exactla.row_reduce([{0: F(2), 1: F(1), 2: F(4)}, {1: F(1, 2), 2: F(-1)}])
+    assert rref == [{0: 1, 2: 3}, {1: 1, 2: -2}]
+    assert all(is_canonical(x) for row in rref for x in row.values())
+
+
+def test_clear_column_in_place():
+    """One pivot step: the other holders of the column lose the
+    multiple of the pivot row that clears it, fill-in joins the index,
+    cancelled entries leave it, and the ratios come back."""
+    rows = [{0: 2, 1: 1, 3: F(1, 2)}, {0: 4, 1: 2, 2: 1}, {0: 1, 3: F(-1, 4)}, {2: 5}]
+    holders = exactla.column_index(rows)
+    ratios = exactla.clear_column(rows, holders, 0, 0)
+    assert sorted(ratios) == [(1, 2), (2, F(1, 2))]
+    assert all(is_canonical(r) for _, r in ratios)
+    # row 1 cancels at column 1 and fills in at 3; row 2 fills in at
+    # 1 and its -1/4 - 1/4 turns integral
+    assert rows == [{0: 2, 1: 1, 3: F(1, 2)}, {2: 1, 3: -1}, {1: F(-1, 2), 3: F(-1, 2)}, {2: 5}]
+    assert all(is_canonical(x) for row in rows for x in row.values())
+    assert type(rows[1][3]) is int
+    assert {j: h for j, h in holders.items() if h} == exactla.column_index(rows)
+    # a unit pivot clears with the row's own entries as ratios
+    rows = [{0: -1, 1: 3}, {0: F(3, 2), 1: 1}]
+    holders = exactla.column_index(rows)
+    assert exactla.clear_column(rows, holders, 0, 0) == [(1, F(-3, 2))]
+    assert rows == [{0: -1, 1: 3}, {1: F(11, 2)}]
+    assert {j: h for j, h in holders.items() if h} == exactla.column_index(rows)
 
 
 def test_row_reduce_shapes():
@@ -197,7 +238,7 @@ def test_row_reduce_matches_dense_reference():
         frozen = [dict(row) for row in rows]
         rref, pivots = exactla.row_reduce(rows)
         assert (dense(rref, nc), pivots) == dense_row_reduce(mat)
-        assert all(type(x) is Fraction for row in rref for x in row.values())
+        assert all(is_canonical(x) for row in rref for x in row.values())
         assert len(rref) == len(rows)
         assert rows == frozen
         first_row_empty += bool(rows and not rows[0] and pivots)
@@ -215,6 +256,7 @@ def test_derived_helpers_match_dense_reference():
         assert exactla.pivot_columns(rows) == dense_pivot_columns(mat)
         kernel = exactla.kernel_basis(rows, nc)
         assert [vec(v, nc) for v in kernel] == dense_kernel_basis(mat, nc)
+        assert all(is_canonical(x) for v in kernel for x in v.values())
         assert [vec(v, nr) for v in exactla.image_basis(rows)] == dense_image_basis(mat)
         # right-hand sides in the column space and drawn at random
         xs = [[rng.randint(-2, 2) for _ in range(nc)] for _ in range(rng.randint(0, 2))]
@@ -299,7 +341,7 @@ def test_row_reduce_identity_stack():
         rref, pivots = exactla.row_reduce(rows)
         assert pivots == [row.index(1) for row in kept]
         assert dense(rref, 624) == [list(row) for row in kept] + [[0] * 624] * (600 - len(kept))
-        assert all(type(x) is Fraction for row in rref for x in row.values())
+        assert all(is_canonical(x) for row in rref for x in row.values())
         assert rows == frozen
 
 
@@ -322,5 +364,5 @@ def test_row_reduce_large_sparse_shapes():
         want_rref, want_pivots = dense_row_reduce(mat)
         assert pivots == want_pivots, name
         assert dense(rref, len(mat[0])) == want_rref, name
-        assert all(type(x) is Fraction for row in rref for x in row.values()), name
+        assert all(is_canonical(x) for row in rref for x in row.values()), name
         assert rows == frozen, name

@@ -257,9 +257,11 @@ def corpus_complexes(count_per_k=21):
 
 
 def assert_canonical(c):
-    """Every stored value is a nonzero int or a non-integral Fraction."""
-    for d in c.differentials.values():
-        for row in d.rows:
+    """Every value a graded or field complex stores is a nonzero int or
+    a non-integral Fraction."""
+    mats = c.mats if isinstance(c, FieldComplex) else {i: d.rows for i, d in c.differentials.items()}
+    for rows in mats.values():
+        for row in rows:
             for x in row.values():
                 assert (type(x) is int and x) or (type(x) is Fraction and x.denominator > 1), x
 
@@ -485,7 +487,16 @@ def test_integer_inputs_stay_exact():
     fc = FieldComplex({0: (0, 0), 1: (0, 0)}, {0: [{0: 2, 1: 1}, {0: 3, 1: 1}]})
     out = gaussian_eliminate(fc, 0, 0, 0)
     assert out.mats[0] == ({0: Fraction(-1, 2)},)
-    assert all(type(x) is Fraction for x in out.mats[0][0].values())
+    assert_canonical(out)
+    # integral Fractions in, and an entry that turns integral by
+    # cancellation: 7/4 - (3/4) 1 = 1
+    rows = [{0: Fraction(2), 1: 1}, {0: Fraction(3, 2), 1: Fraction(7, 4)}]
+    fc = FieldComplex({0: (0, 0), 1: (0, 0)}, {0: rows})
+    assert fc.mats[0][0] == {0: 2, 1: 1}
+    assert_canonical(fc)
+    out = gaussian_eliminate(fc, 0, 0, 0)
+    assert out.mats[0] == ({0: 1},)
+    assert_canonical(out)
 
     for c in corpus_complexes(4):
         as_fractions = GradedComplex(

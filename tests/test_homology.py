@@ -71,11 +71,11 @@ def reference_homology(degrees, mats, graded=True):
     return dims, reps, bnds, bigraded if graded else None
 
 
-def reference_first_differential(c):
+def reference_first_differential(c, degrees, homology):
     """(dims, rep_degrees, blocks): lift by dense matvec, project by a
-    dense solve on the dense transposed basis."""
-    degrees, mats = reference_reduce_mod_a(c)
-    dims, reps_by_degree, bnds, _ = reference_homology(degrees, mats)
+    dense solve on the dense transposed basis.  degrees and homology
+    are c's reference_reduce_mod_a degrees and their reference_homology."""
+    dims, reps_by_degree, bnds, _ = homology
     k = c.ring.k
     rep_degrees = {}
     for i, reps in reps_by_degree.items():
@@ -114,21 +114,27 @@ def reference_first_differential(c):
 # -- comparison ----------------------------------------------------------
 
 
-def dense(v, n):
-    """A sparse vector as a dense list; every stored value a nonzero Fraction."""
-    assert all(type(x) is Fraction and x for x in v.values()), v
-    assert all(0 <= j < n for j in v), v
-    return [v.get(j, 0) for j in range(n)]
-
-
 def is_canonical(x):
     """A nonzero int, or a Fraction that is not integral."""
     return (type(x) is int and x != 0) or (type(x) is Fraction and x.denominator > 1)
 
 
+def dense(v, n):
+    """A sparse vector as a dense list; every stored value canonical."""
+    assert all(is_canonical(x) for x in v.values()), v
+    assert all(0 <= j < n for j in v), v
+    return [v.get(j, 0) for j in range(n)]
+
+
+def assert_canonical_rows(fc):
+    assert all(is_canonical(x) for rows in fc.mats.values() for row in rows for x in row.values())
+
+
 def assert_homology_matches(fc, degrees, mats, graded=True):
+    """homology_field(fc) against the reference, which is returned."""
     hb = homology_field(fc)
-    dims, reps, bnds, bigraded = reference_homology(degrees, mats, graded)
+    reference = reference_homology(degrees, mats, graded)
+    dims, reps, bnds, bigraded = reference
     assert hb.dims == dims
     if graded:
         assert hb.bigraded.items() == sorted(bigraded.items())
@@ -138,7 +144,7 @@ def assert_homology_matches(fc, degrees, mats, graded=True):
         n = len(degrees[i])
         assert [dense(v, n) for v in hb.representatives[i]] == [list(v) for v in reps[i]], i
         assert [dense(v, n) for v in hb.boundaries[i]] == [list(v) for v in bnds[i]], i
-    return hb
+    return reference
 
 
 def assert_graded_matches(c):
@@ -149,9 +155,10 @@ def assert_graded_matches(c):
     assert fc.degrees == {i: tuple(v) for i, v in degrees.items() if v}
     for i in mats:
         assert fc.matrix(i) == mats[i], i
-    assert_homology_matches(fc, degrees, mats)
+    assert_canonical_rows(fc)
+    homology = assert_homology_matches(fc, degrees, mats)
     fd = first_differential(c)
-    dims, rep_degrees, blocks = reference_first_differential(c)
+    dims, rep_degrees, blocks = reference_first_differential(c, degrees, homology)
     assert (fd.dims, fd.rep_degrees) == (dims, rep_degrees)
     assert sorted(fd.blocks) == sorted(blocks)
     for i, block in blocks.items():
@@ -235,7 +242,7 @@ def test_hand_built_field_complexes(name, form):
     fc = FieldComplex(degrees, given)
     for i in mats:
         assert fc.matrix(i) == mats[i]
-    assert all(type(x) is Fraction and x for rows in fc.mats.values() for row in rows for x in row.values())
+    assert_canonical_rows(fc)
     assert_homology_matches(fc, degrees, mats)
     assert_homology_matches(FilteredFieldComplex(degrees, given), degrees, mats, graded=False)
 
