@@ -8,7 +8,10 @@ splitting follow the nonzeros.  The dense reference they replaced
 tests/test_graded_sparse.py) scans every cell of dense Fraction rows.
 Both run on the benchmark's link ladder (with the potential
 lambda_1 = -3/2), T(2,7) and T(3,4) with the standard potential, and
-the 2-braid at N = 10, 20 and 30 with i = N/2.  Every input is first
+the 2-braid at N = 10, 20 and 30 with i = N/2.  Each link comes twice:
+with the potential as given, whose cube carries the Fraction beta,
+and with its integral form (Sl2Potential.integral_form), whose cube
+keeps every entry an int, as `twkit link` builds it.  Every input is first
 checked: both validations accept it and both splittings return the
 same pieces in the same order.  Then, best of --repeats, it times the
 sparse build (which validates), validation alone both ways, and the
@@ -50,7 +53,8 @@ def builders():
     for word, strands, potential in LINKS:
         label = "link %s%s" % (word, "" if potential is LAMBDA else " (standard)")
         diagram = LinkDiagram.from_braid_text(word, strands)
-        out.append((label, lambda d=diagram, p=potential: build_sl2_cube(d, p)))
+        for form, p in (("", potential), (" int", potential.integral_form())):
+            out.append((label + form, lambda d=diagram, p=p: build_sl2_cube(d, p)))
     for N in TWOBRAID_N:
         spec = TwoBraidSpec.power_basis(N, N // 2)
         out.append(("2-braid N=%d i=%d" % (N, N // 2), lambda s=spec: build_twobraid(s)))
@@ -86,7 +90,7 @@ def main():
         check(label, c, mats)
         cases.append((label, build, c, mats))
 
-    header = "%-30s %5s  %8s  %10s  %10s  %7s  %10s  %10s  %7s" % (
+    header = "%-36s %5s  %8s  %10s  %10s  %7s  %10s  %10s  %7s" % (
         "input", "rank", "build", "ref valid", "validate", "speedup", "ref split", "split", "speedup"
     )
     print(header)
@@ -97,7 +101,7 @@ def main():
         v_new = best_of(lambda: GradedComplex(c.ring, c.modules, c.differentials), args.repeats)
         s_ref = best_of(lambda: reference_split_pieces(c, mats), args.repeats)
         s_new = best_of(lambda: _split_pieces(c), args.repeats)
-        print("%-30s %5d  %5.1f ms  %7.1f ms  %7.1f ms  %6.1fx  %7.1f ms  %7.1f ms  %6.1fx" % (
+        print("%-36s %5d  %5.1f ms  %7.1f ms  %7.1f ms  %6.1fx  %7.1f ms  %7.1f ms  %6.1fx" % (
             label, c.total_rank(), b_new * 1e3, v_ref * 1e3, v_new * 1e3, v_ref / v_new,
             s_ref * 1e3, s_new * 1e3, s_ref / s_new))
 

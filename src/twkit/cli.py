@@ -48,7 +48,7 @@ from .links import (
     build_twobraid,
     delta_battery,
 )
-from .pages import PageTable, assembled_pages, collapse_page, generic_pages
+from .pages import PageTable, assembled_page_list, assembled_pages, collapse_page, generic_pages
 from .recover import InconsistentPages, pages_from_decomposition, recover
 
 EXIT_OK = 0
@@ -185,10 +185,7 @@ def _full_report(c: GradedComplex) -> dict:
         "ht": ht,
         "lht": lht,
         "collapse_page": cp,
-        "pages": [
-            jsonio.page_to_data(assembled_pages(d, True, r))
-            for r in range(1, cp + 1)
-        ],
+        "pages": [jsonio.page_to_data(page) for page in assembled_page_list(d, True, range(1, cp + 1))],
         "delta_rank": sum(ranks.values()),
         "delta_ranks": {str(i): r for i, r in ranks.items()},
     }
@@ -244,15 +241,11 @@ def cmd_pages(args) -> int:
         raise SchemaError("--generic needs a complex document as input")
     fc = specialize_a_to_1(c) if args.generic else None
 
-    def page_at(r):
-        if args.module:
-            return assembled_pages(d, False, r)
-        if args.generic:
-            return generic_pages(fc, r)
-        return assembled_pages(d, True, r)
-
     if args.page is not None:
-        page = page_at(args.page)
+        if args.generic and not args.module:
+            page = generic_pages(fc, args.page)
+        else:
+            page = assembled_pages(d, not args.module, args.page)
         if args.format == "table":
             _emit("page r=%d:\n%s" % (page.r, render_page(page)))
         else:
@@ -264,17 +257,21 @@ def cmd_pages(args) -> int:
     # consumes, stable from position tau+1 on
     if args.module:
         raise SchemaError("--module needs an explicit --page index")
-    count = args.r_max if args.r_max is not None else len(pages_from_decomposition(d))
-    tables = [page_at(2 * d.k * (r - 1) + 1) for r in range(1, count + 1)]
+    seq = pages_from_decomposition(d).pages
+    count = args.r_max if args.r_max is not None else len(seq)
+    if args.generic:
+        hom = [generic_pages(fc, 2 * d.k * r + 1).table().to_hom_poly() for r in range(count)]
+    else:
+        # the closed-form sequence ends on its stable page
+        hom = [seq[min(r, len(seq) - 1)] for r in range(count)]
     if args.format == "table":
+        pages = [PageTable(2 * d.k * n + 1, t.to_page().items()) for n, t in enumerate(hom)]
         chunks = [
-            "page %d (filtered index %d):\n%s"
-            % (n + 1, p.r, render_page(p))
-            for n, p in enumerate(tables)
+            "page %d (filtered index %d):\n%s" % (n + 1, p.r, render_page(p))
+            for n, p in enumerate(pages)
         ]
         _emit("\n\n".join(chunks))
     else:
-        hom = [p.table().to_hom_poly() for p in tables]
         _emit(jsonio.dumps(jsonio.raw_pages_to_data(d.k, hom)))
     return EXIT_OK
 
@@ -295,8 +292,7 @@ def cmd_couple(args) -> int:
     r_lo = r_hi = args.r if args.r is not None else None
     if r_lo is None:
         r_lo, r_hi = 1, (args.r_max if args.r_max is not None else torsion_width(d) + 2)
-    dumps = []
-    texts = []
+    pages = []
     for r in range(r_lo, r_hi + 1):
         if r == r_lo:
             table = couple_pages(couple, r)
@@ -315,13 +311,11 @@ def cmd_couple(args) -> int:
         else:
             label = r
             entries = dict(table.to_page().items())
-        page = PageTable(label, entries, True)
-        dumps.append(jsonio.page_to_data(page))
-        texts.append("page r=%d:\n%s" % (label, render_page(page)))
+        pages.append(PageTable(label, entries, True))
     if args.format == "table":
-        _emit("\n\n".join(texts))
+        _emit("\n\n".join("page r=%d:\n%s" % (page.r, render_page(page)) for page in pages))
     else:
-        _emit("\n".join(jsonio.dumps(x) for x in dumps))
+        _emit("\n".join(jsonio.dumps(jsonio.page_to_data(page)) for page in pages))
     return EXIT_OK
 
 
@@ -358,6 +352,13 @@ def cmd_twobraid(args) -> int:
 
 
 def cmd_link(args) -> int:
+    """Report of the sl(2) cube, built over the integral form of the
+    potential.  The report reads only the isomorphism class of the
+    homology as a graded C[a]-module (its decomposition into k[a]{s}
+    and k[a]/(a^m){s}), and the degree-preserving automorphism
+    a -> c a that relates the two cubes keeps that class; over the
+    integral form every entry stays an int.
+    """
     if args.braid is not None:
         diagram = LinkDiagram.from_braid_text(args.braid, args.strands)
     elif args.pd is not None:
@@ -373,10 +374,10 @@ def cmd_link(args) -> int:
     else:
         raise SchemaError("need --braid or --pd")
     if args.lambdas is not None:
-        potential = Sl2Potential(args.k, _parse_lambdas(args.lambdas))
+        potential = Sl2Potential(2 if args.k is None else args.k, _parse_lambdas(args.lambdas))
     else:
         potential = Sl2Potential.standard()
-    rep = _full_report(build_sl2_cube(diagram, potential))
+    rep = _full_report(build_sl2_cube(diagram, potential.integral_form()))
     _emit(_render_report(rep) if args.format == "table" else jsonio.dumps(rep))
     return EXIT_OK
 
@@ -544,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strands", type=int, default=None)
     p.add_argument("--pd", default=None, help="PD code JSON: [[sign,[a,b,c,d]],...] or a path")
     p.add_argument("--free-loops", type=int, default=0)
-    p.add_argument("--k", type=int, default=2, choices=(1, 2))
+    p.add_argument("--k", type=int, default=None, choices=(1, 2), help="half the degree of a (default 2; needs --lambdas)")
     p.add_argument("--lambdas", default=None, help='potential coefficients, e.g. "1=-1"')
     add_common(p)
     p.set_defaults(func=cmd_link)
@@ -569,6 +570,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "coefficient", None) is not None and args.i is None:
         parser.error("twobraid: --coefficient applies only with --i")
+    if args.subcommand == "link" and args.k is not None and args.lambdas is None:
+        parser.error("link: --k applies only with --lambdas")
     try:
         if getattr(args, "r_max", None) is not None and args.r_max < 1:
             raise SchemaError("%s pages start at r = 1: --r-max must be at least 1" % args.subcommand)

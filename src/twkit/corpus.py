@@ -23,7 +23,7 @@ from .decompose import (
 )
 from .pages import (
     PageTable,
-    assembled_pages,
+    assembled_page_list,
     collapse_page,
     generic_pages,
     piece_pages,
@@ -164,8 +164,7 @@ def cross_checks(d: Decomposition, rng: random.Random = None):
 
     r_hi = 2 * k * tw + 3
     generic = []
-    for r in range(1, r_hi + 1):
-        a = assembled_pages(d, True, r)
+    for r, a in enumerate(assembled_page_list(d, True, range(1, r_hi + 1)), 1):
         g = generic_pages(fc, r)
         s = summed_piece_pages(d, True, r)
         generic.append(g)

@@ -565,13 +565,14 @@ def correspondence_check(d: Decomposition, r_max: int, tables=None) -> Correspon
     for some n >= r_max, so a caller that needs the pages elsewhere
     derives the couple once.
     """
-    from .pages import assembled_pages
+    from .pages import assembled_page_list
 
     if tables is None:
         tables = couple_tables(d, r_max)
-    for r in range(1, r_max + 1):
+    pages = assembled_page_list(d, True, (2 * d.k * r + 1 for r in range(r_max)))
+    for r, page in enumerate(pages, 1):
         lhs = tables[r - 1].to_page()
-        rhs = assembled_pages(d, True, 2 * d.k * (r - 1) + 1).table()
+        rhs = page.table()
         if lhs != rhs:
             return CorrespondenceResult(False, r_max, r)
     return CorrespondenceResult(True, r_max)

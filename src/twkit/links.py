@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product, zip_longest
+from math import lcm
 
 from .algebra import GradedFreeModule, GradedRing, HomMatrix, add_to_row, hom_matrix_validate
 from .complexes import (
@@ -241,11 +242,32 @@ class Sl2Potential:
             beta = None
         return alpha, beta
 
+    def integral_form(self) -> "Sl2Potential":
+        """P(x, c a), for c the lcm of the denominators of x_square()'s
+        scalars: its alpha c and beta c^e (e the a-exponent of beta) are
+        integers.  self when alpha and beta already are.
+
+        Substituting c a for a scales each a^e entry of the cube by
+        c^e: it applies the degree-preserving automorphism a -> c a of
+        C[a] to the complex.  That automorphism keeps k[a]{s} and takes
+        k[a]/(a^m){s} to k[a]/((c a)^m){s} = k[a]/(a^m){s}, so both
+        cubes have the same decomposition, and with it the same pages,
+        tw and collapse page; d_1 only scales by c, so its ranks agree
+        too.  Every entry of the integral cube is an int.
+        """
+        c = 1
+        for part in self.x_square():
+            if part is not None:
+                c = lcm(c, part[0].denominator)
+        if c == 1:
+            return self
+        return Sl2Potential(self.k, tuple((j, coeff * c**j) for j, coeff in self.lambdas))
+
 
 def build_sl2_cube(diagram: LinkDiagram, potential: Sl2Potential) -> GradedComplex:
     """The cube complex of a diagram over C[a] at N = 2."""
     ring = GradedRing(potential.k)
-    alpha, beta = potential.x_square()
+    alpha, beta = (None if part is None else canonical(part[0]) for part in potential.x_square())
     crossings = diagram.crossings
     n = len(crossings)
     signs = [s for s, _ in crossings]
@@ -321,9 +343,9 @@ def build_sl2_cube(diagram: LinkDiagram, potential: Sl2Potential) -> GradedCompl
                         terms.append((1, 1))
                     else:
                         if alpha is not None:
-                            terms.append((1, alpha[0]))
+                            terms.append((1, alpha))
                         if beta is not None:
-                            terms.append((0, beta[0]))
+                            terms.append((0, beta))
                     col = src_off + bit_index(bits)
                     for joined_bit, scalar in terms:
                         tgt = list(tgt_base)
@@ -349,11 +371,11 @@ def build_sl2_cube(diagram: LinkDiagram, potential: Sl2Potential) -> GradedCompl
                         terms.append(((0, 1), 1))
                         terms.append(((1, 0), 1))
                         if alpha is not None:
-                            terms.append(((0, 0), -alpha[0]))
+                            terms.append(((0, 0), -alpha))
                     else:
                         terms.append(((1, 1), 1))
                         if beta is not None:
-                            terms.append(((0, 0), beta[0]))
+                            terms.append(((0, 0), beta))
                     col = src_off + bit_index(bits)
                     for (b1, b2), scalar in terms:
                         tgt = list(tgt_base)

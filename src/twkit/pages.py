@@ -173,12 +173,24 @@ def assembled_pages(d: Decomposition, hat: bool, r: int) -> PageTable:
     Restricted to r >= 1: the zeroth page depends on the presentation,
     not just the decomposition.
     """
-    if r < 1:
+    (page,) = assembled_page_list(d, hat, (r,))
+    return page
+
+
+def assembled_page_list(d: Decomposition, hat: bool, rs) -> list:
+    """[assembled_pages(d, hat, r) for r in rs], with the free part
+    built once: a free piece shows the same class on every page."""
+    rs = list(rs)
+    if any(r < 1 for r in rs):
         raise ValueError("assembled pages start at r = 1")
     counts = BigradedTable([(piece, 1) for piece in d.free_pieces], HOM_POLY)
-    free = boxtimes(counts, piece_pages((0, 0), hat, r, d.k))
-    torsion = (item for piece in d.torsion_pieces for item in piece_pages(piece, hat, r, d.k).items())
-    return PageTable(r, chain(free.items(), torsion), hat)
+    free = boxtimes(counts, piece_pages((0, 0), hat, 1, d.k)).items()
+
+    def page(r):
+        torsion = (item for piece in d.torsion_pieces for item in piece_pages(piece, hat, r, d.k).items())
+        return PageTable(r, chain(free, torsion), hat)
+
+    return [page(r) for r in rs]
 
 
 def generic_pages(c: FilteredFieldComplex, r: int) -> PageTable:

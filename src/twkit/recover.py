@@ -156,7 +156,7 @@ def pages_from_decomposition(d: Decomposition, use_couple: bool = False) -> Page
     """Generate [E^(1), ..., E^(tau+1)] from a decomposition, either
     from the closed forms or by deriving the model couple; the last
     page repeats once the sequence has stabilized at tw+1."""
-    from .pages import assembled_pages
+    from .pages import assembled_page_list
 
     tw = torsion_width(d)
     if use_couple:
@@ -164,10 +164,8 @@ def pages_from_decomposition(d: Decomposition, use_couple: bool = False) -> Page
 
         seq = couple_tables(d, tw + 1)
     else:
-        seq = [
-            assembled_pages(d, True, 2 * d.k * (r - 1) + 1).table().to_hom_poly()
-            for r in range(1, tw + 2)
-        ]
+        pages = assembled_page_list(d, True, (2 * d.k * r + 1 for r in range(tw + 1)))
+        seq = [page.table().to_hom_poly() for page in pages]
     return padded_sequence(d.k, seq)
 
 

@@ -242,6 +242,20 @@ class TestLink:
         _, err = run(capsys, "link", "--braid", "1 1 1", "--lambdas", "nope", expect=1)
         assert err == "error: --lambdas: cannot read 'nope', expected j=value such as 1=-3/2\n"
 
+    @pytest.mark.parametrize("k", ["1", "2"])
+    def test_k_without_lambdas_is_a_usage_error(self, capsys, k):
+        with pytest.raises(SystemExit) as exc:
+            main(["link", "--braid", "1 1 1", "--k", k])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines()[-1] == "twkit: error: link: --k applies only with --lambdas"
+
+    def test_lambdas_without_k_reads_k_2(self, capsys):
+        a, _ = run(capsys, "link", "--braid", "1 1 1", "--lambdas", "1=-1")
+        b, _ = run(capsys, "link", "--braid", "1 1 1", "--k", "2", "--lambdas", "1=-1")
+        c, _ = run(capsys, "link", "--braid", "1 1 1")
+        assert a == b == c and json.loads(a)["k"] == 2
+
 
 class TestDelta:
     def test_json(self, capsys):
