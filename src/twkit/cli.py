@@ -31,7 +31,7 @@ from .complexes import (
     specialize_a_to_1,
 )
 from .corpus import item_seeds, verify_item
-from .couples import InsufficientWindow, couple_from_decomposition, couple_pages
+from .couples import InsufficientWindow, couple_tables
 from .decompose import (
     Decomposition,
     decompose,
@@ -288,19 +288,14 @@ def cmd_recover(args) -> int:
 
 def cmd_couple(args) -> int:
     d, _ = _load_decomposition(args.input)
-    couple = couple_from_decomposition(d)
-    r_lo = r_hi = args.r if args.r is not None else None
-    if r_lo is None:
+    if args.r is not None:
+        r_lo = r_hi = args.r
+    else:
         r_lo, r_hi = 1, (args.r_max if args.r_max is not None else torsion_width(d) + 2)
+    if r_lo < 1:
+        raise ValueError("couple pages start at r = 1")
     pages = []
-    for r in range(r_lo, r_hi + 1):
-        if r == r_lo:
-            table = couple_pages(couple, r)
-        else:
-            # only a range has further pages, and it starts at r_lo = 1
-            # with couple underived: each further page is one derivation
-            couple = couple.derive()
-            table = couple.e_table()
+    for r, table in enumerate(couple_tables(d, r_hi)[r_lo - 1:], r_lo):
         if args.hat_index:
             # E-hat position (q, p - q) at page 2k(r-1)+1 carries the
             # same dimension as the derived-couple page r at (p, q)
@@ -370,7 +365,7 @@ def cmd_link(args) -> int:
             entries = json.loads(raw)
         except json.JSONDecodeError as e:
             raise SchemaError("cannot parse PD JSON: %s" % e)
-        diagram = LinkDiagram(entries, args.free_loops)
+        diagram = LinkDiagram(entries, args.free_loops or 0)
     else:
         raise SchemaError("need --braid or --pd")
     if args.lambdas is not None:
@@ -544,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--braid", default=None, help='braid word, e.g. "s1 s1 s1" or "1 1 1"')
     p.add_argument("--strands", type=int, default=None)
     p.add_argument("--pd", default=None, help="PD code JSON: [[sign,[a,b,c,d]],...] or a path")
-    p.add_argument("--free-loops", type=int, default=0)
+    p.add_argument("--free-loops", type=int, default=None, help="crossingless loops beside a --pd code (default 0)")
     p.add_argument("--k", type=int, default=None, choices=(1, 2), help="half the degree of a (default 2; needs --lambdas)")
     p.add_argument("--lambdas", default=None, help='potential coefficients, e.g. "1=-1"')
     add_common(p)
@@ -565,13 +560,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (subcommand, option, other option, whether the option needs the
+# other): an option that would be ignored is a usage error, never
+# dropped silently
+OPTION_RULES = (
+    ("twobraid", "coefficient", "i", True),
+    ("twobraid", "k", "i", False),
+    ("twobraid", "lambdas", "i", False),
+    ("link", "k", "lambdas", True),
+    ("link", "pd", "braid", False),
+    ("link", "strands", "braid", True),
+    ("link", "free_loops", "pd", True),
+    ("couple", "r_max", "r", False),
+    ("pages", "r_max", "page", False),
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "coefficient", None) is not None and args.i is None:
-        parser.error("twobraid: --coefficient applies only with --i")
-    if args.subcommand == "link" and args.k is not None and args.lambdas is None:
-        parser.error("link: --k applies only with --lambdas")
+    for subcommand, option, other, needs in OPTION_RULES:
+        if args.subcommand != subcommand or getattr(args, option) is None:
+            continue
+        if (getattr(args, other) is not None) != needs:
+            parser.error("%s: --%s applies only %s --%s" % (
+                subcommand, option.replace("_", "-"), "with" if needs else "without", other))
     try:
         if getattr(args, "r_max", None) is not None and args.r_max < 1:
             raise SchemaError("%s pages start at r = 1: --r-max must be at least 1" % args.subcommand)

@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import product, zip_longest
 from math import lcm
 
-from .algebra import GradedFreeModule, GradedRing, HomMatrix, add_to_row, hom_matrix_validate
+from .algebra import GradedFreeModule, GradedRing, HomMatrix, hom_matrix_validate
 from .complexes import (
     ComplexError,
     FirstDifferential,
@@ -264,136 +264,101 @@ class Sl2Potential:
         return Sl2Potential(self.k, tuple((j, coeff * c**j) for j, coeff in self.lambdas))
 
 
-def build_sl2_cube(diagram: LinkDiagram, potential: Sl2Potential) -> GradedComplex:
-    """The cube complex of a diagram over C[a] at N = 2."""
-    ring = GradedRing(potential.k)
-    alpha, beta = (None if part is None else canonical(part[0]) for part in potential.x_square())
-    crossings = diagram.crossings
-    n = len(crossings)
-    signs = [s for s, _ in crossings]
-    w = diagram.writhe
-    loops = diagram.free_loops
+def _frobenius(alpha, beta):
+    """The merge m and the split Delta of x^2 = alpha x + beta in one
+    table, on the basis 1 (bit 0) and x (bit 1): {states of the circles
+    going in: [(states of the circles coming out, scalar)]}, two
+    circles going in for m and one for Delta, zero scalars left out."""
+    table = {
+        (0, 0): [((0,), 1)],
+        (0, 1): [((1,), 1)],
+        (1, 0): [((1,), 1)],
+        (1, 1): [((1,), alpha), ((0,), beta)],
+        (0,): [((0, 1), 1), ((1, 0), 1), ((0, 0), -alpha)],
+        (1,): [((1, 1), 1), ((0, 0), beta)],
+    }
+    return {bits: [(out, x) for out, x in terms if x] for bits, terms in table.items()}
 
-    vertices = sorted(product((0, 1), repeat=n))
+
+def build_sl2_cube(diagram: LinkDiagram, potential: Sl2Potential) -> GradedComplex:
+    """The cube complex of a diagram over C[a] at N = 2.
+
+    A generator is a vertex with a tensor state of its circles, then
+    its free loops: an int whose bits, circle 0 the most significant,
+    give each circle 1 (bit 0) or x (bit 1).  On the edge v -> u at
+    crossing c the circles through c's arcs merge (two into one) or
+    split (one into two) by the Frobenius table; every other circle
+    carries its bit across.
+    """
+    alpha, beta = (0 if part is None else canonical(part[0]) for part in potential.x_square())
+    frobenius = _frobenius(alpha, beta)
+    crossings = diagram.crossings
+    loops = diagram.free_loops
+    negative = sum(1 for s, _ in crossings if s < 0)
+    vertices = sorted(product((0, 1), repeat=len(crossings)))
     circ = {v: _resolution_circles(crossings, v) for v in vertices}
 
-    def hbar(v):
-        return sum(1 for c in range(n) if signs[c] > 0 and v[c] == 1) - sum(
-            1 for c in range(n) if signs[c] < 0 and v[c] == 0
-        )
-
-    def factors(v):
-        return circ[v][0] + loops
-
     # global generator layout: vertices in sorted order within each
-    # homological degree, tensor bits most-significant-first
+    # homological degree -hbar(v), hbar(v) = sum(v) - negative, then
+    # tensor states in increasing order
     degree_lists = {}
     offsets = {}
     for v in vertices:
-        i = -hbar(v)
-        block = degree_lists.setdefault(i, [])
+        hbar = sum(v) - negative
+        block = degree_lists.setdefault(-hbar, [])
         offsets[v] = len(block)
-        shift = w + hbar(v)
-        for bits in product((0, 1), repeat=factors(v)):
-            block.append(shift + sum(1 if b else -1 for b in bits))
+        m = circ[v][0] + loops
+        block.extend(diagram.writhe + hbar - m + 2 * s.bit_count() for s in range(1 << m))
 
-    def bit_index(bits):
-        idx = 0
-        for b in bits:
-            idx = (idx << 1) | b
-        return idx
-
-    mats = {}
-    for i, degs in degree_lists.items():
-        if i + 1 in degree_lists:
-            mats[i] = [{} for _ in degree_lists[i + 1]]
-
+    mats = {i: [{} for _ in degree_lists[i + 1]] for i in degree_lists if i + 1 in degree_lists}
+    # the Frobenius table with its outputs as bit masks on u's states
+    # and its scalars signed, for each (circles going in, circles coming
+    # out, factors of u, sign) of an edge
+    edge_terms = {}
     for v in vertices:
-        for c in range(n):
-            if v[c] != 1:
+        cv, lv = circ[v]
+        rows = mats.get(negative - sum(v))
+        for c, (_, quad) in enumerate(crossings):
+            if not v[c]:
                 continue
             u = v[:c] + (0,) + v[c + 1:]
-            sgn = -1 if sum(1 for cc in range(c) if v[cc] == 0) % 2 else 1
-            cv, lv = circ[v]
             cu, lu = circ[u]
-            back = {}
-            for arc, cj in lu.items():
-                back.setdefault(cj, set()).add(lv[arc])
-            rows = mats[-hbar(v)]
-            src_off = offsets[v]
+            mu = cu + loops
+            ins = sorted({lv[a] for a in quad})
+            outs = tuple(sorted({lu[a] for a in quad}))
+            if {len(ins), len(outs)} != {1, 2}:
+                raise ComplexError("invalid PD code: resolution change is not a merge or split")
+            sgn = -1 if v[:c].count(0) % 2 else 1
+            key = (len(ins), outs, mu, sgn)
+            if key not in edge_terms:
+                place = lambda out: sum(b << (mu - 1 - o) for b, o in zip(out, outs))
+                edge_terms[key] = {
+                    bits: [(place(out), sgn * x) for out, x in terms]
+                    for bits, terms in frobenius.items()
+                    if len(bits) == len(ins)
+                }
+            terms = edge_terms[key]
+            # each state's bits carried into u, and its states going in
+            moves = {lv[a]: lu[a] for a in lv}
+            moves.update((cv + t, cu + t) for t in range(loops))
+            images = [(0, ())]
+            for j in range(cv + loops):
+                if j in ins:
+                    images = [(t, bits + (b,)) for t, bits in images for b in (0, 1)]
+                else:
+                    bit = 1 << (mu - 1 - moves[j])
+                    images = [(t | b, bits) for t, bits in images for b in (0, bit)]
             tgt_off = offsets[u]
-            mv = factors(v)
-            mu = factors(u)
-            if cu == cv - 1:
-                (join_cj, pair) = next(
-                    (cj, sorted(srcs)) for cj, srcs in back.items() if len(srcs) == 2
-                )
-                for bits in product((0, 1), repeat=mv):
-                    tgt_base = [0] * mu
-                    for cj, srcs in back.items():
-                        if cj != join_cj:
-                            tgt_base[cj] = bits[next(iter(srcs))]
-                    for t in range(loops):
-                        tgt_base[cu + t] = bits[cv + t]
-                    total = bits[pair[0]] + bits[pair[1]]
-                    terms = []
-                    if total == 0:
-                        terms.append((0, 1))
-                    elif total == 1:
-                        terms.append((1, 1))
-                    else:
-                        if alpha is not None:
-                            terms.append((1, alpha))
-                        if beta is not None:
-                            terms.append((0, beta))
-                    col = src_off + bit_index(bits)
-                    for joined_bit, scalar in terms:
-                        tgt = list(tgt_base)
-                        tgt[join_cj] = joined_bit
-                        add_to_row(rows[tgt_off + bit_index(tgt)], col, sgn * scalar)
-            elif cu == cv + 1:
-                fwd = {}
-                for cj, srcs in back.items():
-                    for s in srcs:
-                        fwd.setdefault(s, []).append(cj)
-                (split_ci, out_pair) = next(
-                    (s, sorted(ts)) for s, ts in fwd.items() if len(ts) == 2
-                )
-                for bits in product((0, 1), repeat=mv):
-                    tgt_base = [0] * mu
-                    for ci in range(cv):
-                        if ci != split_ci:
-                            tgt_base[fwd[ci][0]] = bits[ci]
-                    for t in range(loops):
-                        tgt_base[cu + t] = bits[cv + t]
-                    terms = []
-                    if bits[split_ci] == 0:
-                        terms.append(((0, 1), 1))
-                        terms.append(((1, 0), 1))
-                        if alpha is not None:
-                            terms.append(((0, 0), -alpha))
-                    else:
-                        terms.append(((1, 1), 1))
-                        if beta is not None:
-                            terms.append(((0, 0), beta))
-                    col = src_off + bit_index(bits)
-                    for (b1, b2), scalar in terms:
-                        tgt = list(tgt_base)
-                        tgt[out_pair[0]] = b1
-                        tgt[out_pair[1]] = b2
-                        add_to_row(rows[tgt_off + bit_index(tgt)], col, sgn * scalar)
-            else:
-                raise ComplexError(
-                    "invalid PD code: resolution change is not a merge or split"
-                )
+            for col, (t, bits) in enumerate(images, offsets[v]):
+                for mask, x in terms[bits]:
+                    rows[tgt_off + (t | mask)][col] = x
 
-    modules = {
-        i: GradedFreeModule(tuple(degs)) for i, degs in degree_lists.items() if degs
+    ring = GradedRing(potential.k)
+    modules = {i: GradedFreeModule(tuple(degs)) for i, degs in degree_lists.items()}
+    diffs = {
+        i: HomMatrix(ring, modules[i].degrees, modules[i + 1].degrees, tuple(rows))
+        for i, rows in mats.items()
     }
-    diffs = {}
-    for i, rows in mats.items():
-        if rows:
-            diffs[i] = HomMatrix(ring, modules[i].degrees, modules[i + 1].degrees, tuple(rows))
     return GradedComplex(ring, modules, diffs)
 
 

@@ -152,21 +152,14 @@ def recover(ps: PageSequence) -> Decomposition:
     return Decomposition(k=k, free_pieces=free_pieces, torsion_pieces=torsion_pieces)
 
 
-def pages_from_decomposition(d: Decomposition, use_couple: bool = False) -> PageSequence:
-    """Generate [E^(1), ..., E^(tau+1)] from a decomposition, either
-    from the closed forms or by deriving the model couple; the last
-    page repeats once the sequence has stabilized at tw+1."""
+def pages_from_decomposition(d: Decomposition) -> PageSequence:
+    """Generate [E^(1), ..., E^(tau+1)] from a decomposition by the
+    closed forms; the last page repeats once the sequence has
+    stabilized at tw+1."""
     from .pages import assembled_page_list
 
-    tw = torsion_width(d)
-    if use_couple:
-        from .couples import couple_tables
-
-        seq = couple_tables(d, tw + 1)
-    else:
-        pages = assembled_page_list(d, True, (2 * d.k * r + 1 for r in range(tw + 1)))
-        seq = [page.table().to_hom_poly() for page in pages]
-    return padded_sequence(d.k, seq)
+    pages = assembled_page_list(d, True, (2 * d.k * r + 1 for r in range(torsion_width(d) + 1)))
+    return padded_sequence(d.k, [page.table().to_hom_poly() for page in pages])
 
 
 def padded_sequence(k: int, seq) -> PageSequence:
@@ -179,6 +172,6 @@ def padded_sequence(k: int, seq) -> PageSequence:
     return PageSequence(k, seq)
 
 
-def roundtrip(d: Decomposition, use_couple: bool = False) -> bool:
+def roundtrip(d: Decomposition) -> bool:
     """recover(pages of d) == d."""
-    return recover(pages_from_decomposition(d, use_couple)) == d
+    return recover(pages_from_decomposition(d)) == d

@@ -45,9 +45,9 @@ def homology():
 
 def complexes():
     bench = harness("bench_complexes")
-    label, build = bench.builders()[0]
+    label, build, reference = bench.builders()[0]
     c = build()
-    bench.check(label, c, bench.dense_mats(c))
+    bench.check(label, c, bench.dense_mats(c), reference)
 
 
 SMALLEST = {

@@ -40,6 +40,15 @@ def run(capsys, *argv, expect=0):
     return out, err
 
 
+def usage_error(capsys, argv, message):
+    """argv exits 2 on the one usage line "twkit: error: <message>"."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[-1] == "twkit: error: " + message
+
+
 def run_proc(*argv, stdin=None, env_extra=None):
     env = dict(os.environ)
     if env_extra:
@@ -133,6 +142,10 @@ class TestPagesAndRecover:
     def test_module_requires_page(self, capsys):
         run(capsys, "pages", TORSION_CX, "--module", expect=1)
 
+    def test_r_max_beside_page_is_a_usage_error(self, capsys):
+        usage_error(capsys, ["pages", TORSION_CX, "--page", "3", "--r-max", "2"],
+                    "pages: --r-max applies only without --page")
+
 
 class TestCouple:
     def test_page_lines(self, capsys):
@@ -171,6 +184,10 @@ class TestCouple:
         _, err = run(capsys, "couple", TORSION_CX, "--r", "0", expect=1)
         assert err == "error: couple pages start at r = 1\n"
 
+    def test_r_max_beside_r_is_a_usage_error(self, capsys):
+        usage_error(capsys, ["couple", TORSION_CX, "--r", "2", "--r-max", "3"],
+                    "couple: --r-max applies only without --r")
+
 
 class TestTwoBraid:
     def test_report(self, capsys):
@@ -208,6 +225,11 @@ class TestTwoBraid:
             main(["twobraid", "--N", "4", "--k", "2", "--lambdas", "2=1", "--coefficient", "3"])
         assert exc.value.code == 2
         assert "--coefficient applies only with --i" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, value", [("--k", "2"), ("--lambdas", "1=1")])
+    def test_general_potential_beside_i_is_a_usage_error(self, capsys, option, value):
+        usage_error(capsys, ["twobraid", "--N", "3", "--i", "2", option, value],
+                    "twobraid: %s applies only without --i" % option)
 
 
 class TestLink:
@@ -249,6 +271,25 @@ class TestLink:
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == "" and err.splitlines()[-1] == "twkit: error: link: --k applies only with --lambdas"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--braid", "1 1", "--free-loops", "2"], "link: --free-loops applies only with --pd"),
+            (["--braid", "1 1", "--pd", "[[1,[1,3,2,0]],[1,[3,1,0,2]]]"], "link: --pd applies only without --braid"),
+            (["--pd", "[[1,[1,3,2,0]],[1,[3,1,0,2]]]", "--strands", "3"], "link: --strands applies only with --braid"),
+        ],
+    )
+    def test_ignored_diagram_option_is_a_usage_error(self, capsys, argv, message):
+        usage_error(capsys, ["link"] + argv, message)
+
+    def test_free_loops_with_pd(self, capsys):
+        pd = json.dumps([[1, [1, 3, 2, 0]], [1, [3, 1, 0, 2]]])
+        a, _ = run(capsys, "link", "--pd", pd, "--free-loops", "1")
+        b, _ = run(capsys, "link", "--braid", "1 1", "--strands", "3")
+        c, _ = run(capsys, "link", "--pd", pd, "--free-loops", "0")
+        d, _ = run(capsys, "link", "--pd", pd)
+        assert a == b and c == d and a != c
 
     def test_lambdas_without_k_reads_k_2(self, capsys):
         a, _ = run(capsys, "link", "--braid", "1 1 1", "--lambdas", "1=-1")

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from twkit.algebra import HOM_POLY, PAGE, BigradedTable
 from twkit.corpus import random_decomposition
-from twkit.decompose import Decomposition
+from twkit.couples import couple_tables
+from twkit.decompose import Decomposition, torsion_width
 from twkit.recover import (
     InconsistentPages,
     PageSequence,
+    padded_sequence,
     pages_from_decomposition,
     recover,
     roundtrip,
@@ -20,6 +22,12 @@ from twkit.recover import (
 
 def T(entries):
     return BigradedTable(entries, HOM_POLY)
+
+
+def couple_sequence(d):
+    """The page sequence read off the derived model couple of d, as
+    corpus.cross_checks builds it."""
+    return padded_sequence(d.k, couple_tables(d, torsion_width(d) + 1))
 
 
 class TestPageSequence:
@@ -118,8 +126,8 @@ class TestPagesFromDecomposition:
         rng = random.Random(50)
         for _ in range(8):
             d = random_decomposition(rng)
-            a = pages_from_decomposition(d, use_couple=False)
-            b = pages_from_decomposition(d, use_couple=True)
+            a = pages_from_decomposition(d)
+            b = couple_sequence(d)
             assert a.k == b.k and len(a) == len(b)
             assert all(a.page(r) == b.page(r) for r in range(1, len(a) + 1))
 
@@ -134,4 +142,5 @@ def test_roundtrip_property(seed):
 def test_roundtrip_couple_sample():
     rng = random.Random(51)
     for _ in range(6):
-        assert roundtrip(random_decomposition(rng), use_couple=True)
+        d = random_decomposition(rng)
+        assert recover(couple_sequence(d)) == d
