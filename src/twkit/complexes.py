@@ -6,7 +6,7 @@ connecting-homomorphism differential on the a=0 homology.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import exactla
 from .algebra import (
@@ -437,16 +437,22 @@ class FieldHomologyBasis:
     dims: {i: dim}; representatives: {i: tuple of cycles};
     boundaries: {i: tuple of vectors spanning the image of d^{i-1}};
     bigraded: dimension table by (i, generator degree) when the input
-    was graded, else None.  Every vector is sparse, a {coordinate:
-    value} map of its nonzeros with canonical values.  Representatives
-    come from reduced row echelon pivoting in generator order, so they
-    are reproducible.
+    was graded, else None; free_columns: {i: the free columns of the
+    rref of d^i, ascending}.  Every vector is sparse, a {coordinate:
+    value} map of its nonzeros with canonical values.  The kernel basis
+    has one cycle per free column j: 1 at j, and nonzeros elsewhere only
+    at pivot columns left of j.  So restricting to the free columns (the
+    cycle coordinates) is injective on cycles and makes each of them a
+    unit vector.  The cycle of free column j is a representative iff it
+    is outside the span of the boundaries and the cycles of earlier free
+    columns, so the representatives are reproducible.
     """
 
     dims: dict
     representatives: dict
     boundaries: dict
     bigraded: BigradedTable | None
+    free_columns: dict = field(default_factory=dict)
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
@@ -454,7 +460,9 @@ class FieldHomologyBasis:
 
 def homology_field(fc: FieldComplex) -> FieldHomologyBasis:
     """Each differential d^i is eliminated once: its rref gives the
-    kernel at degree i, and its pivot columns the image at degree i+1."""
+    kernel at degree i, and its pivot columns the image at degree i+1.
+    The representatives are then read in cycle coordinates, from one
+    elimination of the boundaries there."""
     graded = not isinstance(fc, FilteredFieldComplex)
     kernels = {}
     images = {}
@@ -467,16 +475,20 @@ def homology_field(fc: FieldComplex) -> FieldHomologyBasis:
     reps = {}
     bnds = {}
     bigraded = {}
+    free = {}
     for i in sorted(fc.degrees):
         n = fc.rank(i)
         cycles = kernels[i] if i in kernels else [{j: 1} for j in range(n)]
+        free[i] = tuple(max(v) for v in cycles)
         image = images.get(i, [])
         bnds[i] = tuple(image)
-        # columns [image | cycles], one row per coordinate; the pivot
-        # columns landing in the cycle block are the chosen representatives
-        stacked = exactla.from_columns(image + cycles, n)
-        pivots = exactla.row_reduce(stacked)[1] if image or cycles else []
-        chosen = [cycles[p - len(image)] for p in pivots if p >= len(image)]
+        # greedy column pivoting of [image | unit cycles] picks the cycle
+        # of free column j iff row j of the image adds no rank read from
+        # the bottom: iff j is no pivot of the image rows keyed by -j
+        cols = set(free[i])
+        rows = [{-j: x for j, x in v.items() if j in cols} for v in image]
+        pivots = set(exactla.row_reduce(rows)[1])
+        chosen = [v for v, j in zip(cycles, free[i]) if -j not in pivots]
         dims[i] = len(chosen)
         reps[i] = tuple(chosen)
         if graded:
@@ -492,6 +504,7 @@ def homology_field(fc: FieldComplex) -> FieldHomologyBasis:
         representatives=reps,
         boundaries=bnds,
         bigraded=BigradedTable(bigraded, HOM_POLY) if graded else None,
+        free_columns=free,
     )
 
 
@@ -539,8 +552,12 @@ def first_differential(c: GradedComplex) -> FirstDifferential:
     The representative's coordinate vector is reused verbatim as an
     exponent-0 chain over k[a]; d of that chain is divisible by a
     because the class is a cycle mod a, and the a^1 coefficient reduced
-    mod a is projected onto the pinned homology basis one homological
-    degree up.  The result is homogeneous of bidegree (1, -2k).
+    mod a is a cycle mod a one homological degree up.  That is checked
+    with one product by d mod a, and the lift is then projected onto
+    the pinned homology basis in cycle coordinates (see
+    FieldHomologyBasis), where the representatives are unit vectors and
+    the boundaries and representatives a basis.  The result is
+    homogeneous of bidegree (1, -2k).
     """
     fc = reduce_mod_a(c)
     hb = homology_field(fc)
@@ -575,14 +592,17 @@ def first_differential(c: GradedComplex) -> FirstDifferential:
                 if acc:
                     w[t] = acc
             lifts.append(w)
-        # one elimination of [image | representatives | lifts], read as
-        # solve reads it: free variables 0
+        # in cycle coordinates every lift has a unique solution, so check
+        # that the lifts are mod-a cycles, then eliminate [image |
+        # representatives | lifts] there, read as solve reads it
+        if any(exactla.matmul(fc.mats.get(i + 1, ()), exactla.from_columns(lifts, fc.rank(i + 1)))):
+            raise ComplexError("projection onto the homology basis failed")
         image = hb.boundaries.get(i + 1, ())
         nb = len(image) + len(reps_next)
-        stacked = exactla.from_columns(image + reps_next + tuple(lifts), fc.rank(i + 1))
+        pos = {j: p for p, j in enumerate(hb.free_columns[i + 1])}
+        vectors = [{pos[j]: x for j, x in v.items() if j in pos} for v in image + reps_next + tuple(lifts)]
+        stacked = exactla.from_columns(vectors, len(pos))
         sols = exactla.solution_from_reduction(exactla.row_reduce(stacked), nb, len(lifts))
-        if sols is None:
-            raise ComplexError("projection onto the homology basis failed")
         # the coordinates on the representatives, one column per lift
         block = [{} for _ in reps_next]
         for j, x in enumerate(sols):

@@ -40,7 +40,7 @@ def pages():
 def homology():
     bench = harness("bench_homology")
     _, build = bench.builders()[0]
-    bench.assert_graded_matches(build())
+    bench.check(build())
 
 
 def complexes():

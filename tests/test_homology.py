@@ -3,10 +3,11 @@ references.
 
 reduce_mod_a, homology_field and first_differential run on sparse rows:
 one elimination per differential gives the kernel at its source and the
-image at its target, and the projection is one sparse elimination of
-[basis | lifts].  The dense code they replaced is kept below, verbatim
-up to storage and on the dense helpers of dense_la, as the reference;
-every answer must agree with it value for value.
+image at its target, and the representatives and the projection of the
+lifts are read in cycle coordinates.  The dense code they replaced
+before that is kept below, verbatim up to storage and on the dense
+helpers of dense_la, as the reference; every answer must agree with it
+value for value.
 """
 
 import random
@@ -300,4 +301,27 @@ def test_a0_lift_check_fires(monkeypatch):
     )
     monkeypatch.setattr(complexes, "homology_field", lambda fc: doctored)
     with pytest.raises(ComplexError, match="nonzero a\\^0 image"):
+        first_differential(c)
+
+
+def test_projection_check_fires(monkeypatch):
+    """A lift that is no cycle one degree up must be refused, not
+    projected: in cycle coordinates every vector has coordinates, so
+    the check is an explicit product with d mod a.  The complex is
+    e0, e1 (degrees 0, 2) -> f, g (degrees 2, -2) -> h (degree -2) with
+    d(e1) = f + a^2 g, d(f) = a^2 h and d(g) = -h.  The doctored
+    representative e0 + e1 mixes degrees, which the a^0 check does not
+    see; its lift is g, and d(g) = -h mod a.  The free columns are
+    those of d mod a, where g has no coordinate, so the solve alone
+    would project g to zero."""
+    c = complex_from_data(1, {0: [0, 2], 1: [2, -2], 2: [-2]}, {0: [[0, 1], [0, 1]], 1: [[1, -1]]})
+    doctored = FieldHomologyBasis(
+        dims={0: 1, 1: 1},
+        representatives={0: ({0: 1, 1: 1},), 1: ({0: 1},)},
+        boundaries={0: (), 1: ()},
+        bigraded=None,
+        free_columns={0: (0,), 1: (0,)},
+    )
+    monkeypatch.setattr(complexes, "homology_field", lambda fc: doctored)
+    with pytest.raises(ComplexError, match="projection onto the homology basis failed"):
         first_differential(c)
