@@ -3,9 +3,11 @@ coordinates against the stacked version they replaced and against the
 dense reference.
 
 homology_field and first_differential in twkit.complexes eliminate each
-differential once, then pick the representatives and project each lift
-in cycle coordinates, on the free columns of each degree, where every
-cycle is a unit vector.  The stacked version they replaced
+differential once, then build one exactla.Subquotient per degree: it
+eliminates the boundaries once in cycle coordinates, on the free
+columns of the degree, where every cycle is a unit vector, to pin the
+representatives, and then reads each lift's coordinates on them off
+that elimination, with no further one.  The stacked version they replaced
 (reference_homology_field and reference_first_differential in
 tests/frozen_homology.py) eliminates [image | cycles] and [image |
 representatives | lifts] over every coordinate.  The dense reference

@@ -378,11 +378,18 @@ def cmd_link(args) -> int:
 
 
 def cmd_delta(args) -> int:
-    scalings = (
-        tuple(jsonio.parse_rational(x) for x in args.scalings.split(","))
-        if args.scalings
-        else (Fraction(1), Fraction(5), Fraction(-2, 3))
-    )
+    scalings = (Fraction(1), Fraction(5), Fraction(-2, 3))
+    if args.scalings is not None:
+        try:
+            scalings = tuple(jsonio.parse_rational(x) for x in args.scalings.split(","))
+        except SchemaError:
+            raise
+        except ValueError:
+            raise SchemaError(
+                "--scalings: expected rationals such as 1,5,-2/3, got %r" % args.scalings
+            ) from None
+        if not all(scalings):
+            raise SchemaError("--scalings: a scaling must be nonzero")
     battery = delta_battery(args.N, scalings)
     data = {
         "format": jsonio.FORMAT,
@@ -421,7 +428,12 @@ def cmd_verify(args) -> int:
     seed = args.seed
     env = os.environ.get("TW_SEED")
     if env is not None:
-        seed = int(env)
+        try:
+            seed = int(env)
+        except ValueError:
+            raise SchemaError("TW_SEED: expected an integer, got %r" % env) from None
+    if args.count < 1:
+        raise SchemaError("verify: --count must be at least 1")
     seeds = item_seeds(seed, args.count)
     results = [verify_item(s) for s in seeds]
     failures = [

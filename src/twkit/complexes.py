@@ -437,74 +437,46 @@ class FieldHomologyBasis:
     dims: {i: dim}; representatives: {i: tuple of cycles};
     boundaries: {i: tuple of vectors spanning the image of d^{i-1}};
     bigraded: dimension table by (i, generator degree) when the input
-    was graded, else None; free_columns: {i: the free columns of the
-    rref of d^i, ascending}.  Every vector is sparse, a {coordinate:
-    value} map of its nonzeros with canonical values.  The kernel basis
-    has one cycle per free column j: 1 at j, and nonzeros elsewhere only
-    at pivot columns left of j.  So restricting to the free columns (the
-    cycle coordinates) is injective on cycles and makes each of them a
-    unit vector.  The cycle of free column j is a representative iff it
-    is outside the span of the boundaries and the cycles of earlier free
-    columns, so the representatives are reproducible.
+    was graded, else None; subquotients: {i: the exactla.Subquotient
+    they come from, which reads a cycle's coordinates on them}.  Every
+    vector is a {coordinate: value} map of its nonzeros, canonical.
+    The representatives are reproducible: kernel basis cycles of the
+    rref of d^i that greedy column pivoting of [boundaries | cycles]
+    picks.
     """
 
     dims: dict
     representatives: dict
     boundaries: dict
     bigraded: BigradedTable | None
-    free_columns: dict = field(default_factory=dict)
+    subquotients: dict = field(default_factory=dict)
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
 
 
 def homology_field(fc: FieldComplex) -> FieldHomologyBasis:
-    """Each differential d^i is eliminated once: its rref gives the
-    kernel at degree i, and its pivot columns the image at degree i+1.
-    The representatives are then read in cycle coordinates, from one
-    elimination of the boundaries there."""
+    """One exactla.Subquotient per degree: each differential d^i is
+    eliminated once, its rref giving the kernel at degree i and its
+    pivot columns the image at degree i+1, and the boundaries are
+    eliminated once more, in cycle coordinates, to pin the
+    representatives."""
     graded = not isinstance(fc, FilteredFieldComplex)
-    kernels = {}
-    images = {}
-    for i, rows in fc.mats.items():
-        reduction = exactla.row_reduce(rows)
-        kernels[i] = exactla.kernel_from_reduction(reduction, fc.rank(i))
-        images[i + 1] = exactla.columns(rows, reduction[1])
-
-    dims = {}
-    reps = {}
-    bnds = {}
+    quotients = exactla.homology(fc.mats, {i: fc.rank(i) for i in sorted(fc.degrees)}, lambda i: i - 1)
     bigraded = {}
-    free = {}
-    for i in sorted(fc.degrees):
-        n = fc.rank(i)
-        cycles = kernels[i] if i in kernels else [{j: 1} for j in range(n)]
-        free[i] = tuple(max(v) for v in cycles)
-        image = images.get(i, [])
-        bnds[i] = tuple(image)
-        # greedy column pivoting of [image | unit cycles] picks the cycle
-        # of free column j iff row j of the image adds no rank read from
-        # the bottom: iff j is no pivot of the image rows keyed by -j
-        cols = set(free[i])
-        rows = [{-j: x for j, x in v.items() if j in cols} for v in image]
-        pivots = set(exactla.row_reduce(rows)[1])
-        chosen = [v for v, j in zip(cycles, free[i]) if -j not in pivots]
-        dims[i] = len(chosen)
-        reps[i] = tuple(chosen)
-        if graded:
-            degs = fc.degrees[i]
-            for v in chosen:
-                vdegs = {degs[c] for c in v}
-                if len(vdegs) != 1:
-                    raise ComplexError("representative mixes degrees")
-                key = (i, vdegs.pop())
-                bigraded[key] = bigraded.get(key, 0) + 1
+    for i, q in quotients.items() if graded else ():
+        for v in q.representatives:
+            vdegs = {fc.degrees[i][c] for c in v}
+            if len(vdegs) != 1:
+                raise ComplexError("representative mixes degrees")
+            key = (i, vdegs.pop())
+            bigraded[key] = bigraded.get(key, 0) + 1
     return FieldHomologyBasis(
-        dims=dims,
-        representatives=reps,
-        boundaries=bnds,
+        dims={i: len(q.representatives) for i, q in quotients.items()},
+        representatives={i: q.representatives for i, q in quotients.items()},
+        boundaries={i: q.boundaries for i, q in quotients.items()},
         bigraded=BigradedTable(bigraded, HOM_POLY) if graded else None,
-        free_columns=free,
+        subquotients=quotients,
     )
 
 
@@ -553,10 +525,9 @@ def first_differential(c: GradedComplex) -> FirstDifferential:
     exponent-0 chain over k[a]; d of that chain is divisible by a
     because the class is a cycle mod a, and the a^1 coefficient reduced
     mod a is a cycle mod a one homological degree up.  That is checked
-    with one product by d mod a, and the lift is then projected onto
-    the pinned homology basis in cycle coordinates (see
-    FieldHomologyBasis), where the representatives are unit vectors and
-    the boundaries and representatives a basis.  The result is
+    with one product by d mod a.  The lift's coordinates on the pinned
+    representatives are then read off by that degree's subquotient (see
+    exactla.Subquotient), with no further elimination.  The result is
     homogeneous of bidegree (1, -2k).
     """
     fc = reduce_mod_a(c)
@@ -579,36 +550,21 @@ def first_differential(c: GradedComplex) -> FirstDifferential:
         targets = {}
         for t, tdeg in enumerate(d.target_degrees):
             targets.setdefault(tdeg, []).append(t)
+
+        def image(v, tdeg):
+            sums = ((t, sum(v[j] * x for j, x in d.rows[t].items() if j in v)) for t in targets.get(tdeg, ()))
+            return {t: y for t, y in sums if y}
+
         lifts = []
         for v, sigma in zip(reps, rep_degrees[i]):
-            for t in targets.get(sigma, ()):
-                row = d.rows[t]
-                if sum(v[j] * x for j, x in row.items() if j in v):
-                    raise ComplexError("lift of a mod-a cycle has nonzero a^0 image")
-            w = {}
-            for t in targets.get(sigma - 2 * k, ()):
-                row = d.rows[t]
-                acc = sum(v[j] * x for j, x in row.items() if j in v)
-                if acc:
-                    w[t] = acc
-            lifts.append(w)
-        # in cycle coordinates every lift has a unique solution, so check
-        # that the lifts are mod-a cycles, then eliminate [image |
-        # representatives | lifts] there, read as solve reads it
+            if image(v, sigma):
+                raise ComplexError("lift of a mod-a cycle has nonzero a^0 image")
+            lifts.append(image(v, sigma - 2 * k))
+        # the coordinates read only the free columns, so check first
+        # that the lifts are mod-a cycles
         if any(exactla.matmul(fc.mats.get(i + 1, ()), exactla.from_columns(lifts, fc.rank(i + 1)))):
             raise ComplexError("projection onto the homology basis failed")
-        image = hb.boundaries.get(i + 1, ())
-        nb = len(image) + len(reps_next)
-        pos = {j: p for p, j in enumerate(hb.free_columns[i + 1])}
-        vectors = [{pos[j]: x for j, x in v.items() if j in pos} for v in image + reps_next + tuple(lifts)]
-        stacked = exactla.from_columns(vectors, len(pos))
-        sols = exactla.solution_from_reduction(exactla.row_reduce(stacked), nb, len(lifts))
-        # the coordinates on the representatives, one column per lift
-        block = [{} for _ in reps_next]
-        for j, x in enumerate(sols):
-            for p, y in x.items():
-                if p >= len(image):
-                    block[p - len(image)][j] = y
+        block = hb.subquotients[i + 1].coordinates(lifts)
         if any(block):
             blocks[i] = tuple(block)
 

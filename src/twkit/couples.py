@@ -21,7 +21,10 @@ entries (and by the right-hand sides of a solve).  Free towers repeat
 the same small maps slot after slot, so along a chain each distinct
 matrix is eliminated once.  A derived couple reads A' as the columns
 of f at f's own pivot columns, so the pullback of a basis column
-through f is a unit vector and g' needs no solve against f.
+through f is a unit vector and g' needs no solve against f.  E' is the
+homology of d = g o h, read off by exactla.homology in cycle
+coordinates as the mod-a homology is, so no solve projects a class
+onto E' either; the memo's solves serve f' and h' only.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from . import exactla
 from .algebra import HOM_POLY, BigradedTable
 from .complexes import InternalError
 from .decompose import Decomposition, torsion_width
-from .exactla import canonical, columns, from_columns, kernel_from_reduction, matmul, solution_from_reduction
+from .exactla import canonical, columns, from_columns, matmul, solution_from_reduction
 
 
 class InsufficientWindow(RuntimeError):
@@ -66,9 +69,6 @@ class _Eliminations:
         if out is None:
             out = self._done[key] = exactla.row_reduce(rows)
         return out
-
-    def pivots(self, rows):
-        return self.reduce(rows)[1]
 
     def solve(self, basis, nbasis, rhs, nb):
         """exactla.solve of basis @ X = rhs, both given by their rows,
@@ -221,7 +221,7 @@ class ExactCouple:
         found = self._pivots.get((name, key))
         if found is None:
             rows = {"f": self._f, "g": self._g, "h": self._h}[name].get(key)
-            found = self._memo.pivots(rows) if rows is not None else []
+            found = self._memo.reduce(rows)[1] if rows is not None else []
             self._pivots[(name, key)] = found
         return found
 
@@ -301,8 +301,9 @@ class ExactCouple:
         so along one chain each distinct matrix is eliminated once.
         A' at (i, s) has as basis the columns of f at f's own pivot
         columns p, so the pullback of basis column p through f is the
-        unit vector at p, and g' there is g's column p, projected onto
-        E' by one solve per bidegree.
+        unit vector at p, and g' there is g's column p, whose E'
+        coordinates that bidegree's exactla.Subquotient reads off
+        without a solve.
         """
         memo = self._memo
         if self.is_trivial():
@@ -318,44 +319,20 @@ class ExactCouple:
             )
         new_shift = self.g_shift - k2
 
-        # E': subquotient basis per bidegree.  im(d in) sits inside
-        # ker(d out); representatives are kernel columns extending it.
-        # Each d is eliminated once, for its kernel and its image.
+        # E': one subquotient per bidegree, ker(d out) / im(d in); each
+        # d is eliminated once, for its kernel and its image
         d_out = {pos: self.differential(*pos) for pos in self.e_support()}
-        reduced = {pos: memo.reduce(d) for pos, d in d_out.items()}
-        proj = {}
-        e_new = {}
-        for (i, s) in d_out:
-            dim = self.e_dim(i, s)
-            kern = kernel_from_reduction(reduced[(i, s)], dim)
-            src = (i - 1, s + k2 - self.g_shift)
-            img = columns(d_out[src], reduced[src][1]) if src in d_out else []
-            stacked = img + kern
-            pivots = memo.pivots(from_columns(stacked, dim))
-            chosen = [stacked[p] for p in pivots if p >= len(img)]
-            if chosen:
-                e_new[(i, s)] = len(chosen)
-            proj[(i, s)] = (img, chosen)
-
-        def project(pos, rhs, nb):
-            """E' coordinates of the classes in rhs's nb columns, as rows."""
-            img, chosen = proj.get(pos, ([], []))
-            if not img and not chosen:
-                if any(rhs):
-                    raise InternalError("couples", "class fell outside the kernel basis")
-                return ()
-            basis = from_columns(img + chosen, len(rhs))
-            sols = memo.solve(basis, len(img) + len(chosen), rhs, nb)
-            if sols is None:
-                raise InternalError("couples", "class fell outside the kernel basis")
-            n = len(img)
-            coords = [{p - n: x for p, x in sol.items() if p >= n} for sol in sols]
-            return from_columns(coords, len(chosen))
+        quotients = exactla.homology(
+            d_out,
+            {pos: self.e_dim(*pos) for pos in d_out},
+            lambda pos: (pos[0] - 1, pos[1] + k2 - self.g_shift),
+            memo.reduce,
+        )
+        e_new = {pos: len(q.representatives) for pos, q in quotients.items() if q.representatives}
 
         # A': image basis of f per bidegree, kept inside the new window,
         # as the rows of f restricted to its pivot columns
         iota = {}
-        f_pivots = {}
         a_new = {}
         for (i, s) in sorted((i, s + k2) for (i, s) in self._f):
             if not new_lo <= s <= new_hi:
@@ -363,7 +340,6 @@ class ExactCouple:
             pivots = self._map_pivots("f", (i, s - k2))
             if pivots:
                 iota[(i, s)] = _restricted(self._f[(i, s - k2)], pivots)
-                f_pivots[(i, s)] = pivots
                 a_new[(i, s)] = len(pivots)
 
         f_new = {}
@@ -383,15 +359,22 @@ class ExactCouple:
                     f_new[(i, s)] = from_columns(sols, a_new[(i, s + k2)])
                 elif any(f_rhs):
                     raise InternalError("couples", "f does not preserve its own image")
-            # g'(f(b)) = g(b), with b the unit vector at f's pivot column
+            # g'(f(b)) = g(b), with b the unit vector at f's pivot
+            # column.  Exactness is only checked inside the window, so
+            # each class is checked to be a d-cycle before its E'
+            # coordinates are read off.
             g_in = self._g.get((i, s - k2))
             if g_in is not None:
-                g_rhs = _restricted(g_in, f_pivots[(i, s)])
-                g_new[(i, s)] = project((i, s + new_shift), g_rhs, a_new[(i, s)])
+                pos = (i, s + new_shift)
+                g_rhs = _restricted(g_in, self._map_pivots("f", (i, s - k2)))
+                if any(matmul(d_out[pos], g_rhs)):
+                    raise InternalError("couples", "class fell outside the kernel basis")
+                g_new[(i, s)] = quotients[pos].coordinates(columns(g_rhs, range(a_new[(i, s)])))
 
-        for (i, s), (_, chosen) in sorted(proj.items()):
+        for (i, s), q in sorted(quotients.items()):
             # an absent h sends every class to 0; its target slot was
             # already checked against the window with d out of (i, s)
+            chosen = q.representatives
             h_out = self._h.get((i, s))
             if not chosen or h_out is None:
                 continue
@@ -465,53 +448,33 @@ def couple_from_decomposition(d: Decomposition) -> ExactCouple:
 
     torsion_m = {idx: m for idx, (_, m, _) in enumerate(d.torsion_pieces)}
 
-    f = {}
-    for (i, s), tags in a_basis.items():
-        target = a_basis.get((i, s + k2))
-        if not target:
-            continue
-        pos = {tag: r for r, tag in enumerate(target)}
-        rows = [{} for _ in target]
-        for c, tag in enumerate(tags):
-            kind, idx, t = tag
-            succ = (kind, idx, t + 1)
-            if kind == "T" and t + 1 >= torsion_m[idx]:
-                continue
-            if succ in pos:
-                rows[pos[succ]][c] = 1
-        f[(i, s)] = rows
+    def unit_map(sources, target_slot, image):
+        """{(i, s): rows} over the source slots whose target slot is
+        nonempty: column c holds a 1 at the row of image(tag c), when
+        that tag lies in the target slot."""
+        out = {}
+        for (i, s), tags in sources.items():
+            target = target_slot(i, s)
+            if target:
+                pos = {tag: r for r, tag in enumerate(target)}
+                rows = [{} for _ in target]
+                for c, tag in enumerate(tags):
+                    if image(tag) in pos:
+                        rows[pos[image(tag)]][c] = 1
+                out[(i, s)] = rows
+        return out
 
-    g = {}
-    for (i, s), tags in a_basis.items():
-        etags = e_basis.get((i, s))
-        if not etags:
-            continue
-        pos = {tag: r for r, tag in enumerate(etags)}
-        rows = [{} for _ in etags]
-        for c, tag in enumerate(tags):
-            kind, idx, t = tag
-            if t != 0:
-                continue
-            etag = ("F", idx) if kind == "F" else ("Tb", idx)
-            if etag in pos:
-                rows[pos[etag]][c] = 1
-        g[(i, s)] = rows
+    def bottom(tag):
+        kind, idx, t = tag
+        return None if t else ("F" if kind == "F" else "Tb", idx)
 
-    h = {}
-    for (i, s), etags in e_basis.items():
-        target = a_basis.get((i + 1, s - k2))
-        if not target:
-            continue
-        pos = {tag: r for r, tag in enumerate(target)}
-        rows = [{} for _ in target]
-        for c, etag in enumerate(etags):
-            if etag[0] != "Tt":
-                continue
-            idx = etag[1]
-            top = ("T", idx, torsion_m[idx] - 1)
-            if top in pos:
-                rows[pos[top]][c] = 1
-        h[(i, s)] = rows
+    def top(etag):
+        return ("T", etag[1], torsion_m[etag[1]] - 1) if etag[0] == "Tt" else None
+
+    # a truncated tower's top slot has no successor tag, so f kills it
+    f = unit_map(a_basis, lambda i, s: a_basis.get((i, s + k2)), lambda tag: tag[:2] + (tag[2] + 1,))
+    g = unit_map(a_basis, lambda i, s: e_basis.get((i, s)), bottom)
+    h = unit_map(e_basis, lambda i, s: a_basis.get((i + 1, s - k2)), top)
 
     return ExactCouple(
         d.k,

@@ -14,10 +14,15 @@ elimination, given the column counts the rows leave implicit, so a
 caller that keeps eliminations (as the couple memo does) reads them
 the same way.  rank, pivot_columns, kernel_basis, image_basis and
 solve are built on these.  columns and from_columns turn rows into
-column vectors and back.  Helpers look row_reduce up in this module
-when called, so replacing the module attribute (e.g. to count calls)
-reaches them too; callers elsewhere go through the module attribute
-as well.  There is one kernel, in pure Python; BACKEND names it.
+column vectors and back.  Subquotient is the one homology read-off:
+cycles modulo boundaries with pinned representatives, and the
+coordinates of a cycle on them, read in cycle coordinates without a
+solve; homology builds one per slot of a chain of maps, for the mod-a
+homology, the first differential and the derived couples alike.
+Helpers look row_reduce up in this module when called, so replacing
+the module attribute (e.g. to count calls) reaches them too; callers
+elsewhere go through the module attribute as well.  There is one
+kernel, in pure Python; BACKEND names it.
 
 An elimination holds each row as {col: value} with its nonzeros only,
 and a column index {col: ids of the rows with a nonzero there} names
@@ -212,3 +217,65 @@ def solution_from_reduction(reduction, ncols, nb):
             if j >= ncols:
                 sols[j - ncols][pc] = x
     return sols
+
+
+class Subquotient:
+    """Cycles modulo boundaries, with pinned representatives.
+
+    cycles is a kernel basis as kernel_from_reduction reads it: the
+    cycle of free column j holds 1 at j, and nonzeros elsewhere only at
+    pivot columns left of j.  On the free columns (cycle coordinates) a
+    cycle is thus determined by its entries, and each basis cycle is a
+    unit vector.  The boundaries, cycles too, are eliminated there once
+    by reduce (row_reduce, looked up when called, by default), column j
+    keyed -j, so each rref row's pivot is its largest free column.  The
+    cycle of j is a representative iff -j is no pivot, just as greedy
+    column pivoting of [boundaries | cycles] picks it.
+    """
+
+    __slots__ = ("boundaries", "representatives", "_reduced", "_slot")
+
+    def __init__(self, cycles, boundaries, reduce=None):
+        free = {max(v): v for v in cycles}
+        rref, pivots = (reduce or row_reduce)([{-j: x for j, x in v.items() if j in free} for v in boundaries])
+        self.boundaries = tuple(boundaries)
+        # each pivot's rref row, less its leading 1, keyed by free column
+        self._reduced = {-p: {-j: x for j, x in row.items() if j != p} for p, row in zip(pivots, rref)}
+        self._slot = {j: r for r, j in enumerate(j for j in free if j not in self._reduced)}
+        self.representatives = tuple(free[j] for j in self._slot)
+
+    def coordinates(self, cycles):
+        """Row r holds, at column c, the coordinate of cycles[c] on
+        representative r, canonical.  [boundaries | representatives] is
+        a basis, so nothing is solved: a cycle less the rref rows at its
+        pivot columns lies on the representatives' columns.  Only the
+        free columns are read, so the caller must know each is a cycle.
+        """
+        out = [{} for _ in self.representatives]
+        for c, z in enumerate(cycles):
+            left = {}
+            for j, x in z.items():
+                if j in self._slot:
+                    left[j] = left.get(j, 0) + x
+                for q, y in self._reduced.get(j, {}).items():
+                    left[q] = left.get(q, 0) - x * y
+            for j, x in left.items():
+                if x:
+                    out[self._slot[j]][c] = canonical(x)
+        return out
+
+
+def homology(maps, dims, source, reduce=None):
+    """{x: Subquotient ker maps[x] / im maps[source(x)]} over the slots x
+    of dims, which gives each slot's coordinate count; an absent map is
+    zero.  Each map is eliminated once by reduce (row_reduce, looked up
+    when called, by default), for its kernel and its image.
+    """
+    reduce = reduce or row_reduce
+    reductions = {x: reduce(rows) for x, rows in maps.items()}
+    out = {}
+    for x, n in dims.items():
+        cycles = kernel_from_reduction(reductions[x], n) if x in maps else [{j: 1} for j in range(n)]
+        y = source(x)
+        out[x] = Subquotient(cycles, columns(maps[y], reductions[y][1]) if y in maps else [], reduce)
+    return out

@@ -338,3 +338,34 @@ def test_criterion_10_sl2_front_end():
         assert decompose(c1) == decompose(c2), name
 
     report(10, "state-sum front end vs oracle and pairing", t0, 120)
+
+
+# (name, braid word, strands, ht, tw): torus knots whose mod-a homology
+# is H-thick past T(2, n), with the standard potential (k = 2)
+THICK_LADDER = [
+    ("T(2,5)", [1] * 5, 2, 2, 1),
+    ("T(2,7)", [1] * 7, 2, 2, 1),
+    ("T(3,4)", [1, 2] * 4, 3, 3, 1),
+]
+
+
+def test_criterion_11_thick_collapse():
+    """Torsion width, not homological thickness, decides when the
+    Lee-Gornik sequence collapses: tw <= ht, with tw < ht on T(3,4),
+    the collapse page is 2k tw + 1, and the generic pages of the a = 1
+    specialization stop changing exactly there."""
+    t0 = time.perf_counter()
+    pot = Sl2Potential.standard()
+    for name, word, strands, want_ht, want_tw in THICK_LADDER:
+        cx = build_sl2_cube(LinkDiagram.from_braid(word, strands), pot)
+        d = decompose(cx)
+        ht, _ = thickness(hn_table(d))
+        tw = torsion_width(d)
+        assert (ht, tw) == (want_ht, want_tw), name
+        assert tw < ht if name == "T(3,4)" else tw <= ht, name
+        cp = collapse_page(d)
+        assert cp == 2 * d.k * tw + 1, name
+        fc = specialize_a_to_1(cx)
+        pages = [generic_pages(fc, r) for r in range(1, cp + 3)]
+        assert stabilization_page(pages) == cp, name
+    report(11, "thick torus knots collapse at 2k tw + 1", t0, 30)

@@ -341,6 +341,20 @@ class TestRationalValues:
         b, _ = run(capsys, "twobraid", "--N", "3", "--i", "1", "--coefficient=-3/2")
         assert a == b and json.loads(a)["type"] == "report"
 
+    @pytest.mark.parametrize(
+        "scalings, message",
+        [
+            ("0", "a scaling must be nonzero"),
+            ("1,-0/3,5", "a scaling must be nonzero"),
+            ("", "expected rationals such as 1,5,-2/3, got ''"),
+            ("1,,5", "expected rationals such as 1,5,-2/3, got '1,,5'"),
+            ("1.5", "expected rationals such as 1,5,-2/3, got '1.5'"),
+        ],
+    )
+    def test_bad_scalings_refused(self, capsys, scalings, message):
+        out, err = run(capsys, "delta", "--N", "3", "--scalings", scalings, expect=1)
+        assert out == "" and err == "error: --scalings: %s\n" % message
+
     def test_negative_scalings_as_separate_value(self, capsys):
         out, _ = run(capsys, "delta", "--N", "3", "--scalings", "-2/3,5")
         assert json.loads(out)["scaling_ok"] is True
@@ -552,6 +566,17 @@ class TestVerify:
         assert a == b
         doc = json.loads(a)
         assert doc["passed"] == 12 and doc["failures"] == []
+
+    @pytest.mark.parametrize("count", ["-1", "0"])
+    def test_count_below_one_refused(self, capsys, count):
+        out, err = run(capsys, "verify", "--count", count, expect=1)
+        assert out == "" and err == "error: verify: --count must be at least 1\n"
+
+    @pytest.mark.parametrize("seed", ["x", "1.5", ""])
+    def test_tw_seed_must_be_an_integer(self, capsys, monkeypatch, seed):
+        monkeypatch.setenv("TW_SEED", seed)
+        out, err = run(capsys, "verify", "--count", "1", expect=1)
+        assert out == "" and err == "error: TW_SEED: expected an integer, got %r\n" % seed
 
 
 class TestProcessLevel:

@@ -567,3 +567,24 @@ class TestExactnessErrors:
         assert couple_state(got) == couple_state(reference_derive(c))
         # A' is the image of f out of A(0, -2), and h' reaches it
         assert got.a_dim(0, 0) == 1 and got.h_at(-1, 2) == ({0: 1},)
+
+
+def test_derive_refuses_a_class_that_is_no_cycle():
+    """Exactness is only checked inside the window, so derive checks
+    that each class g' reads off is a cycle of d = g o h.  Here g sends
+    A(0, 2), the source of f's image at (0, 4), onto the generator of
+    E(0, 2), and d out of E(0, 2) is g o h = 1: the read-off alone
+    would give g' = 0, since d leaves no cycle there."""
+    c = ExactCouple(
+        1,
+        (-4, 10),
+        {(0, 2): 1, (0, 4): 1, (1, 0): 1},
+        {(0, 2): 1, (1, 0): 1},
+        {(0, 2): ((1,),)},
+        {(0, 2): ((1,),), (1, 0): ((1,),)},
+        {(0, 2): ((1,),)},
+        validate=False,
+    )
+    assert c.differential(0, 2) == ({0: 1},)
+    with pytest.raises(InternalError, match="^internal error in couples: class fell outside the kernel basis$"):
+        c.derive()

@@ -366,3 +366,69 @@ def test_row_reduce_large_sparse_shapes():
         assert dense(rref, len(mat[0])) == want_rref, name
         assert all(is_canonical(x) for row in rref for x in row.values()), name
         assert rows == frozen, name
+
+
+# -- the subquotient read-off against the dense reference -----------------
+
+
+def chain_pair(rng, case):
+    """(d_in, d_out, n) dense, d_out @ d_in = 0 at a middle space of
+    dimension n: d_out is seeded, and d_in's columns are seeded
+    combinations of a basis of its kernel.  case "empty boundaries"
+    gives d_in no columns, "empty kernel" an injective d_out, and
+    "spanning" boundaries that span the whole kernel."""
+    n = rng.randint(1, 8)
+    if case == "empty kernel":
+        d_out = [[int(i == j) for j in range(n)] for i in range(n)] + sparse_matrix(rng, rng.randint(0, 2), n)
+        rng.shuffle(d_out)
+    else:
+        d_out = sparse_matrix(rng, rng.randint(0, 7), n)
+    kernel = dense_kernel_basis(d_out, n)
+    if case == "empty boundaries":
+        coefficients = []
+    else:
+        coefficients = [[rng.choice((0, 0, 1, -1, 2, F(1, 3))) for _ in kernel] for _ in range(rng.randint(0, 5))]
+        if case == "spanning":
+            coefficients += [[int(r == s) for r in range(len(kernel))] for s in range(len(kernel))]
+        rng.shuffle(coefficients)
+    columns = [[sum((a * v[c] for a, v in zip(co, kernel)), 0) for c in range(n)] for co in coefficients]
+    d_in = [[col[c] for col in columns] for c in range(n)]
+    return d_in, d_out, n
+
+
+def test_subquotient_matches_dense_reference():
+    """representatives are the greedy pivot columns of [boundaries |
+    kernel], and coordinates the dense solve on [boundaries |
+    representatives], on seeded chain pairs."""
+    rng = random.Random(83)
+    seen = {"empty boundaries": 0, "empty kernel": 0, "spanning": 0, "mixed": 0}
+    for case in ("empty boundaries", "empty kernel", "spanning", "random") * 150:
+        d_in, d_out, n = chain_pair(rng, case)
+        kernel = dense_kernel_basis(d_out, n)
+        boundaries = dense_image_basis(d_in) if d_in[0] else []
+        stacked = [[v[c] for v in boundaries + kernel] for c in range(n)]
+        want = [kernel[p - len(boundaries)] for p in dense_pivot_columns(stacked) if p >= len(boundaries)]
+        q = exactla.homology({0: sparse(d_in), 1: sparse(d_out)}, {1: n}, lambda x: x - 1)[1]
+        assert [vec(v, n) for v in q.representatives] == want
+        assert [vec(v, n) for v in q.boundaries] == boundaries
+        # seeded cycles, with a part in the boundaries
+        mixes = [[rng.randint(-2, 2) for _ in kernel] for _ in range(rng.randint(0, 4))]
+        cycles = [[sum((a * v[c] for a, v in zip(mix, kernel)), 0) for c in range(n)] for mix in mixes]
+        got = q.coordinates(sparse(cycles))
+        assert len(got) == len(want)
+        assert all(is_canonical(x) for row in got for x in row.values())
+        solved = dense_solve([[v[c] for v in boundaries + want] for c in range(n)], cycles, len(boundaries) + len(want))
+        assert [[row.get(j, 0) for j in range(len(cycles))] for row in got] == [
+            [x[len(boundaries) + r] for x in solved] for r in range(len(want))
+        ]
+        if case == "random":
+            case = "mixed" if boundaries and want and any(any(x[: len(boundaries)]) for x in solved) else None
+        elif case == "empty boundaries":
+            case = case if want else None
+        elif case == "empty kernel":
+            case = case if not kernel else None
+        elif case == "spanning":
+            case = case if kernel and not want else None
+        if case:
+            seen[case] += 1
+    assert min(seen.values()) > 30, seen

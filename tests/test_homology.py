@@ -292,6 +292,34 @@ def test_each_differential_is_eliminated_at_most_once(monkeypatch, build):
         assert seen.count(normalized(rows)) <= 1, i
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_sl2_cube(LinkDiagram.from_braid_text("1 1 1 2 -1 2", 3), Sl2Potential.standard()),
+        lambda: build_twobraid(TwoBraidSpec.power_basis(6, 3)),
+    ],
+    ids=["cube", "2-braid"],
+)
+def test_first_differential_eliminates_nothing_past_its_homology(monkeypatch, build):
+    """The lifts are read off by the subquotients homology_field built,
+    so first_differential makes exactly the eliminations it makes."""
+    c = build()
+    seen = []
+    row_reduce = exactla.row_reduce
+
+    def counting(rows):
+        seen.append(normalized(rows))
+        return row_reduce(rows)
+
+    monkeypatch.setattr(exactla, "row_reduce", counting)
+    homology_field(reduce_mod_a(c))
+    alone = list(seen)
+    seen.clear()
+    fd = first_differential(c)
+    assert seen == alone and alone
+    assert fd.nonzero_degrees()
+
+
 def test_a0_lift_check_fires(monkeypatch):
     """A representative that is no mod-a cycle must be refused, not lifted."""
     c = complex_from_data(1, {0: [0], 1: [0]}, {0: [[1]]})
@@ -311,17 +339,18 @@ def test_projection_check_fires(monkeypatch):
     e0, e1 (degrees 0, 2) -> f, g (degrees 2, -2) -> h (degree -2) with
     d(e1) = f + a^2 g, d(f) = a^2 h and d(g) = -h.  The doctored
     representative e0 + e1 mixes degrees, which the a^0 check does not
-    see; its lift is g, and d(g) = -h mod a.  The free columns are
-    those of d mod a, where g has no coordinate, so the solve alone
-    would project g to zero."""
+    see; its lift is g, and d(g) = -h mod a.  The cycle coordinates
+    are the free columns of d mod a, where g has no coordinate, so the
+    read-off alone would project g to zero."""
     c = complex_from_data(1, {0: [0, 2], 1: [2, -2], 2: [-2]}, {0: [[0, 1], [0, 1]], 1: [[1, -1]]})
     doctored = FieldHomologyBasis(
         dims={0: 1, 1: 1},
         representatives={0: ({0: 1, 1: 1},), 1: ({0: 1},)},
         boundaries={0: (), 1: ()},
         bigraded=None,
-        free_columns={0: (0,), 1: (0,)},
+        subquotients={0: exactla.Subquotient([{0: 1, 1: 1}], []), 1: exactla.Subquotient([{0: 1}], [])},
     )
+    assert doctored.subquotients[1].coordinates([{1: 1}]) == [{}]
     monkeypatch.setattr(complexes, "homology_field", lambda fc: doctored)
     with pytest.raises(ComplexError, match="projection onto the homology basis failed"):
         first_differential(c)
