@@ -319,8 +319,6 @@ def _parse_lambdas(text: str):
     out = []
     for chunk in text.split(","):
         chunk = chunk.strip()
-        if not chunk:
-            continue
         j, _, val = chunk.partition("=")
         try:
             out.append((int(j), jsonio.parse_rational(val)))
@@ -428,10 +426,9 @@ def cmd_verify(args) -> int:
     seed = args.seed
     env = os.environ.get("TW_SEED")
     if env is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            raise SchemaError("TW_SEED: expected an integer, got %r" % env) from None
+        if not re.fullmatch(r"-?[0-9]+", env):
+            raise SchemaError("TW_SEED: expected an integer, got %r" % env)
+        seed = int(env)
     if args.count < 1:
         raise SchemaError("verify: --count must be at least 1")
     seeds = item_seeds(seed, args.count)
@@ -512,10 +509,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="dump one page at this raw filtered index instead",
     )
-    p.add_argument("--module", action="store_true", help="module-valued page (needs --page)")
+    p.add_argument("--module", action="store_true", default=None, help="module-valued page (needs --page)")
     p.add_argument(
         "--generic",
         action="store_true",
+        default=None,
         help="compute from the a=1 specialization instead of the closed form",
     )
     add_common(p)
@@ -585,6 +583,7 @@ OPTION_RULES = (
     ("link", "free_loops", "pd", True),
     ("couple", "r_max", "r", False),
     ("pages", "r_max", "page", False),
+    ("pages", "generic", "module", False),
 )
 
 

@@ -336,9 +336,20 @@ def gaussian_eliminate(c, hom_degree: int, row: int, col: int):
     epsilon - gamma phi^{-1} delta.
     """
     if isinstance(c, GradedComplex):
-        return _eliminate_graded(c, hom_degree, row, col)
+        degrees, mats = _cancel(
+            {i: m.degrees for i, m in c.modules.items()},
+            {i: d.rows for i, d in c.differentials.items()},
+            hom_degree, row, col, "pivot has positive a-exponent, not invertible",
+        )
+        return GradedComplex(
+            c.ring,
+            {i: GradedFreeModule(degs) for i, degs in degrees.items()},
+            {i: HomMatrix(c.ring, degrees[i], degrees[i + 1], tuple(rows)) for i, rows in mats.items()},
+        )
     if isinstance(c, FieldComplex):
-        return _eliminate_field(c, hom_degree, row, col)
+        return type(c)(*_cancel(
+            c.degrees, c.mats, hom_degree, row, col, "pivot does not preserve the level, not invertible"
+        ))
     raise TypeError("unsupported complex type")
 
 
@@ -347,87 +358,34 @@ def _without(row, j):
     return {c - (c > j): x for c, x in row.items() if c != j}
 
 
-def _schur_complement(rows, row: int, col: int):
-    """epsilon - gamma phi^{-1} delta on sparse rows: every row but
-    `row`, less its multiple of that row that clears column `col`
-    (exactla.clear_column, on a copy), with column `col` removed.  The
-    caller checks that phi is nonzero."""
-    rows = [dict(r) for r in rows]
-    exactla.clear_column(rows, exactla.column_index(rows), row, col)
-    return [_without(full, col) for r, full in enumerate(rows) if r != row]
-
-
-def _eliminate_graded(c: GradedComplex, h: int, row: int, col: int) -> GradedComplex:
-    d = c.differentials.get(h)
-    if d is None:
-        raise ComplexError("no differential at degree %d" % h)
-    src = d.source_degrees
-    tgt = d.target_degrees
-    if not (0 <= col < len(src) and 0 <= row < len(tgt)):
-        raise ComplexError("pivot position out of range")
-    if src[col] != tgt[row]:
-        raise ComplexError("pivot has positive a-exponent, not invertible")
-    if col not in d.rows[row]:
-        raise ComplexError("pivot entry is zero")
-
-    new_src = tuple(x for i, x in enumerate(src) if i != col)
-    new_tgt = tuple(x for i, x in enumerate(tgt) if i != row)
-    mods = dict(c.modules)
-    diffs = dict(c.differentials)
-
-    if new_src:
-        mods[h] = GradedFreeModule(new_src)
-    else:
-        mods.pop(h)
-    if new_tgt:
-        mods[h + 1] = GradedFreeModule(new_tgt)
-    else:
-        mods.pop(h + 1)
-
-    diffs.pop(h, None)
-    if new_src and new_tgt:
-        diffs[h] = HomMatrix(c.ring, new_src, new_tgt, tuple(_schur_complement(d.rows, row, col)))
-
-    prev = diffs.pop(h - 1, None)
-    if prev is not None and new_src:
-        diffs[h - 1] = HomMatrix(
-            c.ring,
-            prev.source_degrees,
-            new_src,
-            tuple(r for i, r in enumerate(prev.rows) if i != col),
-        )
-    nxt = diffs.pop(h + 1, None)
-    if nxt is not None and new_tgt:
-        diffs[h + 1] = HomMatrix(
-            c.ring, new_tgt, nxt.target_degrees, tuple(_without(r, row) for r in nxt.rows)
-        )
-    return GradedComplex(c.ring, mods, diffs)
-
-
-def _eliminate_field(c: FieldComplex, h: int, row: int, col: int) -> FieldComplex:
-    rows = c.mats.get(h)
+def _cancel(degrees, mats, h, row, col, not_invertible):
+    """gaussian_eliminate on {i: generator degrees or levels} and {i:
+    sparse rows out of i}.  Each row of d^h loses the multiple of row
+    `row` that clears column `col` (exactla.clear_column, on a copy),
+    then row `row` and column `col` go, row `col` of d^{h-1}, column `row`
+    of d^{h+1}, emptied degrees and every map that touches them too."""
+    rows = mats.get(h)
     if rows is None:
         raise ComplexError("no differential at degree %d" % h)
-    src = c.degrees.get(h, ())
-    tgt = c.degrees.get(h + 1, ())
+    src, tgt = degrees.get(h, ()), degrees.get(h + 1, ())
     if not (0 <= col < len(src) and 0 <= row < len(tgt)):
         raise ComplexError("pivot position out of range")
     if src[col] != tgt[row]:
-        raise ComplexError("pivot does not preserve the level, not invertible")
+        raise ComplexError(not_invertible)
     if col not in rows[row]:
         raise ComplexError("pivot entry is zero")
-
-    degs = dict(c.degrees)
-    mats = dict(c.mats)
-    degs[h] = tuple(x for i, x in enumerate(src) if i != col)
-    degs[h + 1] = tuple(x for i, x in enumerate(tgt) if i != row)
-    mats[h] = _schur_complement(rows, row, col)
+    degrees, mats = dict(degrees), dict(mats)
+    degrees[h] = src[:col] + src[col + 1:]
+    degrees[h + 1] = tgt[:row] + tgt[row + 1:]
+    rows = [dict(r) for r in rows]
+    exactla.clear_column(rows, exactla.column_index(rows), row, col)
+    mats[h] = [_without(full, col) for r, full in enumerate(rows) if r != row]
     if h - 1 in mats:
         mats[h - 1] = [r for i, r in enumerate(mats[h - 1]) if i != col]
     if h + 1 in mats:
         mats[h + 1] = [_without(r, row) for r in mats[h + 1]]
-    cls = type(c)
-    return cls(degs, mats)
+    degrees = {i: v for i, v in degrees.items() if v}
+    return degrees, {i: m for i, m in mats.items() if i in degrees and i + 1 in degrees}
 
 
 @dataclass(frozen=True)

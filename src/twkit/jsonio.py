@@ -198,12 +198,7 @@ def table_to_entries(t: BigradedTable):
 def pages_to_data(ps: PageSequence) -> dict:
     """Pages indexed from r = 1, entries [i, s, dim] in (homological,
     filtration) convention."""
-    return {
-        "format": FORMAT,
-        "type": "pages",
-        "k": ps.k,
-        "pages": [table_to_entries(t) for t in ps.pages],
-    }
+    return raw_pages_to_data(ps.k, ps.pages)
 
 
 def raw_pages_to_data(k: int, tables) -> dict:

@@ -188,6 +188,28 @@ def _resolution_circles(crossings, state):
 # -- the N = 2 potential and its Frobenius structure -------------------
 
 
+def _lambda_terms(lambdas, N, k, outside):
+    """The (j, lambda_j) terms of P = x^(N+1) + sum_j lambda_j a^j x^(N+1-jk):
+    j an int with 1 <= j and jk <= N (else "term a^j x^e " + outside),
+    lambda_j a Fraction, no j twice, zeros dropped, sorted by j."""
+    terms = {}
+    for j, coeff in lambdas:
+        j = int(j)
+        coeff = Fraction(coeff)
+        if j < 1 or j * k > N:
+            raise ValueError("term a^%d x^%d %s" % (j, N + 1 - j * k, outside))
+        if j in terms:
+            raise ValueError("duplicate coefficient for a^%d" % j)
+        terms[j] = coeff
+    return tuple(sorted((j, coeff) for j, coeff in terms.items() if coeff))
+
+
+def _x_power_relation(lambdas, N, k):
+    """dP/dx = 0 as x^N = sum_j c_j a^j x^(N-jk), c_j = -lambda_j
+    (N+1-jk)/(N+1): the (j, c_j) pairs of P's _lambda_terms."""
+    return tuple((j, -lam * Fraction(N + 1 - j * k, N + 1)) for j, lam in lambdas)
+
+
 @dataclass(frozen=True)
 class Sl2Potential:
     """P(x, a) = x^3 + sum_j lambda_j a^j x^(3-jk) with deg a = 2k.
@@ -202,19 +224,7 @@ class Sl2Potential:
     def __post_init__(self):
         if self.k not in (1, 2):
             raise ValueError("k must be 1 or 2 at N = 2")
-        norm = []
-        seen = set()
-        for j, coeff in self.lambdas:
-            j = int(j)
-            coeff = Fraction(coeff)
-            if j < 1 or j * self.k > 2:
-                raise ValueError("term a^%d x^%d is not allowed" % (j, 3 - j * self.k))
-            if j in seen:
-                raise ValueError("duplicate coefficient for a^%d" % j)
-            seen.add(j)
-            if coeff:
-                norm.append((j, coeff))
-        object.__setattr__(self, "lambdas", tuple(sorted(norm)))
+        object.__setattr__(self, "lambdas", _lambda_terms(self.lambdas, 2, self.k, "is not allowed"))
 
     @classmethod
     def standard(cls) -> "Sl2Potential":
@@ -222,25 +232,13 @@ class Sl2Potential:
         return cls(2, ((1, Fraction(-1)),))
 
     def coefficient(self, j) -> Fraction:
-        for jj, coeff in self.lambdas:
-            if jj == j:
-                return coeff
-        return Fraction(0)
+        return dict(self.lambdas).get(j, Fraction(0))
 
     def x_square(self):
         """x^2 = alpha x + beta modulo dP/dx; each part is
         (scalar, a-exponent) or None when zero."""
-        if self.k == 1:
-            alpha = (-Fraction(2, 3) * self.coefficient(1), 1)
-            beta = (-Fraction(1, 3) * self.coefficient(2), 2)
-        else:
-            alpha = None
-            beta = (-Fraction(1, 3) * self.coefficient(1), 1)
-        if alpha is not None and not alpha[0]:
-            alpha = None
-        if beta is not None and not beta[0]:
-            beta = None
-        return alpha, beta
+        terms = {2 - j * self.k: (c, j) for j, c in _x_power_relation(self.lambdas, 2, self.k)}
+        return terms.get(1), terms.get(0)
 
     def integral_form(self) -> "Sl2Potential":
         """P(x, c a), for c the lcm of the denominators of x_square()'s
@@ -381,21 +379,7 @@ class TwoBraidSpec:
             raise ValueError("N must be at least 2")
         if self.k < 1:
             raise ValueError("k must be a positive integer")
-        norm = []
-        seen = set()
-        for j, coeff in self.lambdas:
-            j = int(j)
-            coeff = Fraction(coeff)
-            if j < 1 or j * self.k > self.N:
-                raise ValueError(
-                    "term a^%d x^%d falls outside the allowed form" % (j, self.N + 1 - j * self.k)
-                )
-            if j in seen:
-                raise ValueError("duplicate coefficient for a^%d" % j)
-            seen.add(j)
-            if coeff:
-                norm.append((j, coeff))
-        object.__setattr__(self, "lambdas", tuple(sorted(norm)))
+        object.__setattr__(self, "lambdas", _lambda_terms(self.lambdas, self.N, self.k, "falls outside the allowed form"))
 
     @classmethod
     def power_basis(cls, N: int, i: int, coefficient=1) -> "TwoBraidSpec":
@@ -406,10 +390,7 @@ class TwoBraidSpec:
         return cls(N, N + 1 - i, ((1, Fraction(coefficient)),))
 
     def coefficient(self, j) -> Fraction:
-        for jj, coeff in self.lambdas:
-            if jj == j:
-                return coeff
-        return Fraction(0)
+        return dict(self.lambdas).get(j, Fraction(0))
 
 
 def _x_matrix(spec: TwoBraidSpec):
@@ -419,9 +400,8 @@ def _x_matrix(spec: TwoBraidSpec):
     x2^c to a^e x2^r with 2c + 2 = 2r + 2ke."""
     N = spec.N
     X = [{r - 1: 1} if r else {} for r in range(N)]
-    # x2^N = -sum_j lambda_j (N+1-jk)/(N+1) a^j x2^(N-jk)
-    for j, lam in spec.lambdas:
-        X[N - j * spec.k][N - 1] = canonical(-lam * Fraction(N + 1 - j * spec.k, N + 1))
+    for j, c in _x_power_relation(spec.lambdas, N, spec.k):
+        X[N - j * spec.k][N - 1] = canonical(c)
     return X
 
 
@@ -533,10 +513,14 @@ def delta_battery(N: int, scalings=(Fraction(1), Fraction(5), Fraction(-2, 3))) 
     matrices share one basis.  Verdicts: every differential with
     i < N is nonzero exactly out of degree 2; the i = N one vanishes;
     all pairs anticommute (their products vanish degreewise); scaling
-    the b-coefficient by lambda scales the matrix by lambda.
+    the b-coefficient by lambda scales the matrix by lambda, for each
+    of the scalings, which must be nonzero.
     """
     if N < 2:
         raise ValueError("N must be at least 2")
+    scalings = tuple(Fraction(s) for s in scalings)
+    if not all(scalings):
+        raise ValueError("scalings must be nonzero, got %s" % ", ".join(map(str, scalings)))
     deltas = {}
     signature = None
     for i in range(1, N + 1):
@@ -569,12 +553,7 @@ def delta_battery(N: int, scalings=(Fraction(1), Fraction(5), Fraction(-2, 3))) 
     scaling_ok = True
     for i in range(1, N):
         for lam in scalings:
-            lam = Fraction(lam)
-            if not lam:
-                continue
-            scaled = first_differential(
-                build_twobraid(TwoBraidSpec.power_basis(N, i, lam))
-            )
+            scaled = first_differential(build_twobraid(TwoBraidSpec.power_basis(N, i, lam)))
             if not _blocks_equal_scaled(scaled, deltas[i], lam):
                 scaling_ok = False
 
@@ -586,5 +565,5 @@ def delta_battery(N: int, scalings=(Fraction(1), Fraction(5), Fraction(-2, 3))) 
         top_vanishes=top_vanishes,
         anticommute=anticommute,
         scaling_ok=scaling_ok,
-        scalings=tuple(Fraction(s) for s in scalings),
+        scalings=scalings,
     )

@@ -146,6 +146,10 @@ class TestPagesAndRecover:
         usage_error(capsys, ["pages", TORSION_CX, "--page", "3", "--r-max", "2"],
                     "pages: --r-max applies only without --page")
 
+    def test_generic_beside_module_is_a_usage_error(self, capsys):
+        usage_error(capsys, ["pages", TORSION_CX, "--page", "3", "--module", "--generic"],
+                    "pages: --generic applies only without --module")
+
 
 class TestCouple:
     def test_page_lines(self, capsys):
@@ -215,7 +219,7 @@ class TestTwoBraid:
         _, err = run(capsys, "twobraid", "--N", "3", "--k", "2", "--lambdas", "nope", expect=1)
         assert err == "error: --lambdas: cannot read 'nope', expected j=value such as 1=-3/2\n"
 
-    @pytest.mark.parametrize("chunk", ["x=1", "2", "2=half"])
+    @pytest.mark.parametrize("chunk", ["x=1", "2", "2=half", ""])
     def test_bad_lambdas_chunk_is_named(self, capsys, chunk):
         _, err = run(capsys, "twobraid", "--N", "3", "--k", "2", "--lambdas", "1=1," + chunk, expect=1)
         assert err == "error: --lambdas: cannot read %r, expected j=value such as 1=-3/2\n" % chunk
@@ -290,6 +294,17 @@ class TestLink:
         c, _ = run(capsys, "link", "--pd", pd, "--free-loops", "0")
         d, _ = run(capsys, "link", "--pd", pd)
         assert a == b and c == d and a != c
+
+    @pytest.mark.parametrize("lambdas", ["1=-1,,", ",1=-1", ""])
+    def test_empty_lambdas_entry_refused(self, capsys, lambdas):
+        out, err = run(capsys, "link", "--braid", "1 1 1", "--lambdas", lambdas, expect=1)
+        assert out == "" and err == "error: --lambdas: cannot read '', expected j=value such as 1=-3/2\n"
+
+    def test_zero_lambda_is_the_undeformed_potential(self, capsys):
+        # with x^3 alone no entry carries a, so the homology is free
+        out, _ = run(capsys, "link", "--braid", "1 1 1", "--lambdas", "1=0")
+        rep = json.loads(out)
+        assert rep["k"] == 2 and rep["decomposition"]["torsion"] == [] and rep["tw"] == 0
 
     def test_lambdas_without_k_reads_k_2(self, capsys):
         a, _ = run(capsys, "link", "--braid", "1 1 1", "--lambdas", "1=-1")
@@ -572,11 +587,18 @@ class TestVerify:
         out, err = run(capsys, "verify", "--count", count, expect=1)
         assert out == "" and err == "error: verify: --count must be at least 1\n"
 
-    @pytest.mark.parametrize("seed", ["x", "1.5", ""])
+    @pytest.mark.parametrize("seed", ["x", "1.5", "", "1_000", " 7 ", "+7", "7\n", "\u0661", "-"])
     def test_tw_seed_must_be_an_integer(self, capsys, monkeypatch, seed):
         monkeypatch.setenv("TW_SEED", seed)
         out, err = run(capsys, "verify", "--count", "1", expect=1)
         assert out == "" and err == "error: TW_SEED: expected an integer, got %r\n" % seed
+
+    def test_tw_seed_negative(self, capsys, monkeypatch):
+        monkeypatch.setenv("TW_SEED", "-3")
+        env_run, _ = run(capsys, "verify", "--count", "2")
+        monkeypatch.delenv("TW_SEED")
+        direct, _ = run(capsys, "verify", "--seed", "-3", "--count", "2")
+        assert env_run == direct and json.loads(env_run)["seed"] == -3
 
 
 class TestProcessLevel:

@@ -25,6 +25,8 @@ from twkit.complexes import (
     complex_from_data,
     direct_sum,
     gaussian_eliminate,
+    reduce_mod_a,
+    specialize_a_to_1,
 )
 from twkit.corpus import conjugate, random_decomposition
 from twkit.decompose import Decomposition, _split_pieces, decompose, reassemble
@@ -195,11 +197,12 @@ def reference_schur(rows, row, col):
     return out
 
 
-def reference_eliminate_graded(c, h, row, col):
+def reference_eliminate_graded(degrees, mats, h, row, col):
     """({degree: generator degrees}, {degree: dense rows}) of the
-    eliminated complex, by the dense Schur complement."""
-    degrees = {i: list(m.degrees) for i, m in c.modules.items()}
-    mats = {i: dense(d) for i, d in c.differentials.items()}
+    complex on degrees and dense rows mats after eliminating the pair,
+    by the dense Schur complement."""
+    degrees = {i: list(v) for i, v in degrees.items()}
+    mats = dict(mats)
     d = mats.pop(h)
     del degrees[h][col]
     del degrees[h + 1][row]
@@ -429,7 +432,13 @@ def unit_pivots(c, h):
     ]
 
 
+def nonzero_maps(mats):
+    return {i: rows for i, rows in mats.items() if any(any(r) for r in rows)}
+
+
 def test_eliminate_graded_matches_reference(cubes):
+    """The same seeded unit pivots on the graded complex and on its a = 0
+    and a = 1 specializations, each against the dense reference."""
     rng = random.Random(3)
     inputs = [c for _, c in cubes[:4]] + corpus_complexes(6)
     inputs += [build_twobraid_unreduced(TwoBraidSpec.power_basis(N, 2)) for N in (3, 5, 7)]
@@ -443,12 +452,23 @@ def test_eliminate_graded_matches_reference(cubes):
             if not pivots:
                 continue
             row, col = rng.choice(pivots)
-            degrees, mats = reference_eliminate_graded(c, h, row, col)
+            degrees, mats = reference_eliminate_graded(
+                {i: m.degrees for i, m in c.modules.items()}, dense_mats(c), h, row, col
+            )
             out = gaussian_eliminate(c, h, row, col)
             assert {i: list(m.degrees) for i, m in out.modules.items()} == degrees
             got = {i: dense(d) for i, d in out.differentials.items() if not d.is_zero()}
-            assert got == {i: rows for i, rows in mats.items() if any(any(r) for r in rows)}
+            assert got == nonzero_maps(mats)
             assert_canonical(out)
+            for fc in (reduce_mod_a(c), specialize_a_to_1(c)):
+                degrees, mats = reference_eliminate_graded(
+                    fc.degrees, {i: [[Fraction(x) for x in r] for r in fc.matrix(i)] for i in fc.mats}, h, row, col
+                )
+                fout = gaussian_eliminate(fc, h, row, col)
+                assert type(fout) is type(fc)
+                assert {i: list(v) for i, v in fout.degrees.items()} == degrees
+                assert nonzero_maps({i: fout.matrix(i) for i in fout.mats}) == nonzero_maps(mats)
+                assert_canonical(fout)
             steps += 1
             c = out
     assert steps > 20

@@ -16,10 +16,11 @@ from fractions import Fraction
 
 import pytest
 
+from test_cube_builder import POTENTIALS as CUBE_POTENTIALS
 from twkit import jsonio
 from twkit.cli import _full_report, _render_report
 from twkit.decompose import decompose
-from twkit.links import LinkDiagram, Sl2Potential, build_sl2_cube
+from twkit.links import LinkDiagram, Sl2Potential, TwoBraidSpec, _x_matrix, build_sl2_cube
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SEED = 10
@@ -118,3 +119,34 @@ def test_integral_cube_stores_ints(coefficient):
         c = build_sl2_cube(diagram, potential.integral_form())
         values = [x for m in c.differentials.values() for row in m.rows for x in row.values()]
         assert values and all(type(x) is int for x in values)
+
+
+def hand_x_square(potential):
+    """x^2 = alpha x + beta from dP/dx = 0 by hand, at N = 2: for k = 1,
+    alpha = -(2/3) lambda_1 (times a) and beta = -(1/3) lambda_2 (times
+    a^2); for k = 2, beta = -(1/3) lambda_1 (times a)."""
+    lam = dict(potential.lambdas)
+    if potential.k == 1:
+        parts = ((-Fraction(2, 3) * lam.get(1, 0), 1), (-Fraction(1, 3) * lam.get(2, 0), 2))
+    else:
+        parts = (None, (-Fraction(1, 3) * lam.get(1, 0), 1))
+    return tuple(part if part and part[0] else None for part in parts)
+
+
+def test_dp_relation_matches_hand_formulas():
+    """The cube's alpha and beta and the 2-braid's x2 matrix both come
+    from one dP/dx relation; the frozen cube builder reads alpha and
+    beta through x_square(), so they are pinned here by hand."""
+    potentials = POTENTIALS + tuple(CUBE_POTENTIALS.values())
+    for p in potentials + tuple(p.integral_form() for p in potentials):
+        assert p.x_square() == hand_x_square(p), p
+    rng = random.Random(SEED)
+    for N in range(2, 16):
+        for k in range(1, N + 1):
+            lambdas = tuple((j, Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for j in range(1, N // k + 1))
+            spec = TwoBraidSpec(N, k, lambdas)
+            X = _x_matrix(spec)
+            last = {r: row[N - 1] for r, row in enumerate(X) if N - 1 in row}
+            assert last == {N - j * k: -lam * Fraction(N + 1 - j * k, N + 1) for j, lam in lambdas if lam}
+            shift = [{r - 1: 1} if r else {} for r in range(N)]
+            assert [{c: x for c, x in row.items() if c != N - 1} for row in X] == shift

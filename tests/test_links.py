@@ -273,6 +273,12 @@ class TestDeltaBattery:
         assert b.ok()
         assert b.ranks == {i: (N - i if i < N else 0) for i in range(1, N + 1)}
 
+    @pytest.mark.parametrize("scalings, named", [((0,), "0"), ((1, Fraction(0), Fraction(-2, 3)), "1, 0, -2/3")])
+    def test_zero_scaling_refused(self, scalings, named):
+        with pytest.raises(ValueError) as exc:
+            delta_battery(3, scalings)
+        assert str(exc.value) == "scalings must be nonzero, got " + named
+
     def test_first_differential_bidegree(self):
         # each delta drops the polynomial degree by 2k = 2(N + 1 - i)
         b = delta_battery(3)
