@@ -15,6 +15,7 @@ accepted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -474,7 +475,10 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The twkit parser, built on the first call; every later call in
+    the process returns the same object, so callers must not mutate it."""
     parser = _Parser(
         prog="twkit",
         description="Exact decomposition, spectral-sequence, and recovery "
@@ -598,7 +602,7 @@ def main(argv=None) -> int:
                 subcommand, option.replace("_", "-"), "with" if needs else "without", other))
     try:
         if getattr(args, "r_max", None) is not None and args.r_max < 1:
-            raise SchemaError("%s pages start at r = 1: --r-max must be at least 1" % args.subcommand)
+            raise SchemaError("%s: --r-max must be at least 1 (pages start at r = 1)" % args.subcommand)
         return args.func(args)
     except ComplexError as e:
         print("error: %s" % e, file=sys.stderr)

@@ -384,7 +384,9 @@ class TwoBraidSpec:
     @classmethod
     def power_basis(cls, N: int, i: int, coefficient=1) -> "TwoBraidSpec":
         """P = x^(N+1) + coefficient * b x^i with deg b = 2N+2-2i,
-        so k = N+1-i; requires 1 <= i <= N."""
+        so k = N+1-i; requires N >= 2, then 1 <= i <= N."""
+        if N < 2:
+            raise ValueError("N must be at least 2")
         if not 1 <= i <= N:
             raise ValueError("exponent i must satisfy 1 <= i <= N")
         return cls(N, N + 1 - i, ((1, Fraction(coefficient)),))

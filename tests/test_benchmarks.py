@@ -50,7 +50,13 @@ def complexes():
     bench.check(label, c, bench.dense_mats(c), reference)
 
 
+def cli():
+    bench = harness("bench_cli")
+    bench.check(bench.ladder(bench.SEED, 1))
+
+
 SMALLEST = {
+    "bench_cli": cli,
     "bench_kernel": kernel,
     "bench_couples": couples,
     "bench_pages": pages,

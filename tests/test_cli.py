@@ -17,7 +17,7 @@ import sys
 import pytest
 
 from twkit import jsonio
-from twkit.cli import main
+from twkit.cli import build_parser, main
 from twkit.corpus import conjugate, random_decomposition
 from twkit.couples import ExactCouple, couple_from_decomposition, couple_pages
 from twkit.decompose import decompose, reassemble, torsion_width
@@ -235,6 +235,11 @@ class TestTwoBraid:
         usage_error(capsys, ["twobraid", "--N", "3", "--i", "2", option, value],
                     "twobraid: %s applies only without --i" % option)
 
+    @pytest.mark.parametrize("N", ["-3", "0", "1"])
+    def test_small_N_is_named_before_i(self, capsys, N):
+        out, err = run(capsys, "twobraid", "--N", N, "--i", "1", expect=1)
+        assert out == "" and err == "error: N must be at least 2\n"
+
 
 class TestLink:
     def test_braid_report(self, capsys):
@@ -382,7 +387,52 @@ class TestRationalValues:
 def test_empty_page_range_refused(capsys, command, r_max):
     out, err = run(capsys, command, TORSION_CX, "--r-max", r_max, expect=1)
     assert out == ""
-    assert err == "error: %s pages start at r = 1: --r-max must be at least 1\n" % command
+    assert err == "error: %s: --r-max must be at least 1 (pages start at r = 1)\n" % command
+
+
+# valid commands interleaved with every kind of early exit: an argparse
+# usage error, an OPTION_RULES refusal, --help, and option-bearing
+# commands followed by the same subcommand without those options
+SHARED_PARSER_SEQUENCE = (
+    ["decompose", TORSION_CX],
+    ["twobraid", "--N", "3", "--k", "2", "--lambdas", "2=1", "--coefficient", "3"],
+    ["pages", TORSION_CX, "--generic"],
+    ["pages", TORSION_CX],
+    ["no-such-command"],
+    ["pages", TORSION_CX, "--r-max", "2", "--page", "1"],
+    ["pages", TORSION_CX, "--r-max", "2"],
+    ["--help"],
+    ["couple", TORSION_CX, "--hat-index"],
+    ["couple", TORSION_CX],
+    ["pages", "--help"],
+    ["link", "--braid", "1 1 1", "--k", "1", "--lambdas", "1=1"],
+    ["link", "--braid", "1 1 1"],
+    ["pages", TORSION_CX, "--r-max", "0"],
+    ["twobraid", "--N", "3", "--i", "2", "--coefficient", "-3/2"],
+    ["twobraid", "--N", "3", "--i", "2"],
+)
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one in-process command."""
+    try:
+        code = main(list(argv))
+    except SystemExit as e:
+        code = e.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_shared_parser_matches_a_fresh_one(capsys):
+    assert build_parser() is build_parser()
+    shared = [_outcome(capsys, argv) for argv in SHARED_PARSER_SEQUENCE]
+    fresh = []
+    for argv in SHARED_PARSER_SEQUENCE:
+        build_parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0, 2, 2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0]
+    for argv, a, b in zip(SHARED_PARSER_SEQUENCE, shared, fresh):
+        assert a == b, argv
 
 
 def _complex_doc(k=1, degrees=(4,), entry="1"):
