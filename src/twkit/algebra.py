@@ -117,9 +117,6 @@ class BigradedTable:
             {(p + q, p): d for (p, q), d in self._entries.items()}, HOM_POLY
         )
 
-    def _rebuild(self, entries):
-        return BigradedTable(entries, PAGE)
-
 
 @dataclass(frozen=True)
 class GradedModuleDescriptor:
@@ -147,22 +144,6 @@ class GradedModuleDescriptor:
 
     def __bool__(self):
         return not self.is_zero()
-
-    def merge(self, other: "GradedModuleDescriptor") -> "GradedModuleDescriptor":
-        return GradedModuleDescriptor(
-            self.free_shifts + other.free_shifts, self.torsions + other.torsions
-        )
-
-    def shifted(self, ds: int) -> "GradedModuleDescriptor":
-        return GradedModuleDescriptor(
-            tuple(s + ds for s in self.free_shifts),
-            tuple((m, s + ds) for m, s in self.torsions),
-        )
-
-    def scaled(self, c: int) -> "GradedModuleDescriptor":
-        if c < 0:
-            raise ValueError("multiplicity must be >= 0")
-        return GradedModuleDescriptor(self.free_shifts * c, self.torsions * c)
 
 
 @dataclass(frozen=True)
@@ -303,73 +284,3 @@ def hom_matrix_validate(m: HomMatrix):
         if bad:
             return (r, min(bad))
     return None
-
-
-def _value_scale_shift(value, c: int, j: int):
-    if isinstance(value, GradedModuleDescriptor):
-        return value.scaled(c).shifted(j)
-    return value * c
-
-
-def _value_add(left, right):
-    if isinstance(left, GradedModuleDescriptor) or isinstance(
-        right, GradedModuleDescriptor
-    ):
-        if not isinstance(left, GradedModuleDescriptor) or not isinstance(
-            right, GradedModuleDescriptor
-        ):
-            raise TypeError("cannot mix dimension and descriptor entries")
-        return left.merge(right)
-    return left + right
-
-
-def _value_is_zero(value) -> bool:
-    if isinstance(value, GradedModuleDescriptor):
-        return value.is_zero()
-    return value == 0
-
-
-def boxtimes(h: BigradedTable, e):
-    """(H boxtimes E)^{a,b} = sum over j+p=a, q+i-j=b of H^{i,j} x E^{p,q}.
-
-    h is a HOM_POLY table (keys (i, j) = (hom, poly)); e is anything in
-    PAGE position convention exposing items() of ((p, q), value) and a
-    _rebuild(entries) constructor (a PAGE BigradedTable or a page
-    table).  Dimensions multiply; module-valued entries are repeated by
-    the dimension and their shifts raised by j.
-    """
-    if h.convention != HOM_POLY:
-        raise ValueError("left factor must be in (hom, poly) convention")
-    if isinstance(e, BigradedTable) and e.convention != PAGE:
-        raise ValueError("right factor must be in page convention")
-    out = {}
-    for (i, j), c in h.items():
-        for (p, q), value in e.items():
-            key = (j + p, q + i - j)
-            term = _value_scale_shift(value, c, j)
-            if key in out:
-                out[key] = _value_add(out[key], term)
-            else:
-                out[key] = term
-    out = {key: v for key, v in out.items() if not _value_is_zero(v)}
-    return e._rebuild(out)
-
-
-def descriptor_dim_table(d: GradedModuleDescriptor, at_hom_degree: int, k: int) -> BigradedTable:
-    """Field dimensions the module contributes to the a=0 homology.
-
-    A free summand {s} at degree i lands at (i, s); a torsion summand
-    (m, s) at degree i lands at (i, s) and also at (i-1, s+2km).
-    """
-    entries = {}
-
-    def bump(key):
-        entries[key] = entries.get(key, 0) + 1
-
-    i = at_hom_degree
-    for s in d.free_shifts:
-        bump((i, s))
-    for m, s in d.torsions:
-        bump((i, s))
-        bump((i - 1, s + 2 * k * m))
-    return BigradedTable(entries, HOM_POLY)

@@ -293,8 +293,6 @@ def cmd_couple(args) -> int:
         r_lo = r_hi = args.r
     else:
         r_lo, r_hi = 1, (args.r_max if args.r_max is not None else torsion_width(d) + 2)
-    if r_lo < 1:
-        raise ValueError("couple pages start at r = 1")
     pages = []
     for r, table in enumerate(couple_tables(d, r_hi)[r_lo - 1:], r_lo):
         if args.hat_index:
@@ -601,8 +599,17 @@ def main(argv=None) -> int:
             parser.error("%s: --%s applies only %s --%s" % (
                 subcommand, option.replace("_", "-"), "with" if needs else "without", other))
     try:
-        if getattr(args, "r_max", None) is not None and args.r_max < 1:
-            raise SchemaError("%s: --r-max must be at least 1 (pages start at r = 1)" % args.subcommand)
+        for option in ("r_max", "r", "page"):
+            value = getattr(args, option, None)
+            if value is None:
+                continue
+            # pages --generic also shows the zeroth page of the presentation
+            if option == "page" and args.generic:
+                if value < 0:
+                    raise SchemaError("pages: --page must be at least 0 with --generic")
+            elif value < 1:
+                raise SchemaError("%s: --%s must be at least 1 (pages start at r = 1)" % (
+                    args.subcommand, option.replace("_", "-")))
         return args.func(args)
     except ComplexError as e:
         print("error: %s" % e, file=sys.stderr)

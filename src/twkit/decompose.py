@@ -16,6 +16,7 @@ an isomorphism invariant of the complex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .algebra import (
     HOM_POLY,
@@ -24,7 +25,6 @@ from .algebra import (
     GradedModuleDescriptor,
     GradedRing,
     HomMatrix,
-    descriptor_dim_table,
 )
 from .complexes import GradedComplex, InternalError
 from .exactla import clear_column, column_index
@@ -191,10 +191,15 @@ def hn_table(d: Decomposition) -> BigradedTable:
     Each free piece lands at (i, s); each torsion piece (i, m, s) lands
     at (i, s) and at (i - 1, s + 2km).
     """
-    table = BigradedTable((), HOM_POLY)
-    for i, desc in homology_structure(d).items():
-        table = table.add(descriptor_dim_table(desc, i, d.k))
-    return table
+    two_k = 2 * d.k
+    return BigradedTable(
+        chain(
+            ((piece, 1) for piece in d.free_pieces),
+            (((i, s), 1) for i, _, s in d.torsion_pieces),
+            (((i - 1, s + two_k * m), 1) for i, m, s in d.torsion_pieces),
+        ),
+        HOM_POLY,
+    )
 
 
 def torsion_width(d: Decomposition) -> int:

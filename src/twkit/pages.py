@@ -1,9 +1,10 @@
 """Pages of the filtration spectral sequence, three ways.
 
-Closed forms per elementary piece, assembly over a decomposition, and a
-generic computation from a filtered complex of vector spaces that knows
-nothing about pieces.  All three must agree exactly; the generic route
-is the referee.
+Closed forms per elementary piece; the assembled page of a
+decomposition, which is the sum of the closed forms of its pieces; and
+a generic computation from a filtered complex of vector spaces that
+knows nothing about pieces.  All three must agree exactly; the generic
+route, generic_pages, is the referee.
 
 The generic route reads each dim E_r as a signed sum of four ranks of
 lower-left blocks of the differential, which determine a filtered
@@ -20,14 +21,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .algebra import (
-    HOM_POLY,
-    PAGE,
-    BigradedTable,
-    GradedModuleDescriptor,
-    _value_add,
-    boxtimes,
-)
+from .algebra import PAGE, BigradedTable, GradedModuleDescriptor
 from .complexes import FilteredFieldComplex
 from .decompose import Decomposition, torsion_width
 
@@ -109,19 +103,13 @@ class PageTable:
     def merge(self, other: "PageTable") -> "PageTable":
         if self.hat != other.hat or self.r != other.r:
             raise ValueError("cannot merge pages of different kind or index")
-        merged = dict(self._entries)
-        for key, value in other._entries.items():
-            merged[key] = _value_add(merged[key], value) if key in merged else value
-        return PageTable(self.r, merged, self.hat)
+        return PageTable(self.r, chain(self._entries.items(), other._entries.items()), self.hat)
 
     def table(self) -> BigradedTable:
         """Dimensions as a (p, q) table; hat pages only."""
         if not self.hat:
             raise ValueError("module page has no single dimension table")
         return BigradedTable(self._entries, PAGE)
-
-    def _rebuild(self, entries):
-        return PageTable(self.r, entries, self.hat)
 
 
 def piece_pages(piece, hat: bool, r: int, k: int) -> PageTable:
@@ -165,11 +153,8 @@ def piece_pages(piece, hat: bool, r: int, k: int) -> PageTable:
 
 
 def assembled_pages(d: Decomposition, hat: bool, r: int) -> PageTable:
-    """Page r of a complex known only through its decomposition.
-
-    The free pieces enter through the box product of their (i, s)
-    dimension table with the page of the basic free piece at the
-    origin; the torsion pieces add their closed-form pages directly.
+    """Page r of a complex known only through its decomposition: the
+    sum of the closed forms of its pieces, which generic_pages referees.
     Restricted to r >= 1: the zeroth page depends on the presentation,
     not just the decomposition.
     """
@@ -178,13 +163,16 @@ def assembled_pages(d: Decomposition, hat: bool, r: int) -> PageTable:
 
 
 def assembled_page_list(d: Decomposition, hat: bool, rs) -> list:
-    """[assembled_pages(d, hat, r) for r in rs], with the free part
-    built once: a free piece shows the same class on every page."""
+    """[assembled_pages(d, hat, r) for r in rs].  A free piece (i, s)
+    shows one class at (s, i - s) on every page, so the free part is
+    summed once; each torsion piece adds its piece_pages."""
     rs = list(rs)
     if any(r < 1 for r in rs):
         raise ValueError("assembled pages start at r = 1")
-    counts = BigradedTable([(piece, 1) for piece in d.free_pieces], HOM_POLY)
-    free = boxtimes(counts, piece_pages((0, 0), hat, 1, d.k)).items()
+    free = PageTable(1, (((s, i - s), 1) for i, s in d.free_pieces)).items()
+    if not hat:
+        # n free classes at (p, q) are the module k[a]{p}^n
+        free = [(pq, GradedModuleDescriptor((pq[0],) * n)) for pq, n in free]
 
     def page(r):
         torsion = (item for piece in d.torsion_pieces for item in piece_pages(piece, hat, r, d.k).items())

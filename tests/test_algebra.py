@@ -1,9 +1,11 @@
-"""Graded building blocks: tables, descriptors, homogeneous matrices."""
+"""Graded building blocks: tables, descriptors, homogeneous matrices,
+and the box product frozen in tests/frozen_pages.py."""
 
 from fractions import Fraction
 
 import pytest
 
+from frozen_pages import boxtimes, descriptor_dim_table, merge, scaled, shifted
 from twkit.algebra import (
     HOM_POLY,
     PAGE,
@@ -12,8 +14,6 @@ from twkit.algebra import (
     GradedModuleDescriptor,
     GradedRing,
     HomMatrix,
-    boxtimes,
-    descriptor_dim_table,
     hom_matrix_validate,
 )
 
@@ -77,9 +77,9 @@ class TestDescriptor:
 
     def test_merge_shift_scale(self):
         d = GradedModuleDescriptor((0,), ((1, 2),))
-        assert d.merge(d) == GradedModuleDescriptor((0, 0), ((1, 2), (1, 2)))
-        assert d.shifted(3) == GradedModuleDescriptor((3,), ((1, 5),))
-        assert d.scaled(0).is_zero()
+        assert merge(d, d) == GradedModuleDescriptor((0, 0), ((1, 2), (1, 2)))
+        assert shifted(d, 3) == GradedModuleDescriptor((3,), ((1, 5),))
+        assert scaled(d, 0).is_zero()
         assert not d.is_zero() and bool(d)
 
 
@@ -141,6 +141,10 @@ class TestHomMatrix:
         rows = m.reduced_mod_a()
         assert rows == [{0: 2}]
         assert type(rows[0][0]) is int
+
+
+# -- the box product and the descriptor operations it used, frozen in
+# tests/frozen_pages.py
 
 
 class TestBoxtimes:

@@ -185,8 +185,17 @@ class TestCouple:
             assert {(p, q): v for p, q, v in line["entries"]} == dict(want.items())
 
     def test_single_page_below_one_is_refused(self, capsys):
-        _, err = run(capsys, "couple", TORSION_CX, "--r", "0", expect=1)
-        assert err == "error: couple pages start at r = 1\n"
+        for r in ("0", "-2"):
+            out, err = run(capsys, "couple", TORSION_CX, "--r", r, expect=1)
+            assert out == ""
+            assert err == "error: couple: --r must be at least 1 (pages start at r = 1)\n"
+        # pages --generic also shows the zeroth page, E_0 of the presentation
+        out, err = run(capsys, "pages", TORSION_CX, "--page", "-1", "--generic", expect=1)
+        assert out == "" and err == "error: pages: --page must be at least 0 with --generic\n"
+        out, _ = run(capsys, "pages", TORSION_CX, "--page", "0", "--generic")
+        assert json.loads(out) == {
+            "format": "tw/1", "type": "page", "r": 0, "hat": True, "entries": [[0, 1, 1], [4, -4, 1]],
+        }
 
     def test_r_max_beside_r_is_a_usage_error(self, capsys):
         usage_error(capsys, ["couple", TORSION_CX, "--r", "2", "--r-max", "3"],
@@ -385,9 +394,13 @@ class TestRationalValues:
 @pytest.mark.parametrize("command", ["pages", "couple"])
 @pytest.mark.parametrize("r_max", ["0", "-2"])
 def test_empty_page_range_refused(capsys, command, r_max):
-    out, err = run(capsys, command, TORSION_CX, "--r-max", r_max, expect=1)
-    assert out == ""
-    assert err == "error: %s: --r-max must be at least 1 (pages start at r = 1)\n" % command
+    """--r-max and the single-page option (couple --r, pages --page,
+    with or without --module) refuse a page below 1 alike."""
+    single = {"couple": [["--r"]], "pages": [["--page"], ["--page", "--module"]]}[command]
+    for option, *rest in [["--r-max"]] + single:
+        out, err = run(capsys, command, TORSION_CX, option, r_max, *rest, expect=1)
+        assert out == ""
+        assert err == "error: %s: %s must be at least 1 (pages start at r = 1)\n" % (command, option)
 
 
 # valid commands interleaved with every kind of early exit: an argparse

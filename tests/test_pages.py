@@ -5,8 +5,9 @@ import random
 import pytest
 
 from dense_la import dense_kernel_basis, dense_matvec, dense_rank
+from frozen_pages import reference_assembled_pages
 from twkit import exactla
-from twkit.algebra import HOM_POLY, BigradedTable, GradedModuleDescriptor, boxtimes
+from twkit.algebra import GradedModuleDescriptor
 from twkit.complexes import FilteredFieldComplex, specialize_a_to_1
 from twkit.corpus import conjugate, random_decomposition, summed_piece_pages
 from twkit.decompose import Decomposition, reassemble, torsion_width
@@ -137,18 +138,6 @@ class TestAssembledPages:
                     assert got == want
                     assert got.items() == want.items()
                     assert got.same_entries(summed_piece_pages(d, hat, r))
-
-
-def reference_assembled_pages(d, hat, r):
-    """assembled_pages as it merged one piece page at a time, frozen as
-    the reference."""
-    counts = {}
-    for i, s in d.free_pieces:
-        counts[(i, s)] = counts.get((i, s), 0) + 1
-    page = boxtimes(BigradedTable(counts, HOM_POLY), piece_pages((0, 0), hat, r, d.k))
-    for piece in d.torsion_pieces:
-        page = page.merge(piece_pages(piece, hat, r, d.k))
-    return page
 
 
 # -- frozen reference: generic pages from three kernel bases per
