@@ -489,7 +489,11 @@ def first_differential(c: GradedComplex) -> FirstDifferential:
     homogeneous of bidegree (1, -2k).
     """
     fc = reduce_mod_a(c)
-    hb = homology_field(fc)
+    return induced_differential(c, fc, homology_field(fc))
+
+
+def induced_differential(c: GradedComplex, fc: FieldComplex, hb: FieldHomologyBasis) -> FirstDifferential:
+    """first_differential's lift step, on c's mod-a reduction fc and its homology hb."""
     k = c.ring.k
     rep_degrees = {
         i: tuple(fc.degrees[i][min(v)] for v in reps) for i, reps in hb.representatives.items()

@@ -33,10 +33,11 @@ from .complexes import (
     FirstDifferential,
     GradedComplex,
     InternalError,
-    first_differential,
+    homology_field,
+    induced_differential,
     reduce_mod_a,
 )
-from .exactla import canonical, matmul
+from .exactla import canonical, from_columns, matmul
 
 
 # -- diagrams ----------------------------------------------------------
@@ -395,16 +396,22 @@ class TwoBraidSpec:
         return dict(self.lambdas).get(j, Fraction(0))
 
 
-def _x_matrix(spec: TwoBraidSpec):
-    """Multiplication by x2 on the basis {1, x2, ..., x2^(N-1)} of
-    M = C[x2, a]/(dP/dx2), as sparse scalar rows.  Every entry is a
-    monomial, and its a-exponent follows from the degrees: x2 maps
-    x2^c to a^e x2^r with 2c + 2 = 2r + 2ke."""
+def _x_power(spec: TwoBraidSpec, e: int):
+    """Multiplication by x2^e, 1 <= e <= N-1, on the basis {1, x2, ...,
+    x2^(N-1)} of M = C[x2, a]/(dP/dx2), as sparse scalar rows.  Column c
+    is x2^(c+e): column 0 is x2^e, and each next one shifts every
+    coefficient up and folds the one past x2^(N-1) back by dP/dx2 = 0.
+    Every entry is a monomial, its a-exponent read off the degrees."""
     N = spec.N
-    X = [{r - 1: 1} if r else {} for r in range(N)]
-    for j, c in _x_power_relation(spec.lambdas, N, spec.k):
-        X[N - j * spec.k][N - 1] = canonical(c)
-    return X
+    relation = [(N - j * spec.k, canonical(c)) for j, c in _x_power_relation(spec.lambdas, N, spec.k)]
+    cols = [{e: 1}]
+    while len(cols) < N:
+        top = cols[-1].get(N - 1, 0)
+        power = {r + 1: x for r, x in cols[-1].items() if r < N - 1}
+        for r, c in relation if top else ():
+            power[r] = canonical(power.get(r, 0) + top * c)
+        cols.append({r: x for r, x in power.items() if x})
+    return from_columns(cols, N)
 
 
 def _negated(rows):
@@ -417,7 +424,8 @@ def build_twobraid(spec: TwoBraidSpec) -> GradedComplex:
     Degree 0 holds M{-4N+4} and degree 4 holds the N-1 copies
     M{-4N-4-2l}, both with zero differential since they are free and
     contribute nothing past the first page.  Degrees 2 and 3 hold
-    M{-4N} -> M{-6N+2} with differential -x2^(N-1)."""
+    M{-4N} -> M{-6N+2} with differential -x2^(N-1), from _x_power's
+    recurrence and checked homogeneous."""
     N = spec.N
     ring = GradedRing(spec.k)
     mdegs = [2 * j for j in range(N)]
@@ -429,10 +437,7 @@ def build_twobraid(spec: TwoBraidSpec) -> GradedComplex:
             tuple(d - 4 * N - 4 - 2 * l for l in range(N - 1) for d in mdegs)
         ),
     }
-    X = power = _x_matrix(spec)
-    for _ in range(N - 2):
-        power = matmul(power, X)
-    diff = HomMatrix(ring, modules[2].degrees, modules[3].degrees, _negated(power))
+    diff = HomMatrix(ring, modules[2].degrees, modules[3].degrees, _negated(_x_power(spec, N - 1)))
     bad = hom_matrix_validate(diff)
     if bad is not None:
         raise InternalError("links", "x2^(N-1) is not homogeneous at entry %r" % (bad,))
@@ -450,7 +455,7 @@ def build_twobraid_unreduced(spec: TwoBraidSpec) -> GradedComplex:
     src = tuple(d + 2 * j + 4 - 6 * N for j in range(N - 1) for d in mdegs)
     tgt_shifts = [2 * r + 4 - 6 * N for r in range(N - 2)] + [2 - 6 * N]
     tgt = tuple(d + shift for shift in tgt_shifts for d in mdegs)
-    neg_x = _negated(_x_matrix(spec))
+    neg_x = _negated(_x_power(spec, 1))
     rows = [{} for _ in tgt]
 
     def fill(block_r, block_c, scalars):
@@ -511,8 +516,10 @@ def delta_battery(N: int, scalings=(Fraction(1), Fraction(5), Fraction(-2, 3))) 
     """For each 1 <= i <= N compute the induced differential of
     P = x^(N+1) + b x^i on the mod-b homology of the 2-braid.
 
-    All N complexes reduce to the identical mod-b complex, so the
-    matrices share one basis.  Verdicts: every differential with
+    All N complexes and the scaled ones below reduce to the identical
+    mod-b complex, so its homology is computed once and each complex,
+    once its reduction is checked equal, lifts onto that one basis
+    (complexes.induced_differential).  Verdicts: every differential with
     i < N is nonzero exactly out of degree 2; the i = N one vanishes;
     all pairs anticommute (their products vanish degreewise); scaling
     the b-coefficient by lambda scales the matrix by lambda, for each
@@ -523,18 +530,19 @@ def delta_battery(N: int, scalings=(Fraction(1), Fraction(5), Fraction(-2, 3))) 
     scalings = tuple(Fraction(s) for s in scalings)
     if not all(scalings):
         raise ValueError("scalings must be nonzero, got %s" % ", ".join(map(str, scalings)))
-    deltas = {}
-    signature = None
-    for i in range(1, N + 1):
-        cx = build_twobraid(TwoBraidSpec.power_basis(N, i))
+    common = []
+
+    def induced(i, lam=1):
+        cx = build_twobraid(TwoBraidSpec.power_basis(N, i, lam))
         fc = reduce_mod_a(cx)
+        if not common:
+            common.extend((fc, homology_field(fc)))
         # sparse rows compare by value, zeros left out
-        sig = (fc.degrees, fc.mats)
-        if signature is None:
-            signature = sig
-        elif sig != signature:
+        elif (fc.degrees, fc.mats) != (common[0].degrees, common[0].mats):
             raise ComplexError("mod-a reductions disagree across potentials")
-        deltas[i] = first_differential(cx)
+        return induced_differential(cx, *common)
+
+    deltas = {i: induced(i) for i in range(1, N + 1)}
 
     concentrated = all(
         deltas[i].nonzero_degrees() == [2] for i in range(1, N)
@@ -552,12 +560,8 @@ def delta_battery(N: int, scalings=(Fraction(1), Fraction(5), Fraction(-2, 3))) 
                     if any(lr.get(c, 0) + rr.get(c, 0) for c in lr.keys() | rr.keys()):
                         anticommute = False
 
-    scaling_ok = True
-    for i in range(1, N):
-        for lam in scalings:
-            scaled = first_differential(build_twobraid(TwoBraidSpec.power_basis(N, i, lam)))
-            if not _blocks_equal_scaled(scaled, deltas[i], lam):
-                scaling_ok = False
+    # every scaled complex is built and checked, even past a failure
+    scaling_ok = all([_blocks_equal_scaled(induced(i, lam), deltas[i], lam) for i in range(1, N) for lam in scalings])
 
     return DeltaBattery(
         N=N,

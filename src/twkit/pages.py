@@ -100,6 +100,12 @@ class PageTable:
     def __repr__(self):
         return "PageTable(r=%d, %r, hat=%r)" % (self.r, self.items(), self.hat)
 
+    def relabeled(self, r) -> "PageTable":
+        """These entries as page r; being immutable, they are shared."""
+        page = PageTable(r, (), self.hat)
+        object.__setattr__(page, "_entries", self._entries)
+        return page
+
     def merge(self, other: "PageTable") -> "PageTable":
         if self.hat != other.hat or self.r != other.r:
             raise ValueError("cannot merge pages of different kind or index")
@@ -163,9 +169,10 @@ def assembled_pages(d: Decomposition, hat: bool, r: int) -> PageTable:
 
 
 def assembled_page_list(d: Decomposition, hat: bool, rs) -> list:
-    """[assembled_pages(d, hat, r) for r in rs].  A free piece (i, s)
-    shows one class at (s, i - s) on every page, so the free part is
-    summed once; each torsion piece adds its piece_pages."""
+    """[assembled_pages(d, hat, r) for r in rs].  A free piece (i, s) is
+    one class at (s, i - s) on every page, so the free part is summed
+    once; a torsion piece's page changes only where r passes its 2km + 1,
+    so one page is built per block of r between those cuts."""
     rs = list(rs)
     if any(r < 1 for r in rs):
         raise ValueError("assembled pages start at r = 1")
@@ -173,10 +180,15 @@ def assembled_page_list(d: Decomposition, hat: bool, rs) -> list:
     if not hat:
         # n free classes at (p, q) are the module k[a]{p}^n
         free = [(pq, GradedModuleDescriptor((pq[0],) * n)) for pq, n in free]
+    cuts = {2 * d.k * m + 1 for _, m, _ in d.torsion_pieces}
+    blocks = {}
 
     def page(r):
-        torsion = (item for piece in d.torsion_pieces for item in piece_pages(piece, hat, r, d.k).items())
-        return PageTable(r, chain(free, torsion), hat)
+        block = sum(cut <= r for cut in cuts)
+        if block not in blocks:
+            torsion = (item for piece in d.torsion_pieces for item in piece_pages(piece, hat, r, d.k).items())
+            blocks[block] = PageTable(r, chain(free, torsion), hat)
+        return blocks[block].relabeled(r)
 
     return [page(r) for r in rs]
 

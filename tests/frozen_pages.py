@@ -1,7 +1,9 @@
 """The box product route to the assembled pages and the mod-a table,
 frozen before both were read straight off the pieces, as the reference
 the rewrite is checked against (tests/test_frozen_pages.py,
-tests/test_pages.py, tests/test_algebra.py).
+tests/test_pages.py, tests/test_algebra.py); and the page-by-page list
+that followed it, frozen before one page was built per block of r
+(tests/test_frozen_twobraid.py, benchmarks/bench_twobraid.py).
 
 boxtimes multiplied a (hom, poly) dimension table against a page, and
 hn_table summed one descriptor_dim_table per homological degree.  The
@@ -163,3 +165,22 @@ def reference_assembled_pages(d, hat, r):
     for piece in d.torsion_pieces:
         page = merge_pages(page, piece_pages(piece, hat, r, d.k))
     return page
+
+
+def reference_page_by_page_list(d, hat, rs):
+    """assembled_page_list as it built every page: the free pieces'
+    classes summed once, then each torsion piece's closed form on each
+    page."""
+    rs = list(rs)
+    if any(r < 1 for r in rs):
+        raise ValueError("assembled pages start at r = 1")
+    free = PageTable(1, (((s, i - s), 1) for i, s in d.free_pieces)).items()
+    if not hat:
+        # n free classes at (p, q) are the module k[a]{p}^n
+        free = [(pq, GradedModuleDescriptor((pq[0],) * n)) for pq, n in free]
+
+    def page(r):
+        torsion = (item for piece in d.torsion_pieces for item in piece_pages(piece, hat, r, d.k).items())
+        return PageTable(r, chain(free, torsion), hat)
+
+    return [page(r) for r in rs]

@@ -55,6 +55,13 @@ def cli():
     bench.check(bench.ladder(bench.SEED, 1))
 
 
+def twobraid():
+    bench = harness("bench_twobraid")
+    argvs = bench.ladder()
+    # the smallest twobraid and the smallest delta command
+    bench.check([argvs[0], argvs[len(bench.TWOBRAID_N)]])
+
+
 SMALLEST = {
     "bench_cli": cli,
     "bench_kernel": kernel,
@@ -62,6 +69,7 @@ SMALLEST = {
     "bench_pages": pages,
     "bench_homology": homology,
     "bench_complexes": complexes,
+    "bench_twobraid": twobraid,
 }
 
 

@@ -17,7 +17,9 @@ import sys
 import pytest
 
 from twkit import jsonio
-from twkit.cli import build_parser, main
+from twkit.algebra import HomMatrix
+from twkit.cli import EXIT_COMPLEX, build_parser, main
+from twkit.complexes import GradedComplex
 from twkit.corpus import conjugate, random_decomposition
 from twkit.couples import ExactCouple, couple_from_decomposition, couple_pages
 from twkit.decompose import decompose, reassemble, torsion_width
@@ -339,6 +341,31 @@ class TestDelta:
         out, _ = run(capsys, "delta", "--N", "2", "--format", "table")
         assert "verdict: ok" in out
 
+    @pytest.mark.parametrize("doctor", ["doubled", "shifted"])
+    def test_disagreeing_mod_a_reductions_refused(self, capsys, monkeypatch, doctor):
+        # one scaled build (i = 1, coefficient 5) comes back with its
+        # differential doubled, or with every degree raised by 2: its
+        # mod-a reduction is not the one the shared basis was built on
+        links = importlib.import_module("twkit.links")
+        build = links.build_twobraid
+
+        def doctored(spec):
+            cx = build(spec)
+            if spec.k != 3 or spec.coefficient(1) != 5:
+                return cx
+            if doctor == "shifted":
+                return cx.shifted(0, 2)
+            diffs = {
+                i: HomMatrix(d.ring, d.source_degrees, d.target_degrees, tuple({c: 2 * x for c, x in row.items()} for row in d.rows))
+                for i, d in cx.differentials.items()
+            }
+            return GradedComplex(cx.ring, cx.modules, diffs)
+
+        monkeypatch.setattr(links, "build_twobraid", doctored)
+        out, err = run(capsys, "delta", "--N", "3", expect=EXIT_COMPLEX)
+        assert out == ""
+        assert err == "error: mod-a reductions disagree across potentials\n"
+
 
 ZERO_DENOMINATOR_CX = json.dumps(
     {
@@ -618,16 +645,16 @@ class TestInternalInvariants:
         assert re.fullmatch(r"error: internal error in couples: [^\n]+\n", err), err
 
     def test_links(self, capsys, monkeypatch):
-        # each product of the x2 power gains an entry at (0, 0); at
-        # N = 3, i = 1 it joins degrees 4 apart, and deg a = 6
-        matmul = self.links.matmul
+        # the x2 power gains an entry at (0, 0); at N = 3, i = 1 it
+        # joins degrees 4 apart, and deg a = 6
+        x_power = self.links._x_power
 
-        def with_a_stray_entry(a, b):
-            out = matmul(a, b)
+        def with_a_stray_entry(spec, e):
+            out = x_power(spec, e)
             out[0][0] = 1
             return out
 
-        monkeypatch.setattr(self.links, "matmul", with_a_stray_entry)
+        monkeypatch.setattr(self.links, "_x_power", with_a_stray_entry)
         out, err = run(capsys, "twobraid", "--N", "3", "--i", "1", expect=5)
         assert out == ""
         assert err == "error: internal error in links: x2^(N-1) is not homogeneous at entry (0, 0)\n"

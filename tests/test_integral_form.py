@@ -20,7 +20,7 @@ from test_cube_builder import POTENTIALS as CUBE_POTENTIALS
 from twkit import jsonio
 from twkit.cli import _full_report, _render_report
 from twkit.decompose import decompose
-from twkit.links import LinkDiagram, Sl2Potential, TwoBraidSpec, _x_matrix, build_sl2_cube
+from twkit.links import LinkDiagram, Sl2Potential, TwoBraidSpec, _x_power, build_sl2_cube
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SEED = 10
@@ -145,7 +145,7 @@ def test_dp_relation_matches_hand_formulas():
         for k in range(1, N + 1):
             lambdas = tuple((j, Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for j in range(1, N // k + 1))
             spec = TwoBraidSpec(N, k, lambdas)
-            X = _x_matrix(spec)
+            X = _x_power(spec, 1)
             last = {r: row[N - 1] for r, row in enumerate(X) if N - 1 in row}
             assert last == {N - j * k: -lam * Fraction(N + 1 - j * k, N + 1) for j, lam in lambdas if lam}
             shift = [{r - 1: 1} if r else {} for r in range(N)]
