@@ -11,10 +11,10 @@ contributing to one entry carry the same power of a.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
-from .exactla import canonical, matmul
+from .exactla import canonical
 
 HOM_POLY = "hom_poly"  # keys (i, s): homological degree, polynomial degree
 PAGE = "page"          # keys (p, q) = (s, i - s): filtration degree first
@@ -181,9 +181,9 @@ class HomMatrix:
     (source_degrees[c] - target_degrees[r]) / 2k.  Shape is
     (len(target_degrees), len(source_degrees)); either may be 0.
     Values are canonical: an int when integral, a Fraction otherwise,
-    and zero is never stored.  The constructor takes sparse rows or
-    dense ones (one cell per source generator); entries is the dense
-    view, for output.
+    and zero is never stored.  The constructor takes sparse rows only;
+    complexes.complex_from_data alone reads dense cells.  entries is
+    the dense view, for output.
     """
 
     ring: GradedRing
@@ -197,28 +197,12 @@ class HomMatrix:
         if len(self.rows) != len(tgt):
             raise ValueError("row count does not match target rank")
         ncols = len(src)
-        rows = []
-        for row in self.rows:
-            if isinstance(row, dict):
-                if any(type(c) is not int or not 0 <= c < ncols for c in row):
-                    raise ValueError("column index out of range")
-                items = row.items()
-            elif len(row) != ncols:
-                raise ValueError("column count does not match source rank")
-            else:
-                items = enumerate(row)
-            rows.append({c: canonical(x) for c, x in items if x})
+        if any(type(c) is not int or not 0 <= c < ncols for row in self.rows for c in row):
+            raise ValueError("column index out of range")
+        rows = tuple({c: canonical(x) for c, x in row.items() if x} for row in self.rows)
         object.__setattr__(self, "source_degrees", src)
         object.__setattr__(self, "target_degrees", tgt)
-        object.__setattr__(self, "rows", tuple(rows))
-
-    @classmethod
-    def zero(cls, ring, source_degrees, target_degrees):
-        return cls(ring, tuple(source_degrees), tuple(target_degrees), ({},) * len(target_degrees))
-
-    @classmethod
-    def identity(cls, ring, degrees):
-        return cls(ring, tuple(degrees), tuple(degrees), tuple({i: 1} for i in range(len(degrees))))
+        object.__setattr__(self, "rows", rows)
 
     def __hash__(self):
         rows = tuple(frozenset(row.items()) for row in self.rows)
@@ -248,16 +232,6 @@ class HomMatrix:
 
     def is_zero(self) -> bool:
         return not any(self.rows)
-
-    def compose(self, other: "HomMatrix") -> "HomMatrix":
-        """self after other.  Plain rational matmul is exact here: every
-        term feeding one entry carries the same a-power."""
-        if self.ring != other.ring:
-            raise ValueError("ring mismatch")
-        if self.source_degrees != other.target_degrees:
-            raise ValueError("middle degree lists do not match")
-        rows = matmul(self.rows, other.rows)
-        return HomMatrix(self.ring, other.source_degrees, self.target_degrees, tuple(rows))
 
     def reduced_mod_a(self):
         """Sparse scalar rows, {col: value} with canonical values as

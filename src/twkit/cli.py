@@ -400,8 +400,8 @@ def cmd_delta(args) -> int:
         "ok": battery.ok(),
         "matrices": {
             str(i): {
-                str(h): [[str(x) for x in row] for row in fd.block(h)]
-                for h in sorted(fd.blocks)
+                str(h): [[str(row.get(c, 0)) for c in range(fd.dims[h])] for row in block]
+                for h, block in sorted(fd.blocks.items())
             }
             for i, fd in sorted(battery.deltas.items())
         },

@@ -97,16 +97,6 @@ class GradedComplex:
     def total_rank(self) -> int:
         return sum(m.rank for m in self.modules.values())
 
-    def differential(self, i: int) -> HomMatrix:
-        """The differential out of degree i, materialized as a zero
-        matrix when absent."""
-        d = self.differentials.get(i)
-        if d is not None:
-            return d
-        src = self.modules[i].degrees if i in self.modules else ()
-        tgt = self.modules[i + 1].degrees if i + 1 in self.modules else ()
-        return HomMatrix.zero(self.ring, src, tgt)
-
     def __eq__(self, other):
         return (
             isinstance(other, GradedComplex)
@@ -178,7 +168,9 @@ def direct_sum(*complexes: GradedComplex) -> GradedComplex:
 
 
 def complex_from_data(k: int, modules, differentials) -> GradedComplex:
-    """Build and validate a complex from {i: [degrees]} and {i: rows}."""
+    """Build and validate a complex from {i: [degrees]} and {i: dense
+    rows}, the one place dense cells are read: their shape is checked
+    here, row count first, and the rows made sparse for HomMatrix."""
     ring = GradedRing(k)
     mods = {int(i): GradedFreeModule(tuple(ds)) for i, ds in modules.items()}
     diffs = {}
@@ -186,7 +178,11 @@ def complex_from_data(k: int, modules, differentials) -> GradedComplex:
         i = int(i)
         src = mods[i].degrees if i in mods else ()
         tgt = mods[i + 1].degrees if i + 1 in mods else ()
-        diffs[i] = HomMatrix(ring, src, tgt, tuple(rows))
+        if len(rows) != len(tgt):
+            raise ValueError("row count does not match target rank")
+        if any(len(row) != len(src) for row in rows):
+            raise ValueError("column count does not match source rank")
+        diffs[i] = HomMatrix(ring, src, tgt, tuple({c: x for c, x in enumerate(row) if x} for row in rows))
     return GradedComplex(ring, mods, diffs)
 
 
@@ -197,9 +193,8 @@ class FieldComplex:
     mats[i], the differential out of degree i, is a tuple of sparse
     rows, one per generator at degree i + 1: {col: value} maps of the
     nonzero entries, values canonical (an int when integral, a
-    Fraction otherwise).  The constructor takes sparse rows or dense
-    ones (sequences of rationals, one cell per generator at degree i);
-    matrix(i) is the dense view.
+    Fraction otherwise).  The constructor takes sparse rows only;
+    complex_from_data alone reads dense cells.
     """
 
     __slots__ = ("degrees", "mats")
@@ -209,11 +204,10 @@ class FieldComplex:
         ms = {}
         for i, rows in mats.items():
             i = int(i)
-            ncols = len(degs.get(i, ()))
             # no rows, or no columns and nothing in them: a zero map
-            if not rows or not (ncols or any(rows)):
+            if not rows or not (degs.get(i) or any(rows)):
                 continue
-            ms[i] = tuple(_sparse_row(row, ncols, i) for row in rows)
+            ms[i] = tuple({c: exactla.canonical(x) for c, x in row.items() if x} for row in rows)
         object.__setattr__(self, "degrees", degs)
         object.__setattr__(self, "mats", ms)
         if validate:
@@ -246,22 +240,6 @@ class FieldComplex:
     def rank(self, i: int) -> int:
         return len(self.degrees.get(i, ()))
 
-    def matrix(self, i: int):
-        """Differential out of degree i as dense list rows (may be empty)."""
-        rows = self.mats.get(i, ({},) * self.rank(i + 1))
-        return [[row.get(c, 0) for c in range(self.rank(i))] for row in rows]
-
-
-def _sparse_row(row, ncols, i):
-    """{col: canonical value} of a sparse or dense row's nonzeros; a
-    dense row must have ncols cells."""
-    if isinstance(row, dict):
-        items = row.items()
-    elif len(row) != ncols:
-        raise ComplexError("shape mismatch at degree %d" % i)
-    else:
-        items = enumerate(row)
-    return {c: exactla.canonical(x) for c, x in items if x}
 
 
 class FilteredFieldComplex(FieldComplex):
@@ -447,19 +425,14 @@ class FirstDifferential:
     degree by 2k.  Each block is a tuple of rows, one per class at
     degree i+1, each a {col: value} map of the nonzero entries with
     canonical values (an int when integral, a Fraction otherwise); only
-    nonzero blocks are stored.  block(i) is the dense view, for output.
-    rep_degrees records the degree of each basis class.
+    nonzero blocks are stored, as sparse rows only (complex_from_data
+    alone reads dense cells).  rep_degrees records each class's degree.
     """
 
     k: int
     dims: dict
     rep_degrees: dict
     blocks: dict
-
-    def block(self, i: int):
-        """The block out of degree i as dense list rows (zeros if absent)."""
-        rows = self.blocks.get(i, ({},) * self.dims.get(i + 1, 0))
-        return [[row.get(c, 0) for c in range(self.dims.get(i, 0))] for row in rows]
 
     def ranks(self):
         """{i: rank of the block out of i} over the stored blocks."""

@@ -21,6 +21,7 @@ from .decompose import (
     thickness,
     torsion_width,
 )
+from .exactla import matmul
 from .pages import (
     PageTable,
     assembled_page_list,
@@ -85,8 +86,8 @@ _SCALARS = [
 
 
 def _random_automorphism(rng, ring, degrees, ops):
-    """Invertible degree-0 endomorphism as (g, g^{-1}), built from
-    elementary operations so the inverse is exact by construction.
+    """Invertible degree-0 endomorphism as sparse rows (g, g^{-1}), built
+    from elementary operations so the inverse is exact by construction.
 
     Valid nonzero positions (r, c) need deg[c] - deg[r] a non-negative
     multiple of 2k; diagonal scalings use any nonzero rational.
@@ -120,10 +121,7 @@ def _random_automorphism(rng, ring, degrees, ops):
             for row in ginv:
                 if r in row:
                     row[r] /= u
-    return (
-        HomMatrix(ring, degrees, degrees, tuple(g)),
-        HomMatrix(ring, degrees, degrees, tuple(ginv)),
-    )
+    return g, ginv
 
 
 def conjugate(rng: random.Random, c: GradedComplex, ops: int = 8) -> GradedComplex:
@@ -135,9 +133,8 @@ def conjugate(rng: random.Random, c: GradedComplex, ops: int = 8) -> GradedCompl
     }
     diffs = {}
     for i, d in c.differentials.items():
-        g_next = autos[i + 1][0]
-        g_inv = autos[i][1]
-        diffs[i] = g_next.compose(d).compose(g_inv)
+        rows = matmul(matmul(autos[i + 1][0], d.rows), autos[i][1])
+        diffs[i] = HomMatrix(c.ring, d.source_degrees, d.target_degrees, tuple(rows))
     return GradedComplex(c.ring, dict(c.modules), diffs)
 
 

@@ -85,14 +85,15 @@ class ExactCouple:
     as a tuple of rows, one per target generator, each a {col: value}
     map of the nonzeros with canonical values (an int when integral, a
     Fraction otherwise); zero maps are not stored, and f_at, g_at and
-    h_at give them as empty rows.  The constructor takes sparse rows or
-    dense ones (one cell per source generator).  g_shift records the
-    accumulated polynomial bidegree of g.  Exactness of the triangle is
-    validated on construction at every bidegree whose referenced slots
-    all lie inside the window.  memo is the derivation chain's memo of
-    eliminations, which derive passes on; a couple built without one
-    starts a new chain.  The couple keeps the pivot columns of each of
-    its own maps once looked up, so each map's memo key is built once.
+    h_at give them as empty rows.  The constructor takes sparse rows
+    only; complexes.complex_from_data alone reads dense cells.  g_shift
+    records the accumulated polynomial bidegree of g.  Exactness of the
+    triangle is validated on construction at every bidegree whose
+    referenced slots all lie inside the window.  memo is the derivation
+    chain's memo of eliminations, which derive passes on; a couple built
+    without one starts a new chain.  The couple keeps the pivot columns
+    of each of its own maps once looked up, so each map's memo key is
+    built once.
     """
 
     __slots__ = ("k", "window", "g_shift", "_a", "_e", "_f", "_g", "_h", "_memo", "_pivots")
@@ -122,9 +123,9 @@ class ExactCouple:
                 e[(int(i), int(s))] = int(dim)
         object.__setattr__(self, "_a", a)
         object.__setattr__(self, "_e", e)
-        object.__setattr__(self, "_f", self._clean(f, "f", a))
-        object.__setattr__(self, "_g", self._clean(g, "g", a))
-        object.__setattr__(self, "_h", self._clean(h, "h", e))
+        object.__setattr__(self, "_f", self._clean(f))
+        object.__setattr__(self, "_g", self._clean(g))
+        object.__setattr__(self, "_h", self._clean(h))
         object.__setattr__(self, "_memo", _Eliminations() if memo is None else memo)
         object.__setattr__(self, "_pivots", {})
         if validate:
@@ -135,23 +136,13 @@ class ExactCouple:
         raise AttributeError("ExactCouple is immutable")
 
     @staticmethod
-    def _clean(maps, name, sources):
-        """The nonzero maps as sparse rows; a dense row must have one
-        cell per generator of the source slot."""
+    def _clean(maps):
+        """The nonzero maps, keyed by int bidegree, as canonical rows."""
         out = {}
         for key, rows in maps.items():
-            key = (int(key[0]), int(key[1]))
-            sparse = []
-            for row in rows:
-                if isinstance(row, dict):
-                    items = row.items()
-                elif len(row) != sources.get(key, 0):
-                    raise ValueError("%s shape mismatch at (%d, %d)" % (name, key[0], key[1]))
-                else:
-                    items = enumerate(row)
-                sparse.append({c: canonical(x) for c, x in items if x})
-            if any(sparse):
-                out[key] = tuple(sparse)
+            rows = tuple({c: canonical(x) for c, x in row.items() if x} for row in rows)
+            if any(rows):
+                out[(int(key[0]), int(key[1]))] = rows
         return out
 
     # -- dimensions and materialized maps ------------------------------

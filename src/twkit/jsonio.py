@@ -93,12 +93,22 @@ def complex_to_data(c: GradedComplex) -> dict:
     }
 
 
+def _array(x, what):
+    """x when it is a JSON array; a string would be read one character at a time."""
+    if type(x) is not list:
+        raise ValueError("expected %s, got %s" % (what, json.dumps(x)))
+    return x
+
+
 def complex_from_json(data) -> GradedComplex:
     _check_header(data, "complex")
     try:
         modules = {_degree(i): [_int(s) for s in degs] for i, degs in data["modules"].items()}
         diffs = {
-            _degree(i): [[0 if x == "0" else parse_rational(x) for x in row] for row in rows]
+            _degree(i): [
+                [0 if x == "0" else parse_rational(x) for x in _array(row, "a row to be an array of cells")]
+                for row in _array(rows, "a differential to be an array of rows")
+            ]
             for i, rows in data.get("differentials", {}).items()
         }
         k = _int(data["k"])

@@ -122,3 +122,14 @@ def dense_solve(rows, rhs_columns, ncols=None):
             x[pc] = rref[r][ncols + j]
         sols.append(x)
     return sols
+
+
+def sparse_rows(rows):
+    """Dense rows as {col: value} maps of their nonzero cells, the one
+    row form twkit's matrix types take."""
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
+def dense_rows(rows, ncols):
+    """{col: value} rows as dense lists of ncols cells, zeros included."""
+    return [[row.get(c, 0) for c in range(ncols)] for row in rows]

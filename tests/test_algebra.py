@@ -16,6 +16,7 @@ from twkit.algebra import (
     HomMatrix,
     hom_matrix_validate,
 )
+from twkit.exactla import matmul
 
 
 def test_ring_validation():
@@ -95,7 +96,7 @@ class TestHomMatrix:
 
     def mat(self):
         # one scalar entry (gap 0) and one a^2 entry (gap 4)
-        return HomMatrix(self.R, (0, 4), (0,), ((Fraction(2), Fraction(1)),))
+        return HomMatrix(self.R, (0, 4), (0,), ({0: Fraction(2), 1: Fraction(1)},))
 
     def test_exponents(self):
         m = self.mat()
@@ -104,34 +105,39 @@ class TestHomMatrix:
         assert hom_matrix_validate(m) is None
 
     def test_inhomogeneous_detected(self):
-        bad = HomMatrix(self.R, (1,), (0,), ((Fraction(1),),))
+        bad = HomMatrix(self.R, (1,), (0,), ({0: Fraction(1)},))
         assert hom_matrix_validate(bad) == (0, 0)
-        neg = HomMatrix(self.R, (0,), (2,), ((Fraction(1),),))
+        neg = HomMatrix(self.R, (0,), (2,), ({0: Fraction(1)},))
         assert hom_matrix_validate(neg) == (0, 0)
-        # zero entries are exempt
-        ok = HomMatrix(self.R, (1,), (0,), ((Fraction(0),),))
+        # zero entries are exempt: the constructor drops them
+        ok = HomMatrix(self.R, (1,), (0,), ({0: Fraction(0)},))
+        assert ok.rows == ({},)
         assert hom_matrix_validate(ok) is None
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            HomMatrix(self.R, (0,), (0, 0), ((Fraction(1),),))
-        with pytest.raises(ValueError):
-            HomMatrix(self.R, (0, 0), (0,), ((Fraction(1),),))
+        with pytest.raises(ValueError, match="row count does not match target rank"):
+            HomMatrix(self.R, (0,), (0, 0), ({0: Fraction(1)},))
+        with pytest.raises(ValueError, match="column index out of range"):
+            HomMatrix(self.R, (0,), (0,), ({1: Fraction(1)},))
+        with pytest.raises(ValueError, match="column index out of range"):
+            HomMatrix(self.R, (0, 0), (0,), ({-1: Fraction(1)},))
 
     def test_compose_tracks_degrees(self):
-        # a^1 followed by a^1 is a^2: scalars multiply, degrees chain
-        first = HomMatrix(self.R, (4,), (2,), ((Fraction(3),),))
-        second = HomMatrix(self.R, (2,), (0,), ((Fraction(5),),))
-        comp = second.compose(first)
-        assert comp.entries == ((Fraction(15),),)
+        # a^1 followed by a^1 is a^2: the rows multiply as plain
+        # rational matrices and the outer degrees chain
+        first = HomMatrix(self.R, (4,), (2,), ({0: Fraction(3)},))
+        second = HomMatrix(self.R, (2,), (0,), ({0: Fraction(5)},))
+        comp = HomMatrix(self.R, first.source_degrees, second.target_degrees, tuple(matmul(second.rows, first.rows)))
+        assert comp.entries == ((15,),)
         assert comp.exponent(0, 0) == 2
-        with pytest.raises(ValueError):
-            first.compose(second)
+        assert hom_matrix_validate(comp) is None
 
     def test_identity_and_zero(self):
-        ident = HomMatrix.identity(self.R, (0, 2))
+        # unit sparse rows and the empty shape, with no constructor of
+        # their own
+        ident = HomMatrix(self.R, (0, 2), (0, 2), ({0: 1}, {1: 1}))
         assert ident.entries == ((1, 0), (0, 1))
-        z = HomMatrix.zero(self.R, (0,), ())
+        z = HomMatrix(self.R, (0,), (), ())
         assert z.nrows == 0 and z.ncols == 1 and z.is_zero()
 
     def test_reduced_mod_a(self):

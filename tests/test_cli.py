@@ -550,6 +550,92 @@ class TestStrictScalars:
         assert jsonio.page_from_json(doc).hat is False
 
 
+def _shape_doc(differentials, modules=None):
+    """A k = 1 complex document, by default on two generators at degree
+    0 and one at degree 1, so a differential out of 0 is 1 x 2."""
+    modules = modules or {"0": [0, 0], "1": [0]}
+    return json.dumps(
+        {"format": "tw/1", "type": "complex", "k": 1, "modules": modules, "differentials": differentials}
+    )
+
+
+class TestComplexDocumentRefusals:
+    """Where a complex document's dense rows become sparse ones: each
+    malformed document exits with its code and exactly one stderr line."""
+
+    @pytest.mark.parametrize(
+        "differentials, modules, code, line",
+        [
+            ({"0": [[1]]}, None, 1, "error: column count does not match source rank"),
+            ({"0": [[1, 2, 3]]}, None, 1, "error: column count does not match source rank"),
+            ({"0": [[1, 2], [1, 2]]}, None, 1, "error: row count does not match target rank"),
+            # wrong in both ways, the first row short: the row count wins
+            ({"0": [[1], [1, 2]]}, None, 1, "error: row count does not match target rank"),
+            ({"0": [[1, 2, 3], [1]]}, None, 1, "error: row count does not match target rank"),
+            # a string is never read one character per cell
+            (
+                {"0": ["12"]},
+                None,
+                1,
+                'error: malformed complex document: expected a row to be an array of cells, got "12"',
+            ),
+            (
+                {"0": ["1", "2"]},
+                None,
+                1,
+                'error: malformed complex document: expected a row to be an array of cells, got "1"',
+            ),
+            (
+                {"0": "12"},
+                None,
+                1,
+                'error: malformed complex document: expected a differential to be an array of rows, got "12"',
+            ),
+            (
+                {"0": [[1, 2], 5]},
+                None,
+                1,
+                "error: malformed complex document: expected a row to be an array of cells, got 5",
+            ),
+            (
+                {"0": [[1], [0]]},
+                {"0": [1], "1": [0, 0]},
+                2,
+                "error: differential at degree 0 is not homogeneous at entry (0, 0)",
+            ),
+            (
+                {"0": [[1]], "1": [[1]]},
+                {"0": [0], "1": [0], "2": [0]},
+                2,
+                "error: d^2 != 0 on the square starting at degree 0 (maps 0->1->2)",
+            ),
+        ],
+        ids=[
+            "short row",
+            "long row",
+            "extra row",
+            "extra row, first row short",
+            "extra row, first row long",
+            "string row",
+            "string rows",
+            "string differential",
+            "number row",
+            "inhomogeneous entry",
+            "d squared",
+        ],
+    )
+    def test_refused_with_one_line(self, capsys, differentials, modules, code, line):
+        out, err = run(capsys, "decompose", _shape_doc(differentials, modules), expect=code)
+        assert out == "" and err.splitlines() == [line]
+
+    def test_zero_cells_are_accepted_and_dropped(self, capsys):
+        empty, _ = run(capsys, "decompose", _shape_doc({}))
+        for cells in (["0/3", 0], [0, "0"], ["-0/5", "0/1"]):
+            out, err = run(capsys, "decompose", _shape_doc({"0": [cells]}))
+            assert out == empty and err == ""
+        assert json.loads(empty)["free"] == [[0, 0], [0, 0], [1, 0]]
+
+
 class TestStrictDegreeKeys:
     """Each homological degree has one spelling as a key of modules or
     differentials; any other key exits 1 with one line, instead of

@@ -15,6 +15,7 @@ from dense_la import (
     dense_pivot_columns,
     dense_rank,
     dense_solve,
+    sparse_rows,
 )
 from twkit import corpus, exactla
 from twkit.algebra import HOM_POLY, BigradedTable
@@ -96,10 +97,13 @@ class TestValidation:
                 (0, 2),
                 {(0, 0): 1, (0, 2): 1},
                 {},
-                {(0, 0): ((1,), (0,))},
+                {(0, 0): ({0: 1}, {})},
                 {},
                 {},
             )
+        # a column past the source slot's dimension
+        with pytest.raises(ValueError, match="^f shape mismatch at \\(0, 0\\)$"):
+            ExactCouple(1, (0, 2), {(0, 0): 1, (0, 2): 1}, {}, {(0, 0): ({1: 1},)}, {}, {})
 
     def test_window_slots(self):
         with pytest.raises(ValueError, match="outside the window"):
@@ -190,6 +194,12 @@ def dense_map(c, name, i, s):
     rows = getattr(c, name + "_at")(i, s)
     ncols = c.e_dim(i, s) if name == "h" else c.a_dim(i, s)
     return tuple(tuple(Fraction(row.get(j, 0)) for j in range(ncols)) for row in rows)
+
+
+def sparse_maps(maps):
+    """{bidegree: dense rows} as {bidegree: sparse rows}, the form
+    ExactCouple takes."""
+    return {key: sparse_rows(rows) for key, rows in maps.items()}
 
 
 def _cols_to_rows(cols, nrows):
@@ -334,7 +344,10 @@ def reference_derive(c):
             raise AssertionError("h of a surviving class left the image of f")
         h_new[(i, s)] = _cols_to_rows(sols, len(target))
 
-    out = ExactCouple(c.k, (new_lo, new_hi), a_new, e_new, f_new, g_new, h_new, new_shift, validate=False)
+    out = ExactCouple(
+        c.k, (new_lo, new_hi), a_new, e_new, sparse_maps(f_new), sparse_maps(g_new), sparse_maps(h_new), new_shift,
+        validate=False,
+    )
     out._check_shapes()
     reference_check_exactness(out)
     return out
@@ -403,7 +416,7 @@ def conjugated(rng, c):
         for (i, s) in getattr(c, "_" + name):
             rows = dense_map(c, name, i, s)
             inner = dense_matmul(rows, source[(i, s)][1], len(rows[0]))
-            out[(i, s)] = dense_matmul(target[shift(i, s)][0], inner, len(rows[0]))
+            out[(i, s)] = sparse_rows(dense_matmul(target[shift(i, s)][0], inner, len(rows[0])))
         return out
 
     return ExactCouple(
@@ -511,13 +524,14 @@ def hand_built(validate=True, e_extra=None, f=None, g=None, h=None):
     are A and E at (0, 0).  The defaults are exact: f embeds A(0, -2)
     into A(0, 0), g kills that image, h sends E(-1, 2) into ker g and
     f takes A(0, 0) onto A(0, 2) with kernel im h.  An all-zero map
-    given here is dropped, so it is absent."""
+    given here is dropped, so it is absent.  Maps are given as dense
+    rows, which sparse_maps turns into the rows ExactCouple takes."""
     a = {(0, -2): 1, (0, 0): 2, (0, 2): 1, (1, -2): 1}
     e = {(0, 0): 1, (-1, 2): 1, **(e_extra or {})}
     f = {(0, -2): ((1,), (0,)), (0, 0): ((0, 1),), **(f or {})}
     g = {(0, 0): ((0, 1),), **(g or {})}
     h = {(-1, 2): ((1,), (0,)), **(h or {})}
-    return ExactCouple(1, (-2, 2), a, e, f, g, h, validate=validate)
+    return ExactCouple(1, (-2, 2), a, e, sparse_maps(f), sparse_maps(g), sparse_maps(h), validate=validate)
 
 
 class TestExactnessErrors:
@@ -580,9 +594,9 @@ def test_derive_refuses_a_class_that_is_no_cycle():
         (-4, 10),
         {(0, 2): 1, (0, 4): 1, (1, 0): 1},
         {(0, 2): 1, (1, 0): 1},
-        {(0, 2): ((1,),)},
-        {(0, 2): ((1,),), (1, 0): ((1,),)},
-        {(0, 2): ((1,),)},
+        {(0, 2): ({0: 1},)},
+        {(0, 2): ({0: 1},), (1, 0): ({0: 1},)},
+        {(0, 2): ({0: 1},)},
         validate=False,
     )
     assert c.differential(0, 2) == ({0: 1},)

@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-from dense_la import dense_matmul, dense_row_reduce
-from twkit import exactla
+from dense_la import dense_matmul, dense_row_reduce, dense_rows, sparse_rows
+from twkit import corpus, exactla
 from twkit.algebra import GradedRing, HomMatrix, hom_matrix_validate
 from twkit.complexes import (
     ComplexError,
@@ -380,7 +380,7 @@ def test_hom_matrix_validate_matches_reference():
         cells = [[rng.choice((0, 0, 0, 1, -1, Fraction(2, 3))) for _ in src] for _ in tgt]
         rows = [dict(sorted(((c, x) for c, x in enumerate(row) if x), reverse=True)) for row in cells]
         m = HomMatrix(ring, src, tgt, rows)
-        assert m.rows == HomMatrix(ring, src, tgt, cells).rows
+        assert m.rows == tuple(sparse_rows(cells))
         assert hom_matrix_validate(m) == reference_hom_matrix_validate(ring, src, tgt, cells)
 
 
@@ -391,13 +391,15 @@ class TestStorage:
     R = GradedRing(1)
 
     def test_dense_and_sparse_rows_agree(self):
-        dense_rows = ((Fraction(2), 0, Fraction(1, 2)), (0, 0, 0))
-        m = HomMatrix(self.R, (2, 2, 4), (0, 2), dense_rows)
+        # dense cells enter only through complex_from_data, which makes
+        # them the same canonical sparse rows HomMatrix keeps
+        cells = ((Fraction(2), 0, Fraction(1, 2)), (0, 0, 0))
+        m = complex_from_data(1, {0: [2, 2, 4], 1: [0, 2]}, {0: cells}).differentials[0]
         assert m.rows == ({0: 2, 2: Fraction(1, 2)}, {})
         assert type(m.rows[0][0]) is int
-        assert m == HomMatrix(self.R, (2, 2, 4), (0, 2), ({2: Fraction(1, 2), 0: Fraction(4, 2)}, {}))
+        sparse = HomMatrix(self.R, (2, 2, 4), (0, 2), ({2: Fraction(1, 2), 0: Fraction(4, 2)}, {}))
+        assert m == sparse and hash(m) == hash(sparse)
         assert m.entries == ((2, 0, Fraction(1, 2)), (0, 0, 0))
-        assert hash(m) == hash(HomMatrix(self.R, (2, 2, 4), (0, 2), dense_rows))
 
     def test_zero_is_never_stored(self):
         m = HomMatrix(self.R, (0, 0), (0,), ({0: 0, 1: Fraction(0)},))
@@ -417,6 +419,38 @@ class TestStorage:
                 d.free_pieces + tuple((i + 1, s + 2) for i, s in d.free_pieces),
                 d.torsion_pieces + tuple((i + 1, m, s + 2) for i, m, s in d.torsion_pieces),
             )
+
+
+# -- basis changes ---------------------------------------------------------
+
+
+def test_conjugate_matches_dense_reference():
+    """corpus.conjugate's differentials are g d g^-1 by dense matmul, on
+    the automorphisms that replaying its rng draws gives, and each
+    g g^-1 is the identity."""
+    rng = random.Random(23)
+    changed = 0
+    for _ in range(30):
+        c = reassemble(random_decomposition(rng, max_generators=rng.randint(4, 24)))
+        state = rng.getstate()
+        got = conjugate(rng, c, ops=10)
+        after = rng.getstate()
+        rng.setstate(state)
+        autos = {i: corpus._random_automorphism(rng, c.ring, m.degrees, 10) for i, m in c.modules.items()}
+        # the replay made exactly conjugate's draws
+        assert rng.getstate() == after
+        for i, (g, g_inv) in autos.items():
+            n = c.rank(i)
+            unit = [[Fraction(int(r == col)) for col in range(n)] for r in range(n)]
+            assert dense_matmul(dense_rows(g, n), dense_rows(g_inv, n), n) == unit
+        assert sorted(got.differentials) == sorted(c.differentials)
+        for i, d in c.differentials.items():
+            n = c.rank(i)
+            inner = dense_matmul(dense_rows(autos[i + 1][0], c.rank(i + 1)), dense(d), n)
+            want = dense_matmul(inner, dense_rows(autos[i][1], n), n)
+            assert dense(got.differentials[i]) == want
+            changed += want != dense(d)
+    assert changed > 10
 
 
 # -- Gaussian elimination ---------------------------------------------------
@@ -462,12 +496,16 @@ def test_eliminate_graded_matches_reference(cubes):
             assert_canonical(out)
             for fc in (reduce_mod_a(c), specialize_a_to_1(c)):
                 degrees, mats = reference_eliminate_graded(
-                    fc.degrees, {i: [[Fraction(x) for x in r] for r in fc.matrix(i)] for i in fc.mats}, h, row, col
+                    fc.degrees,
+                    {i: [[Fraction(x) for x in r] for r in dense_rows(fc.mats[i], fc.rank(i))] for i in fc.mats},
+                    h,
+                    row,
+                    col,
                 )
                 fout = gaussian_eliminate(fc, h, row, col)
                 assert type(fout) is type(fc)
                 assert {i: list(v) for i, v in fout.degrees.items()} == degrees
-                assert nonzero_maps({i: fout.matrix(i) for i in fout.mats}) == nonzero_maps(mats)
+                assert nonzero_maps({i: dense_rows(fout.mats[i], fout.rank(i)) for i in fout.mats}) == nonzero_maps(mats)
                 assert_canonical(fout)
             steps += 1
             c = out
@@ -523,7 +561,7 @@ def test_integer_inputs_stay_exact():
             c.ring,
             c.modules,
             {
-                i: HomMatrix(d.ring, d.source_degrees, d.target_degrees, dense(d))
+                i: HomMatrix(d.ring, d.source_degrees, d.target_degrees, tuple(sparse_rows(dense(d))))
                 for i, d in c.differentials.items()
             },
         )

@@ -15,7 +15,15 @@ from fractions import Fraction
 
 import pytest
 
-from dense_la import dense_image_basis, dense_kernel_basis, dense_matvec, dense_pivot_columns, dense_solve
+from dense_la import (
+    dense_image_basis,
+    dense_kernel_basis,
+    dense_matvec,
+    dense_pivot_columns,
+    dense_rows,
+    dense_solve,
+    sparse_rows,
+)
 from twkit import complexes, exactla
 from twkit.complexes import (
     ComplexError,
@@ -155,7 +163,7 @@ def assert_graded_matches(c):
     degrees, mats = reference_reduce_mod_a(c)
     assert fc.degrees == {i: tuple(v) for i, v in degrees.items() if v}
     for i in mats:
-        assert fc.matrix(i) == mats[i], i
+        assert dense_rows(fc.mats.get(i, ({},) * fc.rank(i + 1)), fc.rank(i)) == mats[i], i
     assert_canonical_rows(fc)
     homology = assert_homology_matches(fc, degrees, mats)
     fd = first_differential(c)
@@ -166,7 +174,7 @@ def assert_graded_matches(c):
         assert type(fd.blocks[i]) is tuple and len(fd.blocks[i]) == dims[i + 1]
         assert all(is_canonical(x) for row in fd.blocks[i] for x in row.values())
         assert all(0 <= c < dims[i] for row in fd.blocks[i] for c in row)
-        assert fd.block(i) == block, i
+        assert dense_rows(fd.blocks[i], dims[i]) == block, i
     filtered = specialize_a_to_1(c)
     dense_mats = {i: [list(row) for row in d.entries] for i, d in c.differentials.items()}
     assert_homology_matches(filtered, degrees, dense_mats, graded=False)
@@ -217,7 +225,9 @@ def test_seeded_corpus_complexes(k):
     assert nonzero >= 5
 
 
-# field complexes with one feature each; both row forms must agree
+# field complexes with one feature each, as dense cells; the complex
+# built from them at the boundary (complex_from_data, then the a = 0 and
+# a = 1 specializations) must agree with the one built on sparse rows
 HAND_BUILT = {
     # degree 1 empty, degree 3 has no outgoing map
     "empty degree": ({0: (0, 0), 2: (2,), 3: (2, 2)}, {2: [[1], [0]]}),
@@ -231,31 +241,41 @@ HAND_BUILT = {
 }
 
 
-def sparse_rows(mats):
-    return {i: [{j: x for j, x in enumerate(row) if x} for row in rows] for i, rows in mats.items()}
-
-
 @pytest.mark.parametrize("name", sorted(HAND_BUILT))
 @pytest.mark.parametrize("form", ["dense", "sparse"])
 def test_hand_built_field_complexes(name, form):
     degrees, mats = HAND_BUILT[name]
-    given = sparse_rows(mats) if form == "sparse" else mats
-    fc = FieldComplex(degrees, given)
-    for i in mats:
-        assert fc.matrix(i) == mats[i]
+    if form == "dense":
+        graded = complex_from_data(1, degrees, mats)
+        fc, filtered = reduce_mod_a(graded), specialize_a_to_1(graded)
+    else:
+        given = {i: sparse_rows(rows) for i, rows in mats.items()}
+        fc, filtered = FieldComplex(degrees, given), FilteredFieldComplex(degrees, given)
+    assert sorted(fc.mats) == sorted(mats)
+    for i, rows in fc.mats.items():
+        assert dense_rows(rows, fc.rank(i)) == mats[i]
     assert_canonical_rows(fc)
     assert_homology_matches(fc, degrees, mats)
-    assert_homology_matches(FilteredFieldComplex(degrees, given), degrees, mats, graded=False)
+    assert_homology_matches(filtered, degrees, mats, graded=False)
 
 
 def test_row_forms_reject_the_same_defects():
-    for mats in ({0: [[1]]}, {0: [{0: 1}]}):
-        with pytest.raises(ComplexError, match="violates the grading"):
-            FieldComplex({0: (0,), 1: (2,)}, mats)
+    """Each defect is refused in both row forms: dense cells at the
+    boundary (complex_from_data) and sparse rows (FieldComplex)."""
+    with pytest.raises(ComplexError, match="not homogeneous"):
+        complex_from_data(1, {0: [0], 1: [2]}, {0: [[1]]})
+    with pytest.raises(ComplexError, match="violates the grading"):
+        FieldComplex({0: (0,), 1: (2,)}, {0: [{0: 1}]})
+    with pytest.raises(ValueError, match="^column count does not match source rank$"):
+        complex_from_data(1, {0: [0], 1: [0]}, {0: [[1, 0]]})
     with pytest.raises(ComplexError, match="shape mismatch"):
         FieldComplex({0: (0,), 1: (0,)}, {0: [{1: 1}]})
+    with pytest.raises(ValueError, match="^row count does not match target rank$"):
+        complex_from_data(1, {0: [0], 1: [0]}, {0: [[1], [1]]})
     with pytest.raises(ComplexError, match="shape mismatch"):
-        FieldComplex({0: (0,), 1: (0,)}, {0: [[1, 0]]})
+        FieldComplex({0: (0,), 1: (0,)}, {0: [{0: 1}, {0: 1}]})
+    with pytest.raises(ComplexError, match="d\\^2"):
+        complex_from_data(1, {0: [0], 1: [0], 2: [0]}, {0: [[1]], 1: [[1]]})
     with pytest.raises(ComplexError, match="d\\^2"):
         FieldComplex({0: (0,), 1: (0,), 2: (0,)}, {0: [{0: 1}], 1: [{0: 1}]})
 
