@@ -146,23 +146,6 @@ class GradedModuleDescriptor:
         return not self.is_zero()
 
 
-@dataclass(frozen=True)
-class GradedFreeModule:
-    """Free k[a]-module with ordered homogeneous generators."""
-
-    degrees: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
-
-    @property
-    def rank(self) -> int:
-        return len(self.degrees)
-
-    def shifted(self, ds: int) -> "GradedFreeModule":
-        return GradedFreeModule(tuple(d + ds for d in self.degrees))
-
-
 def add_to_row(row, col, x):
     """row[col] += x on a sparse row, dropping a zero sum."""
     x += row.get(col, 0)

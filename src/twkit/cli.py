@@ -3,10 +3,11 @@
 One binary, subcommand style.  JSON is the machine contract (schemas
 versioned "tw/1", byte-identical for identical arguments and seed);
 --format table renders the same data as aligned text grids.  Exit
-codes: 0 success, 1 generic or failed verification, 2 structural
-complex error (d^2 != 0, inhomogeneous entries), 3 inconsistent pages,
-4 insufficient couple window, 5 internal invariant failure (a defect in
-twkit; the one-line message names the stage).
+codes: 0 success, 1 malformed input or failed verification, 2 usage
+error (a missing, unknown or conflicting option, from argparse) or
+structural complex error (d^2 != 0, inhomogeneous entries), 3
+inconsistent pages, 4 insufficient couple window, 5 internal invariant
+failure (a defect in twkit; the one-line message names the stage).
 
 The TW_SEED environment variable overrides --seed wherever a seed is
 accepted.
@@ -295,17 +296,10 @@ def cmd_couple(args) -> int:
         r_lo, r_hi = 1, (args.r_max if args.r_max is not None else torsion_width(d) + 2)
     pages = []
     for r, table in enumerate(couple_tables(d, r_hi)[r_lo - 1:], r_lo):
-        if args.hat_index:
-            # E-hat position (q, p - q) at page 2k(r-1)+1 carries the
-            # same dimension as the derived-couple page r at (p, q)
-            label = 2 * d.k * (r - 1) + 1
-            entries = {
-                (q, p - q): dim for (p, q), dim in table.to_page().items()
-            }
-        else:
-            label = r
-            entries = dict(table.to_page().items())
-        pages.append(PageTable(label, entries, True))
+        # the derived-couple page r equals the hat page 2k(r-1)+1 at
+        # the same positions, so --hat-index relabels r and nothing else
+        label = 2 * d.k * (r - 1) + 1 if args.hat_index else r
+        pages.append(PageTable(label, table.to_page().items(), True))
     if args.format == "table":
         _emit("\n\n".join("page r=%d:\n%s" % (page.r, render_page(page)) for page in pages))
     else:
@@ -533,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--hat-index",
         action="store_true",
-        help="report positions and page labels in the filtered-complex indexing",
+        help="label page r by its filtered-complex index 2k(r-1)+1; positions are unchanged",
     )
     add_common(p)
     p.set_defaults(func=cmd_couple)

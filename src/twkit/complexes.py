@@ -12,7 +12,6 @@ from . import exactla
 from .algebra import (
     HOM_POLY,
     BigradedTable,
-    GradedFreeModule,
     GradedRing,
     HomMatrix,
     hom_matrix_validate,
@@ -36,28 +35,31 @@ class InternalError(RuntimeError):
 class GradedComplex:
     """Bounded complex of graded-free k[a]-modules.
 
-    modules: {homological degree i: GradedFreeModule}; differentials:
-    {i: HomMatrix from C^i to C^{i+1}}.  Zero-rank modules are dropped,
-    missing differentials mean zero maps.  Construction validates
+    The constructor takes degrees, {homological degree i: generator
+    degrees}, and differentials, {i: sparse rows of d^i: C^i -> C^{i+1},
+    one per generator at degree i + 1}, the shape FieldComplex takes.
+    It keeps degrees as {i: tuple} and differentials as {i: HomMatrix}
+    on the degrees at i and i + 1.  Zero-rank degrees are dropped,
+    missing differentials mean zero maps, and nonzero rows without
+    generators on both sides are refused.  Construction validates
     homogeneity of every differential and d^2 = 0.
     """
 
-    __slots__ = ("ring", "modules", "differentials")
+    __slots__ = ("ring", "degrees", "differentials")
 
-    def __init__(self, ring: GradedRing, modules, differentials, validate=True):
-        mods = {int(i): m for i, m in modules.items() if m.rank > 0}
+    def __init__(self, ring: GradedRing, degrees, differentials, validate=True):
+        degs = {int(i): tuple(v) for i, v in degrees.items() if len(v)}
         diffs = {}
-        for i, d in differentials.items():
+        for i, rows in differentials.items():
             i = int(i)
-            if d.nrows == 0 or d.ncols == 0:
-                continue
-            if i not in mods or (i + 1) not in mods:
+            if i in degs and i + 1 in degs:
+                diffs[i] = HomMatrix(ring, degs[i], degs[i + 1], tuple(rows))
+            elif any(rows):
                 raise ComplexError(
                     "differential at degree %d has no matching modules" % i
                 )
-            diffs[i] = d
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "modules", mods)
+        object.__setattr__(self, "degrees", degs)
         object.__setattr__(self, "differentials", diffs)
         if validate:
             self._validate()
@@ -67,12 +69,6 @@ class GradedComplex:
 
     def _validate(self):
         for i, d in sorted(self.differentials.items()):
-            if d.ring != self.ring:
-                raise ComplexError("ring mismatch in differential at degree %d" % i)
-            if d.source_degrees != self.modules[i].degrees:
-                raise ComplexError("source degrees mismatch at degree %d" % i)
-            if d.target_degrees != self.modules[i + 1].degrees:
-                raise ComplexError("target degrees mismatch at degree %d" % i)
             bad = hom_matrix_validate(d)
             if bad is not None:
                 raise ComplexError(
@@ -88,20 +84,19 @@ class GradedComplex:
                 )
 
     def degrees_present(self):
-        return sorted(self.modules)
+        return sorted(self.degrees)
 
     def rank(self, i: int) -> int:
-        m = self.modules.get(i)
-        return m.rank if m else 0
+        return len(self.degrees.get(i, ()))
 
     def total_rank(self) -> int:
-        return sum(m.rank for m in self.modules.values())
+        return sum(map(len, self.degrees.values()))
 
     def __eq__(self, other):
         return (
             isinstance(other, GradedComplex)
             and self.ring == other.ring
-            and self.modules == other.modules
+            and self.degrees == other.degrees
             and {i: d for i, d in self.differentials.items() if not d.is_zero()}
             == {i: d for i, d in other.differentials.items() if not d.is_zero()}
         )
@@ -109,7 +104,7 @@ class GradedComplex:
     def __repr__(self):
         return "GradedComplex(k=%d, ranks=%r)" % (
             self.ring.k,
-            {i: m.rank for i, m in sorted(self.modules.items())},
+            {i: len(v) for i, v in sorted(self.degrees.items())},
         )
 
     def shifted(self, di: int = 0, ds: int = 0) -> "GradedComplex":
@@ -118,16 +113,8 @@ class GradedComplex:
         on one."""
         return GradedComplex(
             self.ring,
-            {i + di: m.shifted(ds) for i, m in self.modules.items()},
-            {
-                i + di: HomMatrix(
-                    self.ring,
-                    tuple(x + ds for x in d.source_degrees),
-                    tuple(x + ds for x in d.target_degrees),
-                    d.rows,
-                )
-                for i, d in self.differentials.items()
-            },
+            {i + di: tuple(x + ds for x in v) for i, v in self.degrees.items()},
+            {i + di: d.rows for i, d in self.differentials.items()},
             validate=False,
         )
 
@@ -142,14 +129,11 @@ def direct_sum(*complexes: GradedComplex) -> GradedComplex:
             raise ValueError("ring mismatch in direct sum")
     degrees = {}
     for c in complexes:
-        for i, m in c.modules.items():
-            degrees.setdefault(i, []).extend(m.degrees)
+        for i, v in c.degrees.items():
+            degrees.setdefault(i, []).extend(v)
     diffs = {}
-    hom_degrees = set()
-    for c in complexes:
-        hom_degrees.update(c.differentials)
-    for i in hom_degrees:
-        rows = []
+    for i in set().union(*(c.differentials for c in complexes)):
+        rows = diffs[i] = []
         coff = 0
         for c in complexes:
             d = c.differentials.get(i)
@@ -158,32 +142,24 @@ def direct_sum(*complexes: GradedComplex) -> GradedComplex:
             else:
                 rows.extend({coff + cc: x for cc, x in row.items()} for row in d.rows)
             coff += c.rank(i)
-        diffs[i] = HomMatrix(ring, tuple(degrees.get(i, ())), tuple(degrees.get(i + 1, ())), tuple(rows))
-    return GradedComplex(
-        ring,
-        {i: GradedFreeModule(tuple(d)) for i, d in degrees.items()},
-        diffs,
-        validate=False,
-    )
+    return GradedComplex(ring, degrees, diffs, validate=False)
 
 
 def complex_from_data(k: int, modules, differentials) -> GradedComplex:
     """Build and validate a complex from {i: [degrees]} and {i: dense
     rows}, the one place dense cells are read: their shape is checked
-    here, row count first, and the rows made sparse for HomMatrix."""
-    ring = GradedRing(k)
-    mods = {int(i): GradedFreeModule(tuple(ds)) for i, ds in modules.items()}
+    here, row count first, and the rows made sparse."""
+    degrees = {int(i): tuple(ds) for i, ds in modules.items()}
     diffs = {}
     for i, rows in differentials.items():
         i = int(i)
-        src = mods[i].degrees if i in mods else ()
-        tgt = mods[i + 1].degrees if i + 1 in mods else ()
+        src, tgt = degrees.get(i, ()), degrees.get(i + 1, ())
         if len(rows) != len(tgt):
             raise ValueError("row count does not match target rank")
         if any(len(row) != len(src) for row in rows):
             raise ValueError("column count does not match source rank")
-        diffs[i] = HomMatrix(ring, src, tgt, tuple({c: x for c, x in enumerate(row) if x} for row in rows))
-    return GradedComplex(ring, mods, diffs)
+        diffs[i] = [{c: x for c, x in enumerate(row) if x} for row in rows]
+    return GradedComplex(GradedRing(k), degrees, diffs)
 
 
 class FieldComplex:
@@ -287,7 +263,7 @@ class FilteredFieldComplex(FieldComplex):
 def reduce_mod_a(c: GradedComplex) -> FieldComplex:
     """Set a = 0: keep exponent-0 scalars, kill everything else."""
     return FieldComplex(
-        {i: m.degrees for i, m in c.modules.items()},
+        c.degrees,
         {i: d.reduced_mod_a() for i, d in c.differentials.items()},
         validate=False,
     )
@@ -298,7 +274,7 @@ def specialize_a_to_1(c: GradedComplex) -> FilteredFieldComplex:
     old polynomial degree of each generator becomes its filtration
     level."""
     return FilteredFieldComplex(
-        {i: m.degrees for i, m in c.modules.items()},
+        c.degrees,
         {i: d.rows for i, d in c.differentials.items()},
         validate=False,
     )
@@ -314,16 +290,10 @@ def gaussian_eliminate(c, hom_degree: int, row: int, col: int):
     epsilon - gamma phi^{-1} delta.
     """
     if isinstance(c, GradedComplex):
-        degrees, mats = _cancel(
-            {i: m.degrees for i, m in c.modules.items()},
-            {i: d.rows for i, d in c.differentials.items()},
+        return GradedComplex(c.ring, *_cancel(
+            c.degrees, {i: d.rows for i, d in c.differentials.items()},
             hom_degree, row, col, "pivot has positive a-exponent, not invertible",
-        )
-        return GradedComplex(
-            c.ring,
-            {i: GradedFreeModule(degs) for i, degs in degrees.items()},
-            {i: HomMatrix(c.ring, degrees[i], degrees[i + 1], tuple(rows)) for i, rows in mats.items()},
-        )
+        ))
     if isinstance(c, FieldComplex):
         return type(c)(*_cancel(
             c.degrees, c.mats, hom_degree, row, col, "pivot does not preserve the level, not invertible"

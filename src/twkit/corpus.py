@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .algebra import HomMatrix, add_to_row
+from .algebra import add_to_row
 from .complexes import GradedComplex, specialize_a_to_1
 from .couples import correspondence_check, couple_tables
 from .decompose import (
@@ -127,15 +127,11 @@ def _random_automorphism(rng, ring, degrees, ops):
 def conjugate(rng: random.Random, c: GradedComplex, ops: int = 8) -> GradedComplex:
     """Random homogeneous change of basis: d mapsto g d g^{-1} degree
     by degree.  decompose of the result equals decompose of c."""
-    autos = {
-        i: _random_automorphism(rng, c.ring, m.degrees, ops)
-        for i, m in c.modules.items()
+    autos = {i: _random_automorphism(rng, c.ring, degs, ops) for i, degs in c.degrees.items()}
+    diffs = {
+        i: matmul(matmul(autos[i + 1][0], d.rows), autos[i][1]) for i, d in c.differentials.items()
     }
-    diffs = {}
-    for i, d in c.differentials.items():
-        rows = matmul(matmul(autos[i + 1][0], d.rows), autos[i][1])
-        diffs[i] = HomMatrix(c.ring, d.source_degrees, d.target_degrees, tuple(rows))
-    return GradedComplex(c.ring, dict(c.modules), diffs)
+    return GradedComplex(c.ring, c.degrees, diffs)
 
 
 def summed_piece_pages(d: Decomposition, hat: bool, r: int) -> PageTable:

@@ -21,10 +21,8 @@ from itertools import chain
 from .algebra import (
     HOM_POLY,
     BigradedTable,
-    GradedFreeModule,
     GradedModuleDescriptor,
     GradedRing,
-    HomMatrix,
 )
 from .complexes import GradedComplex, InternalError
 from .exactla import clear_column, column_index
@@ -106,8 +104,8 @@ def _split_pieces(c: GradedComplex):
     rows = None
     split = set()
     for n in c.degrees_present():
-        src = c.modules[n].degrees
-        tgt = c.modules[n + 1].degrees if n + 1 in c.modules else ()
+        src = c.degrees[n]
+        tgt = c.degrees.get(n + 1, ())
         if rows is None:
             d = c.differentials.get(n)
             rows = [dict(row) for row in d.rows] if d is not None else []
@@ -139,7 +137,7 @@ def _split_pieces(c: GradedComplex):
                 holders[cc].discard(l)
             split_next.add(l)
 
-        rows, split = (nxt, split_next) if n + 1 in c.modules else (None, set())
+        rows, split = (nxt, split_next) if n + 1 in c.degrees else (None, set())
 
     return free, torsion, dropped
 
@@ -242,18 +240,13 @@ def thickness(t: BigradedTable):
     return ht, widest // 2
 
 
-def reassemble(d: Decomposition, ring: GradedRing = None) -> GradedComplex:
+def reassemble(d: Decomposition) -> GradedComplex:
     """The direct sum of the elementary complexes of `d`.
 
     Pieces are laid out in canonical order, free before torsion, with
     unit scalars on the torsion differentials.  Splitting the result
     returns `d` itself.
     """
-    if ring is None:
-        ring = GradedRing(d.k)
-    elif ring.k != d.k:
-        raise ValueError("ring does not match the decomposition's k")
-
     degrees = {}
 
     def slot(i, s):
@@ -268,11 +261,9 @@ def reassemble(d: Decomposition, ring: GradedRing = None) -> GradedComplex:
         row = slot(i, s)
         units.setdefault(i - 1, []).append((row, col))
 
-    modules = {i: GradedFreeModule(tuple(v)) for i, v in degrees.items()}
     diffs = {}
     for i, positions in units.items():
-        rows = [{} for _ in degrees[i + 1]]
+        rows = diffs[i] = [{} for _ in degrees[i + 1]]
         for r, c in positions:
             rows[r][c] = 1
-        diffs[i] = HomMatrix(ring, tuple(degrees[i]), tuple(degrees[i + 1]), tuple(rows))
-    return GradedComplex(ring, modules, diffs)
+    return GradedComplex(GradedRing(d.k), degrees, diffs)

@@ -84,7 +84,7 @@ def complex_to_data(c: GradedComplex) -> dict:
         "format": FORMAT,
         "type": "complex",
         "k": c.ring.k,
-        "modules": {str(i): list(m.degrees) for i, m in sorted(c.modules.items())},
+        "modules": {str(i): list(v) for i, v in sorted(c.degrees.items())},
         "differentials": {
             str(i): [[str(x) for x in row] for row in d.entries]
             for i, d in sorted(c.differentials.items())
@@ -100,16 +100,26 @@ def _array(x, what):
     return x
 
 
+def _object(x, what):
+    """x when it is a JSON object."""
+    if type(x) is not dict:
+        raise ValueError("expected %s, got %s" % (what, json.dumps(x)))
+    return x
+
+
 def complex_from_json(data) -> GradedComplex:
     _check_header(data, "complex")
     try:
-        modules = {_degree(i): [_int(s) for s in degs] for i, degs in data["modules"].items()}
+        modules = {
+            _degree(i): [_int(s) for s in _array(degs, "a degree list to be an array of integers")]
+            for i, degs in _object(data["modules"], '"modules" to be an object').items()
+        }
         diffs = {
             _degree(i): [
                 [0 if x == "0" else parse_rational(x) for x in _array(row, "a row to be an array of cells")]
                 for row in _array(rows, "a differential to be an array of rows")
             ]
-            for i, rows in data.get("differentials", {}).items()
+            for i, rows in _object(data.get("differentials", {}), '"differentials" to be an object').items()
         }
         k = _int(data["k"])
     except (AttributeError, KeyError, TypeError, ValueError) as e:

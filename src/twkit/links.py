@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import product, zip_longest
 from math import lcm
 
-from .algebra import GradedFreeModule, GradedRing, HomMatrix, hom_matrix_validate
+from .algebra import GradedRing, HomMatrix, hom_matrix_validate
 from .complexes import (
     ComplexError,
     FirstDifferential,
@@ -352,13 +352,7 @@ def build_sl2_cube(diagram: LinkDiagram, potential: Sl2Potential) -> GradedCompl
                 for mask, x in terms[bits]:
                     rows[tgt_off + (t | mask)][col] = x
 
-    ring = GradedRing(potential.k)
-    modules = {i: GradedFreeModule(tuple(degs)) for i, degs in degree_lists.items()}
-    diffs = {
-        i: HomMatrix(ring, modules[i].degrees, modules[i + 1].degrees, tuple(rows))
-        for i, rows in mats.items()
-    }
-    return GradedComplex(ring, modules, diffs)
+    return GradedComplex(GradedRing(potential.k), degree_lists, mats)
 
 
 # -- the closed 2-braid family for general N ---------------------------
@@ -429,19 +423,17 @@ def build_twobraid(spec: TwoBraidSpec) -> GradedComplex:
     N = spec.N
     ring = GradedRing(spec.k)
     mdegs = [2 * j for j in range(N)]
-    modules = {
-        0: GradedFreeModule(tuple(d - 4 * N + 4 for d in mdegs)),
-        2: GradedFreeModule(tuple(d - 4 * N for d in mdegs)),
-        3: GradedFreeModule(tuple(d - 6 * N + 2 for d in mdegs)),
-        4: GradedFreeModule(
-            tuple(d - 4 * N - 4 - 2 * l for l in range(N - 1) for d in mdegs)
-        ),
+    degrees = {
+        0: [d - 4 * N + 4 for d in mdegs],
+        2: [d - 4 * N for d in mdegs],
+        3: [d - 6 * N + 2 for d in mdegs],
+        4: [d - 4 * N - 4 - 2 * l for l in range(N - 1) for d in mdegs],
     }
-    diff = HomMatrix(ring, modules[2].degrees, modules[3].degrees, _negated(_x_power(spec, N - 1)))
+    diff = HomMatrix(ring, degrees[2], degrees[3], _negated(_x_power(spec, N - 1)))
     bad = hom_matrix_validate(diff)
     if bad is not None:
         raise InternalError("links", "x2^(N-1) is not homogeneous at entry %r" % (bad,))
-    return GradedComplex(ring, modules, {2: diff})
+    return GradedComplex(ring, degrees, {2: diff.rows})
 
 
 def build_twobraid_unreduced(spec: TwoBraidSpec) -> GradedComplex:
@@ -466,9 +458,7 @@ def build_twobraid_unreduced(spec: TwoBraidSpec) -> GradedComplex:
         fill(r, r, [{a: 1} for a in range(N)])
         fill(r, r + 1, neg_x)
     fill(N - 2, 0, neg_x)
-    modules = {2: GradedFreeModule(src), 3: GradedFreeModule(tgt)}
-    diff = HomMatrix(ring, src, tgt, tuple(rows))
-    return GradedComplex(ring, modules, {2: diff})
+    return GradedComplex(ring, {2: src, 3: tgt}, {2: rows})
 
 
 # -- the battery of induced differentials ------------------------------

@@ -9,7 +9,7 @@ types it returns come from twkit; the rest is kept as it was.
 
 from itertools import product
 
-from twkit.algebra import GradedFreeModule, GradedRing, HomMatrix
+from twkit.algebra import GradedRing
 from twkit.complexes import ComplexError, GradedComplex
 from twkit.exactla import canonical
 
@@ -175,11 +175,6 @@ def reference_sl2_cube(diagram, potential):
                     "invalid PD code: resolution change is not a merge or split"
                 )
 
-    modules = {
-        i: GradedFreeModule(tuple(degs)) for i, degs in degree_lists.items() if degs
-    }
-    diffs = {}
-    for i, rows in mats.items():
-        if rows:
-            diffs[i] = HomMatrix(ring, modules[i].degrees, modules[i + 1].degrees, tuple(rows))
-    return GradedComplex(ring, modules, diffs)
+    degrees = {i: degs for i, degs in degree_lists.items() if degs}
+    diffs = {i: rows for i, rows in mats.items() if rows}
+    return GradedComplex(ring, degrees, diffs)

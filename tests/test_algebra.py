@@ -10,7 +10,6 @@ from twkit.algebra import (
     HOM_POLY,
     PAGE,
     BigradedTable,
-    GradedFreeModule,
     GradedModuleDescriptor,
     GradedRing,
     HomMatrix,
@@ -82,13 +81,6 @@ class TestDescriptor:
         assert shifted(d, 3) == GradedModuleDescriptor((3,), ((1, 5),))
         assert scaled(d, 0).is_zero()
         assert not d.is_zero() and bool(d)
-
-
-def test_free_module():
-    m = GradedFreeModule((3, -1))
-    assert m.rank == 2
-    assert m.shifted(2).degrees == (5, 1)
-    assert GradedFreeModule().rank == 0
 
 
 class TestHomMatrix:

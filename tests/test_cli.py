@@ -17,7 +17,6 @@ import sys
 import pytest
 
 from twkit import jsonio
-from twkit.algebra import HomMatrix
 from twkit.cli import EXIT_COMPLEX, build_parser, main
 from twkit.complexes import GradedComplex
 from twkit.corpus import conjugate, random_decomposition
@@ -165,7 +164,25 @@ class TestCouple:
         out, _ = run(capsys, "couple", TORSION_CX, "--r", "2", "--hat-index")
         doc = json.loads(out)
         assert doc["r"] == 3
-        assert doc["entries"] == [[-4, 8, 1], [1, -1, 1]]
+        assert doc["entries"] == [[0, 1, 1], [4, -4, 1]]
+        assert out == run(capsys, "pages", TORSION_CX, "--page", "3")[0]
+
+    def test_hat_index_prints_the_hat_page(self, capsys):
+        """couple --r r --hat-index is pages --page 2k(r-1)+1 byte for
+        byte, on 40 seeded documents, r = 1..tw+2, in both formats."""
+        cases = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            c = conjugate(rng, reassemble(random_decomposition(rng)))
+            doc = jsonio.dumps(jsonio.complex_to_data(c))
+            d = decompose(c)
+            for r in range(1, torsion_width(d) + 3):
+                for fmt in ("json", "table"):
+                    got = run(capsys, "couple", doc, "--r", str(r), "--hat-index", "--format", fmt)
+                    page = str(2 * d.k * (r - 1) + 1)
+                    assert got == run(capsys, "pages", doc, "--page", page, "--format", fmt), (seed, r, fmt)
+                    cases += 1
+        assert cases == 288
 
     @pytest.mark.parametrize("seed", range(8))
     def test_pages_match_couple_pages_with_one_derivation_each(self, capsys, monkeypatch, seed):
@@ -356,10 +373,9 @@ class TestDelta:
             if doctor == "shifted":
                 return cx.shifted(0, 2)
             diffs = {
-                i: HomMatrix(d.ring, d.source_degrees, d.target_degrees, tuple({c: 2 * x for c, x in row.items()} for row in d.rows))
-                for i, d in cx.differentials.items()
+                i: [{c: 2 * x for c, x in row.items()} for row in d.rows] for i, d in cx.differentials.items()
             }
-            return GradedComplex(cx.ring, cx.modules, diffs)
+            return GradedComplex(cx.ring, cx.degrees, diffs)
 
         monkeypatch.setattr(links, "build_twobraid", doctored)
         out, err = run(capsys, "delta", "--N", "3", expect=EXIT_COMPLEX)
@@ -553,15 +569,17 @@ class TestStrictScalars:
 def _shape_doc(differentials, modules=None):
     """A k = 1 complex document, by default on two generators at degree
     0 and one at degree 1, so a differential out of 0 is 1 x 2."""
-    modules = modules or {"0": [0, 0], "1": [0]}
+    if modules is None:
+        modules = {"0": [0, 0], "1": [0]}
     return json.dumps(
         {"format": "tw/1", "type": "complex", "k": 1, "modules": modules, "differentials": differentials}
     )
 
 
 class TestComplexDocumentRefusals:
-    """Where a complex document's dense rows become sparse ones: each
-    malformed document exits with its code and exactly one stderr line."""
+    """Where a complex document's objects, degree lists and dense rows
+    are read: each malformed document exits with its code and exactly
+    one stderr line, its own text and never Python's."""
 
     @pytest.mark.parametrize(
         "differentials, modules, code, line",
@@ -598,6 +616,21 @@ class TestComplexDocumentRefusals:
                 "error: malformed complex document: expected a row to be an array of cells, got 5",
             ),
             (
+                {},
+                {"0": 5},
+                1,
+                "error: malformed complex document: expected a degree list to be an array of integers, got 5",
+            ),
+            # a string degree list is never read one character per degree
+            (
+                {},
+                {"0": "12"},
+                1,
+                'error: malformed complex document: expected a degree list to be an array of integers, got "12"',
+            ),
+            ({}, [], 1, 'error: malformed complex document: expected "modules" to be an object, got []'),
+            ([], None, 1, 'error: malformed complex document: expected "differentials" to be an object, got []'),
+            (
                 {"0": [[1], [0]]},
                 {"0": [1], "1": [0, 0]},
                 2,
@@ -620,6 +653,10 @@ class TestComplexDocumentRefusals:
             "string rows",
             "string differential",
             "number row",
+            "number degree list",
+            "string degree list",
+            "modules array",
+            "differentials array",
             "inhomogeneous entry",
             "d squared",
         ],

@@ -70,12 +70,12 @@ DIAGRAMS = ladder(SEED) + with_loops()
 
 
 def layout(c):
-    """Modules and rows with every stored value and its type, in order."""
+    """Degrees and rows with every stored value and its type, in order."""
     rows = {
         i: [[(col, x, type(x)) for col, x in row.items()] for row in d.rows]
         for i, d in c.differentials.items()
     }
-    return list(c.modules.items()), rows
+    return list(c.degrees.items()), rows
 
 
 def test_ladder_spans_the_crossing_counts_and_signs():

@@ -51,7 +51,7 @@ def reference_reduce_mod_a(c):
             [x if x and d.source_degrees[cc] == tdeg else Fraction(0) for cc, x in enumerate(row)]
             for tdeg, row in zip(d.target_degrees, d.entries)
         ]
-    return {i: m.degrees for i, m in c.modules.items()}, mats
+    return c.degrees, mats
 
 
 def reference_homology(degrees, mats, graded=True):
