@@ -5,8 +5,6 @@ structure from pages, and link-diagram front ends.
 """
 
 from .algebra import (
-    HOM_POLY,
-    PAGE,
     BigradedTable,
     GradedModuleDescriptor,
     GradedRing,
@@ -74,8 +72,6 @@ from .recover import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "HOM_POLY",
-    "PAGE",
     "BigradedTable",
     "ComplexError",
     "CorrespondenceResult",

@@ -1,5 +1,5 @@
-"""Graded base ring k[a], bigraded tables, module descriptors, and
-homogeneous matrices.
+"""Graded base ring k[a], (i, s) dimension tables, module descriptors,
+and homogeneous matrices.
 
 Matrix entries over k[a] are stored as bare rational scalars, in sparse
 rows of the nonzeros; the a-exponent of a nonzero entry is never stored
@@ -15,9 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .exactla import canonical
-
-HOM_POLY = "hom_poly"  # keys (i, s): homological degree, polynomial degree
-PAGE = "page"          # keys (p, q) = (s, i - s): filtration degree first
 
 
 @dataclass(frozen=True)
@@ -36,18 +33,14 @@ class GradedRing:
 
 
 class BigradedTable:
-    """Finite-support dimension table on Z x Z.
-
-    convention HOM_POLY: keys (i, s).  convention PAGE: keys (p, q)
-    with p = s and q = i - s.  Zero dimensions are dropped; negative
-    ones rejected.
+    """Finite-support dimension table keyed (i, s): homological degree,
+    polynomial degree.  Zero dimensions are dropped; negative ones
+    rejected.  Pages keyed by filtration position are PageTables.
     """
 
-    __slots__ = ("convention", "_entries")
+    __slots__ = ("_entries",)
 
-    def __init__(self, entries=(), convention=HOM_POLY):
-        if convention not in (HOM_POLY, PAGE):
-            raise ValueError("unknown convention %r" % (convention,))
+    def __init__(self, entries=()):
         data = {}
         items = entries.items() if hasattr(entries, "items") else entries
         for key, dim in items:
@@ -56,7 +49,6 @@ class BigradedTable:
             if dim:
                 key = (int(key[0]), int(key[1]))
                 data[key] = data.get(key, 0) + dim
-        object.__setattr__(self, "convention", convention)
         object.__setattr__(self, "_entries", data)
 
     def __setattr__(self, name, value):
@@ -81,41 +73,21 @@ class BigradedTable:
         return bool(self._entries)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, BigradedTable)
-            and self.convention == other.convention
-            and self._entries == other._entries
-        )
+        return isinstance(other, BigradedTable) and self._entries == other._entries
 
     def __hash__(self):
-        return hash((self.convention, frozenset(self._entries.items())))
+        return hash(frozenset(self._entries.items()))
 
     def __repr__(self):
-        return "BigradedTable(%r, convention=%r)" % (self.items(), self.convention)
+        return "BigradedTable(%r)" % (self.items(),)
 
     def add(self, other: "BigradedTable") -> "BigradedTable":
-        if self.convention != other.convention:
+        if not isinstance(other, BigradedTable):
             raise ValueError("convention mismatch")
         merged = dict(self._entries)
         for key, dim in other._entries.items():
             merged[key] = merged.get(key, 0) + dim
-        return BigradedTable(merged, self.convention)
-
-    def to_page(self) -> "BigradedTable":
-        """(i, s) -> (p, q) = (s, i - s)."""
-        if self.convention == PAGE:
-            return self
-        return BigradedTable(
-            {(s, i - s): d for (i, s), d in self._entries.items()}, PAGE
-        )
-
-    def to_hom_poly(self) -> "BigradedTable":
-        """(p, q) -> (i, s) = (p + q, p)."""
-        if self.convention == HOM_POLY:
-            return self
-        return BigradedTable(
-            {(p + q, p): d for (p, q), d in self._entries.items()}, HOM_POLY
-        )
+        return BigradedTable(merged)
 
 
 @dataclass(frozen=True)

@@ -262,12 +262,12 @@ def cmd_pages(args) -> int:
     seq = pages_from_decomposition(d).pages
     count = args.r_max if args.r_max is not None else len(seq)
     if args.generic:
-        hom = [generic_pages(fc, 2 * d.k * r + 1).table().to_hom_poly() for r in range(count)]
+        hom = [generic_pages(fc, 2 * d.k * r + 1).to_hom_poly() for r in range(count)]
     else:
         # the closed-form sequence ends on its stable page
         hom = [seq[min(r, len(seq) - 1)] for r in range(count)]
     if args.format == "table":
-        pages = [PageTable(2 * d.k * n + 1, t.to_page().items()) for n, t in enumerate(hom)]
+        pages = [PageTable.from_hom_poly(2 * d.k * n + 1, t) for n, t in enumerate(hom)]
         chunks = [
             "page %d (filtered index %d):\n%s" % (n + 1, p.r, render_page(p))
             for n, p in enumerate(pages)
@@ -299,7 +299,7 @@ def cmd_couple(args) -> int:
         # the derived-couple page r equals the hat page 2k(r-1)+1 at
         # the same positions, so --hat-index relabels r and nothing else
         label = 2 * d.k * (r - 1) + 1 if args.hat_index else r
-        pages.append(PageTable(label, table.to_page().items(), True))
+        pages.append(PageTable.from_hom_poly(label, table))
     if args.format == "table":
         _emit("\n\n".join("page r=%d:\n%s" % (page.r, render_page(page)) for page in pages))
     else:

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 
 from . import exactla
 from .algebra import (
-    HOM_POLY,
     BigradedTable,
     GradedRing,
     HomMatrix,
@@ -381,7 +380,7 @@ def homology_field(fc: FieldComplex) -> FieldHomologyBasis:
         dims={i: len(q.representatives) for i, q in quotients.items()},
         representatives={i: q.representatives for i, q in quotients.items()},
         boundaries={i: q.boundaries for i, q in quotients.items()},
-        bigraded=BigradedTable(bigraded, HOM_POLY) if graded else None,
+        bigraded=BigradedTable(bigraded) if graded else None,
         subquotients=quotients,
     )
 

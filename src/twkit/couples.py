@@ -32,10 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import exactla
-from .algebra import HOM_POLY, BigradedTable
+from .algebra import BigradedTable
 from .complexes import InternalError
 from .decompose import Decomposition, torsion_width
 from .exactla import canonical, columns, from_columns, matmul, solution_from_reduction
+from .pages import assembled_page_list
 
 
 class InsufficientWindow(RuntimeError):
@@ -169,7 +170,7 @@ class ExactCouple:
 
     def e_table(self) -> BigradedTable:
         """E dimensions keyed (homological, polynomial)."""
-        return BigradedTable(self._e, HOM_POLY)
+        return BigradedTable(self._e)
 
     def f_at(self, i, s):
         mat = self._f.get((i, s))
@@ -513,20 +514,16 @@ class CorrespondenceResult:
 def correspondence_check(d: Decomposition, r_max: int, tables=None) -> CorrespondenceResult:
     """Couple pages against assembled hat pages.
 
-    For r = 1..r_max the couple page at (p, q) = (hom, filt) must equal
-    the hat page 2k(r-1)+1 at position (q, p - q).  Returns the first
+    For r = 1..r_max the couple page at (i, s) must equal the hat page
+    2k(r-1)+1 at position (s, i - s).  Returns the first
     failing r, if any.  tables, when given, are couple_tables(d, n)
     for some n >= r_max, so a caller that needs the pages elsewhere
     derives the couple once.
     """
-    from .pages import assembled_page_list
-
     if tables is None:
         tables = couple_tables(d, r_max)
     pages = assembled_page_list(d, True, (2 * d.k * r + 1 for r in range(r_max)))
     for r, page in enumerate(pages, 1):
-        lhs = tables[r - 1].to_page()
-        rhs = page.table()
-        if lhs != rhs:
+        if tables[r - 1] != page.to_hom_poly():
             return CorrespondenceResult(False, r_max, r)
     return CorrespondenceResult(True, r_max)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .algebra import (
-    HOM_POLY,
     BigradedTable,
     GradedModuleDescriptor,
     GradedRing,
@@ -195,8 +194,7 @@ def hn_table(d: Decomposition) -> BigradedTable:
             ((piece, 1) for piece in d.free_pieces),
             (((i, s), 1) for i, _, s in d.torsion_pieces),
             (((i - 1, s + two_k * m), 1) for i, m, s in d.torsion_pieces),
-        ),
-        HOM_POLY,
+        )
     )
 
 
@@ -217,7 +215,7 @@ def thickness(t: BigradedTable):
     single parity; a mixed-parity table would make them half-integral,
     which is rejected rather than rounded.
     """
-    if t.convention != HOM_POLY:
+    if not isinstance(t, BigradedTable):
         raise ValueError("thickness expects a table in (hom, poly) convention")
     if t.is_empty():
         raise ValueError("thickness of an empty table")

@@ -13,7 +13,7 @@ import json
 import re
 from fractions import Fraction
 
-from .algebra import HOM_POLY, BigradedTable, GradedModuleDescriptor
+from .algebra import BigradedTable, GradedModuleDescriptor
 from .complexes import GradedComplex, complex_from_data
 from .decompose import Decomposition
 from .pages import PageTable
@@ -211,13 +211,13 @@ def page_from_json(data) -> PageTable:
 
 
 def table_to_entries(t: BigradedTable):
-    """[[first, second, dim], ...] in the table's own convention."""
-    return [[a, b, dim] for (a, b), dim in t.items()]
+    """[[i, s, dim], ...] of an (i, s) table."""
+    return [[i, s, dim] for (i, s), dim in t.items()]
 
 
 def pages_to_data(ps: PageSequence) -> dict:
-    """Pages indexed from r = 1, entries [i, s, dim] in (homological,
-    filtration) convention."""
+    """Pages indexed from r = 1, entries [i, s, dim]: homological
+    degree, polynomial degree."""
     return raw_pages_to_data(ps.k, ps.pages)
 
 
@@ -236,9 +236,7 @@ def pages_from_json(data) -> PageSequence:
     _check_header(data, "pages")
     try:
         tables = [
-            BigradedTable(
-                [((_int(i), _int(s)), _int(dim)) for i, s, dim in page], HOM_POLY
-            )
+            BigradedTable([((_int(i), _int(s)), _int(dim)) for i, s, dim in page])
             for page in data["pages"]
         ]
         k = _int(data["k"])

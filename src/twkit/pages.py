@@ -11,17 +11,17 @@ lower-left blocks of the differential, which determine a filtered
 complex (Zomorodian-Carlsson, "Computing persistent homology", 2005);
 FilteredFieldComplex.lowered_rank eliminates once per complex.
 
-Position convention: a page entry sits at (p, q) where p is the
-filtration degree and q is the homological degree minus p.  A generator
-of polynomial degree s in homological degree i therefore lands at
-(s, i - s).
+Position rule: a page entry sits at (p, q) where p is the filtration
+degree and q is the homological degree minus p, so a generator of
+polynomial degree s in homological degree i lands at (s, i - s).
+PageTable.from_hom_poly and to_hom_poly are the one conversion pair.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 
-from .algebra import PAGE, BigradedTable, GradedModuleDescriptor
+from .algebra import BigradedTable, GradedModuleDescriptor
 from .complexes import FilteredFieldComplex
 from .decompose import Decomposition, torsion_width
 
@@ -111,11 +111,20 @@ class PageTable:
             raise ValueError("cannot merge pages of different kind or index")
         return PageTable(self.r, chain(self._entries.items(), other._entries.items()), self.hat)
 
-    def table(self) -> BigradedTable:
-        """Dimensions as a (p, q) table; hat pages only."""
+    def table(self) -> "PageTable":
+        """This page, refused unless it is a hat page."""
         if not self.hat:
             raise ValueError("module page has no single dimension table")
-        return BigradedTable(self._entries, PAGE)
+        return self
+
+    def to_hom_poly(self) -> BigradedTable:
+        """The hat page's dimensions moved from (p, q) to (i, s) = (p + q, p)."""
+        return BigradedTable({(p + q, p): d for (p, q), d in self.table()._entries.items()})
+
+    @classmethod
+    def from_hom_poly(cls, r, table: BigradedTable) -> "PageTable":
+        """Hat page r of an (i, s) table's dimensions, at (p, q) = (s, i - s)."""
+        return cls(r, {(s, i - s): d for (i, s), d in table.items()}, True)
 
 
 def piece_pages(piece, hat: bool, r: int, k: int) -> PageTable:

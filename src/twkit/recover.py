@@ -6,15 +6,15 @@ page 1 peels off the width-r torsion pairs one page at a time.  Here
 tau = floor(ht / k) computed from page 1; torsion width never exceeds
 it, so pages 1..tau+1 suffice.
 
-Pages are taken in the (homological, polynomial) convention.  Inputs
-that could not have come from any decomposition raise
-InconsistentPages.
+Pages are (homological, polynomial) BigradedTables.  Inputs that
+could not have come from any decomposition raise InconsistentPages.
 """
 
 from __future__ import annotations
 
-from .algebra import HOM_POLY, BigradedTable
+from .algebra import BigradedTable
 from .decompose import Decomposition, torsion_width
+from .pages import assembled_page_list
 
 
 class InconsistentPages(ValueError):
@@ -47,7 +47,7 @@ class PageSequence:
         if not pages:
             raise InconsistentPages("inconsistent pages: no pages given")
         for n, page in enumerate(pages):
-            if not isinstance(page, BigradedTable) or page.convention != HOM_POLY:
+            if not isinstance(page, BigradedTable):
                 raise ValueError(
                     "page %d is not a (homological, polynomial) table" % (n + 1)
                 )
@@ -156,10 +156,8 @@ def pages_from_decomposition(d: Decomposition) -> PageSequence:
     """Generate [E^(1), ..., E^(tau+1)] from a decomposition by the
     closed forms; the last page repeats once the sequence has
     stabilized at tw+1."""
-    from .pages import assembled_page_list
-
     pages = assembled_page_list(d, True, (2 * d.k * r + 1 for r in range(torsion_width(d) + 1)))
-    return padded_sequence(d.k, [page.table().to_hom_poly() for page in pages])
+    return padded_sequence(d.k, [page.to_hom_poly() for page in pages])
 
 
 def padded_sequence(k: int, seq) -> PageSequence:

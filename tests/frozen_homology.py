@@ -10,7 +10,7 @@ return come from twkit; the code is kept as it was.
 """
 
 from twkit import exactla
-from twkit.algebra import HOM_POLY, BigradedTable
+from twkit.algebra import BigradedTable
 from twkit.complexes import (
     ComplexError,
     FieldComplex,
@@ -61,7 +61,7 @@ def reference_homology_field(fc: FieldComplex) -> FieldHomologyBasis:
         dims=dims,
         representatives=reps,
         boundaries=bnds,
-        bigraded=BigradedTable(bigraded, HOM_POLY) if graded else None,
+        bigraded=BigradedTable(bigraded) if graded else None,
     )
 
 

@@ -7,14 +7,14 @@ that followed it, frozen before one page was built per block of r
 
 boxtimes multiplied a (hom, poly) dimension table against a page, and
 hn_table summed one descriptor_dim_table per homological degree.  The
-descriptor merge, shift and scale operations and the _rebuild hooks of
-BigradedTable and PageTable served only them; they are kept here as
-local functions.  Only the graded types come from twkit.
+descriptor merge, shift and scale operations and the _rebuild hook of
+PageTable served only them; they are kept here as local functions.
+Only the graded types come from twkit.
 """
 
 from itertools import chain
 
-from twkit.algebra import HOM_POLY, PAGE, BigradedTable, GradedModuleDescriptor
+from twkit.algebra import BigradedTable, GradedModuleDescriptor
 from twkit.decompose import homology_structure
 from twkit.pages import PageTable, piece_pages
 
@@ -66,10 +66,8 @@ def _value_is_zero(value):
 
 
 def _rebuild(e, entries):
-    """The _rebuild hooks: a PAGE table or a page of e's kind and
-    index; any other page-like object supplies its own."""
-    if isinstance(e, BigradedTable):
-        return BigradedTable(entries, PAGE)
+    """The _rebuild hook: a page of e's kind and index; any other
+    page-like object supplies its own."""
     if isinstance(e, PageTable):
         return PageTable(e.r, entries, e.hat)
     return e._rebuild(entries)
@@ -78,15 +76,15 @@ def _rebuild(e, entries):
 def boxtimes(h, e):
     """(H boxtimes E)^{a,b} = sum over j+p=a, q+i-j=b of H^{i,j} x E^{p,q}.
 
-    h is a HOM_POLY table (keys (i, j) = (hom, poly)); e is anything in
-    PAGE position convention exposing items() of ((p, q), value) (a
-    PAGE BigradedTable, a page table, or an object with a
-    _rebuild(entries) constructor).  Dimensions multiply; module-valued
-    entries are repeated by the dimension and their shifts raised by j.
+    h is a BigradedTable (keys (i, j) = (hom, poly)); e is anything
+    keyed by page position exposing items() of ((p, q), value) (a page
+    table, or an object with a _rebuild(entries) constructor).
+    Dimensions multiply; module-valued entries are repeated by the
+    dimension and their shifts raised by j.
     """
-    if h.convention != HOM_POLY:
+    if not isinstance(h, BigradedTable):
         raise ValueError("left factor must be in (hom, poly) convention")
-    if isinstance(e, BigradedTable) and e.convention != PAGE:
+    if isinstance(e, BigradedTable):
         raise ValueError("right factor must be in page convention")
     out = {}
     for (i, j), c in h.items():
@@ -128,12 +126,12 @@ def descriptor_dim_table(d, at_hom_degree, k):
     for m, s in d.torsions:
         bump((i, s))
         bump((i - 1, s + 2 * k * m))
-    return BigradedTable(entries, HOM_POLY)
+    return BigradedTable(entries)
 
 
 def reference_hn_table(d):
     """hn_table: one descriptor_dim_table per homological degree."""
-    table = BigradedTable((), HOM_POLY)
+    table = BigradedTable()
     for i, desc in homology_structure(d).items():
         table = table.add(descriptor_dim_table(desc, i, d.k))
     return table
@@ -146,7 +144,7 @@ def reference_assembled_page_list(d, hat, rs):
     rs = list(rs)
     if any(r < 1 for r in rs):
         raise ValueError("assembled pages start at r = 1")
-    counts = BigradedTable([(piece, 1) for piece in d.free_pieces], HOM_POLY)
+    counts = BigradedTable([(piece, 1) for piece in d.free_pieces])
     free = boxtimes(counts, piece_pages((0, 0), hat, 1, d.k)).items()
 
     def page(r):
@@ -161,7 +159,7 @@ def reference_assembled_pages(d, hat, r):
     counts = {}
     for i, s in d.free_pieces:
         counts[(i, s)] = counts.get((i, s), 0) + 1
-    page = boxtimes(BigradedTable(counts, HOM_POLY), piece_pages((0, 0), hat, r, d.k))
+    page = boxtimes(BigradedTable(counts), piece_pages((0, 0), hat, r, d.k))
     for piece in d.torsion_pieces:
         page = merge_pages(page, piece_pages(piece, hat, r, d.k))
     return page

@@ -15,7 +15,7 @@ import pytest
 
 from oracles import khovanov_of_mirror_braid
 
-from twkit.algebra import HOM_POLY, BigradedTable
+from twkit.algebra import BigradedTable
 from twkit.complexes import (
     gaussian_eliminate,
     homology_field,
@@ -305,8 +305,7 @@ def test_criterion_10_sl2_front_end():
         cx = build_sl2_cube(LinkDiagram.from_braid(word, strands), pot)
         table = homology_field(reduce_mod_a(cx)).bigraded
         oracle = BigradedTable(
-            {(i, -q): dim for (i, q), dim in khovanov_of_mirror_braid(word, strands).items()},
-            HOM_POLY,
+            {(i, -q): dim for (i, q), dim in khovanov_of_mirror_braid(word, strands).items()}
         )
         assert table == oracle, name
 
@@ -321,11 +320,11 @@ def test_criterion_10_sl2_front_end():
             assert collapse_page(d) in (1, 5), name
             # the mod-a table is the stable page plus (i, s), (i-1, s+4)
             # pairs, one per torsion piece
-            paired = BigradedTable({(i, s): 1 for i, s in d.free_pieces}, HOM_POLY)
+            paired = BigradedTable({(i, s): 1 for i, s in d.free_pieces})
             for i, m, s in d.torsion_pieces:
                 assert m == 1, name
                 paired = paired.add(
-                    BigradedTable({(i, s): 1, (i - 1, s + 4): 1}, HOM_POLY)
+                    BigradedTable({(i, s): 1, (i - 1, s + 4): 1})
                 )
             assert paired == table, name
 

@@ -7,8 +7,6 @@ import pytest
 
 from frozen_pages import boxtimes, descriptor_dim_table, merge, scaled, shifted
 from twkit.algebra import (
-    HOM_POLY,
-    PAGE,
     BigradedTable,
     GradedModuleDescriptor,
     GradedRing,
@@ -16,6 +14,7 @@ from twkit.algebra import (
     hom_matrix_validate,
 )
 from twkit.exactla import matmul
+from twkit.pages import PageTable
 
 
 def test_ring_validation():
@@ -42,14 +41,14 @@ class TestBigradedTable:
             BigradedTable({(0, 0): -1})
 
     def test_convention_round_trip(self):
-        t = BigradedTable({(3, -2): 1, (0, 4): 2}, HOM_POLY)
+        t = BigradedTable({(3, -2): 1, (0, 4): 2})
         # (i, s) -> (p, q) = (s, i - s)
-        assert t.to_page().items() == [((-2, 5), 1), ((4, -4), 2)]
-        assert t.to_page().to_hom_poly() == t
+        assert PageTable.from_hom_poly(1, t).items() == [((-2, 5), 1), ((4, -4), 2)]
+        assert PageTable.from_hom_poly(1, t).to_hom_poly() == t
 
     def test_conventions_never_compare_equal(self):
-        a = BigradedTable({(0, 0): 1}, HOM_POLY)
-        b = BigradedTable({(0, 0): 1}, PAGE)
+        a = BigradedTable({(0, 0): 1})
+        b = PageTable(1, {(0, 0): 1})
         assert a != b
         with pytest.raises(ValueError):
             a.add(b)
@@ -149,13 +148,13 @@ class TestBoxtimes:
     def test_free_block_placement(self):
         # one free generator at (i, j) = (2, 3) against the basic page
         # entry at the origin lands at (p, q) = (3, 2 - 3)
-        h = BigradedTable({(2, 3): 1}, HOM_POLY)
-        e = BigradedTable({(0, 0): 1}, PAGE)
+        h = BigradedTable({(2, 3): 1})
+        e = PageTable(1, {(0, 0): 1})
         assert boxtimes(h, e).items() == [((3, -1), 1)]
 
     def test_dimensions_multiply_and_merge(self):
-        h = BigradedTable({(0, 0): 2, (1, 1): 1}, HOM_POLY)
-        e = BigradedTable({(0, 0): 1, (1, -1): 3}, PAGE)
+        h = BigradedTable({(0, 0): 2, (1, 1): 1})
+        e = PageTable(1, {(0, 0): 1, (1, -1): 3})
         out = boxtimes(h, e)
         assert out.items() == [
             ((0, 0), 2),   # (0,0) x (0,0), doubled
@@ -165,14 +164,14 @@ class TestBoxtimes:
         ]
 
     def test_convention_enforced(self):
-        page = BigradedTable({(0, 0): 1}, PAGE)
+        page = PageTable(1, {(0, 0): 1})
         with pytest.raises(ValueError):
             boxtimes(page, page)
         with pytest.raises(ValueError):
-            boxtimes(BigradedTable({(0, 0): 1}, HOM_POLY), BigradedTable({(0, 0): 1}, HOM_POLY))
+            boxtimes(BigradedTable({(0, 0): 1}), BigradedTable({(0, 0): 1}))
 
     def test_descriptor_entries_shift(self):
-        h = BigradedTable({(1, 4): 2}, HOM_POLY)
+        h = BigradedTable({(1, 4): 2})
 
         class PageLike:
             def items(self):

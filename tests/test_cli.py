@@ -22,6 +22,7 @@ from twkit.complexes import GradedComplex
 from twkit.corpus import conjugate, random_decomposition
 from twkit.couples import ExactCouple, couple_from_decomposition, couple_pages
 from twkit.decompose import decompose, reassemble, torsion_width
+from twkit.pages import PageTable
 
 TORSION_CX = json.dumps(
     {
@@ -200,7 +201,7 @@ class TestCouple:
         assert [line["r"] for line in lines] == list(range(1, r_hi + 1))
         assert len(calls) == r_hi - 1
         for line in lines:
-            want = couple_pages(couple, line["r"]).to_page()
+            want = PageTable.from_hom_poly(line["r"], couple_pages(couple, line["r"]))
             assert {(p, q): v for p, q, v in line["entries"]} == dict(want.items())
 
     def test_single_page_below_one_is_refused(self, capsys):
@@ -780,7 +781,7 @@ class TestInternalInvariants:
         monkeypatch.setattr(self.links, "_x_power", with_a_stray_entry)
         out, err = run(capsys, "twobraid", "--N", "3", "--i", "1", expect=5)
         assert out == ""
-        assert err == "error: internal error in links: x2^(N-1) is not homogeneous at entry (0, 0)\n"
+        assert err == "error: internal error in links: x2^(N-1): differential at degree 2 is not homogeneous at entry (0, 0)\n"
 
 
 class TestVerify:

@@ -18,7 +18,7 @@ from dense_la import (
     sparse_rows,
 )
 from twkit import corpus, exactla
-from twkit.algebra import HOM_POLY, BigradedTable
+from twkit.algebra import BigradedTable
 from twkit.complexes import InternalError
 from twkit.corpus import cross_checks, random_decomposition
 from twkit.couples import (
@@ -31,7 +31,7 @@ from twkit.couples import (
     couple_tables,
 )
 from twkit.decompose import Decomposition, hn_table, torsion_width
-from twkit.pages import assembled_pages
+from twkit.pages import PageTable, assembled_pages
 
 
 def width_two_fixture():
@@ -123,7 +123,7 @@ class TestDerivation:
         # the pair at (1, 0) and (0, 4) persists through page 2 (= one
         # derivation) and dies on page 3
         one = c.derive()
-        assert one.e_table() == BigradedTable({(1, 0): 1, (0, 4): 1}, HOM_POLY)
+        assert one.e_table() == BigradedTable({(1, 0): 1, (0, 4): 1})
         two = one.derive()
         assert two.e_table().is_empty()
 
@@ -169,8 +169,8 @@ class TestCorrespondence:
         for r in range(1, torsion_width(d) + 3):
             if r > 1:
                 c = c.derive()
-            lhs = c.e_table().to_page()
-            rhs = assembled_pages(d, True, 2 * d.k * (r - 1) + 1).table()
+            lhs = PageTable.from_hom_poly(2 * d.k * (r - 1) + 1, c.e_table())
+            rhs = assembled_pages(d, True, 2 * d.k * (r - 1) + 1)
             assert lhs == rhs, r
 
     def test_random_sample(self):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twkit.algebra import HOM_POLY, PAGE, BigradedTable
+from twkit.algebra import BigradedTable
 from twkit.complexes import InternalError, complex_from_data, direct_sum
 from twkit.corpus import conjugate, random_decomposition
 from twkit.decompose import (
@@ -23,6 +23,7 @@ from twkit.decompose import (
     torsion_width,
 )
 from twkit.exactla import canonical, column_index
+from twkit.pages import PageTable
 
 
 def torsion_fixture():
@@ -88,7 +89,7 @@ class TestTables:
 
     def test_hn_table_pairs(self):
         d = decompose(torsion_fixture())
-        assert hn_table(d) == BigradedTable({(1, 0): 1, (0, 4): 1}, HOM_POLY)
+        assert hn_table(d) == BigradedTable({(1, 0): 1, (0, 4): 1})
 
     def test_hn_dimension_accounting(self):
         rng = random.Random(8)
@@ -105,27 +106,27 @@ class TestTables:
 
 class TestThickness:
     def test_two_entry_example(self):
-        t = BigradedTable({(0, 0): 1, (1, -4): 1}, HOM_POLY)
+        t = BigradedTable({(0, 0): 1, (1, -4): 1})
         assert thickness(t) == (2, 2)
 
     def test_single_entry(self):
-        assert thickness(BigradedTable({(3, 5): 2}, HOM_POLY)) == (1, None)
+        assert thickness(BigradedTable({(3, 5): 2})) == (1, None)
 
     def test_wrong_convention(self):
         with pytest.raises(ValueError, match="convention"):
-            thickness(BigradedTable({(0, 0): 1}, PAGE))
+            thickness(PageTable(1, {(0, 0): 1}))
 
     def test_empty_table(self):
         with pytest.raises(ValueError, match="empty"):
-            thickness(BigradedTable((), HOM_POLY))
+            thickness(BigradedTable())
 
     def test_mixed_parity_spread(self):
-        t = BigradedTable({(0, 0): 1, (0, 1): 1}, HOM_POLY)
+        t = BigradedTable({(0, 0): 1, (0, 1): 1})
         with pytest.raises(ValueError, match="half-integral"):
             thickness(t)
 
     def test_mixed_parity_adjacent_gap(self):
-        t = BigradedTable({(0, 0): 1, (1, -1): 1, (2, -2): 1}, HOM_POLY)
+        t = BigradedTable({(0, 0): 1, (1, -1): 1, (2, -2): 1})
         with pytest.raises(ValueError, match="half-integral local"):
             thickness(t)
 

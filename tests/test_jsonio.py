@@ -149,7 +149,7 @@ class TestPagesDocuments:
             pages_from_json(data)
 
     def test_raw_dump_skips_validation(self):
-        tables = [assembled_pages(Decomposition(1, (), ((1, 2, 0),)), True, r).table().to_hom_poly() for r in (1, 5)]
+        tables = [assembled_pages(Decomposition(1, (), ((1, 2, 0),)), True, r).to_hom_poly() for r in (1, 5)]
         data = raw_pages_to_data(1, tables)
         assert data["pages"] == [[[0, 4, 1], [1, 0, 1]], []]
         # the same sequence is not a valid stored document

@@ -14,7 +14,7 @@ import pytest
 
 from oracles import braid_to_pd, khovanov_of_braid, khovanov_of_mirror_braid, khovanov_table
 
-from twkit.algebra import HOM_POLY, BigradedTable
+from twkit.algebra import BigradedTable
 from twkit.complexes import gaussian_eliminate, homology_field, reduce_mod_a
 from twkit.decompose import decompose, homology_structure
 from twkit.links import (
@@ -36,7 +36,7 @@ def mod_a_table(cx):
 
 def bridged_oracle_table(word, strands):
     kh = khovanov_of_mirror_braid(word, strands)
-    return BigradedTable({(i, -q): dim for (i, q), dim in kh.items()}, HOM_POLY)
+    return BigradedTable({(i, -q): dim for (i, q), dim in kh.items()})
 
 
 class TestOracleSelfChecks:

@@ -10,7 +10,7 @@ from twkit import exactla
 from twkit.algebra import GradedModuleDescriptor
 from twkit.complexes import FilteredFieldComplex, specialize_a_to_1
 from twkit.corpus import conjugate, random_decomposition, summed_piece_pages
-from twkit.decompose import Decomposition, reassemble, torsion_width
+from twkit.decompose import Decomposition, hn_table, reassemble, torsion_width
 from twkit.pages import (
     PageTable,
     assembled_pages,
@@ -56,6 +56,34 @@ class TestPageTable:
     def test_module_page_has_no_dimension_table(self):
         with pytest.raises(ValueError):
             PageTable(1, (), hat=False).table()
+
+
+class TestConversionPair:
+    """PageTable.from_hom_poly and PageTable.to_hom_poly, the one move
+    between (i, s) tables and (p, q) pages, are inverse on hat pages."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_round_trips_on_random_decompositions(self, seed):
+        rng = random.Random(seed)
+        d = random_decomposition(rng)
+        fc = specialize_a_to_1(conjugate(rng, reassemble(d)))
+        hn = hn_table(d)
+        for r in range(1, 2 * d.k * torsion_width(d) + 4):
+            for page in (assembled_pages(d, True, r), generic_pages(fc, r)):
+                assert PageTable.from_hom_poly(r, page.to_hom_poly()) == page, (d, r)
+            assert PageTable.from_hom_poly(r, hn).to_hom_poly() == hn, (d, r)
+            module = assembled_pages(d, False, r)
+            with pytest.raises(ValueError, match="^module page has no single dimension table$"):
+                module.to_hom_poly()
+            with pytest.raises(ValueError, match="^module page has no single dimension table$"):
+                module.table()
+
+    def test_positions(self):
+        # (i, s) -> (p, q) = (s, i - s), and back by (p + q, p)
+        page = PageTable.from_hom_poly(3, hn_table(Decomposition(1, ((2, 5),), ((1, 1, 0),))))
+        assert page.r == 3 and page.hat
+        assert page.items() == [((0, 1), 1), ((2, -2), 1), ((5, -3), 1)]
+        assert page.to_hom_poly().items() == [((0, 2), 1), ((1, 0), 1), ((2, 5), 1)]
 
 
 class TestPiecePages:

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twkit.algebra import HOM_POLY, PAGE, BigradedTable
+from twkit.algebra import BigradedTable
 from twkit.corpus import random_decomposition
 from twkit.couples import couple_tables
 from twkit.decompose import Decomposition, torsion_width
+from twkit.pages import PageTable
 from twkit.recover import (
     InconsistentPages,
     PageSequence,
@@ -21,7 +22,7 @@ from twkit.recover import (
 
 
 def T(entries):
-    return BigradedTable(entries, HOM_POLY)
+    return BigradedTable(entries)
 
 
 def couple_sequence(d):
@@ -37,7 +38,7 @@ class TestPageSequence:
 
     def test_requires_hom_poly_tables(self):
         with pytest.raises(ValueError, match="not a .* table"):
-            PageSequence(1, [BigradedTable({(0, 0): 1}, PAGE)])
+            PageSequence(1, [PageTable(1, {(0, 0): 1})])
 
     def test_tau_from_first_page(self):
         ps = PageSequence(1, [T({(1, 0): 1, (0, 4): 1})] * 3)
