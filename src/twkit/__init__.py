@@ -18,7 +18,6 @@ from .complexes import (
     GradedComplex,
     InternalError,
     complex_from_data,
-    direct_sum,
     first_differential,
     gaussian_eliminate,
     homology_field,
@@ -35,10 +34,8 @@ from .couples import (
 )
 from .decompose import (
     Decomposition,
-    contractible_pairs,
     decompose,
     hn_table,
-    homology_structure,
     reassemble,
     thickness,
     torsion_width,
@@ -50,7 +47,6 @@ from .links import (
     TwoBraidSpec,
     build_sl2_cube,
     build_twobraid,
-    build_twobraid_unreduced,
     delta_battery,
 )
 from .pages import (
@@ -96,22 +92,18 @@ __all__ = [
     "assembled_pages",
     "build_sl2_cube",
     "build_twobraid",
-    "build_twobraid_unreduced",
     "collapse_page",
     "complex_from_data",
-    "contractible_pairs",
     "correspondence_check",
     "couple_from_decomposition",
     "couple_pages",
     "decompose",
     "delta_battery",
-    "direct_sum",
     "first_differential",
     "gaussian_eliminate",
     "generic_pages",
     "hn_table",
     "homology_field",
-    "homology_structure",
     "pages_from_decomposition",
     "piece_pages",
     "reassemble",

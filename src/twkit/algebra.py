@@ -34,8 +34,9 @@ class GradedRing:
 
 class BigradedTable:
     """Finite-support dimension table keyed (i, s): homological degree,
-    polynomial degree.  Zero dimensions are dropped; negative ones
-    rejected.  Pages keyed by filtration position are PageTables.
+    polynomial degree.  Entries given twice at one key add up, zero
+    dimensions are dropped and negative ones rejected, on construction.
+    Pages keyed by filtration position are PageTables.
     """
 
     __slots__ = ("_entries",)
@@ -80,14 +81,6 @@ class BigradedTable:
 
     def __repr__(self):
         return "BigradedTable(%r)" % (self.items(),)
-
-    def add(self, other: "BigradedTable") -> "BigradedTable":
-        if not isinstance(other, BigradedTable):
-            raise ValueError("convention mismatch")
-        merged = dict(self._entries)
-        for key, dim in other._entries.items():
-            merged[key] = merged.get(key, 0) + dim
-        return BigradedTable(merged)
 
 
 @dataclass(frozen=True)
@@ -170,20 +163,8 @@ class HomMatrix:
         return tuple(tuple(row.get(c, 0) for c in range(ncols)) for row in self.rows)
 
     @property
-    def nrows(self) -> int:
-        return len(self.target_degrees)
-
-    @property
     def ncols(self) -> int:
         return len(self.source_degrees)
-
-    def exponent(self, r: int, c: int) -> int:
-        """a-exponent slot of position (r, c); meaningful when the
-        degree gap is a valid multiple of 2k."""
-        gap = self.source_degrees[c] - self.target_degrees[r]
-        if gap < 0 or gap % self.ring.a_degree:
-            raise ValueError("position (%d, %d) is not homogeneous" % (r, c))
-        return gap // self.ring.a_degree
 
     def is_zero(self) -> bool:
         return not any(self.rows)

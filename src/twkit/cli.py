@@ -21,7 +21,6 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 
 from . import jsonio
 from .algebra import BigradedTable, GradedModuleDescriptor
@@ -369,8 +368,9 @@ def cmd_link(args) -> int:
 
 
 def cmd_delta(args) -> int:
-    scalings = (Fraction(1), Fraction(5), Fraction(-2, 3))
-    if args.scalings is not None:
+    if args.scalings is None:
+        battery = delta_battery(args.N)
+    else:
         try:
             scalings = tuple(jsonio.parse_rational(x) for x in args.scalings.split(","))
         except SchemaError:
@@ -381,7 +381,7 @@ def cmd_delta(args) -> int:
             ) from None
         if not all(scalings):
             raise SchemaError("--scalings: a scaling must be nonzero")
-    battery = delta_battery(args.N, scalings)
+        battery = delta_battery(args.N, scalings)
     data = {
         "format": jsonio.FORMAT,
         "type": "delta",

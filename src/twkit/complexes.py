@@ -1,6 +1,7 @@
-"""Bounded chain complexes of graded-free k[a]-modules, their a=0 and
-a=1 specializations, Gaussian elimination, field homology, and the
-connecting-homomorphism differential on the a=0 homology.
+"""Bounded chain complexes of graded-free k[a]-modules, validated on
+every construction, their a=0 and a=1 specializations, Gaussian
+elimination, field homology, and the connecting-homomorphism
+differential on the a=0 homology.
 """
 
 from __future__ import annotations
@@ -40,13 +41,13 @@ class GradedComplex:
     It keeps degrees as {i: tuple} and differentials as {i: HomMatrix}
     on the degrees at i and i + 1.  Zero-rank degrees are dropped,
     missing differentials mean zero maps, and nonzero rows without
-    generators on both sides are refused.  Construction validates
-    homogeneity of every differential and d^2 = 0.
+    generators on both sides are refused.  Every construction
+    validates homogeneity of every differential and d^2 = 0.
     """
 
     __slots__ = ("ring", "degrees", "differentials")
 
-    def __init__(self, ring: GradedRing, degrees, differentials, validate=True):
+    def __init__(self, ring: GradedRing, degrees, differentials):
         degs = {int(i): tuple(v) for i, v in degrees.items() if len(v)}
         diffs = {}
         for i, rows in differentials.items():
@@ -60,8 +61,7 @@ class GradedComplex:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "degrees", degs)
         object.__setattr__(self, "differentials", diffs)
-        if validate:
-            self._validate()
+        self._validate()
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedComplex is immutable")
@@ -81,9 +81,6 @@ class GradedComplex:
                     "d^2 != 0 on the square starting at degree %d (maps %d->%d->%d)"
                     % (i, i, i + 1, i + 2)
                 )
-
-    def degrees_present(self):
-        return sorted(self.degrees)
 
     def rank(self, i: int) -> int:
         return len(self.degrees.get(i, ()))
@@ -105,43 +102,6 @@ class GradedComplex:
             self.ring.k,
             {i: len(v) for i, v in sorted(self.degrees.items())},
         )
-
-    def shifted(self, di: int = 0, ds: int = 0) -> "GradedComplex":
-        """||di|| {ds}: push homological degrees up by di and polynomial
-        degrees up by ds.  No sign twist; none of the uses here depend
-        on one."""
-        return GradedComplex(
-            self.ring,
-            {i + di: tuple(x + ds for x in v) for i, v in self.degrees.items()},
-            {i + di: d.rows for i, d in self.differentials.items()},
-            validate=False,
-        )
-
-
-def direct_sum(*complexes: GradedComplex) -> GradedComplex:
-    """Block direct sum; generator order is summand order."""
-    if not complexes:
-        raise ValueError("empty direct sum needs a ring")
-    ring = complexes[0].ring
-    for c in complexes:
-        if c.ring != ring:
-            raise ValueError("ring mismatch in direct sum")
-    degrees = {}
-    for c in complexes:
-        for i, v in c.degrees.items():
-            degrees.setdefault(i, []).extend(v)
-    diffs = {}
-    for i in set().union(*(c.differentials for c in complexes)):
-        rows = diffs[i] = []
-        coff = 0
-        for c in complexes:
-            d = c.differentials.get(i)
-            if d is None:
-                rows.extend({} for _ in range(c.rank(i + 1)))
-            else:
-                rows.extend({coff + cc: x for cc, x in row.items()} for row in d.rows)
-            coff += c.rank(i)
-    return GradedComplex(ring, degrees, diffs, validate=False)
 
 
 def complex_from_data(k: int, modules, differentials) -> GradedComplex:
@@ -218,19 +178,15 @@ class FieldComplex:
 
 
 class FilteredFieldComplex(FieldComplex):
-    """Complex of C-spaces with one filtration level per basis vector;
-    the differential may only keep or lower the level (the a -> 1
-    specialization, levels = old polynomial degrees)."""
+    """Complex of C-spaces with one filtration level per basis vector,
+    held in degrees; the differential may only keep or lower the level
+    (the a -> 1 specialization, levels = old polynomial degrees)."""
 
     __slots__ = ("_profiles",)
 
     def __init__(self, degrees, mats, validate=True):
         super().__init__(degrees, mats, validate)
         object.__setattr__(self, "_profiles", {})
-
-    @property
-    def levels(self):
-        return self.degrees
 
     def _label_ok(self, src_label, tgt_label):
         return tgt_label <= src_label
@@ -355,9 +311,6 @@ class FieldHomologyBasis:
     boundaries: dict
     bigraded: BigradedTable | None
     subquotients: dict = field(default_factory=dict)
-
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
 
 
 def homology_field(fc: FieldComplex) -> FieldHomologyBasis:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain
 
 from .algebra import add_to_row
 from .complexes import GradedComplex, specialize_a_to_1
@@ -135,10 +136,11 @@ def conjugate(rng: random.Random, c: GradedComplex, ops: int = 8) -> GradedCompl
 
 
 def summed_piece_pages(d: Decomposition, hat: bool, r: int) -> PageTable:
-    out = PageTable(r, (), hat)
-    for piece in d.free_pieces + d.torsion_pieces:
-        out = out.merge(piece_pages(piece, hat, r, d.k))
-    return out
+    """Page r as one PageTable of every piece's closed-form entries,
+    which its constructor adds up position by position; cross_checks
+    compares it with the assembled page."""
+    pieces = d.free_pieces + d.torsion_pieces
+    return PageTable(r, chain.from_iterable(piece_pages(p, hat, r, d.k).items() for p in pieces), hat)
 
 
 def cross_checks(d: Decomposition, rng: random.Random = None):

@@ -162,9 +162,6 @@ class ExactCouple:
     def e_dim(self, i, s) -> int:
         return self._e.get((i, s), 0)
 
-    def a_support(self):
-        return sorted(self._a)
-
     def e_support(self):
         return sorted(self._e)
 

@@ -10,7 +10,10 @@ A two-term piece with m >= 1 has homology k[a]/(a^m){s} concentrated in
 its target degree; with m = 0 it is contractible and contributes
 nothing.  `decompose` performs the splitting constructively and returns
 the multiset of surviving pieces in a canonical order; that multiset is
-an isomorphism invariant of the complex.
+an isomorphism invariant of the complex, and the homology in degree i
+is read straight off the pieces indexed i.  The contractible pairs are
+dropped, and the rank accounting total rank = |free| + 2 |torsion| +
+2 (dropped pairs) is checked on every call.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from itertools import chain
 
 from .algebra import (
     BigradedTable,
-    GradedModuleDescriptor,
     GradedRing,
 )
 from .complexes import GradedComplex, InternalError
@@ -83,16 +85,6 @@ def decompose(c: GradedComplex) -> Decomposition:
     return Decomposition(c.ring.k, tuple(free), tuple(torsion))
 
 
-def contractible_pairs(c: GradedComplex) -> int:
-    """Number of m = 0 pairs dropped when splitting `c`.
-
-    Zero exactly when rank accounting against decompose(c) closes:
-    |free| + 2 |torsion| = total rank.
-    """
-    _, _, dropped = _split_pieces(c)
-    return dropped
-
-
 def _split_pieces(c: GradedComplex):
     two_k = c.ring.a_degree
     free = []
@@ -102,7 +94,7 @@ def _split_pieces(c: GradedComplex):
     # already split off as targets, as the step below left them
     rows = None
     split = set()
-    for n in c.degrees_present():
+    for n in sorted(c.degrees):
         src = c.degrees[n]
         tgt = c.degrees.get(n + 1, ())
         if rows is None:
@@ -161,25 +153,6 @@ def _clear_pivot_column(d, holders, nxt, nxt_holders, j, l):
         raise InternalError("decompose", "outgoing column of a split target did not vanish")
     for r in nxt_holders.pop(l, ()):
         del nxt[r][l]
-
-
-def homology_structure(d: Decomposition):
-    """Homology of any complex with decomposition `d`, as a map from
-    homological degree to a graded module descriptor.
-
-    A free piece (i, s) contributes k[a]{s} at degree i.  A torsion
-    piece (i, m, s) contributes k[a]/(a^m){s} at degree i and nothing
-    at degree i - 1.
-    """
-    by_degree = {}
-    for i, s in d.free_pieces:
-        by_degree.setdefault(i, ([], []))[0].append(s)
-    for i, m, s in d.torsion_pieces:
-        by_degree.setdefault(i, ([], []))[1].append((m, s))
-    return {
-        i: GradedModuleDescriptor(tuple(fr), tuple(to))
-        for i, (fr, to) in sorted(by_degree.items())
-    }
 
 
 def hn_table(d: Decomposition) -> BigradedTable:

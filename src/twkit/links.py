@@ -89,23 +89,14 @@ class LinkDiagram:
     def writhe(self) -> int:
         return sum(s for s, _ in self.crossings)
 
-    def n_crossings(self) -> int:
-        return len(self.crossings)
-
-    def mirror(self) -> "LinkDiagram":
-        out = []
-        for sign, (a, b, c, d) in self.crossings:
-            if sign > 0:
-                out.append((-1, (d, a, b, c)))
-            else:
-                out.append((+1, (b, c, d, a)))
-        return LinkDiagram(tuple(out), self.free_loops)
-
     @classmethod
     def from_braid(cls, word, strands: int) -> "LinkDiagram":
         """Closure of a braid word (nonzero ints, +i/-i for the
         generator on positions i, i+1, bottom to top).  Strands never
-        crossed become free loops."""
+        crossed become free loops; a negative strand count is refused,
+        and 0 strands with an empty word is the empty link."""
+        if strands < 0:
+            raise ValueError("strand count must be non-negative, got %d" % strands)
         used = set()
         for g in word:
             i = abs(g)
@@ -231,9 +222,6 @@ class Sl2Potential:
     def standard(cls) -> "Sl2Potential":
         """x^3 - a x, deg a = 4."""
         return cls(2, ((1, Fraction(-1)),))
-
-    def coefficient(self, j) -> Fraction:
-        return dict(self.lambdas).get(j, Fraction(0))
 
     def x_square(self):
         """x^2 = alpha x + beta modulo dP/dx; each part is
@@ -386,9 +374,6 @@ class TwoBraidSpec:
             raise ValueError("exponent i must satisfy 1 <= i <= N")
         return cls(N, N + 1 - i, ((1, Fraction(coefficient)),))
 
-    def coefficient(self, j) -> Fraction:
-        return dict(self.lambdas).get(j, Fraction(0))
-
 
 def _x_power(spec: TwoBraidSpec, e: int):
     """Multiplication by x2^e, 1 <= e <= N-1, on the basis {1, x2, ...,
@@ -433,31 +418,6 @@ def build_twobraid(spec: TwoBraidSpec) -> GradedComplex:
         return GradedComplex(ring, degrees, {2: _negated(_x_power(spec, N - 1))})
     except ComplexError as e:
         raise InternalError("links", "x2^(N-1): %s" % e)
-
-
-def build_twobraid_unreduced(spec: TwoBraidSpec) -> GradedComplex:
-    """The middle summand before simplification: the (N-1)x(N-1) block
-    matrix over M with identity blocks on the diagonal, -X blocks on
-    the superdiagonal, and -X in the lower-left corner.  Reducing its
-    unit blocks recovers the two-term -x2^(N-1) complex."""
-    N = spec.N
-    ring = GradedRing(spec.k)
-    mdegs = [2 * j for j in range(N)]
-    src = tuple(d + 2 * j + 4 - 6 * N for j in range(N - 1) for d in mdegs)
-    tgt_shifts = [2 * r + 4 - 6 * N for r in range(N - 2)] + [2 - 6 * N]
-    tgt = tuple(d + shift for shift in tgt_shifts for d in mdegs)
-    neg_x = _negated(_x_power(spec, 1))
-    rows = [{} for _ in tgt]
-
-    def fill(block_r, block_c, scalars):
-        for r, row in enumerate(scalars):
-            rows[block_r * N + r].update((block_c * N + c, x) for c, x in row.items())
-
-    for r in range(N - 2):
-        fill(r, r, [{a: 1} for a in range(N)])
-        fill(r, r + 1, neg_x)
-    fill(N - 2, 0, neg_x)
-    return GradedComplex(ring, {2: src, 3: tgt}, {2: rows})
 
 
 # -- the battery of induced differentials ------------------------------

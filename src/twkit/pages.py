@@ -106,11 +106,6 @@ class PageTable:
         object.__setattr__(page, "_entries", self._entries)
         return page
 
-    def merge(self, other: "PageTable") -> "PageTable":
-        if self.hat != other.hat or self.r != other.r:
-            raise ValueError("cannot merge pages of different kind or index")
-        return PageTable(self.r, chain(self._entries.items(), other._entries.items()), self.hat)
-
     def table(self) -> "PageTable":
         """This page, refused unless it is a hat page."""
         if not self.hat:

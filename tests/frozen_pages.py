@@ -9,13 +9,14 @@ boxtimes multiplied a (hom, poly) dimension table against a page, and
 hn_table summed one descriptor_dim_table per homological degree.  The
 descriptor merge, shift and scale operations and the _rebuild hook of
 PageTable served only them; they are kept here as local functions.
-Only the graded types come from twkit.
+Only the graded types come from twkit, and the homology of a
+decomposition from tests/builders.py.
 """
 
 from itertools import chain
 
+from builders import homology_structure
 from twkit.algebra import BigradedTable, GradedModuleDescriptor
-from twkit.decompose import homology_structure
 from twkit.pages import PageTable, piece_pages
 
 
@@ -130,11 +131,13 @@ def descriptor_dim_table(d, at_hom_degree, k):
 
 
 def reference_hn_table(d):
-    """hn_table: one descriptor_dim_table per homological degree."""
-    table = BigradedTable()
-    for i, desc in homology_structure(d).items():
-        table = table.add(descriptor_dim_table(desc, i, d.k))
-    return table
+    """hn_table: one descriptor_dim_table per homological degree, their
+    entries summed by BigradedTable's constructor."""
+    return BigradedTable(
+        chain.from_iterable(
+            descriptor_dim_table(desc, i, d.k).items() for i, desc in homology_structure(d).items()
+        )
+    )
 
 
 def reference_assembled_page_list(d, hat, rs):

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from builders import homology_structure, twobraid_homology, twobraid_unreduced, unit_pivots
 from oracles import khovanov_of_mirror_braid
 
 from twkit.algebra import BigradedTable
@@ -28,7 +29,6 @@ from twkit.decompose import (
     Decomposition,
     decompose,
     hn_table,
-    homology_structure,
     reassemble,
     thickness,
     torsion_width,
@@ -40,7 +40,6 @@ from twkit.links import (
     TwoBraidSpec,
     build_sl2_cube,
     build_twobraid,
-    build_twobraid_unreduced,
     delta_battery,
 )
 from twkit.pages import assembled_pages, collapse_page, generic_pages, stabilization_page
@@ -66,35 +65,12 @@ def _generic_tables(d, seed=None):
     return [generic_pages(fc, r) for r in range(1, r_hi + 1)]
 
 
-def expected_twobraid_structure(N, i):
-    """Elimination of the closed three-summand form, done by hand.
-
-    hom 0: the rank-N quotient module shifted to {-4N+4}; hom 4: N-1
-    copies shifted down by two each; the middle map -x^(N-1) leaves
-    i - 1 free pairs at hom 2 and 3 plus N - i width-one torsion
-    classes at hom 3.
-    """
-    free = {0: [-4 * N + 4 + 2 * j for j in range(N)]}
-    if i >= 2:
-        free[2] = [2 * (-N - i + j + 1) for j in range(i - 1)]
-    free[3] = [-6 * N + 2 * j + 2 for j in range(i - 1)]
-    free[4] = [-4 * N - 4 - 2 * l + 2 * j for l in range(N - 1) for j in range(N)]
-    tors = {3: [(1, -6 * N + 2 * j + 2) for j in range(i - 1, N - 1)]}
-    return free, tors
-
-
 def test_criterion_01_twobraid_tables():
     t0 = time.perf_counter()
     for N in (2, 3, 4, 5):
         for i in range(1, N):
             d = decompose(build_twobraid(TwoBraidSpec.power_basis(N, i)))
-            hs = homology_structure(d)
-            free, tors = expected_twobraid_structure(N, i)
-            for h in sorted(set(free) | set(tors) | set(hs)):
-                got_free = hs[h].free_shifts if h in hs else ()
-                got_tors = hs[h].torsions if h in hs else ()
-                assert got_free == tuple(sorted(free.get(h, []))), (N, i, h)
-                assert got_tors == tuple(sorted(tors.get(h, []))), (N, i, h)
+            assert homology_structure(d) == twobraid_homology(N, i), (N, i)
     report(1, "closed 2-braid homology tables, N = 2..5", t0, 30)
 
 
@@ -238,7 +214,7 @@ def test_criterion_08_torsion_lower_bound():
         TwoBraidSpec(6, 3, ((2, Fraction(-1, 2)),)),
     ]
     for spec in cases:
-        assert spec.coefficient(1) == 0
+        assert dict(spec.lambdas).get(1, 0) == 0
         d = decompose(build_twobraid(spec))
         assert d.torsion_pieces, spec
         assert all(m >= 2 for _, m, _ in d.torsion_pieces), spec
@@ -249,25 +225,11 @@ def test_criterion_09_elimination_path():
     t0 = time.perf_counter()
     for N in (2, 3, 4, 5, 6):
         spec = TwoBraidSpec.power_basis(N, max(1, N - 1))
-        cu = build_twobraid_unreduced(spec)
-        # cancel unit pivots until the identity blocks are gone
-        while True:
-            d2 = cu.differentials.get(2)
-            if d2 is None:
-                break
-            pivot = next(
-                (
-                    (r, c)
-                    for r in range(d2.nrows)
-                    for c in range(d2.ncols)
-                    if d2.entries[r][c]
-                    and d2.source_degrees[c] == d2.target_degrees[r]
-                ),
-                None,
-            )
-            if pivot is None:
-                break
-            cu = gaussian_eliminate(cu, 2, *pivot)
+        cu = twobraid_unreduced(spec)
+        # cancel unit pivots, first in row-major order, until the
+        # identity blocks are gone
+        while 2 in cu.differentials and unit_pivots(cu, 2):
+            cu = gaussian_eliminate(cu, 2, *min(unit_pivots(cu, 2)))
         assert cu.total_rank() == 2 * N - 2, N
         df = decompose(build_twobraid(spec))
         middle = Decomposition(
@@ -320,13 +282,11 @@ def test_criterion_10_sl2_front_end():
             assert collapse_page(d) in (1, 5), name
             # the mod-a table is the stable page plus (i, s), (i-1, s+4)
             # pairs, one per torsion piece
-            paired = BigradedTable({(i, s): 1 for i, s in d.free_pieces})
+            paired = [((i, s), 1) for i, s in d.free_pieces]
             for i, m, s in d.torsion_pieces:
                 assert m == 1, name
-                paired = paired.add(
-                    BigradedTable({(i, s): 1, (i - 1, s + 4): 1})
-                )
-            assert paired == table, name
+                paired += [((i, s), 1), ((i - 1, s + 4), 1)]
+            assert BigradedTable(paired) == table, name
 
     for name, w1, s1, w2, s2 in REIDEMEISTER_PAIRS:
         c1 = build_sl2_cube(LinkDiagram.from_braid(w1, s1), pot)

@@ -16,6 +16,7 @@ import sys
 
 import pytest
 
+from builders import shifted
 from twkit import jsonio
 from twkit.cli import EXIT_COMPLEX, build_parser, main
 from twkit.complexes import GradedComplex
@@ -329,6 +330,19 @@ class TestLink:
         d, _ = run(capsys, "link", "--pd", pd)
         assert a == b and c == d and a != c
 
+    @pytest.mark.parametrize("braid", ["", "1"])
+    def test_negative_strand_count_refused(self, capsys, braid):
+        out, err = run(capsys, "link", "--braid", braid, "--strands", "-5", expect=1)
+        assert out == "" and err == "error: strand count must be non-negative, got -5\n"
+
+    def test_zero_strands(self, capsys):
+        # no letter: the empty link, as the empty PD code gives it
+        a, _ = run(capsys, "link", "--braid", "", "--strands", "0")
+        b, _ = run(capsys, "link", "--pd", "[]")
+        assert a == b
+        out, err = run(capsys, "link", "--braid", "1", "--strands", "0", expect=1)
+        assert out == "" and err == "error: generator 1 out of range for 0 strands\n"
+
     @pytest.mark.parametrize("lambdas", ["1=-1,,", ",1=-1", ""])
     def test_empty_lambdas_entry_refused(self, capsys, lambdas):
         out, err = run(capsys, "link", "--braid", "1 1 1", "--lambdas", lambdas, expect=1)
@@ -369,10 +383,10 @@ class TestDelta:
 
         def doctored(spec):
             cx = build(spec)
-            if spec.k != 3 or spec.coefficient(1) != 5:
+            if spec.k != 3 or spec.lambdas != ((1, 5),):
                 return cx
             if doctor == "shifted":
-                return cx.shifted(0, 2)
+                return shifted(cx, 0, 2)
             diffs = {
                 i: [{c: 2 * x for c, x in row.items()} for row in d.rows] for i, d in cx.differentials.items()
             }

@@ -79,7 +79,7 @@ def layout(c):
 
 
 def test_ladder_spans_the_crossing_counts_and_signs():
-    counts = [d.n_crossings() for d in ladder(SEED)]
+    counts = [len(d.crossings) for d in ladder(SEED)]
     assert counts == list(range(1, 9))
     assert any(s < 0 for d in DIAGRAMS for s, _ in d.crossings)
     assert any(d.free_loops and d.crossings for d in DIAGRAMS)

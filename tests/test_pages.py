@@ -38,14 +38,11 @@ class TestPageTable:
         assert q.is_empty()
         assert q.get(0, 0) == GradedModuleDescriptor()
 
-    def test_merge_requires_same_kind(self):
-        a = PageTable(1, {(0, 0): 1})
-        b = PageTable(2, {(0, 0): 1})
-        with pytest.raises(ValueError):
-            a.merge(b)
-        m = PageTable(1, (), hat=False)
-        with pytest.raises(ValueError):
-            a.merge(m)
+    def test_entries_given_twice_add_up(self):
+        assert PageTable(1, [((0, 0), 1), ((1, 1), 2), ((0, 0), 3)]).items() == [((0, 0), 4), ((1, 1), 2)]
+        tower, torsion = GradedModuleDescriptor((0,)), GradedModuleDescriptor((), ((1, 0),))
+        q = PageTable(1, [((0, 0), tower), ((0, 0), torsion)], hat=False)
+        assert q.items() == [((0, 0), GradedModuleDescriptor((0,), ((1, 0),)))]
 
     def test_same_entries_ignores_index(self):
         a = PageTable(1, {(0, 0): 1})
