@@ -1,7 +1,8 @@
 """Timing harness for the derivation chain against the frozen reference.
 
-ExactCouple.derive in twkit.couples eliminates each distinct matrix
-once per derivation chain, through a memo the chain shares; the
+ExactCouple.derive in twkit.couples shares one memo along a derivation
+chain: each distinct map is interned once, eliminated once and
+multiplied once with each other map, and f' is read off f's rref.  The
 reference it replaced (reference_derive and reference_check_exactness
 in tests/test_couples.py) eliminates every map and subquotient afresh
 at every slot.  Both run on the corpus size ladder: nine seeded
@@ -10,14 +11,21 @@ reassembled, conjugated and decomposed again, as `twkit couple` does
 with a complex document.  The model couple and its tw + 1 derivations
 are checked equal, map for map, on every document before any time is
 printed; each timed run validates the model couple and derives it
-tw + 1 times, from the same maps and a fresh memo.  Run from the
-repository root as
+tw + 1 times, from the same maps and a fresh memo.  Times are best of
+--repeats.  The table goes to stdout and the times, in seconds, to
+--json, as the run named --label; runs under other labels already in
+that file at the same seed are kept, so running the harness on two
+twkit trees (say a parent commit and a change, through PYTHONPATH)
+records both.  Run from the repository root as
 
-    PYTHONPATH=src python benchmarks/bench_couples.py [--seed N] [--repeats N]
+    PYTHONPATH=src python benchmarks/bench_couples.py [--seed N] [--repeats N] [--json PATH] [--label NAME]
 """
 
 import argparse
+import json
+import os
 import pathlib
+import platform
 import random
 import sys
 import time
@@ -33,6 +41,7 @@ SEED = 20261018
 DOCS = 9
 MIN_GENERATORS = 20
 MAX_GENERATORS = 60
+JSON_PATH = pathlib.Path(__file__).with_name("BENCH_couples.json")
 
 
 def ladder(seed, count=DOCS):
@@ -91,6 +100,8 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=SEED)
     ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--json", default=str(JSON_PATH), help="where the times go (default %(default)s)")
+    ap.add_argument("--label", default="change", help="name of this run in the --json record (default %(default)s)")
     args = ap.parse_args()
 
     docs = [(d, couple_from_decomposition(d), torsion_width(d) + 1) for d in ladder(args.seed)]
@@ -100,12 +111,42 @@ def main():
     header = "%-4s %2s %4s %6s  %10s  %10s  %7s" % ("doc", "k", "gens", "derive", "reference", "memo", "speedup")
     print(header)
     print("-" * len(header))
+    rungs = []
     for n, (d, model, derivations) in enumerate(docs):
         t_ref = best_of(reference_chain, model, derivations, args.repeats)
         t_new = best_of(chain, model, derivations, args.repeats)
         generators = len(d.free_pieces) + 2 * len(d.torsion_pieces)
+        rungs.append({"doc": n, "k": d.k, "generators": generators, "derivations": derivations,
+                      "reference_s": t_ref, "chain_s": t_new})
         print("%-4d %2d %4d %6d  %7.1f ms  %7.1f ms  %6.1fx" % (
             n, d.k, generators, derivations, t_ref * 1e3, t_new * 1e3, t_ref / t_new))
+    total = {key: sum(r[key] for r in rungs) for key in ("reference_s", "chain_s")}
+    print("whole ladder: reference %.1f ms, memo %.1f ms" % (total["reference_s"] * 1e3, total["chain_s"] * 1e3))
+
+    record = {
+        "harness": "benchmarks/bench_couples.py",
+        "seed": args.seed,
+        "repeats": args.repeats,
+        "timing": "best of repeats, seconds, per document; reference = the frozen dense derivation, "
+                  "chain = ExactCouple.derive on a fresh memo; runs keyed by --label",
+        "runs": {},
+    }
+    try:
+        with open(args.json, encoding="utf-8") as fh:
+            old = json.load(fh)
+        if (old.get("seed"), old.get("repeats")) == (args.seed, args.repeats):
+            record["runs"] = old.get("runs", {})
+    except FileNotFoundError:
+        pass
+    record["runs"][args.label] = {
+        "python": platform.python_version(),
+        "machine": "%s, %d cores" % (platform.machine(), os.cpu_count()),
+        "ladder": total,
+        "rungs": rungs,
+    }
+    with open(args.json, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
 
 
 if __name__ == "__main__":

@@ -16,15 +16,15 @@ shrinks the window by 2k at each end: data in the outermost strip can
 no longer be trusted once f has been restricted.
 
 A model couple and the couples derived from it form one derivation
-chain, which shares one memo of eliminations keyed by the matrix
-entries (and by the right-hand sides of a solve).  Free towers repeat
-the same small maps slot after slot, so along a chain each distinct
-matrix is eliminated once.  A derived couple reads A' as the columns
-of f at f's own pivot columns, so the pullback of a basis column
-through f is a unit vector and g' needs no solve against f.  E' is the
-homology of d = g o h, read off by exactla.homology in cycle
-coordinates as the mod-a homology is, so no solve projects a class
-onto E' either; the memo's solves serve f' and h' only.
+chain, which shares one memo.  Free towers repeat the same small maps
+slot after slot, so the memo interns each map: equal maps anywhere in
+the chain are one rows object, eliminated once and multiplied once
+with each other map.  A derived couple reads A' as the columns of f at
+f's own pivot columns, so f' is f's rref applied to the image basis
+below, and the pullback of a basis column through f is a unit vector,
+so g' needs no solve against f.  E' is the homology of d = g o h, read
+off by exactla.homology in cycle coordinates as the mod-a homology is,
+so no solve projects a class onto E' either; h' alone is solved for.
 """
 
 from __future__ import annotations
@@ -47,28 +47,54 @@ def _fits(rows, nrows, ncols):
     return len(rows) == nrows and all(0 <= c < ncols for row in rows for c in row)
 
 
-def _restricted(rows, cols):
-    """The given columns of the matrix, renumbered from 0, as rows."""
-    return [{j: row[c] for j, c in enumerate(cols) if c in row} for row in rows]
-
-
 class _Eliminations:
-    """One derivation chain's memo: exactla.row_reduce results keyed
-    by the matrix's rows, each as its (col, value) pairs in column
-    order.  A solve is the elimination of the augmented matrix [A | B],
-    so its key holds the right-hand sides too.  Results are shared;
+    """One derivation chain's memo.  intern gives the one tuple of rows
+    it holds for each distinct matrix, keyed by the rows' (col, value)
+    pairs in column order.  It keeps what it holds alive, so no other
+    object takes such an id, and it looks its eliminations (the rref
+    cut to its nonzero rows, and the pivots), products and
+    restrictions up by the ids of held objects.  Results are shared;
     nothing mutates them."""
 
-    __slots__ = ("_done",)
+    __slots__ = ("_rows", "_held", "_reduced", "_products", "_restrictions")
 
     def __init__(self):
-        self._done = {}
+        self._rows = {}
+        self._held = set()
+        self._reduced = {}
+        self._products = {}
+        self._restrictions = {}
+
+    def intern(self, rows):
+        """The held tuple of rows with the nonzeros of rows, canonical."""
+        if id(rows) not in self._held:
+            rows = tuple({c: canonical(x) for c, x in row.items() if x} for row in rows)
+            rows = self._rows.setdefault(tuple(tuple(sorted(row.items())) for row in rows), rows)
+            self._held.add(id(rows))
+        return rows
 
     def reduce(self, rows):
-        key = tuple(tuple(sorted(row.items())) for row in rows)
-        out = self._done.get(key)
+        rows = self.intern(rows)
+        out = self._reduced.get(id(rows))
         if out is None:
-            out = self._done[key] = exactla.row_reduce(rows)
+            rref, pivots = exactla.row_reduce(rows)
+            out = self._reduced[id(rows)] = (self.intern(rref[: len(pivots)]), pivots)
+        return out
+
+    def product(self, a, b):
+        """a @ b, held, for a and b held."""
+        out = self._products.get((id(a), id(b)))
+        if out is None:
+            out = self._products[(id(a), id(b))] = self.intern(matmul(a, b))
+        return out
+
+    def restricted(self, rows, cols):
+        """The given columns of held rows, renumbered from 0, held; cols
+        a pivot list of one of the memo's eliminations."""
+        out = self._restrictions.get((id(rows), id(cols)))
+        if out is None:
+            out = [{j: row[c] for j, c in enumerate(cols) if c in row} for row in rows]
+            out = self._restrictions[(id(rows), id(cols))] = self.intern(out)
         return out
 
     def solve(self, basis, nbasis, rhs, nb):
@@ -91,10 +117,10 @@ class ExactCouple:
     records the accumulated polynomial bidegree of g.  Exactness of the
     triangle is validated on construction at every bidegree whose
     referenced slots all lie inside the window.  memo is the derivation
-    chain's memo of eliminations, which derive passes on; a couple built
-    without one starts a new chain.  The couple keeps the pivot columns
-    of each of its own maps once looked up, so each map's memo key is
-    built once.
+    chain's memo, which derive passes on; a couple built without one
+    starts a new chain.  Each map is interned in the memo, and the
+    couple's pivot table, built on construction, holds the pivot
+    columns of each of its maps.
     """
 
     __slots__ = ("k", "window", "g_shift", "_a", "_e", "_f", "_g", "_h", "_memo", "_pivots")
@@ -124,11 +150,13 @@ class ExactCouple:
                 e[(int(i), int(s))] = int(dim)
         object.__setattr__(self, "_a", a)
         object.__setattr__(self, "_e", e)
+        object.__setattr__(self, "_memo", _Eliminations() if memo is None else memo)
         object.__setattr__(self, "_f", self._clean(f))
         object.__setattr__(self, "_g", self._clean(g))
         object.__setattr__(self, "_h", self._clean(h))
-        object.__setattr__(self, "_memo", _Eliminations() if memo is None else memo)
-        object.__setattr__(self, "_pivots", {})
+        reduce = self._memo.reduce
+        pivots = ({key: reduce(rows)[1] for key, rows in m.items()} for m in (self._f, self._g, self._h))
+        object.__setattr__(self, "_pivots", tuple(pivots))
         if validate:
             self._check_shapes()
             self._check_exactness()
@@ -136,12 +164,11 @@ class ExactCouple:
     def __setattr__(self, name, value):
         raise AttributeError("ExactCouple is immutable")
 
-    @staticmethod
-    def _clean(maps):
-        """The nonzero maps, keyed by int bidegree, as canonical rows."""
+    def _clean(self, maps):
+        """The nonzero maps, keyed by int bidegree, interned."""
         out = {}
         for key, rows in maps.items():
-            rows = tuple({c: canonical(x) for c, x in row.items() if x} for row in rows)
+            rows = self._memo.intern(rows)
             if any(rows):
                 out[(int(key[0]), int(key[1]))] = rows
         return out
@@ -198,83 +225,66 @@ class ExactCouple:
         g = self._g.get((i + 1, s - k2))
         if h is None or g is None:
             self.a_dim(i + 1, s - k2)
-            return ()
-        return tuple(matmul(g, h))
+            return self._memo.intern(())
+        return self._memo.product(g, h)
 
     def is_trivial(self) -> bool:
         return not self._a and not self._e
-
-    def _map_pivots(self, name, key):
-        """Pivot columns of the map name ("f", "g" or "h") out of the
-        bidegree key, [] where it is absent (zero)."""
-        found = self._pivots.get((name, key))
-        if found is None:
-            rows = {"f": self._f, "g": self._g, "h": self._h}[name].get(key)
-            found = self._memo.reduce(rows)[1] if rows is not None else []
-            self._pivots[(name, key)] = found
-        return found
 
     # -- validation ----------------------------------------------------
 
     def _check_shapes(self):
         k2 = 2 * self.k
+        a, e = self._a, self._e
         for (i, s), rows in self._f.items():
             if not (self.inside(s) and self.inside(s + k2)):
                 raise ValueError("f at (%d, %d) reaches outside the window" % (i, s))
-            if not _fits(rows, self.a_dim(i, s + k2), self.a_dim(i, s)):
+            if not _fits(rows, a.get((i, s + k2), 0), a.get((i, s), 0)):
                 raise ValueError("f shape mismatch at (%d, %d)" % (i, s))
         for (i, s), rows in self._g.items():
             if not self.inside(s):
                 raise ValueError("g at (%d, %d) reaches outside the window" % (i, s))
-            if not _fits(rows, self.e_dim(i, s + self.g_shift), self.a_dim(i, s)):
+            if not _fits(rows, e.get((i, s + self.g_shift), 0), a.get((i, s), 0)):
                 raise ValueError("g shape mismatch at (%d, %d)" % (i, s))
         for (i, s), rows in self._h.items():
             if not self.inside(s - k2):
                 raise InsufficientWindow(
                     "insufficient window: h at (%d, %d) targets outside it" % (i, s)
                 )
-            if not _fits(rows, self.a_dim(i + 1, s - k2), self.e_dim(i, s)):
+            if not _fits(rows, a.get((i + 1, s - k2), 0), e.get((i, s), 0)):
                 raise ValueError("h shape mismatch at (%d, %d)" % (i, s))
 
     def _check_exactness(self):
         k2 = 2 * self.k
         lo, hi = self.window
-        maps = {"f": self._f, "g": self._g, "h": self._h}
+        f, g, h = self._f, self._g, self._h
+        fp, gp, hp = self._pivots
+        product = self._memo.product
 
-        def rank_of(name, key):
-            return len(self._map_pivots(name, key))
-
-        def vanishes(left, key_left, right, key_right):
-            # the composite left o right; zero when either map is absent
-            a = maps[left].get(key_left)
-            b = maps[right].get(key_right)
-            return a is None or b is None or not any(matmul(a, b))
-
-        def interior(s):
-            return lo + k2 <= s <= hi - k2
+        def vanishes(a, b):
+            # the composite a o b; zero when either map is absent
+            return a is None or b is None or not any(product(a, b))
 
         for (i, s) in sorted(self._a):
-            if not interior(s):
+            if not lo + k2 <= s <= hi - k2:
                 continue
             dim = self._a[(i, s)]
-            if rank_of("f", (i, s - k2)) + rank_of("g", (i, s)) != dim:
+            if len(fp.get((i, s - k2), ())) + len(gp.get((i, s), ())) != dim:
                 raise ValueError("exactness fails at A (%d, %d): im f vs ker g" % (i, s))
-            if not vanishes("g", (i, s), "f", (i, s - k2)):
+            if not vanishes(g.get((i, s)), f.get((i, s - k2))):
                 raise ValueError("g o f is nonzero at (%d, %d)" % (i, s - k2))
-            if rank_of("h", (i - 1, s + k2)) + rank_of("f", (i, s)) != dim:
+            if len(hp.get((i - 1, s + k2), ())) + len(fp.get((i, s), ())) != dim:
                 raise ValueError("exactness fails at A (%d, %d): im h vs ker f" % (i, s))
-            if not vanishes("f", (i, s), "h", (i - 1, s + k2)):
+            if not vanishes(f.get((i, s)), h.get((i - 1, s + k2))):
                 raise ValueError("f o h is nonzero at (%d, %d)" % (i - 1, s + k2))
         for (i, s) in sorted(self._e):
-            if not (self.inside(s - self.g_shift) and interior(s - self.g_shift)):
+            t = s - self.g_shift
+            if not (lo + k2 <= t <= hi - k2 and self.inside(s - k2)):
                 continue
-            if not self.inside(s - k2):
-                continue
-            g_key = (i, s - self.g_shift)
-            if rank_of("g", g_key) + rank_of("h", (i, s)) != self.e_dim(i, s):
+            if len(gp.get((i, t), ())) + len(hp.get((i, s), ())) != self._e[(i, s)]:
                 raise ValueError("exactness fails at E (%d, %d): im g vs ker h" % (i, s))
-            if not vanishes("h", (i, s), "g", g_key):
-                raise ValueError("h o g is nonzero at (%d, %d)" % g_key)
+            if not vanishes(h.get((i, s)), g.get((i, t))):
+                raise ValueError("h o g is nonzero at (%d, %d)" % (i, t))
 
     # -- derivation ----------------------------------------------------
 
@@ -286,13 +296,13 @@ class ExactCouple:
         InsufficientWindow when a nonzero map cannot be represented in
         the shrunk window.
 
-        The derived couple shares this couple's memo of eliminations,
-        so along one chain each distinct matrix is eliminated once.
-        A' at (i, s) has as basis the columns of f at f's own pivot
-        columns p, so the pullback of basis column p through f is the
-        unit vector at p, and g' there is g's column p, whose E'
-        coordinates that bidegree's exactla.Subquotient reads off
-        without a solve.
+        The derived couple shares this couple's memo.  A' at (i, s)
+        has as basis the columns of f at f's own pivot columns p.
+        Column j of f is the sum over t of rref[t][j] times pivot
+        column t, so f' is f's rref times the basis of A' below.  The
+        pullback of basis column p through f is the unit vector at p,
+        and g' there is g's column p, whose E' coordinates that
+        bidegree's exactla.Subquotient reads off without a solve.
         """
         memo = self._memo
         if self.is_trivial():
@@ -307,6 +317,7 @@ class ExactCouple:
                 "insufficient window: cannot derive inside [%d, %d]" % (lo, hi)
             )
         new_shift = self.g_shift - k2
+        f_pivots = self._pivots[0]
 
         # E': one subquotient per bidegree, ker(d out) / im(d in); each
         # d is eliminated once, for its kernel and its image
@@ -323,31 +334,19 @@ class ExactCouple:
         # as the rows of f restricted to its pivot columns
         iota = {}
         a_new = {}
-        for (i, s) in sorted((i, s + k2) for (i, s) in self._f):
-            if not new_lo <= s <= new_hi:
-                continue
-            pivots = self._map_pivots("f", (i, s - k2))
-            if pivots:
-                iota[(i, s)] = _restricted(self._f[(i, s - k2)], pivots)
-                a_new[(i, s)] = len(pivots)
+        for (i, s), rows in sorted(self._f.items()):
+            if new_lo <= s + k2 <= new_hi:
+                iota[(i, s + k2)] = memo.restricted(rows, f_pivots[(i, s)])
+                a_new[(i, s + k2)] = len(f_pivots[(i, s)])
 
         f_new = {}
         g_new = {}
         h_new = {}
         for (i, s), basis in sorted(iota.items()):
-            # f' = f restricted to the image basis; where f is absent
-            # its image above is empty too, and f' = 0
+            # where f is absent its image above is empty too: f' = 0
             f_out = self._f.get((i, s))
             if s + k2 <= new_hi and f_out is not None:
-                f_rhs = matmul(f_out, basis)
-                target = iota.get((i, s + k2))
-                if target:
-                    sols = memo.solve(target, a_new[(i, s + k2)], f_rhs, a_new[(i, s)])
-                    if sols is None:
-                        raise InternalError("couples", "f does not preserve its own image")
-                    f_new[(i, s)] = from_columns(sols, a_new[(i, s + k2)])
-                elif any(f_rhs):
-                    raise InternalError("couples", "f does not preserve its own image")
+                f_new[(i, s)] = memo.product(memo.reduce(f_out)[0], basis)
             # g'(f(b)) = g(b), with b the unit vector at f's pivot
             # column.  Exactness is only checked inside the window, so
             # each class is checked to be a d-cycle before its E'
@@ -355,8 +354,8 @@ class ExactCouple:
             g_in = self._g.get((i, s - k2))
             if g_in is not None:
                 pos = (i, s + new_shift)
-                g_rhs = _restricted(g_in, self._map_pivots("f", (i, s - k2)))
-                if any(matmul(d_out[pos], g_rhs)):
+                g_rhs = memo.restricted(g_in, f_pivots[(i, s - k2)])
+                if any(memo.product(d_out[pos], g_rhs)):
                     raise InternalError("couples", "class fell outside the kernel basis")
                 g_new[(i, s)] = quotients[pos].coordinates(columns(g_rhs, range(a_new[(i, s)])))
 
@@ -367,7 +366,7 @@ class ExactCouple:
             h_out = self._h.get((i, s))
             if not chosen or h_out is None:
                 continue
-            h_rhs = matmul(h_out, from_columns(chosen, self.e_dim(i, s)))
+            h_rhs = memo.product(h_out, memo.intern(from_columns(chosen, self.e_dim(i, s))))
             if not any(h_rhs):
                 continue
             t_pos = (i + 1, s - k2)
@@ -416,41 +415,36 @@ def couple_from_decomposition(d: Decomposition) -> ExactCouple:
 
     a_basis = {}
     e_basis = {}
-
-    def a_slot(i, s, tag):
-        a_basis.setdefault((i, s), []).append(tag)
-
-    def e_slot(i, s, tag):
-        e_basis.setdefault((i, s), []).append(tag)
-
     for idx, (i, s) in enumerate(d.free_pieces):
-        t = 0
-        while s + k2 * t <= hi:
-            a_slot(i, s + k2 * t, ("F", idx, t))
-            t += 1
-        e_slot(i, s, ("F", idx))
+        for t in range((hi - s) // k2 + 1):
+            a_basis.setdefault((i, s + k2 * t), []).append(("F", idx, t))
+        e_basis.setdefault((i, s), []).append(("F", idx))
     for idx, (i, m, s) in enumerate(d.torsion_pieces):
         for t in range(m):
-            a_slot(i, s + k2 * t, ("T", idx, t))
-        e_slot(i, s, ("Tb", idx))
-        e_slot(i - 1, s + k2 * m, ("Tt", idx))
+            a_basis.setdefault((i, s + k2 * t), []).append(("T", idx, t))
+        e_basis.setdefault((i, s), []).append(("Tb", idx))
+        e_basis.setdefault((i - 1, s + k2 * m), []).append(("Tt", idx))
 
     torsion_m = {idx: m for idx, (_, m, _) in enumerate(d.torsion_pieces)}
+    memo, made = _Eliminations(), {}
 
     def unit_map(sources, target_slot, image):
         """{(i, s): rows} over the source slots whose target slot is
         nonempty: column c holds a 1 at the row of image(tag c), when
-        that tag lies in the target slot."""
+        that tag lies there.  Each distinct matrix is interned once."""
         out = {}
         for (i, s), tags in sources.items():
             target = target_slot(i, s)
             if target:
                 pos = {tag: r for r, tag in enumerate(target)}
-                rows = [{} for _ in target]
-                for c, tag in enumerate(tags):
-                    if image(tag) in pos:
-                        rows[pos[image(tag)]][c] = 1
-                out[(i, s)] = rows
+                shape = (len(target), tuple(pos.get(image(tag)) for tag in tags))
+                if shape not in made:
+                    rows = [{} for _ in target]
+                    for c, r in enumerate(shape[1]):
+                        if r is not None:
+                            rows[r][c] = 1
+                    made[shape] = memo.intern(rows)
+                out[(i, s)] = made[shape]
         return out
 
     def bottom(tag):
@@ -474,6 +468,7 @@ def couple_from_decomposition(d: Decomposition) -> ExactCouple:
         g,
         h,
         0,
+        memo=memo,
     )
 
 

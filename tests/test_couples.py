@@ -17,7 +17,7 @@ from dense_la import (
     dense_solve,
     sparse_rows,
 )
-from twkit import corpus, exactla
+from twkit import corpus, couples, exactla
 from twkit.algebra import BigradedTable
 from twkit.complexes import InternalError
 from twkit.corpus import cross_checks, random_decomposition
@@ -379,6 +379,19 @@ def outcome(step, c):
     return out, None
 
 
+def entries(rows):
+    """A matrix's rows as (col, value) pairs in column order."""
+    return tuple(tuple(sorted(row.items())) for row in rows)
+
+
+def sized_decomposition(rng, k, generators):
+    """A random decomposition with exactly this k and generator count."""
+    while True:
+        d = random_decomposition(rng, max_generators=generators)
+        if d.k == k and len(d.free_pieces) + 2 * len(d.torsion_pieces) == generators:
+            return d
+
+
 def seeded_decompositions(seed, count):
     """count decompositions with torsion, k = 1, 2, 3 in turn."""
     rng = random.Random(seed)
@@ -466,6 +479,15 @@ class TestDerivationAgainstReference:
         for d in seeded_decompositions(seed, 9):
             chain_through(d, torsion_width(d) + 3, rng)
 
+    @pytest.mark.parametrize("seed", [51, 52, 53])
+    def test_chains_in_random_bases_at_corpus_sizes(self, seed):
+        # 20, 40 and 60 generators, as the corpus documents have; over
+        # the three seeds each size meets k = 1, 2 and 3 once
+        rng = random.Random(seed)
+        for n, generators in enumerate((20, 40, 60)):
+            d = sized_decomposition(rng, 1 + (n + seed) % 3, generators)
+            chain_through(d, torsion_width(d) + 2, rng)
+
     def test_hand_picked_decompositions(self):
         chain_through(Decomposition(2, ((0, 0), (0, 4), (1, -2)), ()), 12)
         chain_through(Decomposition(1), 3)
@@ -483,20 +505,50 @@ class TestDerivationAgainstReference:
 
     def test_each_matrix_is_eliminated_once_per_chain(self, monkeypatch):
         seen = []
+        products = []
         row_reduce = exactla.row_reduce
 
         def counting(rows):
-            seen.append(tuple(tuple(sorted(row.items())) for row in rows))
+            seen.append(entries(rows))
             return row_reduce(rows)
 
+        def multiplying(a, b):
+            products.append((entries(a), entries(b)))
+            return exactla.matmul(a, b)
+
         monkeypatch.setattr(exactla, "row_reduce", counting)
+        monkeypatch.setattr(couples, "matmul", multiplying)
         for d in seeded_decompositions(35, 9):
-            del seen[:]
-            c = couple_from_decomposition(d)
+            del seen[:], products[:]
+            chain = [couple_from_decomposition(d)]
             for _ in range(torsion_width(d) + 1):
-                c = c.derive()
-            assert seen, d
+                chain.append(chain[-1].derive())
+            assert seen and products, d
             assert max(Counter(seen).values()) == 1, d
+            # the composite checks, d = g o h and f' among them
+            assert max(Counter(products).values()) == 1, d
+            # equal maps anywhere in the chain are one rows object
+            held = {}
+            for c in chain:
+                for maps in (c._f, c._g, c._h):
+                    for rows in maps.values():
+                        assert held.setdefault(entries(rows), rows) is rows, d
+            assert len(held) < sum(len(c._f) + len(c._g) + len(c._h) for c in chain), d
+
+    def test_maps_one_value_apart_share_no_entry(self):
+        c = hand_built()
+        memo, f = c._memo, c.f_at(0, -2)
+        assert f == ({0: 1}, {})
+        # the same entries, given afresh and as Fractions, are f itself
+        assert memo.intern(({0: Fraction(2, 2)}, {})) is f
+        other = memo.intern(({0: 2}, {}))
+        assert other is not f and other == ({0: 2}, {})
+        assert memo.reduce(other)[1] == memo.reduce(f)[1] == [0]
+        assert memo.reduce(other) is not memo.reduce(f)
+        g = c.g_at(0, 0)
+        assert memo.product(g, f) == memo.product(g, other) == ({},)
+        assert memo.product(g, f) is memo.product(g, other)
+        assert memo.product(other, c.f_at(0, 0)) == ({1: 2}, {}) != memo.product(f, c.f_at(0, 0))
 
     def test_verify_derives_each_couple_once(self, monkeypatch):
         calls = []
@@ -581,6 +633,46 @@ class TestExactnessErrors:
         assert couple_state(got) == couple_state(reference_derive(c))
         # A' is the image of f out of A(0, -2), and h' reaches it
         assert got.a_dim(0, 0) == 1 and got.h_at(-1, 2) == ({0: 1},)
+
+
+class TestDerivedCouplesAreValidated:
+    """Validation stays on for derived couples: it is the run-time guard
+    on derive.  A derived couple with one column of h' or of g' set to
+    zero, rebuilt through ExactCouple on the chain's memo, is refused."""
+
+    @staticmethod
+    def rebuilt(c, name=None, key=None, col=None):
+        maps = {"f": c._f, "g": c._g, "h": c._h}
+        if name:
+            rows = tuple({j: x for j, x in row.items() if j != col} for row in maps[name][key])
+            maps[name] = {**maps[name], key: rows}
+        return ExactCouple(c.k, c.window, c._a, c._e, maps["f"], maps["g"], maps["h"], c.g_shift, memo=c._memo)
+
+    def test_a_zeroed_column_of_h_or_g_is_refused(self):
+        refused = Counter()
+        for d in [width_two_fixture(), *seeded_decompositions(37, 9)]:
+            c = couple_from_decomposition(d)
+            k2 = 2 * c.k
+            for _ in range(torsion_width(d)):
+                c = c.derive()
+                assert couple_state(self.rebuilt(c)) == couple_state(c)
+                lo, hi = c.window
+                _, gp, hp = c._pivots
+                # an injective map into (h) or out of (g) an A slot that
+                # the exactness check covers: zeroing a nonzero column
+                # drops its rank, so A's dimension no longer adds up
+                for name, maps, pivots, slot, ncols in (
+                    ("h", c._h, hp, lambda i, s: s - k2, c.e_dim),
+                    ("g", c._g, gp, lambda i, s: s, c.a_dim),
+                ):
+                    for key, rows in sorted(maps.items()):
+                        if lo + k2 <= slot(*key) <= hi - k2 and len(pivots[key]) == ncols(*key):
+                            col = min(j for row in rows for j in row)
+                            with pytest.raises(ValueError, match="^exactness fails at A "):
+                                self.rebuilt(c, name, key, col)
+                            refused[name] += 1
+                            break
+        assert refused["h"] >= 10 and refused["g"] >= 10, refused
 
 
 def test_derive_refuses_a_class_that_is_no_cycle():
