@@ -1,0 +1,368 @@
+"""Stage timings of twkit, layer by layer, on three seeded ladders, and
+the wall time and peak memory of whole `twkit link` processes.
+
+The ladders:
+
+* link: perfbench's link ladder, then T(3,4), T(2,8), T(3,5) and
+  T(3,6), each cube built over the integral form of the standard
+  potential, as `twkit link --braid` builds it;
+* 2-braid: N = 10, 20 and 30 with i = N/2;
+* corpus: conjugated complex documents of 20 to 200 generators, k
+  cycling through 1..3, drawn from SEED.
+
+On each rung every stage runs in turn and is timed, best of --repeats
+passes.  The stages carry perfbench's per-layer names: the front end
+(`links`, the cube or 2-braid build, or `jsonio`, reading a document
+with jsonio.complex_from_json), `complexes.validate` (the GradedComplex
+rebuilt from the built rows; the front end's time is its total less
+this), `decompose`, `complexes.homology` (reduce_mod_a and
+homology_field), `complexes.first_differential` (induced_differential,
+the d_1 lift on that homology), `pages.generic` (generic_pages for
+r = 1 .. 2k tw + 1), `couples` (couple_tables(d, tw + 2)) and `recover`
+(recover of pages_from_decomposition(d)).  Generators and nonzeros are
+recorded too.
+
+Before any time is printed, each rung's answer is checked: d_1 out of
+degree i - 1 has rank the number of torsion pieces (i, 1, s), the
+paper's page formula at r = 1; recover returns the decomposition; the
+couple pages equal the assembled hat pages; and a corpus document
+decomposes to the decomposition it was drawn from.
+
+Before the stages, `python -m twkit.cli link --braid WORD` runs as a
+child process on T(2,8), T(3,5), T(2,9), T(3,6) and T(2,11), once
+each; its wall time and peak RSS come from the child's own rusage.
+On Linux a child's ru_maxrss starts from the spawning process's peak,
+so the processes run while this harness is still small, and a reading
+no larger than the harness's own peak stops the run.
+
+Every rung has a budget in seconds, for each pass over its stages or
+for its process.  A rung past it is recorded as "over budget" (the
+pass is stopped, the child process killed), and the larger rungs of
+the same ladder after it are recorded so without being run.
+
+The table goes to stdout.  With --json the run is also written to
+BENCH_layers.json under --label; runs under other labels at the same
+--repeats are kept, so timing two twkit trees, each through its own
+PYTHONPATH, records both.  Run from the repository root as
+
+    PYTHONPATH=src python benchmarks/bench_layers.py [--repeats N] [--json] [--label NAME]
+"""
+
+import argparse
+import contextlib
+import json
+import os
+import pathlib
+import platform
+import random
+import resource
+import signal
+import subprocess
+import sys
+import time
+from collections import Counter
+from dataclasses import dataclass
+from typing import Callable
+
+from twkit import jsonio
+from twkit.complexes import GradedComplex, homology_field, induced_differential, reduce_mod_a, specialize_a_to_1
+from twkit.corpus import conjugate, random_decomposition
+from twkit.couples import correspondence_check, couple_tables
+from twkit.decompose import Decomposition, decompose, reassemble, torsion_width
+from twkit.links import LinkDiagram, Sl2Potential, TwoBraidSpec, build_sl2_cube, build_twobraid
+from twkit.pages import generic_pages
+from twkit.recover import pages_from_decomposition, recover
+
+SEED = 20261019
+JSON_PATH = pathlib.Path(__file__).with_name("BENCH_layers.json")
+OVER_BUDGET = "over budget"
+
+# braid word and strand count of each link the ladders name: perfbench's
+# link ladder, then torus knots
+BRAIDS = {
+    "1 1 1": ("1 1 1", 2),
+    "1 -2 1 -2": ("1 -2 1 -2", 3),
+    "1 1 1 1 1": ("1 1 1 1 1", 2),
+    "1 1 1 2 -1 2": ("1 1 1 2 -1 2", 3),
+    "T(3,4)": ("1 2 " * 4, 3),
+    "T(2,8)": ("1 " * 8, 2),
+    "T(3,5)": ("1 2 " * 5, 3),
+    "T(2,9)": ("1 " * 9, 2),
+    "T(3,6)": ("1 2 " * 6, 3),
+    "T(2,11)": ("1 " * 11, 2),
+}
+# (link, budget in seconds for one pass over every stage)
+LINKS = (
+    ("1 1 1", 10),
+    ("1 -2 1 -2", 10),
+    ("1 1 1 1 1", 10),
+    ("1 1 1 2 -1 2", 10),
+    ("T(3,4)", 10),
+    ("T(2,8)", 30),
+    ("T(3,5)", 60),
+    ("T(3,6)", 300),
+)
+# (N, budget in seconds for one pass)
+TWOBRAIDS = ((10, 10), (20, 10), (30, 10))
+CORPUS_DOCS = 10
+CORPUS_MIN, CORPUS_MAX = 20, 200
+CORPUS_BUDGET = 10
+CONJUGATION_OPS = 16
+# (link, budget in seconds for its `twkit link` process)
+PROCESSES = (("T(2,8)", 30), ("T(3,5)", 30), ("T(2,9)", 60), ("T(3,6)", 120), ("T(2,11)", 240))
+STAGES = (
+    "links",
+    "jsonio",
+    "complexes.validate",
+    "decompose",
+    "complexes.homology",
+    "complexes.first_differential",
+    "pages.generic",
+    "couples",
+    "recover",
+)
+
+
+class OverBudget(Exception):
+    pass
+
+
+@dataclass
+class Rung:
+    """One input: build() returns its graded complex, through the
+    front-end stage front; expected is the decomposition it must
+    split into, when known."""
+
+    ladder: str
+    name: str
+    front: str
+    build: Callable
+    budget: float
+    expected: Decomposition = None
+
+
+def link_rungs():
+    potential = Sl2Potential.standard().integral_form()
+
+    def build(name):
+        word, strands = BRAIDS[name]
+        return build_sl2_cube(LinkDiagram.from_braid_text(word.strip(), strands), potential)
+
+    return [Rung("link", name, "links", lambda name=name: build(name), budget) for name, budget in LINKS]
+
+
+def twobraid_rungs():
+    return [
+        Rung("2-braid", "N=%d i=%d" % (N, N // 2), "links", lambda N=N: build_twobraid(TwoBraidSpec.power_basis(N, N // 2)), budget)
+        for N, budget in TWOBRAIDS
+    ]
+
+
+def corpus_rungs():
+    """Documents with k = 1, 2, 3 in turn and generator counts climbing
+    evenly from CORPUS_MIN to CORPUS_MAX."""
+    rng = random.Random(SEED)
+    rungs = []
+    for n in range(CORPUS_DOCS):
+        k = 1 + n % 3
+        generators = CORPUS_MIN + (CORPUS_MAX - CORPUS_MIN) * n // (CORPUS_DOCS - 1)
+        while True:
+            d = random_decomposition(rng, max_generators=generators)
+            if d.k == k and len(d.free_pieces) + 2 * len(d.torsion_pieces) == generators:
+                break
+        text = jsonio.dumps(jsonio.complex_to_data(conjugate(rng, reassemble(d), CONJUGATION_OPS)))
+        build = lambda text=text: jsonio.complex_from_json(json.loads(text))
+        rungs.append(Rung("corpus", "doc %d k=%d" % (n, k), "jsonio", build, CORPUS_BUDGET, d))
+    return rungs
+
+
+def ladders():
+    return [link_rungs(), twobraid_rungs(), corpus_rungs()]
+
+
+@contextlib.contextmanager
+def alarm(seconds):
+    """Raise OverBudget in the body once seconds have passed, at once
+    when seconds is not positive."""
+    if seconds <= 0:
+        raise OverBudget
+
+    def fire(signum, frame):
+        raise OverBudget
+
+    old = signal.signal(signal.SIGALRM, fire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _homology(c):
+    fc = reduce_mod_a(c)
+    return fc, homology_field(fc)
+
+
+def _generic_pages(c, last):
+    fc = specialize_a_to_1(c)
+    return [generic_pages(fc, r) for r in range(1, last + 1)]
+
+
+def _recover(d):
+    return recover(pages_from_decomposition(d))
+
+
+def stage_pass(rung):
+    """({stage: seconds}, answers) of one pass over the rung."""
+    seconds = {}
+
+    def timed(stage, fn, *args):
+        t0 = time.perf_counter()
+        out = fn(*args)
+        seconds[stage] = time.perf_counter() - t0
+        return out
+
+    c = timed(rung.front, rung.build)
+    timed("complexes.validate", GradedComplex, c.ring, c.degrees, {i: m.rows for i, m in c.differentials.items()})
+    seconds[rung.front] -= seconds["complexes.validate"]
+    d = timed("decompose", decompose, c)
+    fc, hb = timed("complexes.homology", _homology, c)
+    d1 = timed("complexes.first_differential", induced_differential, c, fc, hb)
+    tw = torsion_width(d)
+    timed("pages.generic", _generic_pages, c, 2 * d.k * tw + 1)
+    tables = timed("couples", couple_tables, d, tw + 2)
+    recovered = timed("recover", _recover, d)
+    return seconds, (c, d, d1, tables, recovered)
+
+
+def check(rung, answers):
+    """The page formula at r = 1, the recover round trip, the couple
+    pages and, for a corpus document, its decomposition."""
+    c, d, d1, tables, recovered = answers
+    width_one = Counter(i - 1 for i, m, _ in d.torsion_pieces if m == 1)
+    failures = [
+        (d1.ranks() != dict(width_one), "the ranks of d_1 differ from the width-one torsion pieces"),
+        (recovered != d, "recover does not return the decomposition"),
+        (not correspondence_check(d, torsion_width(d) + 2, tables), "the couple pages differ from the hat pages"),
+        (rung.expected not in (None, d), "not the decomposition the document was drawn from"),
+    ]
+    for failed, message in failures:
+        if failed:
+            raise SystemExit("%s %s: %s" % (rung.ladder, rung.name, message))
+
+
+def run_rung(rung, repeats):
+    """{"generators", "nonzeros", stage: best seconds}, the first pass
+    checked, or OVER_BUDGET."""
+    try:
+        with alarm(rung.budget):
+            best, answers = stage_pass(rung)
+        check(rung, answers)
+        c = answers[0]
+        sizes = {"generators": c.total_rank(), "nonzeros": sum(len(r) for m in c.differentials.values() for r in m.rows)}
+        del answers, c
+        for _ in range(repeats - 1):
+            with alarm(rung.budget):
+                seconds = stage_pass(rung)[0]
+            best = {stage: min(best[stage], t) for stage, t in seconds.items()}
+    except OverBudget:
+        return OVER_BUDGET
+    return {**sizes, **best}
+
+
+def run_process(name, budget):
+    """{"wall_s", "peak_rss_mb"} of one `twkit link` child process on the
+    twkit tree this harness imports, or OVER_BUDGET."""
+    word, strands = BRAIDS[name]
+    argv = [sys.executable, "-m", "twkit.cli", "link", "--braid", word.strip(), "--strands", str(strands)]
+    tree = str(pathlib.Path(jsonio.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (tree, os.environ.get("PYTHONPATH")))))
+    own_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    t0 = time.perf_counter()
+    child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        with alarm(budget):
+            _, status, usage = os.wait4(child.pid, 0)
+    except OverBudget:
+        child.kill()
+        child.wait()
+        return OVER_BUDGET
+    wall = time.perf_counter() - t0
+    child.returncode = os.waitstatus_to_exitcode(status)
+    if child.returncode:
+        raise SystemExit("%s exits %d" % (" ".join(argv), child.returncode))
+    if usage.ru_maxrss <= own_kb:
+        raise SystemExit("%s: its peak RSS reads no more than this harness's own" % name)
+    return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024}
+
+
+def run_ladder(items, run):
+    """[(item, run(item))] in order; once one is OVER_BUDGET, so is
+    every item after it, unrun."""
+    out = []
+    for item in items:
+        result = OVER_BUDGET if out and out[-1][1] == OVER_BUDGET else run(item)
+        out.append((item, result))
+    return out
+
+
+def ms(result, key):
+    return "-" if key not in result else "%.1f" % (result[key] * 1e3)
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--json", action="store_true", help="also write the run to %s" % JSON_PATH.name)
+    ap.add_argument("--label", default="change", help="name of the run in the JSON record (default %(default)s)")
+    args = ap.parse_args()
+
+    processes = run_ladder(PROCESSES, lambda p: run_process(*p))
+    stages = [pair for rungs in ladders() for pair in run_ladder(rungs, lambda r: run_rung(r, args.repeats))]
+
+    heads = ("links", "jsonio", "validate", "decompose", "homology", "d_1", "generic", "couples", "recover")
+    header = "%-26s %7s %8s " % ("rung", "gens", "nonzeros") + " ".join("%9s" % h for h in heads)
+    print("best of %d, milliseconds" % args.repeats)
+    print(header)
+    print("-" * len(header))
+    for rung, result in stages:
+        label = "%s %s" % (rung.ladder, rung.name)
+        if result == OVER_BUDGET:
+            print("%-26s %s" % (label, OVER_BUDGET))
+        else:
+            print("%-26s %7d %8d " % (label, result["generators"], result["nonzeros"])
+                  + " ".join("%9s" % ms(result, stage) for stage in STAGES))
+    print()
+    print("%-26s %9s %12s" % ("twkit link process", "wall s", "peak RSS MB"))
+    for (name, _), result in processes:
+        if result == OVER_BUDGET:
+            print("%-26s %s" % (name, OVER_BUDGET))
+        else:
+            print("%-26s %9.2f %12.1f" % (name, result["wall_s"], result["peak_rss_mb"]))
+
+    if not args.json:
+        return
+    record = {
+        "harness": "benchmarks/bench_layers.py",
+        "seed": SEED,
+        "repeats": args.repeats,
+        "timing": "stages: best of repeats, seconds; processes: one run each, wall seconds and peak RSS in MB; "
+                  "runs keyed by --label",
+        "runs": {},
+    }
+    if JSON_PATH.exists():
+        old = json.loads(JSON_PATH.read_text(encoding="utf-8"))
+        if (old.get("seed"), old.get("repeats")) == (SEED, args.repeats):
+            record["runs"] = old["runs"]
+    record["runs"][args.label] = {
+        "python": platform.python_version(),
+        "machine": "%s, %d cores" % (platform.machine(), os.cpu_count()),
+        "stages": [{"ladder": r.ladder, "rung": r.name, "result": result} for r, result in stages],
+        "processes": [{"knot": p[0], "result": result} for p, result in processes],
+    }
+    JSON_PATH.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    main()

@@ -71,11 +71,6 @@ def _degree(key) -> int:
     return int(key)
 
 
-def _int_pair(x):
-    a, b = x
-    return _int(a), _int(b)
-
-
 # -- complexes ---------------------------------------------------------
 
 
@@ -93,11 +88,17 @@ def complex_to_data(c: GradedComplex) -> dict:
     }
 
 
-def _array(x, what):
-    """x when it is a JSON array; a string would be read one character at a time."""
-    if type(x) is not list:
+def _array(x, what, length=None):
+    """x when it is a JSON array, of length items when given; a string
+    would be read one character at a time."""
+    if type(x) is not list or length not in (None, len(x)):
         raise ValueError("expected %s, got %s" % (what, json.dumps(x)))
     return x
+
+
+def _ints(x, what, length):
+    """A JSON array of length tw/1 integers, as a tuple."""
+    return tuple(map(_int, _array(x, what, length)))
 
 
 def _object(x, what):
@@ -145,8 +146,14 @@ def decomposition_from_json(data) -> Decomposition:
     try:
         return Decomposition(
             _int(data["k"]),
-            tuple(_int_pair(p) for p in data.get("free", ())),
-            tuple((_int(i), _int(m), _int(s)) for i, m, s in data.get("torsion", ())),
+            tuple(
+                _ints(p, "a free piece to be an array [i, s]", 2)
+                for p in _array(data.get("free", []), '"free" to be an array of pieces [i, s]')
+            ),
+            tuple(
+                _ints(p, "a torsion piece to be an array [i, m, s]", 3)
+                for p in _array(data.get("torsion", []), '"torsion" to be an array of pieces [i, m, s]')
+            ),
         )
     except (KeyError, TypeError, ValueError) as e:
         if isinstance(e, SchemaError):
@@ -165,9 +172,13 @@ def descriptor_to_data(desc: GradedModuleDescriptor) -> dict:
 
 
 def descriptor_from_data(data) -> GradedModuleDescriptor:
+    data = _object(data, 'a module entry to be an object with "free" and "torsion"')
     return GradedModuleDescriptor(
-        tuple(_int(s) for s in data.get("free", ())),
-        tuple(_int_pair(t) for t in data.get("torsion", ())),
+        tuple(_int(s) for s in _array(data.get("free", []), '"free" to be an array of shifts')),
+        tuple(
+            _ints(t, "a torsion summand to be an array [m, s]", 2)
+            for t in _array(data.get("torsion", []), '"torsion" to be an array of summands [m, s]')
+        ),
     )
 
 
@@ -194,7 +205,8 @@ def page_from_json(data) -> PageTable:
         if type(hat) is not bool:
             raise ValueError('expected true or false for "hat", got %s' % json.dumps(hat))
         entries = {}
-        for p, q, value in data["entries"]:
+        for entry in _array(data["entries"], '"entries" to be an array of entries [p, q, value]'):
+            p, q, value = _array(entry, "a page entry to be an array [p, q, value]", 3)
             key = (_int(p), _int(q))
             value = _int(value) if hat else descriptor_from_data(value)
             if key in entries:
@@ -235,10 +247,13 @@ def raw_pages_to_data(k: int, tables) -> dict:
 def pages_from_json(data) -> PageSequence:
     _check_header(data, "pages")
     try:
-        tables = [
-            BigradedTable([((_int(i), _int(s)), _int(dim)) for i, s, dim in page])
-            for page in data["pages"]
-        ]
+        tables = []
+        for page in _array(data["pages"], '"pages" to be an array of pages'):
+            entries = []
+            for entry in _array(page, "a page to be an array of entries [i, s, dim]"):
+                i, s, dim = _array(entry, "a page entry to be an array [i, s, dim]", 3)
+                entries.append(((_int(i), _int(s)), _int(dim)))
+            tables.append(BigradedTable(entries))
         k = _int(data["k"])
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError("malformed pages document: %s" % e)

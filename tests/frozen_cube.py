@@ -1,6 +1,6 @@
 """The sl(2) cube builder frozen before its merge and split loops
 became one edge routine, as the reference the rewrite is checked
-against (tests/test_cube_builder.py, benchmarks/bench_complexes.py).
+against (tests/test_cube_builder.py).
 
 It walks tensor states as bit lists, with one loop for merges and one
 for splits, and adds each cube entry into its row.  Only the graded

@@ -1,6 +1,6 @@
 """homology_field and first_differential frozen before they moved to
 cycle coordinates, as the reference the rewrite is checked against
-(tests/test_frozen_homology.py, benchmarks/bench_homology.py).
+(tests/test_frozen_homology.py).
 
 The mod-a homology picks its representatives by eliminating the stacked
 [image | cycles] columns over every coordinate, and the first

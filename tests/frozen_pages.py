@@ -3,7 +3,7 @@ frozen before both were read straight off the pieces, as the reference
 the rewrite is checked against (tests/test_frozen_pages.py,
 tests/test_pages.py, tests/test_algebra.py); and the page-by-page list
 that followed it, frozen before one page was built per block of r
-(tests/test_frozen_twobraid.py, benchmarks/bench_twobraid.py).
+(tests/test_frozen_twobraid.py).
 
 boxtimes multiplied a (hom, poly) dimension table against a page, and
 hn_table summed one descriptor_dim_table per homological degree.  The

@@ -1,7 +1,6 @@
 """The 2-braid routes frozen before x2^(N-1) came from one recurrence and
 the delta battery shared one mod-a homology, as the reference the
-rewrite is checked against (tests/test_frozen_twobraid.py,
-benchmarks/bench_twobraid.py).
+rewrite is checked against (tests/test_frozen_twobraid.py).
 
 build_twobraid took N - 2 sparse products of the matrix of x2, and
 delta_battery ran first_differential, with its own mod-a homology, on

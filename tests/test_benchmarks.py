@@ -1,78 +1,68 @@
-"""Each timing harness under benchmarks/ still runs: its equality check
-against the reference passes on its smallest input."""
+"""The layer benchmark under benchmarks/ still runs: its checks pass and
+every stage is timed on the smallest rung of each ladder, a wrong answer
+stops it, and a zero budget records "over budget" without running."""
 
 import importlib.util
 import pathlib
 
 import pytest
 
+from twkit.decompose import Decomposition
+
 BENCHMARKS = pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
 
 
-def harness(name):
-    spec = importlib.util.spec_from_file_location(name, BENCHMARKS / (name + ".py"))
+def harness():
+    spec = importlib.util.spec_from_file_location("bench_layers", BENCHMARKS / "bench_layers.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_harness_is_covered():
-    assert sorted(p.stem for p in BENCHMARKS.glob("bench_*.py")) == sorted(SMALLEST)
+    assert sorted(p.stem for p in BENCHMARKS.glob("bench_*.py")) == ["bench_layers"]
 
 
-def kernel():
-    bench = harness("bench_kernel")
-    bench.check(*bench.inputs(bench.SEED)[0])
+def smallest_rungs(bench):
+    return {rungs[0].ladder: rungs[0] for rungs in bench.ladders()}
 
 
-def couples():
-    bench = harness("bench_couples")
-    (d,) = bench.ladder(bench.SEED, 1)
-    bench.check(0, bench.couple_from_decomposition(d), bench.torsion_width(d) + 1)
+@pytest.mark.parametrize("ladder", ["link", "2-braid", "corpus"])
+def test_smallest_rung_is_checked_and_every_stage_timed(ladder):
+    bench = harness()
+    rung = smallest_rungs(bench)[ladder]
+    result = bench.run_rung(rung, 1)
+    other_front = {"links": "jsonio", "jsonio": "links"}[rung.front]
+    stages = [stage for stage in bench.STAGES if stage != other_front]
+    assert sorted(result) == sorted(stages + ["generators", "nonzeros"])
+    assert all(result[stage] > 0 for stage in stages), result
+    assert result["generators"] > 0 and result["nonzeros"] > 0
 
 
-def pages():
-    bench = harness("bench_pages")
-    ((d, c),) = bench.ladder(bench.SEED, 1)
-    bench.check(0, c, bench.page_range(d))
+def test_a_wrong_answer_stops_the_harness():
+    bench = harness()
+    rung = smallest_rungs(bench)["corpus"]
+    rung.expected = Decomposition(rung.expected.k, rung.expected.free_pieces + ((0, 0),), rung.expected.torsion_pieces)
+    with pytest.raises(SystemExit, match="not the decomposition the document was drawn from"):
+        bench.run_rung(rung, 1)
 
 
-def homology():
-    bench = harness("bench_homology")
-    _, build = bench.builders()[0]
-    bench.check(build())
+def test_zero_budget_records_over_budget():
+    bench = harness()
+    # the child is killed as soon as it starts, so no unbounded run begins
+    assert bench.run_process("T(2,11)", 0) == bench.OVER_BUDGET
+    rung = smallest_rungs(bench)["link"]
+    rung.budget = 0
+    assert bench.run_rung(rung, 1) == bench.OVER_BUDGET
 
 
-def complexes():
-    bench = harness("bench_complexes")
-    label, build, reference = bench.builders()[0]
-    c = build()
-    bench.check(label, c, bench.dense_mats(c), reference)
+def test_rungs_after_one_over_budget_are_not_run():
+    bench = harness()
+    ran = []
 
+    def run(n):
+        ran.append(n)
+        return bench.OVER_BUDGET if n == 2 else {}
 
-def cli():
-    bench = harness("bench_cli")
-    bench.check(bench.ladder(bench.SEED, 1))
-
-
-def twobraid():
-    bench = harness("bench_twobraid")
-    argvs = bench.ladder()
-    # the smallest twobraid and the smallest delta command
-    bench.check([argvs[0], argvs[len(bench.TWOBRAID_N)]])
-
-
-SMALLEST = {
-    "bench_cli": cli,
-    "bench_kernel": kernel,
-    "bench_couples": couples,
-    "bench_pages": pages,
-    "bench_homology": homology,
-    "bench_complexes": complexes,
-    "bench_twobraid": twobraid,
-}
-
-
-@pytest.mark.parametrize("name", sorted(SMALLEST))
-def test_equality_check_on_the_smallest_input(name):
-    SMALLEST[name]()
+    assert bench.run_ladder([1, 2, 3, 4], run) == [(1, {}), (2, bench.OVER_BUDGET), (3, bench.OVER_BUDGET), (4, bench.OVER_BUDGET)]
+    assert ran == [1, 2]

@@ -481,6 +481,8 @@ SHARED_PARSER_SEQUENCE = (
     ["pages", TORSION_CX, "--r-max", "0"],
     ["twobraid", "--N", "3", "--i", "2", "--coefficient", "-3/2"],
     ["twobraid", "--N", "3", "--i", "2"],
+    ["recover", '{"format":"tw/1","k":1,"pages":[[[0,4,1],[1,0,1]],[[0,4,1],[1,0,1]],[]],"type":"pages"}'],
+    ["twobraid", "--N", "10", "--i", "5"],
 )
 
 
@@ -501,7 +503,7 @@ def test_shared_parser_matches_a_fresh_one(capsys):
     for argv in SHARED_PARSER_SEQUENCE:
         build_parser.cache_clear()
         fresh.append(_outcome(capsys, argv))
-    assert [code for code, _, _ in shared] == [0, 2, 0, 0, 2, 2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0]
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0, 2, 2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0]
     for argv, a, b in zip(SHARED_PARSER_SEQUENCE, shared, fresh):
         assert a == b, argv
 
@@ -592,9 +594,10 @@ def _shape_doc(differentials, modules=None):
 
 
 class TestComplexDocumentRefusals:
-    """Where a complex document's objects, degree lists and dense rows
-    are read: each malformed document exits with its code and exactly
-    one stderr line, its own text and never Python's."""
+    """A corpus of malformed documents: complex documents (objects,
+    degree lists and dense rows), decomposition, pages and page
+    documents, and PD codes.  Each exits with its code and exactly one
+    stderr line that names the expected shape, never Python's own text."""
 
     @pytest.mark.parametrize(
         "differentials, modules, code, line",
@@ -679,6 +682,85 @@ class TestComplexDocumentRefusals:
     def test_refused_with_one_line(self, capsys, differentials, modules, code, line):
         out, err = run(capsys, "decompose", _shape_doc(differentials, modules), expect=code)
         assert out == "" and err.splitlines() == [line]
+
+    @pytest.mark.parametrize(
+        "fields, line",
+        [
+            ({"free": 5}, 'expected "free" to be an array of pieces [i, s], got 5'),
+            # a string is never read one character per piece
+            ({"free": "ab"}, 'expected "free" to be an array of pieces [i, s], got "ab"'),
+            ({"free": [[0, 1, 2]]}, "expected a free piece to be an array [i, s], got [0, 1, 2]"),
+            ({"free": ["01"]}, 'expected a free piece to be an array [i, s], got "01"'),
+            ({"torsion": None}, 'expected "torsion" to be an array of pieces [i, m, s], got null'),
+            ({"torsion": {"1": [1, 0]}}, 'expected "torsion" to be an array of pieces [i, m, s], got {"1": [1, 0]}'),
+            ({"torsion": [[1, 2]]}, "expected a torsion piece to be an array [i, m, s], got [1, 2]"),
+            ({"torsion": ["120"]}, 'expected a torsion piece to be an array [i, m, s], got "120"'),
+            ({"torsion": [[1, 0, 0]]}, "torsion exponent must be >= 1"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["couple", "pages"])
+    def test_decomposition_refused_with_one_line(self, capsys, command, fields, line):
+        doc = json.dumps({"format": "tw/1", "type": "decomposition", "k": 1, **fields})
+        out, err = run(capsys, command, doc, expect=1)
+        assert out == "" and err.splitlines() == ["error: malformed decomposition document: " + line]
+
+    @pytest.mark.parametrize(
+        "pages, line",
+        [
+            (None, 'expected "pages" to be an array of pages, got null'),
+            ("abc", 'expected "pages" to be an array of pages, got "abc"'),
+            ({"1": []}, 'expected "pages" to be an array of pages, got {"1": []}'),
+            ([5], "expected a page to be an array of entries [i, s, dim], got 5"),
+            (["ab"], 'expected a page to be an array of entries [i, s, dim], got "ab"'),
+            ([[[0, 2]]], "expected a page entry to be an array [i, s, dim], got [0, 2]"),
+            ([[[0, 2, 1, 1]]], "expected a page entry to be an array [i, s, dim], got [0, 2, 1, 1]"),
+            ([["021"]], 'expected a page entry to be an array [i, s, dim], got "021"'),
+            ([[[0, 2, "1"]]], 'expected an integer, got "1"'),
+        ],
+    )
+    def test_pages_refused_with_one_line(self, capsys, pages, line):
+        doc = json.dumps({"format": "tw/1", "type": "pages", "k": 1, "pages": pages})
+        out, err = run(capsys, "recover", doc, expect=1)
+        assert out == "" and err.splitlines() == ["error: malformed pages document: " + line]
+
+    @pytest.mark.parametrize(
+        "hat, entries, line",
+        [
+            (False, [[0, 0, [1]]], 'expected a module entry to be an object with "free" and "torsion", got [1]'),
+            (False, [[0, 0, 3]], 'expected a module entry to be an object with "free" and "torsion", got 3'),
+            (False, [[0, 0, {"free": "ab"}]], 'expected "free" to be an array of shifts, got "ab"'),
+            (False, [[0, 0, {"torsion": 1}]], 'expected "torsion" to be an array of summands [m, s], got 1'),
+            (False, [[0, 0, {"torsion": [[1]]}]], "expected a torsion summand to be an array [m, s], got [1]"),
+            (True, 5, 'expected "entries" to be an array of entries [p, q, value], got 5'),
+            (True, [[0, 0]], "expected a page entry to be an array [p, q, value], got [0, 0]"),
+            (True, ["001"], 'expected a page entry to be an array [p, q, value], got "001"'),
+        ],
+    )
+    def test_page_refused_with_one_line(self, hat, entries, line):
+        # no command reads a page document, so the library must refuse
+        # it as a SchemaError, which the CLI prints as one line
+        doc = {"format": "tw/1", "type": "page", "r": 1, "hat": hat, "entries": entries}
+        with pytest.raises(jsonio.SchemaError) as caught:
+            jsonio.page_from_json(doc)
+        assert str(caught.value) == "malformed page document: " + line
+
+    @pytest.mark.parametrize(
+        "pd, code, line",
+        [
+            ("5", 1, "invalid PD code: expected an array of [sign, [a, b, c, d]] crossings"),
+            ("null", 1, "invalid PD code: expected an array of [sign, [a, b, c, d]] crossings"),
+            ("[[1]]", 1, "invalid PD code: a crossing must be [sign, [a, b, c, d]]"),
+            ('[[1,"abcd"]]', 1, "invalid PD code: a crossing must be [sign, [a, b, c, d]]"),
+            ("[[1,[1,1,2,2],3]]", 1, "invalid PD code: a crossing must be [sign, [a, b, c, d]]"),
+            ("[[1,[1,2,3]]]", 1, "invalid PD code: crossing needs 4 arc labels"),
+            ("[[2,[1,1,2,2]]]", 1, "invalid PD code: crossing sign must be +1 or -1"),
+            ("[[", 1, "cannot parse PD JSON: Expecting value: line 1 column 3 (char 2)"),
+            ("[[1,[1,2,1,2]]]", 2, "invalid PD code: resolution change is not a merge or split"),
+        ],
+    )
+    def test_pd_code_refused_with_one_line(self, capsys, pd, code, line):
+        out, err = run(capsys, "link", "--pd", pd, expect=code)
+        assert out == "" and err.splitlines() == ["error: " + line]
 
     def test_zero_cells_are_accepted_and_dropped(self, capsys):
         empty, _ = run(capsys, "decompose", _shape_doc({}))

@@ -66,7 +66,12 @@ def with_loops():
     ]
 
 
-DIAGRAMS = ladder(SEED) + with_loops()
+# the benchmark's link ladder
+LINK_LADDER = [
+    LinkDiagram.from_braid_text(word, strands)
+    for word, strands in (("1 1 1", 2), ("1 -2 1 -2", 3), ("1 1 1 1 1", 2), ("1 1 1 2 -1 2", 3))
+]
+DIAGRAMS = ladder(SEED) + with_loops() + LINK_LADDER
 
 
 def layout(c):
@@ -90,6 +95,15 @@ def test_rows_match_the_frozen_builder(potential):
     for diagram in DIAGRAMS:
         got, want = build_sl2_cube(diagram, potential), reference_sl2_cube(diagram, potential)
         assert layout(got) == layout(want), diagram
+
+
+@pytest.mark.parametrize(
+    "potential", [POTENTIALS["standard"], POTENTIALS["standard"].integral_form()], ids=["faithful", "integral"]
+)
+@pytest.mark.parametrize("word, strands", [("1 " * 7, 2), ("1 2 " * 4, 3)], ids=["T(2,7)", "T(3,4)"])
+def test_torus_knots_match_the_frozen_builder(word, strands, potential):
+    diagram = LinkDiagram.from_braid_text(word.strip(), strands)
+    assert layout(build_sl2_cube(diagram, potential)) == layout(reference_sl2_cube(diagram, potential))
 
 
 def test_value_types_follow_the_form():

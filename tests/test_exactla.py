@@ -353,6 +353,9 @@ def sparse_shapes():
         "duplicate and zero rows": with_duplicate_and_zero_rows(permuted(stack, rng, columns=True), rng),
         "all-zero columns": with_zero_columns(permuted(stack, rng, columns=True), rng),
         "tuple rows": [tuple(row) for row in permuted(stack, rng, columns=True)],
+        # a dense and a tall random matrix
+        "20 x 20 at density 0.9": random_matrix(rng, 20, 20, 0.9),
+        "160 x 40 at density 0.3": random_matrix(rng, 160, 40, 0.3),
     }
 
 

@@ -23,9 +23,9 @@ from twkit.corpus import conjugate, random_decomposition
 from twkit.decompose import decompose, reassemble
 from twkit.links import LinkDiagram, Sl2Potential, TwoBraidSpec, build_sl2_cube, build_twobraid
 
-# the benchmark's link ladder, then T(2,7), T(3,4) and T(3,5)
+# the benchmark's link ladder, then T(2,7), T(3,4), T(2,8) and T(3,5)
 LINK_LADDER = (("1 1 1", 2), ("1 -2 1 -2", 3), ("1 1 1 1 1", 2), ("1 1 1 2 -1 2", 3))
-TORUS_KNOTS = {"T(2,7)": ("1 " * 7, 2), "T(3,4)": ("1 2 " * 4, 3), "T(3,5)": ("1 2 " * 5, 3)}
+TORUS_KNOTS = {"T(2,7)": ("1 " * 7, 2), "T(3,4)": ("1 2 " * 4, 3), "T(2,8)": ("1 " * 8, 2), "T(3,5)": ("1 2 " * 5, 3)}
 # the potentials of the byte-identity checks: standard, 1=-3/2, and
 # --k 1 with 1=1,2=1/3 and with 1=2,2=-3
 POTENTIALS = (
@@ -96,12 +96,16 @@ def test_link_ladder(word, strands, potential, integral):
     assert_equal_to_frozen(link_cube(word, strands, POTENTIALS[potential], integral))
 
 
-@pytest.mark.parametrize("name", ["T(2,7)", "T(3,4)"])
-def test_torus_knots(name):
-    assert_equal_to_frozen(link_cube(*TORUS_KNOTS[name], POTENTIALS[0], True))
+@pytest.mark.parametrize(
+    "name, integral",
+    [("T(2,7)", True), ("T(3,4)", True), ("T(2,7)", False), ("T(3,4)", False), ("T(2,8)", False)],
+    ids=["T(2,7)", "T(3,4)", "T(2,7) faithful", "T(3,4) faithful", "T(2,8) faithful"],
+)
+def test_torus_knots(name, integral):
+    assert_equal_to_frozen(link_cube(*TORUS_KNOTS[name], POTENTIALS[0], integral))
 
 
-@pytest.mark.parametrize("N", [10, 20])
+@pytest.mark.parametrize("N", [10, 20, 30])
 def test_twobraids(N):
     assert not assert_equal_to_frozen(build_twobraid(TwoBraidSpec.power_basis(N, N // 2))).is_zero()
 

@@ -18,8 +18,9 @@ import pytest
 from frozen_pages import reference_assembled_pages, reference_page_by_page_list
 from frozen_twobraid import reference_delta_battery, reference_x_powers
 from twkit.corpus import random_decomposition
-from twkit.links import TwoBraidSpec, _x_power, delta_battery
-from twkit.pages import assembled_page_list
+from twkit.decompose import decompose
+from twkit.links import TwoBraidSpec, _x_power, build_twobraid, delta_battery
+from twkit.pages import assembled_page_list, collapse_page
 
 SEED = 1700
 
@@ -56,7 +57,7 @@ def test_x_power_matches_repeated_products(N):
     assert multi >= 1
 
 
-@pytest.mark.parametrize("N", range(2, 9))
+@pytest.mark.parametrize("N", range(2, 10))
 @pytest.mark.parametrize("scalings", [(1, 5, Fraction(-2, 3)), (Fraction(7, 2), -1, 3, Fraction(-1, 9))])
 def test_battery_matches_first_differential_per_complex(N, scalings):
     battery = delta_battery(N, scalings)
@@ -93,3 +94,8 @@ def test_assembled_page_list_matches_page_by_page():
             assert pages == reference_page_by_page_list(d, hat, rs)
     # most decompositions have torsion of two widths or more
     assert widths >= 20
+    # the pages of the twobraid reports, r = 1 to the collapse page
+    for N in (10, 15, 20, 25, 30):
+        d = decompose(build_twobraid(TwoBraidSpec.power_basis(N, N // 2, Fraction(-3, 2))))
+        rs = range(1, collapse_page(d) + 1)
+        assert assembled_page_list(d, True, rs) == reference_page_by_page_list(d, True, rs), N

@@ -228,10 +228,15 @@ BRAIDS = (
 
 @pytest.fixture(scope="module")
 def cubes():
-    return [
+    out = [
         (word, build_sl2_cube(LinkDiagram.from_braid_text(word, strands), potential))
         for word, strands in BRAIDS
         for potential in (Sl2Potential.standard(), LAMBDA)
+    ]
+    # the integral form twkit link builds, on the benchmark's link ladder
+    return out + [
+        (word, build_sl2_cube(LinkDiagram.from_braid_text(word, strands), LAMBDA.integral_form()))
+        for word, strands in BRAIDS[:4]
     ]
 
 
@@ -278,7 +283,7 @@ def test_cubes_match_reference(cubes):
 
 
 def test_twobraids_match_reference():
-    for c in twobraids():
+    for c in twobraids() + [build_twobraid(TwoBraidSpec.power_basis(N, N // 2)) for N in (20, 30)]:
         assert_matches_reference(c)
     for N in range(2, 9):
         assert_matches_reference(twobraid_unreduced(TwoBraidSpec.power_basis(N, max(1, N // 2))))

@@ -219,12 +219,13 @@ def reference_generic_pages(c, r):
     return PageTable(r, entries, True)
 
 
-def draw_decomposition(rng, k, max_generators, torsion=False):
+def draw_decomposition(rng, k, max_generators, torsion=False, exact=False):
     """A corpus.random_decomposition with this k (and, if asked, a
-    torsion piece), by rejection."""
+    torsion piece, and exactly max_generators generators), by rejection."""
     while True:
         d = random_decomposition(rng, max_generators=max_generators)
-        if d.k == k and (d.torsion_pieces or not torsion):
+        size = len(d.free_pieces) + 2 * len(d.torsion_pieces)
+        if d.k == k and (d.torsion_pieces or not torsion) and (size == max_generators or not exact):
             return d
 
 
@@ -263,8 +264,10 @@ class TestGenericPagesAgainstReference:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_seeded_complexes(self, k):
         rng = random.Random(400 + k)
-        for _ in range(10):
-            d = draw_decomposition(rng, k, 16, torsion=True)
+        # ten small complexes, then one of exactly 20 k generators, a
+        # corpus document's size
+        for generators, exact in [(16, False)] * 10 + [(20 * k, True)]:
+            d = draw_decomposition(rng, k, generators, torsion=True, exact=exact)
             for c in (reassemble(d), conjugate(rng, reassemble(d))):
                 fc = specialize_a_to_1(c)
                 for r in page_range(d):
