@@ -120,6 +120,15 @@ def add_to_row(row, col, x):
         row.pop(col, None)
 
 
+def check_shape(rows, nrows, ncols):
+    """Refuse sparse rows unless there are nrows of them, each keyed by
+    int columns in range(ncols)."""
+    if len(rows) != nrows:
+        raise ValueError("row count does not match target rank")
+    if any(type(c) is not int or not 0 <= c < ncols for row in rows for c in row):
+        raise ValueError("column index out of range")
+
+
 @dataclass(frozen=True)
 class HomMatrix:
     """Degree-homogeneous matrix between graded free modules.
@@ -142,11 +151,7 @@ class HomMatrix:
     def __post_init__(self):
         src = tuple(int(d) for d in self.source_degrees)
         tgt = tuple(int(d) for d in self.target_degrees)
-        if len(self.rows) != len(tgt):
-            raise ValueError("row count does not match target rank")
-        ncols = len(src)
-        if any(type(c) is not int or not 0 <= c < ncols for row in self.rows for c in row):
-            raise ValueError("column index out of range")
+        check_shape(self.rows, len(tgt), len(src))
         rows = tuple({c: canonical(x) for c, x in row.items() if x} for row in self.rows)
         object.__setattr__(self, "source_degrees", src)
         object.__setattr__(self, "target_degrees", tgt)
@@ -179,18 +184,3 @@ class HomMatrix:
             for tdeg, row in zip(self.target_degrees, self.rows)
         ]
 
-
-def hom_matrix_validate(m: HomMatrix):
-    """None if homogeneous, else the first violating (row, col) in
-    row-major order.
-
-    A violation is a nonzero entry whose degree gap is negative or not
-    a multiple of 2k.
-    """
-    d2k = m.ring.a_degree
-    src = m.source_degrees
-    for r, (tdeg, row) in enumerate(zip(m.target_degrees, m.rows)):
-        bad = [c for c in row if src[c] < tdeg or (src[c] - tdeg) % d2k]
-        if bad:
-            return (r, min(bad))
-    return None

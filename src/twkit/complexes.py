@@ -14,7 +14,7 @@ from .algebra import (
     BigradedTable,
     GradedRing,
     HomMatrix,
-    hom_matrix_validate,
+    check_shape,
 )
 
 
@@ -32,6 +32,32 @@ class InternalError(RuntimeError):
         self.stage = stage
 
 
+def check_differentials(degrees, mats, step):
+    """Refuse a complex on {i: generator degrees} and {i: sparse rows
+    out of i}, shapes checked already: first an entry whose degree drop,
+    source degree minus target degree, is negative or not a multiple of
+    step (no drop at all when step is 0), the first in degree then
+    row-major order; then the first square with d^2 != 0."""
+    for i, rows in sorted(mats.items()):
+        src = degrees.get(i, ())
+        for r, (tdeg, row) in enumerate(zip(degrees.get(i + 1, ()), rows)):
+            if step:
+                bad = [c for c in row if src[c] < tdeg or (src[c] - tdeg) % step]
+            else:
+                bad = [c for c in row if src[c] != tdeg]
+            if bad:
+                raise ComplexError(
+                    "differential at degree %d is not homogeneous at entry %r" % (i, (r, min(bad)))
+                )
+    for i, rows in sorted(mats.items()):
+        nxt = mats.get(i + 1)
+        if nxt is not None and any(exactla.matmul(nxt, rows)):
+            raise ComplexError(
+                "d^2 != 0 on the square starting at degree %d (maps %d->%d->%d)"
+                % (i, i, i + 1, i + 2)
+            )
+
+
 class GradedComplex:
     """Bounded complex of graded-free k[a]-modules.
 
@@ -41,8 +67,8 @@ class GradedComplex:
     It keeps degrees as {i: tuple} and differentials as {i: HomMatrix}
     on the degrees at i and i + 1.  Zero-rank degrees are dropped,
     missing differentials mean zero maps, and nonzero rows without
-    generators on both sides are refused.  Every construction
-    validates homogeneity of every differential and d^2 = 0.
+    generators on both sides are refused.  Every construction checks
+    that each entry lowers the degree by a multiple of 2k, and d^2 = 0.
     """
 
     __slots__ = ("ring", "degrees", "differentials")
@@ -61,26 +87,10 @@ class GradedComplex:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "degrees", degs)
         object.__setattr__(self, "differentials", diffs)
-        self._validate()
+        check_differentials(degs, {i: d.rows for i, d in diffs.items()}, ring.a_degree)
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedComplex is immutable")
-
-    def _validate(self):
-        for i, d in sorted(self.differentials.items()):
-            bad = hom_matrix_validate(d)
-            if bad is not None:
-                raise ComplexError(
-                    "differential at degree %d is not homogeneous at entry %r"
-                    % (i, bad)
-                )
-        for i, d in sorted(self.differentials.items()):
-            nxt = self.differentials.get(i + 1)
-            if nxt is not None and any(exactla.matmul(nxt.rows, d.rows)):
-                raise ComplexError(
-                    "d^2 != 0 on the square starting at degree %d (maps %d->%d->%d)"
-                    % (i, i, i + 1, i + 2)
-                )
 
     def rank(self, i: int) -> int:
         return len(self.degrees.get(i, ()))
@@ -129,10 +139,13 @@ class FieldComplex:
     rows, one per generator at degree i + 1: {col: value} maps of the
     nonzero entries, values canonical (an int when integral, a
     Fraction otherwise).  The constructor takes sparse rows only;
-    complex_from_data alone reads dense cells.
+    complex_from_data alone reads dense cells.  Unless validate is
+    false, it checks shapes, that no entry changes the degree (in a
+    filtered complex, that none raises the level), and d^2 = 0.
     """
 
     __slots__ = ("degrees", "mats")
+    _step = 0
 
     def __init__(self, degrees, mats, validate=True):
         degs = {int(i): tuple(v) for i, v in degrees.items() if len(v)}
@@ -142,35 +155,16 @@ class FieldComplex:
             # no rows, or no columns and nothing in them: a zero map
             if not rows or not (degs.get(i) or any(rows)):
                 continue
+            if validate:
+                check_shape(rows, len(degs.get(i + 1, ())), len(degs.get(i, ())))
             ms[i] = tuple({c: exactla.canonical(x) for c, x in row.items() if x} for row in rows)
         object.__setattr__(self, "degrees", degs)
         object.__setattr__(self, "mats", ms)
         if validate:
-            self._validate()
+            check_differentials(degs, ms, self._step)
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldComplex is immutable")
-
-    def _label_ok(self, src_label, tgt_label):
-        return src_label == tgt_label
-
-    def _validate(self):
-        for i, rows in sorted(self.mats.items()):
-            src = self.degrees.get(i, ())
-            tgt = self.degrees.get(i + 1, ())
-            if len(rows) != len(tgt) or any(c < 0 or c >= len(src) for row in rows for c in row):
-                raise ComplexError("shape mismatch at degree %d" % i)
-            for r, row in enumerate(rows):
-                for c in sorted(row):
-                    if not self._label_ok(src[c], tgt[r]):
-                        raise ComplexError(
-                            "entry (%d, %d) at degree %d violates the grading"
-                            % (r, c, i)
-                        )
-        for i, rows in sorted(self.mats.items()):
-            nxt = self.mats.get(i + 1)
-            if nxt is not None and any(exactla.matmul(nxt, rows)):
-                raise ComplexError("d^2 != 0 on the square starting at degree %d" % i)
 
     def rank(self, i: int) -> int:
         return len(self.degrees.get(i, ()))
@@ -183,13 +177,11 @@ class FilteredFieldComplex(FieldComplex):
     (the a -> 1 specialization, levels = old polynomial degrees)."""
 
     __slots__ = ("_profiles",)
+    _step = 1
 
     def __init__(self, degrees, mats, validate=True):
         super().__init__(degrees, mats, validate)
         object.__setattr__(self, "_profiles", {})
-
-    def _label_ok(self, src_label, tgt_label):
-        return tgt_label <= src_label
 
     def lowered_rank(self, n: int, above: int, upto: int) -> int:
         """Rank of the differential out of degree n from the generators

@@ -111,9 +111,9 @@ class ExactCouple:
     source bidegree, shaped target-dim x source-dim.  Each map is held
     as a tuple of rows, one per target generator, each a {col: value}
     map of the nonzeros with canonical values (an int when integral, a
-    Fraction otherwise); zero maps are not stored, and f_at, g_at and
-    h_at give them as empty rows.  The constructor takes sparse rows
-    only; complexes.complex_from_data alone reads dense cells.  g_shift
+    Fraction otherwise); zero maps are not stored.  The constructor
+    takes sparse rows only; complexes.complex_from_data alone reads
+    dense cells.  g_shift
     records the accumulated polynomial bidegree of g.  Exactness of the
     triangle is validated on construction at every bidegree whose
     referenced slots all lie inside the window.  memo is the derivation
@@ -195,26 +195,6 @@ class ExactCouple:
     def e_table(self) -> BigradedTable:
         """E dimensions keyed (homological, polynomial)."""
         return BigradedTable(self._e)
-
-    def f_at(self, i, s):
-        mat = self._f.get((i, s))
-        if mat is not None:
-            return mat
-        self.a_dim(i, s)
-        return ({},) * self.a_dim(i, s + 2 * self.k)
-
-    def g_at(self, i, s):
-        mat = self._g.get((i, s))
-        if mat is not None:
-            return mat
-        self.a_dim(i, s)
-        return ({},) * self.e_dim(i, s + self.g_shift)
-
-    def h_at(self, i, s):
-        mat = self._h.get((i, s))
-        if mat is not None:
-            return mat
-        return ({},) * self.a_dim(i + 1, s - 2 * self.k)
 
     def differential(self, i, s):
         """d = g o h out of E at (i, s) as a tuple of rows, bidegree

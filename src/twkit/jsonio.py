@@ -52,7 +52,9 @@ def json_kind(data) -> str:
     return {list: "an array", str: "a string", bool: "a bool", type(None): "null"}.get(type(data), "a number")
 
 
-def _check_header(data, expected_type):
+def _check_header(data, expected_type, *required):
+    """Refuse data unless it is a tw/1 object of expected_type holding
+    every required key."""
     if not isinstance(data, dict):
         raise SchemaError("expected a JSON object, got %s" % json_kind(data))
     if data.get("format") != FORMAT:
@@ -61,6 +63,9 @@ def _check_header(data, expected_type):
         raise SchemaError(
             "expected a %r document, got %r" % (expected_type, data.get("type"))
         )
+    for key in required:
+        if key not in data:
+            raise SchemaError("malformed %s document: missing required key %s" % (expected_type, json.dumps(key)))
 
 
 def _degree(key) -> int:
@@ -109,7 +114,7 @@ def _object(x, what):
 
 
 def complex_from_json(data) -> GradedComplex:
-    _check_header(data, "complex")
+    _check_header(data, "complex", "modules", "k")
     try:
         modules = {
             _degree(i): [_int(s) for s in _array(degs, "a degree list to be an array of integers")]
@@ -142,7 +147,7 @@ def decomposition_to_data(d: Decomposition) -> dict:
 
 
 def decomposition_from_json(data) -> Decomposition:
-    _check_header(data, "decomposition")
+    _check_header(data, "decomposition", "k")
     try:
         return Decomposition(
             _int(data["k"]),
@@ -199,7 +204,7 @@ def page_to_data(page: PageTable) -> dict:
 
 
 def page_from_json(data) -> PageTable:
-    _check_header(data, "page")
+    _check_header(data, "page", "hat", "entries", "r")
     try:
         hat = data["hat"]
         if type(hat) is not bool:
@@ -245,7 +250,7 @@ def raw_pages_to_data(k: int, tables) -> dict:
 
 
 def pages_from_json(data) -> PageSequence:
-    _check_header(data, "pages")
+    _check_header(data, "pages", "pages", "k")
     try:
         tables = []
         for page in _array(data["pages"], '"pages" to be an array of pages'):

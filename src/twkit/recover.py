@@ -104,8 +104,9 @@ def recover(ps: PageSequence) -> Decomposition:
     off page r for r = tau..1.
 
     On page r the free generators and every torsion piece of width
-    >= r contribute; pieces of width exactly r are found by pairing
-    what remains, scanning homological degrees downward (a pair's
+    >= r contribute, and on page r + 1 all of them but the pieces of
+    width exactly r.  Those are found by pairing the classes of
+    E_r - E_{r+1}, scanning homological degrees downward (a pair's
     second class sits one degree below its first, so at the top degree
     every remaining class starts a pair of width r).
     """
@@ -117,31 +118,25 @@ def recover(ps: PageSequence) -> Decomposition:
     torsion = {}
 
     for r in range(tau, 0, -1):
-        residual = dict(ps.page(r).items())
+        # PageSequence refuses a page that grows, so page r holds all of page r + 1
+        after = ps.page(r + 1)
+        residual = {pos: dim - after.get(*pos) for pos, dim in ps.page(r).items() if dim > after.get(*pos)}
 
-        def take(pos, mult):
-            have = residual.get(pos, 0)
-            if have < mult:
-                raise InconsistentPages(
-                    "inconsistent pages: page %d lacks %d classes at (%d, %d)"
-                    % (r, mult, pos[0], pos[1])
-                )
-            if have == mult:
-                del residual[pos]
-            else:
-                residual[pos] = have - mult
-
-        for pos, mult in free.items():
-            take(pos, mult)
-        for (i, m, s), mult in torsion.items():
-            take((i, s), mult)
-            take((i - 1, s + 2 * k * m), mult)
         while residual:
             top = max(i for (i, _) in residual)
             for (i, s) in sorted(p for p in residual if p[0] == top):
                 mult = residual.pop((i, s))
                 torsion[(i, r, s)] = torsion.get((i, r, s), 0) + mult
-                take((i - 1, s + 2 * k * r), mult)
+                # the partner class, one degree down
+                pos = (i - 1, s + 2 * k * r)
+                left = residual.pop(pos, 0) - mult
+                if left < 0:
+                    raise InconsistentPages(
+                        "inconsistent pages: page %d lacks %d classes at (%d, %d)"
+                        % (r, mult, pos[0], pos[1])
+                    )
+                if left:
+                    residual[pos] = left
 
     free_pieces = tuple(
         pos for pos, mult in sorted(free.items()) for _ in range(mult)

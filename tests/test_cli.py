@@ -745,6 +745,29 @@ class TestComplexDocumentRefusals:
         assert str(caught.value) == "malformed page document: " + line
 
     @pytest.mark.parametrize(
+        "command, doc, line",
+        [
+            ("decompose", {"type": "complex", "k": 1}, 'complex document: missing required key "modules"'),
+            ("decompose", {"type": "complex", "modules": {"0": [0]}}, 'complex document: missing required key "k"'),
+            ("couple", {"type": "decomposition", "free": [[0, 0]]}, 'decomposition document: missing required key "k"'),
+            ("pages", {"type": "decomposition"}, 'decomposition document: missing required key "k"'),
+            ("recover", {"type": "pages", "k": 1}, 'pages document: missing required key "pages"'),
+            ("recover", {"type": "pages", "pages": [[]]}, 'pages document: missing required key "k"'),
+        ],
+    )
+    def test_missing_key_named_in_one_line(self, capsys, command, doc, line):
+        out, err = run(capsys, command, json.dumps({"format": "tw/1", **doc}), expect=1)
+        assert out == "" and err.splitlines() == ["error: malformed " + line]
+
+    @pytest.mark.parametrize("key", ["r", "hat", "entries"])
+    def test_page_missing_key_named(self, key):
+        doc = {"format": "tw/1", "type": "page", "r": 1, "hat": True, "entries": []}
+        del doc[key]
+        with pytest.raises(jsonio.SchemaError) as caught:
+            jsonio.page_from_json(doc)
+        assert str(caught.value) == "malformed page document: missing required key %s" % json.dumps(key)
+
+    @pytest.mark.parametrize(
         "pd, code, line",
         [
             ("5", 1, "invalid PD code: expected an array of [sign, [a, b, c, d]] crossings"),

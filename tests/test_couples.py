@@ -54,7 +54,7 @@ class TestModelCouple:
         assert all(i == 0 and 0 <= s <= hi and s % 2 == 0 for i, s in slots)
         assert c.a_dim(0, 0) == 1
         # f is injective on an infinite tower window except at the top
-        assert c.f_at(0, hi - 2) == ({0: 1},)
+        assert c._f[(0, hi - 2)] == ({0: 1},)
 
     def test_torsion_tower_length(self):
         d = width_two_fixture()
@@ -62,7 +62,7 @@ class TestModelCouple:
         assert c.a_dim(1, 0) == 1 and c.a_dim(1, 2) == 1
         assert c.a_dim(1, 4) == 0
         # h carries the top class of E one degree up into the tower
-        assert c.h_at(0, 4) == ({0: 1},)
+        assert c._h[(0, 4)] == ({0: 1},)
 
     def test_empty_decomposition(self):
         c = couple_from_decomposition(Decomposition(2))
@@ -190,9 +190,18 @@ class TestCorrespondence:
 
 
 def dense_map(c, name, i, s):
-    """c's map f, g or h out of (i, s) as dense Fraction rows."""
-    rows = getattr(c, name + "_at")(i, s)
+    """c's map f, g or h out of (i, s) as dense Fraction rows: the
+    stored rows, or as many zero rows as the target has generators.
+    Each A slot it reads must lie inside the window."""
     ncols = c.e_dim(i, s) if name == "h" else c.a_dim(i, s)
+    rows = getattr(c, "_" + name).get((i, s))
+    if rows is None:
+        if name == "f":
+            rows = ({},) * c.a_dim(i, s + 2 * c.k)
+        elif name == "g":
+            rows = ({},) * c.e_dim(i, s + c.g_shift)
+        else:
+            rows = ({},) * c.a_dim(i + 1, s - 2 * c.k)
     return tuple(tuple(Fraction(row.get(j, 0)) for j in range(ncols)) for row in rows)
 
 
@@ -494,7 +503,7 @@ class TestDerivationAgainstReference:
         # two towers from one slot, the shorter listed first: f kills
         # the slot's first basis vector, so its pivot column is 1
         chain_through(Decomposition(1, ((0, 2),), ((0, 1, 0), (0, 2, 0))), 6)
-        assert couple_from_decomposition(Decomposition(1, (), ((0, 1, 0), (0, 2, 0)))).f_at(0, 0) == ({1: 1},)
+        assert couple_from_decomposition(Decomposition(1, (), ((0, 1, 0), (0, 2, 0))))._f[(0, 0)] == ({1: 1},)
 
     def test_chains_never_share_a_memo(self):
         d = seeded_decompositions(34, 1)[0]
@@ -537,7 +546,7 @@ class TestDerivationAgainstReference:
 
     def test_maps_one_value_apart_share_no_entry(self):
         c = hand_built()
-        memo, f = c._memo, c.f_at(0, -2)
+        memo, f = c._memo, c._f[(0, -2)]
         assert f == ({0: 1}, {})
         # the same entries, given afresh and as Fractions, are f itself
         assert memo.intern(({0: Fraction(2, 2)}, {})) is f
@@ -545,10 +554,10 @@ class TestDerivationAgainstReference:
         assert other is not f and other == ({0: 2}, {})
         assert memo.reduce(other)[1] == memo.reduce(f)[1] == [0]
         assert memo.reduce(other) is not memo.reduce(f)
-        g = c.g_at(0, 0)
+        g = c._g[(0, 0)]
         assert memo.product(g, f) == memo.product(g, other) == ({},)
         assert memo.product(g, f) is memo.product(g, other)
-        assert memo.product(other, c.f_at(0, 0)) == ({1: 2}, {}) != memo.product(f, c.f_at(0, 0))
+        assert memo.product(other, c._f[(0, 0)]) == ({1: 2}, {}) != memo.product(f, c._f[(0, 0)])
 
     def test_verify_derives_each_couple_once(self, monkeypatch):
         calls = []
@@ -627,12 +636,12 @@ class TestExactnessErrors:
             "h": {(-1, 2): ((0,), (1,))},
         }
         c = hand_built(**maps)
-        assert c.f_at(0, -2) == ({}, {0: 1}) and c.h_at(-1, 2) == ({}, {0: 1})
+        assert c._f[(0, -2)] == ({}, {0: 1}) and c._h[(-1, 2)] == ({}, {0: 1})
         reference_check_exactness(c)
         got = c.derive()
         assert couple_state(got) == couple_state(reference_derive(c))
         # A' is the image of f out of A(0, -2), and h' reaches it
-        assert got.a_dim(0, 0) == 1 and got.h_at(-1, 2) == ({0: 1},)
+        assert got.a_dim(0, 0) == 1 and got._h[(-1, 2)] == ({0: 1},)
 
 
 class TestDerivedCouplesAreValidated:

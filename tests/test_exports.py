@@ -1,6 +1,7 @@
 """The package surface: every name in twkit.__all__ resolves, a star
-import brings in exactly those names, every one of them is used by
-twkit itself, and every module imports first without a cycle."""
+import brings in exactly those names, every one of them and every
+public method or property of a twkit class is used by twkit itself,
+and every module imports first without a cycle."""
 
 import ast
 import pathlib
@@ -25,6 +26,18 @@ def test_star_import():
     assert sorted(namespace) == sorted(twkit.__all__)
 
 
+MODULES = {path.name: ast.parse(path.read_text()) for path in pathlib.Path(twkit.__path__[0]).glob("*.py")}
+
+# the names of the ast.Name and ast.Attribute nodes of every module but
+# __init__.py, which only re-exports
+USED = {
+    getattr(n, "id", getattr(n, "attr", None))
+    for name, tree in MODULES.items()
+    if name != "__init__.py"
+    for n in ast.walk(tree)
+}
+
+
 # exported names no twkit module uses: couple_pages, which
 # perfbench/tracing.py wraps by name (ROADMAP item 8), and
 # gaussian_eliminate, the cancellation step criterion 9 checks
@@ -33,15 +46,26 @@ UNUSED_EXPORTS = {"couple_pages", "gaussian_eliminate"}
 
 def test_every_export_is_used_inside_twkit():
     """A name that only tests call belongs in tests/, not in src/."""
-    used = set()
-    for path in pathlib.Path(twkit.__path__[0]).glob("*.py"):
-        if path.name != "__init__.py":
-            # the names of ast.Name and ast.Attribute nodes
-            used.update(getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(ast.parse(path.read_text())))
-    unused = set(twkit.__all__) - used - {"__version__"}
+    unused = set(twkit.__all__) - USED - {"__version__"}
     extra = sorted(unused - UNUSED_EXPORTS)
     assert not extra, "exported but unused inside twkit: " + ", ".join(extra)
     assert UNUSED_EXPORTS <= unused, "an exception is no longer exported or now used"
+
+
+def test_every_public_member_is_used_inside_twkit():
+    """A public method or property of a twkit class that only tests
+    call belongs in tests/, not in src/."""
+    members = [
+        (name, cls.name, f.name)
+        for name, tree in MODULES.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for f in cls.body
+        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) and not f.name.startswith("_")
+    ]
+    assert len(members) > 40
+    unused = ["%s: %s.%s" % member for member in members if member[2] not in USED]
+    assert not unused, "public but unused inside twkit: " + ", ".join(unused)
 
 
 # twkit/__init__.py fixes one import order; a bare package object in

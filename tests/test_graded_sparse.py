@@ -10,6 +10,7 @@ eliminated complex must agree with it.
 
 import importlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,12 +18,14 @@ import pytest
 from builders import direct_sum, shifted, twobraid_unreduced, unit_pivots
 from dense_la import dense_matmul, dense_row_reduce, dense_rows, sparse_rows
 from twkit import corpus, exactla
-from twkit.algebra import GradedRing, HomMatrix, hom_matrix_validate
+from twkit.algebra import GradedRing, HomMatrix
 from twkit.complexes import (
     ComplexError,
     FieldComplex,
+    FilteredFieldComplex,
     GradedComplex,
     InternalError,
+    check_differentials,
     complex_from_data,
     gaussian_eliminate,
     reduce_mod_a,
@@ -67,7 +70,7 @@ def dense_mats(c):
 
 
 def reference_validate(c, mats=None):
-    """GradedComplex._validate on dense cells (mats, from dense_mats by
+    """The graded complex check on dense cells (mats, from dense_mats by
     default): raises the same ComplexError, or returns None."""
     mats = dense_mats(c) if mats is None else mats
     for i, d in sorted(c.differentials.items()):
@@ -84,6 +87,34 @@ def reference_validate(c, mats=None):
                     "d^2 != 0 on the square starting at degree %d (maps %d->%d->%d)"
                     % (i, i, i + 1, i + 2)
                 )
+
+
+def reference_field_validate(fc):
+    """FieldComplex's own check, with its level rule per class, as it
+    stood before the three complex types shared one check: raises its
+    ComplexError, or returns None."""
+
+    def label_ok(src_label, tgt_label):
+        if isinstance(fc, FilteredFieldComplex):
+            return tgt_label <= src_label
+        return src_label == tgt_label
+
+    for i, rows in sorted(fc.mats.items()):
+        src = fc.degrees.get(i, ())
+        tgt = fc.degrees.get(i + 1, ())
+        if len(rows) != len(tgt) or any(c < 0 or c >= len(src) for row in rows for c in row):
+            raise ComplexError("shape mismatch at degree %d" % i)
+        for r, row in enumerate(rows):
+            for c in sorted(row):
+                if not label_ok(src[c], tgt[r]):
+                    raise ComplexError(
+                        "entry (%d, %d) at degree %d violates the grading"
+                        % (r, c, i)
+                    )
+    for i, rows in sorted(fc.mats.items()):
+        nxt = fc.mats.get(i + 1)
+        if nxt is not None and any(exactla.matmul(nxt, rows)):
+            raise ComplexError("d^2 != 0 on the square starting at degree %d" % i)
 
 
 def _argsort(values, reverse=False):
@@ -269,7 +300,7 @@ def assert_canonical(c):
 
 def assert_matches_reference(c):
     reference_validate(c)
-    c._validate()
+    check_differentials(c.degrees, {i: d.rows for i, d in c.differentials.items()}, c.ring.a_degree)
     assert _split_pieces(c) == reference_split_pieces(c)
     assert_canonical(c)
 
@@ -365,9 +396,44 @@ def test_bad_complexes_give_the_same_errors(cubes):
     assert seen["homogeneous"] > 10 and seen["d^2"] > 10
 
 
+def test_bad_field_complexes_give_the_reference_refusals(cubes):
+    """An entry that changes the degree (raises the level, when
+    filtered) and a d^2 != 0 square, planted at random in the mod-a and
+    a = 1 specializations of valid complexes: the shared check refuses
+    the entry and the square that the field complexes' own check
+    refused, in the graded text."""
+    rng = random.Random(6)
+    inputs = [c for _, c in cubes[:6]] + corpus_complexes(5)
+    seen = {}
+    for c in inputs:
+        for fc in (reduce_mod_a(c), specialize_a_to_1(c)):
+            for _ in range(6):
+                i = rng.choice(sorted(fc.mats))
+                rows = list(fc.mats[i])
+                r, col = rng.randrange(len(rows)), rng.randrange(fc.rank(i))
+                rows[r] = {**rows[r], col: rows[r].get(col, 0) + rng.choice((1, -2, Fraction(1, 3)))}
+                planted = type(fc)(fc.degrees, {**fc.mats, i: rows}, validate=False)
+                want = _error(lambda: reference_field_validate(planted))
+                got = _error(lambda: type(fc)(fc.degrees, planted.mats))
+                if want is None:
+                    assert got is None
+                    continue
+                entry = re.fullmatch(r"entry \((\d+), (\d+)\) at degree (-?\d+) violates the grading", want)
+                if entry:
+                    r, col, i = map(int, entry.groups())
+                    assert got == "differential at degree %d is not homogeneous at entry (%d, %d)" % (i, r, col)
+                else:
+                    i = int(re.fullmatch(r"d\^2 != 0 on the square starting at degree (-?\d+)", want).group(1))
+                    assert got == "%s (maps %d->%d->%d)" % (want, i, i + 1, i + 2)
+                key = type(fc).__name__, "entry" if entry else "d^2"
+                seen[key] = seen.get(key, 0) + 1
+    assert len(seen) == 4 and min(seen.values()) > 5, seen
+
+
 def test_hom_matrix_validate_matches_reference():
-    """The first bad (row, col) in row-major order, also when a row's
-    columns were inserted out of order."""
+    """GradedComplex refuses the reference's first bad (row, col) in
+    row-major order, also when a row's columns were inserted out of
+    order."""
     rng = random.Random(11)
     ring = GradedRing(2)
     for _ in range(400):
@@ -377,7 +443,9 @@ def test_hom_matrix_validate_matches_reference():
         rows = [dict(sorted(((c, x) for c, x in enumerate(row) if x), reverse=True)) for row in cells]
         m = HomMatrix(ring, src, tgt, rows)
         assert m.rows == tuple(sparse_rows(cells))
-        assert hom_matrix_validate(m) == reference_hom_matrix_validate(ring, src, tgt, cells)
+        bad = reference_hom_matrix_validate(ring, src, tgt, cells)
+        want = None if bad is None else "differential at degree 0 is not homogeneous at entry %r" % (bad,)
+        assert _error(lambda: GradedComplex(ring, {0: src, 1: tgt}, {0: rows})) == want
 
 
 # -- storage ---------------------------------------------------------------

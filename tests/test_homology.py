@@ -25,11 +25,13 @@ from dense_la import (
     sparse_rows,
 )
 from twkit import complexes, exactla
+from twkit.algebra import GradedRing
 from twkit.complexes import (
     ComplexError,
     FieldComplex,
     FieldHomologyBasis,
     FilteredFieldComplex,
+    GradedComplex,
     complex_from_data,
     first_differential,
     homology_field,
@@ -259,25 +261,41 @@ def test_hand_built_field_complexes(name, form):
     assert_homology_matches(filtered, degrees, mats, graded=False)
 
 
+def _refusal(build):
+    """The exception type and text that build() raises."""
+    with pytest.raises(ValueError) as caught:
+        build()
+    return type(caught.value), str(caught.value)
+
+
 def test_row_forms_reject_the_same_defects():
     """Each defect is refused in both row forms: dense cells at the
-    boundary (complex_from_data) and sparse rows (FieldComplex)."""
-    with pytest.raises(ComplexError, match="not homogeneous"):
-        complex_from_data(1, {0: [0], 1: [2]}, {0: [[1]]})
-    with pytest.raises(ComplexError, match="violates the grading"):
-        FieldComplex({0: (0,), 1: (2,)}, {0: [{0: 1}]})
-    with pytest.raises(ValueError, match="^column count does not match source rank$"):
-        complex_from_data(1, {0: [0], 1: [0]}, {0: [[1, 0]]})
-    with pytest.raises(ComplexError, match="shape mismatch"):
-        FieldComplex({0: (0,), 1: (0,)}, {0: [{1: 1}]})
-    with pytest.raises(ValueError, match="^row count does not match target rank$"):
-        complex_from_data(1, {0: [0], 1: [0]}, {0: [[1], [1]]})
-    with pytest.raises(ComplexError, match="shape mismatch"):
-        FieldComplex({0: (0,), 1: (0,)}, {0: [{0: 1}, {0: 1}]})
-    with pytest.raises(ComplexError, match="d\\^2"):
-        complex_from_data(1, {0: [0], 1: [0], 2: [0]}, {0: [[1]], 1: [[1]]})
-    with pytest.raises(ComplexError, match="d\\^2"):
-        FieldComplex({0: (0,), 1: (0,), 2: (0,)}, {0: [{0: 1}], 1: [{0: 1}]})
+    boundary (complex_from_data) and sparse rows (GradedComplex and
+    both field complexes), with one exception type and one text
+    wherever the defect is the same."""
+    ring = GradedRing(1)
+    # an entry that raises the degree
+    inhomogeneous = (ComplexError, "differential at degree 0 is not homogeneous at entry (0, 0)")
+    assert _refusal(lambda: complex_from_data(1, {0: [0], 1: [2]}, {0: [[1]]})) == inhomogeneous
+    assert _refusal(lambda: FieldComplex({0: (0,), 1: (2,)}, {0: [{0: 1}]})) == inhomogeneous
+    assert _refusal(lambda: FilteredFieldComplex({0: (0,), 1: (2,)}, {0: [{0: 1}]})) == inhomogeneous
+    # a dense row has a length, a sparse row a column out of range
+    wide = (ValueError, "column count does not match source rank")
+    assert _refusal(lambda: complex_from_data(1, {0: [0], 1: [0]}, {0: [[1, 0]]})) == wide
+    out_of_range = (ValueError, "column index out of range")
+    assert _refusal(lambda: GradedComplex(ring, {0: (0,), 1: (0,)}, {0: [{1: 1}]})) == out_of_range
+    assert _refusal(lambda: FieldComplex({0: (0,), 1: (0,)}, {0: [{1: 1}]})) == out_of_range
+    assert _refusal(lambda: FilteredFieldComplex({0: (0,), 1: (0,)}, {0: [{-1: 1}]})) == out_of_range
+    # one row too many
+    tall = (ValueError, "row count does not match target rank")
+    assert _refusal(lambda: complex_from_data(1, {0: [0], 1: [0]}, {0: [[1], [1]]})) == tall
+    assert _refusal(lambda: FieldComplex({0: (0,), 1: (0,)}, {0: [{0: 1}, {0: 1}]})) == tall
+    assert _refusal(lambda: FilteredFieldComplex({0: (0,), 1: (0,)}, {0: [{0: 1}, {0: 1}]})) == tall
+    # d^2 != 0
+    square = (ComplexError, "d^2 != 0 on the square starting at degree 0 (maps 0->1->2)")
+    assert _refusal(lambda: complex_from_data(1, {0: [0], 1: [0], 2: [0]}, {0: [[1]], 1: [[1]]})) == square
+    assert _refusal(lambda: FieldComplex({0: (0,), 1: (0,), 2: (0,)}, {0: [{0: 1}], 1: [{0: 1}]})) == square
+    assert _refusal(lambda: FilteredFieldComplex({0: (2,), 1: (0,), 2: (0,)}, {0: [{0: 1}], 1: [{0: 1}]})) == square
 
 
 # -- one elimination per differential ------------------------------------
