@@ -17,6 +17,8 @@ from .algebra import (
     check_shape,
 )
 
+_SHAPE_REFUSAL = "differential at degree %d: %s"
+
 
 class ComplexError(ValueError):
     """Structural defect in a complex: bad shapes, inhomogeneous
@@ -79,7 +81,10 @@ class GradedComplex:
         for i, rows in differentials.items():
             i = int(i)
             if i in degs and i + 1 in degs:
-                diffs[i] = HomMatrix(ring, degs[i], degs[i + 1], tuple(rows))
+                try:
+                    diffs[i] = HomMatrix(ring, degs[i], degs[i + 1], tuple(rows))
+                except ValueError as e:
+                    raise ValueError(_SHAPE_REFUSAL % (i, e)) from None
             elif any(rows):
                 raise ComplexError(
                     "differential at degree %d has no matching modules" % i
@@ -124,9 +129,9 @@ def complex_from_data(k: int, modules, differentials) -> GradedComplex:
         i = int(i)
         src, tgt = degrees.get(i, ()), degrees.get(i + 1, ())
         if len(rows) != len(tgt):
-            raise ValueError("row count does not match target rank")
+            raise ValueError(_SHAPE_REFUSAL % (i, "row count does not match target rank"))
         if any(len(row) != len(src) for row in rows):
-            raise ValueError("column count does not match source rank")
+            raise ValueError(_SHAPE_REFUSAL % (i, "column count does not match source rank"))
         diffs[i] = [{c: x for c, x in enumerate(row) if x} for row in rows]
     return GradedComplex(GradedRing(k), degrees, diffs)
 
@@ -156,7 +161,10 @@ class FieldComplex:
             if not rows or not (degs.get(i) or any(rows)):
                 continue
             if validate:
-                check_shape(rows, len(degs.get(i + 1, ())), len(degs.get(i, ())))
+                try:
+                    check_shape(rows, len(degs.get(i + 1, ())), len(degs.get(i, ())))
+                except ValueError as e:
+                    raise ValueError(_SHAPE_REFUSAL % (i, e)) from None
             ms[i] = tuple({c: exactla.canonical(x) for c, x in row.items() if x} for row in rows)
         object.__setattr__(self, "degrees", degs)
         object.__setattr__(self, "mats", ms)
@@ -273,7 +281,8 @@ def _cancel(degrees, mats, h, row, col, not_invertible):
     degrees[h] = src[:col] + src[col + 1:]
     degrees[h + 1] = tgt[:row] + tgt[row + 1:]
     rows = [dict(r) for r in rows]
-    exactla.clear_column(rows, exactla.column_index(rows), row, col)
+    for i, a, _ in exactla.clear_column(rows, exactla.column_index(rows), row, col):
+        rows[i] = exactla.divided(rows[i], a)
     mats[h] = [_without(full, col) for r, full in enumerate(rows) if r != row]
     if h - 1 in mats:
         mats[h - 1] = [r for i, r in enumerate(mats[h - 1]) if i != col]

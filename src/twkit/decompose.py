@@ -19,6 +19,7 @@ dropped, and the rank accounting total rank = |free| + 2 |torsion| +
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain
 
 from .algebra import (
@@ -26,7 +27,7 @@ from .algebra import (
     GradedRing,
 )
 from .complexes import GradedComplex, InternalError
-from .exactla import clear_column, column_index
+from .exactla import clear_column, column_index, divided
 
 
 @dataclass(frozen=True)
@@ -69,15 +70,15 @@ def decompose(c: GradedComplex) -> Decomposition:
     Works degree by degree from the bottom.  At the lowest remaining
     degree n the source generators are ordered by ascending polynomial
     degree and the targets by descending degree, so in the first column
-    of d^n the a-exponent grows downward and the first nonzero entry is
-    a pivot of minimal exponent m.  If the column is zero the first
-    source splits off as a free piece.  Otherwise a change of basis
-    clears the pivot's column and row: subtracting multiples of the
-    pivot row kills the column below it, which rewrites the next
-    differential's pivot-target column into one that d^2 = 0 forces to
-    vanish; clearing the pivot row afterwards touches nothing else.
-    The source and target then split off as a two-term piece, a torsion
-    piece when m >= 1 and a contractible pair when m = 0.
+    of d^n the a-exponent grows downward and the first nonzero entry (or
+    a unit tied with it) is a pivot of minimal exponent m.  If the column
+    is zero the first source splits off as a free piece.  Otherwise a
+    change of basis clears the pivot's column and row: subtracting
+    multiples of the pivot row kills the column below it, which rewrites
+    the next differential's pivot-target column into one that d^2 = 0
+    forces to vanish; clearing the pivot row afterwards touches nothing
+    else.  The source and target then split off as a two-term piece, a
+    torsion piece when m >= 1 and a contractible pair when m = 0.
     """
     free, torsion, dropped = _split_pieces(c)
     if len(free) + 2 * len(torsion) + 2 * dropped != c.total_rank():
@@ -112,9 +113,11 @@ def _split_pieces(c: GradedComplex):
             if not cand:
                 free.append((n, src[j]))
                 continue
-            # the holder of highest target degree (first in generator
-            # order among equals) has the minimal exponent
+            # the holder of highest target degree has the minimal
+            # exponent: the first in generator order, or a tied unit
             l = min(cand, key=lambda r: (-tgt[r], r))
+            if rows[l][j] not in (1, -1):
+                l = min((r for r in cand if tgt[r] == tgt[l] and rows[r][j] in (1, -1)), default=l)
             gap = src[j] - tgt[l]
             if gap < 0 or gap % two_k:
                 raise InternalError("decompose", "pivot violates homogeneity")
@@ -134,21 +137,22 @@ def _split_pieces(c: GradedComplex):
 
 
 def _clear_pivot_column(d, holders, nxt, nxt_holders, j, l):
-    """Clear column j of d below pivot row l (exactla.clear_column),
-    then check and drop the pivot target's column l of the next
-    differential nxt, which the same row operations make vanish when
-    d^2 = 0.
+    """Clear column j of d below pivot row l (exactla.clear_column, a
+    row it scales by a divided by a again), then check and drop the
+    pivot target's column l of the next differential nxt, which the same
+    row operations make vanish when d^2 = 0.
 
     d and nxt are sparse rows with canonical values, with column
     indices holders and nxt_holders ({col: rows with a nonzero there},
     see column_index).
     """
-    ratios = clear_column(d, holders, l, j)
     # column l of nxt after the same row operations, on its nonzeros
     acc = {r: nxt[r][l] for r in nxt_holders.get(l, ())}
-    for i, ratio in ratios:
+    for i, a, b in clear_column(d, holders, l, j):
+        if a != 1:
+            d[i], b = divided(d[i], a), Fraction(b, a)
         for r in nxt_holders.get(i, ()):
-            acc[r] = acc.get(r, 0) + ratio * nxt[r][i]
+            acc[r] = acc.get(r, 0) + b * nxt[r][i]
     if any(acc.values()):
         raise InternalError("decompose", "outgoing column of a split target did not vanish")
     for r in nxt_holders.pop(l, ()):

@@ -3,9 +3,9 @@
 A matrix is a sequence of rows, each a {col: value} map of its
 nonzeros; a vector is one such map, keyed by coordinate.  Every value
 this kernel writes is canonical (an int when integral, a Fraction
-otherwise; see canonical), and integer entries meet a Fraction
-inverse, never true division.  clear_column is the one sparse pivot
-step: row_reduce (elimination), decompose's splitting and Gaussian
+otherwise; see canonical), and two ints never meet in true division.
+clear_column is the one sparse pivot step, fraction-free on ints:
+row_reduce (elimination), decompose's splitting and Gaussian
 elimination of a contractible pair all call it, on the {col: rows}
 index that column_index builds.  matmul (products) follows the
 nonzeros too.  kernel_from_reduction and solution_from_reduction read
@@ -33,6 +33,7 @@ follows the nonzeros alone.
 
 from collections import defaultdict
 from fractions import Fraction
+from math import gcd, lcm
 
 BACKEND = "pure"
 
@@ -55,48 +56,65 @@ def column_index(rows):
 
 
 def clear_column(rows, holders, p, c):
-    """Subtract from every other row holding column c the multiple of
-    row p that clears it, in place.
-
-    rows are sparse, holders their column index (see column_index),
-    which is kept in step.  Written values are canonical.  Returns the
-    (row id, ratio) pairs: row id lost ratio times row p.
-    """
+    """Clear column c of every other row holding it with row p, in place,
+    keeping holders, their column index (see column_index), in step and
+    writing canonical values.  Returns (row id, a, b) triples: row id
+    became a times itself less b times row p; a = x/g > 0 and b = y/g for
+    g = ±gcd(x, y) on an int pivot x and entry y, else a = 1, b = y/x."""
     prow = rows[p]
     pivot = prow[c]
-    inv = pivot if pivot == 1 or pivot == -1 else Fraction(1) / pivot
-    ratios = []
+    unit = pivot if pivot == 1 or pivot == -1 else 0
+    steps = []
     for i in holders[c] - {p}:
         row = rows[i]
-        ratio = canonical(row[c] * inv)
-        ratios.append((i, ratio))
-        for j, y in prow.items():
-            x = row.get(j)
-            if x is None:
-                row[j] = canonical(-ratio * y)
+        y = row[c]
+        if unit:
+            a, b = 1, y * unit
+        elif type(pivot) is int and type(y) is int:
+            g = gcd(pivot, y) if pivot > 0 else -gcd(pivot, y)
+            a, b = pivot // g, y // g
+            if a != 1:
+                rows[i] = row = {j: canonical(x * a) for j, x in row.items()}
+        else:
+            a, b = 1, canonical(y / pivot)
+        steps.append((i, a, b))
+        for j, x in prow.items():
+            z = row.get(j)
+            if z is None:
+                row[j] = canonical(-b * x)
                 holders[j].add(i)
             else:
-                x -= ratio * y
-                if x:
-                    row[j] = canonical(x)
+                z -= b * x
+                if z:
+                    row[j] = z if type(z) is int else canonical(z)
                 else:
                     del row[j]
                     holders[j].discard(i)
-    return ratios
+    return steps
+
+
+def divided(row, d):
+    """The sparse row over the nonzero int d, canonical."""
+    if d == 1:
+        return row
+    return {j: x // d if type(x) is int and not x % d else canonical(Fraction(x, d)) for j, x in row.items()}
 
 
 def row_reduce(rows):
     """RREF of a rational matrix.
 
-    rows: {col: value} maps of each row's nonzeros.  Returns (rref,
-    pivots): rref as {col: value} maps of the nonzeros with canonical
-    values, one per input row (zero rows last), pivots the list of
-    pivot column indices in row order.  Only nonzeros are visited, so
-    the column count is never needed.  The input is not modified.  RREF
-    is unique, so the pivot row chosen in each column (the sparsest row
-    that holds it, after Markowitz) does not change the result.
-    """
-    sparse = [{j: canonical(x) for j, x in row.items()} for row in rows]
+    rows: {col: value} maps of each row's nonzeros, ints or Fractions,
+    left as they are.  Returns (rref, pivots): rref as canonical maps of
+    the nonzeros, one per input row (zero rows last), pivots the pivot
+    columns in row order.  Row scaling and the choice of pivot row leave
+    the RREF as it is, so rows are cleared of denominators, a unit pivot
+    goes first (then the sparsest, after Markowitz), a row clear_column
+    scales is made primitive, and each pivot row is divided by its pivot
+    once, at the end."""
+    sparse = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row.values() if type(x) is not int))
+        sparse.append({j: x * den if type(x) is int else x.numerator * (den // x.denominator) for j, x in row.items()})
     holders = column_index(sparse)
     pending = set(range(len(rows)))
     order = []
@@ -109,16 +127,15 @@ def row_reduce(rows):
         candidates = holders[c] & pending
         if not candidates:
             continue
-        p = min(candidates, key=lambda i: (len(sparse[i]), i))
-        pivot = sparse[p][c]
-        if pivot != 1:
-            inv = Fraction(1) / pivot
-            sparse[p] = {j: canonical(x * inv) for j, x in sparse[p].items()}
-        clear_column(sparse, holders, p, c)
+        p = min(candidates, key=lambda i: (sparse[i][c] not in (1, -1), len(sparse[i]), i))
+        for i, a, _ in clear_column(sparse, holders, p, c):
+            g = a != 1 and gcd(*sparse[i].values())
+            if g > 1:
+                sparse[i] = {j: x // g for j, x in sparse[i].items()}
         pending.discard(p)
         order.append(p)
         pivots.append(c)
-    rref = [sparse[i] for i in order]
+    rref = [divided(sparse[i], sparse[i][c]) for i, c in zip(order, pivots)]
     rref.extend({} for _ in range(len(rows) - len(order)))
     return rref, pivots
 

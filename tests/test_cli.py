@@ -602,12 +602,19 @@ class TestComplexDocumentRefusals:
     @pytest.mark.parametrize(
         "differentials, modules, code, line",
         [
-            ({"0": [[1]]}, None, 1, "error: column count does not match source rank"),
-            ({"0": [[1, 2, 3]]}, None, 1, "error: column count does not match source rank"),
-            ({"0": [[1, 2], [1, 2]]}, None, 1, "error: row count does not match target rank"),
+            ({"0": [[1]]}, None, 1, "error: differential at degree 0: column count does not match source rank"),
+            ({"0": [[1, 2, 3]]}, None, 1, "error: differential at degree 0: column count does not match source rank"),
+            ({"0": [[1, 2], [1, 2]]}, None, 1, "error: differential at degree 0: row count does not match target rank"),
             # wrong in both ways, the first row short: the row count wins
-            ({"0": [[1], [1, 2]]}, None, 1, "error: row count does not match target rank"),
-            ({"0": [[1, 2, 3], [1]]}, None, 1, "error: row count does not match target rank"),
+            ({"0": [[1], [1, 2]]}, None, 1, "error: differential at degree 0: row count does not match target rank"),
+            ({"0": [[1, 2, 3], [1]]}, None, 1, "error: differential at degree 0: row count does not match target rank"),
+            # the refusal names the differential's degree
+            (
+                {"3": [[1, 2], [1, 2]]},
+                {"3": [0, 0], "4": [0]},
+                1,
+                "error: differential at degree 3: row count does not match target rank",
+            ),
             # a string is never read one character per cell
             (
                 {"0": ["12"]},
@@ -667,6 +674,7 @@ class TestComplexDocumentRefusals:
             "extra row",
             "extra row, first row short",
             "extra row, first row long",
+            "extra row at degree 3",
             "string row",
             "string rows",
             "string differential",

@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from builders import direct_sum, homology_structure
+from frozen_cube import reference_sl2_cube
 from twkit.algebra import BigradedTable
 from twkit.complexes import InternalError, complex_from_data
 from twkit.corpus import conjugate, random_decomposition
 from twkit.decompose import (
     Decomposition,
     _clear_pivot_column,
+    _split_pieces,
     decompose,
     hn_table,
     reassemble,
@@ -22,6 +24,7 @@ from twkit.decompose import (
     torsion_width,
 )
 from twkit.exactla import canonical, column_index
+from twkit.links import LinkDiagram, Sl2Potential
 from twkit.pages import PageTable
 
 
@@ -257,3 +260,97 @@ def test_clear_pivot_column_matches_dense_reference():
 def sparse_rows(rows):
     """{col: canonical value} rows of dense Fraction rows' nonzeros."""
     return [{c: canonical(x) for c, x in enumerate(row) if x} for row in rows]
+
+
+# -- the unit-first pivot against the rational step it replaced ---------
+
+
+def rational_split_pieces(c):
+    """decompose's (free, torsion, dropped) as it was before its pivot
+    step went fraction-free, frozen as the reference: the first holder
+    of the highest target degree is the pivot, and every other holder
+    loses its entry over the pivot times the pivot row.  Also returns
+    how many of those pivots were not units while a holder tied with
+    them held a unit."""
+    two_k = c.ring.a_degree
+    free, torsion, dropped, ties = [], [], 0, 0
+    rows, split = None, set()
+    for n in sorted(c.degrees):
+        src, tgt = c.degrees[n], c.degrees.get(n + 1, ())
+        if rows is None:
+            d = c.differentials.get(n)
+            rows = [dict(row) for row in d.rows] if d is not None else []
+        d = c.differentials.get(n + 1)
+        nxt = [dict(row) for row in d.rows] if d is not None else []
+        holders, nxt_holders = {}, {}
+        for index, mat in ((holders, rows), (nxt_holders, nxt)):
+            for r, row in enumerate(mat):
+                for col in row:
+                    index.setdefault(col, set()).add(r)
+        split_next = set()
+        for j in sorted(set(range(len(src))) - split, key=lambda j: (src[j], j)):
+            cand = holders.get(j)
+            if not cand:
+                free.append((n, src[j]))
+                continue
+            l = min(cand, key=lambda r: (-tgt[r], r))
+            units = [r for r in cand if tgt[r] == tgt[l] and rows[r][j] in (1, -1)]
+            ties += bool(units) and rows[l][j] not in (1, -1)
+            pivot = Fraction(rows[l][j])
+            ratios = []
+            for i in cand - {l}:
+                ratio = rows[i][j] / pivot
+                ratios.append((i, ratio))
+                for col, y in rows[l].items():
+                    x = rows[i].get(col, 0) - ratio * y
+                    if x:
+                        rows[i][col] = x
+                        holders.setdefault(col, set()).add(i)
+                    else:
+                        rows[i].pop(col, None)
+                        holders[col].discard(i)
+            # column l of nxt after the same row operations vanishes
+            acc = {r: nxt[r][l] for r in nxt_holders.get(l, ())}
+            for i, ratio in ratios:
+                for r in nxt_holders.get(i, ()):
+                    acc[r] = acc.get(r, 0) + ratio * nxt[r][i]
+            assert not any(acc.values())
+            for r in nxt_holders.pop(l, ()):
+                del nxt[r][l]
+            m = (src[j] - tgt[l]) // two_k
+            if m == 0:
+                dropped += 1
+            else:
+                torsion.append((n + 1, m, tgt[l]))
+            for col in rows[l]:
+                holders[col].discard(l)
+            split_next.add(l)
+        rows, split = (nxt, split_next) if n + 1 in c.degrees else (None, set())
+    return (free, torsion, dropped), ties
+
+
+FORMS = [Sl2Potential.standard(), Sl2Potential.standard().integral_form()]
+
+
+@pytest.mark.parametrize("potential", FORMS, ids=["fractional", "integral"])
+@pytest.mark.parametrize(
+    "word, strands", [("1 " * 7, 2), ("1 2 " * 4, 3), ("1 2 " * 5, 3)], ids=["T(2,7)", "T(3,4)", "T(3,5)"]
+)
+def test_torus_knots_split_as_the_rational_reference(word, strands, potential):
+    """On the frozen builder's cube, the unit-first, fraction-free split
+    finds the same pieces in the same order as the rational step."""
+    c = reference_sl2_cube(LinkDiagram.from_braid_text(word.strip(), strands), potential)
+    pieces, _ = rational_split_pieces(c)
+    assert _split_pieces(c) == pieces
+    assert decompose(c) == Decomposition(c.ring.k, *pieces[:2])
+
+
+@pytest.mark.parametrize("potential", FORMS, ids=["fractional", "integral"])
+def test_tie_rule_changes_pivots(potential):
+    """The comparison above is not vacuous: on the benchmark's largest
+    link the default pivot is a non-unit with a unit tied to it several
+    times, and the pieces still agree."""
+    c = reference_sl2_cube(LinkDiagram.from_braid_text("1 1 1 2 -1 2", 3), potential)
+    pieces, ties = rational_split_pieces(c)
+    assert ties >= 5
+    assert _split_pieces(c) == pieces

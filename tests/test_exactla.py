@@ -101,25 +101,36 @@ def test_row_reduce_writes_canonical_values():
 
 
 def test_clear_column_in_place():
-    """One pivot step: the other holders of the column lose the
-    multiple of the pivot row that clears it, fill-in joins the index,
-    cancelled entries leave it, and the ratios come back."""
+    """One pivot step: the other holders of the column become a times
+    themselves less b times the pivot row, fill-in joins the index,
+    cancelled entries leave it, and the (row, a, b) steps come back.
+    An int entry under an int pivot steps fraction-free; divided by a,
+    each row is the rational step's row."""
     rows = [{0: 2, 1: 1, 3: F(1, 2)}, {0: 4, 1: 2, 2: 1}, {0: 1, 3: F(-1, 4)}, {2: 5}]
     holders = exactla.column_index(rows)
-    ratios = exactla.clear_column(rows, holders, 0, 0)
-    assert sorted(ratios) == [(1, 2), (2, F(1, 2))]
-    assert all(is_canonical(r) for _, r in ratios)
+    steps = exactla.clear_column(rows, holders, 0, 0)
+    # 2 divides 4, so row 1 is not scaled; gcd(2, 1) = 1 scales row 2 by 2
+    assert sorted(steps) == [(1, 1, 2), (2, 2, 1)]
+    assert all(type(a) is int and is_canonical(b) for _, a, b in steps)
     # row 1 cancels at column 1 and fills in at 3; row 2 fills in at
-    # 1 and its -1/4 - 1/4 turns integral
-    assert rows == [{0: 2, 1: 1, 3: F(1, 2)}, {2: 1, 3: -1}, {1: F(-1, 2), 3: F(-1, 2)}, {2: 5}]
+    # 1 and its 2 (-1/4) - 1/2 turns integral
+    assert rows == [{0: 2, 1: 1, 3: F(1, 2)}, {2: 1, 3: -1}, {1: -1, 3: -1}, {2: 5}]
     assert all(is_canonical(x) for row in rows for x in row.values())
-    assert type(rows[1][3]) is int
+    assert type(rows[1][3]) is int and type(rows[2][3]) is int
     assert {j: h for j, h in holders.items() if h} == exactla.column_index(rows)
-    # a unit pivot clears with the row's own entries as ratios
+    assert exactla.divided(rows[2], 2) == {1: F(-1, 2), 3: F(-1, 2)}
+    assert all(is_canonical(x) for x in exactla.divided(rows[2], 2).values())
+    # a unit pivot clears with a = 1 and the row's own entries as b
     rows = [{0: -1, 1: 3}, {0: F(3, 2), 1: 1}]
     holders = exactla.column_index(rows)
-    assert exactla.clear_column(rows, holders, 0, 0) == [(1, F(-3, 2))]
+    assert exactla.clear_column(rows, holders, 0, 0) == [(1, 1, F(-3, 2))]
     assert rows == [{0: -1, 1: 3}, {1: F(11, 2)}]
+    assert {j: h for j, h in holders.items() if h} == exactla.column_index(rows)
+    # a Fraction pivot takes the rational step, a = 1 and b = y / x
+    rows = [{0: F(1, 2), 1: 1}, {0: 3, 1: 1, 2: F(1, 3)}]
+    holders = exactla.column_index(rows)
+    assert exactla.clear_column(rows, holders, 0, 0) == [(1, 1, 6)]
+    assert rows[1] == {1: -5, 2: F(1, 3)} and type(rows[1][1]) is int
     assert {j: h for j, h in holders.items() if h} == exactla.column_index(rows)
 
 
@@ -243,6 +254,105 @@ def test_row_reduce_matches_dense_reference():
         assert rows == frozen
         first_row_empty += bool(rows and not rows[0] and pivots)
     assert first_row_empty > 100
+
+
+# non-unit pivots: ints from ±2, ±3, ±6 and near 10^12, some units
+NON_UNITS = (2, -2, 3, -3, 6, -6)
+LARGE = (10**12 + 1, -(10**12) + 3, 10**12 - 7)
+
+
+def non_unit_matrix(rng, nr, nc, mixed):
+    """Seeded dense rows of mostly non-unit ints; mixed, a quarter of
+    the entries become Fractions over 2, 3, 4 or 9."""
+
+    def entry():
+        x = rng.choice(NON_UNITS * 4 + (1, -1) + LARGE)
+        return Fraction(x, rng.choice((2, 3, 4, 9))) if mixed and rng.random() < 0.25 else x
+
+    return [[entry() if rng.random() < 0.6 else 0 for _ in range(nc)] for _ in range(nr)]
+
+
+def typed(rows):
+    """Dense rows as (value, type) cells."""
+    return [[(x, type(x)) for x in row] for row in rows]
+
+
+def integral_as_int(rows):
+    """The dense reference's Fraction rows with integral cells as ints."""
+    return [[x.numerator if x.denominator == 1 else x for x in row] for row in rows]
+
+
+def recording_steps(monkeypatch):
+    """Patch exactla.clear_column to record each call's pivot value and
+    its steps' scales a."""
+    pivots, scales = [], []
+    clear_column = exactla.clear_column
+
+    def recording(rows, holders, p, c):
+        pivots.append(rows[p][c])
+        steps = clear_column(rows, holders, p, c)
+        scales.extend(a for _, a, _ in steps)
+        return steps
+
+    monkeypatch.setattr(exactla, "clear_column", recording)
+    return pivots, scales
+
+
+def assert_rref_matches_dense(mat, nc):
+    rows = sparse(mat)
+    frozen = [dict(row) for row in rows]
+    rref, pivots = exactla.row_reduce(rows)
+    want, want_pivots = dense_row_reduce(mat)
+    assert pivots == want_pivots
+    assert typed(dense(rref, nc)) == typed(integral_as_int(want))
+    assert rows == frozen
+
+
+def test_row_reduce_on_non_unit_pivots_matches_dense_reference(monkeypatch):
+    """Integer and mixed int/Fraction matrices rich in non-unit pivots:
+    the fraction-free elimination gives the dense reference's RREF,
+    value for value and type for type."""
+    pivots, scales = recording_steps(monkeypatch)
+    rng = random.Random(25)
+    for n in range(1500):
+        nr, nc = rng.randint(1, 8), rng.randint(1, 8)
+        assert_rref_matches_dense(non_unit_matrix(rng, nr, nc, mixed=n % 2), nc)
+    assert sum(p not in (1, -1) for p in pivots) > 1000
+    assert sum(a != 1 for a in scales) > 1000
+
+
+def test_row_reduce_every_pivot_two(monkeypatch):
+    """A pinned matrix whose every pivot is 2: the rows above each pivot
+    are scaled by 2 before the subtraction, and divided by their pivots
+    at the end."""
+    mat = [[2, 1, 0, 3, 10**12 + 1], [0, 2, 1, 0, 3], [0, 0, 2, 1, -6], [0, 0, 0, 2, 5]]
+    pivots, scales = recording_steps(monkeypatch)
+    assert_rref_matches_dense(mat, 5)
+    assert pivots == [2, 2, 2, 2]
+    assert scales == [2] * 6
+    rref, _ = exactla.row_reduce(sparse(mat))
+    assert rref == [{0: 1, 4: F(7999999999919, 16)}, {1: 1, 4: F(29, 8)}, {2: 1, 4: F(-17, 4)}, {3: 1, 4: F(5, 2)}]
+
+
+def test_integral_rref_builds_no_fraction(monkeypatch):
+    """An integer matrix whose RREF is integral reduces without a
+    Fraction, whatever its pivots: unit pivots never divide, and the
+    read-off divides exactly."""
+    rng = random.Random(8)
+    monkeypatch.setattr(exactla, "Fraction", None)
+    for _ in range(300):
+        n, extra = rng.randint(1, 6), rng.randint(0, 3)
+        # [I | X] under seeded integer row operations
+        mat = [[int(i == j) for j in range(n)] + [rng.choice(NON_UNITS + (0, 1)) for _ in range(extra)] for i in range(n)]
+        for _ in range(8):
+            i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            if i != j:
+                c = rng.choice(NON_UNITS + (1, -1))
+                mat[i] = [x + c * y for x, y in zip(mat[i], mat[j])]
+        rng.shuffle(mat)
+        rref, pivots = exactla.row_reduce(sparse(mat))
+        assert pivots == list(range(n))
+        assert all(type(x) is int for row in rref for x in row.values())
 
 
 def test_derived_helpers_match_dense_reference():

@@ -540,30 +540,96 @@ def test_eliminate_graded_matches_reference(cubes):
             if not pivots:
                 continue
             row, col = rng.choice(pivots)
-            degrees, mats = reference_eliminate_graded(
-                c.degrees, dense_mats(c), h, row, col
-            )
-            out = gaussian_eliminate(c, h, row, col)
-            assert {i: list(v) for i, v in out.degrees.items()} == degrees
-            got = {i: dense(d) for i, d in out.differentials.items() if not d.is_zero()}
-            assert got == nonzero_maps(mats)
-            assert_canonical(out)
-            for fc in (reduce_mod_a(c), specialize_a_to_1(c)):
-                degrees, mats = reference_eliminate_graded(
-                    fc.degrees,
-                    {i: [[Fraction(x) for x in r] for r in dense_rows(fc.mats[i], fc.rank(i))] for i in fc.mats},
-                    h,
-                    row,
-                    col,
-                )
-                fout = gaussian_eliminate(fc, h, row, col)
-                assert type(fout) is type(fc)
-                assert {i: list(v) for i, v in fout.degrees.items()} == degrees
-                assert nonzero_maps({i: dense_rows(fout.mats[i], fout.rank(i)) for i in fout.mats}) == nonzero_maps(mats)
-                assert_canonical(fout)
+            c = assert_eliminates_as_reference(c, h, row, col)
             steps += 1
-            c = out
     assert steps > 20
+
+
+def assert_eliminates_as_reference(c, h, row, col):
+    """gaussian_eliminate of the pair on c and on its a = 0 and a = 1
+    specializations, each against the dense reference; returns the
+    graded result."""
+    degrees, mats = reference_eliminate_graded(c.degrees, dense_mats(c), h, row, col)
+    out = gaussian_eliminate(c, h, row, col)
+    assert {i: list(v) for i, v in out.degrees.items()} == degrees
+    got = {i: dense(d) for i, d in out.differentials.items() if not d.is_zero()}
+    assert got == nonzero_maps(mats)
+    assert_canonical(out)
+    for fc in (reduce_mod_a(c), specialize_a_to_1(c)):
+        degrees, mats = reference_eliminate_graded(
+            fc.degrees,
+            {i: [[Fraction(x) for x in r] for r in dense_rows(fc.mats[i], fc.rank(i))] for i in fc.mats},
+            h,
+            row,
+            col,
+        )
+        fout = gaussian_eliminate(fc, h, row, col)
+        assert type(fout) is type(fc)
+        assert {i: list(v) for i, v in fout.degrees.items()} == degrees
+        assert nonzero_maps({i: dense_rows(fout.mats[i], fout.rank(i)) for i in fout.mats}) == nonzero_maps(mats)
+        assert_canonical(fout)
+    return out
+
+
+NON_UNITS = (2, -2, 3, -3, 6, -6)
+
+
+def non_unit_complex(rng, mixed):
+    """A seeded three-term complex over k = 1 on generators of degree 0,
+    with entries rich in non-units (and near 10^12; mixed, a quarter of
+    them Fractions).  d^0 = [P; 0] and d^1 = [0 | Q], so d^1 d^0 = 0,
+    then the middle basis changes by seeded elementary operations: row
+    i of d^0 gains c times row j as column j of d^1 loses c times
+    column i."""
+
+    def entry():
+        x = rng.choice(NON_UNITS * 2 + (1, -1, 10**12 + 1))
+        return Fraction(x, rng.choice((2, 3))) if mixed and rng.random() < 0.25 else x
+
+    n0, r, s, n2 = rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 4)
+    d0 = [[entry() if rng.random() < 0.7 else 0 for _ in range(n0)] for _ in range(r)]
+    d0 += [[0] * n0 for _ in range(s)]
+    d1 = [[0] * r + [entry() if rng.random() < 0.7 else 0 for _ in range(s)] for _ in range(n2)]
+    for _ in range(6):
+        i, j = rng.sample(range(r + s), 2)
+        c = rng.choice(NON_UNITS + (1, -1))
+        d0[i] = [x + c * y for x, y in zip(d0[i], d0[j])]
+        for row in d1:
+            row[j] -= c * row[i]
+    return complex_from_data(1, {0: [0] * n0, 1: [0] * (r + s), 2: [0] * n2}, {0: d0, 1: d1})
+
+
+def test_eliminate_at_non_unit_pivots_matches_reference(monkeypatch):
+    """Non-unit pivots on int and mixed int/Fraction complexes, graded
+    and both specializations: the rows the fraction-free step scales by
+    a, divided by a again, give the dense Schur complement."""
+    scales = []
+    clear_column = exactla.clear_column
+
+    def recording(rows, holders, p, c):
+        steps = clear_column(rows, holders, p, c)
+        scales.extend(a for _, a, _ in steps)
+        return steps
+
+    monkeypatch.setattr(exactla, "clear_column", recording)
+    rng = random.Random(25)
+    non_unit = 0
+    for n in range(150):
+        c = non_unit_complex(rng, mixed=n % 2)
+        for _ in range(3):
+            if not c.differentials:
+                break
+            h = rng.choice(sorted(c.differentials))
+            pivots = unit_pivots(c, h)
+            if not pivots:
+                continue
+            rows = c.differentials[h].rows
+            pivots = [(r, col) for r, col in pivots if rows[r][col] not in (1, -1)] or pivots
+            row, col = rng.choice(pivots)
+            non_unit += rows[row][col] not in (1, -1)
+            c = assert_eliminates_as_reference(c, h, row, col)
+    assert non_unit > 150
+    assert sum(a != 1 for a in scales) > 150
 
 
 # -- integer inputs stay exact -------------------------------------------------

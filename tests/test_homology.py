@@ -280,17 +280,23 @@ def test_row_forms_reject_the_same_defects():
     assert _refusal(lambda: FieldComplex({0: (0,), 1: (2,)}, {0: [{0: 1}]})) == inhomogeneous
     assert _refusal(lambda: FilteredFieldComplex({0: (0,), 1: (2,)}, {0: [{0: 1}]})) == inhomogeneous
     # a dense row has a length, a sparse row a column out of range
-    wide = (ValueError, "column count does not match source rank")
+    wide = (ValueError, "differential at degree 0: column count does not match source rank")
     assert _refusal(lambda: complex_from_data(1, {0: [0], 1: [0]}, {0: [[1, 0]]})) == wide
-    out_of_range = (ValueError, "column index out of range")
+    out_of_range = (ValueError, "differential at degree 0: column index out of range")
     assert _refusal(lambda: GradedComplex(ring, {0: (0,), 1: (0,)}, {0: [{1: 1}]})) == out_of_range
     assert _refusal(lambda: FieldComplex({0: (0,), 1: (0,)}, {0: [{1: 1}]})) == out_of_range
     assert _refusal(lambda: FilteredFieldComplex({0: (0,), 1: (0,)}, {0: [{-1: 1}]})) == out_of_range
     # one row too many
-    tall = (ValueError, "row count does not match target rank")
+    tall = (ValueError, "differential at degree 0: row count does not match target rank")
     assert _refusal(lambda: complex_from_data(1, {0: [0], 1: [0]}, {0: [[1], [1]]})) == tall
+    assert _refusal(lambda: GradedComplex(ring, {0: (0,), 1: (0,)}, {0: [{0: 1}, {0: 1}]})) == tall
     assert _refusal(lambda: FieldComplex({0: (0,), 1: (0,)}, {0: [{0: 1}, {0: 1}]})) == tall
     assert _refusal(lambda: FilteredFieldComplex({0: (0,), 1: (0,)}, {0: [{0: 1}, {0: 1}]})) == tall
+    # the degree named is the differential's own
+    assert _refusal(lambda: FieldComplex({2: (0,), 3: (0,)}, {2: [{1: 1}]})) == (
+        ValueError,
+        "differential at degree 2: column index out of range",
+    )
     # d^2 != 0
     square = (ComplexError, "d^2 != 0 on the square starting at degree 0 (maps 0->1->2)")
     assert _refusal(lambda: complex_from_data(1, {0: [0], 1: [0], 2: [0]}, {0: [[1]], 1: [[1]]})) == square
