@@ -30,7 +30,8 @@ decomposes to the decomposition it was drawn from.
 
 Before the stages, `python -m twkit.cli link --braid WORD` runs as a
 child process on T(2,8), T(3,5), T(2,9), T(3,6) and T(2,11), once
-each; its wall time and peak RSS come from the child's own rusage.
+each per tree; its wall time and peak RSS come from the child's own
+rusage.
 On Linux a child's ru_maxrss starts from the spawning process's peak,
 so the processes run while this harness is still small, and a reading
 no larger than the harness's own peak stops the run.
@@ -40,16 +41,26 @@ for its process.  A rung past it is recorded as "over budget" (the
 pass is stopped, the child process killed), and the larger rungs of
 the same ladder after it are recorded so without being run.
 
+With --against SRC a second twkit tree, the directory SRC that holds
+its twkit package, is imported side by side under its own package name
+and timed round by round with the one on PYTHONPATH: each process, and
+each pass over a rung's stages, runs on both trees in turn, the order
+reversed every other round, so drift on a shared machine lands on both
+alike.  Corpus documents are drawn once, by the tree on PYTHONPATH.
+
 The table goes to stdout.  With --json the run is also written to
-BENCH_layers.json under --label; runs under other labels at the same
---repeats are kept, so timing two twkit trees, each through its own
-PYTHONPATH, records both.  Run from the repository root as
+BENCH_layers.json under --label (and the second tree's under
+--against-label); runs under other labels at the same --repeats are
+kept.  Run from the repository root as
 
     PYTHONPATH=src python benchmarks/bench_layers.py [--repeats N] [--json] [--label NAME]
+        [--against SRC [--against-label NAME]]
 """
 
 import argparse
 import contextlib
+import importlib
+import importlib.util
 import json
 import os
 import pathlib
@@ -63,15 +74,6 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
-
-from twkit import jsonio
-from twkit.complexes import GradedComplex, homology_field, induced_differential, reduce_mod_a, specialize_a_to_1
-from twkit.corpus import conjugate, random_decomposition
-from twkit.couples import correspondence_check, couple_tables
-from twkit.decompose import Decomposition, decompose, reassemble, torsion_width
-from twkit.links import LinkDiagram, Sl2Potential, TwoBraidSpec, build_sl2_cube, build_twobraid
-from twkit.pages import generic_pages
-from twkit.recover import pages_from_decomposition, recover
 
 SEED = 20261019
 JSON_PATH = pathlib.Path(__file__).with_name("BENCH_layers.json")
@@ -127,35 +129,56 @@ class OverBudget(Exception):
     pass
 
 
+class Tree:
+    """The twkit modules a pass calls, from one source tree: the twkit
+    package on sys.path, or, given src, the twkit package in the
+    directory src imported under the package name package."""
+
+    MODULES = ("complexes", "corpus", "couples", "decompose", "jsonio", "links", "pages", "recover")
+
+    def __init__(self, package="twkit", src=None):
+        if src is not None:
+            path = pathlib.Path(src).resolve() / "twkit"
+            spec = importlib.util.spec_from_file_location(package, path / "__init__.py", submodule_search_locations=[str(path)])
+            sys.modules[package] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(sys.modules[package])
+        for name in self.MODULES:
+            setattr(self, name, importlib.import_module(package + "." + name))
+        self.src = pathlib.Path(self.jsonio.__file__).resolve().parents[1]
+
+
+THIS = Tree()
+
+
 @dataclass
 class Rung:
-    """One input: build() returns its graded complex, through the
-    front-end stage front; expected is the decomposition it must
-    split into, when known."""
+    """One input: build(tree) returns its graded complex, built by that
+    tree through the front-end stage front; expected is the
+    decomposition it must split into, when known."""
 
     ladder: str
     name: str
     front: str
     build: Callable
     budget: float
-    expected: Decomposition = None
+    expected: object = None
 
 
 def link_rungs():
-    potential = Sl2Potential.standard().integral_form()
-
-    def build(name):
+    def build(tree, name):
         word, strands = BRAIDS[name]
-        return build_sl2_cube(LinkDiagram.from_braid_text(word.strip(), strands), potential)
+        links = tree.links
+        diagram = links.LinkDiagram.from_braid_text(word.strip(), strands)
+        return links.build_sl2_cube(diagram, links.Sl2Potential.standard().integral_form())
 
-    return [Rung("link", name, "links", lambda name=name: build(name), budget) for name, budget in LINKS]
+    return [Rung("link", name, "links", lambda tree, name=name: build(tree, name), budget) for name, budget in LINKS]
 
 
 def twobraid_rungs():
-    return [
-        Rung("2-braid", "N=%d i=%d" % (N, N // 2), "links", lambda N=N: build_twobraid(TwoBraidSpec.power_basis(N, N // 2)), budget)
-        for N, budget in TWOBRAIDS
-    ]
+    def build(tree, N):
+        return tree.links.build_twobraid(tree.links.TwoBraidSpec.power_basis(N, N // 2))
+
+    return [Rung("2-braid", "N=%d i=%d" % (N, N // 2), "links", lambda tree, N=N: build(tree, N), budget) for N, budget in TWOBRAIDS]
 
 
 def corpus_rungs():
@@ -167,11 +190,12 @@ def corpus_rungs():
         k = 1 + n % 3
         generators = CORPUS_MIN + (CORPUS_MAX - CORPUS_MIN) * n // (CORPUS_DOCS - 1)
         while True:
-            d = random_decomposition(rng, max_generators=generators)
+            d = THIS.corpus.random_decomposition(rng, max_generators=generators)
             if d.k == k and len(d.free_pieces) + 2 * len(d.torsion_pieces) == generators:
                 break
-        text = jsonio.dumps(jsonio.complex_to_data(conjugate(rng, reassemble(d), CONJUGATION_OPS)))
-        build = lambda text=text: jsonio.complex_from_json(json.loads(text))
+        c = THIS.corpus.conjugate(rng, THIS.decompose.reassemble(d), CONJUGATION_OPS)
+        text = THIS.jsonio.dumps(THIS.jsonio.complex_to_data(c))
+        build = lambda tree, text=text: tree.jsonio.complex_from_json(json.loads(text))
         rungs.append(Rung("corpus", "doc %d k=%d" % (n, k), "jsonio", build, CORPUS_BUDGET, d))
     return rungs
 
@@ -199,23 +223,10 @@ def alarm(seconds):
         signal.signal(signal.SIGALRM, old)
 
 
-def _homology(c):
-    fc = reduce_mod_a(c)
-    return fc, homology_field(fc)
-
-
-def _generic_pages(c, last):
-    fc = specialize_a_to_1(c)
-    return [generic_pages(fc, r) for r in range(1, last + 1)]
-
-
-def _recover(d):
-    return recover(pages_from_decomposition(d))
-
-
-def stage_pass(rung):
-    """({stage: seconds}, answers) of one pass over the rung."""
+def stage_pass(rung, tree):
+    """({stage: seconds}, answers) of one pass over the rung on tree."""
     seconds = {}
+    cx = tree.complexes
 
     def timed(stage, fn, *args):
         t0 = time.perf_counter()
@@ -223,20 +234,33 @@ def stage_pass(rung):
         seconds[stage] = time.perf_counter() - t0
         return out
 
-    c = timed(rung.front, rung.build)
-    timed("complexes.validate", GradedComplex, c.ring, c.degrees, {i: m.rows for i, m in c.differentials.items()})
+    def homology(c):
+        fc = cx.reduce_mod_a(c)
+        return fc, cx.homology_field(fc)
+
+    def generic_pages(c, last):
+        fc = cx.specialize_a_to_1(c)
+        return [tree.pages.generic_pages(fc, r) for r in range(1, last + 1)]
+
+    c = timed(rung.front, rung.build, tree)
+    timed("complexes.validate", cx.GradedComplex, c.ring, c.degrees, {i: m.rows for i, m in c.differentials.items()})
     seconds[rung.front] -= seconds["complexes.validate"]
-    d = timed("decompose", decompose, c)
-    fc, hb = timed("complexes.homology", _homology, c)
-    d1 = timed("complexes.first_differential", induced_differential, c, fc, hb)
-    tw = torsion_width(d)
-    timed("pages.generic", _generic_pages, c, 2 * d.k * tw + 1)
-    tables = timed("couples", couple_tables, d, tw + 2)
-    recovered = timed("recover", _recover, d)
+    d = timed("decompose", tree.decompose.decompose, c)
+    fc, hb = timed("complexes.homology", homology, c)
+    d1 = timed("complexes.first_differential", cx.induced_differential, c, fc, hb)
+    tw = tree.decompose.torsion_width(d)
+    timed("pages.generic", generic_pages, c, 2 * d.k * tw + 1)
+    tables = timed("couples", tree.couples.couple_tables, d, tw + 2)
+    recovered = timed("recover", lambda d: tree.recover.recover(tree.recover.pages_from_decomposition(d)), d)
     return seconds, (c, d, d1, tables, recovered)
 
 
-def check(rung, answers):
+def pieces(d):
+    """A decomposition as plain tuples, comparable across trees."""
+    return d.k, d.free_pieces, d.torsion_pieces
+
+
+def check(rung, answers, tree):
     """The page formula at r = 1, the recover round trip, the couple
     pages and, for a corpus document, its decomposition."""
     c, d, d1, tables, recovered = answers
@@ -244,40 +268,51 @@ def check(rung, answers):
     failures = [
         (d1.ranks() != dict(width_one), "the ranks of d_1 differ from the width-one torsion pieces"),
         (recovered != d, "recover does not return the decomposition"),
-        (not correspondence_check(d, torsion_width(d) + 2, tables), "the couple pages differ from the hat pages"),
-        (rung.expected not in (None, d), "not the decomposition the document was drawn from"),
+        (not tree.couples.correspondence_check(d, tree.decompose.torsion_width(d) + 2, tables),
+         "the couple pages differ from the hat pages"),
+        (rung.expected is not None and pieces(rung.expected) != pieces(d),
+         "not the decomposition the document was drawn from"),
     ]
     for failed, message in failures:
         if failed:
             raise SystemExit("%s %s: %s" % (rung.ladder, rung.name, message))
 
 
-def run_rung(rung, repeats):
-    """{"generators", "nonzeros", stage: best seconds}, the first pass
-    checked, or OVER_BUDGET."""
+def rounds(trees, repeats):
+    """The order of the trees in each of repeats rounds: as given, then
+    reversed, in turn."""
+    return [trees if n % 2 == 0 else trees[::-1] for n in range(repeats)]
+
+
+def run_rung(rung, repeats, trees=(THIS,)):
+    """[{"generators", "nonzeros", stage: best seconds}], one per tree,
+    the passes of the trees interleaved (see rounds) and each tree's
+    first pass checked, or OVER_BUDGET once any pass is."""
+    best = {}
     try:
-        with alarm(rung.budget):
-            best, answers = stage_pass(rung)
-        check(rung, answers)
-        c = answers[0]
-        sizes = {"generators": c.total_rank(), "nonzeros": sum(len(r) for m in c.differentials.values() for r in m.rows)}
-        del answers, c
-        for _ in range(repeats - 1):
-            with alarm(rung.budget):
-                seconds = stage_pass(rung)[0]
-            best = {stage: min(best[stage], t) for stage, t in seconds.items()}
+        for order in rounds(list(trees), repeats):
+            for tree in order:
+                with alarm(rung.budget):
+                    seconds, answers = stage_pass(rung, tree)
+                if tree in best:
+                    best[tree] = {key: min(t, seconds.get(key, t)) for key, t in best[tree].items()}
+                else:
+                    check(rung, answers, tree)
+                    c = answers[0]
+                    sizes = {"generators": c.total_rank(), "nonzeros": sum(len(r) for m in c.differentials.values() for r in m.rows)}
+                    best[tree] = {**sizes, **seconds}
+                answers = c = None
     except OverBudget:
         return OVER_BUDGET
-    return {**sizes, **best}
+    return [best[tree] for tree in trees]
 
 
-def run_process(name, budget):
-    """{"wall_s", "peak_rss_mb"} of one `twkit link` child process on the
-    twkit tree this harness imports, or OVER_BUDGET."""
+def run_process(name, budget, tree=THIS):
+    """{"wall_s", "peak_rss_mb"} of one `twkit link` child process on
+    tree, or OVER_BUDGET."""
     word, strands = BRAIDS[name]
     argv = [sys.executable, "-m", "twkit.cli", "link", "--braid", word.strip(), "--strands", str(strands)]
-    tree = str(pathlib.Path(jsonio.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (tree, os.environ.get("PYTHONPATH")))))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(tree.src), os.environ.get("PYTHONPATH")))))
     own_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     t0 = time.perf_counter()
     child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
@@ -295,6 +330,17 @@ def run_process(name, budget):
     if usage.ru_maxrss <= own_kb:
         raise SystemExit("%s: its peak RSS reads no more than this harness's own" % name)
     return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024}
+
+
+def run_processes(name, budget, trees):
+    """[run_process(name, budget, tree)], one per tree in turn, or
+    OVER_BUDGET once one is."""
+    results = []
+    for tree in trees:
+        results.append(run_process(name, budget, tree))
+        if results[-1] == OVER_BUDGET:
+            return OVER_BUDGET
+    return results
 
 
 def run_ladder(items, run):
@@ -316,30 +362,38 @@ def main():
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--json", action="store_true", help="also write the run to %s" % JSON_PATH.name)
     ap.add_argument("--label", default="change", help="name of the run in the JSON record (default %(default)s)")
+    ap.add_argument("--against", metavar="SRC", help="a second twkit tree, the directory holding its twkit package, "
+                                                     "timed round by round with the one on PYTHONPATH")
+    ap.add_argument("--against-label", default="parent", help="name of its run (default %(default)s)")
     args = ap.parse_args()
+    trees, labels = [THIS], [args.label]
+    if args.against:
+        trees, labels = [Tree("twkit_against", args.against), THIS], [args.against_label, args.label]
 
-    processes = run_ladder(PROCESSES, lambda p: run_process(*p))
-    stages = [pair for rungs in ladders() for pair in run_ladder(rungs, lambda r: run_rung(r, args.repeats))]
+    processes = run_ladder(PROCESSES, lambda p: run_processes(*p, trees))
+    stages = [pair for rungs in ladders() for pair in run_ladder(rungs, lambda r: run_rung(r, args.repeats, trees))]
 
     heads = ("links", "jsonio", "validate", "decompose", "homology", "d_1", "generic", "couples", "recover")
-    header = "%-26s %7s %8s " % ("rung", "gens", "nonzeros") + " ".join("%9s" % h for h in heads)
+    header = "%-26s %-8s %7s %8s " % ("rung", "run", "gens", "nonzeros") + " ".join("%9s" % h for h in heads)
     print("best of %d, milliseconds" % args.repeats)
     print(header)
     print("-" * len(header))
-    for rung, result in stages:
-        label = "%s %s" % (rung.ladder, rung.name)
-        if result == OVER_BUDGET:
-            print("%-26s %s" % (label, OVER_BUDGET))
-        else:
-            print("%-26s %7d %8d " % (label, result["generators"], result["nonzeros"])
+    for rung, results in stages:
+        name = "%s %s" % (rung.ladder, rung.name)
+        if results == OVER_BUDGET:
+            print("%-26s %s" % (name, OVER_BUDGET))
+            continue
+        for label, result in zip(labels, results):
+            print("%-26s %-8s %7d %8d " % (name, label, result["generators"], result["nonzeros"])
                   + " ".join("%9s" % ms(result, stage) for stage in STAGES))
     print()
-    print("%-26s %9s %12s" % ("twkit link process", "wall s", "peak RSS MB"))
-    for (name, _), result in processes:
-        if result == OVER_BUDGET:
+    print("%-26s %-8s %9s %12s" % ("twkit link process", "run", "wall s", "peak RSS MB"))
+    for (name, _), results in processes:
+        if results == OVER_BUDGET:
             print("%-26s %s" % (name, OVER_BUDGET))
-        else:
-            print("%-26s %9.2f %12.1f" % (name, result["wall_s"], result["peak_rss_mb"]))
+            continue
+        for label, result in zip(labels, results):
+            print("%-26s %-8s %9.2f %12.1f" % (name, label, result["wall_s"], result["peak_rss_mb"]))
 
     if not args.json:
         return
@@ -348,19 +402,25 @@ def main():
         "seed": SEED,
         "repeats": args.repeats,
         "timing": "stages: best of repeats, seconds; processes: one run each, wall seconds and peak RSS in MB; "
-                  "runs keyed by --label",
+                  "runs keyed by --label; runs with interleaved_with were timed round by round in one harness",
         "runs": {},
     }
     if JSON_PATH.exists():
         old = json.loads(JSON_PATH.read_text(encoding="utf-8"))
         if (old.get("seed"), old.get("repeats")) == (SEED, args.repeats):
             record["runs"] = old["runs"]
-    record["runs"][args.label] = {
-        "python": platform.python_version(),
-        "machine": "%s, %d cores" % (platform.machine(), os.cpu_count()),
-        "stages": [{"ladder": r.ladder, "rung": r.name, "result": result} for r, result in stages],
-        "processes": [{"knot": p[0], "result": result} for p, result in processes],
-    }
+
+    def pick(results, n):
+        return results if results == OVER_BUDGET else results[n]
+
+    for n, label in enumerate(labels):
+        record["runs"][label] = {
+            "python": platform.python_version(),
+            "machine": "%s, %d cores" % (platform.machine(), os.cpu_count()),
+            **({"interleaved_with": [other for other in labels if other != label]} if len(labels) > 1 else {}),
+            "stages": [{"ladder": r.ladder, "rung": r.name, "result": pick(results, n)} for r, results in stages],
+            "processes": [{"knot": p[0], "result": pick(results, n)} for p, results in processes],
+        }
     JSON_PATH.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
 
 

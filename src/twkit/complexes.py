@@ -6,7 +6,6 @@ differential on the a=0 homology.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from . import exactla
@@ -178,41 +177,46 @@ class FieldComplex:
         return len(self.degrees.get(i, ()))
 
 
-
 class FilteredFieldComplex(FieldComplex):
     """Complex of C-spaces with one filtration level per basis vector,
     held in degrees; the differential may only keep or lower the level
     (the a -> 1 specialization, levels = old polynomial degrees)."""
 
-    __slots__ = ("_profiles",)
+    __slots__ = ("_gaps",)
     _step = 1
 
-    def __init__(self, degrees, mats, validate=True):
-        super().__init__(degrees, mats, validate)
-        object.__setattr__(self, "_profiles", {})
-
-    def lowered_rank(self, n: int, above: int, upto: int) -> int:
-        """Rank of the differential out of degree n from the generators
-        at level <= upto to the targets at level > above.
-
-        Built on first use and kept per degree: for each distinct set of
-        target rows, one elimination with the columns sorted by level,
-        whose pivot columns' levels answer every upto by bisection.
-        """
-        if n not in self._profiles:
-            src, tgt = self.degrees.get(n, ()), self.degrees.get(n + 1, ())
-            order = sorted(range(len(src)), key=src.__getitem__)
-            at = {j: p for p, j in enumerate(order)}
-            rows = [{at[j]: x for j, x in row.items()} for row in self.mats.get(n, ())]
-            cuts = sorted(set(tgt))
-            pivot_levels = []
-            for b in [float("-inf")] + cuts:
-                kept = [row for row, lv in zip(rows, tgt) if lv > b]
-                pivots = exactla.row_reduce(kept)[1] if kept else []
-                pivot_levels.append([src[order[j]] for j in pivots])
-            self._profiles[n] = cuts, pivot_levels
-        cuts, pivot_levels = self._profiles[n]
-        return bisect_right(pivot_levels[bisect_right(cuts, above)], upto)
+    def gaps(self):
+        """{(n, p): sorted gaps of the degree-n generators at level p},
+        read off the persistence pairing of every d^n (see twkit.pages),
+        built on first use and kept; an unpaired generator's is infinite."""
+        if getattr(self, "_gaps", None) is None:
+            gaps, paired = {}, {}
+            for n in sorted(self.degrees):
+                src, tgt = self.degrees[n], self.degrees.get(n + 1, ())
+                # sources as rows keyed by target, less those already
+                # paired as targets of d^(n-1) (clearing)
+                ends, paired = paired.get(n, {}), {n + 1: {}}
+                rows = [{} for _ in src]
+                for t, row in enumerate(self.mats.get(n, ())):
+                    for j, x in row.items():
+                        if j not in ends:
+                            rows[j][t] = x
+                holders = exactla.column_index(rows)
+                for t in sorted(holders, key=lambda t: (tgt[t], t), reverse=True):
+                    if holders[t]:
+                        j = min(holders[t], key=lambda j: (src[j], j))
+                        if src[j] < tgt[t]:
+                            raise InternalError("pages", "d^%d pairs source %d at level %d with target %d at "
+                                                "level %d above it" % (n, j, src[j], t, tgt[t]))
+                        for i, a, _ in exactla.clear_column(rows, holders, j, t):
+                            rows[i] = exactla.divided(rows[i], a)
+                        for u in rows[j]:
+                            holders[u].discard(j)
+                        ends[j] = paired[n + 1][t] = src[j] - tgt[t]
+                for j, p in enumerate(src):
+                    gaps.setdefault((n, p), []).append(ends.get(j, float("inf")))
+            object.__setattr__(self, "_gaps", {key: sorted(g) for key, g in gaps.items()})
+        return self._gaps
 
 
 def reduce_mod_a(c: GradedComplex) -> FieldComplex:

@@ -5,10 +5,10 @@ nonzeros; a vector is one such map, keyed by coordinate.  Every value
 this kernel writes is canonical (an int when integral, a Fraction
 otherwise; see canonical), and two ints never meet in true division.
 clear_column is the one sparse pivot step, fraction-free on ints:
-row_reduce (elimination), decompose's splitting and Gaussian
-elimination of a contractible pair all call it, on the {col: rows}
-index that column_index builds.  matmul (products) follows the
-nonzeros too.  kernel_from_reduction and solution_from_reduction read
+row_reduce (elimination), decompose's splitting, the persistence
+pairing of generic pages and Gaussian elimination of a contractible
+pair all call it, on the {col: rows} index column_index builds.
+matmul (products) follows the nonzeros too.  kernel_from_reduction and solution_from_reduction read
 the right kernel and the solutions of a linear system off an
 elimination, given the column counts the rows leave implicit, so a
 caller that keeps eliminations (as the couple memo does) reads them

@@ -6,10 +6,15 @@ a generic computation from a filtered complex of vector spaces that
 knows nothing about pieces.  All three must agree exactly; the generic
 route, generic_pages, is the referee.
 
-The generic route reads each dim E_r as a signed sum of four ranks of
-lower-left blocks of the differential, which determine a filtered
-complex (Zomorodian-Carlsson, "Computing persistent homology", 2005);
-FilteredFieldComplex.lowered_rank eliminates once per complex.
+The generic route reads every page off one persistence pairing per
+degree, which FilteredFieldComplex.gaps builds once per complex
+(Zomorodian and Carlsson, "Computing persistent homology", 2005; Chen
+and Kerber, "Persistent homology computation with a twist", 2011, for
+clearing).  Sources of d^n are taken by level, then index, and each is
+paired with the target it kills or left unpaired.  Gap rule: a pair of
+gap g, its source's level less its target's, shows both ends on pages
+r <= g and neither from r = g + 1 on, and an unpaired generator shows
+on every page; a torsion piece (i, m, s) is a pair of gap 2km.
 
 Position rule: a page entry sits at (p, q) where p is the filtration
 degree and q is the homological degree minus p, so a generator of
@@ -19,6 +24,7 @@ PageTable.from_hom_poly and to_hom_poly are the one conversion pair.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import chain
 
 from .algebra import BigradedTable, GradedModuleDescriptor
@@ -198,30 +204,14 @@ def assembled_page_list(d: Decomposition, hat: bool, rs) -> list:
 
 
 def generic_pages(c: FilteredFieldComplex, r: int) -> PageTable:
-    """Page r straight from the filtered complex, as rank differences.
-
-    E_r at (p, q) is Z_r / (Z_{r-1} one filtration step down + B_{r-1}),
-    where Z_r collects chains in filtration <= p whose differential
-    drops to filtration <= p - r, and B_{r-1} collects boundaries lying
-    in filtration <= p of chains from filtration <= p + r - 1.  Write
-    rk_m(b, q) for the rank of d_m from generators at level <= q to
-    targets at level > b (``c.lowered_rank``).  Kernels give
-    dim Z_r - dim Z_{r-1} = #{level p} - rk_n(p-r, p) + rk_n(p-r, p-1);
-    the intersection of Z_{r-1} with B_{r-1} is the boundaries of chains
-    from filtration <= p + r - 1 that land in filtration <= p - 1, so
-    dim B - dim(Z_{r-1} & B) = rk_{n-1}(p-1, p+r-1) - rk_{n-1}(p, p+r-1).
+    """Page r straight from the filtered complex, by the gap rule: dim
+    E_r at (p, n - p) counts the degree-n generators at level p that are
+    unpaired or end a pair of gap >= r in the persistence pairing
+    (Zomorodian-Carlsson 2005, with Chen-Kerber 2011 clearing).
     """
     if r < 0:
         raise ValueError("page index must be >= 0")
-    entries = {}
-    rk = c.lowered_rank
-    for n in sorted(c.degrees):
-        for p in sorted(set(c.degrees[n])):
-            dim = c.degrees[n].count(p) - rk(n, p - r, p) + rk(n, p - r, p - 1)
-            dim += rk(n - 1, p, p + r - 1) - rk(n - 1, p - 1, p + r - 1)
-            if dim:
-                entries[(p, n - p)] = dim
-    return PageTable(r, entries, True)
+    return PageTable(r, (((p, n - p), len(g) - bisect_left(g, r)) for (n, p), g in c.gaps().items()), True)
 
 
 def collapse_page(d: Decomposition) -> int:

@@ -3,19 +3,25 @@ frozen before both were read straight off the pieces, as the reference
 the rewrite is checked against (tests/test_frozen_pages.py,
 tests/test_pages.py, tests/test_algebra.py); and the page-by-page list
 that followed it, frozen before one page was built per block of r
-(tests/test_frozen_twobraid.py).
+(tests/test_frozen_twobraid.py); and the generic pages as rank
+differences, frozen before they were read off a persistence pairing
+(tests/test_pages.py).
 
 boxtimes multiplied a (hom, poly) dimension table against a page, and
 hn_table summed one descriptor_dim_table per homological degree.  The
 descriptor merge, shift and scale operations and the _rebuild hook of
 PageTable served only them; they are kept here as local functions.
-Only the graded types come from twkit, and the homology of a
+The rank-difference route eliminated once per distinct target level
+of each differential, through exactla.row_reduce.  Only the graded
+types and row_reduce come from twkit, and the homology of a
 decomposition from tests/builders.py.
 """
 
+from bisect import bisect_right
 from itertools import chain
 
 from builders import homology_structure
+from twkit import exactla
 from twkit.algebra import BigradedTable, GradedModuleDescriptor
 from twkit.pages import PageTable, piece_pages
 
@@ -185,3 +191,62 @@ def reference_page_by_page_list(d, hat, rs):
         return PageTable(r, chain(free, torsion), hat)
 
     return [page(r) for r in rs]
+
+
+def lowered_rank_profiles(c):
+    """FilteredFieldComplex.lowered_rank as a function of (n, above,
+    upto): the rank of the differential out of degree n from the
+    generators at level <= upto to the targets at level > above.  For
+    each degree and each distinct set of target rows, one elimination
+    with the columns sorted by level, whose pivot columns' levels answer
+    every upto by bisection; built on first use and kept."""
+    profiles = {}
+
+    def lowered_rank(n, above, upto):
+        if n not in profiles:
+            src, tgt = c.degrees.get(n, ()), c.degrees.get(n + 1, ())
+            order = sorted(range(len(src)), key=src.__getitem__)
+            at = {j: p for p, j in enumerate(order)}
+            rows = [{at[j]: x for j, x in row.items()} for row in c.mats.get(n, ())]
+            cuts = sorted(set(tgt))
+            pivot_levels = []
+            for b in [float("-inf")] + cuts:
+                kept = [row for row, lv in zip(rows, tgt) if lv > b]
+                pivots = exactla.row_reduce(kept)[1] if kept else []
+                pivot_levels.append([src[order[j]] for j in pivots])
+            profiles[n] = cuts, pivot_levels
+        cuts, pivot_levels = profiles[n]
+        return bisect_right(pivot_levels[bisect_right(cuts, above)], upto)
+
+    return lowered_rank
+
+
+def rank_difference_pages(c, rs):
+    """[generic_pages(c, r) for r in rs], each dim E_r a signed sum of
+    four lowered ranks.
+
+    E_r at (p, q) is Z_r / (Z_{r-1} one filtration step down + B_{r-1}),
+    where Z_r collects chains in filtration <= p whose differential
+    drops to filtration <= p - r, and B_{r-1} collects boundaries lying
+    in filtration <= p of chains from filtration <= p + r - 1.  Write
+    rk_m(b, q) for the rank of d_m from generators at level <= q to
+    targets at level > b.  Kernels give
+    dim Z_r - dim Z_{r-1} = #{level p} - rk_n(p-r, p) + rk_n(p-r, p-1);
+    the intersection of Z_{r-1} with B_{r-1} is the boundaries of chains
+    from filtration <= p + r - 1 that land in filtration <= p - 1, so
+    dim B - dim(Z_{r-1} & B) = rk_{n-1}(p-1, p+r-1) - rk_{n-1}(p, p+r-1).
+    """
+    rk = lowered_rank_profiles(c)
+    pages = []
+    for r in rs:
+        if r < 0:
+            raise ValueError("page index must be >= 0")
+        entries = {}
+        for n in sorted(c.degrees):
+            for p in sorted(set(c.degrees[n])):
+                dim = c.degrees[n].count(p) - rk(n, p - r, p) + rk(n, p - r, p - 1)
+                dim += rk(n - 1, p, p + r - 1) - rk(n - 1, p - 1, p + r - 1)
+                if dim:
+                    entries[(p, n - p)] = dim
+        pages.append(PageTable(r, entries, True))
+    return pages

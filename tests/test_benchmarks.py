@@ -1,6 +1,7 @@
 """The layer benchmark under benchmarks/ still runs: its checks pass and
-every stage is timed on the smallest rung of each ladder, a wrong answer
-stops it, and a zero budget records "over budget" without running."""
+every stage is timed on the smallest rung of each ladder, for one tree
+or for two side by side, a wrong answer stops it, and a zero budget
+records "over budget" without running."""
 
 import importlib.util
 import pathlib
@@ -31,12 +32,28 @@ def smallest_rungs(bench):
 def test_smallest_rung_is_checked_and_every_stage_timed(ladder):
     bench = harness()
     rung = smallest_rungs(bench)[ladder]
-    result = bench.run_rung(rung, 1)
+    (result,) = bench.run_rung(rung, 1)
     other_front = {"links": "jsonio", "jsonio": "links"}[rung.front]
     stages = [stage for stage in bench.STAGES if stage != other_front]
     assert sorted(result) == sorted(stages + ["generators", "nonzeros"])
     assert all(result[stage] > 0 for stage in stages), result
     assert result["generators"] > 0 and result["nonzeros"] > 0
+
+
+def test_two_trees_are_timed_round_by_round():
+    bench = harness()
+    # this tree once more, imported side by side under its own name
+    second = bench.Tree("twkit_second", bench.THIS.src)
+    assert second.pages is not bench.THIS.pages
+    assert bench.rounds([second, bench.THIS], 3) == [[second, bench.THIS], [bench.THIS, second], [second, bench.THIS]]
+    ran = []
+    stage_pass = bench.stage_pass
+    bench.stage_pass = lambda rung, tree: ran.append(tree) or stage_pass(rung, tree)
+    rung = smallest_rungs(bench)["corpus"]
+    results = bench.run_rung(rung, 2, [second, bench.THIS])
+    assert ran == [second, bench.THIS, bench.THIS, second]
+    assert [sorted(result) for result in results] == [sorted(bench.STAGES[1:] + ("generators", "nonzeros"))] * 2
+    assert results[0]["generators"] == results[1]["generators"] > 0
 
 
 def test_a_wrong_answer_stops_the_harness():

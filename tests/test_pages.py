@@ -5,12 +5,13 @@ import random
 import pytest
 
 from dense_la import dense_kernel_basis, dense_matvec, dense_rank, dense_rows, sparse_rows
-from frozen_pages import reference_assembled_pages
+from frozen_pages import rank_difference_pages, reference_assembled_pages
 from twkit import exactla
 from twkit.algebra import GradedModuleDescriptor
-from twkit.complexes import FilteredFieldComplex, specialize_a_to_1
+from twkit.complexes import FilteredFieldComplex, InternalError, specialize_a_to_1
 from twkit.corpus import conjugate, random_decomposition, summed_piece_pages
-from twkit.decompose import Decomposition, hn_table, reassemble, torsion_width
+from twkit.decompose import Decomposition, decompose, hn_table, reassemble, torsion_width
+from twkit.links import LinkDiagram, Sl2Potential, build_sl2_cube
 from twkit.pages import (
     PageTable,
     assembled_pages,
@@ -165,7 +166,7 @@ class TestAssembledPages:
                     assert got.same_entries(summed_piece_pages(d, hat, r))
 
 
-# -- frozen reference: generic pages from three kernel bases per
+# -- dense reference: generic pages from three kernel bases per
 # (degree, level), as computed before the rank profile replaced them
 
 
@@ -290,23 +291,70 @@ class TestGenericPagesAgainstReference:
             assert generic_pages(fc, r) == want[r], r
 
     def test_profile_is_built_once_per_complex(self, monkeypatch):
+        """The pairing's pivot steps all run on the first query; no later
+        page, in any order, takes another."""
         rng = random.Random(5)
         d = draw_decomposition(rng, 1, 12, torsion=True)
         fc = specialize_a_to_1(conjugate(rng, reassemble(d)))
         calls = []
-        row_reduce = exactla.row_reduce
+        clear_column = exactla.clear_column
         monkeypatch.setattr(
-            exactla, "row_reduce", lambda rows: calls.append(1) or row_reduce(rows)
+            exactla, "clear_column", lambda *args: calls.append(1) or clear_column(*args)
         )
         generic_pages(fc, 0)
         built = len(calls)
         assert built
-        for r in page_range(d):
+        rs = list(page_range(d))
+        for r in rs[::-1] + rs:
             generic_pages(fc, r)
         assert len(calls) == built
 
 
+def assert_pairing_matches_rank_differences(fc, rs):
+    rs = list(rs)
+    assert [generic_pages(fc, r) for r in rs] == rank_difference_pages(fc, rs)
+
+
+class TestPairingAgainstRankDifferences:
+    """The persistence pairing against the rank-difference route it
+    replaced (tests/frozen_pages.py), page by page."""
+
+    @pytest.mark.parametrize(
+        "word, strands",
+        [("1 1 1 1 1", 2), ("1 -2 1 -2", 3), ("1 1 1 2 -1 2", 3), ("1 2 " * 4, 3), ("1 " * 8, 2), ("1 2 " * 5, 3)],
+        ids=["T(2,5)", "1 -2 1 -2", "1 1 1 2 -1 2", "T(3,4)", "T(2,8)", "T(3,5)"],
+    )
+    def test_cube_rungs(self, word, strands):
+        # the cube twkit link builds for the braid
+        c = build_sl2_cube(LinkDiagram.from_braid_text(word.strip(), strands), Sl2Potential.standard().integral_form())
+        assert_pairing_matches_rank_differences(specialize_a_to_1(c), page_range(decompose(c)))
+
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT))
+    def test_hand_built_complexes(self, name):
+        degrees, mats = HAND_BUILT[name]
+        fc = FilteredFieldComplex(degrees, {i: sparse_rows(rows) for i, rows in mats.items()})
+        assert_pairing_matches_rank_differences(fc, range(0, 12))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_conjugated_corpus_complexes(self, k):
+        """70 conjugated complexes of up to 40 generators per k."""
+        rng = random.Random(2600 + k)
+        for _ in range(70):
+            d = draw_decomposition(rng, k, 40)
+            fc = specialize_a_to_1(conjugate(rng, reassemble(d)))
+            assert_pairing_matches_rank_differences(fc, page_range(d))
+
+
 class TestGenericPages:
+    def test_raised_level_is_an_internal_error(self):
+        # source 0 of degree 0 at level 1 meets target 1 of degree 1 at
+        # level 2, which only an unvalidated complex lets through
+        fc = FilteredFieldComplex({0: (1,), 1: (0, 2)}, {0: ({}, {0: 1})}, validate=False)
+        with pytest.raises(InternalError, match=r"^internal error in pages: d\^0 pairs source 0 at level 1 "
+                                                r"with target 1 at level 2 above it$") as caught:
+            generic_pages(fc, 1)
+        assert caught.value.stage == "pages"
+
     def test_referee_on_fixture(self):
         d = Decomposition(1, ((0, 2),), ((1, 2, 0), (2, 1, -6)))
         fc = specialize_a_to_1(reassemble(d))
