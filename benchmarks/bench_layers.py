@@ -43,18 +43,18 @@ the same ladder after it are recorded so without being run.
 
 With --against SRC a second twkit tree, the directory SRC that holds
 its twkit package, is imported side by side under its own package name
-and timed round by round with the one on PYTHONPATH: each process, and
-each pass over a rung's stages, runs on both trees in turn, the order
-reversed every other round, so drift on a shared machine lands on both
-alike.  Corpus documents are drawn once, by the tree on PYTHONPATH.
+and timed round by round with the one on PYTHONPATH: each knot's
+process, and each pass over a rung's stages, runs on both trees in
+turn, the order reversed every other knot and every other pass, so
+drift on a shared machine lands on both alike.  Corpus documents are
+drawn once, by the tree on PYTHONPATH.
 
 The table goes to stdout.  With --json the run is also written to
 BENCH_layers.json under --label (and the second tree's under
---against-label); runs under other labels at the same --repeats are
-kept.  Run from the repository root as
+"parent"); runs under other labels at the same --repeats are kept.
+Run from the repository root as
 
-    PYTHONPATH=src python benchmarks/bench_layers.py [--repeats N] [--json] [--label NAME]
-        [--against SRC [--against-label NAME]]
+    PYTHONPATH=src python benchmarks/bench_layers.py [--repeats N] [--json] [--label NAME] [--against SRC]
 """
 
 import argparse
@@ -332,15 +332,21 @@ def run_process(name, budget, tree=THIS):
     return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024}
 
 
-def run_processes(name, budget, trees):
-    """[run_process(name, budget, tree)], one per tree in turn, or
-    OVER_BUDGET once one is."""
-    results = []
-    for tree in trees:
-        results.append(run_process(name, budget, tree))
-        if results[-1] == OVER_BUDGET:
-            return OVER_BUDGET
-    return results
+def run_processes(trees):
+    """run_ladder over PROCESSES of [run_process(knot, budget, tree)],
+    one per tree, each knot's processes run in the order rounds gives
+    it, or OVER_BUDGET once one is."""
+    orders = dict(zip(PROCESSES, rounds(list(trees), len(PROCESSES))))
+
+    def run(knot):
+        results = {}
+        for tree in orders[knot]:
+            results[tree] = run_process(*knot, tree)
+            if results[tree] == OVER_BUDGET:
+                return OVER_BUDGET
+        return [results[tree] for tree in trees]
+
+    return run_ladder(PROCESSES, run)
 
 
 def run_ladder(items, run):
@@ -363,14 +369,14 @@ def main():
     ap.add_argument("--json", action="store_true", help="also write the run to %s" % JSON_PATH.name)
     ap.add_argument("--label", default="change", help="name of the run in the JSON record (default %(default)s)")
     ap.add_argument("--against", metavar="SRC", help="a second twkit tree, the directory holding its twkit package, "
-                                                     "timed round by round with the one on PYTHONPATH")
-    ap.add_argument("--against-label", default="parent", help="name of its run (default %(default)s)")
+                                                     "timed round by round with the one on PYTHONPATH "
+                                                     "and recorded as parent")
     args = ap.parse_args()
     trees, labels = [THIS], [args.label]
     if args.against:
-        trees, labels = [Tree("twkit_against", args.against), THIS], [args.against_label, args.label]
+        trees, labels = [Tree("twkit_against", args.against), THIS], ["parent", args.label]
 
-    processes = run_ladder(PROCESSES, lambda p: run_processes(*p, trees))
+    processes = run_processes(trees)
     stages = [pair for rungs in ladders() for pair in run_ladder(rungs, lambda r: run_rung(r, args.repeats, trees))]
 
     heads = ("links", "jsonio", "validate", "decompose", "homology", "d_1", "generic", "couples", "recover")

@@ -8,17 +8,18 @@ clear_column is the one sparse pivot step, fraction-free on ints:
 row_reduce (elimination), decompose's splitting, the persistence
 pairing of generic pages and Gaussian elimination of a contractible
 pair all call it, on the {col: rows} index column_index builds.
-matmul (products) follows the nonzeros too.  kernel_from_reduction and solution_from_reduction read
-the right kernel and the solutions of a linear system off an
-elimination, given the column counts the rows leave implicit, so a
-caller that keeps eliminations (as the couple memo does) reads them
-the same way.  rank, pivot_columns, kernel_basis, image_basis and
-solve are built on these.  columns and from_columns turn rows into
-column vectors and back.  Subquotient is the one homology read-off:
-cycles modulo boundaries with pinned representatives, and the
-coordinates of a cycle on them, read in cycle coordinates without a
-solve; homology builds one per slot of a chain of maps, for the mod-a
-homology, the first differential and the derived couples alike.
+matmul (products) follows the nonzeros too.  kernel_from_reduction
+and solution_from_reduction read the right kernel and the solutions of
+a linear system off an elimination, given the column counts the rows
+leave implicit, so a caller that keeps eliminations (as the couple
+memo does) reads them the same way.  rank, pivot_columns,
+kernel_basis, image_basis and solve are built on these.  columns and
+from_columns turn rows into column vectors and back.  Subquotient is
+the one homology read-off: cycles modulo boundaries with pinned
+representatives, and the coordinates of a cycle on them, read in cycle
+coordinates without a solve; homology builds one per slot of a chain
+of maps, for the mod-a homology, the first differential and the
+derived couples alike.
 Helpers look row_reduce up in this module when called, so replacing
 the module attribute (e.g. to count calls) reaches them too; callers
 elsewhere go through the module attribute as well.  There is one

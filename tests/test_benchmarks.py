@@ -1,7 +1,7 @@
 """The layer benchmark under benchmarks/ still runs: its checks pass and
 every stage is timed on the smallest rung of each ladder, for one tree
-or for two side by side, a wrong answer stops it, and a zero budget
-records "over budget" without running."""
+or for two side by side (each knot's processes too), a wrong answer
+stops it, and a zero budget records "over budget" without running."""
 
 import importlib.util
 import pathlib
@@ -54,6 +54,13 @@ def test_two_trees_are_timed_round_by_round():
     assert ran == [second, bench.THIS, bench.THIS, second]
     assert [sorted(result) for result in results] == [sorted(bench.STAGES[1:] + ("generators", "nonzeros"))] * 2
     assert results[0]["generators"] == results[1]["generators"] > 0
+    ran.clear()
+    bench.run_process = lambda knot, budget, tree: ran.append((knot, tree)) or {"wall_s": budget}
+    bench.PROCESSES = (("T(2,8)", 1), ("T(3,5)", 2), ("T(2,9)", 3))
+    assert bench.run_processes([second, bench.THIS]) == [
+        (("T(2,8)", 1), [{"wall_s": 1}] * 2), (("T(3,5)", 2), [{"wall_s": 2}] * 2), (("T(2,9)", 3), [{"wall_s": 3}] * 2)]
+    assert ran == [("T(2,8)", second), ("T(2,8)", bench.THIS), ("T(3,5)", bench.THIS), ("T(3,5)", second),
+                   ("T(2,9)", second), ("T(2,9)", bench.THIS)]
 
 
 def test_a_wrong_answer_stops_the_harness():
