@@ -187,36 +187,54 @@ class FilteredFieldComplex(FieldComplex):
 
     def gaps(self):
         """{(n, p): sorted gaps of the degree-n generators at level p},
-        read off the persistence pairing of every d^n (see twkit.pages),
-        built on first use and kept; an unpaired generator's is infinite."""
+        read off persistence_pairs (see twkit.pages), built on first use
+        and kept; an unpaired generator's is infinite."""
         if getattr(self, "_gaps", None) is None:
-            gaps, paired = {}, {}
-            for n in sorted(self.degrees):
-                src, tgt = self.degrees[n], self.degrees.get(n + 1, ())
-                # sources as rows keyed by target, less those already
-                # paired as targets of d^(n-1) (clearing)
-                ends, paired = paired.get(n, {}), {n + 1: {}}
-                rows = [{} for _ in src]
-                for t, row in enumerate(self.mats.get(n, ())):
-                    for j, x in row.items():
-                        if j not in ends:
-                            rows[j][t] = x
-                holders = exactla.column_index(rows)
-                for t in sorted(holders, key=lambda t: (tgt[t], t), reverse=True):
-                    if holders[t]:
-                        j = min(holders[t], key=lambda j: (src[j], j))
-                        if src[j] < tgt[t]:
-                            raise InternalError("pages", "d^%d pairs source %d at level %d with target %d at "
-                                                "level %d above it" % (n, j, src[j], t, tgt[t]))
-                        for i, a, _ in exactla.clear_column(rows, holders, j, t):
-                            rows[i] = exactla.divided(rows[i], a)
-                        for u in rows[j]:
-                            holders[u].discard(j)
-                        ends[j] = paired[n + 1][t] = src[j] - tgt[t]
-                for j, p in enumerate(src):
-                    gaps.setdefault((n, p), []).append(ends.get(j, float("inf")))
+            ends = {}
+            for n, j, t in persistence_pairs(self.degrees, self.mats):
+                src, tgt = self.degrees[n][j], self.degrees[n + 1][t]
+                if src < tgt:
+                    raise InternalError("pages", "d^%d pairs source %d at level %d with target %d at "
+                                        "level %d above it" % (n, j, src, t, tgt))
+                ends[n, j] = ends[n + 1, t] = src - tgt
+            gaps = {}
+            for n, levels in self.degrees.items():
+                for j, p in enumerate(levels):
+                    gaps.setdefault((n, p), []).append(ends.get((n, j), float("inf")))
             object.__setattr__(self, "_gaps", {key: sorted(g) for key, g in gaps.items()})
         return self._gaps
+
+
+def persistence_pairs(degrees, mats):
+    """The persistence pairing of the complex on {n: generator levels}
+    and {n: sparse rows of d^n}, one elimination per degree: a list of
+    (n, j, t), source j of d^n paired with the target t it kills.
+    Targets go by descending level, then index; each is paired with the
+    lowest-level source holding it, the first on a tie, whose row then
+    clears the target's column from the others.  Sources paired as
+    targets of d^(n-1) are skipped (clearing).  Levels are not checked:
+    each reader checks what it relies on."""
+    pairs, ends = [], set()
+    for n in sorted(degrees):
+        src, tgt = degrees[n], degrees.get(n + 1, ())
+        # sources as rows keyed by target, less the cleared ones
+        rows = [{} for _ in src]
+        for t, row in enumerate(mats.get(n, ())):
+            for j, x in row.items():
+                if j not in ends:
+                    rows[j][t] = x
+        holders = exactla.column_index(rows)
+        ends = set()
+        for t in sorted(holders, key=lambda t: (tgt[t], t), reverse=True):
+            if holders[t]:
+                j = min(holders[t], key=lambda j: (src[j], j))
+                for i, a in exactla.clear_column(rows, holders, j, t):
+                    rows[i] = exactla.divided(rows[i], a)
+                for u in rows[j]:
+                    holders[u].discard(j)
+                pairs.append((n, j, t))
+                ends.add(t)
+    return pairs
 
 
 def reduce_mod_a(c: GradedComplex) -> FieldComplex:
@@ -285,7 +303,7 @@ def _cancel(degrees, mats, h, row, col, not_invertible):
     degrees[h] = src[:col] + src[col + 1:]
     degrees[h + 1] = tgt[:row] + tgt[row + 1:]
     rows = [dict(r) for r in rows]
-    for i, a, _ in exactla.clear_column(rows, exactla.column_index(rows), row, col):
+    for i, a in exactla.clear_column(rows, exactla.column_index(rows), row, col):
         rows[i] = exactla.divided(rows[i], a)
     mats[h] = [_without(full, col) for r, full in enumerate(rows) if r != row]
     if h - 1 in mats:

@@ -77,7 +77,7 @@ def random_decomposition(
             free.append((i, s))
             budget -= 1
     # the parity snap can land two torsion generators on one spot;
-    # harmless, decompose resolves ties deterministically
+    # harmless, the pairing breaks level ties by generator index
     return Decomposition(k, tuple(free), tuple(torsion))
 
 

@@ -8,26 +8,29 @@ differential and two-term complexes
 
 A two-term piece with m >= 1 has homology k[a]/(a^m){s} concentrated in
 its target degree; with m = 0 it is contractible and contributes
-nothing.  `decompose` performs the splitting constructively and returns
-the multiset of surviving pieces in a canonical order; that multiset is
-an isomorphism invariant of the complex, and the homology in degree i
-is read straight off the pieces indexed i.  The contractible pairs are
-dropped, and the rank accounting total rank = |free| + 2 |torsion| +
-2 (dropped pairs) is checked on every call.
+nothing.  `decompose` reads the splitting off the persistence pairing
+generic pages read (see twkit.pages): each of its row operations adds
+a source to a source of the same or a higher level, by homogeneity a
+multiple of 2k apart, so it is a homogeneous change of basis over k[a],
+and a pair of gap 2km is a two-term piece.  It returns the multiset of
+surviving pieces in a canonical order; that multiset is an isomorphism
+invariant of the complex, and the homology in degree i is read straight
+off the pieces indexed i.  The contractible pairs are dropped, and the
+rank accounting total rank = |free| + 2 |torsion| + 2 (dropped pairs)
+is checked on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 
+from . import complexes
 from .algebra import (
     BigradedTable,
     GradedRing,
 )
 from .complexes import GradedComplex, InternalError
-from .exactla import clear_column, column_index, divided
 
 
 @dataclass(frozen=True)
@@ -65,98 +68,30 @@ class Decomposition:
 
 
 def decompose(c: GradedComplex) -> Decomposition:
-    """Split `c` into elementary pieces.
-
-    Works degree by degree from the bottom.  At the lowest remaining
-    degree n the source generators are ordered by ascending polynomial
-    degree and the targets by descending degree, so in the first column
-    of d^n the a-exponent grows downward and the first nonzero entry (or
-    a unit tied with it) is a pivot of minimal exponent m.  If the column
-    is zero the first source splits off as a free piece.  Otherwise a
-    change of basis clears the pivot's column and row: subtracting
-    multiples of the pivot row kills the column below it, which rewrites
-    the next differential's pivot-target column into one that d^2 = 0
-    forces to vanish; clearing the pivot row afterwards touches nothing
-    else.  The source and target then split off as a two-term piece, a
-    torsion piece when m >= 1 and a contractible pair when m = 0.
+    """Split `c` into elementary pieces, read off the persistence
+    pairing of its differentials with each generator's degree as its
+    level (complexes.persistence_pairs, looked up when called): each
+    pair of gap 2km splits off a torsion piece (n + 1, m, level of its
+    target) when m >= 1 and a contractible pair when m = 0, and each
+    unpaired generator a free piece.  A gap that is negative or not a
+    multiple of 2k, or a generator in two pairs, is an internal error.
     """
-    free, torsion, dropped = _split_pieces(c)
+    two_k = c.ring.a_degree
+    torsion, dropped, paired = [], 0, set()
+    for n, j, t in complexes.persistence_pairs(c.degrees, {i: d.rows for i, d in c.differentials.items()}):
+        s = c.degrees[n + 1][t]
+        gap = c.degrees[n][j] - s
+        if gap < 0 or gap % two_k:
+            raise InternalError("decompose", "pivot violates homogeneity")
+        if gap:
+            torsion.append((n + 1, gap // two_k, s))
+        else:
+            dropped += 1
+        paired.update(((n, j), (n + 1, t)))
+    free = [(n, s) for n, levels in c.degrees.items() for j, s in enumerate(levels) if (n, j) not in paired]
     if len(free) + 2 * len(torsion) + 2 * dropped != c.total_rank():
         raise InternalError("decompose", "piece count does not account for every generator")
     return Decomposition(c.ring.k, tuple(free), tuple(torsion))
-
-
-def _split_pieces(c: GradedComplex):
-    two_k = c.ring.a_degree
-    free = []
-    torsion = []
-    dropped = 0
-    # the current differential's rows and the generators of its source
-    # already split off as targets, as the step below left them
-    rows = None
-    split = set()
-    for n in sorted(c.degrees):
-        src = c.degrees[n]
-        tgt = c.degrees.get(n + 1, ())
-        if rows is None:
-            d = c.differentials.get(n)
-            rows = [dict(row) for row in d.rows] if d is not None else []
-        d = c.differentials.get(n + 1)
-        nxt = [dict(row) for row in d.rows] if d is not None else []
-        holders = column_index(rows)
-        nxt_holders = column_index(nxt)
-        split_next = set()
-
-        # sources by ascending degree, ties in generator order
-        for j in sorted(set(range(len(src))) - split, key=lambda j: (src[j], j)):
-            cand = holders.get(j)
-            if not cand:
-                free.append((n, src[j]))
-                continue
-            # the holder of highest target degree has the minimal
-            # exponent: the first in generator order, or a tied unit
-            l = min(cand, key=lambda r: (-tgt[r], r))
-            if rows[l][j] not in (1, -1):
-                l = min((r for r in cand if tgt[r] == tgt[l] and rows[r][j] in (1, -1)), default=l)
-            gap = src[j] - tgt[l]
-            if gap < 0 or gap % two_k:
-                raise InternalError("decompose", "pivot violates homogeneity")
-            m = gap // two_k
-            _clear_pivot_column(rows, holders, nxt, nxt_holders, j, l)
-            if m == 0:
-                dropped += 1
-            else:
-                torsion.append((n + 1, m, tgt[l]))
-            for cc in rows[l]:
-                holders[cc].discard(l)
-            split_next.add(l)
-
-        rows, split = (nxt, split_next) if n + 1 in c.degrees else (None, set())
-
-    return free, torsion, dropped
-
-
-def _clear_pivot_column(d, holders, nxt, nxt_holders, j, l):
-    """Clear column j of d below pivot row l (exactla.clear_column, a
-    row it scales by a divided by a again), then check and drop the
-    pivot target's column l of the next differential nxt, which the same
-    row operations make vanish when d^2 = 0.
-
-    d and nxt are sparse rows with canonical values, with column
-    indices holders and nxt_holders ({col: rows with a nonzero there},
-    see column_index).
-    """
-    # column l of nxt after the same row operations, on its nonzeros
-    acc = {r: nxt[r][l] for r in nxt_holders.get(l, ())}
-    for i, a, b in clear_column(d, holders, l, j):
-        if a != 1:
-            d[i], b = divided(d[i], a), Fraction(b, a)
-        for r in nxt_holders.get(i, ()):
-            acc[r] = acc.get(r, 0) + b * nxt[r][i]
-    if any(acc.values()):
-        raise InternalError("decompose", "outgoing column of a split target did not vanish")
-    for r in nxt_holders.pop(l, ()):
-        del nxt[r][l]
 
 
 def hn_table(d: Decomposition) -> BigradedTable:

@@ -5,9 +5,9 @@ nonzeros; a vector is one such map, keyed by coordinate.  Every value
 this kernel writes is canonical (an int when integral, a Fraction
 otherwise; see canonical), and two ints never meet in true division.
 clear_column is the one sparse pivot step, fraction-free on ints:
-row_reduce (elimination), decompose's splitting, the persistence
-pairing of generic pages and Gaussian elimination of a contractible
-pair all call it, on the {col: rows} index column_index builds.
+row_reduce (elimination), the persistence pairing that decompose and
+generic pages read, and Gaussian elimination of a contractible pair
+all call it, on the {col: rows} index column_index builds.
 matmul (products) follows the nonzeros too.  kernel_from_reduction
 and solution_from_reduction read the right kernel and the solutions of
 a linear system off an elimination, given the column counts the rows
@@ -59,8 +59,8 @@ def column_index(rows):
 def clear_column(rows, holders, p, c):
     """Clear column c of every other row holding it with row p, in place,
     keeping holders, their column index (see column_index), in step and
-    writing canonical values.  Returns (row id, a, b) triples: row id
-    became a times itself less b times row p; a = x/g > 0 and b = y/g for
+    writing canonical values.  Returns (row id, a) pairs: row id became
+    a times itself less b times row p; a = x/g > 0 and b = y/g for
     g = ±gcd(x, y) on an int pivot x and entry y, else a = 1, b = y/x."""
     prow = rows[p]
     pivot = prow[c]
@@ -78,7 +78,7 @@ def clear_column(rows, holders, p, c):
                 rows[i] = row = {j: canonical(x * a) for j, x in row.items()}
         else:
             a, b = 1, canonical(y / pivot)
-        steps.append((i, a, b))
+        steps.append((i, a))
         for j, x in prow.items():
             z = row.get(j)
             if z is None:
@@ -129,7 +129,7 @@ def row_reduce(rows):
         if not candidates:
             continue
         p = min(candidates, key=lambda i: (sparse[i][c] not in (1, -1), len(sparse[i]), i))
-        for i, a, _ in clear_column(sparse, holders, p, c):
+        for i, a in clear_column(sparse, holders, p, c):
             g = a != 1 and gcd(*sparse[i].values())
             if g > 1:
                 sparse[i] = {j: x // g for j, x in sparse[i].items()}

@@ -2,19 +2,22 @@
 
 Closed forms per elementary piece; the assembled page of a
 decomposition, which is the sum of the closed forms of its pieces; and
-a generic computation from a filtered complex of vector spaces that
-knows nothing about pieces.  All three must agree exactly; the generic
-route, generic_pages, is the referee.
+a generic computation from a filtered complex of vector spaces.  All
+three must agree exactly.  On a complex from a decomposition, the
+generic route and decompose read one persistence pairing, so neither
+referees the other: twkit verify compares both with the decomposition
+the complex was generated from.
 
-The generic route reads every page off one persistence pairing per
-degree, which FilteredFieldComplex.gaps builds once per complex
-(Zomorodian and Carlsson, "Computing persistent homology", 2005; Chen
-and Kerber, "Persistent homology computation with a twist", 2011, for
-clearing).  Sources of d^n are taken by level, then index, and each is
-paired with the target it kills or left unpaired.  Gap rule: a pair of
-gap g, its source's level less its target's, shows both ends on pages
-r <= g and neither from r = g + 1 on, and an unpaired generator shows
-on every page; a torsion piece (i, m, s) is a pair of gap 2km.
+The generic route reads every page off the gaps of
+complexes.persistence_pairs, one pairing per degree, which
+FilteredFieldComplex.gaps builds once per complex (Zomorodian and
+Carlsson, "Computing persistent homology", 2005; Chen and Kerber,
+"Persistent homology computation with a twist", 2011, for clearing).
+Each source of d^n is paired with the target it kills or left
+unpaired.  Gap rule: a pair of gap g, its source's level less its
+target's, shows both ends on pages r <= g and neither from r = g + 1
+on, and an unpaired generator shows on every page; a torsion piece
+(i, m, s) is a pair of gap 2km.
 
 Position rule: a page entry sits at (p, q) where p is the filtration
 degree and q is the homological degree minus p, so a generator of
@@ -170,7 +173,7 @@ def piece_pages(piece, hat: bool, r: int, k: int) -> PageTable:
 
 def assembled_pages(d: Decomposition, hat: bool, r: int) -> PageTable:
     """Page r of a complex known only through its decomposition: the
-    sum of the closed forms of its pieces, which generic_pages referees.
+    sum of the closed forms of its pieces.
     Restricted to r >= 1: the zeroth page depends on the presentation,
     not just the decomposition.
     """

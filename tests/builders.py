@@ -1,12 +1,13 @@
 """Fixtures and references that no twkit code path needs: shifts and
 block direct sums of complexes, the homology read off a decomposition,
-the 2-braid's homology worked out by hand, unit pivots, and the
-unreduced 2-braid that criterion 9 eliminates, whose -X is the frozen
-matrix of x2."""
+decompose held to a frozen splitting, the 2-braid's homology worked out
+by hand, unit pivots, and the unreduced 2-braid that criterion 9
+eliminates, whose -X is the frozen matrix of x2."""
 
 from frozen_twobraid import reference_x_matrix
 from twkit.algebra import GradedModuleDescriptor, GradedRing
 from twkit.complexes import GradedComplex
+from twkit.decompose import Decomposition, decompose
 
 
 def shifted(c, di=0, ds=0):
@@ -50,6 +51,16 @@ def homology_structure(d):
     for i, m, s in d.torsion_pieces:
         by_degree.setdefault(i, ([], []))[1].append((m, s))
     return {i: GradedModuleDescriptor(tuple(fr), tuple(to)) for i, (fr, to) in by_degree.items()}
+
+
+def assert_splits_as(c, reference):
+    """decompose(c) is a frozen splitting's (free, torsion, dropped):
+    the same pieces, and by rank accounting the same number of dropped
+    contractible pairs."""
+    free, torsion, dropped = reference
+    d = decompose(c)
+    assert d == Decomposition(c.ring.k, tuple(free), tuple(torsion))
+    assert c.total_rank() - len(d.free_pieces) - 2 * len(d.torsion_pieces) == 2 * dropped
 
 
 def twobraid_homology(N, i):

@@ -17,7 +17,7 @@ import sys
 import pytest
 
 from builders import shifted
-from twkit import jsonio
+from twkit import complexes, corpus, jsonio
 from twkit.cli import EXIT_COMPLEX, build_parser, main
 from twkit.complexes import GradedComplex
 from twkit.corpus import conjugate, random_decomposition
@@ -875,15 +875,28 @@ class TestInternalInvariants:
     the stage, never a traceback.  Each test breaks one invariant."""
 
     # the package re-exports functions named like these modules
-    couples, decompose, links = (
-        importlib.import_module("twkit." + name) for name in ("couples", "decompose", "links")
-    )
+    couples, links = (importlib.import_module("twkit." + name) for name in ("couples", "links"))
 
     def test_decompose(self, capsys, monkeypatch):
-        monkeypatch.setattr(self.decompose, "_split_pieces", lambda c: ([], [], 0))
+        # every pair twice: its generators are each in two pairs
+        pairing = complexes.persistence_pairs
+        monkeypatch.setattr(complexes, "persistence_pairs", lambda *args: pairing(*args) * 2)
         out, err = run(capsys, "decompose", TORSION_CX, expect=5)
         assert out == ""
         assert err == "error: internal error in decompose: piece count does not account for every generator\n"
+
+    @pytest.mark.parametrize("target", [1, 2], ids=["gap -2", "gap 3"])
+    def test_decompose_homogeneity(self, capsys, monkeypatch, target):
+        # the source at level 4 paired with a target at level 6 or 1,
+        # joined by no entry of d^0
+        doc = json.dumps(
+            {"format": "tw/1", "type": "complex", "k": 1, "modules": {"0": [4], "1": [0, 6, 1]},
+             "differentials": {"0": [["1"], ["0"], ["0"]]}}
+        )
+        monkeypatch.setattr(complexes, "persistence_pairs", lambda *args: [(0, 0, target)])
+        out, err = run(capsys, "decompose", doc, expect=5)
+        assert out == ""
+        assert err == "error: internal error in decompose: pivot violates homogeneity\n"
 
     def test_couples(self, capsys, monkeypatch):
         # every solve of a derivation reads its answer off an
@@ -922,6 +935,41 @@ class TestVerify:
         assert a == b
         doc = json.loads(a)
         assert doc["passed"] == 12 and doc["failures"] == []
+
+    def test_referees_the_pairing(self, capsys, monkeypatch):
+        """decompose and generic pages read one persistence pairing, and
+        verify still catches a fault in it: cross_checks compares each
+        with the generated decomposition, not with the other.  The fault
+        re-pairs the first source it can with a target 2k above its own
+        target, free or paired by the same differential (whose partner
+        takes the old target), shortening that gap by 2k.  Few corpus
+        items offer such a target; at seed 3, two of the 40 do."""
+        pairing, generate, ks = complexes.persistence_pairs, corpus.random_decomposition, []
+
+        def generated(rng):
+            d = generate(rng)
+            ks.append(d.k)
+            return d
+
+        def shortened(degrees, mats):
+            pairs = pairing(degrees, mats)
+            sources = {(n, j) for n, j, _ in pairs}
+            for x, (n, j, t) in enumerate(pairs):
+                level = degrees[n + 1][t] + 2 * ks[-1]
+                for u, s in enumerate(degrees[n + 1]):
+                    if s == level <= degrees[n][j] and (n + 1, u) not in sources:
+                        pairs = [(m, i, t if (m, v) == (n, u) else v) for m, i, v in pairs]
+                        pairs[x] = (n, j, u)
+                        return pairs
+            return pairs
+
+        monkeypatch.setattr(corpus, "random_decomposition", generated)
+        monkeypatch.setattr(complexes, "persistence_pairs", shortened)
+        out, _ = run(capsys, "verify", "--seed", "3", "--count", "40", "--format", "table", expect=1)
+        lines = out.splitlines()
+        assert lines[0] == "38/40 pass"
+        for line in lines[1:]:
+            assert "decompose(reassemble(d)) != d" in line and "differs from assembled" in line, line
 
     @pytest.mark.parametrize("count", ["-1", "0"])
     def test_count_below_one_refused(self, capsys, count):

@@ -1,6 +1,5 @@
 """Splitting complexes into elementary pieces and the derived invariants."""
 
-import copy
 import random
 from fractions import Fraction
 
@@ -8,22 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from builders import direct_sum, homology_structure
+from builders import assert_splits_as, direct_sum, homology_structure
 from frozen_cube import reference_sl2_cube
 from twkit.algebra import BigradedTable
-from twkit.complexes import InternalError, complex_from_data
+from twkit.complexes import complex_from_data
 from twkit.corpus import conjugate, random_decomposition
 from twkit.decompose import (
     Decomposition,
-    _clear_pivot_column,
-    _split_pieces,
     decompose,
     hn_table,
     reassemble,
     thickness,
     torsion_width,
 )
-from twkit.exactla import canonical, column_index
 from twkit.links import LinkDiagram, Sl2Potential
 from twkit.pages import PageTable
 
@@ -181,99 +177,16 @@ def test_rank_accounting_property(seed):
     assert dropped_pairs(c) == 0
 
 
-def dense_clear_pivot_column(d, nxt, pivots):
-    """The dense column clearing decompose used before it skipped zeros,
-    frozen as the reference."""
-    l = pivots[0]
-    pivot = d[l][0]
-    row_l = d[l]
-    ratios = []
-    for i in pivots[1:]:
-        ratio = d[i][0] / pivot
-        ratios.append((i, ratio))
-        d[i] = [d[i][j] - ratio * row_l[j] for j in range(len(row_l))]
-    if nxt is not None:
-        for r in range(len(nxt)):
-            acc = nxt[r][l]
-            for i, ratio in ratios:
-                acc += ratio * nxt[r][i]
-            if acc:
-                raise AssertionError("outgoing column of a split target did not vanish")
-            del nxt[r][l]
-
-
-def random_rows(rng, nr, nc, density):
-    return [
-        [
-            Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3)) if rng.random() < density else Fraction(0)
-            for _ in range(nc)
-        ]
-        for _ in range(nr)
-    ]
-
-
-def test_clear_pivot_column_matches_dense_reference():
-    """Same rows, same deleted column, and the same verdict on whether
-    the next differential's column vanished, on seeded sparse and dense
-    inputs; half the next differentials are built to pass the check.
-    The sparse rows keep canonical values and their column indices
-    match their nonzeros."""
-    rng = random.Random(31)
-    raised = 0
-    for _ in range(2000):
-        density = rng.choice((0.0, 1.0, rng.random()))
-        nr, nc = rng.randint(1, 8), rng.randint(1, 8)
-        d = random_rows(rng, nr, nc, density)
-        if nr > 1 and rng.random() < 0.3:
-            d[rng.randrange(nr)] = list(d[rng.randrange(nr)])
-        d[rng.randrange(nr)][0] = Fraction(rng.choice((-2, 1, 3)))
-        pivots = [r for r, row in enumerate(d) if row[0]]
-        nxt = None
-        if rng.random() < 0.8:
-            nxt = random_rows(rng, rng.randint(0, 6), nr, density)
-            if rng.random() < 0.5:
-                l = pivots[0]
-                for row in nxt:
-                    row[l] = -sum((d[i][0] / d[l][0] * row[i] for i in pivots[1:]), Fraction(0))
-        want_d, want_nxt = copy.deepcopy((d, nxt))
-        rows, nxt_rows = sparse_rows(d), sparse_rows(nxt or [])
-        holders, nxt_holders = column_index(rows), column_index(nxt_rows)
-        try:
-            dense_clear_pivot_column(want_d, want_nxt, pivots)
-        except AssertionError:
-            with pytest.raises(InternalError, match="split target did not vanish"):
-                _clear_pivot_column(rows, holders, nxt_rows, nxt_holders, 0, pivots[0])
-            raised += 1
-            continue
-        _clear_pivot_column(rows, holders, nxt_rows, nxt_holders, 0, pivots[0])
-        got_nxt = [[row.get(j, 0) for j in range(nr) if j != pivots[0]] for row in nxt_rows]
-        assert [[row.get(j, 0) for j in range(nc)] for row in rows] == want_d
-        assert got_nxt == (want_nxt or [])
-        for sparse, index in ((rows, holders), (nxt_rows, nxt_holders)):
-            assert {j: v for j, v in index.items() if v} == column_index(sparse)
-            for row in sparse:
-                for x in row.values():
-                    assert (type(x) is int and x) or (type(x) is Fraction and x.denominator > 1)
-    assert 200 < raised < 1800
-
-
-def sparse_rows(rows):
-    """{col: canonical value} rows of dense Fraction rows' nonzeros."""
-    return [{c: canonical(x) for c, x in enumerate(row) if x} for row in rows]
-
-
-# -- the unit-first pivot against the rational step it replaced ---------
+# -- the pairing against the rational splitting it replaced ------------
 
 
 def rational_split_pieces(c):
     """decompose's (free, torsion, dropped) as it was before its pivot
     step went fraction-free, frozen as the reference: the first holder
     of the highest target degree is the pivot, and every other holder
-    loses its entry over the pivot times the pivot row.  Also returns
-    how many of those pivots were not units while a holder tied with
-    them held a unit."""
+    loses its entry over the pivot times the pivot row."""
     two_k = c.ring.a_degree
-    free, torsion, dropped, ties = [], [], 0, 0
+    free, torsion, dropped = [], [], 0
     rows, split = None, set()
     for n in sorted(c.degrees):
         src, tgt = c.degrees[n], c.degrees.get(n + 1, ())
@@ -294,8 +207,6 @@ def rational_split_pieces(c):
                 free.append((n, src[j]))
                 continue
             l = min(cand, key=lambda r: (-tgt[r], r))
-            units = [r for r in cand if tgt[r] == tgt[l] and rows[r][j] in (1, -1)]
-            ties += bool(units) and rows[l][j] not in (1, -1)
             pivot = Fraction(rows[l][j])
             ratios = []
             for i in cand - {l}:
@@ -326,7 +237,7 @@ def rational_split_pieces(c):
                 holders[col].discard(l)
             split_next.add(l)
         rows, split = (nxt, split_next) if n + 1 in c.degrees else (None, set())
-    return (free, torsion, dropped), ties
+    return free, torsion, dropped
 
 
 FORMS = [Sl2Potential.standard(), Sl2Potential.standard().integral_form()]
@@ -337,20 +248,16 @@ FORMS = [Sl2Potential.standard(), Sl2Potential.standard().integral_form()]
     "word, strands", [("1 " * 7, 2), ("1 2 " * 4, 3), ("1 2 " * 5, 3)], ids=["T(2,7)", "T(3,4)", "T(3,5)"]
 )
 def test_torus_knots_split_as_the_rational_reference(word, strands, potential):
-    """On the frozen builder's cube, the unit-first, fraction-free split
-    finds the same pieces in the same order as the rational step."""
+    """On the frozen builder's cube, the pieces read off the persistence
+    pairing are the rational step's pieces."""
     c = reference_sl2_cube(LinkDiagram.from_braid_text(word.strip(), strands), potential)
-    pieces, _ = rational_split_pieces(c)
-    assert _split_pieces(c) == pieces
-    assert decompose(c) == Decomposition(c.ring.k, *pieces[:2])
+    assert_splits_as(c, rational_split_pieces(c))
 
 
 @pytest.mark.parametrize("potential", FORMS, ids=["fractional", "integral"])
-def test_tie_rule_changes_pivots(potential):
-    """The comparison above is not vacuous: on the benchmark's largest
-    link the default pivot is a non-unit with a unit tied to it several
-    times, and the pieces still agree."""
+def test_six_crossing_link_splits_as_the_rational_reference(potential):
+    """The same on the benchmark's largest link, where the rational
+    step's first-holder pivot is often a non-unit with a unit tied to
+    it."""
     c = reference_sl2_cube(LinkDiagram.from_braid_text("1 1 1 2 -1 2", 3), potential)
-    pieces, ties = rational_split_pieces(c)
-    assert ties >= 5
-    assert _split_pieces(c) == pieces
+    assert_splits_as(c, rational_split_pieces(c))

@@ -100,18 +100,27 @@ def test_row_reduce_writes_canonical_values():
     assert all(is_canonical(x) for row in rref for x in row.values())
 
 
+def less(a, row, b, prow):
+    """a row - b prow, on its nonzeros."""
+    out = {j: a * row.get(j, 0) - b * prow.get(j, 0) for j in row.keys() | prow.keys()}
+    return {j: x for j, x in out.items() if x}
+
+
 def test_clear_column_in_place():
     """One pivot step: the other holders of the column become a times
     themselves less b times the pivot row, fill-in joins the index,
-    cancelled entries leave it, and the (row, a, b) steps come back.
+    cancelled entries leave it, and the (row, a) steps come back.
     An int entry under an int pivot steps fraction-free; divided by a,
     each row is the rational step's row."""
     rows = [{0: 2, 1: 1, 3: F(1, 2)}, {0: 4, 1: 2, 2: 1}, {0: 1, 3: F(-1, 4)}, {2: 5}]
+    old = [dict(row) for row in rows]
     holders = exactla.column_index(rows)
     steps = exactla.clear_column(rows, holders, 0, 0)
-    # 2 divides 4, so row 1 is not scaled; gcd(2, 1) = 1 scales row 2 by 2
-    assert sorted(steps) == [(1, 1, 2), (2, 2, 1)]
-    assert all(type(a) is int and is_canonical(b) for _, a, b in steps)
+    # 2 divides 4, so row 1 is not scaled and loses b = 2 pivot rows;
+    # gcd(2, 1) = 1 scales row 2 by a = 2, and b = 1
+    assert sorted(steps) == [(1, 1), (2, 2)]
+    assert all(type(a) is int for _, a in steps)
+    assert rows[1] == less(1, old[1], 2, old[0]) and rows[2] == less(2, old[2], 1, old[0])
     # row 1 cancels at column 1 and fills in at 3; row 2 fills in at
     # 1 and its 2 (-1/4) - 1/2 turns integral
     assert rows == [{0: 2, 1: 1, 3: F(1, 2)}, {2: 1, 3: -1}, {1: -1, 3: -1}, {2: 5}]
@@ -122,14 +131,18 @@ def test_clear_column_in_place():
     assert all(is_canonical(x) for x in exactla.divided(rows[2], 2).values())
     # a unit pivot clears with a = 1 and the row's own entries as b
     rows = [{0: -1, 1: 3}, {0: F(3, 2), 1: 1}]
+    old = [dict(row) for row in rows]
     holders = exactla.column_index(rows)
-    assert exactla.clear_column(rows, holders, 0, 0) == [(1, 1, F(-3, 2))]
+    assert exactla.clear_column(rows, holders, 0, 0) == [(1, 1)]
+    assert rows[1] == less(1, old[1], F(-3, 2), old[0])
     assert rows == [{0: -1, 1: 3}, {1: F(11, 2)}]
     assert {j: h for j, h in holders.items() if h} == exactla.column_index(rows)
     # a Fraction pivot takes the rational step, a = 1 and b = y / x
     rows = [{0: F(1, 2), 1: 1}, {0: 3, 1: 1, 2: F(1, 3)}]
+    old = [dict(row) for row in rows]
     holders = exactla.column_index(rows)
-    assert exactla.clear_column(rows, holders, 0, 0) == [(1, 1, 6)]
+    assert exactla.clear_column(rows, holders, 0, 0) == [(1, 1)]
+    assert rows[1] == less(1, old[1], 6, old[0])
     assert rows[1] == {1: -5, 2: F(1, 3)} and type(rows[1][1]) is int
     assert {j: h for j, h in holders.items() if h} == exactla.column_index(rows)
 
@@ -291,7 +304,7 @@ def recording_steps(monkeypatch):
     def recording(rows, holders, p, c):
         pivots.append(rows[p][c])
         steps = clear_column(rows, holders, p, c)
-        scales.extend(a for _, a, _ in steps)
+        scales.extend(a for _, a in steps)
         return steps
 
     monkeypatch.setattr(exactla, "clear_column", recording)

@@ -2,20 +2,19 @@
 
 HomMatrix stores {col: value} rows of its nonzeros, each value an int
 when integral and a Fraction otherwise.  Validation (homogeneity and
-d^2 = 0), decompose's splitting and Gaussian elimination all follow
-the nonzeros.  The dense code they replaced is kept below, verbatim up
-to storage, as the reference: every piece, verdict, error message and
-eliminated complex must agree with it.
+d^2 = 0), the persistence pairing decompose reads and Gaussian
+elimination all follow the nonzeros.  The dense code they replaced is
+kept below, verbatim up to storage, as the reference: every piece,
+verdict, error message and eliminated complex must agree with it.
 """
 
-import importlib
 import random
 import re
 from fractions import Fraction
 
 import pytest
 
-from builders import direct_sum, shifted, twobraid_unreduced, unit_pivots
+from builders import assert_splits_as, direct_sum, shifted, twobraid_unreduced, unit_pivots
 from dense_la import dense_matmul, dense_row_reduce, dense_rows, sparse_rows
 from twkit import corpus, exactla
 from twkit.algebra import GradedRing, HomMatrix
@@ -28,11 +27,12 @@ from twkit.complexes import (
     check_differentials,
     complex_from_data,
     gaussian_eliminate,
+    persistence_pairs,
     reduce_mod_a,
     specialize_a_to_1,
 )
 from twkit.corpus import conjugate, random_decomposition
-from twkit.decompose import Decomposition, _split_pieces, decompose, reassemble
+from twkit.decompose import Decomposition, decompose, reassemble
 from twkit.links import (
     LinkDiagram,
     Sl2Potential,
@@ -40,9 +40,6 @@ from twkit.links import (
     build_sl2_cube,
     build_twobraid,
 )
-
-# twkit re-exports a function named decompose over the module's name
-decompose_module = importlib.import_module("twkit.decompose")
 
 # -- the frozen dense reference -----------------------------------------
 
@@ -301,7 +298,7 @@ def assert_canonical(c):
 def assert_matches_reference(c):
     reference_validate(c)
     check_differentials(c.degrees, {i: d.rows for i, d in c.differentials.items()}, c.ring.a_degree)
-    assert _split_pieces(c) == reference_split_pieces(c)
+    assert_splits_as(c, reference_split_pieces(c))
     assert_canonical(c)
 
 
@@ -328,28 +325,30 @@ def test_corpus_matches_reference():
         assert_matches_reference(c)
 
 
-def test_split_pieces_exercises_clearing(cubes, monkeypatch):
-    """The cube inputs reach the clearing step with several holders in
-    a column, with fill-in and with a next differential to check, so the
-    comparisons are not vacuous."""
-    seen = {"holders": 0, "fill": 0, "next": 0}
-    original = decompose_module._clear_pivot_column
+def test_pairing_exercises_clearing(cubes, monkeypatch):
+    """The cube inputs reach the pairing's pivot step with several
+    holders in a column and with fill-in, and have sources that
+    clearing skips while their column is nonzero, so the comparisons
+    are not vacuous."""
+    seen = {"holders": 0, "fill": 0, "skipped": 0}
+    clear_column = exactla.clear_column
 
-    def counting(d, holders, nxt, nxt_holders, j, l):
-        before = sum(len(row) for row in d)
-        cleared = len(holders[j]) - 1
+    def counting(rows, holders, p, c):
+        cleared = holders[c] - {p}
+        before = sum(len(rows[i]) for i in cleared)
+        steps = clear_column(rows, holders, p, c)
         if cleared:
             seen["holders"] += 1
-        if nxt_holders.get(l):
-            seen["next"] += 1
-        original(d, holders, nxt, nxt_holders, j, l)
         # more entries than the cleared column left behind: fill-in
-        if sum(len(row) for row in d) > before - cleared:
+        if sum(len(rows[i]) for i in cleared) > before - len(cleared):
             seen["fill"] += 1
+        return steps
 
-    monkeypatch.setattr(decompose_module, "_clear_pivot_column", counting)
+    monkeypatch.setattr(exactla, "clear_column", counting)
     for _, c in cubes:
-        _split_pieces(c)
+        mats = {i: d.rows for i, d in c.differentials.items()}
+        for n, _, t in persistence_pairs(c.degrees, mats):
+            seen["skipped"] += any(t in row for row in mats.get(n + 1, ()))
     assert min(seen.values()) > 20, seen
 
 
@@ -608,7 +607,7 @@ def test_eliminate_at_non_unit_pivots_matches_reference(monkeypatch):
 
     def recording(rows, holders, p, c):
         steps = clear_column(rows, holders, p, c)
-        scales.extend(a for _, a, _ in steps)
+        scales.extend(a for _, a in steps)
         return steps
 
     monkeypatch.setattr(exactla, "clear_column", recording)
@@ -680,5 +679,6 @@ def test_integer_inputs_stay_exact():
         as_fractions = GradedComplex(
             c.ring, c.degrees, {i: sparse_rows(dense(d)) for i, d in c.differentials.items()}
         )
-        assert decompose(as_fractions) == decompose(c)
-        assert _no_float(_split_pieces(c))
+        d = decompose(c)
+        assert decompose(as_fractions) == d
+        assert _no_float((d.free_pieces, d.torsion_pieces))
