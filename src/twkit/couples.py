@@ -23,8 +23,10 @@ with each other map.  A derived couple reads A' as the columns of f at
 f's own pivot columns, so f' is f's rref applied to the image basis
 below, and the pullback of a basis column through f is a unit vector,
 so g' needs no solve against f.  E' is the homology of d = g o h, read
-off by exactla.homology in cycle coordinates as the mod-a homology is,
-so no solve projects a class onto E' either; h' alone is solved for.
+off by exactla.subquotient in cycle coordinates as the mod-a homology
+is, so no solve projects a class onto E' either; h' alone is solved
+for.  The memo holds those per-slot read-offs too (see _Eliminations),
+so a slot that repeats another along the chain only looks them up.
 """
 
 from __future__ import annotations
@@ -43,27 +45,25 @@ class InsufficientWindow(RuntimeError):
     """A computation reached outside the stored polynomial window."""
 
 
-def _fits(rows, nrows, ncols):
-    return len(rows) == nrows and all(0 <= c < ncols for row in rows for c in row)
-
-
 class _Eliminations:
     """One derivation chain's memo.  intern gives the one tuple of rows
     it holds for each distinct matrix, keyed by the rows' (col, value)
-    pairs in column order.  It keeps what it holds alive, so no other
-    object takes such an id, and it looks its eliminations (the rref
-    cut to its nonzero rows, and the pivots), products and
-    restrictions up by the ids of held objects.  Results are shared;
-    nothing mutates them."""
+    pairs in column order.  All else it computes once per distinct
+    input and holds, looked up by dimensions and the ids of held
+    objects: eliminations (the rref cut to its nonzero rows, and the
+    pivots), products, restrictions, shape verdicts and derive's
+    per-slot read-offs (subquotients, g' coordinates, representative
+    lifts and h' solves).  It keeps what it holds alive, so no other
+    object takes such an id; no key names an object it does not hold.
+    Results are shared; nothing mutates them."""
 
-    __slots__ = ("_rows", "_held", "_reduced", "_products", "_restrictions")
+    __slots__ = ("_rows", "_held", "_reduced", "_products", "_restrictions", "_quotients", "_read", "_lifts",
+                 "_solved", "_fits")
 
     def __init__(self):
-        self._rows = {}
-        self._held = set()
-        self._reduced = {}
-        self._products = {}
-        self._restrictions = {}
+        self._rows, self._held = {}, set()
+        self._reduced, self._products, self._restrictions = {}, {}, {}
+        self._quotients, self._read, self._lifts, self._solved, self._fits = {}, {}, {}, {}, {}
 
     def intern(self, rows):
         """The held tuple of rows with the nonzeros of rows, canonical."""
@@ -97,11 +97,50 @@ class _Eliminations:
             out = self._restrictions[(id(rows), id(cols))] = self.intern(out)
         return out
 
+    def subquotient(self, d_out, n, d_in):
+        """exactla.subquotient ker d_out / im d_in on n coordinates, held,
+        for d_out and d_in held."""
+        key = (id(d_out), n, id(d_in))
+        out = self._quotients.get(key)
+        if out is None:
+            into = (d_in, self.reduce(d_in)[1])
+            out = self._quotients[key] = exactla.subquotient(self.reduce(d_out), n, into, self.reduce)
+        return out
+
+    def read_off(self, q, rows, n):
+        """The coordinates of the first n columns of held rows, cycles, on
+        the representatives of the held subquotient q, held."""
+        key = (id(q), id(rows), n)
+        out = self._read.get(key)
+        if out is None:
+            out = self._read[key] = self.intern(q.coordinates(columns(rows, range(n))))
+        return out
+
+    def lift(self, q, n):
+        """The held n-row matrix whose columns are the representatives of
+        the held subquotient q."""
+        out = self._lifts.get((id(q), n))
+        if out is None:
+            out = self._lifts[(id(q), n)] = self.intern(from_columns(q.representatives, n))
+        return out
+
     def solve(self, basis, nbasis, rhs, nb):
-        """exactla.solve of basis @ X = rhs, both given by their rows,
-        with nbasis and nb columns."""
-        aug = [{**a, **{nbasis + j: x for j, x in b.items()}} for a, b in zip(basis, rhs)]
-        return solution_from_reduction(self.reduce(aug), nbasis, nb)
+        """The held X with basis @ X = rhs, for basis and rhs held, with
+        nbasis and nb columns; None when rhs leaves the image of basis."""
+        key = (id(basis), nbasis, id(rhs), nb)
+        if key not in self._solved:
+            aug = [{**a, **{nbasis + j: x for j, x in b.items()}} for a, b in zip(basis, rhs)]
+            sols = solution_from_reduction(self.reduce(aug), nbasis, nb)
+            self._solved[key] = None if sols is None else self.intern(from_columns(sols, nbasis))
+        return self._solved[key]
+
+    def fits(self, rows, nrows, ncols):
+        """Whether held rows make an nrows x ncols matrix."""
+        key = (id(rows), nrows, ncols)
+        out = self._fits.get(key)
+        if out is None:
+            out = self._fits[key] = len(rows) == nrows and all(0 <= c < ncols for row in rows for c in row)
+        return out
 
 
 class ExactCouple:
@@ -215,23 +254,23 @@ class ExactCouple:
 
     def _check_shapes(self):
         k2 = 2 * self.k
-        a, e = self._a, self._e
+        a, e, fits = self._a, self._e, self._memo.fits
         for (i, s), rows in self._f.items():
             if not (self.inside(s) and self.inside(s + k2)):
                 raise ValueError("f at (%d, %d) reaches outside the window" % (i, s))
-            if not _fits(rows, a.get((i, s + k2), 0), a.get((i, s), 0)):
+            if not fits(rows, a.get((i, s + k2), 0), a.get((i, s), 0)):
                 raise ValueError("f shape mismatch at (%d, %d)" % (i, s))
         for (i, s), rows in self._g.items():
             if not self.inside(s):
                 raise ValueError("g at (%d, %d) reaches outside the window" % (i, s))
-            if not _fits(rows, e.get((i, s + self.g_shift), 0), a.get((i, s), 0)):
+            if not fits(rows, e.get((i, s + self.g_shift), 0), a.get((i, s), 0)):
                 raise ValueError("g shape mismatch at (%d, %d)" % (i, s))
         for (i, s), rows in self._h.items():
             if not self.inside(s - k2):
                 raise InsufficientWindow(
                     "insufficient window: h at (%d, %d) targets outside it" % (i, s)
                 )
-            if not _fits(rows, a.get((i + 1, s - k2), 0), e.get((i, s), 0)):
+            if not fits(rows, a.get((i + 1, s - k2), 0), e.get((i, s), 0)):
                 raise ValueError("h shape mismatch at (%d, %d)" % (i, s))
 
     def _check_exactness(self):
@@ -299,15 +338,14 @@ class ExactCouple:
         new_shift = self.g_shift - k2
         f_pivots = self._pivots[0]
 
-        # E': one subquotient per bidegree, ker(d out) / im(d in); each
-        # d is eliminated once, for its kernel and its image
+        # E': one subquotient per bidegree, ker(d out) / im(d in), read
+        # once per distinct (d out, dim, d in) along the chain
         d_out = {pos: self.differential(*pos) for pos in self.e_support()}
-        quotients = exactla.homology(
-            d_out,
-            {pos: self.e_dim(*pos) for pos in d_out},
-            lambda pos: (pos[0] - 1, pos[1] + k2 - self.g_shift),
-            memo.reduce,
-        )
+        zero = memo.intern(())
+        quotients = {
+            (i, s): memo.subquotient(d, self.e_dim(i, s), d_out.get((i - 1, s + k2 - self.g_shift), zero))
+            for (i, s), d in d_out.items()
+        }
         e_new = {pos: len(q.representatives) for pos, q in quotients.items() if q.representatives}
 
         # A': image basis of f per bidegree, kept inside the new window,
@@ -337,7 +375,7 @@ class ExactCouple:
                 g_rhs = memo.restricted(g_in, f_pivots[(i, s - k2)])
                 if any(memo.product(d_out[pos], g_rhs)):
                     raise InternalError("couples", "class fell outside the kernel basis")
-                g_new[(i, s)] = quotients[pos].coordinates(columns(g_rhs, range(a_new[(i, s)])))
+                g_new[(i, s)] = memo.read_off(quotients[pos], g_rhs, a_new[(i, s)])
 
         for (i, s), q in sorted(quotients.items()):
             # an absent h sends every class to 0; its target slot was
@@ -346,7 +384,7 @@ class ExactCouple:
             h_out = self._h.get((i, s))
             if not chosen or h_out is None:
                 continue
-            h_rhs = memo.product(h_out, memo.intern(from_columns(chosen, self.e_dim(i, s))))
+            h_rhs = memo.product(h_out, memo.lift(q, self.e_dim(i, s)))
             if not any(h_rhs):
                 continue
             t_pos = (i + 1, s - k2)
@@ -356,10 +394,10 @@ class ExactCouple:
                     % (i, s, new_lo, new_hi)
                 )
             target = iota.get(t_pos)
-            sols = memo.solve(target, a_new[t_pos], h_rhs, len(chosen)) if target else None
-            if sols is None:
+            solved = memo.solve(target, a_new[t_pos], h_rhs, len(chosen)) if target else None
+            if solved is None:
                 raise InternalError("couples", "h of a surviving class left the image of f")
-            h_new[(i, s)] = from_columns(sols, a_new[t_pos])
+            h_new[(i, s)] = solved
 
         return ExactCouple(
             self.k,

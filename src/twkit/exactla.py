@@ -17,9 +17,10 @@ kernel_basis, image_basis and solve are built on these.  columns and
 from_columns turn rows into column vectors and back.  Subquotient is
 the one homology read-off: cycles modulo boundaries with pinned
 representatives, and the coordinates of a cycle on them, read in cycle
-coordinates without a solve; homology builds one per slot of a chain
-of maps, for the mod-a homology, the first differential and the
-derived couples alike.
+coordinates without a solve.  subquotient builds one for a slot;
+homology maps it over the slots of a chain of maps, for the mod-a
+homology and the first differential, and the couple memo calls it
+once per distinct slot of a derivation chain.
 Helpers look row_reduce up in this module when called, so replacing
 the module attribute (e.g. to count calls) reaches them too; callers
 elsewhere go through the module attribute as well.  There is one
@@ -283,17 +284,22 @@ class Subquotient:
         return out
 
 
+def subquotient(out, n, into, reduce=None):
+    """The Subquotient of one slot with n coordinates: the kernel of the
+    map out of it, given by its elimination (rref, pivots), modulo the
+    image of the map into it, given as (rows, pivot columns); either is
+    None when that map is zero.  reduce is as in Subquotient."""
+    cycles = [{j: 1} for j in range(n)] if out is None else kernel_from_reduction(out, n)
+    return Subquotient(cycles, [] if into is None else columns(*into), reduce)
+
+
 def homology(maps, dims, source, reduce=None):
-    """{x: Subquotient ker maps[x] / im maps[source(x)]} over the slots x
+    """{x: subquotient ker maps[x] / im maps[source(x)]} over the slots x
     of dims, which gives each slot's coordinate count; an absent map is
     zero.  Each map is eliminated once by reduce (row_reduce, looked up
     when called, by default), for its kernel and its image.
     """
     reduce = reduce or row_reduce
     reductions = {x: reduce(rows) for x, rows in maps.items()}
-    out = {}
-    for x, n in dims.items():
-        cycles = kernel_from_reduction(reductions[x], n) if x in maps else [{j: 1} for j in range(n)]
-        y = source(x)
-        out[x] = Subquotient(cycles, columns(maps[y], reductions[y][1]) if y in maps else [], reduce)
-    return out
+    into = {x: (rows, reductions[x][1]) for x, rows in maps.items()}
+    return {x: subquotient(reductions.get(x), n, into.get(source(x)), reduce) for x, n in dims.items()}

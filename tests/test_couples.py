@@ -1,5 +1,6 @@
 """Exact couples: construction, derivation, agreement with the pages."""
 
+import gc
 import random
 import re
 from collections import Counter
@@ -104,6 +105,16 @@ class TestValidation:
         # a column past the source slot's dimension
         with pytest.raises(ValueError, match="^f shape mismatch at \\(0, 0\\)$"):
             ExactCouple(1, (0, 2), {(0, 0): 1, (0, 2): 1}, {}, {(0, 0): ({1: 1},)}, {}, {})
+
+    def test_one_matrix_checked_at_each_of_its_slots(self):
+        """f is one held matrix at (0, 0) and at (0, 2): its shape fits
+        the first slot and not the second, whose target has two rows."""
+        args = 1, (0, 4), {(0, 0): 1, (0, 2): 1, (0, 4): 2}, {}, {(0, 0): ({0: 1},), (0, 2): ({0: 1},)}, {}, {}
+        c = ExactCouple(*args, validate=False)
+        assert c._f[(0, 0)] is c._f[(0, 2)]
+        for check in (c._check_shapes, lambda: ExactCouple(*args)):
+            with pytest.raises(ValueError, match="^f shape mismatch at \\(0, 2\\)$"):
+                check()
 
     def test_window_slots(self):
         with pytest.raises(ValueError, match="outside the window"):
@@ -453,11 +464,13 @@ def conjugated(rng, c):
     )
 
 
-def chain_through(d, derivations, rng=None):
+def chain_through(d, derivations, rng=None, between=None):
     """The model couple of d (in random bases, given rng) and its
     derivations, each checked equal to the reference derivation of
-    the one before.  Past the tw + 2 derivations its window is padded
-    for, both may run out of window, but only with the same error."""
+    the one before; between, when given, runs after each derivation.
+    Past the tw + 2 derivations its window is padded for, both may run
+    out of window, but only with the same error.  Returns the last
+    couple derived."""
     c = couple_from_decomposition(d)
     if rng is not None:
         c = conjugated(rng, c)
@@ -468,10 +481,33 @@ def chain_through(d, derivations, rng=None):
         assert err == want_err, (d, n)
         if err:
             assert n >= torsion_width(d) + 2 and err.startswith("InsufficientWindow"), (d, n, err)
-            return
+            return c
         assert couple_state(got) == couple_state(want), (d, n)
         assert got._memo is c._memo
         c = got
+        if between is not None:
+            between()
+    return c
+
+
+def churn():
+    """Collect garbage, then make and drop objects like the ones the
+    couple memo keys on, so the ids of freed objects are taken again."""
+    gc.collect()
+    junk = [(exactla.Subquotient([{0: 1}], []), ({j: 1},), [{j: 1}, {}]) for j in range(300)]
+    del junk
+
+
+def assert_keys_held(memo):
+    """Every id in the keys of the memo's per-slot read-offs and shape
+    verdicts names a rows object it interned or a subquotient it holds."""
+    rows = memo._held
+    quotients = {id(q) for q in memo._quotients.values()}
+    assert all(a in rows and b in rows for a, _, b in memo._quotients)
+    assert all(q in quotients and r in rows for q, r, _ in memo._read)
+    assert all(q in quotients for q, _ in memo._lifts)
+    assert all(a in rows and b in rows for a, _, b, _ in memo._solved)
+    assert all(r in rows for r, _, _ in memo._fits)
 
 
 class TestDerivationAgainstReference:
@@ -543,6 +579,50 @@ class TestDerivationAgainstReference:
                     for rows in maps.values():
                         assert held.setdefault(entries(rows), rows) is rows, d
             assert len(held) < sum(len(c._f) + len(c._g) + len(c._h) for c in chain), d
+
+    def test_read_offs_survive_id_reuse_at_corpus_sizes(self):
+        """The memo keys its read-offs on the ids of objects it holds; a
+        key on an object it dropped could meet a stranger after the churn
+        between derivations, and answer for it.  30 chains of 20, 40 and
+        60 generators, k = 1..3, in random bases, each checked against
+        the reference and then for keys on objects the memo does not
+        hold, which a wrong answer shows only now and then; about 2 s."""
+        rng = random.Random(61)
+        for n in range(30):
+            d = sized_decomposition(rng, 1 + n // 3 % 3, (20, 40, 60)[n % 3])
+            memo = chain_through(d, torsion_width(d) + 2, rng, churn)._memo
+            assert memo._read and memo._lifts and memo._solved, d
+            assert_keys_held(memo)
+
+    def test_each_slot_read_off_runs_once_per_distinct_input(self, monkeypatch):
+        """Over one chain, the subquotient of a slot is read once per
+        distinct (d out, E dim, d in) and h' eliminated once per distinct
+        (target, right-hand side); a corpus-size chain has at least 3
+        slots for each read-off."""
+        memo = couples._Eliminations
+        slots, solves, read, eliminated = [], [], [], []
+        subquotient, solve = memo.subquotient, memo.solve
+        read_once, eliminate = exactla.subquotient, couples.solution_from_reduction
+
+        def slot(self, d_out, n, d_in):
+            slots.append((entries(d_out), n, entries(d_in)))
+            return subquotient(self, d_out, n, d_in)
+
+        def solving(self, basis, nbasis, rhs, nb):
+            solves.append((entries(basis), nbasis, entries(rhs), nb))
+            return solve(self, basis, nbasis, rhs, nb)
+
+        monkeypatch.setattr(memo, "subquotient", slot)
+        monkeypatch.setattr(memo, "solve", solving)
+        monkeypatch.setattr(exactla, "subquotient", lambda *a: read.append(1) or read_once(*a))
+        monkeypatch.setattr(couples, "solution_from_reduction", lambda *a: eliminated.append(1) or eliminate(*a))
+        rng = random.Random(62)
+        for k, generators in ((1, 60), (2, 40), (3, 20)):
+            d = sized_decomposition(rng, k, generators)
+            del slots[:], solves[:], read[:], eliminated[:]
+            couple_tables(d, torsion_width(d) + 2)
+            assert len(read) == len(set(slots)) and len(eliminated) == len(set(solves)), d
+            assert solves and len(slots) >= 3 * len(read), (d, len(slots), len(read))
 
     def test_maps_one_value_apart_share_no_entry(self):
         c = hand_built()
