@@ -1,5 +1,5 @@
 """Graded base ring k[a], (i, s) dimension tables, module descriptors,
-and homogeneous matrices.
+the one normalizer of sparse rows, and homogeneous matrices.
 
 Matrix entries over k[a] are stored as bare rational scalars, in sparse
 rows of the nonzeros; the a-exponent of a nonzero entry is never stored
@@ -120,27 +120,29 @@ def add_to_row(row, col, x):
         row.pop(col, None)
 
 
-def check_shape(rows, nrows, ncols):
-    """Refuse sparse rows unless there are nrows of them, each keyed by
-    int columns in range(ncols)."""
+def canonical_rows(rows, nrows, ncols):
+    """The one row normalizer: new {col: canonical value} maps of the
+    nonzeros of sparse rows, refused unless there are nrows of them,
+    each keyed by int columns in range(ncols)."""
     if len(rows) != nrows:
         raise ValueError("row count does not match target rank")
     if any(type(c) is not int or not 0 <= c < ncols for row in rows for c in row):
         raise ValueError("column index out of range")
+    return tuple({c: canonical(x) for c, x in row.items() if x} for row in rows)
 
 
 @dataclass(frozen=True)
 class HomMatrix:
-    """Degree-homogeneous matrix between graded free modules.
+    """Degree-homogeneous matrix between graded free modules: the output
+    view of one differential of a complex (GradedComplex.differentials),
+    which keeps only the rows.
 
     rows[r] maps each column c with a nonzero entry at (r, c) to the
     rational scalar of that monomial entry; its a-exponent is
     (source_degrees[c] - target_degrees[r]) / 2k.  Shape is
     (len(target_degrees), len(source_degrees)); either may be 0.
-    Values are canonical: an int when integral, a Fraction otherwise,
-    and zero is never stored.  The constructor takes sparse rows only;
-    complexes.complex_from_data alone reads dense cells.  entries is
-    the dense view, for output.
+    The constructor takes sparse rows only and builds them with
+    canonical_rows.  entries is the dense view, for output.
     """
 
     ring: GradedRing
@@ -151,11 +153,9 @@ class HomMatrix:
     def __post_init__(self):
         src = tuple(int(d) for d in self.source_degrees)
         tgt = tuple(int(d) for d in self.target_degrees)
-        check_shape(self.rows, len(tgt), len(src))
-        rows = tuple({c: canonical(x) for c, x in row.items() if x} for row in self.rows)
+        object.__setattr__(self, "rows", canonical_rows(self.rows, len(tgt), len(src)))
         object.__setattr__(self, "source_degrees", src)
         object.__setattr__(self, "target_degrees", tgt)
-        object.__setattr__(self, "rows", rows)
 
     def __hash__(self):
         rows = tuple(frozenset(row.items()) for row in self.rows)
@@ -173,14 +173,3 @@ class HomMatrix:
 
     def is_zero(self) -> bool:
         return not any(self.rows)
-
-    def reduced_mod_a(self):
-        """Sparse scalar rows, {col: value} with canonical values as
-        stored, of the nonzero exponent-0 entries; every
-        positive-exponent entry is dropped."""
-        src = self.source_degrees
-        return [
-            {c: x for c, x in row.items() if src[c] == tdeg}
-            for tdeg, row in zip(self.target_degrees, self.rows)
-        ]
-

@@ -2,6 +2,9 @@
 every construction, their a=0 and a=1 specializations, Gaussian
 elimination, field homology, and the connecting-homomorphism
 differential on the a=0 homology.
+Every complex type holds one store, degrees and mats (see
+FieldComplex), built by algebra.canonical_rows; the specializations
+read it.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from .algebra import (
     BigradedTable,
     GradedRing,
     HomMatrix,
-    check_shape,
+    canonical_rows,
 )
 
 _SHAPE_REFUSAL = "differential at degree %d: %s"
@@ -31,6 +34,15 @@ class InternalError(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__("internal error in %s: %s" % (stage, message))
         self.stage = stage
+
+
+def _canonical_rows(rows, degrees, i):
+    """canonical_rows of d^i on {i: generator degrees}, its refusal
+    naming the degree."""
+    try:
+        return canonical_rows(rows, len(degrees.get(i + 1, ())), len(degrees.get(i, ())))
+    except ValueError as e:
+        raise ValueError(_SHAPE_REFUSAL % (i, e)) from None
 
 
 def check_differentials(degrees, mats, step):
@@ -63,35 +75,38 @@ class GradedComplex:
     """Bounded complex of graded-free k[a]-modules.
 
     The constructor takes degrees, {homological degree i: generator
-    degrees}, and differentials, {i: sparse rows of d^i: C^i -> C^{i+1},
-    one per generator at degree i + 1}, the shape FieldComplex takes.
-    It keeps degrees as {i: tuple} and differentials as {i: HomMatrix}
-    on the degrees at i and i + 1.  Zero-rank degrees are dropped,
-    missing differentials mean zero maps, and nonzero rows without
-    generators on both sides are refused.  Every construction checks
-    that each entry lowers the degree by a multiple of 2k, and d^2 = 0.
+    degrees}, and mats, {i: sparse rows of d^i: C^i -> C^{i+1}, one per
+    generator at degree i + 1}, and keeps them as FieldComplex does:
+    degrees as {i: tuple}, mats as {i: tuple of new canonical rows}.
+    Zero-rank degrees are dropped, missing maps mean zero maps, and
+    nonzero rows without generators on both sides are refused.  Every
+    construction checks that each entry lowers the degree by a multiple
+    of 2k, and d^2 = 0.  differentials is the output view.
     """
 
-    __slots__ = ("ring", "degrees", "differentials")
+    __slots__ = ("ring", "degrees", "mats")
 
-    def __init__(self, ring: GradedRing, degrees, differentials):
+    def __init__(self, ring: GradedRing, degrees, mats):
         degs = {int(i): tuple(v) for i, v in degrees.items() if len(v)}
-        diffs = {}
-        for i, rows in differentials.items():
+        ms = {}
+        for i, rows in mats.items():
             i = int(i)
             if i in degs and i + 1 in degs:
-                try:
-                    diffs[i] = HomMatrix(ring, degs[i], degs[i + 1], tuple(rows))
-                except ValueError as e:
-                    raise ValueError(_SHAPE_REFUSAL % (i, e)) from None
+                ms[i] = _canonical_rows(rows, degs, i)
             elif any(rows):
                 raise ComplexError(
                     "differential at degree %d has no matching modules" % i
                 )
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "degrees", degs)
-        object.__setattr__(self, "differentials", diffs)
-        check_differentials(degs, {i: d.rows for i, d in diffs.items()}, ring.a_degree)
+        object.__setattr__(self, "mats", ms)
+        check_differentials(degs, ms, ring.a_degree)
+
+    @property
+    def differentials(self):
+        """{i: a HomMatrix view of d^i}, built from mats on each read."""
+        degs = self.degrees
+        return {i: HomMatrix(self.ring, degs[i], degs[i + 1], rows) for i, rows in self.mats.items()}
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedComplex is immutable")
@@ -107,8 +122,8 @@ class GradedComplex:
             isinstance(other, GradedComplex)
             and self.ring == other.ring
             and self.degrees == other.degrees
-            and {i: d for i, d in self.differentials.items() if not d.is_zero()}
-            == {i: d for i, d in other.differentials.items() if not d.is_zero()}
+            and {i: m for i, m in self.mats.items() if any(m)}
+            == {i: m for i, m in other.mats.items() if any(m)}
         )
 
     def __repr__(self):
@@ -142,10 +157,11 @@ class FieldComplex:
     mats[i], the differential out of degree i, is a tuple of sparse
     rows, one per generator at degree i + 1: {col: value} maps of the
     nonzero entries, values canonical (an int when integral, a
-    Fraction otherwise).  The constructor takes sparse rows only;
-    complex_from_data alone reads dense cells.  Unless validate is
-    false, it checks shapes, that no entry changes the degree (in a
-    filtered complex, that none raises the level), and d^2 = 0.
+    Fraction otherwise), as in GradedComplex.  The constructor takes
+    sparse rows only.  Unless validate is false, it builds them anew
+    and checks shapes, that no entry changes the degree (in a filtered
+    complex, that none raises the level), and d^2 = 0; else it keeps
+    the rows it is given, which must be canonical.
     """
 
     __slots__ = ("degrees", "mats")
@@ -159,12 +175,7 @@ class FieldComplex:
             # no rows, or no columns and nothing in them: a zero map
             if not rows or not (degs.get(i) or any(rows)):
                 continue
-            if validate:
-                try:
-                    check_shape(rows, len(degs.get(i + 1, ())), len(degs.get(i, ())))
-                except ValueError as e:
-                    raise ValueError(_SHAPE_REFUSAL % (i, e)) from None
-            ms[i] = tuple({c: exactla.canonical(x) for c, x in row.items() if x} for row in rows)
+            ms[i] = _canonical_rows(rows, degs, i) if validate else rows
         object.__setattr__(self, "degrees", degs)
         object.__setattr__(self, "mats", ms)
         if validate:
@@ -238,23 +249,19 @@ def persistence_pairs(degrees, mats):
 
 
 def reduce_mod_a(c: GradedComplex) -> FieldComplex:
-    """Set a = 0: keep exponent-0 scalars, kill everything else."""
-    return FieldComplex(
-        c.degrees,
-        {i: d.reduced_mod_a() for i, d in c.differentials.items()},
-        validate=False,
-    )
+    """Set a = 0: keep exponent-0 scalars, kill everything else, in one
+    pass over the nonzeros."""
+    degs, mats = c.degrees, {}
+    for i, rows in c.mats.items():
+        src = degs[i]
+        mats[i] = tuple({col: x for col, x in row.items() if src[col] == tdeg} for tdeg, row in zip(degs[i + 1], rows))
+    return FieldComplex(degs, mats, validate=False)
 
 
 def specialize_a_to_1(c: GradedComplex) -> FilteredFieldComplex:
-    """Set a = 1: same generators, scalar entries survive verbatim, the
-    old polynomial degree of each generator becomes its filtration
-    level."""
-    return FilteredFieldComplex(
-        c.degrees,
-        {i: d.rows for i, d in c.differentials.items()},
-        validate=False,
-    )
+    """Set a = 1: same generators, c's own rows, the old polynomial
+    degree of each generator becomes its filtration level."""
+    return FilteredFieldComplex(c.degrees, c.mats, validate=False)
 
 
 def gaussian_eliminate(c, hom_degree: int, row: int, col: int):
@@ -268,8 +275,7 @@ def gaussian_eliminate(c, hom_degree: int, row: int, col: int):
     """
     if isinstance(c, GradedComplex):
         return GradedComplex(c.ring, *_cancel(
-            c.degrees, {i: d.rows for i, d in c.differentials.items()},
-            hom_degree, row, col, "pivot has positive a-exponent, not invertible",
+            c.degrees, c.mats, hom_degree, row, col, "pivot has positive a-exponent, not invertible"
         ))
     if isinstance(c, FieldComplex):
         return type(c)(*_cancel(
@@ -343,7 +349,7 @@ def homology_field(fc: FieldComplex) -> FieldHomologyBasis:
     eliminated once more, in cycle coordinates, to pin the
     representatives."""
     graded = not isinstance(fc, FilteredFieldComplex)
-    quotients = exactla.homology(fc.mats, {i: fc.rank(i) for i in sorted(fc.degrees)}, lambda i: i - 1)
+    quotients = exactla.homology(fc.mats, {i: fc.rank(i) for i in sorted(fc.degrees)})
     bigraded = {}
     for i, q in quotients.items() if graded else ():
         for v in q.representatives:
@@ -421,18 +427,18 @@ def induced_differential(c: GradedComplex, fc: FieldComplex, hb: FieldHomologyBa
     for i in sorted(hb.dims):
         reps = hb.representatives[i]
         reps_next = hb.representatives.get(i + 1, ())
-        d = c.differentials.get(i)
-        if not reps or not reps_next or d is None:
+        rows = c.mats.get(i)
+        if not reps or not reps_next or rows is None:
             continue
         # a representative of degree sigma meets only targets of degree
         # sigma (its a^0 image, zero on a mod-a cycle) and sigma - 2k
         # (its a^1 image, the lift)
         targets = {}
-        for t, tdeg in enumerate(d.target_degrees):
+        for t, tdeg in enumerate(c.degrees[i + 1]):
             targets.setdefault(tdeg, []).append(t)
 
         def image(v, tdeg):
-            sums = ((t, sum(v[j] * x for j, x in d.rows[t].items() if j in v)) for t in targets.get(tdeg, ()))
+            sums = ((t, sum(v[j] * x for j, x in rows[t].items() if j in v)) for t in targets.get(tdeg, ()))
             return {t: y for t, y in sums if y}
 
         lifts = []

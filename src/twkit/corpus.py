@@ -129,9 +129,7 @@ def conjugate(rng: random.Random, c: GradedComplex, ops: int = 8) -> GradedCompl
     """Random homogeneous change of basis: d mapsto g d g^{-1} degree
     by degree.  decompose of the result equals decompose of c."""
     autos = {i: _random_automorphism(rng, c.ring, degs, ops) for i, degs in c.degrees.items()}
-    diffs = {
-        i: matmul(matmul(autos[i + 1][0], d.rows), autos[i][1]) for i, d in c.differentials.items()
-    }
+    diffs = {i: matmul(matmul(autos[i + 1][0], rows), autos[i][1]) for i, rows in c.mats.items()}
     return GradedComplex(c.ring, c.degrees, diffs)
 
 

@@ -78,7 +78,7 @@ def decompose(c: GradedComplex) -> Decomposition:
     """
     two_k = c.ring.a_degree
     torsion, dropped, paired = [], 0, set()
-    for n, j, t in complexes.persistence_pairs(c.degrees, {i: d.rows for i, d in c.differentials.items()}):
+    for n, j, t in complexes.persistence_pairs(c.degrees, c.mats):
         s = c.degrees[n + 1][t]
         gap = c.degrees[n][j] - s
         if gap < 0 or gap % two_k:

@@ -18,9 +18,9 @@ from_columns turn rows into column vectors and back.  Subquotient is
 the one homology read-off: cycles modulo boundaries with pinned
 representatives, and the coordinates of a cycle on them, read in cycle
 coordinates without a solve.  subquotient builds one for a slot;
-homology maps it over the slots of a chain of maps, for the mod-a
-homology and the first differential, and the couple memo calls it
-once per distinct slot of a derivation chain.
+homology maps it over the degrees of a complex, ker d^i / im d^(i-1),
+for the mod-a homology and the first differential, and the couple
+memo calls it once per distinct slot of a derivation chain.
 Helpers look row_reduce up in this module when called, so replacing
 the module attribute (e.g. to count calls) reaches them too; callers
 elsewhere go through the module attribute as well.  There is one
@@ -293,13 +293,12 @@ def subquotient(out, n, into, reduce=None):
     return Subquotient(cycles, [] if into is None else columns(*into), reduce)
 
 
-def homology(maps, dims, source, reduce=None):
-    """{x: subquotient ker maps[x] / im maps[source(x)]} over the slots x
-    of dims, which gives each slot's coordinate count; an absent map is
-    zero.  Each map is eliminated once by reduce (row_reduce, looked up
-    when called, by default), for its kernel and its image.
+def homology(maps, dims):
+    """{i: subquotient ker maps[i] / im maps[i - 1]} over the degrees i
+    of dims, which gives each degree's coordinate count; an absent map
+    is zero.  Each map is eliminated once by row_reduce (looked up when
+    called), for its kernel and its image.
     """
-    reduce = reduce or row_reduce
-    reductions = {x: reduce(rows) for x, rows in maps.items()}
-    into = {x: (rows, reductions[x][1]) for x, rows in maps.items()}
-    return {x: subquotient(reductions.get(x), n, into.get(source(x)), reduce) for x, n in dims.items()}
+    reductions = {i: row_reduce(rows) for i, rows in maps.items()}
+    into = {i: (rows, reductions[i][1]) for i, rows in maps.items()}
+    return {i: subquotient(reductions.get(i), n, into.get(i - 1)) for i, n in dims.items()}

@@ -290,12 +290,13 @@ def build_sl2_cube(diagram: LinkDiagram, potential: Sl2Potential) -> GradedCompl
     # tensor states in increasing order
     degree_lists = {}
     offsets = {}
+    writhe = diagram.writhe
     for v in vertices:
         hbar = sum(v) - negative
         block = degree_lists.setdefault(-hbar, [])
         offsets[v] = len(block)
         m = circ[v][0] + loops
-        block.extend(diagram.writhe + hbar - m + 2 * s.bit_count() for s in range(1 << m))
+        block.extend(writhe + hbar - m + 2 * s.bit_count() for s in range(1 << m))
 
     mats = {i: [{} for _ in degree_lists[i + 1]] for i in degree_lists if i + 1 in degree_lists}
     # the Frobenius table with its outputs as bit masks on u's states

@@ -134,14 +134,6 @@ class TestHomMatrix:
         z = HomMatrix(self.R, (0,), (), ())
         assert len(z.rows) == 0 and z.ncols == 1 and z.is_zero()
 
-    def test_reduced_mod_a(self):
-        m = self.mat()
-        # sparse rows: the exponent-0 entry (0, 0) is kept, the a^2
-        # entry (0, 1) is dropped
-        rows = m.reduced_mod_a()
-        assert rows == [{0: 2}]
-        assert type(rows[0][0]) is int
-
 
 # -- the box product and the descriptor operations it used, frozen in
 # tests/frozen_pages.py

@@ -99,6 +99,12 @@ class TestFieldComplexes:
         assert dense_rows(fc.mats[0], fc.rank(0)) == [[Fraction(0)]]
         unit = complex_from_data(1, {0: [0], 1: [0]}, {0: [[1]]})
         assert dense_rows(reduce_mod_a(unit).mats[0], 1) == [[Fraction(1)]]
+        # sparse rows: the exponent-0 entry (0, 0) is kept, the a^2
+        # entry (0, 1) is dropped, and the kept value stays an int
+        mixed = GradedComplex(R1, {0: (0, 4), 1: (0,)}, {0: [{0: Fraction(2), 1: Fraction(1)}]})
+        rows = reduce_mod_a(mixed).mats[0]
+        assert rows == ({0: 2},)
+        assert type(rows[0][0]) is int
 
     def test_specialize_keeps_scalars(self):
         c = torsion_complex(m=2, scalar=3)

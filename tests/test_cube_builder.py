@@ -76,10 +76,7 @@ DIAGRAMS = ladder(SEED) + with_loops() + LINK_LADDER
 
 def layout(c):
     """Degrees and rows with every stored value and its type, in order."""
-    rows = {
-        i: [[(col, x, type(x)) for col, x in row.items()] for row in d.rows]
-        for i, d in c.differentials.items()
-    }
+    rows = {i: [[(col, x, type(x)) for col, x in row.items()] for row in m] for i, m in c.mats.items()}
     return list(c.degrees.items()), rows
 
 
@@ -111,7 +108,7 @@ def test_value_types_follow_the_form():
     form only ints, so the type check above compares both kinds."""
     diagram = DIAGRAMS[3]
     faithful, integral = POTENTIALS["k=1 both"], POTENTIALS["k=1 both"].integral_form()
-    types = lambda c: {type(x) for d in c.differentials.values() for row in d.rows for x in row.values()}
+    types = lambda c: {type(x) for m in c.mats.values() for row in m for x in row.values()}
     assert Fraction in types(build_sl2_cube(diagram, faithful))
     assert types(build_sl2_cube(diagram, integral)) == {int}
 

@@ -1,9 +1,10 @@
 """Graded complexes on sparse rows against frozen dense references.
 
-HomMatrix stores {col: value} rows of its nonzeros, each value an int
-when integral and a Fraction otherwise.  Validation (homogeneity and
-d^2 = 0), the persistence pairing decompose reads and Gaussian
-elimination all follow the nonzeros.  The dense code they replaced is
+GradedComplex keeps mats, {col: value} rows of its nonzeros with each
+value an int when integral and a Fraction otherwise, the store the
+field complexes hold too.  Validation (homogeneity and d^2 = 0), the
+persistence pairing decompose reads and Gaussian elimination all
+follow the nonzeros.  The dense code they replaced is
 kept below, verbatim up to storage, as the reference: every piece,
 verdict, error message and eliminated complex must agree with it.
 """
@@ -288,8 +289,7 @@ def corpus_complexes(count_per_k=21):
 def assert_canonical(c):
     """Every value a graded or field complex stores is a nonzero int or
     a non-integral Fraction."""
-    mats = c.mats if isinstance(c, FieldComplex) else {i: d.rows for i, d in c.differentials.items()}
-    for rows in mats.values():
+    for rows in c.mats.values():
         for row in rows:
             for x in row.values():
                 assert (type(x) is int and x) or (type(x) is Fraction and x.denominator > 1), x
@@ -297,7 +297,7 @@ def assert_canonical(c):
 
 def assert_matches_reference(c):
     reference_validate(c)
-    check_differentials(c.degrees, {i: d.rows for i, d in c.differentials.items()}, c.ring.a_degree)
+    check_differentials(c.degrees, c.mats, c.ring.a_degree)
     assert_splits_as(c, reference_split_pieces(c))
     assert_canonical(c)
 
@@ -410,7 +410,9 @@ def test_bad_field_complexes_give_the_reference_refusals(cubes):
                 i = rng.choice(sorted(fc.mats))
                 rows = list(fc.mats[i])
                 r, col = rng.randrange(len(rows)), rng.randrange(fc.rank(i))
-                rows[r] = {**rows[r], col: rows[r].get(col, 0) + rng.choice((1, -2, Fraction(1, 3)))}
+                x = exactla.canonical(rows[r].get(col, 0) + rng.choice((1, -2, Fraction(1, 3))))
+                # an unvalidated complex keeps its rows, so they go in canonical
+                rows[r] = {j: y for j, y in {**rows[r], col: x}.items() if y}
                 planted = type(fc)(fc.degrees, {**fc.mats, i: rows}, validate=False)
                 want = _error(lambda: reference_field_validate(planted))
                 got = _error(lambda: type(fc)(fc.degrees, planted.mats))
@@ -660,7 +662,7 @@ def test_integer_inputs_stay_exact():
     # given sparse integer rows
     c = complex_from_data(1, {0: [0, 0], 1: [0, 0]}, {0: [[2, 1], [3, 1]]})
     out = gaussian_eliminate(c, 0, 0, 0)
-    assert out.differentials[0].rows == ({0: Fraction(-1, 2)},)
+    assert out.mats[0] == ({0: Fraction(-1, 2)},)
     fc = FieldComplex({0: (0, 0), 1: (0, 0)}, {0: [{0: 2, 1: 1}, {0: 3, 1: 1}]})
     out = gaussian_eliminate(fc, 0, 0, 0)
     assert out.mats[0] == ({0: Fraction(-1, 2)},)
@@ -682,3 +684,44 @@ def test_integer_inputs_stay_exact():
         d = decompose(c)
         assert decompose(as_fractions) == d
         assert _no_float((d.free_pieces, d.torsion_pieces))
+
+
+# -- the row store ----------------------------------------------------------
+
+
+def assert_one_row_store(c):
+    """The a = 1 specialization shares c's rows, the a = 0 one keeps the
+    exponent-0 cells of the dense view, the HomMatrix view shows the
+    stored rows, and the store alone rebuilds c."""
+    views = c.differentials
+    filtered = specialize_a_to_1(c)
+    assert filtered.mats.keys() == c.mats.keys() == views.keys()
+    for i, rows in c.mats.items():
+        assert filtered.mats[i] is rows
+        assert views[i].rows == rows
+    assert reduce_mod_a(c).mats == {
+        i: tuple(
+            {col: x for col, x in enumerate(cells) if x and d.source_degrees[col] == tdeg}
+            for tdeg, cells in zip(d.target_degrees, d.entries)
+        )
+        for i, d in views.items()
+    }
+    assert GradedComplex(c.ring, c.degrees, c.mats) == c
+
+
+def test_one_row_store(cubes):
+    ladder = [c for word, c in cubes if word != BRAIDS[-1][0]]
+    assert len(ladder) == 12
+    for c in ladder + corpus_complexes(5):
+        assert_one_row_store(c)
+
+
+def test_complex_keeps_its_own_rows():
+    """Rows the caller mutates after the construction leave the complex
+    as it was."""
+    rows = [{0: 1, 1: Fraction(4, 2)}, {}]
+    c = GradedComplex(GradedRing(1), {0: (0, 0), 1: (0, 2)}, {0: rows})
+    rows[0][1] = 5
+    rows[1][0] = 1
+    del rows[0][0]
+    assert c.mats == {0: ({0: 1, 1: 2}, {})}

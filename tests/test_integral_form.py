@@ -117,7 +117,7 @@ def test_integral_cube_stores_ints(coefficient):
         Sl2Potential(1, ((1, coefficient), (2, coefficient))),
     ):
         c = build_sl2_cube(diagram, potential.integral_form())
-        values = [x for m in c.differentials.values() for row in m.rows for x in row.values()]
+        values = [x for m in c.mats.values() for row in m for x in row.values()]
         assert values and all(type(x) is int for x in values)
 
 
