@@ -8,7 +8,7 @@ import pytest
 
 from frozen_pages import boxtimes, descriptor_dim_table, merge, scaled, shifted
 from twkit.algebra import BigradedTable, GradedModuleDescriptor, GradedRing, HomMatrix
-from twkit.complexes import ComplexError, check_differentials
+from twkit.complexes import ComplexError, GradedComplex, check_differentials, reduce_mod_a
 from twkit.exactla import matmul
 from twkit.pages import PageTable
 
@@ -133,6 +133,16 @@ class TestHomMatrix:
         assert ident.entries == ((1, 0), (0, 1))
         z = HomMatrix(self.R, (0,), (), ())
         assert len(z.rows) == 0 and z.ncols == 1 and z.is_zero()
+
+    def test_reduced_mod_a(self):
+        m = self.mat()
+        # the matrix as the one differential of a complex, set to a = 0:
+        # the exponent-0 entry (0, 0) is kept, the a^2 entry (0, 1) is
+        # dropped, and the kept value stays an int
+        c = GradedComplex(self.R, {0: m.source_degrees, 1: m.target_degrees}, {0: m.rows})
+        rows = reduce_mod_a(c).mats[0]
+        assert rows == ({0: 2},)
+        assert type(rows[0][0]) is int
 
 
 # -- the box product and the descriptor operations it used, frozen in
