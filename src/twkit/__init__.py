@@ -54,7 +54,7 @@ from .pages import (
     assembled_pages,
     collapse_page,
     generic_pages,
-    piece_pages,
+    piece_entries,
     stabilization_page,
 )
 from .recover import (
@@ -105,7 +105,7 @@ __all__ = [
     "hn_table",
     "homology_field",
     "pages_from_decomposition",
-    "piece_pages",
+    "piece_entries",
     "reassemble",
     "recover",
     "reduce_mod_a",

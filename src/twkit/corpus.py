@@ -28,7 +28,7 @@ from .pages import (
     assembled_page_list,
     collapse_page,
     generic_pages,
-    piece_pages,
+    piece_entries,
     stabilization_page,
 )
 from .recover import padded_sequence, recover, roundtrip
@@ -138,7 +138,7 @@ def summed_piece_pages(d: Decomposition, hat: bool, r: int) -> PageTable:
     which its constructor adds up position by position; cross_checks
     compares it with the assembled page."""
     pieces = d.free_pieces + d.torsion_pieces
-    return PageTable(r, chain.from_iterable(piece_pages(p, hat, r, d.k).items() for p in pieces), hat)
+    return PageTable(r, chain.from_iterable(piece_entries(p, hat, r, d.k) for p in pieces), hat)
 
 
 def cross_checks(d: Decomposition, rng: random.Random = None):

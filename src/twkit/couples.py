@@ -25,13 +25,19 @@ below, and the pullback of a basis column through f is a unit vector,
 so g' needs no solve against f.  E' is the homology of d = g o h, read
 off by exactla.subquotient in cycle coordinates as the mod-a homology
 is, so no solve projects a class onto E' either; h' alone is solved
-for.  The memo holds those per-slot read-offs too (see _Eliminations),
-so a slot that repeats another along the chain only looks them up.
+for.  derive builds A', f' and g' in one pass over f in slot order.
+The memo holds those per-slot read-offs too (see _Eliminations), so a
+slot that repeats another along the chain only looks them up, and so
+are the constructor's checks: a map the memo holds costs one look-up
+for its pivots, the shape check reads its width off the memo, and the
+exactness check reads ranks off the pivots and learns once per pair of
+held maps whether their composite vanishes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 from . import exactla
 from .algebra import BigradedTable
@@ -48,30 +54,52 @@ class InsufficientWindow(RuntimeError):
 class _Eliminations:
     """One derivation chain's memo.  intern gives the one tuple of rows
     it holds for each distinct matrix, keyed by the rows' (col, value)
-    pairs in column order.  All else it computes once per distinct
-    input and holds, looked up by dimensions and the ids of held
-    objects: eliminations (the rref cut to its nonzero rows, and the
-    pivots), products, restrictions, shape verdicts and derive's
-    per-slot read-offs (subquotients, g' coordinates, representative
-    lifts and h' solves).  It keeps what it holds alive, so no other
-    object takes such an id; no key names an object it does not hold.
-    Results are shared; nothing mutates them."""
+    pairs in column order, and widths gives the width of each by its
+    id: one more than its largest column (0 when it has no entries,
+    inf when a column is negative).  All else it computes once per
+    distinct input and holds, looked up by dimensions and the ids of
+    held objects: eliminations (the rref cut to its nonzero rows, and
+    the pivots), products, whether a composite vanishes, restrictions
+    and derive's per-slot read-offs (subquotients, g' coordinates,
+    representative lifts and h' solves).  It keeps what it holds alive,
+    so no other object takes such an id; no key names an object it does
+    not hold.  Results are shared; nothing mutates them."""
 
-    __slots__ = ("_rows", "_held", "_reduced", "_products", "_restrictions", "_quotients", "_read", "_lifts",
-                 "_solved", "_fits")
+    __slots__ = ("_rows", "widths", "_reduced", "_products", "_vanishing", "_restrictions", "_quotients", "_read",
+                 "_lifts", "_solved")
 
     def __init__(self):
-        self._rows, self._held = {}, set()
-        self._reduced, self._products, self._restrictions = {}, {}, {}
-        self._quotients, self._read, self._lifts, self._solved, self._fits = {}, {}, {}, {}, {}
+        self._rows, self.widths = {}, {}
+        self._reduced, self._products, self._vanishing, self._restrictions = {}, {}, {}, {}
+        self._quotients, self._read, self._lifts, self._solved = {}, {}, {}, {}
 
     def intern(self, rows):
         """The held tuple of rows with the nonzeros of rows, canonical."""
-        if id(rows) not in self._held:
+        if id(rows) not in self.widths:
             rows = tuple({c: canonical(x) for c, x in row.items() if x} for row in rows)
             rows = self._rows.setdefault(tuple(tuple(sorted(row.items())) for row in rows), rows)
-            self._held.add(id(rows))
+            cols = [c for row in rows for c in row]
+            self.widths[id(rows)] = inf if cols and min(cols) < 0 else max(cols, default=-1) + 1
         return rows
+
+    def admit(self, maps):
+        """The nonzero maps of {bidegree: rows}, held and keyed by int
+        bidegree, and {bidegree: pivot columns} of each."""
+        held, pivots = {}, {}
+        for key, rows in maps.items():
+            reduced = self._reduced.get(id(rows))
+            if reduced is None:
+                rows = self.intern(rows)
+                if not any(rows):
+                    continue
+                reduced = self.reduce(rows)
+            elif not reduced[1]:
+                continue
+            i, s = key
+            if type(i) is not int or type(s) is not int:
+                key = (int(i), int(s))
+            held[key], pivots[key] = rows, reduced[1]
+        return held, pivots
 
     def reduce(self, rows):
         rows = self.intern(rows)
@@ -86,6 +114,13 @@ class _Eliminations:
         out = self._products.get((id(a), id(b)))
         if out is None:
             out = self._products[(id(a), id(b))] = self.intern(matmul(a, b))
+        return out
+
+    def vanishes(self, a, b):
+        """Whether a @ b is zero, for a and b held."""
+        out = self._vanishing.get((id(a), id(b)))
+        if out is None:
+            out = self._vanishing[(id(a), id(b))] = not any(self.product(a, b))
         return out
 
     def restricted(self, rows, cols):
@@ -134,14 +169,6 @@ class _Eliminations:
             self._solved[key] = None if sols is None else self.intern(from_columns(sols, nbasis))
         return self._solved[key]
 
-    def fits(self, rows, nrows, ncols):
-        """Whether held rows make an nrows x ncols matrix."""
-        key = (id(rows), nrows, ncols)
-        out = self._fits.get(key)
-        if out is None:
-            out = self._fits[key] = len(rows) == nrows and all(0 <= c < ncols for row in rows for c in row)
-        return out
-
 
 class ExactCouple:
     """Windowed exact couple with per-bidegree rational matrices.
@@ -159,7 +186,12 @@ class ExactCouple:
     chain's memo, which derive passes on; a couple built without one
     starts a new chain.  Each map is interned in the memo, and the
     couple's pivot table, built on construction, holds the pivot
-    columns of each of its maps.
+    columns of each of its maps.  Maps that the memo holds and keys
+    that are int pairs, as derive and the model builder pass them, are
+    taken as they are.  The checks run in a fixed order, so the first
+    fault found names the same slot every time: the shapes of f, then
+    g, then h, each in stored order; then exactness at A and then at E,
+    each in sorted slot order.
     """
 
     __slots__ = ("k", "window", "g_shift", "_a", "_e", "_f", "_g", "_h", "_memo", "_pivots")
@@ -180,37 +212,24 @@ class ExactCouple:
             if dim:
                 if not lo <= s <= hi:
                     raise ValueError("A slot (%d, %d) outside the window" % (i, s))
-                a[(int(i), int(s))] = int(dim)
+                a[(i, s) if type(i) is int and type(s) is int else (int(i), int(s))] = int(dim)
         e = {}
         for (i, s), dim in e_dims.items():
             if dim < 0:
                 raise ValueError("negative dimension in E")
             if dim:
-                e[(int(i), int(s))] = int(dim)
-        object.__setattr__(self, "_a", a)
-        object.__setattr__(self, "_e", e)
-        object.__setattr__(self, "_memo", _Eliminations() if memo is None else memo)
-        object.__setattr__(self, "_f", self._clean(f))
-        object.__setattr__(self, "_g", self._clean(g))
-        object.__setattr__(self, "_h", self._clean(h))
-        reduce = self._memo.reduce
-        pivots = ({key: reduce(rows)[1] for key, rows in m.items()} for m in (self._f, self._g, self._h))
-        object.__setattr__(self, "_pivots", tuple(pivots))
+                e[(i, s) if type(i) is int and type(s) is int else (int(i), int(s))] = int(dim)
+        memo = _Eliminations() if memo is None else memo
+        (f, fp), (g, gp), (h, hp) = memo.admit(f), memo.admit(g), memo.admit(h)
+        for name, value in (("_a", a), ("_e", e), ("_memo", memo), ("_f", f), ("_g", g), ("_h", h)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_pivots", (fp, gp, hp))
         if validate:
             self._check_shapes()
             self._check_exactness()
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactCouple is immutable")
-
-    def _clean(self, maps):
-        """The nonzero maps, keyed by int bidegree, interned."""
-        out = {}
-        for key, rows in maps.items():
-            rows = self._memo.intern(rows)
-            if any(rows):
-                out[(int(key[0]), int(key[1]))] = rows
-        return out
 
     # -- dimensions and materialized maps ------------------------------
 
@@ -254,56 +273,57 @@ class ExactCouple:
 
     def _check_shapes(self):
         k2 = 2 * self.k
-        a, e, fits = self._a, self._e, self._memo.fits
+        lo, hi = self.window
+        a, e, width = self._a, self._e, self._memo.widths
         for (i, s), rows in self._f.items():
-            if not (self.inside(s) and self.inside(s + k2)):
+            if not lo <= s <= hi - k2:
                 raise ValueError("f at (%d, %d) reaches outside the window" % (i, s))
-            if not fits(rows, a.get((i, s + k2), 0), a.get((i, s), 0)):
+            if len(rows) != a.get((i, s + k2), 0) or width[id(rows)] > a.get((i, s), 0):
                 raise ValueError("f shape mismatch at (%d, %d)" % (i, s))
         for (i, s), rows in self._g.items():
-            if not self.inside(s):
+            if not lo <= s <= hi:
                 raise ValueError("g at (%d, %d) reaches outside the window" % (i, s))
-            if not fits(rows, e.get((i, s + self.g_shift), 0), a.get((i, s), 0)):
+            if len(rows) != e.get((i, s + self.g_shift), 0) or width[id(rows)] > a.get((i, s), 0):
                 raise ValueError("g shape mismatch at (%d, %d)" % (i, s))
         for (i, s), rows in self._h.items():
-            if not self.inside(s - k2):
+            if not lo <= s - k2 <= hi:
                 raise InsufficientWindow(
                     "insufficient window: h at (%d, %d) targets outside it" % (i, s)
                 )
-            if not fits(rows, a.get((i + 1, s - k2), 0), e.get((i, s), 0)):
+            if len(rows) != a.get((i + 1, s - k2), 0) or width[id(rows)] > e.get((i, s), 0):
                 raise ValueError("h shape mismatch at (%d, %d)" % (i, s))
 
     def _check_exactness(self):
+        """Ranks are the lengths of the pivot lists; a composite with an
+        absent map vanishes, and the memo learns once per pair of held
+        maps whether theirs does."""
         k2 = 2 * self.k
         lo, hi = self.window
         f, g, h = self._f, self._g, self._h
         fp, gp, hp = self._pivots
-        product = self._memo.product
-
-        def vanishes(a, b):
-            # the composite a o b; zero when either map is absent
-            return a is None or b is None or not any(product(a, b))
-
-        for (i, s) in sorted(self._a):
+        vanishes = self._memo.vanishes
+        for pos, dim in sorted(self._a.items()):
+            i, s = pos
             if not lo + k2 <= s <= hi - k2:
                 continue
-            dim = self._a[(i, s)]
-            if len(fp.get((i, s - k2), ())) + len(gp.get((i, s), ())) != dim:
-                raise ValueError("exactness fails at A (%d, %d): im f vs ker g" % (i, s))
-            if not vanishes(g.get((i, s)), f.get((i, s - k2))):
-                raise ValueError("g o f is nonzero at (%d, %d)" % (i, s - k2))
-            if len(hp.get((i - 1, s + k2), ())) + len(fp.get((i, s), ())) != dim:
-                raise ValueError("exactness fails at A (%d, %d): im h vs ker f" % (i, s))
-            if not vanishes(f.get((i, s)), h.get((i - 1, s + k2))):
-                raise ValueError("f o h is nonzero at (%d, %d)" % (i - 1, s + k2))
-        for (i, s) in sorted(self._e):
-            t = s - self.g_shift
-            if not (lo + k2 <= t <= hi - k2 and self.inside(s - k2)):
+            below, above = (i, s - k2), (i - 1, s + k2)
+            if len(fp.get(below, ())) + len(gp.get(pos, ())) != dim:
+                raise ValueError("exactness fails at A (%d, %d): im f vs ker g" % pos)
+            if pos in g and below in f and not vanishes(g[pos], f[below]):
+                raise ValueError("g o f is nonzero at (%d, %d)" % below)
+            if len(hp.get(above, ())) + len(fp.get(pos, ())) != dim:
+                raise ValueError("exactness fails at A (%d, %d): im h vs ker f" % pos)
+            if above in h and pos in f and not vanishes(f[pos], h[above]):
+                raise ValueError("f o h is nonzero at (%d, %d)" % above)
+        for pos, dim in sorted(self._e.items()):
+            i, s = pos
+            source = (i, s - self.g_shift)
+            if not (lo + k2 <= source[1] <= hi - k2 and lo <= s - k2 <= hi):
                 continue
-            if len(gp.get((i, t), ())) + len(hp.get((i, s), ())) != self._e[(i, s)]:
-                raise ValueError("exactness fails at E (%d, %d): im g vs ker h" % (i, s))
-            if not vanishes(h.get((i, s)), g.get((i, t))):
-                raise ValueError("h o g is nonzero at (%d, %d)" % (i, t))
+            if len(gp.get(source, ())) + len(hp.get(pos, ())) != dim:
+                raise ValueError("exactness fails at E (%d, %d): im g vs ker h" % pos)
+            if source in g and pos in h and not vanishes(h[pos], g[source]):
+                raise ValueError("h o g is nonzero at (%d, %d)" % source)
 
     # -- derivation ----------------------------------------------------
 
@@ -321,7 +341,10 @@ class ExactCouple:
         column t, so f' is f's rref times the basis of A' below.  The
         pullback of basis column p through f is the unit vector at p,
         and g' there is g's column p, whose E' coordinates that
-        bidegree's exactla.Subquotient reads off without a solve.
+        bidegree's exactla.Subquotient reads off without a solve.  So
+        A', f' and g' at (i, s) need only f and g out of (i, s - 2k)
+        and f out of (i, s), and one pass over f in slot order builds
+        all three.
         """
         memo = self._memo
         if self.is_trivial():
@@ -348,34 +371,33 @@ class ExactCouple:
         }
         e_new = {pos: len(q.representatives) for pos, q in quotients.items() if q.representatives}
 
-        # A': image basis of f per bidegree, kept inside the new window,
-        # as the rows of f restricted to its pivot columns
-        iota = {}
-        a_new = {}
+        # A', f' and g' in one pass over f in slot order.  A' at (i, t),
+        # t = s + 2k, has as basis the columns of f out of (i, s) at its
+        # pivot columns p, the rows of f restricted to p; f' out of (i, t)
+        # is f's rref there times that basis.
+        bases, a_new, f_new, g_new, h_new = {}, {}, {}, {}, {}
         for (i, s), rows in sorted(self._f.items()):
-            if new_lo <= s + k2 <= new_hi:
-                iota[(i, s + k2)] = memo.restricted(rows, f_pivots[(i, s)])
-                a_new[(i, s + k2)] = len(f_pivots[(i, s)])
-
-        f_new = {}
-        g_new = {}
-        h_new = {}
-        for (i, s), basis in sorted(iota.items()):
+            t = s + k2
+            if not new_lo <= t <= new_hi:
+                continue
+            pivots = f_pivots[(i, s)]
+            basis = bases[(i, t)] = memo.restricted(rows, pivots)
+            a_new[(i, t)] = len(pivots)
             # where f is absent its image above is empty too: f' = 0
-            f_out = self._f.get((i, s))
-            if s + k2 <= new_hi and f_out is not None:
-                f_new[(i, s)] = memo.product(memo.reduce(f_out)[0], basis)
-            # g'(f(b)) = g(b), with b the unit vector at f's pivot
-            # column.  Exactness is only checked inside the window, so
-            # each class is checked to be a d-cycle before its E'
+            f_out = self._f.get((i, t))
+            if t + k2 <= new_hi and f_out is not None:
+                f_new[(i, t)] = memo.product(memo.reduce(f_out)[0], basis)
+            # g'(f(b)) = g(b), with b the unit vector at p, so g' is g's
+            # columns at p.  Exactness is only checked inside the window,
+            # so each class is checked to be a d-cycle before its E'
             # coordinates are read off.
-            g_in = self._g.get((i, s - k2))
+            g_in = self._g.get((i, s))
             if g_in is not None:
-                pos = (i, s + new_shift)
-                g_rhs = memo.restricted(g_in, f_pivots[(i, s - k2)])
-                if any(memo.product(d_out[pos], g_rhs)):
+                pos = (i, s + self.g_shift)
+                g_rhs = memo.restricted(g_in, pivots)
+                if not memo.vanishes(d_out[pos], g_rhs):
                     raise InternalError("couples", "class fell outside the kernel basis")
-                g_new[(i, s)] = memo.read_off(quotients[pos], g_rhs, a_new[(i, s)])
+                g_new[(i, t)] = memo.read_off(quotients[pos], g_rhs, len(pivots))
 
         for (i, s), q in sorted(quotients.items()):
             # an absent h sends every class to 0; its target slot was
@@ -393,7 +415,7 @@ class ExactCouple:
                     "insufficient window: h' at (%d, %d) targets outside [%d, %d]"
                     % (i, s, new_lo, new_hi)
                 )
-            target = iota.get(t_pos)
+            target = bases.get(t_pos)
             solved = memo.solve(target, a_new[t_pos], h_rhs, len(chosen)) if target else None
             if solved is None:
                 raise InternalError("couples", "h of a surviving class left the image of f")
@@ -431,31 +453,34 @@ def couple_from_decomposition(d: Decomposition) -> ExactCouple:
     pad = k2 * (torsion_width(d) + 2)
     lo, hi = min(degrees) - pad, max(degrees) + pad
 
-    a_basis = {}
-    e_basis = {}
-    for idx, (i, s) in enumerate(d.free_pieces):
-        for t in range((hi - s) // k2 + 1):
-            a_basis.setdefault((i, s + k2 * t), []).append(("F", idx, t))
-        e_basis.setdefault((i, s), []).append(("F", idx))
-    for idx, (i, m, s) in enumerate(d.torsion_pieces):
-        for t in range(m):
-            a_basis.setdefault((i, s + k2 * t), []).append(("T", idx, t))
-        e_basis.setdefault((i, s), []).append(("Tb", idx))
-        e_basis.setdefault((i - 1, s + k2 * m), []).append(("Tt", idx))
-
-    torsion_m = {idx: m for idx, (_, m, _) in enumerate(d.torsion_pieces)}
+    # each slot lists the pieces whose towers or classes lie there, free
+    # pieces first, each tagged by its index in that order.  A piece's
+    # tower and bottom class lie in its homological degree i and its top
+    # class in i - 1, so f, g and h each send a tag to the same tag in
+    # their target slot, when it lies there.
+    a_basis, e_basis = {}, {}
+    for tag, (i, s) in enumerate(d.free_pieces):
+        for t in range(s, hi + 1, k2):
+            a_basis.setdefault((i, t), []).append(tag)
+        e_basis.setdefault((i, s), []).append(tag)
+    for tag, (i, m, s) in enumerate(d.torsion_pieces, len(d.free_pieces)):
+        for t in range(s, s + k2 * m, k2):
+            a_basis.setdefault((i, t), []).append(tag)
+        e_basis.setdefault((i, s), []).append(tag)
+        e_basis.setdefault((i - 1, s + k2 * m), []).append(tag)
     memo, made = _Eliminations(), {}
 
-    def unit_map(sources, target_slot, image):
-        """{(i, s): rows} over the source slots whose target slot is
-        nonempty: column c holds a 1 at the row of image(tag c), when
-        that tag lies there.  Each distinct matrix is interned once."""
+    def unit_map(sources, targets, di, ds):
+        """{(i, s): rows} over the source slots whose target slot
+        (i + di, s + ds) is nonempty: column c holds a 1 at the row of
+        tag c, when that tag lies there.  Each distinct matrix is
+        interned once."""
         out = {}
         for (i, s), tags in sources.items():
-            target = target_slot(i, s)
+            target = targets.get((i + di, s + ds))
             if target:
                 pos = {tag: r for r, tag in enumerate(target)}
-                shape = (len(target), tuple(pos.get(image(tag)) for tag in tags))
+                shape = (len(target), tuple(map(pos.get, tags)))
                 if shape not in made:
                     rows = [{} for _ in target]
                     for c, r in enumerate(shape[1]):
@@ -465,17 +490,11 @@ def couple_from_decomposition(d: Decomposition) -> ExactCouple:
                 out[(i, s)] = made[shape]
         return out
 
-    def bottom(tag):
-        kind, idx, t = tag
-        return None if t else ("F" if kind == "F" else "Tb", idx)
-
-    def top(etag):
-        return ("T", etag[1], torsion_m[etag[1]] - 1) if etag[0] == "Tt" else None
-
-    # a truncated tower's top slot has no successor tag, so f kills it
-    f = unit_map(a_basis, lambda i, s: a_basis.get((i, s + k2)), lambda tag: tag[:2] + (tag[2] + 1,))
-    g = unit_map(a_basis, lambda i, s: e_basis.get((i, s)), bottom)
-    h = unit_map(e_basis, lambda i, s: a_basis.get((i + 1, s - k2)), top)
+    # f kills a truncated tower's top slot, g is nonzero only on a
+    # tower's bottom slot and h only on a torsion piece's top class
+    f = unit_map(a_basis, a_basis, 0, k2)
+    g = unit_map(a_basis, e_basis, 0, 0)
+    h = unit_map(e_basis, a_basis, 1, -k2)
 
     return ExactCouple(
         d.k,

@@ -1,9 +1,10 @@
 """Pages of the filtration spectral sequence, three ways.
 
-Closed forms per elementary piece; the assembled page of a
-decomposition, which is the sum of the closed forms of its pieces; and
-a generic computation from a filtered complex of vector spaces.  All
-three must agree exactly.  On a complex from a decomposition, the
+Closed forms per elementary piece, as the (position, entry) pairs
+piece_entries gives; the assembled page of a decomposition, which is
+one PageTable of the entries of all its pieces, summed by its
+constructor; and a generic computation from a filtered complex of
+vector spaces.  All three must agree exactly.  On a complex from a decomposition, the
 generic route and decompose read one persistence pairing, so neither
 referees the other: twkit verify compares both with the decomposition
 the complex was generated from.
@@ -131,8 +132,9 @@ class PageTable:
         return cls(r, {(s, i - s): d for (i, s), d in table.items()}, True)
 
 
-def piece_pages(piece, hat: bool, r: int, k: int) -> PageTable:
-    """Closed-form page of one elementary piece.
+def piece_entries(piece, hat: bool, r: int, k: int) -> list:
+    """Closed-form page r of one elementary piece, as its sorted
+    ((p, q), entry) pairs.
 
     piece: (i, s) for a free piece, (i, m, s) for a torsion piece.
 
@@ -146,29 +148,18 @@ def piece_pages(piece, hat: bool, r: int, k: int) -> PageTable:
         raise ValueError("page index must be >= 0")
     if len(piece) == 2:
         i, s = piece
-        entry = 1 if hat else GradedModuleDescriptor((s,), ())
-        return PageTable(r, {(s, i - s): entry}, hat)
-
+        return [((s, i - s), 1 if hat else GradedModuleDescriptor((s,), ()))]
     i, m, s = piece
     if m < 1:
         raise ValueError("torsion piece needs m >= 1")
     bottom = (s, i - s)
     if r >= 2 * k * m + 1:
-        if hat:
-            return PageTable(r, {}, True)
-        return PageTable(r, {bottom: GradedModuleDescriptor((), ((m, s),))}, False)
+        return [] if hat else [(bottom, GradedModuleDescriptor((), ((m, s),)))]
     top_s = s + 2 * k * m
     top = (top_s, i - 1 - top_s)
     if hat:
-        return PageTable(r, {bottom: 1, top: 1}, True)
-    return PageTable(
-        r,
-        {
-            bottom: GradedModuleDescriptor((s,), ()),
-            top: GradedModuleDescriptor((top_s,), ()),
-        },
-        False,
-    )
+        return [(bottom, 1), (top, 1)]
+    return [(bottom, GradedModuleDescriptor((s,), ())), (top, GradedModuleDescriptor((top_s,), ()))]
 
 
 def assembled_pages(d: Decomposition, hat: bool, r: int) -> PageTable:
@@ -199,7 +190,7 @@ def assembled_page_list(d: Decomposition, hat: bool, rs) -> list:
     def page(r):
         block = sum(cut <= r for cut in cuts)
         if block not in blocks:
-            torsion = (item for piece in d.torsion_pieces for item in piece_pages(piece, hat, r, d.k).items())
+            torsion = (item for piece in d.torsion_pieces for item in piece_entries(piece, hat, r, d.k))
             blocks[block] = PageTable(r, chain(free, torsion), hat)
         return blocks[block].relabeled(r)
 

@@ -5,7 +5,9 @@ tests/test_pages.py, tests/test_algebra.py); and the page-by-page list
 that followed it, frozen before one page was built per block of r
 (tests/test_frozen_twobraid.py); and the generic pages as rank
 differences, frozen before they were read off a persistence pairing
-(tests/test_pages.py).
+(tests/test_pages.py); and the closed form of one piece as a PageTable,
+piece_pages, frozen before the assembled pages took each piece's
+entries straight from pages.piece_entries (tests/test_pages.py).
 
 boxtimes multiplied a (hom, poly) dimension table against a page, and
 hn_table summed one descriptor_dim_table per homological degree.  The
@@ -23,7 +25,47 @@ from itertools import chain
 from builders import homology_structure
 from twkit import exactla
 from twkit.algebra import BigradedTable, GradedModuleDescriptor
-from twkit.pages import PageTable, piece_pages
+from twkit.pages import PageTable
+
+
+def piece_pages(piece, hat, r, k):
+    """Closed-form page of one elementary piece.
+
+    piece: (i, s) for a free piece, (i, m, s) for a torsion piece.
+
+    A free piece shows one class at (s, i - s) on every page.  A torsion
+    piece shows its two generator classes, at (s, i - s) and at
+    (s + 2km, i - 1 - s - 2km), on pages r <= 2km; from r = 2km + 1 on,
+    the hat page is empty while the module page keeps k[a]/(a^m){s}
+    at (s, i - s).
+    """
+    if r < 0:
+        raise ValueError("page index must be >= 0")
+    if len(piece) == 2:
+        i, s = piece
+        entry = 1 if hat else GradedModuleDescriptor((s,), ())
+        return PageTable(r, {(s, i - s): entry}, hat)
+
+    i, m, s = piece
+    if m < 1:
+        raise ValueError("torsion piece needs m >= 1")
+    bottom = (s, i - s)
+    if r >= 2 * k * m + 1:
+        if hat:
+            return PageTable(r, {}, True)
+        return PageTable(r, {bottom: GradedModuleDescriptor((), ((m, s),))}, False)
+    top_s = s + 2 * k * m
+    top = (top_s, i - 1 - top_s)
+    if hat:
+        return PageTable(r, {bottom: 1, top: 1}, True)
+    return PageTable(
+        r,
+        {
+            bottom: GradedModuleDescriptor((s,), ()),
+            top: GradedModuleDescriptor((top_s,), ()),
+        },
+        False,
+    )
 
 
 def merge(left, right):

@@ -70,6 +70,32 @@ class TestModelCouple:
         assert c.is_trivial()
         assert c.derive().is_trivial()
 
+    def test_matches_the_frozen_builder(self):
+        """Window, dimensions, maps in stored order and which of them are
+        one object, against the builder that tagged each tower slot by
+        its height, on 240 seeded decompositions (k = 1, 2, 3 in turn)
+        and hand-picked ones: empty, free only, torsion only, m = 1 only,
+        and two towers from one slot."""
+        rng = random.Random(71)
+        picked = []
+        while len(picked) < 240:
+            d = random_decomposition(rng, max_generators=rng.choice((4, 14, 40)))
+            if d.k == 1 + len(picked) % 3:
+                picked.append(d)
+        picked += [
+            Decomposition(2),
+            Decomposition(1, ((0, 0), (0, 0), (2, -4)), ()),
+            Decomposition(3, (), ((1, 2, 0), (0, 3, 6), (1, 2, 0))),
+            Decomposition(2, ((0, 2),), ((1, 1, 0), (0, 1, 4), (0, 1, 4))),
+            Decomposition(1, ((0, 2),), ((0, 1, 0), (0, 2, 0))),
+        ]
+        shared = 0
+        for d in picked:
+            got = model_state(couple_from_decomposition(d))
+            assert got == model_state(reference_couple_from_decomposition(d)), d
+            shared += len(got[6]) > len(set(got[6]))
+        assert shared > 200
+
     def test_window_padding_supports_enough_derivations(self):
         d = width_two_fixture()
         c = couple_from_decomposition(d)
@@ -102,9 +128,10 @@ class TestValidation:
                 {},
                 {},
             )
-        # a column past the source slot's dimension
-        with pytest.raises(ValueError, match="^f shape mismatch at \\(0, 0\\)$"):
-            ExactCouple(1, (0, 2), {(0, 0): 1, (0, 2): 1}, {}, {(0, 0): ({1: 1},)}, {}, {})
+        # a column past the source slot's dimension, or a negative one
+        for col in (1, -1):
+            with pytest.raises(ValueError, match="^f shape mismatch at \\(0, 0\\)$"):
+                ExactCouple(1, (0, 2), {(0, 0): 1, (0, 2): 1}, {}, {(0, 0): ({col: 1},)}, {}, {})
 
     def test_one_matrix_checked_at_each_of_its_slots(self):
         """f is one held matrix at (0, 0) and at (0, 2): its shape fits
@@ -373,6 +400,85 @@ def reference_derive(c):
     return out
 
 
+def reference_couple_from_decomposition(d):
+    """couple_from_decomposition as it was before it tagged towers by
+    piece: each A basis vector tagged (kind, piece, height) and each E
+    class (kind, piece), and f, g and h built by looking up the image
+    tag of every column."""
+    k2 = 2 * d.k
+    degrees = [s for _, s in d.free_pieces]
+    for _, m, s in d.torsion_pieces:
+        degrees.extend((s, s + k2 * m))
+    if not degrees:
+        return ExactCouple(d.k, (0, 0), {}, {}, {}, {}, {}, 0, validate=False)
+    pad = k2 * (torsion_width(d) + 2)
+    lo, hi = min(degrees) - pad, max(degrees) + pad
+
+    a_basis = {}
+    e_basis = {}
+    for idx, (i, s) in enumerate(d.free_pieces):
+        for t in range((hi - s) // k2 + 1):
+            a_basis.setdefault((i, s + k2 * t), []).append(("F", idx, t))
+        e_basis.setdefault((i, s), []).append(("F", idx))
+    for idx, (i, m, s) in enumerate(d.torsion_pieces):
+        for t in range(m):
+            a_basis.setdefault((i, s + k2 * t), []).append(("T", idx, t))
+        e_basis.setdefault((i, s), []).append(("Tb", idx))
+        e_basis.setdefault((i - 1, s + k2 * m), []).append(("Tt", idx))
+
+    torsion_m = {idx: m for idx, (_, m, _) in enumerate(d.torsion_pieces)}
+    memo, made = couples._Eliminations(), {}
+
+    def unit_map(sources, target_slot, image):
+        out = {}
+        for (i, s), tags in sources.items():
+            target = target_slot(i, s)
+            if target:
+                pos = {tag: r for r, tag in enumerate(target)}
+                shape = (len(target), tuple(pos.get(image(tag)) for tag in tags))
+                if shape not in made:
+                    rows = [{} for _ in target]
+                    for c, r in enumerate(shape[1]):
+                        if r is not None:
+                            rows[r][c] = 1
+                    made[shape] = memo.intern(rows)
+                out[(i, s)] = made[shape]
+        return out
+
+    def bottom(tag):
+        kind, idx, t = tag
+        return None if t else ("F" if kind == "F" else "Tb", idx)
+
+    def top(etag):
+        return ("T", etag[1], torsion_m[etag[1]] - 1) if etag[0] == "Tt" else None
+
+    f = unit_map(a_basis, lambda i, s: a_basis.get((i, s + k2)), lambda tag: tag[:2] + (tag[2] + 1,))
+    g = unit_map(a_basis, lambda i, s: e_basis.get((i, s)), bottom)
+    h = unit_map(e_basis, lambda i, s: a_basis.get((i + 1, s - k2)), top)
+    return ExactCouple(
+        d.k,
+        (lo, hi),
+        {key: len(tags) for key, tags in a_basis.items()},
+        {key: len(tags) for key, tags in e_basis.items()},
+        f,
+        g,
+        h,
+        0,
+        memo=memo,
+    )
+
+
+def model_state(c):
+    """A couple's window, dimensions and maps, each map table as its
+    (slot, rows) pairs in stored order, and which stored maps are one
+    object: each map's place in the order the distinct objects first
+    appear."""
+    maps = [list(table.items()) for table in (c._f, c._g, c._h)]
+    first = {}
+    shared = [first.setdefault(id(rows), len(first)) for table in maps for _, rows in table]
+    return (c.k, c.window, c.g_shift, list(c._a.items()), list(c._e.items()), maps, shared, c._pivots)
+
+
 def is_canonical(x):
     """A nonzero int, or a Fraction that is not integral."""
     return (type(x) is int and x != 0) or (type(x) is Fraction and x.denominator > 1)
@@ -499,15 +605,21 @@ def churn():
 
 
 def assert_keys_held(memo):
-    """Every id in the keys of the memo's per-slot read-offs and shape
-    verdicts names a rows object it interned or a subquotient it holds."""
-    rows = memo._held
+    """Every id in the keys of the memo's tables names a rows object it
+    interned, a pivot list of one of its eliminations or a subquotient
+    it holds, and its widths name exactly the rows objects it interned."""
+    rows = memo.widths
+    assert set(rows) == {id(r) for r in memo._rows.values()}
+    pivots = {id(p) for _, p in memo._reduced.values()}
     quotients = {id(q) for q in memo._quotients.values()}
+    assert all(r in rows for r in memo._reduced)
+    assert all(a in rows and b in rows for a, b in memo._products)
+    assert all(a in rows and b in rows for a, b in memo._vanishing)
+    assert all(r in rows and c in pivots for r, c in memo._restrictions)
     assert all(a in rows and b in rows for a, _, b in memo._quotients)
     assert all(q in quotients and r in rows for q, r, _ in memo._read)
     assert all(q in quotients for q, _ in memo._lifts)
     assert all(a in rows and b in rows for a, _, b, _ in memo._solved)
-    assert all(r in rows for r, _, _ in memo._fits)
 
 
 class TestDerivationAgainstReference:
@@ -660,7 +772,7 @@ class TestDerivationAgainstReference:
         ]
 
 
-def hand_built(validate=True, e_extra=None, f=None, g=None, h=None):
+def hand_built(validate=True, e_extra=None, f=None, g=None, h=None, memo=None):
     """A k = 1 couple on the window [-2, 2] whose only interior slots
     are A and E at (0, 0).  The defaults are exact: f embeds A(0, -2)
     into A(0, 0), g kills that image, h sends E(-1, 2) into ker g and
@@ -672,7 +784,7 @@ def hand_built(validate=True, e_extra=None, f=None, g=None, h=None):
     f = {(0, -2): ((1,), (0,)), (0, 0): ((0, 1),), **(f or {})}
     g = {(0, 0): ((0, 1),), **(g or {})}
     h = {(-1, 2): ((1,), (0,)), **(h or {})}
-    return ExactCouple(1, (-2, 2), a, e, sparse_maps(f), sparse_maps(g), sparse_maps(h), validate=validate)
+    return ExactCouple(1, (-2, 2), a, e, sparse_maps(f), sparse_maps(g), sparse_maps(h), validate=validate, memo=memo)
 
 
 class TestExactnessErrors:
@@ -706,6 +818,17 @@ class TestExactnessErrors:
         with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             reference_check_exactness(c)
 
+    def test_vanishing_is_learned_per_pair(self):
+        """The defaults teach one memo that ((0, 1),) @ ((1,), (0,))
+        vanishes, as g o f and as f o h; two couples built on that memo
+        then pair each of those two maps with another, and fail."""
+        memo = hand_built()._memo
+        assert list(memo._vanishing.values()) == [True]
+        for maps in ({"f": {(0, -2): ((0,), (1,))}}, {"g": {(0, 0): ((1, 0),)}}):
+            with pytest.raises(ValueError, match=r"^g o f is nonzero at \(0, -2\)$"):
+                hand_built(memo=memo, **maps)
+        assert sorted(memo._vanishing.values()) == [False, False, True]
+
     def test_maps_with_empty_first_rows(self):
         """The defaults with the basis of A(0, 0) swapped, so f into it
         and h into it have an empty first row: their ranks must count,
@@ -722,6 +845,71 @@ class TestExactnessErrors:
         assert couple_state(got) == couple_state(reference_derive(c))
         # A' is the image of f out of A(0, -2), and h' reaches it
         assert got.a_dim(0, 0) == 1 and got._h[(-1, 2)] == ({0: 1},)
+
+
+class TestFirstFault:
+    """Faults planted at several slots of one model couple: the shape
+    check runs before the exactness check, f's maps before g's before
+    h's, A slots before E slots, and each loop in sorted slot order, so
+    the message names the first fault in that order."""
+
+    MODEL = Decomposition(1, ((0, 0), (1, 2)), ((1, 1, 0), (0, 2, 2)))
+    # each alone fails with the message given
+    FAULTS = {
+        "no g at A (0, 2)": ({"drop": ("g", (0, 2))}, "exactness fails at A (0, 2): im f vs ker g"),
+        "no f at A (1, 4)": ({"drop": ("f", (1, 4))}, "exactness fails at A (1, 4): im h vs ker f"),
+        "g o f at A (0, 2)": ({"g": {(0, 2): ({0: 1}, {})}}, "g o f is nonzero at (0, 0)"),
+        "f o h at A (0, 4)": ({"f": {(0, 4): ({0: 1, 1: 1},)}}, "f o h is nonzero at (-1, 6)"),
+        "E (0, 0) too big": ({"e": {(0, 0): 2}, "g": {(0, 0): ({0: 1}, {})}}, "exactness fails at E (0, 0): im g vs ker h"),
+        "E (1, 2) too big": ({"e": {(1, 2): 2}, "g": {(1, 2): ({0: 1}, {})}}, "exactness fails at E (1, 2): im g vs ker h"),
+        "h o g at E (0, 2)": ({"g": {(0, 2): ({}, {1: 1})}}, "h o g is nonzero at (0, 2)"),
+        "f shape at (0, 2)": ({"f": {(0, 2): ({0: 1}, {2: 1})}}, "f shape mismatch at (0, 2)"),
+        "f shape at (1, 8)": ({"f": {(1, 8): ({1: 1},)}}, "f shape mismatch at (1, 8)"),
+        "g shape at (0, 2)": ({"g": {(0, 2): ({1: 1}, {2: 1})}}, "g shape mismatch at (0, 2)"),
+        "h shape at (-1, 6)": ({"h": {(-1, 6): ({}, {1: 1})}}, "h shape mismatch at (-1, 6)"),
+    }
+
+    def planted(self, *names):
+        c = couple_from_decomposition(self.MODEL)
+        dims = {"a": dict(c._a), "e": dict(c._e)}
+        maps = {"f": dict(c._f), "g": dict(c._g), "h": dict(c._h)}
+        for name in names:
+            fault = self.FAULTS[name][0]
+            if "drop" in fault:
+                del maps[fault["drop"][0]][fault["drop"][1]]
+            for key, table in fault.items():
+                if key != "drop":
+                    {**dims, **maps}[key].update(table)
+        # each map in sorted slot order, the order the shape check meets them
+        maps = {name: dict(sorted(table.items())) for name, table in maps.items()}
+        return lambda: ExactCouple(c.k, c.window, dims["a"], dims["e"], maps["f"], maps["g"], maps["h"])
+
+    @pytest.mark.parametrize("name", sorted(FAULTS))
+    def test_each_fault_alone(self, name):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(self.FAULTS[name][1])):
+            self.planted(name)()
+
+    @pytest.mark.parametrize(
+        "names, first",
+        [
+            # two A faults of different checks, and of the same check
+            (("no f at A (1, 4)", "no g at A (0, 2)"), "no g at A (0, 2)"),
+            (("no f at A (1, 4)", "f o h at A (0, 4)"), "f o h at A (0, 4)"),
+            (("f o h at A (0, 4)", "g o f at A (0, 2)"), "g o f at A (0, 2)"),
+            # the A loop runs first, though E (0, 0) sorts before A (1, 4)
+            (("E (0, 0) too big", "no f at A (1, 4)"), "no f at A (1, 4)"),
+            (("E (1, 2) too big", "E (0, 0) too big"), "E (0, 0) too big"),
+            (("E (1, 2) too big", "h o g at E (0, 2)"), "h o g at E (0, 2)"),
+            # a shape fault anywhere comes before every exactness fault
+            (("no g at A (0, 2)", "E (0, 0) too big", "f shape at (1, 8)"), "f shape at (1, 8)"),
+            (("h shape at (-1, 6)", "g shape at (0, 2)", "f shape at (1, 8)"), "f shape at (1, 8)"),
+            (("h shape at (-1, 6)", "g shape at (0, 2)", "no f at A (1, 4)"), "g shape at (0, 2)"),
+            (("f shape at (1, 8)", "f shape at (0, 2)", "no g at A (0, 2)"), "f shape at (0, 2)"),
+        ],
+    )
+    def test_first_fault_in_slot_order(self, names, first):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(self.FAULTS[first][1])):
+            self.planted(*names)()
 
 
 class TestDerivedCouplesAreValidated:

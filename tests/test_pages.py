@@ -1,11 +1,12 @@
 """Spectral sequence pages: closed forms, assembly, generic referee."""
 
 import random
+import re
 
 import pytest
 
 from dense_la import dense_kernel_basis, dense_matvec, dense_rank, dense_rows, sparse_rows
-from frozen_pages import rank_difference_pages, reference_assembled_pages
+from frozen_pages import piece_pages, rank_difference_pages, reference_assembled_pages
 from twkit import exactla
 from twkit.algebra import GradedModuleDescriptor
 from twkit.complexes import FilteredFieldComplex, InternalError, specialize_a_to_1
@@ -16,8 +17,9 @@ from twkit.pages import (
     PageTable,
     assembled_pages,
     collapse_page,
+    assembled_page_list,
     generic_pages,
-    piece_pages,
+    piece_entries,
     stabilization_page,
 )
 
@@ -85,38 +87,59 @@ class TestConversionPair:
 
 
 class TestPiecePages:
+    """The closed form of one piece, pages.piece_entries."""
+
     def test_free_piece_is_constant(self):
         for r in (0, 1, 5, 100):
-            p = piece_pages((2, -3), True, r, k=2)
-            assert p.items() == [((-3, 5), 1)]
-        m = piece_pages((2, -3), False, 4, k=2)
-        assert m.items() == [((-3, 5), GradedModuleDescriptor((-3,), ()))]
+            assert piece_entries((2, -3), True, r, k=2) == [((-3, 5), 1)]
+        assert piece_entries((2, -3), False, 4, k=2) == [((-3, 5), GradedModuleDescriptor((-3,), ()))]
 
     def test_torsion_hat_transition(self):
         # (i, m, s) = (1, 2, 0), k = 1: both classes up to r = 2km = 4,
         # nothing from r = 5 on
         piece = (1, 2, 0)
         for r in range(1, 5):
-            p = piece_pages(piece, True, r, k=1)
-            assert p.items() == [((0, 1), 1), ((4, -4), 1)]
+            assert piece_entries(piece, True, r, k=1) == [((0, 1), 1), ((4, -4), 1)]
         for r in (5, 6, 10):
-            assert piece_pages(piece, True, r, k=1).is_empty()
+            assert piece_entries(piece, True, r, k=1) == []
 
     def test_torsion_module_transition(self):
         piece = (1, 2, 0)
-        before = piece_pages(piece, False, 4, k=1)
-        assert before.items() == [
+        assert piece_entries(piece, False, 4, k=1) == [
             ((0, 1), GradedModuleDescriptor((0,), ())),
             ((4, -4), GradedModuleDescriptor((4,), ())),
         ]
-        after = piece_pages(piece, False, 5, k=1)
-        assert after.items() == [((0, 1), GradedModuleDescriptor((), ((2, 0),)))]
+        assert piece_entries(piece, False, 5, k=1) == [((0, 1), GradedModuleDescriptor((), ((2, 0),)))]
 
     def test_zero_width_rejected(self):
-        with pytest.raises(ValueError):
-            piece_pages((0, 0, 0), True, 1, k=1)
-        with pytest.raises(ValueError):
-            piece_pages((0, 0), True, -1, k=1)
+        # and a negative page index, and r < 1 in the assembled pages
+        for piece in ((0, 0), (1, 2, 0)):
+            with pytest.raises(ValueError, match="^page index must be >= 0$"):
+                piece_entries(piece, True, -1, k=1)
+        for hat in (True, False):
+            with pytest.raises(ValueError, match="^torsion piece needs m >= 1$"):
+                piece_entries((0, 0, 0), hat, 1, k=1)
+        d = Decomposition(1, ((0, 0),), ((1, 1, 0),))
+        for rs in ([0], [1, 0, 2], [-1]):
+            with pytest.raises(ValueError, match="^assembled pages start at r = 1$"):
+                assembled_page_list(d, True, rs)
+
+    def test_matches_the_frozen_piece_pages(self):
+        """Hat and module entries on both sides of each torsion piece's
+        cut 2km + 1, with the refusals, as piece_pages(...).items() gave
+        them."""
+        pieces = [(2, -3), (0, 7), (1, 1, 0), (-2, 3, 5), (0, 2, -4)]
+        for k in (1, 2, 3):
+            for piece in pieces + [(0, 0, 0), (1, -1, 2)]:
+                for r in range(-2, 2 * k * 3 + 4):
+                    for hat in (True, False):
+                        try:
+                            want = piece_pages(piece, hat, r, k).items()
+                        except ValueError as e:
+                            with pytest.raises(ValueError, match="^%s$" % re.escape(str(e))):
+                                piece_entries(piece, hat, r, k)
+                            continue
+                        assert piece_entries(piece, hat, r, k) == want, (piece, hat, r, k)
 
 
 class TestAssembledPages:
@@ -164,6 +187,23 @@ class TestAssembledPages:
                     assert got == want
                     assert got.items() == want.items()
                     assert got.same_entries(summed_piece_pages(d, hat, r))
+
+    def test_lists_and_piece_sums_match_frozen_merge_loop(self):
+        """assembled_page_list over pages on both sides of every cut,
+        out of order and repeated, and summed_piece_pages, page by page,
+        against the merge-per-piece loop."""
+        rng = random.Random(48)
+        for n in range(60):
+            d = random_decomposition(rng, max_generators=rng.choice((4, 20, 60)), degree_span=(-8, 8))
+            rs = list(range(1, 2 * d.k * torsion_width(d) + 4))
+            rs += rng.sample(rs, min(3, len(rs)))
+            for hat in (True, False):
+                want = [reference_assembled_pages(d, hat, r) for r in rs]
+                got = assembled_page_list(d, hat, rs)
+                assert got == want, (d, hat)
+                assert [page.items() for page in got] == [page.items() for page in want], (d, hat)
+                for r, page in zip(rs, want):
+                    assert summed_piece_pages(d, hat, r) == page, (d, hat, r)
 
 
 # -- dense reference: generic pages from three kernel bases per
