@@ -102,12 +102,12 @@ class _Eliminations:
         return held, pivots
 
     def reduce(self, rows):
-        rows = self.intern(rows)
-        out = self._reduced.get(id(rows))
-        if out is None:
-            rref, pivots = exactla.row_reduce(rows)
-            out = self._reduced[id(rows)] = (self.intern(rref[: len(pivots)]), pivots)
-        return out
+        if id(rows) not in self._reduced:
+            rows = self.intern(rows)
+            if id(rows) not in self._reduced:
+                rref, pivots = exactla.row_reduce(rows)
+                self._reduced[id(rows)] = (self.intern(rref[: len(pivots)]), pivots)
+        return self._reduced[id(rows)]
 
     def product(self, a, b):
         """a @ b, held, for a and b held."""
