@@ -4,10 +4,10 @@ Closed forms per elementary piece, as the (position, entry) pairs
 piece_entries gives; the assembled page of a decomposition, which is
 one PageTable of the entries of all its pieces, summed by its
 constructor; and a generic computation from a filtered complex of
-vector spaces.  All three must agree exactly.  On a complex from a decomposition, the
-generic route and decompose read one persistence pairing, so neither
-referees the other: twkit verify compares both with the decomposition
-the complex was generated from.
+vector spaces.  All three must agree exactly.  On a complex from a
+decomposition, the generic route and decompose read one persistence
+pairing, so neither referees the other: twkit verify compares both
+with the decomposition the complex was generated from.
 
 The generic route reads every page off the gaps of
 complexes.persistence_pairs, one pairing per degree, which

@@ -174,36 +174,20 @@ class TestAssembledPages:
                 assert am.same_entries(sm)
 
     def test_matches_frozen_merge_loop(self):
-        """One dict and one PageTable give the pages the merge-per-piece
-        loop gave, on seeded decompositions with many pieces that share
-        positions."""
+        """One PageTable per block of r gives the pages the merge-per-piece
+        loop gave, through assembled_page_list (its r out of order and
+        repeated), assembled_pages and the piece sums, on seeded
+        decompositions with many pieces that share positions."""
         rng = random.Random(47)
+        rs = [1, 2, 3, 5, 7, 13, 7, 1]
         for n in range(60):
             d = random_decomposition(rng, max_generators=rng.choice((4, 40, 120)), degree_span=(-6, 6))
-            for r in (1, 2, 3, 5, 7, 13):
-                for hat in (True, False):
-                    want = reference_assembled_pages(d, hat, r)
-                    got = assembled_pages(d, hat, r)
-                    assert got == want
-                    assert got.items() == want.items()
-                    assert got.same_entries(summed_piece_pages(d, hat, r))
-
-    def test_lists_and_piece_sums_match_frozen_merge_loop(self):
-        """assembled_page_list over pages on both sides of every cut,
-        out of order and repeated, and summed_piece_pages, page by page,
-        against the merge-per-piece loop."""
-        rng = random.Random(48)
-        for n in range(60):
-            d = random_decomposition(rng, max_generators=rng.choice((4, 20, 60)), degree_span=(-8, 8))
-            rs = list(range(1, 2 * d.k * torsion_width(d) + 4))
-            rs += rng.sample(rs, min(3, len(rs)))
             for hat in (True, False):
-                want = [reference_assembled_pages(d, hat, r) for r in rs]
-                got = assembled_page_list(d, hat, rs)
-                assert got == want, (d, hat)
-                assert [page.items() for page in got] == [page.items() for page in want], (d, hat)
-                for r, page in zip(rs, want):
-                    assert summed_piece_pages(d, hat, r) == page, (d, hat, r)
+                for r, got in zip(rs, assembled_page_list(d, hat, rs)):
+                    want = reference_assembled_pages(d, hat, r)
+                    assert got == want and got.items() == want.items(), (d, hat, r)
+                    assert assembled_pages(d, hat, r) == want, (d, hat, r)
+                    assert summed_piece_pages(d, hat, r) == want, (d, hat, r)
 
 
 # -- dense reference: generic pages from three kernel bases per
