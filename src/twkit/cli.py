@@ -7,7 +7,8 @@ codes: 0 success, 1 malformed input or failed verification, 2 usage
 error (a missing, unknown or conflicting option, from argparse) or
 structural complex error (d^2 != 0, inhomogeneous entries), 3
 inconsistent pages, 4 insufficient couple window, 5 internal invariant
-failure (a defect in twkit; the one-line message names the stage).
+failure (a defect in twkit; the one-line message names the stage and
+the command line, inline JSON shown as <inline JSON>).
 
 The TW_SEED environment variable overrides --seed wherever a seed is
 accepted.
@@ -20,6 +21,7 @@ import functools
 import json
 import os
 import re
+import shlex
 import sys
 
 from . import jsonio
@@ -49,7 +51,7 @@ from .links import (
     build_twobraid,
     delta_battery,
 )
-from .pages import PageTable, assembled_page_list, assembled_pages, collapse_page, generic_pages
+from .pages import PageTable, assembled_page_list, assembled_pages, collapse_page, generic_page_list, generic_pages
 from .recover import InconsistentPages, pages_from_decomposition, recover
 
 EXIT_OK = 0
@@ -261,7 +263,7 @@ def cmd_pages(args) -> int:
     seq = pages_from_decomposition(d).pages
     count = args.r_max if args.r_max is not None else len(seq)
     if args.generic:
-        hom = [generic_pages(fc, 2 * d.k * r + 1).to_hom_poly() for r in range(count)]
+        hom = [page.to_hom_poly() for page in generic_page_list(fc, (2 * d.k * r + 1 for r in range(count)))]
     else:
         # the closed-form sequence ends on its stable page
         hom = [seq[min(r, len(seq) - 1)] for r in range(count)]
@@ -615,7 +617,10 @@ def main(argv=None) -> int:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_WINDOW
     except InternalError as e:
-        print("error: %s" % e, file=sys.stderr)
+        # name the command that met it, inline JSON by its kind alone
+        words = sys.argv[1:] if argv is None else argv
+        line = " ".join("<inline JSON>" if w.lstrip().startswith(("{", "[")) else shlex.quote(w) for w in words)
+        print("error: %s (twkit %s)" % (e, line), file=sys.stderr)
         return EXIT_INTERNAL
     except (SchemaError, ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)

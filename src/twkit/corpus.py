@@ -27,7 +27,7 @@ from .pages import (
     PageTable,
     assembled_page_list,
     collapse_page,
-    generic_pages,
+    generic_page_list,
     piece_entries,
     stabilization_page,
 )
@@ -155,12 +155,10 @@ def cross_checks(d: Decomposition, rng: random.Random = None):
     if decompose(c) != d:
         failures.append("decompose(reassemble(d)) != d")
 
-    r_hi = 2 * k * tw + 3
-    generic = []
-    for r, a in enumerate(assembled_page_list(d, True, range(1, r_hi + 1)), 1):
-        g = generic_pages(fc, r)
+    rs = range(1, 2 * k * tw + 4)
+    generic = generic_page_list(fc, rs)
+    for r, a, g in zip(rs, assembled_page_list(d, True, rs), generic):
         s = summed_piece_pages(d, True, r)
-        generic.append(g)
         if not a.same_entries(g):
             failures.append("generic page %d differs from assembled" % r)
         if not a.same_entries(s):
@@ -172,7 +170,7 @@ def cross_checks(d: Decomposition, rng: random.Random = None):
             % (stabilization_page(generic), collapse_page(d))
         )
 
-    # one derivation chain serves both couple checks: pages 1..tw+2
+    # one couple_tables call serves both couple checks: pages 1..tw+2
     # for the correspondence, 1..tw+1 for the round trip
     tables = couple_tables(d, tw + 2)
     res = correspondence_check(d, tw + 2, tables)

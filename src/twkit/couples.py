@@ -15,23 +15,20 @@ the window raises InsufficientWindow instead of guessing.  Deriving
 shrinks the window by 2k at each end: data in the outermost strip can
 no longer be trusted once f has been restricted.
 
-A model couple and the couples derived from it form one derivation
-chain, which shares one memo.  Free towers repeat the same small maps
-slot after slot, so the memo interns each map: equal maps anywhere in
-the chain are one rows object, eliminated once and multiplied once
-with each other map.  A derived couple reads A' as the columns of f at
-f's own pivot columns, so f' is f's rref applied to the image basis
-below, and the pullback of a basis column through f is a unit vector,
-so g' needs no solve against f.  E' is the homology of d = g o h, read
-off by exactla.subquotient in cycle coordinates as the mod-a homology
-is, so no solve projects a class onto E' either; h' alone is solved
-for.  derive builds A', f' and g' in one pass over f in slot order.
-The memo holds those per-slot read-offs too (see _Eliminations), so a
-slot that repeats another along the chain only looks them up, and so
-are the constructor's checks: a map the memo holds costs one look-up
-for its pivots, the shape check reads its width off the memo, and the
-exactness check reads ranks off the pivots and learns once per pair of
-held maps whether their composite vanishes.
+The model couple of a decomposition is the direct sum of one model
+couple per piece, and derived couples commute with finite direct sums
+(Massey, "Exact couples in algebraic topology", 1952; McCleary, "A
+User's Guide to Spectral Sequences", 2nd ed., 2.2).  So couple_tables
+derives one chain per piece shape, a free tower or a truncated tower of
+length m, built at (0, 0), and adds its E tables into the pages shifted
+by each piece's (i, s).  Its window refusals are those of the
+decomposition's own couple, replayed on that couple's window.
+
+The chains of one couple_tables call share one memo (see
+_Eliminations).  Towers repeat the same 1x1 maps slot after slot, so
+each distinct map is eliminated once and multiplied once with each
+other map, and derive and the constructor's checks look up what a
+repeated slot needs instead of computing it again.
 """
 
 from __future__ import annotations
@@ -52,26 +49,25 @@ class InsufficientWindow(RuntimeError):
 
 
 class _Eliminations:
-    """One derivation chain's memo.  intern gives the one tuple of rows
-    it holds for each distinct matrix, keyed by the rows' (col, value)
-    pairs in column order, and widths gives the width of each by its
-    id: one more than its largest column (0 when it has no entries,
-    inf when a column is negative).  All else it computes once per
-    distinct input and holds, looked up by dimensions and the ids of
-    held objects: eliminations (the rref cut to its nonzero rows, and
-    the pivots), products, whether a composite vanishes, restrictions
-    and derive's per-slot read-offs (subquotients, g' coordinates,
-    representative lifts and h' solves).  It keeps what it holds alive,
-    so no other object takes such an id; no key names an object it does
-    not hold.  Results are shared; nothing mutates them."""
+    """The memo of the chains of one couple_tables call.  intern gives
+    the one tuple of rows it holds for each distinct matrix, keyed by the
+    rows' (col, value) pairs in column order, and widths gives the width
+    of each by its id: one more than its largest column (0 when it has
+    no entries, inf when a column is negative).  All else it computes
+    once per distinct input and holds, looked up by dimensions and the
+    ids of held objects: eliminations (the rref cut to its nonzero rows,
+    and the pivots), products, restrictions and derive's per-slot
+    read-offs (subquotients, g' coordinates and h' solves).  It keeps
+    what it holds alive, so no other object takes such an id; no key
+    names an object it does not hold.  Results are shared; nothing
+    mutates them."""
 
-    __slots__ = ("_rows", "widths", "_reduced", "_products", "_vanishing", "_restrictions", "_quotients", "_read",
-                 "_lifts", "_solved")
+    __slots__ = ("_rows", "widths", "_reduced", "_products", "_restrictions", "_quotients", "_read", "_solved")
 
     def __init__(self):
         self._rows, self.widths = {}, {}
-        self._reduced, self._products, self._vanishing, self._restrictions = {}, {}, {}, {}
-        self._quotients, self._read, self._lifts, self._solved = {}, {}, {}, {}
+        self._reduced, self._products, self._restrictions = {}, {}, {}
+        self._quotients, self._read, self._solved = {}, {}, {}
 
     def intern(self, rows):
         """The held tuple of rows with the nonzeros of rows, canonical."""
@@ -118,10 +114,7 @@ class _Eliminations:
 
     def vanishes(self, a, b):
         """Whether a @ b is zero, for a and b held."""
-        out = self._vanishing.get((id(a), id(b)))
-        if out is None:
-            out = self._vanishing[(id(a), id(b))] = not any(self.product(a, b))
-        return out
+        return not any(self.product(a, b))
 
     def restricted(self, rows, cols):
         """The given columns of held rows, renumbered from 0, held; cols
@@ -151,14 +144,6 @@ class _Eliminations:
             out = self._read[key] = self.intern(q.coordinates(columns(rows, range(n))))
         return out
 
-    def lift(self, q, n):
-        """The held n-row matrix whose columns are the representatives of
-        the held subquotient q."""
-        out = self._lifts.get((id(q), n))
-        if out is None:
-            out = self._lifts[(id(q), n)] = self.intern(from_columns(q.representatives, n))
-        return out
-
     def solve(self, basis, nbasis, rhs, nb):
         """The held X with basis @ X = rhs, for basis and rhs held, with
         nbasis and nb columns; None when rhs leaves the image of basis."""
@@ -177,14 +162,12 @@ class ExactCouple:
     source bidegree, shaped target-dim x source-dim.  Each map is held
     as a tuple of rows, one per target generator, each a {col: value}
     map of the nonzeros with canonical values (an int when integral, a
-    Fraction otherwise); zero maps are not stored.  The constructor
-    takes sparse rows only; complexes.complex_from_data alone reads
-    dense cells.  g_shift
-    records the accumulated polynomial bidegree of g.  Exactness of the
-    triangle is validated on construction at every bidegree whose
-    referenced slots all lie inside the window.  memo is the derivation
-    chain's memo, which derive passes on; a couple built without one
-    starts a new chain.  Each map is interned in the memo, and the
+    Fraction otherwise); zero maps are not stored.  g_shift records the
+    accumulated polynomial bidegree of g.  Exactness of the triangle is
+    validated on construction at every bidegree whose referenced slots
+    all lie inside the window.  memo is the derivation chain's memo,
+    which derive passes on; a couple built without one starts a new
+    memo.  Each map is interned in the memo, and the
     couple's pivot table, built on construction, holds the pivot
     columns of each of its maps.  Maps that the memo holds and keys
     that are int pairs, as derive and the model builder pass them, are
@@ -295,8 +278,8 @@ class ExactCouple:
 
     def _check_exactness(self):
         """Ranks are the lengths of the pivot lists; a composite with an
-        absent map vanishes, and the memo learns once per pair of held
-        maps whether theirs does."""
+        absent map vanishes, and the memo multiplies each pair of held
+        maps once."""
         k2 = 2 * self.k
         lo, hi = self.window
         f, g, h = self._f, self._g, self._h
@@ -348,9 +331,7 @@ class ExactCouple:
         """
         memo = self._memo
         if self.is_trivial():
-            return ExactCouple(
-                self.k, self.window, {}, {}, {}, {}, {}, self.g_shift, validate=False, memo=memo
-            )
+            return ExactCouple(self.k, self.window, {}, {}, {}, {}, {}, self.g_shift, validate=False, memo=memo)
         k2 = 2 * self.k
         lo, hi = self.window
         new_lo, new_hi = lo + k2, hi - k2
@@ -406,7 +387,7 @@ class ExactCouple:
             h_out = self._h.get((i, s))
             if not chosen or h_out is None:
                 continue
-            h_rhs = memo.product(h_out, memo.lift(q, self.e_dim(i, s)))
+            h_rhs = memo.product(h_out, memo.intern(from_columns(chosen, self.e_dim(i, s))))
             if not any(h_rhs):
                 continue
             t_pos = (i + 1, s - k2)
@@ -421,92 +402,40 @@ class ExactCouple:
                 raise InternalError("couples", "h of a surviving class left the image of f")
             h_new[(i, s)] = solved
 
-        return ExactCouple(
-            self.k,
-            (new_lo, new_hi),
-            a_new,
-            e_new,
-            f_new,
-            g_new,
-            h_new,
-            new_shift,
-            memo=memo,
-        )
+        return ExactCouple(self.k, (new_lo, new_hi), a_new, e_new, f_new, g_new, h_new, new_shift, memo=memo)
 
 
-def couple_from_decomposition(d: Decomposition) -> ExactCouple:
-    """The model couple of a decomposition, as concrete matrices.
+def couple_from_decomposition(d: Decomposition, derivations: int = None, memo=None) -> ExactCouple:
+    """The model couple of a decomposition of at most one piece, as
+    concrete matrices, each map the 1x1 unit matrix.
 
-    One free tower per free piece (slots s, s+2k, ... up to the window
-    top; f shifts slots, g hits E at the bottom slot, h = 0) and one
-    truncated tower of length m per torsion piece (f shifts and kills
-    the top slot, g hits E at the bottom, h sends the paired E class at
-    (i-1, s+2km) onto the top slot).  The window pads the extreme
-    generator degrees by 2k(tw + 2), enough for tw + 2 derivations.
+    A free piece (i, s) is a free tower (A at s, s+2k, ... up to the
+    window top; f shifts slots, g hits E at the bottom slot, h = 0), a
+    torsion piece (i, m, s) a truncated tower of length m (f shifts and
+    kills the top slot, g hits E at the bottom, h sends the paired E
+    class at (i-1, s+2km) onto the top slot).  The window pads the
+    piece's generator degrees by 2k per derivation it must support,
+    tw + 2 by default.  memo, when given, is shared with other chains.
     """
+    if len(d.free_pieces) + len(d.torsion_pieces) > 1:
+        raise ValueError("a model couple holds one piece")
+    if not d.free_pieces and not d.torsion_pieces:
+        return ExactCouple(d.k, (0, 0), {}, {}, {}, {}, {}, 0, validate=False, memo=memo)
     k2 = 2 * d.k
-    degrees = [s for _, s in d.free_pieces]
-    for _, m, s in d.torsion_pieces:
-        degrees.extend((s, s + k2 * m))
-    if not degrees:
-        return ExactCouple(d.k, (0, 0), {}, {}, {}, {}, {}, 0, validate=False)
-    pad = k2 * (torsion_width(d) + 2)
-    lo, hi = min(degrees) - pad, max(degrees) + pad
-
-    # each slot lists the pieces whose towers or classes lie there, free
-    # pieces first, each tagged by its index in that order.  A piece's
-    # tower and bottom class lie in its homological degree i and its top
-    # class in i - 1, so f, g and h each send a tag to the same tag in
-    # their target slot, when it lies there.
-    a_basis, e_basis = {}, {}
-    for tag, (i, s) in enumerate(d.free_pieces):
-        for t in range(s, hi + 1, k2):
-            a_basis.setdefault((i, t), []).append(tag)
-        e_basis.setdefault((i, s), []).append(tag)
-    for tag, (i, m, s) in enumerate(d.torsion_pieces, len(d.free_pieces)):
-        for t in range(s, s + k2 * m, k2):
-            a_basis.setdefault((i, t), []).append(tag)
-        e_basis.setdefault((i, s), []).append(tag)
-        e_basis.setdefault((i - 1, s + k2 * m), []).append(tag)
-    memo, made = _Eliminations(), {}
-
-    def unit_map(sources, targets, di, ds):
-        """{(i, s): rows} over the source slots whose target slot
-        (i + di, s + ds) is nonempty: column c holds a 1 at the row of
-        tag c, when that tag lies there.  Each distinct matrix is
-        interned once."""
-        out = {}
-        for (i, s), tags in sources.items():
-            target = targets.get((i + di, s + ds))
-            if target:
-                pos = {tag: r for r, tag in enumerate(target)}
-                shape = (len(target), tuple(map(pos.get, tags)))
-                if shape not in made:
-                    rows = [{} for _ in target]
-                    for c, r in enumerate(shape[1]):
-                        if r is not None:
-                            rows[r][c] = 1
-                    made[shape] = memo.intern(rows)
-                out[(i, s)] = made[shape]
-        return out
-
-    # f kills a truncated tower's top slot, g is nonzero only on a
-    # tower's bottom slot and h only on a torsion piece's top class
-    f = unit_map(a_basis, a_basis, 0, k2)
-    g = unit_map(a_basis, e_basis, 0, 0)
-    h = unit_map(e_basis, a_basis, 1, -k2)
-
-    return ExactCouple(
-        d.k,
-        (lo, hi),
-        {key: len(tags) for key, tags in a_basis.items()},
-        {key: len(tags) for key, tags in e_basis.items()},
-        f,
-        g,
-        h,
-        0,
-        memo=memo,
-    )
+    pad = k2 * (torsion_width(d) + 2 if derivations is None else derivations)
+    memo = _Eliminations() if memo is None else memo
+    one = memo.intern(({0: 1},))
+    if d.free_pieces:
+        ((i, s),) = d.free_pieces
+        lo, hi = s - pad, s + pad
+        tower, e, h = range(s, hi + 1, k2), {(i, s): 1}, {}
+    else:
+        ((i, m, s),) = d.torsion_pieces
+        top = s + k2 * m
+        lo, hi = s - pad, top + pad
+        tower, e, h = range(s, top, k2), {(i, s): 1, (i - 1, top): 1}, {(i - 1, top): one}
+    f = {(i, t): one for t in tower[:-1]}
+    return ExactCouple(d.k, (lo, hi), {(i, t): 1 for t in tower}, e, f, {(i, s): one}, h, 0, memo=memo)
 
 
 def couple_pages(c: ExactCouple, r: int) -> BigradedTable:
@@ -520,13 +449,52 @@ def couple_pages(c: ExactCouple, r: int) -> BigradedTable:
 
 
 def couple_tables(d: Decomposition, count: int):
-    """Pages 1..count of the model couple of d, from one derivation
-    chain (count - 1 derivations; the first page when count < 1)."""
-    c = couple_from_decomposition(d)
-    tables = [c.e_table()]
+    """Pages 1..count of the model couple of d (the first page when
+    count < 1): one chain per piece shape, free or torsion of exponent
+    m, derived count - 1 times from the shape's couple at (0, 0) on one
+    memo, and each page the sum of its E tables shifted by each piece's
+    (i, s).
+
+    The refusals are those of d's own couple, whose window pads d's
+    generator degrees by 2k(tw + 2): before each derivation of a
+    nontrivial couple (a trivial one derives to itself, window and
+    all), derive's window checks are replayed on that window, in order
+    and with derive's texts.  Its third, an h' target outside the shrunk
+    window, cannot fire there: such an h' targets a torsion tower's top,
+    inside d's generator degrees, only in the first tw - 1 derived
+    couples, whose windows still pad those degrees by 6k or more.
+    """
+    k2 = 2 * d.k
+    placed = [(0, i, s) for i, s in d.free_pieces] + [(m, i, s) for i, m, s in d.torsion_pieces]
+    degrees = [t for m, _, s in placed for t in (s, s + k2 * m)]
+    pad = k2 * (torsion_width(d) + 2)
+    lo, hi = min(degrees, default=0) - pad, max(degrees, default=0) + pad
+    # d's window allows (hi - lo) // 4k derivations before a refusal
+    derivations = max(0, min(count - 1, (hi - lo) // (2 * k2)))
+    memo = _Eliminations()
+    chains = {
+        m: couple_from_decomposition(
+            Decomposition(d.k, (), ((0, m, 0),)) if m else Decomposition(d.k, ((0, 0),)), derivations, memo
+        )
+        for m in {m for m, _, _ in placed}
+    }
+
+    def page():
+        return BigradedTable(((i + a, s + b), n) for m, i, s in placed for (a, b), n in chains[m]._e.items())
+
+    tables = [page()]
     while len(tables) < count:
-        c = c.derive()
-        tables.append(c.e_table())
+        if not all(c.is_trivial() for c in chains.values()):
+            if lo + k2 > hi - k2:
+                raise InsufficientWindow("insufficient window: cannot derive inside [%d, %d]" % (lo, hi))
+            for i, s in tables[-1].support():
+                if not lo <= s - k2 <= hi:
+                    raise InsufficientWindow(
+                        "insufficient window: A at (%d, %d) is outside [%d, %d]" % (i + 1, s - k2, lo, hi)
+                    )
+            lo, hi = lo + k2, hi - k2
+        chains = {m: c.derive() for m, c in chains.items()}
+        tables.append(page())
     return tables
 
 
@@ -544,10 +512,12 @@ def correspondence_check(d: Decomposition, r_max: int, tables=None) -> Correspon
     """Couple pages against assembled hat pages.
 
     For r = 1..r_max the couple page at (i, s) must equal the hat page
-    2k(r-1)+1 at position (s, i - s).  Returns the first
-    failing r, if any.  tables, when given, are couple_tables(d, n)
-    for some n >= r_max, so a caller that needs the pages elsewhere
-    derives the couple once.
+    2k(r-1)+1 at position (s, i - s).  Returns the first failing r, if
+    any.  The couple pages come from couple_tables, which derives one
+    chain per piece shape and sums its pages over the pieces, and the
+    hat pages from the closed forms; the two share no code.  tables,
+    when given, are couple_tables(d, n) for some n >= r_max, so a
+    caller that needs the pages elsewhere derives the chains once.
     """
     if tables is None:
         tables = couple_tables(d, r_max)

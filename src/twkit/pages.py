@@ -29,6 +29,7 @@ PageTable.from_hom_poly and to_hom_poly are the one conversion pair.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import partial
 from itertools import chain
 
 from .algebra import BigradedTable, GradedModuleDescriptor
@@ -175,8 +176,7 @@ def assembled_pages(d: Decomposition, hat: bool, r: int) -> PageTable:
 def assembled_page_list(d: Decomposition, hat: bool, rs) -> list:
     """[assembled_pages(d, hat, r) for r in rs].  A free piece (i, s) is
     one class at (s, i - s) on every page, so the free part is summed
-    once; a torsion piece's page changes only where r passes its 2km + 1,
-    so one page is built per block of r between those cuts."""
+    once; a torsion piece's page changes only where r passes its 2km + 1."""
     rs = list(rs)
     if any(r < 1 for r in rs):
         raise ValueError("assembled pages start at r = 1")
@@ -184,17 +184,26 @@ def assembled_page_list(d: Decomposition, hat: bool, rs) -> list:
     if not hat:
         # n free classes at (p, q) are the module k[a]{p}^n
         free = [(pq, GradedModuleDescriptor((pq[0],) * n)) for pq, n in free]
-    cuts = {2 * d.k * m + 1 for _, m, _ in d.torsion_pieces}
-    blocks = {}
 
     def page(r):
+        torsion = (item for piece in d.torsion_pieces for item in piece_entries(piece, hat, r, d.k))
+        return PageTable(r, chain(free, torsion), hat)
+
+    return _by_block(rs, {2 * d.k * m + 1 for _, m, _ in d.torsion_pieces}, page)
+
+
+def _by_block(rs, cuts, page):
+    """[page(r) for r in rs], for a page that changes only where r passes
+    one of the cuts: page is built once per block of r between them and
+    relabeled."""
+    blocks = {}
+    out = []
+    for r in rs:
         block = sum(cut <= r for cut in cuts)
         if block not in blocks:
-            torsion = (item for piece in d.torsion_pieces for item in piece_entries(piece, hat, r, d.k))
-            blocks[block] = PageTable(r, chain(free, torsion), hat)
-        return blocks[block].relabeled(r)
-
-    return [page(r) for r in rs]
+            blocks[block] = page(r)
+        out.append(blocks[block].relabeled(r))
+    return out
 
 
 def generic_pages(c: FilteredFieldComplex, r: int) -> PageTable:
@@ -206,6 +215,15 @@ def generic_pages(c: FilteredFieldComplex, r: int) -> PageTable:
     if r < 0:
         raise ValueError("page index must be >= 0")
     return PageTable(r, (((p, n - p), len(g) - bisect_left(g, r)) for (n, p), g in c.gaps().items()), True)
+
+
+def generic_page_list(c: FilteredFieldComplex, rs) -> list:
+    """[generic_pages(c, r) for r in rs]; page r changes only where r
+    passes one more than a gap, so generic_pages runs once per block."""
+    rs = list(rs)
+    if any(r < 0 for r in rs):
+        raise ValueError("page index must be >= 0")
+    return _by_block(rs, {g + 1 for g in chain.from_iterable(c.gaps().values())}, partial(generic_pages, c))
 
 
 def collapse_page(d: Decomposition) -> int:

@@ -16,12 +16,13 @@ import sys
 
 import pytest
 
+import frozen_couples
 from builders import shifted
 from twkit import complexes, corpus, jsonio
 from twkit.cli import EXIT_COMPLEX, build_parser, main
 from twkit.complexes import GradedComplex
 from twkit.corpus import conjugate, random_decomposition
-from twkit.couples import ExactCouple, couple_from_decomposition, couple_pages
+from twkit.couples import ExactCouple, couple_pages
 from twkit.decompose import decompose, reassemble, torsion_width
 from twkit.pages import PageTable
 
@@ -188,10 +189,14 @@ class TestCouple:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_pages_match_couple_pages_with_one_derivation_each(self, capsys, monkeypatch, seed):
+        """couple prints the pages of the frozen document chain, and each
+        page past the first costs one derivation per piece shape (free,
+        or torsion of exponent m)."""
         rng = random.Random(seed)
         doc = jsonio.dumps(jsonio.complex_to_data(conjugate(rng, reassemble(random_decomposition(rng)))))
         d = decompose(jsonio.complex_from_json(json.loads(doc)))
-        couple = couple_from_decomposition(d)
+        couple = frozen_couples.couple_from_decomposition(d)
+        shapes = {0 for _ in d.free_pieces} | {m for _, m, _ in d.torsion_pieces}
         r_hi = torsion_width(d) + 2
         derive = ExactCouple.derive
         calls = []
@@ -200,7 +205,7 @@ class TestCouple:
         monkeypatch.undo()
         lines = [json.loads(line) for line in out.strip().splitlines()]
         assert [line["r"] for line in lines] == list(range(1, r_hi + 1))
-        assert len(calls) == r_hi - 1
+        assert len(calls) == len(shapes) * (r_hi - 1)
         for line in lines:
             want = PageTable.from_hom_poly(line["r"], couple_pages(couple, line["r"]))
             assert {(p, q): v for p, q, v in line["entries"]} == dict(want.items())
@@ -872,7 +877,8 @@ class TestTopLevelArray:
 
 class TestInternalInvariants:
     """A failed internal invariant exits 5 with one stderr line naming
-    the stage, never a traceback.  Each test breaks one invariant."""
+    the stage and the command line, never a traceback.  Each test breaks
+    one invariant."""
 
     # the package re-exports functions named like these modules
     couples, links = (importlib.import_module("twkit." + name) for name in ("couples", "links"))
@@ -883,7 +889,10 @@ class TestInternalInvariants:
         monkeypatch.setattr(complexes, "persistence_pairs", lambda *args: pairing(*args) * 2)
         out, err = run(capsys, "decompose", TORSION_CX, expect=5)
         assert out == ""
-        assert err == "error: internal error in decompose: piece count does not account for every generator\n"
+        assert err == (
+            "error: internal error in decompose: piece count does not account for every generator"
+            " (twkit decompose <inline JSON>)\n"
+        )
 
     @pytest.mark.parametrize("target", [1, 2], ids=["gap -2", "gap 3"])
     def test_decompose_homogeneity(self, capsys, monkeypatch, target):
@@ -896,7 +905,7 @@ class TestInternalInvariants:
         monkeypatch.setattr(complexes, "persistence_pairs", lambda *args: [(0, 0, target)])
         out, err = run(capsys, "decompose", doc, expect=5)
         assert out == ""
-        assert err == "error: internal error in decompose: pivot violates homogeneity\n"
+        assert err == "error: internal error in decompose: pivot violates homogeneity (twkit decompose <inline JSON>)\n"
 
     def test_couples(self, capsys, monkeypatch):
         # every solve of a derivation reads its answer off an
@@ -906,7 +915,7 @@ class TestInternalInvariants:
         out, err = run(capsys, "couple", TORSION_CX, expect=5)
         assert calls
         assert out == ""
-        assert re.fullmatch(r"error: internal error in couples: [^\n]+\n", err), err
+        assert re.fullmatch(r"error: internal error in couples: [^\n]+ \(twkit couple <inline JSON>\)\n", err), err
 
     def test_links(self, capsys, monkeypatch):
         # the x2 power gains an entry at (0, 0); at N = 3, i = 1 it
@@ -921,7 +930,33 @@ class TestInternalInvariants:
         monkeypatch.setattr(self.links, "_x_power", with_a_stray_entry)
         out, err = run(capsys, "twobraid", "--N", "3", "--i", "1", expect=5)
         assert out == ""
-        assert err == "error: internal error in links: x2^(N-1): differential at degree 2 is not homogeneous at entry (0, 0)\n"
+        assert err == (
+            "error: internal error in links: x2^(N-1): differential at degree 2 is not homogeneous at entry (0, 0)"
+            " (twkit twobraid --N 3 --i 1)\n"
+        )
+
+    def test_the_input_is_named(self, capsys, monkeypatch, tmp_path):
+        """A document path, "-" and a braid word are named as given,
+        shell-quoted; inline JSON is named, not printed."""
+        from twkit import cli
+
+        def planted(*args):
+            raise complexes.InternalError("couples", "planted")
+
+        monkeypatch.setattr(cli, "couple_tables", planted)
+        monkeypatch.setattr(cli, "build_sl2_cube", planted)
+        path = tmp_path / "a doc.json"
+        path.write_text(TORSION_CX)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(TORSION_CX))
+        for argv, named in [
+            (["couple", str(path), "--r", "2"], "couple '%s' --r 2" % path),
+            (["couple", "-"], "couple -"),
+            (["couple", TORSION_CX, "--format", "table"], "couple <inline JSON> --format table"),
+            (["link", "--braid", "1 1 1"], "link --braid '1 1 1'"),
+            (["link", "--pd", "[[1, [1, 2, 2, 1]]]"], "link --pd <inline JSON>"),
+        ]:
+            out, err = run(capsys, *argv, expect=5)
+            assert (out, err) == ("", "error: internal error in couples: planted (twkit %s)\n" % named)
 
 
 class TestVerify:

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import frozen_couples
 from dense_la import (
     dense_image_basis,
     dense_kernel_basis,
@@ -39,13 +40,35 @@ def width_two_fixture():
     return Decomposition(1, (), ((1, 2, 0),))
 
 
+# empty, free only, torsion only, m = 1 only, and two towers from one slot
+HAND_PICKED = [
+    Decomposition(2),
+    Decomposition(1, ((0, 0), (0, 0), (2, -4)), ()),
+    Decomposition(3, (), ((1, 2, 0), (0, 3, 6), (1, 2, 0))),
+    Decomposition(2, ((0, 2),), ((1, 1, 0), (0, 1, 4), (0, 1, 4))),
+    Decomposition(1, ((0, 2),), ((0, 1, 0), (0, 2, 0))),
+]
+
+
+def picked_decompositions(seed, count):
+    """count seeded decompositions of up to 4, 14 or 40 generators,
+    k = 1, 2, 3 in turn, then the hand-picked ones."""
+    rng = random.Random(seed)
+    picked = []
+    while len(picked) < count:
+        d = random_decomposition(rng, max_generators=rng.choice((4, 14, 40)))
+        if d.k == 1 + len(picked) % 3:
+            picked.append(d)
+    return picked + HAND_PICKED
+
+
 class TestModelCouple:
     def test_first_page_is_the_mod_a_table(self):
         rng = random.Random(6)
         for _ in range(12):
             d = random_decomposition(rng)
-            c = couple_from_decomposition(d)
-            assert c.e_table() == hn_table(d)
+            assert frozen_couples.couple_from_decomposition(d).e_table() == hn_table(d)
+            assert couple_tables(d, 1) == [hn_table(d)]
 
     def test_free_towers_truncate_at_window_top(self):
         d = Decomposition(1, ((0, 0),), ())
@@ -76,25 +99,34 @@ class TestModelCouple:
         its height, on 240 seeded decompositions (k = 1, 2, 3 in turn)
         and hand-picked ones: empty, free only, torsion only, m = 1 only,
         and two towers from one slot."""
-        rng = random.Random(71)
-        picked = []
-        while len(picked) < 240:
-            d = random_decomposition(rng, max_generators=rng.choice((4, 14, 40)))
-            if d.k == 1 + len(picked) % 3:
-                picked.append(d)
-        picked += [
-            Decomposition(2),
-            Decomposition(1, ((0, 0), (0, 0), (2, -4)), ()),
-            Decomposition(3, (), ((1, 2, 0), (0, 3, 6), (1, 2, 0))),
-            Decomposition(2, ((0, 2),), ((1, 1, 0), (0, 1, 4), (0, 1, 4))),
-            Decomposition(1, ((0, 2),), ((0, 1, 0), (0, 2, 0))),
-        ]
         shared = 0
-        for d in picked:
-            got = model_state(couple_from_decomposition(d))
+        for d in picked_decompositions(71, 240):
+            got = model_state(frozen_couples.couple_from_decomposition(d))
             assert got == model_state(reference_couple_from_decomposition(d)), d
             shared += len(got[6]) > len(set(got[6]))
         assert shared > 200
+
+    def test_one_piece_matches_the_frozen_builder(self):
+        """The model couple of each piece of the decompositions above,
+        alone, against the frozen builder's for the same one piece; with
+        derivations given, only the window differs."""
+        rng = random.Random(71)
+        pieces = 0
+        for _ in range(60):
+            d = random_decomposition(rng, max_generators=14)
+            for one in [Decomposition(d.k, (p,)) for p in d.free_pieces] + [
+                Decomposition(d.k, (), (p,)) for p in d.torsion_pieces
+            ]:
+                want = model_state(frozen_couples.couple_from_decomposition(one))
+                assert model_state(couple_from_decomposition(one)) == want, one
+                c = couple_from_decomposition(one, 5)
+                lo, hi = want[1]
+                pad = 2 * d.k * (torsion_width(one) + 2)
+                assert c.window == (lo + pad - 10 * d.k, hi - pad + 10 * d.k), one
+                pieces += 1
+        assert pieces > 150
+        with pytest.raises(ValueError, match="^a model couple holds one piece$"):
+            couple_from_decomposition(Decomposition(1, ((0, 0), (1, 2))))
 
     def test_window_padding_supports_enough_derivations(self):
         d = width_two_fixture()
@@ -193,6 +225,43 @@ class TestDerivation:
             couple_pages(c, 0)
 
 
+class TestShapeChains:
+    def test_match_the_frozen_document_chain(self):
+        """couple_tables against the frozen chain of the whole model
+        couple on 200 seeded decompositions and the hand-picked ones, at
+        counts 0 .. tw + 8, 40 and 60: the same tables, or the same
+        refusal, type and text; about 2 s."""
+        refused, answered = Counter(), 0
+        for d in picked_decompositions(72, 200):
+            for count in [*range(torsion_width(d) + 9), 40, 60]:
+                got = outcome(lambda n: couple_tables(d, n), count)
+                assert got == outcome(lambda n: frozen_couples.couple_tables(d, n), count), (d, count)
+                if got[1] is None:
+                    answered += 1
+                else:
+                    refused[re.match("InsufficientWindow: insufficient window: (cannot derive|A at)", got[1])[1]] += 1
+        assert answered > 1500, answered
+        assert refused.keys() == {"cannot derive", "A at"} and min(refused.values()) > 200, refused
+
+    def test_one_memo_per_call(self, monkeypatch):
+        """The shape chains of one call share one memo, and no call
+        reuses another's."""
+        memos = []
+
+        class Counted(couples._Eliminations):
+            __slots__ = ()
+
+            def __init__(self):
+                memos.append(self)
+                super().__init__()
+
+        monkeypatch.setattr(couples, "_Eliminations", Counted)
+        d = Decomposition(1, ((0, 0), (1, 4)), ((1, 1, 2), (0, 2, 0), (2, 2, 6)))
+        for n in range(1, 4):
+            assert couple_tables(d, 4) == frozen_couples.couple_tables(d, 4)
+            assert len(memos) == n
+
+
 class TestCorrespondence:
     def test_fixture(self):
         d = width_two_fixture()
@@ -203,7 +272,7 @@ class TestCorrespondence:
     def test_derived_page_r_matches_hat_index(self):
         # page r of the couple against hat page 2k(r-1)+1, reindexed
         d = Decomposition(2, ((0, 2),), ((1, 1, 0), (3, 2, -8)))
-        c = couple_from_decomposition(d)
+        c = frozen_couples.couple_from_decomposition(d)
         for r in range(1, torsion_width(d) + 3):
             if r > 1:
                 c = c.derive()
@@ -577,7 +646,7 @@ def chain_through(d, derivations, rng=None, between=None):
     Past the tw + 2 derivations its window is padded for, both may run
     out of window, but only with the same error.  Returns the last
     couple derived."""
-    c = couple_from_decomposition(d)
+    c = frozen_couples.couple_from_decomposition(d)
     if rng is not None:
         c = conjugated(rng, c)
     reference_check_exactness(c)
@@ -614,11 +683,9 @@ def assert_keys_held(memo):
     quotients = {id(q) for q in memo._quotients.values()}
     assert all(r in rows for r in memo._reduced)
     assert all(a in rows and b in rows for a, b in memo._products)
-    assert all(a in rows and b in rows for a, b in memo._vanishing)
     assert all(r in rows and c in pivots for r, c in memo._restrictions)
     assert all(a in rows and b in rows for a, _, b in memo._quotients)
     assert all(q in quotients and r in rows for q, r, _ in memo._read)
-    assert all(q in quotients for q, _ in memo._lifts)
     assert all(a in rows and b in rows for a, _, b, _ in memo._solved)
 
 
@@ -651,14 +718,17 @@ class TestDerivationAgainstReference:
         # two towers from one slot, the shorter listed first: f kills
         # the slot's first basis vector, so its pivot column is 1
         chain_through(Decomposition(1, ((0, 2),), ((0, 1, 0), (0, 2, 0))), 6)
-        assert couple_from_decomposition(Decomposition(1, (), ((0, 1, 0), (0, 2, 0))))._f[(0, 0)] == ({1: 1},)
+        two = frozen_couples.couple_from_decomposition(Decomposition(1, (), ((0, 1, 0), (0, 2, 0))))
+        assert two._f[(0, 0)] == ({1: 1},)
 
     def test_chains_never_share_a_memo(self):
         d = seeded_decompositions(34, 1)[0]
-        one, two = couple_from_decomposition(d), couple_from_decomposition(d)
+        one, two = frozen_couples.couple_from_decomposition(d), frozen_couples.couple_from_decomposition(d)
         assert one._memo is not two._memo
         assert one.derive()._memo is one._memo
         assert couple_from_decomposition(Decomposition(1))._memo is not one._memo
+        free = Decomposition(1, ((0, 0),))
+        assert couple_from_decomposition(free)._memo is not couple_from_decomposition(free)._memo
 
     def test_each_matrix_is_eliminated_once_per_chain(self, monkeypatch):
         seen = []
@@ -677,7 +747,7 @@ class TestDerivationAgainstReference:
         monkeypatch.setattr(couples, "matmul", multiplying)
         for d in seeded_decompositions(35, 9):
             del seen[:], products[:]
-            chain = [couple_from_decomposition(d)]
+            chain = [frozen_couples.couple_from_decomposition(d)]
             for _ in range(torsion_width(d) + 1):
                 chain.append(chain[-1].derive())
             assert seen and products, d
@@ -703,14 +773,15 @@ class TestDerivationAgainstReference:
         for n in range(30):
             d = sized_decomposition(rng, 1 + n // 3 % 3, (20, 40, 60)[n % 3])
             memo = chain_through(d, torsion_width(d) + 2, rng, churn)._memo
-            assert memo._read and memo._lifts and memo._solved, d
+            assert memo._read and memo._solved, d
             assert_keys_held(memo)
 
     def test_each_slot_read_off_runs_once_per_distinct_input(self, monkeypatch):
-        """Over one chain, the subquotient of a slot is read once per
-        distinct (d out, E dim, d in) and h' eliminated once per distinct
-        (target, right-hand side); a corpus-size chain has at least 3
-        slots for each read-off."""
+        """Over the shape chains of one couple_tables call, which share a
+        memo, the subquotient of a slot is read once per distinct (d out,
+        E dim, d in) and h' eliminated once per distinct (target,
+        right-hand side); a corpus-size call has at least 3 slots for
+        each read-off."""
         memo = couples._Eliminations
         slots, solves, read, eliminated = [], [], [], []
         subquotient, solve = memo.subquotient, memo.solve
@@ -752,13 +823,16 @@ class TestDerivationAgainstReference:
         assert memo.product(other, c._f[(0, 0)]) == ({1: 2}, {}) != memo.product(f, c._f[(0, 0)])
 
     def test_verify_derives_each_couple_once(self, monkeypatch):
+        """verify derives one chain per piece shape (free, or torsion of
+        exponent m), tw + 1 times each, for all its couple checks."""
         calls = []
         derive = ExactCouple.derive
         monkeypatch.setattr(ExactCouple, "derive", lambda c: calls.append(1) or derive(c))
         for d in seeded_decompositions(36, 6):
             del calls[:]
             assert cross_checks(d) == []
-            assert len(calls) == torsion_width(d) + 1
+            shapes = {0 for _ in d.free_pieces} | {m for _, m, _ in d.torsion_pieces}
+            assert len(calls) == len(shapes) * (torsion_width(d) + 1)
 
     def test_both_couple_checks_still_run(self, monkeypatch):
         d = width_two_fixture()
@@ -820,14 +894,15 @@ class TestExactnessErrors:
 
     def test_vanishing_is_learned_per_pair(self):
         """The defaults teach one memo that ((0, 1),) @ ((1,), (0,))
-        vanishes, as g o f and as f o h; two couples built on that memo
-        then pair each of those two maps with another, and fail."""
+        vanishes, as g o f and as f o h, by one product; two couples built
+        on that memo then pair each of those two maps with another, and
+        fail, each on a product of its own."""
         memo = hand_built()._memo
-        assert list(memo._vanishing.values()) == [True]
+        assert [not any(p) for p in memo._products.values()] == [True]
         for maps in ({"f": {(0, -2): ((0,), (1,))}}, {"g": {(0, 0): ((1, 0),)}}):
             with pytest.raises(ValueError, match=r"^g o f is nonzero at \(0, -2\)$"):
                 hand_built(memo=memo, **maps)
-        assert sorted(memo._vanishing.values()) == [False, False, True]
+        assert sorted(not any(p) for p in memo._products.values()) == [False, False, True]
 
     def test_maps_with_empty_first_rows(self):
         """The defaults with the basis of A(0, 0) swapped, so f into it
@@ -870,7 +945,7 @@ class TestFirstFault:
     }
 
     def planted(self, *names):
-        c = couple_from_decomposition(self.MODEL)
+        c = frozen_couples.couple_from_decomposition(self.MODEL)
         dims = {"a": dict(c._a), "e": dict(c._e)}
         maps = {"f": dict(c._f), "g": dict(c._g), "h": dict(c._h)}
         for name in names:
@@ -928,7 +1003,7 @@ class TestDerivedCouplesAreValidated:
     def test_a_zeroed_column_of_h_or_g_is_refused(self):
         refused = Counter()
         for d in [width_two_fixture(), *seeded_decompositions(37, 9)]:
-            c = couple_from_decomposition(d)
+            c = frozen_couples.couple_from_decomposition(d)
             k2 = 2 * c.k
             for _ in range(torsion_width(d)):
                 c = c.derive()

@@ -18,6 +18,7 @@ from twkit.pages import (
     assembled_pages,
     collapse_page,
     assembled_page_list,
+    generic_page_list,
     generic_pages,
     piece_entries,
     stabilization_page,
@@ -295,8 +296,9 @@ class TestGenericPagesAgainstReference:
             d = draw_decomposition(rng, k, generators, torsion=True, exact=exact)
             for c in (reassemble(d), conjugate(rng, reassemble(d))):
                 fc = specialize_a_to_1(c)
-                for r in page_range(d):
-                    assert generic_pages(fc, r) == reference_generic_pages(fc, r), (d, r)
+                want = [reference_generic_pages(fc, r) for r in page_range(d)]
+                assert [generic_pages(fc, r) for r in page_range(d)] == want, d
+                assert generic_page_list(fc, page_range(d)) == want, d
 
     @pytest.mark.parametrize("name", sorted(HAND_BUILT))
     def test_hand_built_complexes(self, name):
@@ -304,6 +306,7 @@ class TestGenericPagesAgainstReference:
         fc = FilteredFieldComplex(degrees, {i: sparse_rows(rows) for i, rows in mats.items()})
         for r in range(0, 12):
             assert generic_pages(fc, r) == reference_generic_pages(fc, r), r
+        assert generic_page_list(fc, range(0, 12)) == [reference_generic_pages(fc, r) for r in range(0, 12)]
 
     def test_order_of_queries_does_not_matter(self):
         rng = random.Random(77)
@@ -313,6 +316,7 @@ class TestGenericPagesAgainstReference:
         want = {r: reference_generic_pages(fc, r) for r in rs}
         for r in rs[::-1] + rs:
             assert generic_pages(fc, r) == want[r], r
+        assert generic_page_list(fc, rs[::-1] + rs) == [want[r] for r in rs[::-1] + rs]
 
     def test_profile_is_built_once_per_complex(self, monkeypatch):
         """The pairing's pivot steps all run on the first query; no later
