@@ -15,7 +15,9 @@ passes.  The stages carry perfbench's per-layer names: the front end
 (`links`, the cube or 2-braid build, or `jsonio`, reading a document
 with jsonio.complex_from_json), `complexes.validate` (the GradedComplex
 rebuilt from the built rows; the front end's time is its total less
-this), `decompose`, `complexes.homology` (reduce_mod_a and
+this, in the same pass, floored at 0 and marked * in the table when the
+rebuild ran slower than the whole build), `decompose`,
+`complexes.homology` (reduce_mod_a and
 homology_field), `complexes.first_differential` (induced_differential,
 the d_1 lift on that homology), `pages.generic` (generic_pages for
 r = 1 .. 2k tw + 1), `couples` (couple_tables(d, tw + 2)) and `recover`
@@ -112,6 +114,8 @@ CORPUS_BUDGET = 10
 CONJUGATION_OPS = 16
 # (link, budget in seconds for its `twkit link` process)
 PROCESSES = (("T(2,8)", 30), ("T(3,5)", 30), ("T(2,9)", 60), ("T(3,6)", 120), ("T(2,11)", 240))
+# the front-end stages, timed as the build less the rebuild
+FRONTS = ("links", "jsonio")
 STAGES = (
     "links",
     "jsonio",
@@ -244,7 +248,9 @@ def stage_pass(rung, tree):
 
     c = timed(rung.front, rung.build, tree)
     timed("complexes.validate", cx.GradedComplex, c.ring, c.degrees, {i: m.rows for i, m in c.differentials.items()})
-    seconds[rung.front] -= seconds["complexes.validate"]
+    # the build less the rebuild, in this pass; exactly 0 only when the
+    # rebuild ran slower than the whole build, which the table marks
+    seconds[rung.front] = max(0.0, seconds[rung.front] - seconds["complexes.validate"])
     d = timed("decompose", tree.decompose.decompose, c)
     fc, hb = timed("complexes.homology", homology, c)
     d1 = timed("complexes.first_differential", cx.induced_differential, c, fc, hb)
@@ -360,7 +366,18 @@ def run_ladder(items, run):
 
 
 def ms(result, key):
-    return "-" if key not in result else "%.1f" % (result[key] * 1e3)
+    """result[key] in milliseconds; a front-end time floored at 0 is
+    marked *."""
+    if key not in result:
+        return "-"
+    return "%.1f" % (result[key] * 1e3) + ("*" if key in FRONTS and result[key] == 0 else "")
+
+
+def stage_row(name, label, result):
+    """One table row: the rung, the tree's label, the sizes, then every
+    stage in milliseconds."""
+    return ("%-26s %-8s %7d %8d " % (name, label, result["generators"], result["nonzeros"])
+            + " ".join("%9s" % ms(result, stage) for stage in STAGES))
 
 
 def main():
@@ -390,8 +407,8 @@ def main():
             print("%-26s %s" % (name, OVER_BUDGET))
             continue
         for label, result in zip(labels, results):
-            print("%-26s %-8s %7d %8d " % (name, label, result["generators"], result["nonzeros"])
-                  + " ".join("%9s" % ms(result, stage) for stage in STAGES))
+            print(stage_row(name, label, result))
+    print("* floored at 0: the GradedComplex rebuild ran slower than the whole build")
     print()
     print("%-26s %-8s %9s %12s" % ("twkit link process", "run", "wall s", "peak RSS MB"))
     for (name, _), results in processes:
@@ -407,7 +424,8 @@ def main():
         "harness": "benchmarks/bench_layers.py",
         "seed": SEED,
         "repeats": args.repeats,
-        "timing": "stages: best of repeats, seconds; processes: one run each, wall seconds and peak RSS in MB; "
+        "timing": "stages: best of repeats, seconds, a front-end time of exactly 0 floored there (its rebuild ran "
+                  "slower than the build); processes: one run each, wall seconds and peak RSS in MB; "
                   "runs keyed by --label; runs with interleaved_with were timed round by round in one harness",
         "runs": {},
     }

@@ -52,7 +52,7 @@ from .links import (
     delta_battery,
 )
 from .pages import PageTable, assembled_page_list, assembled_pages, collapse_page, generic_page_list, generic_pages
-from .recover import InconsistentPages, pages_from_decomposition, recover
+from .recover import InconsistentPages, hom_poly_pages, page_count, pages_from_decomposition, recover
 
 EXIT_OK = 0
 EXIT_GENERIC = 1
@@ -82,9 +82,10 @@ def _read_document(spec: str):
         raise SchemaError("cannot parse JSON input: %s" % e)
 
 
-def _load_decomposition(spec: str):
+def _load_decomposition(spec: str, decomposed=True):
     """Decomposition from a decomposition or complex document; the
-    complex is returned too when available."""
+    complex is returned too when available.  Unless decomposed, a
+    complex is not decomposed and None stands for its decomposition."""
     data = _read_document(spec)
     if not isinstance(data, dict):
         raise SchemaError("expected a decomposition or complex document, got %s" % jsonio.json_kind(data))
@@ -93,7 +94,7 @@ def _load_decomposition(spec: str):
         return jsonio.decomposition_from_json(data), None
     if kind == "complex":
         c = jsonio.complex_from_json(data)
-        return decompose(c), c
+        return decompose(c) if decomposed else None, c
     raise SchemaError("expected a decomposition or complex document, got %r" % kind)
 
 
@@ -239,7 +240,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_pages(args) -> int:
-    d, c = _load_decomposition(args.input)
+    # the generic pages read the complex alone (--generic excludes --module)
+    d, c = _load_decomposition(args.input, not args.generic)
     if args.generic and c is None:
         raise SchemaError("--generic needs a complex document as input")
     fc = specialize_a_to_1(c) if args.generic else None
@@ -260,22 +262,20 @@ def cmd_pages(args) -> int:
     # consumes, stable from position tau+1 on
     if args.module:
         raise SchemaError("--module needs an explicit --page index")
-    seq = pages_from_decomposition(d).pages
-    count = args.r_max if args.r_max is not None else len(seq)
     if args.generic:
-        hom = [page.to_hom_poly() for page in generic_page_list(fc, (2 * d.k * r + 1 for r in range(count)))]
+        k = c.ring.k
+        count = args.r_max or page_count(generic_pages(fc, 1).to_hom_poly(), k)
+        hom = hom_poly_pages(generic_page_list(fc, [2 * k * r + 1 for r in range(count)]))
     else:
+        k, seq = d.k, pages_from_decomposition(d).pages
+        count = args.r_max if args.r_max is not None else len(seq)
         # the closed-form sequence ends on its stable page
         hom = [seq[min(r, len(seq) - 1)] for r in range(count)]
     if args.format == "table":
-        pages = [PageTable.from_hom_poly(2 * d.k * n + 1, t) for n, t in enumerate(hom)]
-        chunks = [
-            "page %d (filtered index %d):\n%s" % (n + 1, p.r, render_page(p))
-            for n, p in enumerate(pages)
-        ]
-        _emit("\n\n".join(chunks))
+        pages = (PageTable.from_hom_poly(2 * k * n + 1, t) for n, t in enumerate(hom))
+        _emit("\n\n".join("page %d (filtered index %d):\n%s" % (n + 1, p.r, render_page(p)) for n, p in enumerate(pages)))
     else:
-        _emit(jsonio.dumps(jsonio.raw_pages_to_data(d.k, hom)))
+        _emit(jsonio.dumps(jsonio.raw_pages_to_data(k, hom)))
     return EXIT_OK
 
 

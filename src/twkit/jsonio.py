@@ -30,14 +30,27 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+_CELL = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
+
+
 def parse_rational(x) -> Fraction:
     """Exact scalar from an int or "p/q"; SchemaError on a zero denominator."""
-    if type(x) is not int and not (isinstance(x, str) and re.fullmatch(r"\s*[+-]?\d+(/\d+)?\s*", x)):
+    if type(x) is not int and not (isinstance(x, str) and _CELL.fullmatch(x)):
         raise ValueError("expected an integer or a \"p/q\" string, got %s" % json.dumps(x))
     try:
         return Fraction(x)
     except ZeroDivisionError:
         raise SchemaError("zero denominator in %r" % (x,))
+
+
+def _cell(x):
+    """parse_rational(x) for a matrix cell, a "p/q" string read without
+    Fraction(str); anything else goes to parse_rational."""
+    m = _CELL.fullmatch(x) if type(x) is str else None
+    try:
+        return int(m[1]) if m[2] is None else Fraction(int(m[1]), int(m[2]))
+    except (TypeError, ValueError, ZeroDivisionError):
+        return parse_rational(x)
 
 
 def _int(x) -> int:
@@ -122,7 +135,7 @@ def complex_from_json(data) -> GradedComplex:
         }
         diffs = {
             _degree(i): [
-                [0 if x == "0" else parse_rational(x) for x in _array(row, "a row to be an array of cells")]
+                [0 if x == "0" else _cell(x) for x in _array(row, "a row to be an array of cells")]
                 for row in _array(rows, "a differential to be an array of rows")
             ]
             for i, rows in _object(data.get("differentials", {}), '"differentials" to be an object').items()
@@ -241,24 +254,28 @@ def pages_to_data(ps: PageSequence) -> dict:
 def raw_pages_to_data(k: int, tables) -> dict:
     """Like pages_to_data but without PageSequence validation, for
     dumping partial or experimental sequences."""
-    return {
-        "format": FORMAT,
-        "type": "pages",
-        "k": int(k),
-        "pages": [table_to_entries(t) for t in tables],
-    }
+    pages, last = [], None
+    for t in tables:
+        # consecutive pages sharing one table share its entries list
+        if t is not last:
+            entries, last = table_to_entries(t), t
+        pages.append(entries)
+    return {"format": FORMAT, "type": "pages", "k": int(k), "pages": pages}
 
 
 def pages_from_json(data) -> PageSequence:
     _check_header(data, "pages", "pages", "k")
     try:
-        tables = []
+        tables, last = [], None
         for page in _array(data["pages"], '"pages" to be an array of pages'):
             entries = []
             for entry in _array(page, "a page to be an array of entries [i, s, dim]"):
                 i, s, dim = _array(entry, "a page entry to be an array [i, s, dim]", 3)
                 entries.append(((_int(i), _int(s)), _int(dim)))
-            tables.append(BigradedTable(entries))
+            # checked entries equal to the last page's share its table
+            if entries != last:
+                table, last = BigradedTable(entries), entries
+            tables.append(table)
         k = _int(data["k"])
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError("malformed pages document: %s" % e)

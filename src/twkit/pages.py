@@ -18,7 +18,8 @@ Each source of d^n is paired with the target it kills or left
 unpaired.  Gap rule: a pair of gap g, its source's level less its
 target's, shows both ends on pages r <= g and neither from r = g + 1
 on, and an unpaired generator shows on every page; a torsion piece
-(i, m, s) is a pair of gap 2km.
+(i, m, s) is a pair of gap 2km.  The generic sequence takes its length,
+tau + 1, from its own first page, not from a decomposition.
 
 Position rule: a page entry sits at (p, q) where p is the filtration
 degree and q is the homological degree minus p, so a generator of

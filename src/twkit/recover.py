@@ -6,8 +6,10 @@ page 1 peels off the width-r torsion pairs one page at a time.  Here
 tau = floor(ht / k) computed from page 1; torsion width never exceeds
 it, so pages 1..tau+1 suffice.
 
-Pages are (homological, polynomial) BigradedTables.  Inputs that
-could not have come from any decomposition raise InconsistentPages.
+Pages are (homological, polynomial) BigradedTables, equal consecutive
+ones possibly one shared table; recover skips an r where page r is page
+r + 1.  Inputs that could not have come from any decomposition raise
+InconsistentPages.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ class PageSequence:
 
     Validated on construction: entries pointwise non-increasing in r,
     constant from page tau+1 on, and R >= tau+1 (R >= 1 when page 1 is
-    empty, in which case every page must be empty).
+    empty, in which case every page must be empty).  A page that is its
+    predecessor, one shared table, skips the growth and stable checks.
     """
 
     __slots__ = ("k", "pages")
@@ -69,14 +72,12 @@ class PageSequence:
 
     @property
     def tau(self) -> int:
-        if self.pages[0].is_empty():
-            return 0
-        return _tau_of(self.pages[0], self.k)
+        return page_count(self.pages[0], self.k) - 1
 
     def _validate(self):
         prev = None
         for n, page in enumerate(self.pages):
-            if prev is not None:
+            if prev is not None and page is not prev:
                 for pos, dim in page.items():
                     if dim > prev.get(*pos):
                         raise InconsistentPages(
@@ -92,7 +93,7 @@ class PageSequence:
             )
         stable = self.pages[tau]
         for n in range(tau + 1, len(self.pages)):
-            if self.pages[n] != stable:
+            if self.pages[n] is not self.pages[n - 1] and self.pages[n] != stable:
                 raise InconsistentPages(
                     "inconsistent pages: page %d differs from the stable page %d"
                     % (n + 1, tau + 1)
@@ -120,6 +121,8 @@ def recover(ps: PageSequence) -> Decomposition:
     for r in range(tau, 0, -1):
         # PageSequence refuses a page that grows, so page r holds all of page r + 1
         after = ps.page(r + 1)
+        if after is ps.page(r):
+            continue
         residual = {pos: dim - after.get(*pos) for pos, dim in ps.page(r).items() if dim > after.get(*pos)}
 
         while residual:
@@ -152,16 +155,28 @@ def pages_from_decomposition(d: Decomposition) -> PageSequence:
     closed forms; the last page repeats once the sequence has
     stabilized at tw+1."""
     pages = assembled_page_list(d, True, (2 * d.k * r + 1 for r in range(torsion_width(d) + 1)))
-    return padded_sequence(d.k, [page.to_hom_poly() for page in pages])
+    return padded_sequence(d.k, hom_poly_pages(pages))
+
+
+def hom_poly_pages(pages) -> list:
+    """[page.to_hom_poly() for page in pages], converted once per run of
+    equal consecutive pages, which then share one table."""
+    out = []
+    for n, page in enumerate(pages):
+        out.append(out[-1] if n and page.same_entries(pages[n - 1]) else page.to_hom_poly())
+    return out
+
+
+def page_count(first: BigradedTable, k: int) -> int:
+    """tau + 1, the pages recover needs, read off page 1; 1 when page 1
+    is empty."""
+    return 1 if first.is_empty() else _tau_of(first, k) + 1
 
 
 def padded_sequence(k: int, seq) -> PageSequence:
     """Pages [E^(1), ..., E^(n)], the last repeated up to page tau+1."""
     seq = list(seq)
-    if not seq[0].is_empty():
-        tau = _tau_of(seq[0], k)
-        while len(seq) < tau + 1:
-            seq.append(seq[-1])
+    seq += seq[-1:] * (page_count(seq[0], k) - len(seq))
     return PageSequence(k, seq)
 
 

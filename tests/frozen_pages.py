@@ -7,7 +7,11 @@ that followed it, frozen before one page was built per block of r
 differences, frozen before they were read off a persistence pairing
 (tests/test_pages.py); and the closed form of one piece as a PageTable,
 piece_pages, frozen before the assembled pages took each piece's
-entries straight from pages.piece_entries (tests/test_pages.py).
+entries straight from pages.piece_entries (tests/test_pages.py); and
+the per-page route of page sequences, frozen before equal consecutive
+pages shared one table: pages documents read one table per page, every
+page validated and walked by recover, and the length of the pages
+--generic sequence read off a decomposition (tests/test_recover.py).
 
 boxtimes multiplied a (hom, poly) dimension table against a page, and
 hn_table summed one descriptor_dim_table per homological degree.  The
@@ -16,7 +20,8 @@ PageTable served only them; they are kept here as local functions.
 The rank-difference route eliminated once per distinct target level
 of each differential, through exactla.row_reduce.  Only the graded
 types and row_reduce come from twkit, and the homology of a
-decomposition from tests/builders.py.
+decomposition from tests/builders.py; the per-page route also takes
+jsonio's header and field checks, assembled_page_list and decompose.
 """
 
 from bisect import bisect_right
@@ -25,7 +30,10 @@ from itertools import chain
 from builders import homology_structure
 from twkit import exactla
 from twkit.algebra import BigradedTable, GradedModuleDescriptor
-from twkit.pages import PageTable
+from twkit.decompose import Decomposition, decompose, torsion_width
+from twkit.jsonio import SchemaError, _array, _check_header, _int
+from twkit.pages import PageTable, assembled_page_list
+from twkit.recover import InconsistentPages
 
 
 def piece_pages(piece, hat, r, k):
@@ -292,3 +300,100 @@ def rank_difference_pages(c, rs):
                     entries[(p, n - p)] = dim
         pages.append(PageTable(r, entries, True))
     return pages
+
+
+# -- the per-page route of page sequences --------------------------------
+
+
+def per_page_from_json(data):
+    """(k, tables) of a pages document as jsonio.pages_from_json read it,
+    one BigradedTable per page, then validated as PageSequence did."""
+    _check_header(data, "pages", "pages", "k")
+    try:
+        tables = []
+        for page in _array(data["pages"], '"pages" to be an array of pages'):
+            entries = []
+            for entry in _array(page, "a page to be an array of entries [i, s, dim]"):
+                i, s, dim = _array(entry, "a page entry to be an array [i, s, dim]", 3)
+                entries.append(((_int(i), _int(s)), _int(dim)))
+            tables.append(BigradedTable(entries))
+        k = _int(data["k"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise SchemaError("malformed pages document: %s" % e)
+    per_page_validate(k, tables)
+    return k, tables
+
+
+def per_page_tau(tables, k):
+    """PageSequence.tau: floor(ht / k) of page 1, 0 when it is empty."""
+    if tables[0].is_empty():
+        return 0
+    deltas = [2 * i + s for (i, s) in tables[0].support()]
+    return (2 + max(deltas) - min(deltas)) // (2 * k)
+
+
+def per_page_validate(k, tables):
+    """PageSequence's construction checks, every page compared with its
+    predecessor and every page past tau + 1 with the stable one."""
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    if not tables:
+        raise InconsistentPages("inconsistent pages: no pages given")
+    for n in range(1, len(tables)):
+        for pos, dim in tables[n].items():
+            if dim > tables[n - 1].get(*pos):
+                raise InconsistentPages("inconsistent pages: page %d grows at (%d, %d)" % (n + 1, pos[0], pos[1]))
+    tau = per_page_tau(tables, k)
+    if len(tables) < tau + 1:
+        raise InconsistentPages(
+            "inconsistent pages: need %d pages to reach the stable one, got %d" % (tau + 1, len(tables)))
+    for n in range(tau + 1, len(tables)):
+        if tables[n] != tables[tau]:
+            raise InconsistentPages(
+                "inconsistent pages: page %d differs from the stable page %d" % (n + 1, tau + 1))
+
+
+def per_page_recover(k, tables):
+    """recover, every r from tau down to 1 walked, shared or not."""
+    if tables[0].is_empty():
+        return Decomposition(k=k, free_pieces=(), torsion_pieces=())
+    tau = per_page_tau(tables, k)
+    free = dict(tables[tau].items())
+    torsion = {}
+    for r in range(tau, 0, -1):
+        after = tables[r]
+        residual = {pos: dim - after.get(*pos) for pos, dim in tables[r - 1].items() if dim > after.get(*pos)}
+        while residual:
+            top = max(i for (i, _) in residual)
+            for (i, s) in sorted(p for p in residual if p[0] == top):
+                mult = residual.pop((i, s))
+                torsion[(i, r, s)] = torsion.get((i, r, s), 0) + mult
+                pos = (i - 1, s + 2 * k * r)
+                left = residual.pop(pos, 0) - mult
+                if left < 0:
+                    raise InconsistentPages(
+                        "inconsistent pages: page %d lacks %d classes at (%d, %d)" % (r, mult, pos[0], pos[1]))
+                if left:
+                    residual[pos] = left
+    return Decomposition(
+        k=k,
+        free_pieces=tuple(pos for pos, mult in sorted(free.items()) for _ in range(mult)),
+        torsion_pieces=tuple(piece for piece, mult in sorted(torsion.items()) for _ in range(mult)),
+    )
+
+
+def per_page_sequence(d):
+    """pages_from_decomposition's tables: each assembled page converted
+    on its own, the last repeated up to page tau + 1."""
+    pages = assembled_page_list(d, True, (2 * d.k * r + 1 for r in range(torsion_width(d) + 1)))
+    tables = [page.to_hom_poly() for page in pages]
+    while len(tables) < per_page_tau(tables, d.k) + 1:
+        tables.append(tables[-1])
+    per_page_validate(d.k, tables)
+    return tables
+
+
+def per_page_generic_count(c):
+    """The length of the pages --generic sequence as it was read: the
+    length of the closed-form sequence of decompose(c)."""
+    return len(per_page_sequence(decompose(c)))

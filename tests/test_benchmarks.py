@@ -1,7 +1,8 @@
 """The layer benchmark under benchmarks/ still runs: its checks pass and
 every stage is timed on the smallest rung of each ladder, for one tree
-or for two side by side (each knot's processes too), a wrong answer
-stops it, and a zero budget records "over budget" without running."""
+or for two side by side (each knot's processes too), a front-end time
+is never negative, a wrong answer stops it, and a zero budget records
+"over budget" without running."""
 
 import importlib.util
 import pathlib
@@ -38,6 +39,21 @@ def test_smallest_rung_is_checked_and_every_stage_timed(ladder):
     assert sorted(result) == sorted(stages + ["generators", "nonzeros"])
     assert all(result[stage] > 0 for stage in stages), result
     assert result["generators"] > 0 and result["nonzeros"] > 0
+
+
+def test_a_rebuild_slower_than_the_build_floors_the_front_end():
+    """A stub build that hands back a complex built beforehand takes
+    less time than the GradedComplex rebuild: the front end's time is
+    floored at 0, never negative, and marked in the table."""
+    bench = harness()
+    rung = smallest_rungs(bench)["corpus"]
+    built = rung.build(bench.THIS)
+    rung.build = lambda tree: built
+    (result,) = bench.run_rung(rung, 2)
+    assert result["jsonio"] == 0
+    assert all(result[stage] > 0 for stage in bench.STAGES[2:]), result
+    cells = bench.stage_row("corpus doc 0", "change", result).split()[-len(bench.STAGES):]
+    assert cells[:2] == ["-", "0.0*"] and not any(cell.endswith("*") for cell in cells[2:])
 
 
 def test_two_trees_are_timed_round_by_round():

@@ -155,6 +155,48 @@ class TestPagesAndRecover:
                     "pages: --generic applies only without --module")
 
 
+def pages_doc(*pages):
+    return json.dumps({"format": "tw/1", "type": "pages", "k": 1, "pages": list(pages)})
+
+
+class TestSharedPages:
+    """Equal consecutive pages share one table, which validation and
+    recover pass over; every refusal keeps its exit code and text, and
+    pages --generic, which no longer decomposes, still refuses what it
+    refused and sizes an empty sequence as one page."""
+
+    @pytest.mark.parametrize("spelled", ["true", "1.0"])
+    def test_a_bool_or_float_copy_of_a_page_is_refused(self, capsys, spelled):
+        doc = '{"format":"tw/1","type":"pages","k":1,"pages":[[[0,0,1]],[[0,0,%s]]]}' % spelled
+        out, err = run(capsys, "recover", doc, expect=1)
+        assert out == "" and err == "error: malformed pages document: expected an integer, got %s\n" % spelled
+
+    def test_growth_after_shared_pages_is_refused(self, capsys):
+        out, err = run(capsys, "recover", pages_doc(*[[[0, 0, 1]]] * 3, [[0, 0, 2]]), expect=3)
+        assert out == "" and err == "error: inconsistent pages: page 4 grows at (0, 0)\n"
+
+    def test_stable_page_changing_after_shared_pages_is_refused(self, capsys):
+        out, err = run(capsys, "recover", pages_doc(*[[[0, 0, 1]]] * 3, []), expect=3)
+        assert out == "" and err == "error: inconsistent pages: page 4 differs from the stable page 2\n"
+
+    def test_generic_reads_a_decomposition_document_before_refusing_it(self, capsys):
+        bad = json.dumps({"format": "tw/1", "type": "decomposition", "k": 1, "free": "ab"})
+        out, err = run(capsys, "pages", "--generic", bad, expect=1)
+        assert out == "" and err == (
+            'error: malformed decomposition document: expected "free" to be an array of pieces [i, s], got "ab"\n')
+        good = json.dumps({"format": "tw/1", "type": "decomposition", "k": 1, "free": [[0, 0]]})
+        out, err = run(capsys, "pages", "--generic", good, expect=1)
+        assert out == "" and err == "error: --generic needs a complex document as input\n"
+
+    @pytest.mark.parametrize("modules, differentials", [({}, {}), ({"0": [2], "1": [2]}, {"0": [["-3/2"]]})])
+    def test_empty_first_generic_page_prints_one_page(self, capsys, modules, differentials):
+        doc = json.dumps({"format": "tw/1", "type": "complex", "k": 2, "modules": modules, "differentials": differentials})
+        out, _ = run(capsys, "pages", "--generic", doc)
+        assert out == '{"format":"tw/1","k":2,"pages":[[]],"type":"pages"}\n'
+        out, _ = run(capsys, "pages", "--generic", doc, "--format", "table")
+        assert out == "page 1 (filtered index 1):\n(empty)\n"
+
+
 class TestCouple:
     def test_page_lines(self, capsys):
         out, _ = run(capsys, "couple", TORSION_CX, "--r-max", "3")

@@ -17,6 +17,8 @@ from dense_la import (
     dense_rank,
     dense_row_reduce,
     dense_solve,
+    integer_echelon,
+    integer_row_reduce,
 )
 from twkit import exactla
 
@@ -366,6 +368,37 @@ def test_integral_rref_builds_no_fraction(monkeypatch):
         rref, pivots = exactla.row_reduce(sparse(mat))
         assert pivots == list(range(n))
         assert all(type(x) is int for row in rref for x in row.values())
+
+
+def test_integer_row_reduce_matches_dense_row_reduce():
+    """The fraction-free reference elimination gives the frozen dense
+    one's rref, Fraction for Fraction, and its pivots, unreduced too; the
+    kernel and solve built on it read the same rref cells.  On over 300
+    seeded matrices of up to 9 x 9 with zero and duplicated rows and
+    every empty shape, and 40 of up to 24 x 24."""
+    rng = random.Random(84)
+    matrices = list(seeded_matrices(83, 200))
+    for _ in range(40):
+        nr, nc = rng.randint(10, 24), rng.randint(10, 24)
+        matrices.append((sparse_matrix(rng, nr, nc), nc))
+    seen = {"empty": 0, "zero row": 0, "pivots": 0}
+    for mat, nc in matrices:
+        rref, pivots = dense_row_reduce(mat)
+        assert integer_row_reduce(mat) == (rref, pivots)
+        assert all(type(x) is Fraction for row in integer_row_reduce(mat)[0] for x in row)
+        assert integer_echelon(mat, False)[1] == pivots
+        free = [c for c in range(nc) if c not in pivots]
+        assert dense_kernel_basis(mat, nc) == [
+            [1 if j == fc else -rref[pivots.index(j)][fc] if j in pivots else 0 for j in range(nc)] for fc in free]
+        rhs = [[row[c] + row[0] for row in mat] for c in range(nc)]
+        if mat and nc:
+            aug_rref, aug_pivots = dense_row_reduce([row + [b[r] for b in rhs] for r, row in enumerate(mat)])
+            assert dense_solve(mat, rhs, nc) == [
+                [aug_rref[aug_pivots.index(j)][nc + n] if j in aug_pivots else 0 for j in range(nc)] for n in range(nc)]
+        seen["empty"] += not mat or not nc
+        seen["zero row"] += nc > 0 and any(not any(row) for row in mat)
+        seen["pivots"] += bool(pivots)
+    assert seen["empty"] >= 10 and seen["zero row"] >= 100 and seen["pivots"] >= 200, seen
 
 
 def test_derived_helpers_match_dense_reference():

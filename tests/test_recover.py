@@ -1,16 +1,28 @@
-"""Rebuilding decompositions from page sequences, and rejecting fakes."""
+"""Rebuilding decompositions from page sequences, and rejecting fakes;
+and the shared-table route against the per-page one it replaced
+(tests/frozen_pages.py)."""
 
+import contextlib
+import copy
+import io
+import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frozen_pages import per_page_from_json, per_page_generic_count, per_page_recover, per_page_sequence
+from twkit import jsonio
 from twkit.algebra import BigradedTable
-from twkit.corpus import random_decomposition
+from twkit.cli import main
+from twkit.complexes import specialize_a_to_1
+from twkit.corpus import conjugate, random_decomposition
 from twkit.couples import couple_tables
-from twkit.decompose import Decomposition, torsion_width
-from twkit.pages import PageTable
+from twkit.decompose import Decomposition, decompose, reassemble, torsion_width
+from twkit.jsonio import SchemaError
+from twkit.pages import PageTable, generic_page_list
 from twkit.recover import (
     InconsistentPages,
     PageSequence,
@@ -145,3 +157,100 @@ def test_roundtrip_couple_sample():
     for _ in range(6):
         d = random_decomposition(rng)
         assert recover(couple_sequence(d)) == d
+
+
+# -- shared tables against the per-page route ----------------------------
+
+
+def cli_stdout(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0, argv
+    return out.getvalue()
+
+
+def pages_document(k, tables):
+    return {"format": "tw/1", "type": "pages", "k": k, "pages": [[[i, s, n] for (i, s), n in t.items()] for t in tables]}
+
+
+def shared_route(data):
+    """(tables, decomposition) of a pages document, or the refusal."""
+    try:
+        ps = jsonio.pages_from_json(data)
+        return list(ps.pages), recover(ps)
+    except (InconsistentPages, SchemaError) as e:
+        return type(e).__name__, str(e)
+
+
+def per_page_route(data):
+    try:
+        k, tables = per_page_from_json(data)
+        return tables, per_page_recover(k, tables)
+    except (InconsistentPages, SchemaError) as e:
+        return type(e).__name__, str(e)
+
+
+# a phrase of each refusal the variants meet
+REFUSALS = ("grows at", "pages to reach", "differs from the stable", "lacks", "no pages", "got true", "got 1.0")
+
+
+def variants(rng, pages):
+    """The pages of a document, and seeded breakages of them: a page
+    repeated, dropped or emptied, one class more on a page, an empty
+    page appended, the order reversed, and a bool or float written for
+    a 1 on a page equal to the one before."""
+    n = len(pages)
+    j = rng.randrange(n)
+    out = [pages, pages[: j + 1] + pages[j:], pages[:j] + pages[j + 1:], pages[:j] + [[]] + pages[j + 1:],
+           pages + [[]], pages[::-1]]
+    grown = copy.deepcopy(pages)
+    page = grown[rng.randrange(n)]
+    if page:
+        rng.choice(page)[2] += 1
+    else:
+        page.append([0, 0, 1])
+    out.append(grown)
+    for spelled in (True, 1.0):
+        for m in range(1, n):
+            ones = [e for e in pages[m] if e[2] == 1]
+            if pages[m] == pages[m - 1] and ones:
+                changed = copy.deepcopy(pages)
+                changed[m][pages[m].index(rng.choice(ones))][2] = spelled
+                out.append(changed)
+                break
+    return out
+
+
+def test_shared_tables_read_as_the_per_page_route():
+    """On 210 conjugated corpus complexes, k = 1, 2, 3 in turn: pages
+    and pages --generic print what the per-page route prints, and on
+    those documents and seeded breakages of them pages_from_json and
+    recover give the per-page route's tables and decomposition, or its
+    refusal type and text."""
+    rng = random.Random(3200)
+    seen = Counter()
+    made = 0
+    while made < 210:
+        d = random_decomposition(rng, max_generators=16)
+        if d.k != 1 + made % 3:
+            continue
+        made += 1
+        c = conjugate(rng, reassemble(d), 6)
+        doc = jsonio.dumps(jsonio.complex_to_data(c))
+        closed = cli_stdout("pages", doc)
+        assert closed == jsonio.dumps(pages_document(d.k, per_page_sequence(decompose(c)))) + "\n"
+        rs = [2 * d.k * r + 1 for r in range(per_page_generic_count(c))]
+        generic = [page.to_hom_poly() for page in generic_page_list(specialize_a_to_1(c), rs)]
+        assert cli_stdout("pages", "--generic", doc) == jsonio.dumps(pages_document(d.k, generic)) + "\n"
+        for text in (closed, cli_stdout("pages", "--generic", doc, "--r-max", str(1 + made % 4))):
+            data = json.loads(text)
+            for pages in variants(rng, data["pages"]):
+                want = per_page_route(dict(data, pages=pages))
+                assert shared_route(dict(data, pages=pages)) == want, pages
+                if type(want[0]) is str:
+                    seen.update(w for w in REFUSALS if w in want[1])
+                else:
+                    seen["recovered"] += 1
+                    seen["shared"] += any(a == b for a, b in zip(want[0], want[0][1:]))
+    assert seen["recovered"] > 400 and seen["shared"] > 300, seen
+    assert min(seen[w] for w in REFUSALS) > 20, seen
