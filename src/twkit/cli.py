@@ -263,9 +263,9 @@ def cmd_pages(args) -> int:
     if args.module:
         raise SchemaError("--module needs an explicit --page index")
     if args.generic:
-        k = c.ring.k
-        count = args.r_max or page_count(generic_pages(fc, 1).to_hom_poly(), k)
-        hom = hom_poly_pages(generic_page_list(fc, [2 * k * r + 1 for r in range(count)]))
+        k, first = c.ring.k, None if args.r_max else generic_pages(fc, 1)
+        count = args.r_max or page_count(first.to_hom_poly(), k)
+        hom = hom_poly_pages(generic_page_list(fc, [2 * k * r + 1 for r in range(count)], first))
     else:
         k, seq = d.k, pages_from_decomposition(d).pages
         count = args.r_max if args.r_max is not None else len(seq)

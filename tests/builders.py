@@ -1,13 +1,24 @@
-"""Fixtures and references that no twkit code path needs: shifts and
-block direct sums of complexes, the homology read off a decomposition,
+"""Fixtures and references that no twkit code path needs: the canonical
+value rule, shifts and block direct sums of complexes, seeded
+conjugated corpus complexes, the homology read off a decomposition,
 decompose held to a frozen splitting, the 2-braid's homology worked out
 by hand, unit pivots, and the unreduced 2-braid that criterion 9
 eliminates, whose -X is the frozen matrix of x2."""
 
+import random
+from fractions import Fraction
+from functools import lru_cache
+
 from frozen_twobraid import reference_x_matrix
 from twkit.algebra import GradedModuleDescriptor, GradedRing
 from twkit.complexes import GradedComplex
-from twkit.decompose import Decomposition, decompose
+from twkit.corpus import conjugate, random_decomposition
+from twkit.decompose import Decomposition, decompose, reassemble
+
+
+def is_canonical(x):
+    """A nonzero int, or a Fraction that is not integral."""
+    return (type(x) is int and x != 0) or (type(x) is Fraction and x.denominator > 1)
 
 
 def shifted(c, di=0, ds=0):
@@ -39,6 +50,20 @@ def direct_sum(*complexes):
                 rows.extend({coff + cc: x for cc, x in row.items()} for row in d.rows)
             coff += c.rank(i)
     return GradedComplex(complexes[0].ring, degrees, diffs)
+
+
+@lru_cache(maxsize=None)
+def conjugated_corpus(seed, k, count):
+    """count seeded conjugated complexes with the given k: decompositions
+    of up to 24 generators drawn from Random(seed), those of another k
+    skipped, each reassembled and conjugated on the same rng."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = random_decomposition(rng, max_generators=24)
+        if d.k == k:
+            out.append(conjugate(rng, reassemble(d)))
+    return tuple(out)
 
 
 def homology_structure(d):

@@ -3,19 +3,14 @@
 Matrices are lists of equal-length rows of rationals; vectors are
 lists.  dense_row_reduce is the dense Gauss-Jordan elimination (leftmost
 column, topmost nonzero row) the sparse kernel in twkit.exactla
-replaced, kept as the tests had it.  integer_row_reduce gives its
-answer fraction-free, through integer_echelon.  The products, rank,
-kernel, image and solve below are the dense ones twkit.exactla once
-had, the last four now built on integer_echelon.  Nothing in here
-imports twkit, so the references that use these helpers stay
-independent of the code they check.
+replaced, kept as the tests had it.  The products, rank, kernel, image
+and solve below are the dense ones twkit.exactla once had, the last
+four read off dense_row_reduce.  Nothing in here imports twkit, so the
+references that use these helpers stay independent of the code they
+check.
 """
 
-from bisect import bisect_left
 from fractions import Fraction
-from itertools import compress
-from math import gcd, lcm
-from operator import attrgetter, itemgetter
 
 
 def dense_row_reduce(rows):
@@ -52,76 +47,6 @@ def dense_row_reduce(rows):
     return mat, pivots
 
 
-def integer_row_reduce(rows):
-    """dense_row_reduce without Fraction arithmetic: integer_echelon,
-    then each pivot row divided by its pivot, cell for cell the same
-    Fraction rref, since the rref of a matrix is unique."""
-    mat, pivots = integer_echelon(rows)
-    zero = Fraction(0)
-    rref = [[Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(mat, pivots)]
-    return rref + [[zero] * len(row) for row in mat[len(pivots):]], pivots
-
-
-def integer_echelon(rows, reduced=True):
-    """(integer rows, pivot columns) of the dense Gauss-Jordan elimination
-    of rows of ints or Fractions, fraction-free.  Each row is scaled to
-    coprime integers.  For column c, the sparsest row from r on with a
-    nonzero there becomes pivot row r; each other row with a nonzero b
-    there becomes a * row - b * pivot row, for the pivot a (a and b over
-    their gcd, a > 0), and is divided by the gcd of its cells when
-    a > 1.  None of this changes the row space, and the rref of a
-    matrix is unique: pivot row r is its rref row times its pivot, at
-    column pivots[r], and the rows after the pivot rows are zero.
-    Unless reduced, the rows above a pivot row are left as they are:
-    the pivot columns are the same, the rows an echelon form."""
-    mat = []
-    for row in rows:
-        den = lcm(*map(_denominator, row))
-        mat.append(_primitive(list(map(_numerator, row)) if den == 1 else [
-            x.numerator * (den // x.denominator) for x in row]))
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        # the rows with a nonzero in column c, those from r on first
-        held = list(compress(range(nrows), map(itemgetter(c), mat)))
-        split = bisect_left(held, r)
-        if split == len(held):
-            continue
-        # the rref is the same for any choice; the sparsest fills in least
-        pr = min(held[split:], key=lambda i: ncols - mat[i].count(0))
-        mat[r], mat[pr] = mat[pr], mat[r]
-        prow = mat[r]
-        support = list(compress(range(ncols), prow))
-        # the row that was at r is at pr now
-        below = [pr if i == r else i for i in held[split:] if i != pr]
-        for i in (held[:split] if reduced else []) + below:
-            g = gcd(prow[c], mat[i][c])
-            a, b = prow[c] // g, mat[i][c] // g
-            if a < 0:
-                a, b = -a, -b
-            row = mat[i] = list(map(a.__mul__, mat[i])) if a > 1 else mat[i]
-            for j in support:
-                row[j] -= b * prow[j]
-            if a > 1:
-                mat[i] = _primitive(row)
-        pivots.append(c)
-        r += 1
-    return mat, pivots
-
-
-_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
-
-
-def _primitive(row):
-    """row divided by the gcd of its cells."""
-    g = gcd(*row)
-    return list(map(g.__rfloordiv__, row)) if g > 1 else row
-
-
 def dense_matmul(a, b, ncols):
     """a @ b, ncols being b's column count: Fraction rows, with the
     products of zero entries skipped."""
@@ -146,13 +71,13 @@ def dense_matvec(rows, v):
 def dense_rank(rows):
     if not rows or not rows[0]:
         return 0
-    return len(integer_echelon(rows, False)[1])
+    return len(dense_row_reduce(rows)[1])
 
 
 def dense_pivot_columns(rows):
     if not rows or not rows[0]:
         return []
-    return integer_echelon(rows, False)[1]
+    return dense_row_reduce(rows)[1]
 
 
 def dense_kernel_basis(rows, ncols=None):
@@ -161,14 +86,13 @@ def dense_kernel_basis(rows, ncols=None):
     if not rows:
         return [[1 if j == i else 0 for j in range(ncols or 0)] for i in range(ncols or 0)]
     ncols = len(rows[0])
-    mat, pivots = integer_echelon(rows)
+    rref, pivots = dense_row_reduce(rows)
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
         v = [0] * ncols
         v[fc] = 1
-        for row, pc in zip(mat, pivots):
-            if row[fc]:
-                v[pc] = Fraction(-row[fc], row[pc])
+        for r, pc in enumerate(pivots):
+            v[pc] = -rref[r][fc]
         basis.append(v)
     return basis
 
@@ -188,15 +112,14 @@ def dense_solve(rows, rhs_columns, ncols=None):
     if not rows:
         return [[0] * ncols for _ in rhs_columns]
     aug = [list(rows[r]) + [b[r] for b in rhs_columns] for r in range(len(rows))]
-    mat, pivots = integer_echelon(aug)
+    rref, pivots = dense_row_reduce(aug)
     if any(p >= ncols for p in pivots):
         return None
     sols = []
-    for j in range(ncols, len(aug[0])):
+    for j in range(len(rhs_columns)):
         x = [0] * ncols
-        for row, pc in zip(mat, pivots):
-            if row[j]:
-                x[pc] = Fraction(row[j], row[pc])
+        for r, pc in enumerate(pivots):
+            x[pc] = rref[r][ncols + j]
         sols.append(x)
     return sols
 

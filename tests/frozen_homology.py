@@ -1,12 +1,15 @@
-"""homology_field and first_differential frozen before they moved to
-cycle coordinates, as the reference the rewrite is checked against
-(tests/test_frozen_homology.py).
+"""reduce_mod_a, homology_field and first_differential frozen before
+the last two moved to cycle coordinates, as the one reference for
+mod-a homology and d_1 (tests/test_frozen_homology.py,
+tests/test_homology.py).
 
+The mod-a reduction keeps the cells joining generators of equal degree.
 The mod-a homology picks its representatives by eliminating the stacked
 [image | cycles] columns over every coordinate, and the first
 differential projects each lift by eliminating [image | representatives
 | lifts] over every coordinate one degree up.  Only the types they
-return come from twkit; the code is kept as it was.
+return and the exactla kernel (pinned against dense_la in
+tests/test_exactla.py) come from twkit; the code is kept as it was.
 """
 
 from twkit import exactla
@@ -18,8 +21,19 @@ from twkit.complexes import (
     FilteredFieldComplex,
     FirstDifferential,
     GradedComplex,
-    reduce_mod_a,
 )
+
+
+def reference_reduce_mod_a(c: GradedComplex) -> FieldComplex:
+    """a = 0: of each row of c, the cells joining generators of equal
+    degree; the rest carry a positive power of a.  c's values are
+    canonical already, so the rows go in unvalidated."""
+    degs = c.degrees
+    mats = {
+        i: tuple({col: x for col, x in row.items() if degs[i][col] == tdeg} for tdeg, row in zip(degs[i + 1], rows))
+        for i, rows in c.mats.items()
+    }
+    return FieldComplex(degs, mats, validate=False)
 
 
 def reference_homology_field(fc: FieldComplex) -> FieldHomologyBasis:
@@ -74,7 +88,7 @@ def reference_first_differential(c: GradedComplex) -> FirstDifferential:
     mod a is projected onto the pinned homology basis one homological
     degree up.  The result is homogeneous of bidegree (1, -2k).
     """
-    fc = reduce_mod_a(c)
+    fc = reference_reduce_mod_a(c)
     hb = reference_homology_field(fc)
     k = c.ring.k
     rep_degrees = {
@@ -85,24 +99,24 @@ def reference_first_differential(c: GradedComplex) -> FirstDifferential:
     for i in sorted(hb.dims):
         reps = hb.representatives[i]
         reps_next = hb.representatives.get(i + 1, ())
-        d = c.differentials.get(i)
+        d = c.mats.get(i)
         if not reps or not reps_next or d is None:
             continue
         # a representative of degree sigma meets only targets of degree
         # sigma (its a^0 image, zero on a mod-a cycle) and sigma - 2k
         # (its a^1 image, the lift)
         targets = {}
-        for t, tdeg in enumerate(d.target_degrees):
+        for t, tdeg in enumerate(c.degrees[i + 1]):
             targets.setdefault(tdeg, []).append(t)
         lifts = []
         for v, sigma in zip(reps, rep_degrees[i]):
             for t in targets.get(sigma, ()):
-                row = d.rows[t]
+                row = d[t]
                 if sum(v[j] * x for j, x in row.items() if j in v):
                     raise ComplexError("lift of a mod-a cycle has nonzero a^0 image")
             w = {}
             for t in targets.get(sigma - 2 * k, ()):
-                row = d.rows[t]
+                row = d[t]
                 acc = sum(v[j] * x for j, x in row.items() if j in v)
                 if acc:
                     w[t] = acc

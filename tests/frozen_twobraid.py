@@ -45,11 +45,6 @@ def reference_x_powers(spec, top):
     return powers
 
 
-def reference_x_power(spec, e):
-    """X^e by e - 1 products, for 1 <= e <= N - 1."""
-    return reference_x_powers(spec, e)[-1]
-
-
 def reference_delta_battery(N, scalings=(Fraction(1), Fraction(5), Fraction(-2, 3))):
     """delta_battery with first_differential on every complex: the N
     unscaled ones checked for one mod-a reduction, the scaled ones not."""

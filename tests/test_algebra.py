@@ -1,12 +1,12 @@
 """Graded building blocks: tables, descriptors, homogeneous matrices,
-and the box product frozen in tests/frozen_pages.py."""
+and the descriptor's dimension table frozen in tests/frozen_pages.py."""
 
 import ast
 from fractions import Fraction
 
 import pytest
 
-from frozen_pages import boxtimes, descriptor_dim_table, merge, scaled, shifted
+from frozen_pages import descriptor_dim_table
 from twkit.algebra import BigradedTable, GradedModuleDescriptor, GradedRing, HomMatrix
 from twkit.complexes import ComplexError, GradedComplex, check_differentials, reduce_mod_a
 from twkit.exactla import matmul
@@ -70,10 +70,8 @@ class TestDescriptor:
 
     def test_merge_shift_scale(self):
         d = GradedModuleDescriptor((0,), ((1, 2),))
-        assert merge(d, d) == GradedModuleDescriptor((0, 0), ((1, 2), (1, 2)))
-        assert shifted(d, 3) == GradedModuleDescriptor((3,), ((1, 5),))
-        assert scaled(d, 0).is_zero()
         assert not d.is_zero() and bool(d)
+        assert GradedModuleDescriptor().is_zero() and not GradedModuleDescriptor()
 
 
 def first_bad(m):
@@ -143,52 +141,6 @@ class TestHomMatrix:
         rows = reduce_mod_a(c).mats[0]
         assert rows == ({0: 2},)
         assert type(rows[0][0]) is int
-
-
-# -- the box product and the descriptor operations it used, frozen in
-# tests/frozen_pages.py
-
-
-class TestBoxtimes:
-    def test_free_block_placement(self):
-        # one free generator at (i, j) = (2, 3) against the basic page
-        # entry at the origin lands at (p, q) = (3, 2 - 3)
-        h = BigradedTable({(2, 3): 1})
-        e = PageTable(1, {(0, 0): 1})
-        assert boxtimes(h, e).items() == [((3, -1), 1)]
-
-    def test_dimensions_multiply_and_merge(self):
-        h = BigradedTable({(0, 0): 2, (1, 1): 1})
-        e = PageTable(1, {(0, 0): 1, (1, -1): 3})
-        out = boxtimes(h, e)
-        assert out.items() == [
-            ((0, 0), 2),   # (0,0) x (0,0), doubled
-            ((1, -1), 6),  # (0,0) x (1,-1)
-            ((1, 0), 1),   # (1,1) x (0,0)
-            ((2, -1), 3),  # (1,1) x (1,-1)
-        ]
-
-    def test_convention_enforced(self):
-        page = PageTable(1, {(0, 0): 1})
-        with pytest.raises(ValueError):
-            boxtimes(page, page)
-        with pytest.raises(ValueError):
-            boxtimes(BigradedTable({(0, 0): 1}), BigradedTable({(0, 0): 1}))
-
-    def test_descriptor_entries_shift(self):
-        h = BigradedTable({(1, 4): 2})
-
-        class PageLike:
-            def items(self):
-                return [((0, 0), GradedModuleDescriptor((0,), ((1, 0),)))]
-
-            def _rebuild(self, entries):
-                return entries
-
-        out = boxtimes(h, PageLike())
-        assert out == {
-            (4, -3): GradedModuleDescriptor((4, 4), ((1, 4), (1, 4)))
-        }
 
 
 def test_descriptor_dim_table():

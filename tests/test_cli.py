@@ -18,7 +18,7 @@ import pytest
 
 import frozen_couples
 from builders import shifted
-from twkit import complexes, corpus, jsonio
+from twkit import cli, complexes, corpus, jsonio, pages
 from twkit.cli import EXIT_COMPLEX, build_parser, main
 from twkit.complexes import GradedComplex
 from twkit.corpus import conjugate, random_decomposition
@@ -153,6 +153,18 @@ class TestPagesAndRecover:
     def test_generic_beside_module_is_a_usage_error(self, capsys):
         usage_error(capsys, ["pages", TORSION_CX, "--page", "3", "--module", "--generic"],
                     "pages: --generic applies only without --module")
+
+    def test_generic_builds_each_page_once(self, capsys, monkeypatch):
+        """pages --generic reads its page count off page 1 and prints that
+        same page 1, so no page is built twice, with --r-max or without."""
+        built, generic_pages = [], pages.generic_pages
+        counting = lambda c, r: built.append(r) or generic_pages(c, r)
+        monkeypatch.setattr(pages, "generic_pages", counting)
+        monkeypatch.setattr(cli, "generic_pages", counting)
+        for argv in ((), ("--r-max", "6")):
+            del built[:]
+            run(capsys, "pages", TORSION_CX, "--generic", *argv)
+            assert built and built.count(1) == 1 and len(built) == len(set(built)), (argv, built)
 
 
 def pages_doc(*pages):

