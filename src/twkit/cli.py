@@ -51,7 +51,9 @@ from .links import (
     build_twobraid,
     delta_battery,
 )
-from .pages import PageTable, assembled_page_list, assembled_pages, collapse_page, generic_page_list, generic_pages
+from .pages import (
+    PageTable, assembled_page_list, assembled_pages, collapse_page, generic_page_list, generic_pages, hat_index,
+)
 from .recover import InconsistentPages, hom_poly_pages, page_count, pages_from_decomposition, recover
 
 EXIT_OK = 0
@@ -265,15 +267,15 @@ def cmd_pages(args) -> int:
     if args.generic:
         k, first = c.ring.k, None if args.r_max else generic_pages(fc, 1)
         count = args.r_max or page_count(first.to_hom_poly(), k)
-        hom = hom_poly_pages(generic_page_list(fc, [2 * k * r + 1 for r in range(count)], first))
+        hom = hom_poly_pages(generic_page_list(fc, [hat_index(k, r) for r in range(1, count + 1)], first))
     else:
         k, seq = d.k, pages_from_decomposition(d).pages
         count = args.r_max if args.r_max is not None else len(seq)
         # the closed-form sequence ends on its stable page
         hom = [seq[min(r, len(seq) - 1)] for r in range(count)]
     if args.format == "table":
-        pages = (PageTable.from_hom_poly(2 * k * n + 1, t) for n, t in enumerate(hom))
-        _emit("\n\n".join("page %d (filtered index %d):\n%s" % (n + 1, p.r, render_page(p)) for n, p in enumerate(pages)))
+        pages = (PageTable.from_hom_poly(hat_index(k, n), t) for n, t in enumerate(hom, 1))
+        _emit("\n\n".join("page %d (filtered index %d):\n%s" % (n, p.r, render_page(p)) for n, p in enumerate(pages, 1)))
     else:
         _emit(jsonio.dumps(jsonio.raw_pages_to_data(k, hom)))
     return EXIT_OK
@@ -297,10 +299,7 @@ def cmd_couple(args) -> int:
         r_lo, r_hi = 1, (args.r_max if args.r_max is not None else torsion_width(d) + 2)
     pages = []
     for r, table in enumerate(couple_tables(d, r_hi)[r_lo - 1:], r_lo):
-        # the derived-couple page r equals the hat page 2k(r-1)+1 at
-        # the same positions, so --hat-index relabels r and nothing else
-        label = 2 * d.k * (r - 1) + 1 if args.hat_index else r
-        pages.append(PageTable.from_hom_poly(label, table))
+        pages.append(PageTable.from_hom_poly(hat_index(d.k, r) if args.hat_index else r, table))
     if args.format == "table":
         _emit("\n\n".join("page r=%d:\n%s" % (page.r, render_page(page)) for page in pages))
     else:

@@ -155,7 +155,8 @@ def cross_checks(d: Decomposition, rng: random.Random = None):
     if decompose(c) != d:
         failures.append("decompose(reassemble(d)) != d")
 
-    rs = range(1, 2 * k * tw + 4)
+    cp = collapse_page(d)
+    rs = range(1, cp + 3)
     generic = generic_page_list(fc, rs)
     for r, a, g in zip(rs, assembled_page_list(d, True, rs), generic):
         s = summed_piece_pages(d, True, r)
@@ -164,11 +165,8 @@ def cross_checks(d: Decomposition, rng: random.Random = None):
         if not a.same_entries(s):
             failures.append("summed piece page %d differs from assembled" % r)
 
-    if stabilization_page(generic) != collapse_page(d):
-        failures.append(
-            "generic stabilization at %d, expected %d"
-            % (stabilization_page(generic), collapse_page(d))
-        )
+    if stabilization_page(generic) != cp:
+        failures.append("generic stabilization at %d, expected %d" % (stabilization_page(generic), cp))
 
     # one couple_tables call serves both couple checks: pages 1..tw+2
     # for the correspondence, 1..tw+1 for the round trip

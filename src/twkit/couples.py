@@ -41,7 +41,7 @@ from .algebra import BigradedTable
 from .complexes import InternalError
 from .decompose import Decomposition, torsion_width
 from .exactla import canonical, columns, from_columns, matmul, solution_from_reduction
-from .pages import assembled_page_list
+from .pages import assembled_page_list, hat_index
 
 
 class InsufficientWindow(RuntimeError):
@@ -521,7 +521,7 @@ def correspondence_check(d: Decomposition, r_max: int, tables=None) -> Correspon
     """
     if tables is None:
         tables = couple_tables(d, r_max)
-    pages = assembled_page_list(d, True, (2 * d.k * r + 1 for r in range(r_max)))
+    pages = assembled_page_list(d, True, (hat_index(d.k, r) for r in range(1, r_max + 1)))
     for r, page in enumerate(pages, 1):
         if tables[r - 1] != page.to_hom_poly():
             return CorrespondenceResult(False, r_max, r)

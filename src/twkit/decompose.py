@@ -115,6 +115,12 @@ def torsion_width(d: Decomposition) -> int:
     return max((m for _, m, _ in d.torsion_pieces), default=0)
 
 
+def diagonal_spread(t: BigradedTable) -> int:
+    """The width of 2i + s over the support of a nonempty (i, s) table."""
+    deltas = [2 * i + s for i, s in t.support()]
+    return max(deltas) - min(deltas)
+
+
 def thickness(t: BigradedTable):
     """(ht, lht) of a nonzero (hom, poly) dimension table.
 
@@ -131,15 +137,13 @@ def thickness(t: BigradedTable):
         raise ValueError("thickness expects a table in (hom, poly) convention")
     if t.is_empty():
         raise ValueError("thickness of an empty table")
-    support = t.support()
-    deltas = [2 * i + j for i, j in support]
-    spread = max(deltas) - min(deltas)
+    spread = diagonal_spread(t)
     if spread % 2:
         raise ValueError("half-integral thickness on a mixed-parity table")
     ht = 1 + spread // 2
 
     by_i = {}
-    for i, j in support:
+    for i, j in t.support():
         by_i.setdefault(i, []).append(j)
     gaps = [max(by_i[i]) - min(by_i[i + 1]) for i in by_i if i + 1 in by_i]
     if not gaps:

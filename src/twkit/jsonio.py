@@ -33,24 +33,20 @@ def dumps(obj) -> str:
 _CELL = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
 
 
-def parse_rational(x) -> Fraction:
-    """Exact scalar from an int or "p/q"; SchemaError on a zero denominator."""
-    if type(x) is not int and not (isinstance(x, str) and _CELL.fullmatch(x)):
-        raise ValueError("expected an integer or a \"p/q\" string, got %s" % json.dumps(x))
+def parse_rational(x):
+    """Exact scalar from an int or a "p/q" string: an int when written
+    as one, else a Fraction; SchemaError on a zero denominator."""
+    m = _CELL.fullmatch(x) if type(x) is str else None
+    if m is None:
+        if type(x) is not int:
+            raise ValueError("expected an integer or a \"p/q\" string, got %s" % json.dumps(x))
+        return x
+    if m[2] is None:
+        return int(m[1])
     try:
-        return Fraction(x)
+        return Fraction(int(m[1]), int(m[2]))
     except ZeroDivisionError:
         raise SchemaError("zero denominator in %r" % (x,))
-
-
-def _cell(x):
-    """parse_rational(x) for a matrix cell, a "p/q" string read without
-    Fraction(str); anything else goes to parse_rational."""
-    m = _CELL.fullmatch(x) if type(x) is str else None
-    try:
-        return int(m[1]) if m[2] is None else Fraction(int(m[1]), int(m[2]))
-    except (TypeError, ValueError, ZeroDivisionError):
-        return parse_rational(x)
 
 
 def _int(x) -> int:
@@ -135,7 +131,7 @@ def complex_from_json(data) -> GradedComplex:
         }
         diffs = {
             _degree(i): [
-                [0 if x == "0" else _cell(x) for x in _array(row, "a row to be an array of cells")]
+                [0 if x == "0" else parse_rational(x) for x in _array(row, "a row to be an array of cells")]
                 for row in _array(rows, "a differential to be an array of rows")
             ]
             for i, rows in _object(data.get("differentials", {}), '"differentials" to be an object').items()
@@ -174,8 +170,6 @@ def decomposition_from_json(data) -> Decomposition:
             ),
         )
     except (KeyError, TypeError, ValueError) as e:
-        if isinstance(e, SchemaError):
-            raise
         raise SchemaError("malformed decomposition document: %s" % e)
 
 

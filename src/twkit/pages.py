@@ -133,6 +133,18 @@ class PageTable:
         return cls(r, {(s, i - s): d for (i, s), d in table.items()}, True)
 
 
+def hat_index(k: int, r: int) -> int:
+    """The filtered page 2k(r - 1) + 1 that derived-couple page r equals,
+    entry for entry at the same positions."""
+    return 2 * k * (r - 1) + 1
+
+
+def _torsion_cut(k: int, m: int) -> int:
+    """The first page without a torsion piece of width m: 2km + 1, the
+    derived page m + 1."""
+    return hat_index(k, m + 1)
+
+
 def piece_entries(piece, hat: bool, r: int, k: int) -> list:
     """Closed-form page r of one elementary piece, as its sorted
     ((p, q), entry) pairs.
@@ -154,7 +166,7 @@ def piece_entries(piece, hat: bool, r: int, k: int) -> list:
     if m < 1:
         raise ValueError("torsion piece needs m >= 1")
     bottom = (s, i - s)
-    if r >= 2 * k * m + 1:
+    if r >= _torsion_cut(k, m):
         return [] if hat else [(bottom, GradedModuleDescriptor((), ((m, s),)))]
     top_s = s + 2 * k * m
     top = (top_s, i - 1 - top_s)
@@ -189,7 +201,7 @@ def assembled_page_list(d: Decomposition, hat: bool, rs) -> list:
         torsion = (item for piece in d.torsion_pieces for item in piece_entries(piece, hat, r, d.k))
         return PageTable(r, chain(free, torsion), hat)
 
-    return _by_block(rs, {2 * d.k * m + 1 for _, m, _ in d.torsion_pieces}, page)
+    return _by_block(rs, {_torsion_cut(d.k, m) for _, m, _ in d.torsion_pieces}, page)
 
 
 def _by_block(rs, cuts, page):
@@ -229,9 +241,8 @@ def generic_page_list(c: FilteredFieldComplex, rs, first: PageTable = None) -> l
 
 def collapse_page(d: Decomposition) -> int:
     """The page index where the sequence stops changing: 2k tw + 1,
-    read as 1 when there is no torsion (pages r >= 1 all agree)."""
-    tw = torsion_width(d)
-    return 1 if tw == 0 else 2 * d.k * tw + 1
+    the derived page tw + 1, and 1 when there is no torsion."""
+    return hat_index(d.k, torsion_width(d) + 1)
 
 
 def stabilization_page(tables) -> int:

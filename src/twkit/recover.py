@@ -15,21 +15,12 @@ InconsistentPages.
 from __future__ import annotations
 
 from .algebra import BigradedTable
-from .decompose import Decomposition, torsion_width
-from .pages import assembled_page_list
+from .decompose import Decomposition, diagonal_spread, torsion_width
+from .pages import assembled_page_list, hat_index
 
 
 class InconsistentPages(ValueError):
     """The page tables cannot arise from any decomposition."""
-
-
-def _tau_of(page: BigradedTable, k: int) -> int:
-    """floor(ht / k) where ht = 1 + spread/2 and spread is the width
-    of 2i + s over the support.  Integer arithmetic so mixed-parity
-    supports (half-integral ht) floor correctly."""
-    deltas = [2 * i + s for (i, s) in page.support()]
-    spread = max(deltas) - min(deltas)
-    return (2 + spread) // (2 * k)
 
 
 class PageSequence:
@@ -154,7 +145,7 @@ def pages_from_decomposition(d: Decomposition) -> PageSequence:
     """Generate [E^(1), ..., E^(tau+1)] from a decomposition by the
     closed forms; the last page repeats once the sequence has
     stabilized at tw+1."""
-    pages = assembled_page_list(d, True, (2 * d.k * r + 1 for r in range(torsion_width(d) + 1)))
+    pages = assembled_page_list(d, True, (hat_index(d.k, r) for r in range(1, torsion_width(d) + 2)))
     return padded_sequence(d.k, hom_poly_pages(pages))
 
 
@@ -169,8 +160,9 @@ def hom_poly_pages(pages) -> list:
 
 def page_count(first: BigradedTable, k: int) -> int:
     """tau + 1, the pages recover needs, read off page 1; 1 when page 1
-    is empty."""
-    return 1 if first.is_empty() else _tau_of(first, k) + 1
+    is empty.  tau = floor(ht / k) with ht = 1 + spread / 2, in integers,
+    so a mixed-parity page (half-integral ht) floors."""
+    return 1 if first.is_empty() else (2 + diagonal_spread(first)) // (2 * k) + 1
 
 
 def padded_sequence(k: int, seq) -> PageSequence:

@@ -4,24 +4,18 @@ rewrite is checked against (tests/test_frozen_twobraid.py).
 
 build_twobraid took N - 2 sparse products of the matrix of x2, and
 delta_battery ran first_differential, with its own mod-a homology, on
-every unscaled and every scaled complex.  Only the potential's dP/dx
-relation, the complex builder and the battery's verdict helpers come
-from twkit.
+every unscaled and every scaled complex.  The battery's verdicts are
+read off the differentials with the dense products of tests/dense_la.py.
+Only the potential's dP/dx relation and the complex builder come from
+twkit.
 """
 
 from fractions import Fraction
-from itertools import zip_longest
 
+from dense_la import dense_matmul, dense_rows
 from twkit.complexes import ComplexError, first_differential, reduce_mod_a
 from twkit.exactla import canonical, matmul
-from twkit.links import (
-    DeltaBattery,
-    TwoBraidSpec,
-    _after,
-    _blocks_equal_scaled,
-    _x_power_relation,
-    build_twobraid,
-)
+from twkit.links import DeltaBattery, TwoBraidSpec, _x_power_relation, build_twobraid
 
 
 def reference_x_matrix(spec):
@@ -65,34 +59,45 @@ def reference_delta_battery(N, scalings=(Fraction(1), Fraction(5), Fraction(-2, 
             raise ComplexError("mod-a reductions disagree across potentials")
         deltas[i] = first_differential(cx)
 
-    concentrated = all(deltas[i].nonzero_degrees() == [2] for i in range(1, N))
-    top_vanishes = deltas[N].is_zero()
-
-    anticommute = True
-    hom_degrees = sorted(deltas[1].dims)
-    for i in range(1, N):
-        for j in range(i, N):
-            for l in hom_degrees:
-                left = _after(deltas[i], deltas[j], l)
-                right = _after(deltas[j], deltas[i], l)
-                for lr, rr in zip_longest(left, right, fillvalue={}):
-                    if any(lr.get(c, 0) + rr.get(c, 0) for c in lr.keys() | rr.keys()):
-                        anticommute = False
-
-    scaling_ok = True
-    for i in range(1, N):
-        for lam in scalings:
-            scaled = first_differential(build_twobraid(TwoBraidSpec.power_basis(N, i, lam)))
-            if not _blocks_equal_scaled(scaled, deltas[i], lam):
-                scaling_ok = False
-
+    scaled = {
+        (i, lam): first_differential(build_twobraid(TwoBraidSpec.power_basis(N, i, lam)))
+        for i in range(1, N) for lam in scalings
+    }
     return DeltaBattery(
-        N=N,
-        deltas=deltas,
-        ranks={i: deltas[i].rank() for i in deltas},
-        concentrated=concentrated,
-        top_vanishes=top_vanishes,
-        anticommute=anticommute,
-        scaling_ok=scaling_ok,
-        scalings=scalings,
-    )
+        N=N, deltas=deltas, ranks={i: deltas[i].rank() for i in deltas}, **reference_verdicts(N, deltas, scaled),
+        scalings=scalings)
+
+
+def dense_block(fd, i):
+    """fd's block out of degree i as dense rows, zero when none is stored."""
+    rows = fd.blocks.get(i) or [{}] * fd.dims.get(i + 1, 0)
+    return dense_rows(rows, fd.dims.get(i, 0))
+
+
+def reference_verdicts(N, deltas, scaled):
+    """The battery's four verdicts on the differentials deltas[i] and
+    the scaled ones scaled[(i, lam)]: each of deltas[1..N-1] nonzero out
+    of degree 2 alone, deltas[N] zero, d_i d_j + d_j d_i = 0 on every
+    degree for i <= j < N, and scaled[(i, lam)] lam times deltas[i]
+    block for block, on the same dimensions."""
+    degrees = sorted(set().union(*(fd.dims for fd in deltas.values())))
+
+    def nonzero_degrees(fd):
+        return [l for l in degrees if any(map(any, dense_block(fd, l)))]
+
+    def anticommute(a, b, l):
+        ncols = a.dims.get(l, 0)
+        left = dense_matmul(dense_block(a, l + 1), dense_block(b, l), ncols)
+        right = dense_matmul(dense_block(b, l + 1), dense_block(a, l), ncols)
+        return all(x + y == 0 for row, other in zip(left, right) for x, y in zip(row, other))
+
+    return {
+        "concentrated": all(nonzero_degrees(deltas[i]) == [2] for i in range(1, N)),
+        "top_vanishes": not nonzero_degrees(deltas[N]),
+        "anticommute": all(
+            anticommute(deltas[i], deltas[j], l) for i in range(1, N) for j in range(i, N) for l in degrees),
+        "scaling_ok": all(
+            fd.dims == deltas[i].dims
+            and all(dense_block(fd, l) == [[lam * x for x in row] for row in dense_block(deltas[i], l)] for l in degrees)
+            for (i, lam), fd in scaled.items()),
+    }

@@ -1,11 +1,14 @@
-"""The layer benchmark under benchmarks/ still runs: its checks pass and
-every stage is timed on the smallest rung of each ladder, for one tree
-or for two side by side (each knot's processes too), a front-end time
-is never negative, a wrong answer stops it, and a zero budget records
-"over budget" without running."""
+"""The harnesses under benchmarks/ still run.  The layer benchmark: its
+checks pass and every stage is timed on the smallest rung of each
+ladder, for one tree or for two side by side (each knot's processes
+too), a front-end time is never negative, a wrong answer stops it, and
+a zero budget records "over budget" without running.  The byte-identity
+harness: on its small battery it finds an unchanged copy of src
+identical and names the command where a planted change shows."""
 
 import importlib.util
 import pathlib
+import shutil
 
 import pytest
 
@@ -14,8 +17,8 @@ from twkit.decompose import Decomposition
 BENCHMARKS = pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
 
 
-def harness():
-    spec = importlib.util.spec_from_file_location("bench_layers", BENCHMARKS / "bench_layers.py")
+def harness(name="bench_layers"):
+    spec = importlib.util.spec_from_file_location(name, BENCHMARKS / (name + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -106,3 +109,26 @@ def test_rungs_after_one_over_budget_are_not_run():
 
     assert bench.run_ladder([1, 2, 3, 4], run) == [(1, {}), (2, bench.OVER_BUDGET), (3, bench.OVER_BUDGET), (4, bench.OVER_BUDGET)]
     assert ran == [1, 2]
+
+
+def test_twin_finds_a_copy_identical_and_a_planted_change(tmp_path, capsys):
+    twin = harness("twin")
+    same = tmp_path / "same"
+    shutil.copytree(BENCHMARKS.parent / "src" / "twkit", same / "twkit", ignore=shutil.ignore_patterns("__pycache__"))
+    assert twin.main(["--small", "--against", str(same)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("11 commands: ")
+    assert out.endswith("identical: stdout, stderr and exit code agree on every command\n")
+
+    planted = tmp_path / "planted"
+    shutil.copytree(same, planted)
+    cli = planted / "twkit" / "cli.py"
+    text = cli.read_text()
+    assert text.count('"F{%d}"') == 1
+    cli.write_text(text.replace('"F{%d}"', '"F[%d]"'))
+    assert twin.main(["--small", "--against", str(planted)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("difference at command 3: twkit pages '{")
+    assert lines[1].endswith(" --page 1 --module --format table")
+    assert lines[2].endswith(": line 3: '  1  F{0}     .\\n'")
+    assert lines[3].endswith(": line 3: '  1  F[0]     .\\n'")

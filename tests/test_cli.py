@@ -166,6 +166,18 @@ class TestPagesAndRecover:
             run(capsys, "pages", TORSION_CX, "--generic", *argv)
             assert built and built.count(1) == 1 and len(built) == len(set(built)), (argv, built)
 
+    def test_module_pages_and_recover_as_tables(self, capsys):
+        """Module entries print as F{s} and T^m{s} summands joined by +,
+        and recover prints the decomposition it reads."""
+        doc = json.dumps({"format": "tw/1", "type": "decomposition", "k": 1, "free": [[1, 0]], "torsion": [[1, 2, 0]]})
+        out, err = run(capsys, "pages", doc, "--page", "1", "--module", "--format", "table")
+        assert (out, err) == ("page r=1:\nq\\p          0     4\n  1  F{0}+F{0}     .\n -4          .  F{4}\n", "")
+        out, err = run(capsys, "pages", doc, "--page", "5", "--module", "--format", "table")
+        assert (out, err) == ("page r=5:\nq\\p            0\n  1  F{0}+T^2{0}\n", "")
+        sequence, _ = run(capsys, "pages", doc)
+        out, err = run(capsys, "recover", sequence, "--format", "table")
+        assert (out, err) == ("k = 1\nfree pieces: (1,0)\ntorsion pieces: (i=1,m=2,s=0)\n", "")
+
 
 def pages_doc(*pages):
     return json.dumps({"format": "tw/1", "type": "pages", "k": 1, "pages": list(pages)})
@@ -281,6 +293,18 @@ class TestCouple:
         usage_error(capsys, ["couple", TORSION_CX, "--r", "2", "--r-max", "3"],
                     "couple: --r-max applies only without --r")
 
+    def test_window_too_small_exits_4(self, capsys):
+        """One torsion piece of width 2 at k = 1: pages up to 5 fit its
+        window [0, 4], page 12 does not."""
+        doc = '{"format":"tw/1","type":"decomposition","k":1,"free":[[0,0]],"torsion":[[1,2,0]]}'
+        out, err = run(capsys, "couple", doc, "--r-max", "12", expect=4)
+        assert (out, err) == ("", "error: insufficient window: A at (1, -2) is outside [0, 4]\n")
+
+    def test_pages_document_refused(self, capsys):
+        sequence, _ = run(capsys, "pages", TORSION_CX)
+        out, err = run(capsys, "couple", sequence, expect=1)
+        assert (out, err) == ("", "error: expected a decomposition or complex document, got 'pages'\n")
+
 
 class TestTwoBraid:
     def test_report(self, capsys):
@@ -328,6 +352,10 @@ class TestTwoBraid:
     def test_small_N_is_named_before_i(self, capsys, N):
         out, err = run(capsys, "twobraid", "--N", N, "--i", "1", expect=1)
         assert out == "" and err == "error: N must be at least 2\n"
+
+    def test_neither_i_nor_general_potential_refused(self, capsys):
+        out, err = run(capsys, "twobraid", "--N", "3", expect=1)
+        assert (out, err) == ("", "error: need either --i or both --k and --lambdas\n")
 
 
 class TestLink:
@@ -418,6 +446,19 @@ class TestLink:
         b, _ = run(capsys, "link", "--braid", "1 1 1", "--k", "2", "--lambdas", "1=-1")
         c, _ = run(capsys, "link", "--braid", "1 1 1")
         assert a == b == c and json.loads(a)["k"] == 2
+
+    def test_neither_braid_nor_pd_refused(self, capsys):
+        out, err = run(capsys, "link", expect=1)
+        assert (out, err) == ("", "error: need --braid or --pd\n")
+
+    def test_pd_read_from_a_file(self, capsys, tmp_path):
+        pd = "[[1,[1,3,2,0]],[1,[3,1,0,2]]]"
+        path = tmp_path / "hopf.json"
+        path.write_text(pd)
+        inline = run(capsys, "link", "--pd", pd)
+        assert run(capsys, "link", "--pd", str(path)) == inline and inline[1] == ""
+        assert json.loads(inline[0])["decomposition"] == {
+            "format": "tw/1", "type": "decomposition", "k": 2, "free": [[-2, 4], [-2, 6], [0, 0], [0, 2]], "torsion": []}
 
 
 class TestDelta:

@@ -5,7 +5,8 @@ against the mod-a homology of the complex itself.
 assembled_page_list builds one page per block of r and adds each
 torsion piece's entries; hn_table places each piece's classes in one
 table.  Both must equal their frozen references, the page-by-page list
-and one descriptor_dim_table per degree, hat and module pages alike, on
+and one descriptor_dim_table per degree, hat and module pages alike,
+the pages both as one list and asked for one r at a time, on
 seeded random decompositions (many of them with pieces sharing
 positions) and on the decompositions of the benchmark's link ladder.  hn_table must also equal the bigraded mod-a homology of
 conjugated corpus complexes and of the link ladder cubes.
@@ -43,8 +44,12 @@ def link_cubes(word, strands):
 
 def assert_matches_frozen(d):
     assert hn_table(d) == reference_hn_table(d)
+    # every page up to one past the collapse page 2k tw + 1, each asked
+    # on its own, so that each r is the first of its block
+    rs = range(1, 2 * d.k * max((m for _, m, _ in d.torsion_pieces), default=0) + 3)
     for hat in (True, False):
         assert assembled_page_list(d, hat, PAGES) == reference_page_by_page_list(d, hat, PAGES)
+        assert [assembled_page_list(d, hat, (r,))[0] for r in rs] == reference_page_by_page_list(d, hat, rs)
 
 
 def test_random_decompositions_match_frozen():

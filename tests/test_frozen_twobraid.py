@@ -7,16 +7,20 @@ homology once and lifts every complex onto it, where it ran
 first_differential on each complex; assembled_page_list builds one page
 per block of r between the cuts 2km + 1 and relabels it, where it built
 every page (tests/frozen_pages.py, page by page).
-Each must give the same answer, value types included.
+Each must give the same answer, value types included.  The battery's
+verdicts must also fail where the reference's do, on differentials
+doctored so that a pair does not anticommute or a scaling is off.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from frozen_pages import reference_page_by_page_list
-from frozen_twobraid import reference_delta_battery, reference_x_powers
+from frozen_twobraid import reference_delta_battery, reference_verdicts, reference_x_powers
+from twkit import links
 from twkit.corpus import random_decomposition
 from twkit.decompose import decompose
 from twkit.links import TwoBraidSpec, _x_power, build_twobraid, delta_battery
@@ -67,6 +71,49 @@ def test_battery_matches_first_differential_per_complex(N, scalings):
         ref = reference.deltas[i]
         assert {h: typed(b) for h, b in fd.blocks.items()} == {h: typed(b) for h, b in ref.blocks.items()}
     assert battery.ok()
+
+
+def with_extra_block(fd, lam):
+    """fd with lam at row 0, column 0 of a block out of degree 3, whose
+    product with the block out of degree 2 is not zero."""
+    block = ({0: lam},) + ({},) * (fd.dims[4] - 1)
+    return dataclasses.replace(fd, blocks={**fd.blocks, 3: block})
+
+
+def doubled_at_5(fd, lam):
+    """fd doubled on the complex scaled by 5: 10 times the unscaled one."""
+    if lam != 5:
+        return fd
+    doubled = {i: tuple({c: 2 * x for c, x in row.items()} for row in b) for i, b in fd.blocks.items()}
+    return dataclasses.replace(fd, blocks=doubled)
+
+
+@pytest.mark.parametrize(
+    "doctor, failed", [(with_extra_block, {"concentrated", "anticommute"}), (doubled_at_5, {"scaling_ok"})],
+    ids=["pair_not_anticommuting", "scaled_by_the_wrong_lambda"])
+def test_doctored_deltas_fail_their_verdicts(monkeypatch, doctor, failed):
+    """Every induced differential of i = 1, scaled or not, doctored: a
+    block out of degree 3 that d_1 d_1 + d_1 d_1 does not cancel, or the
+    complex scaled by 5 lifted to 10 times d_1.  The battery and the
+    reference must both find exactly the verdicts that fail."""
+    N = 4
+    specs, lifted = [], {}
+    build, lift = links.build_twobraid, links.induced_differential
+
+    def doctored(cx, fc, hb):
+        # the spec of the complex, P = x^(N+1) + lam b x^i with k = N + 1 - i
+        i, lam = N + 1 - specs[-1].k, specs[-1].lambdas[0][1]
+        fd = lift(cx, fc, hb)
+        lifted[(i, lam)] = fd = doctor(fd, lam) if i == 1 else fd
+        return fd
+
+    monkeypatch.setattr(links, "build_twobraid", lambda spec: specs.append(spec) or build(spec))
+    monkeypatch.setattr(links, "induced_differential", doctored)
+    battery = delta_battery(N)
+    verdicts = {name: getattr(battery, name) for name in ("concentrated", "top_vanishes", "anticommute", "scaling_ok")}
+    assert {name for name, ok in verdicts.items() if not ok} == failed and not battery.ok()
+    scaled = {(i, lam): lifted[(i, lam)] for i in range(1, N) for lam in battery.scalings}
+    assert reference_verdicts(N, battery.deltas, scaled) == verdicts
 
 
 def page_indices(d, rng):

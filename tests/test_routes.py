@@ -167,12 +167,9 @@ ROUTES = (
               "links.build_twobraid": "tests/test_links.py::TestTwoBraid::test_homology_tables",
               "complexes.reduce_mod_a": MOD_A,
               "complexes.first_differential": MOD_A,
-              # the verdicts read off the deltas, shared by both sides; the
-              # comparison pins which complexes get a first differential
-              "links._after": "tests/test_links.py::TestDeltaBattery::test_battery_passes",
-              "links._blocks_equal_scaled": "tests/test_links.py::TestDeltaBattery::test_battery_passes",
           },
-          ids("test_frozen_twobraid", "test_battery_matches_first_differential_per_complex")),
+          ids("test_frozen_twobraid", "test_battery_matches_first_differential_per_complex",
+              "test_doctored_deltas_fail_their_verdicts")),
 )
 
 
