@@ -30,8 +30,8 @@ repository's src, and handed to both children as JSON:
   digits, surrounding whitespace), malformed documents and options
   (exit 1) and usage errors (exit 2).
 
-The small battery (--small) is 11 commands of the same kinds, for the
-harness's own test.
+The small battery is 11 commands of the same kinds; the harness's
+own test runs it in place of the full one.
 
 Run from the repository root, the other tree taken from a local commit:
 
@@ -59,6 +59,10 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CHILD_TIMEOUT_S = 600
+# perfbench's seeds, and the seed and size of the corpus documents
+PERFBENCH_SEEDS = (1, 7, 23)
+CORPUS_SEED = 20261021
+CORPUS_DOCUMENTS = 32
 
 TORSION_CX = json.dumps(
     {"format": "tw/1", "type": "complex", "k": 1, "modules": {"0": [4], "1": [0]}, "differentials": {"0": [["1"]]}}
@@ -118,11 +122,11 @@ def small_battery():
     return b.commands
 
 
-def perfbench_commands(b, seeds=(1, 7, 23)):
+def perfbench_commands(b):
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
-    for seed in seeds:
+    for seed in PERFBENCH_SEEDS:
         for setup in workloads.SETUP.values():
             for group in setup(seed, ROOT):
                 first = len(b.commands)
@@ -130,13 +134,13 @@ def perfbench_commands(b, seeds=(1, 7, 23)):
                     b.add(*command.argv, stdin_from=None if command.stdin_from is None else first + command.stdin_from)
 
 
-def corpus_commands(b, seed=20261021, count=32):
+def corpus_commands(b):
     from twkit import jsonio
     from twkit.corpus import conjugate, random_decomposition
     from twkit.decompose import reassemble
 
-    rng = random.Random(seed)
-    for _ in range(count):
+    rng = random.Random(CORPUS_SEED)
+    for _ in range(CORPUS_DOCUMENTS):
         d = random_decomposition(rng)
         doc = jsonio.dumps(jsonio.complex_to_data(conjugate(rng, reassemble(d), 16)))
         decomposition = b.add("decompose", doc)
@@ -325,11 +329,10 @@ def first_line_apart(x, y):
     return repr(x), repr(y)
 
 
-def main(argv=None):
+def main(argv):
     parser = argparse.ArgumentParser(description="Compare two twkit trees' outputs byte for byte.")
     parser.add_argument("--against", help="the other tree: the directory holding its twkit package")
     parser.add_argument("--tree", default=str(ROOT / "src"), help="this tree (default: the repository's src)")
-    parser.add_argument("--small", action="store_true", help="run the small battery")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
@@ -338,7 +341,7 @@ def main(argv=None):
     if args.against is None:
         parser.error("--against is required")
 
-    commands = small_battery() if args.small else full_battery()
+    commands = full_battery()
     try:
         ours, our_s = run_tree(args.tree, commands)
         theirs, their_s = run_tree(args.against, commands)
@@ -361,4 +364,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -17,7 +17,7 @@ from twkit.decompose import Decomposition
 BENCHMARKS = pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
 
 
-def harness(name="bench_layers"):
+def harness(name):
     spec = importlib.util.spec_from_file_location(name, BENCHMARKS / (name + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -34,7 +34,7 @@ def smallest_rungs(bench):
 
 @pytest.mark.parametrize("ladder", ["link", "2-braid", "corpus"])
 def test_smallest_rung_is_checked_and_every_stage_timed(ladder):
-    bench = harness()
+    bench = harness("bench_layers")
     rung = smallest_rungs(bench)[ladder]
     (result,) = bench.run_rung(rung, 1)
     other_front = {"links": "jsonio", "jsonio": "links"}[rung.front]
@@ -48,7 +48,7 @@ def test_a_rebuild_slower_than_the_build_floors_the_front_end():
     """A stub build that hands back a complex built beforehand takes
     less time than the GradedComplex rebuild: the front end's time is
     floored at 0, never negative, and marked in the table."""
-    bench = harness()
+    bench = harness("bench_layers")
     rung = smallest_rungs(bench)["corpus"]
     built = rung.build(bench.THIS)
     rung.build = lambda tree: built
@@ -60,7 +60,7 @@ def test_a_rebuild_slower_than_the_build_floors_the_front_end():
 
 
 def test_two_trees_are_timed_round_by_round():
-    bench = harness()
+    bench = harness("bench_layers")
     # this tree once more, imported side by side under its own name
     second = bench.Tree("twkit_second", bench.THIS.src)
     assert second.pages is not bench.THIS.pages
@@ -83,7 +83,7 @@ def test_two_trees_are_timed_round_by_round():
 
 
 def test_a_wrong_answer_stops_the_harness():
-    bench = harness()
+    bench = harness("bench_layers")
     rung = smallest_rungs(bench)["corpus"]
     rung.expected = Decomposition(rung.expected.k, rung.expected.free_pieces + ((0, 0),), rung.expected.torsion_pieces)
     with pytest.raises(SystemExit, match="not the decomposition the document was drawn from"):
@@ -91,7 +91,7 @@ def test_a_wrong_answer_stops_the_harness():
 
 
 def test_zero_budget_records_over_budget():
-    bench = harness()
+    bench = harness("bench_layers")
     # the child is killed as soon as it starts, so no unbounded run begins
     assert bench.run_process("T(2,11)", 0) == bench.OVER_BUDGET
     rung = smallest_rungs(bench)["link"]
@@ -100,7 +100,7 @@ def test_zero_budget_records_over_budget():
 
 
 def test_rungs_after_one_over_budget_are_not_run():
-    bench = harness()
+    bench = harness("bench_layers")
     ran = []
 
     def run(n):
@@ -111,11 +111,12 @@ def test_rungs_after_one_over_budget_are_not_run():
     assert ran == [1, 2]
 
 
-def test_twin_finds_a_copy_identical_and_a_planted_change(tmp_path, capsys):
+def test_twin_finds_a_copy_identical_and_a_planted_change(tmp_path, capsys, monkeypatch):
     twin = harness("twin")
+    monkeypatch.setattr(twin, "full_battery", twin.small_battery)
     same = tmp_path / "same"
     shutil.copytree(BENCHMARKS.parent / "src" / "twkit", same / "twkit", ignore=shutil.ignore_patterns("__pycache__"))
-    assert twin.main(["--small", "--against", str(same)]) == 0
+    assert twin.main(["--against", str(same)]) == 0
     out = capsys.readouterr().out
     assert out.startswith("11 commands: ")
     assert out.endswith("identical: stdout, stderr and exit code agree on every command\n")
@@ -126,7 +127,7 @@ def test_twin_finds_a_copy_identical_and_a_planted_change(tmp_path, capsys):
     text = cli.read_text()
     assert text.count('"F{%d}"') == 1
     cli.write_text(text.replace('"F{%d}"', '"F[%d]"'))
-    assert twin.main(["--small", "--against", str(planted)]) == 1
+    assert twin.main(["--against", str(planted)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].startswith("difference at command 3: twkit pages '{")
     assert lines[1].endswith(" --page 1 --module --format table")
