@@ -19,10 +19,10 @@ this, in the same pass, floored at 0 and marked * in the table when the
 rebuild ran slower than the whole build), `decompose`,
 `complexes.homology` (reduce_mod_a and
 homology_field), `complexes.first_differential` (induced_differential,
-the d_1 lift on that homology), `pages.generic` (generic_pages for
-r = 1 .. 2k tw + 1), `couples` (couple_tables(d, tw + 2)) and `recover`
-(recover of pages_from_decomposition(d)).  Generators and nonzeros are
-recorded too.
+the d_1 lift on that homology), `pages.generic` (generic_pages for r = 1
+up to pages.collapse_page, 2k tw + 1), `couples` (couple_tables(d,
+tw + 2)) and `recover` (recover of pages_from_decomposition(d)).
+Generators and nonzeros are recorded too.
 
 Before any time is printed, each rung's answer is checked: d_1 out of
 degree i - 1 has rank the number of torsion pieces (i, 1, s), the
@@ -52,11 +52,10 @@ drift on a shared machine lands on both alike.  Corpus documents are
 drawn once, by the tree on PYTHONPATH.
 
 The table goes to stdout.  With --json the run is also written to
-BENCH_layers.json under --label (and the second tree's under
-"parent"); runs under other labels at the same --repeats are kept.
-Run from the repository root as
+BENCH_layers.json, in place of the record there, as "change" (and the
+second tree's as "parent").  Run from the repository root as
 
-    PYTHONPATH=src python benchmarks/bench_layers.py [--repeats N] [--json] [--label NAME] [--against SRC]
+    PYTHONPATH=src python benchmarks/bench_layers.py [--repeats N] [--json] [--against SRC]
 """
 
 import argparse
@@ -247,7 +246,7 @@ def stage_pass(rung, tree):
         return [tree.pages.generic_pages(fc, r) for r in range(1, last + 1)]
 
     c = timed(rung.front, rung.build, tree)
-    timed("complexes.validate", cx.GradedComplex, c.ring, c.degrees, {i: m.rows for i, m in c.differentials.items()})
+    timed("complexes.validate", cx.GradedComplex, c.ring, c.degrees, c.mats)
     # the build less the rebuild, in this pass; exactly 0 only when the
     # rebuild ran slower than the whole build, which the table marks
     seconds[rung.front] = max(0.0, seconds[rung.front] - seconds["complexes.validate"])
@@ -255,7 +254,7 @@ def stage_pass(rung, tree):
     fc, hb = timed("complexes.homology", homology, c)
     d1 = timed("complexes.first_differential", cx.induced_differential, c, fc, hb)
     tw = tree.decompose.torsion_width(d)
-    timed("pages.generic", generic_pages, c, 2 * d.k * tw + 1)
+    timed("pages.generic", generic_pages, c, tree.pages.collapse_page(d))
     tables = timed("couples", tree.couples.couple_tables, d, tw + 2)
     recovered = timed("recover", lambda d: tree.recover.recover(tree.recover.pages_from_decomposition(d)), d)
     return seconds, (c, d, d1, tables, recovered)
@@ -305,7 +304,7 @@ def run_rung(rung, repeats, trees=(THIS,)):
                 else:
                     check(rung, answers, tree)
                     c = answers[0]
-                    sizes = {"generators": c.total_rank(), "nonzeros": sum(len(r) for m in c.differentials.values() for r in m.rows)}
+                    sizes = {"generators": c.total_rank(), "nonzeros": sum(len(r) for rows in c.mats.values() for r in rows)}
                     best[tree] = {**sizes, **seconds}
                 answers = c = None
     except OverBudget:
@@ -384,14 +383,13 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--json", action="store_true", help="also write the run to %s" % JSON_PATH.name)
-    ap.add_argument("--label", default="change", help="name of the run in the JSON record (default %(default)s)")
     ap.add_argument("--against", metavar="SRC", help="a second twkit tree, the directory holding its twkit package, "
                                                      "timed round by round with the one on PYTHONPATH "
                                                      "and recorded as parent")
     args = ap.parse_args()
-    trees, labels = [THIS], [args.label]
+    trees, labels = [THIS], ["change"]
     if args.against:
-        trees, labels = [Tree("twkit_against", args.against), THIS], ["parent", args.label]
+        trees, labels = [Tree("twkit_against", args.against), THIS], ["parent", "change"]
 
     processes = run_processes(trees)
     stages = [pair for rungs in ladders() for pair in run_ladder(rungs, lambda r: run_rung(r, args.repeats, trees))]
@@ -426,13 +424,9 @@ def main():
         "repeats": args.repeats,
         "timing": "stages: best of repeats, seconds, a front-end time of exactly 0 floored there (its rebuild ran "
                   "slower than the build); processes: one run each, wall seconds and peak RSS in MB; "
-                  "runs keyed by --label; runs with interleaved_with were timed round by round in one harness",
+                  "runs with interleaved_with were timed round by round in one harness",
         "runs": {},
     }
-    if JSON_PATH.exists():
-        old = json.loads(JSON_PATH.read_text(encoding="utf-8"))
-        if (old.get("seed"), old.get("repeats")) == (SEED, args.repeats):
-            record["runs"] = old["runs"]
 
     def pick(results, n):
         return results if results == OVER_BUDGET else results[n]

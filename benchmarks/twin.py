@@ -5,9 +5,10 @@ through that tree's twkit.cli.main in turn, with stdin, stdout and
 stderr redirected as perfbench runs its commands; a command shown
 "< command n" reads the stdout of command n of the same tree.
 The harness compares stdout, stderr and exit code byte for byte,
-prints the first difference with its command and exits 1 on any
-difference (differential testing: McKeeman, "Differential testing for
-software", Digital Technical Journal 10(1), 1998).  It exits 0 when
+prints each differing command (up to SHOWN of them) with its first
+differing field and line, then how many commands differ, and exits 1
+on any difference (differential testing: McKeeman, "Differential
+testing for software", Digital Technical Journal 10(1), 1998).  It exits 0 when
 the trees agree on every command, and 2 when a child cannot run.
 
 The full battery is built once, by the twkit package in this
@@ -59,6 +60,8 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CHILD_TIMEOUT_S = 600
+# the most differing commands printed one by one
+SHOWN = 20
 # perfbench's seeds, and the seed and size of the corpus documents
 PERFBENCH_SEEDS = (1, 7, 23)
 CORPUS_SEED = 20261021
@@ -306,14 +309,15 @@ def shown(argv):
     return "twkit " + " ".join(w if len(w) <= 100 else "%s... (%d characters)" % (w[:60], len(w)) for w in words)
 
 
-def first_difference(ours, theirs):
-    """(index, field, our value, their value) of the first command whose
-    stdout, stderr or exit code differs; None when none does."""
+def differences(ours, theirs):
+    """[(index, field, our value, their value)] of every command whose
+    stdout, stderr or exit code differs, at its first differing field."""
+    found = []
     for n, (a, b) in enumerate(zip(ours, theirs)):
-        for field, x, y in zip(("stdout", "stderr", "exit code"), a, b):
-            if x != y:
-                return n, field, x, y
-    return None
+        apart = [(field, x, y) for field, x, y in zip(("stdout", "stderr", "exit code"), a, b) if x != y]
+        if apart:
+            found.append((n, *apart[0]))
+    return found
 
 
 def first_line_apart(x, y):
@@ -349,17 +353,19 @@ def main(argv):
         print("error: %s" % e, file=sys.stderr)
         return 2
     print("%d commands: %.2f s on %s, %.2f s on %s" % (len(commands), our_s, args.tree, their_s, args.against))
-    found = first_difference(ours, theirs)
-    if found is None:
+    found = differences(ours, theirs)
+    if not found:
         print("identical: stdout, stderr and exit code agree on every command")
         return 0
-    n, field, x, y = found
-    argv, stdin_from = commands[n]
-    piped = "" if stdin_from is None else " < command %d" % stdin_from
-    print("difference at command %d: %s%s" % (n, shown(argv), piped))
-    ours_line, theirs_line = first_line_apart(x, y)
-    print("  %s, %s: %s" % (field, args.tree, ours_line))
-    print("  %s, %s: %s" % (field, args.against, theirs_line))
+    for n, field, x, y in found[:SHOWN]:
+        argv, stdin_from = commands[n]
+        piped = "" if stdin_from is None else " < command %d" % stdin_from
+        print("difference at command %d: %s%s" % (n, shown(argv), piped))
+        ours_line, theirs_line = first_line_apart(x, y)
+        print("  %s, %s: %s" % (field, args.tree, ours_line))
+        print("  %s, %s: %s" % (field, args.against, theirs_line))
+    cut = "" if len(found) <= SHOWN else ", the first %d shown" % SHOWN
+    print("%d of %d commands differ%s" % (len(found), len(commands), cut))
     return 1
 
 

@@ -54,7 +54,7 @@ from .links import (
 from .pages import (
     PageTable, assembled_page_list, assembled_pages, collapse_page, generic_page_list, generic_pages, hat_index,
 )
-from .recover import InconsistentPages, hom_poly_pages, page_count, pages_from_decomposition, recover
+from .recover import InconsistentPages, hom_poly_pages, page_count, recover
 
 EXIT_OK = 0
 EXIT_GENERIC = 1
@@ -98,6 +98,17 @@ def _load_decomposition(spec: str, decomposed=True):
         c = jsonio.complex_from_json(data)
         return decompose(c) if decomposed else None, c
     raise SchemaError("expected a decomposition or complex document, got %r" % kind)
+
+
+def _integer(text: str) -> int:
+    """An integer typed as text: ASCII digits after an optional "-", where
+    int() would also read "1_000", " 7", "+7" and other scripts' digits."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError("expected an integer, got %r" % text)
+    return int(text)
+
+
+_integer.__name__ = "int"  # argparse names the type in its refusal: "invalid int value"
 
 
 def _emit(payload: str):
@@ -265,14 +276,12 @@ def cmd_pages(args) -> int:
     if args.module:
         raise SchemaError("--module needs an explicit --page index")
     if args.generic:
-        k, first = c.ring.k, None if args.r_max else generic_pages(fc, 1)
-        count = args.r_max or page_count(first.to_hom_poly(), k)
-        hom = hom_poly_pages(generic_page_list(fc, [hat_index(k, r) for r in range(1, count + 1)], first))
+        k, page_list = c.ring.k, functools.partial(generic_page_list, fc)
     else:
-        k, seq = d.k, pages_from_decomposition(d).pages
-        count = args.r_max if args.r_max is not None else len(seq)
-        # the closed-form sequence ends on its stable page
-        hom = [seq[min(r, len(seq) - 1)] for r in range(count)]
+        k, page_list = d.k, functools.partial(assembled_page_list, d, True)
+    hom = [page_list([1])[0].to_hom_poly()]
+    count = args.r_max or page_count(hom[0], k)
+    hom += hom_poly_pages(page_list([hat_index(k, r) for r in range(2, count + 1)]))
     if args.format == "table":
         pages = (PageTable.from_hom_poly(hat_index(k, n), t) for n, t in enumerate(hom, 1))
         _emit("\n\n".join("page %d (filtered index %d):\n%s" % (n, p.r, render_page(p)) for n, p in enumerate(pages, 1)))
@@ -314,7 +323,7 @@ def _parse_lambdas(text: str):
         chunk = chunk.strip()
         j, _, val = chunk.partition("=")
         try:
-            out.append((int(j), jsonio.parse_rational(val)))
+            out.append((_integer(j), jsonio.parse_rational(val)))
         except SchemaError:
             raise
         except ValueError:
@@ -348,15 +357,7 @@ def cmd_link(args) -> int:
     if args.braid is not None:
         diagram = LinkDiagram.from_braid_text(args.braid, args.strands)
     elif args.pd is not None:
-        raw = args.pd
-        if os.path.exists(raw):
-            with open(raw, "r", encoding="utf-8") as fh:
-                raw = fh.read()
-        try:
-            entries = json.loads(raw)
-        except json.JSONDecodeError as e:
-            raise SchemaError("cannot parse PD JSON: %s" % e)
-        diagram = LinkDiagram(entries, args.free_loops or 0)
+        diagram = LinkDiagram(_read_document(args.pd), args.free_loops or 0)
     else:
         raise SchemaError("need --braid or --pd")
     if args.lambdas is not None:
@@ -417,12 +418,11 @@ def cmd_delta(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seed = args.seed
     env = os.environ.get("TW_SEED")
-    if env is not None:
-        if not re.fullmatch(r"-?[0-9]+", env):
-            raise SchemaError("TW_SEED: expected an integer, got %r" % env)
-        seed = int(env)
+    try:
+        seed = args.seed if env is None else _integer(env)
+    except ValueError as e:
+        raise SchemaError("TW_SEED: %s" % e) from None
     if args.count < 1:
         raise SchemaError("verify: --count must be at least 1")
     seeds = item_seeds(seed, args.count)
@@ -496,13 +496,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="complex or decomposition document")
     p.add_argument(
         "--r-max",
-        type=int,
+        type=_integer,
         default=None,
         help="sequence length (default: tau+1, what recover needs)",
     )
     p.add_argument(
         "--page",
-        type=int,
+        type=_integer,
         default=None,
         help="dump one page at this raw filtered index instead",
     )
@@ -523,8 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("couple", help="derived exact-couple pages")
     p.add_argument("input", help="complex or decomposition document")
-    p.add_argument("--r", type=int, default=None, help="single page index")
-    p.add_argument("--r-max", type=int, default=None, help="last page (default: tw+2)")
+    p.add_argument("--r", type=_integer, default=None, help="single page index")
+    p.add_argument("--r-max", type=_integer, default=None, help="last page (default: tw+2)")
     p.add_argument(
         "--hat-index",
         action="store_true",
@@ -534,33 +534,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_couple)
 
     p = sub.add_parser("twobraid", help="closed 2-braid report for general N")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--i", type=int, default=None, help="power-basis potential exponent")
+    p.add_argument("--N", type=_integer, required=True)
+    p.add_argument("--i", type=_integer, default=None, help="power-basis potential exponent")
     p.add_argument("--coefficient", default=None, help="coefficient on the b x^i term (default 1)")
-    p.add_argument("--k", type=int, default=None, help="half the degree of a (general potential)")
+    p.add_argument("--k", type=_integer, default=None, help="half the degree of a (general potential)")
     p.add_argument("--lambdas", default=None, help='general potential, e.g. "1=-1,2=1/3"')
     add_common(p)
     p.set_defaults(func=cmd_twobraid)
 
     p = sub.add_parser("link", help="equivariant sl(2) report for a link diagram")
     p.add_argument("--braid", default=None, help='braid word, e.g. "s1 s1 s1" or "1 1 1"')
-    p.add_argument("--strands", type=int, default=None)
-    p.add_argument("--pd", default=None, help="PD code JSON: [[sign,[a,b,c,d]],...] or a path")
-    p.add_argument("--free-loops", type=int, default=None, help="crossingless loops beside a --pd code (default 0)")
-    p.add_argument("--k", type=int, default=None, choices=(1, 2), help="half the degree of a (default 2; needs --lambdas)")
+    p.add_argument("--strands", type=_integer, default=None)
+    p.add_argument("--pd", default=None, help="PD code [[sign,[a,b,c,d]],...]: path, inline JSON, or -")
+    p.add_argument("--free-loops", type=_integer, default=None, help="crossingless loops beside a --pd code (default 0)")
+    p.add_argument("--k", type=_integer, default=None, choices=(1, 2), help="half the degree of a (default 2; needs --lambdas)")
     p.add_argument("--lambdas", default=None, help='potential coefficients, e.g. "1=-1"')
     add_common(p)
     p.set_defaults(func=cmd_link)
 
     p = sub.add_parser("delta", help="induced-differential battery for the 2-braid family")
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_integer, required=True)
     p.add_argument("--scalings", default=None, help='comma list of rationals, e.g. "1,5,-2/3"')
     add_common(p)
     p.set_defaults(func=cmd_delta)
 
     p = sub.add_parser("verify", help="run the seeded cross-check suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--seed", type=_integer, default=0)
+    p.add_argument("--count", type=_integer, default=100)
     add_common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -37,7 +37,6 @@ from .recover import padded_sequence, recover, roundtrip
 def random_decomposition(
     rng: random.Random,
     max_generators: int = 10,
-    max_k: int = 3,
     degree_span=(-20, 20),
     max_m: int = 3,
     uniform_parity: bool = False,
@@ -48,7 +47,7 @@ def random_decomposition(
     inside degree_span.  With uniform_parity all classes sit on
     diagonals 2i + s of one parity, which keeps thickness defined.
     """
-    k = rng.randint(1, max_k)
+    k = rng.randint(1, 3)
     lo, hi = degree_span
     budget = rng.randint(0, max_generators)
     parity = rng.randint(0, 1)
@@ -141,8 +140,9 @@ def summed_piece_pages(d: Decomposition, hat: bool, r: int) -> PageTable:
     return PageTable(r, chain.from_iterable(piece_entries(p, hat, r, d.k) for p in pieces), hat)
 
 
-def cross_checks(d: Decomposition, rng: random.Random = None):
-    """Run every structural cross-check on one decomposition.
+def cross_checks(d: Decomposition, rng: random.Random):
+    """Run every structural cross-check on one decomposition, the
+    basis change drawn from rng.
 
     Returns a list of failure strings; empty means all checks passed.
     """
@@ -193,9 +193,8 @@ def cross_checks(d: Decomposition, rng: random.Random = None):
         if ht is not None and tw >= 1 and (lht is None or k * tw > lht):
             failures.append("k tw exceeds lht")
 
-    if rng is not None:
-        if decompose(conjugate(rng, c)) != d:
-            failures.append("decomposition changed under a basis change")
+    if decompose(conjugate(rng, c)) != d:
+        failures.append("decomposition changed under a basis change")
     return failures
 
 

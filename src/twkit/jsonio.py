@@ -30,7 +30,7 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-_CELL = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
+_CELL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
 def parse_rational(x):
@@ -247,7 +247,7 @@ def pages_to_data(ps: PageSequence) -> dict:
 
 def raw_pages_to_data(k: int, tables) -> dict:
     """Like pages_to_data but without PageSequence validation, for
-    dumping partial or experimental sequences."""
+    sequences built page by page, such as `twkit pages` prints."""
     pages, last = [], None
     for t in tables:
         # consecutive pages sharing one table share its entries list

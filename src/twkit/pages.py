@@ -229,14 +229,13 @@ def generic_pages(c: FilteredFieldComplex, r: int) -> PageTable:
     return PageTable(r, (((p, n - p), len(g) - bisect_left(g, r)) for (n, p), g in c.gaps().items()), True)
 
 
-def generic_page_list(c: FilteredFieldComplex, rs, first: PageTable = None) -> list:
-    """[generic_pages(c, r) for r in rs], page 1 being first when given; page r changes
-    only where r passes one more than a gap, so generic_pages runs once per block."""
+def generic_page_list(c: FilteredFieldComplex, rs) -> list:
+    """[generic_pages(c, r) for r in rs]; page r changes only where r
+    passes one more than a gap, so generic_pages runs once per block."""
     rs = list(rs)
     if any(r < 0 for r in rs):
         raise ValueError("page index must be >= 0")
-    page = lambda r: first if r == 1 and first is not None else generic_pages(c, r)
-    return _by_block(rs, {g + 1 for g in chain.from_iterable(c.gaps().values())}, page)
+    return _by_block(rs, {g + 1 for g in chain.from_iterable(c.gaps().values())}, lambda r: generic_pages(c, r))
 
 
 def collapse_page(d: Decomposition) -> int:

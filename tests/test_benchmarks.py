@@ -4,7 +4,7 @@ ladder, for one tree or for two side by side (each knot's processes
 too), a front-end time is never negative, a wrong answer stops it, and
 a zero budget records "over budget" without running.  The byte-identity
 harness: on its small battery it finds an unchanged copy of src
-identical and names the command where a planted change shows."""
+identical and lists each command where a planted change shows."""
 
 import importlib.util
 import pathlib
@@ -125,11 +125,25 @@ def test_twin_finds_a_copy_identical_and_a_planted_change(tmp_path, capsys, monk
     shutil.copytree(same, planted)
     cli = planted / "twkit" / "cli.py"
     text = cli.read_text()
-    assert text.count('"F{%d}"') == 1
-    cli.write_text(text.replace('"F{%d}"', '"F[%d]"'))
+    for old, new in (('"F{%d}"', '"F[%d]"'), ('"delta rank = %d%s"', '"delta rank: %d%s"')):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    cli.write_text(text)
     assert twin.main(["--against", str(planted)]) == 1
     lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 8
     assert lines[1].startswith("difference at command 3: twkit pages '{")
     assert lines[1].endswith(" --page 1 --module --format table")
     assert lines[2].endswith(": line 3: '  1  F{0}     .\\n'")
     assert lines[3].endswith(": line 3: '  1  F[0]     .\\n'")
+    assert lines[4] == "difference at command 9: twkit link --braid '1 1 1' --format table"
+    assert lines[5].startswith("  stdout, ") and lines[5].endswith(": line 47: 'delta rank = 1 (by degree: -3 -> 1)\\n'")
+    assert lines[6].startswith("  stdout, ") and lines[6].endswith(": line 47: 'delta rank: 1 (by degree: -3 -> 1)\\n'")
+    assert lines[7] == "2 of 11 commands differ"
+
+    # past the cap, the rest are counted, not shown
+    monkeypatch.setattr(twin, "SHOWN", 1)
+    assert twin.main(["--against", str(planted)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5 and lines[1].startswith("difference at command 3: ")
+    assert lines[4] == "2 of 11 commands differ, the first 1 shown"

@@ -5,6 +5,7 @@ a real subprocess to cover the console script, stdin, and environment
 seeding.
 """
 
+import argparse
 import importlib
 import io
 import json
@@ -332,7 +333,9 @@ class TestTwoBraid:
         _, err = run(capsys, "twobraid", "--N", "3", "--k", "2", "--lambdas", "nope", expect=1)
         assert err == "error: --lambdas: cannot read 'nope', expected j=value such as 1=-3/2\n"
 
-    @pytest.mark.parametrize("chunk", ["x=1", "2", "2=half", ""])
+    # an index follows the integer rule; the list trims each entry, so
+    # a space counts only inside one
+    @pytest.mark.parametrize("chunk", ["x=1", "2", "2=half", "", "1_000=1", "7 =1", "+7=1", "\u0663=1"])
     def test_bad_lambdas_chunk_is_named(self, capsys, chunk):
         _, err = run(capsys, "twobraid", "--N", "3", "--k", "2", "--lambdas", "1=1," + chunk, expect=1)
         assert err == "error: --lambdas: cannot read %r, expected j=value such as 1=-3/2\n" % chunk
@@ -451,12 +454,14 @@ class TestLink:
         out, err = run(capsys, "link", expect=1)
         assert (out, err) == ("", "error: need --braid or --pd\n")
 
-    def test_pd_read_from_a_file(self, capsys, tmp_path):
+    def test_pd_read_from_a_file(self, capsys, monkeypatch, tmp_path):
         pd = "[[1,[1,3,2,0]],[1,[3,1,0,2]]]"
         path = tmp_path / "hopf.json"
         path.write_text(pd)
         inline = run(capsys, "link", "--pd", pd)
         assert run(capsys, "link", "--pd", str(path)) == inline and inline[1] == ""
+        monkeypatch.setattr(sys, "stdin", io.StringIO(pd))
+        assert run(capsys, "link", "--pd", "-") == inline
         assert json.loads(inline[0])["decomposition"] == {
             "format": "tw/1", "type": "decomposition", "k": 2, "free": [[-2, 4], [-2, 6], [0, 0], [0, 2]], "torsion": []}
 
@@ -522,6 +527,25 @@ class TestRationalValues:
     def test_zero_denominator_exit_1(self, capsys, argv):
         _, err = run(capsys, *argv, expect=1)
         assert err.count("\n") == 1 and "zero denominator in '1/0'" in err
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (("decompose", ZERO_DENOMINATOR_CX.replace("1/0", "\u0663")),
+             'malformed complex document: expected an integer or a "p/q" string, got "\\u0663"'),
+            (("decompose", ZERO_DENOMINATOR_CX.replace("1/0", "1/\u0663")),
+             'malformed complex document: expected an integer or a "p/q" string, got "1/\\u0663"'),
+            (("twobraid", "--N", "3", "--i", "1", "--coefficient=\u0663"),
+             'expected an integer or a "p/q" string, got "\\u0663"'),
+            (("link", "--braid", "1", "--lambdas", "1=\u0663"),
+             "--lambdas: cannot read '1=\u0663', expected j=value such as 1=-3/2"),
+            (("delta", "--N", "3", "--scalings", "1,\u0663"),
+             "--scalings: expected rationals such as 1,5,-2/3, got '1,\u0663'"),
+        ],
+    )
+    def test_other_scripts_digits_refused(self, capsys, argv, line):
+        out, err = run(capsys, *argv, expect=1)
+        assert out == "" and err == "error: %s\n" % line
 
     def test_negative_coefficient_as_separate_value(self, capsys):
         a, _ = run(capsys, "twobraid", "--N", "3", "--i", "1", "--coefficient", "-3/2")
@@ -878,14 +902,14 @@ class TestComplexDocumentRefusals:
     @pytest.mark.parametrize(
         "pd, code, line",
         [
-            ("5", 1, "invalid PD code: expected an array of [sign, [a, b, c, d]] crossings"),
-            ("null", 1, "invalid PD code: expected an array of [sign, [a, b, c, d]] crossings"),
+            ("5", 1, "input '5' is neither a file nor inline JSON"),
+            ("null", 1, "input 'null' is neither a file nor inline JSON"),
             ("[[1]]", 1, "invalid PD code: a crossing must be [sign, [a, b, c, d]]"),
             ('[[1,"abcd"]]', 1, "invalid PD code: a crossing must be [sign, [a, b, c, d]]"),
             ("[[1,[1,1,2,2],3]]", 1, "invalid PD code: a crossing must be [sign, [a, b, c, d]]"),
             ("[[1,[1,2,3]]]", 1, "invalid PD code: crossing needs 4 arc labels"),
             ("[[2,[1,1,2,2]]]", 1, "invalid PD code: crossing sign must be +1 or -1"),
-            ("[[", 1, "cannot parse PD JSON: Expecting value: line 1 column 3 (char 2)"),
+            ("[[", 1, "cannot parse JSON input: Expecting value: line 1 column 3 (char 2)"),
             ("[[1,[1,2,1,2]]]", 2, "invalid PD code: resolution change is not a merge or split"),
         ],
     )
@@ -1106,7 +1130,7 @@ class TestVerify:
         out, err = run(capsys, "verify", "--count", count, expect=1)
         assert out == "" and err == "error: verify: --count must be at least 1\n"
 
-    @pytest.mark.parametrize("seed", ["x", "1.5", "", "1_000", " 7 ", "+7", "7\n", "\u0661", "-"])
+    @pytest.mark.parametrize("seed", ["x", "1.5", "", "1_000", " 7 ", " 7", "+7", "7\n", "\u0661", "\u0663", "-"])
     def test_tw_seed_must_be_an_integer(self, capsys, monkeypatch, seed):
         monkeypatch.setenv("TW_SEED", seed)
         out, err = run(capsys, "verify", "--count", "1", expect=1)
@@ -1118,6 +1142,42 @@ class TestVerify:
         monkeypatch.delenv("TW_SEED")
         direct, _ = run(capsys, "verify", "--seed", "-3", "--count", "2")
         assert env_run == direct and json.loads(env_run)["seed"] == -3
+
+
+def integer_options():
+    """(subcommand, option) of every option the parser reads as an
+    integer, each typed by cli._integer, never by int()."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = [(name, a.option_strings[0], a.type) for name, p in sub.choices.items() for a in p._actions if a.type]
+    assert all(kind is cli._integer for _, _, kind in options)
+    return [(name, option) for name, option, _ in options]
+
+
+class TestIntegerGrammar:
+    """An integer typed as text is ASCII digits after an optional "-",
+    wherever the command line reads one: every integer option here, the
+    index of a --lambdas entry and TW_SEED in their own tests.  Each
+    refuses what int() alone would read with its own text."""
+
+    @pytest.mark.parametrize("text", ["1_000", " 7", "+7", "\u0663"])
+    def test_integer_options_refuse(self, capsys, text):
+        options = integer_options()
+        assert len(options) == 13
+        for subcommand, option in options:
+            with pytest.raises(SystemExit) as exc:
+                main([subcommand, option, text])
+            out, err = capsys.readouterr()
+            assert exc.value.code == 2 and out == ""
+            assert err.splitlines()[-1] == "twkit %s: error: argument %s: invalid int value: %r" % (subcommand, option, text)
+
+    def test_leading_zeros_read_as_before(self, capsys, monkeypatch):
+        seven = run(capsys, "verify", "--seed", "7", "--count", "2")
+        assert run(capsys, "verify", "--seed", "007", "--count", "2") == seven
+        assert run(capsys, "pages", TORSION_CX, "--r-max", "003") == run(capsys, "pages", TORSION_CX, "--r-max", "3")
+        lambdas = run(capsys, "twobraid", "--N", "4", "--k", "1", "--lambdas", "1=1,2=-1/3")
+        assert run(capsys, "twobraid", "--N", "4", "--k", "1", "--lambdas", "001=1,02=-1/3") == lambdas
+        monkeypatch.setenv("TW_SEED", "007")
+        assert run(capsys, "verify", "--count", "2") == seven
 
 
 class TestProcessLevel:

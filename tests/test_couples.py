@@ -574,9 +574,10 @@ class TestDerivationAgainstReference:
         calls = []
         derive = ExactCouple.derive
         monkeypatch.setattr(ExactCouple, "derive", lambda c: calls.append(1) or derive(c))
+        rng = random.Random(36)
         for d in seeded_decompositions(36, 6):
             del calls[:]
-            assert cross_checks(d) == []
+            assert cross_checks(d, rng) == []
             shapes = {0 for _ in d.free_pieces} | {m for _, m, _ in d.torsion_pieces}
             assert len(calls) == len(shapes) * (torsion_width(d) + 1)
 
@@ -586,7 +587,7 @@ class TestDerivationAgainstReference:
         # the pair never dies: the pages of two free pieces
         bad = good[:1] * len(good)
         monkeypatch.setattr(corpus, "couple_tables", lambda d, count: bad)
-        assert cross_checks(d) == [
+        assert cross_checks(d, random.Random(0)) == [
             "couple/page correspondence fails at r=3",
             "recover round-trip (couple pages) fails",
         ]
