@@ -54,7 +54,7 @@ from .links import (
 from .pages import (
     PageTable, assembled_page_list, assembled_pages, collapse_page, generic_page_list, generic_pages, hat_index,
 )
-from .recover import InconsistentPages, hom_poly_pages, page_count, recover
+from .recover import InconsistentPages, page_tables, recover
 
 EXIT_OK = 0
 EXIT_GENERIC = 1
@@ -100,15 +100,9 @@ def _load_decomposition(spec: str, decomposed=True):
     raise SchemaError("expected a decomposition or complex document, got %r" % kind)
 
 
-def _integer(text: str) -> int:
-    """An integer typed as text: ASCII digits after an optional "-", where
-    int() would also read "1_000", " 7", "+7" and other scripts' digits."""
-    if not re.fullmatch(r"-?[0-9]+", text):
-        raise ValueError("expected an integer, got %r" % text)
-    return int(text)
-
-
-_integer.__name__ = "int"  # argparse names the type in its refusal: "invalid int value"
+# argparse names the type in its refusal: "invalid int value"
+_integer = functools.partial(jsonio.parse_integer)
+_integer.__name__ = "int"
 
 
 def _emit(payload: str):
@@ -279,9 +273,7 @@ def cmd_pages(args) -> int:
         k, page_list = c.ring.k, functools.partial(generic_page_list, fc)
     else:
         k, page_list = d.k, functools.partial(assembled_page_list, d, True)
-    hom = [page_list([1])[0].to_hom_poly()]
-    count = args.r_max or page_count(hom[0], k)
-    hom += hom_poly_pages(page_list([hat_index(k, r) for r in range(2, count + 1)]))
+    hom = page_tables(page_list, k, args.r_max)
     if args.format == "table":
         pages = (PageTable.from_hom_poly(hat_index(k, n), t) for n, t in enumerate(hom, 1))
         _emit("\n\n".join("page %d (filtered index %d):\n%s" % (n, p.r, render_page(p)) for n, p in enumerate(pages, 1)))

@@ -33,6 +33,13 @@ def dumps(obj) -> str:
 _CELL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
+def parse_integer(text: str) -> int:
+    """ASCII digits after an optional "-"; int() would also read "1_000", " 7", "+7" and "٣"."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError("expected an integer, got %r" % text)
+    return int(text)
+
+
 def parse_rational(x):
     """Exact scalar from an int or a "p/q" string: an int when written
     as one, else a Fraction; SchemaError on a zero denominator."""

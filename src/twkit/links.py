@@ -38,6 +38,7 @@ from .complexes import (
     reduce_mod_a,
 )
 from .exactla import canonical, from_columns, matmul
+from .jsonio import parse_integer
 
 
 # -- diagrams ----------------------------------------------------------
@@ -137,7 +138,7 @@ class LinkDiagram:
             if t.startswith("s"):
                 t = t[1:]
             try:
-                i = int(t)
+                i = parse_integer(t)
             except ValueError:
                 raise ValueError("cannot parse braid letter %r" % token)
             if i < 1:

@@ -15,7 +15,7 @@ InconsistentPages.
 from __future__ import annotations
 
 from .algebra import BigradedTable
-from .decompose import Decomposition, diagonal_spread, torsion_width
+from .decompose import Decomposition, diagonal_spread
 from .pages import assembled_page_list, hat_index
 
 
@@ -142,19 +142,19 @@ def recover(ps: PageSequence) -> Decomposition:
 
 
 def pages_from_decomposition(d: Decomposition) -> PageSequence:
-    """Generate [E^(1), ..., E^(tau+1)] from a decomposition by the
-    closed forms; the last page repeats once the sequence has
-    stabilized at tw+1."""
-    pages = assembled_page_list(d, True, (hat_index(d.k, r) for r in range(1, torsion_width(d) + 2)))
-    return padded_sequence(d.k, hom_poly_pages(pages))
+    """[E^(1), ..., E^(tau+1)] of a decomposition, by the closed forms."""
+    return PageSequence(d.k, page_tables(lambda rs: assembled_page_list(d, True, rs), d.k, None))
 
 
-def hom_poly_pages(pages) -> list:
-    """[page.to_hom_poly() for page in pages], converted once per run of
-    equal consecutive pages, which then share one table."""
-    out = []
-    for n, page in enumerate(pages):
-        out.append(out[-1] if n and page.same_entries(pages[n - 1]) else page.to_hom_poly())
+def page_tables(page_list, k: int, count) -> list:
+    """(i, s) tables of derived pages 1..count (None: page_count of page 1),
+    page r read from page_list at the filtered index hat_index(k, r); equal
+    consecutive pages are converted once and share one table."""
+    pages = page_list([1])
+    out = [pages[0].to_hom_poly()]
+    pages += page_list([hat_index(k, r) for r in range(2, (count or page_count(out[0], k)) + 1)])
+    for n in range(1, len(pages)):
+        out.append(out[-1] if pages[n].same_entries(pages[n - 1]) else pages[n].to_hom_poly())
     return out
 
 

@@ -1155,9 +1155,9 @@ def integer_options():
 
 class TestIntegerGrammar:
     """An integer typed as text is ASCII digits after an optional "-",
-    wherever the command line reads one: every integer option here, the
-    index of a --lambdas entry and TW_SEED in their own tests.  Each
-    refuses what int() alone would read with its own text."""
+    wherever the command line reads one: every integer option and each
+    braid letter here, the index of a --lambdas entry and TW_SEED in their
+    own tests.  Each refuses what int() alone would read with its own text."""
 
     @pytest.mark.parametrize("text", ["1_000", " 7", "+7", "\u0663"])
     def test_integer_options_refuse(self, capsys, text):
@@ -1169,6 +1169,14 @@ class TestIntegerGrammar:
             out, err = capsys.readouterr()
             assert exc.value.code == 2 and out == ""
             assert err.splitlines()[-1] == "twkit %s: error: argument %s: invalid int value: %r" % (subcommand, option, text)
+
+    @pytest.mark.parametrize("letter", ["1_0", "+1", "\u0661", "s+1", "-s\u0661"])
+    def test_braid_letters_refuse(self, capsys, letter):
+        out, err = run(capsys, "link", "--braid", "1 %s 1" % letter, "--strands", "2", expect=1)
+        assert out == "" and err == "error: cannot parse braid letter %r\n" % letter
+
+    def test_braid_letters_read_as_before(self, capsys):
+        assert run(capsys, "link", "--braid", "01 s1 -s01", "--strands", "2") == run(capsys, "link", "--braid", "1 1 -1", "--strands", "2")
 
     def test_leading_zeros_read_as_before(self, capsys, monkeypatch):
         seven = run(capsys, "verify", "--seed", "7", "--count", "2")

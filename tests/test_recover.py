@@ -22,11 +22,12 @@ from twkit.corpus import conjugate, random_decomposition
 from twkit.couples import couple_tables
 from twkit.decompose import Decomposition, decompose, reassemble, torsion_width
 from twkit.jsonio import SchemaError
-from twkit.pages import PageTable, generic_page_list
+from twkit.pages import PageTable, assembled_page_list, generic_page_list
 from twkit.recover import (
     InconsistentPages,
     PageSequence,
     padded_sequence,
+    page_tables,
     pages_from_decomposition,
     recover,
     roundtrip,
@@ -134,6 +135,14 @@ class TestPagesFromDecomposition:
         ps = pages_from_decomposition(d)
         assert len(ps) == ps.tau + 1
         assert ps.page(len(ps)) == ps.page(2)
+
+    def test_equal_pages_share_page_ones_table(self):
+        # no width-1 torsion: derived page 2 is page 1, converted once
+        d = Decomposition(1, ((0, 0), (5, 0)), ((1, 3, 0),))
+        tables = page_tables(lambda rs: assembled_page_list(d, True, rs), d.k, None)
+        assert len(tables) == 7 and all(t is tables[0] for t in tables[:3])
+        assert all(t is tables[3] for t in tables[3:]) and tables[3] != tables[0]
+        assert tables == list(pages_from_decomposition(d).pages)
 
     def test_couple_route_matches(self):
         rng = random.Random(50)
