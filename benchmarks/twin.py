@@ -24,8 +24,9 @@ repository's src, and handed to both children as JSON:
   pages, pages --generic and couple with --r-max, --page, --module,
   --hat-index, --r 0 and table forms, recover fed by both pages
   routes, and couple and pages fed the decomposition;
-* twobraid, with --coefficient=-3/2 and with --k and --lambdas, and
-  delta, with and without --scalings;
+* twobraid up to N = 25, as JSON and as a table, with
+  --coefficient=-3/2 and with --k and --lambdas, and delta, with and
+  without --scalings;
 * refusals: couple windows too small (exit 4), malformed cells of a
   complex document (zero denominators, bools, floats, over-long
   digits, surrounding whitespace), malformed documents and options
@@ -40,7 +41,7 @@ Run from the repository root, the other tree taken from a local commit:
     python benchmarks/twin.py --against /tmp/parent/src
 
 --tree SRC puts another tree in place of this repository's src, so two
-older commits compare with each other.  The full battery, 1,121
+older commits compare with each other.  The full battery, 1,124
 commands, takes about 3.3 s per tree on a 2-core 2.1 GHz VM (Python
 3.11), and 8 s in all with the set-up and both children; a child that
 runs past 600 s stops the harness.
@@ -183,8 +184,10 @@ def link_commands(b):
 
 
 def twobraid_commands(b):
-    for N in (3, 10, 20):
+    for N in (3, 10, 20, 25):
         b.add("twobraid", "--N", str(N), "--i", str(N // 2), "--coefficient=-3/2")
+    b.add("twobraid", "--N", "25", "--i", "12", "--coefficient=-3/2", "--format", "table")
+    b.add("twobraid", "--N", "20", "--i", "10", "--format", "table")
     b.add("twobraid", "--N", "5", "--i", "2", "--format", "table")
     b.add("twobraid", "--N", "4", "--k", "1", "--lambdas", "1=1,2=-1/3")
     b.add("delta", "--N", "3")

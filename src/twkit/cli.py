@@ -52,7 +52,7 @@ from .links import (
     delta_battery,
 )
 from .pages import (
-    PageTable, assembled_page_list, assembled_pages, collapse_page, generic_page_list, generic_pages, hat_index,
+    PageTable, assembled_page_list, assembled_pages, collapse_page, generic_page_list, generic_pages, hat_index, per_run,
 )
 from .recover import InconsistentPages, page_tables, recover
 
@@ -196,7 +196,7 @@ def _full_report(c: GradedComplex) -> dict:
         "ht": ht,
         "lht": lht,
         "collapse_page": cp,
-        "pages": [jsonio.page_to_data(page) for page in assembled_page_list(d, True, range(1, cp + 1))],
+        "pages": assembled_page_list(d, True, range(1, cp + 1)),
         "delta_rank": sum(ranks.values()),
         "delta_ranks": {str(i): r for i, r in ranks.items()},
     }
@@ -217,10 +217,8 @@ def _render_report(rep: dict) -> str:
         "tw = %d   ht = %s   lht = %s   collapse page = %d"
         % (rep["tw"], rep["ht"], rep["lht"], rep["collapse_page"])
     )
-    for pd in rep["pages"]:
-        out.append("")
-        out.append("page r=%d:" % pd["r"])
-        out.append(render_page(jsonio.page_from_json(pd)))
+    for page, grid in zip(rep["pages"], per_run(rep["pages"], render_page)):
+        out += ["", "page r=%d:" % page.r, grid]
     by_degree = ", ".join(
         "%s -> %d" % (i, r) for i, r in sorted(rep["delta_ranks"].items())
     )
@@ -334,7 +332,7 @@ def cmd_twobraid(args) -> int:
             raise SchemaError("need either --i or both --k and --lambdas")
         spec = TwoBraidSpec(args.N, args.k, _parse_lambdas(args.lambdas))
     rep = _full_report(build_twobraid(spec))
-    _emit(_render_report(rep) if args.format == "table" else jsonio.dumps(rep))
+    _emit(_render_report(rep) if args.format == "table" else jsonio.report_text(rep))
     return EXIT_OK
 
 
@@ -357,7 +355,7 @@ def cmd_link(args) -> int:
     else:
         potential = Sl2Potential.standard()
     rep = _full_report(build_sl2_cube(diagram, potential.integral_form()))
-    _emit(_render_report(rep) if args.format == "table" else jsonio.dumps(rep))
+    _emit(_render_report(rep) if args.format == "table" else jsonio.report_text(rep))
     return EXIT_OK
 
 

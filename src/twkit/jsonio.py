@@ -9,6 +9,7 @@ identical inputs produce byte-identical documents.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from fractions import Fraction
@@ -16,7 +17,7 @@ from fractions import Fraction
 from .algebra import BigradedTable, GradedModuleDescriptor
 from .complexes import GradedComplex, complex_from_data
 from .decompose import Decomposition
-from .pages import PageTable
+from .pages import PageTable, per_run
 from .recover import PageSequence
 
 FORMAT = "tw/1"
@@ -236,6 +237,20 @@ def page_from_json(data) -> PageTable:
         if isinstance(e, SchemaError):
             raise
         raise SchemaError("malformed page document: %s" % e)
+
+
+def report_text(rep: dict) -> str:
+    """dumps(rep) of a report whose "pages" are PageTables, each written
+    as page_to_data writes it, with its fields other than "r" encoded
+    once per run of pages of the same entries."""
+    key = functools.cache(dumps)
+
+    def text(fields):
+        return "{%s}" % ",".join(key(k) + ":" + v for k, v in sorted(fields.items()))
+
+    shared = per_run(rep["pages"], lambda page: {k: dumps(v) for k, v in page_to_data(page).items() if k != "r"})
+    pages = ",".join(text({**fields, "r": dumps(page.r)}) for page, fields in zip(rep["pages"], shared))
+    return text({**{k: dumps(v) for k, v in rep.items() if k != "pages"}, "pages": "[%s]" % pages})
 
 
 # -- page sequences ----------------------------------------------------

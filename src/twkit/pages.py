@@ -218,6 +218,14 @@ def _by_block(rs, cuts, page):
     return out
 
 
+def per_run(pages, f) -> list:
+    """[f(page) for page in pages], f called once per run of consecutive pages of the same entries."""
+    out = []
+    for n, page in enumerate(pages):
+        out.append(out[-1] if n and page.same_entries(pages[n - 1]) else f(page))
+    return out
+
+
 def generic_pages(c: FilteredFieldComplex, r: int) -> PageTable:
     """Page r straight from the filtered complex, by the gap rule: dim
     E_r at (p, n - p) counts the degree-n generators at level p that are

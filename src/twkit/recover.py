@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .algebra import BigradedTable
 from .decompose import Decomposition, diagonal_spread
-from .pages import assembled_page_list, hat_index
+from .pages import assembled_page_list, hat_index, per_run
 
 
 class InconsistentPages(ValueError):
@@ -151,11 +151,9 @@ def page_tables(page_list, k: int, count) -> list:
     page r read from page_list at the filtered index hat_index(k, r); equal
     consecutive pages are converted once and share one table."""
     pages = page_list([1])
-    out = [pages[0].to_hom_poly()]
-    pages += page_list([hat_index(k, r) for r in range(2, (count or page_count(out[0], k)) + 1)])
-    for n in range(1, len(pages)):
-        out.append(out[-1] if pages[n].same_entries(pages[n - 1]) else pages[n].to_hom_poly())
-    return out
+    first = pages[0].to_hom_poly()
+    pages += page_list([hat_index(k, r) for r in range(2, (count or page_count(first, k)) + 1)])
+    return per_run(pages, lambda page: first if page is pages[0] else page.to_hom_poly())
 
 
 def page_count(first: BigradedTable, k: int) -> int:

@@ -130,6 +130,20 @@ ROUTES = (
               "pages.assembled_page_list": "tests/test_frozen_pages.py::test_random_decompositions_match_frozen",
           },
           ids("test_recover", "test_shared_tables_read_as_the_per_page_route")),
+    Route("report text, JSON and table: jsonio.report_text and cli._render_report",
+          "tests/frozen_report.py::reference_report",
+          {
+              **types("algebra.BigradedTable"),
+              # the report's grids and its encoding, pinned by literal text
+              **dict.fromkeys(("cli._render_decomposition", "cli.render_bigraded", "cli.render_page", "jsonio.dumps"),
+                              "tests/test_report.py::test_report_without_torsion_reads_as_written"),
+              "jsonio.page_to_data": "tests/test_jsonio.py::TestPageDocuments::test_hat_round_trip",
+              "jsonio.page_from_json": "tests/test_jsonio.py::TestPageDocuments::test_hat_round_trip",
+              "jsonio.decomposition_from_json": "tests/test_jsonio.py::TestDecompositionDocuments::test_round_trip",
+          },
+          ids("test_report", "test_twobraid_ladder_under_every_benchmark_coefficient",
+              "test_twobraid_with_the_default_coefficient", "test_links", "test_report_without_torsion_reads_as_written",
+              "test_pages_equal_or_not_to_the_last", "test_each_run_of_equal_pages_is_converted_and_rendered_once")),
     Route("couples.couple_from_decomposition and couple_tables",
           "tests/frozen_couples.py::couple_from_decomposition",
           {
