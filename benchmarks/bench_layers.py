@@ -16,13 +16,17 @@ passes.  The stages carry perfbench's per-layer names: the front end
 with jsonio.complex_from_json), `complexes.validate` (the GradedComplex
 rebuilt from the built rows; the front end's time is its total less
 this, in the same pass, floored at 0 and marked * in the table when the
-rebuild ran slower than the whole build), `decompose`,
-`complexes.homology` (reduce_mod_a and
+rebuild ran slower than the whole build), on a link rung
+`complexes.minimal` (minimal_complex of the cube, the complex the
+`twkit link` report reads, which the next three stages then read too),
+`decompose`, `complexes.homology` (reduce_mod_a and
 homology_field), `complexes.first_differential` (induced_differential,
 the d_1 lift on that homology), `pages.generic` (generic_pages for r = 1
-up to pages.collapse_page, 2k tw + 1), `couples` (couple_tables(d,
-tw + 2)) and `recover` (recover of pages_from_decomposition(d)).
-Generators and nonzeros are recorded too.
+up to pages.collapse_page, 2k tw + 1, on the built complex), `couples`
+(couple_tables(d, tw + 2)) and `recover` (recover of
+pages_from_decomposition(d)).  The built complex's generators and
+nonzeros are recorded too.  A tree without minimal_complex skips its
+stage and runs the next three on the built complex.
 
 Before any time is printed, each rung's answer is checked: d_1 out of
 degree i - 1 has rank the number of torsion pieces (i, 1, s), the
@@ -119,6 +123,7 @@ STAGES = (
     "links",
     "jsonio",
     "complexes.validate",
+    "complexes.minimal",
     "decompose",
     "complexes.homology",
     "complexes.first_differential",
@@ -157,7 +162,8 @@ THIS = Tree()
 class Rung:
     """One input: build(tree) returns its graded complex, built by that
     tree through the front-end stage front; expected is the
-    decomposition it must split into, when known."""
+    decomposition it must split into, when known; minimal, whether the
+    report reads the complex's minimal complex (as twkit link's does)."""
 
     ladder: str
     name: str
@@ -165,6 +171,7 @@ class Rung:
     build: Callable
     budget: float
     expected: object = None
+    minimal: bool = False
 
 
 def link_rungs():
@@ -174,7 +181,8 @@ def link_rungs():
         diagram = links.LinkDiagram.from_braid_text(word.strip(), strands)
         return links.build_sl2_cube(diagram, links.Sl2Potential.standard().integral_form())
 
-    return [Rung("link", name, "links", lambda tree, name=name: build(tree, name), budget) for name, budget in LINKS]
+    return [Rung("link", name, "links", lambda tree, name=name: build(tree, name), budget, minimal=True)
+            for name, budget in LINKS]
 
 
 def twobraid_rungs():
@@ -250,9 +258,11 @@ def stage_pass(rung, tree):
     # the build less the rebuild, in this pass; exactly 0 only when the
     # rebuild ran slower than the whole build, which the table marks
     seconds[rung.front] = max(0.0, seconds[rung.front] - seconds["complexes.validate"])
-    d = timed("decompose", tree.decompose.decompose, c)
-    fc, hb = timed("complexes.homology", homology, c)
-    d1 = timed("complexes.first_differential", cx.induced_differential, c, fc, hb)
+    # what the report reads
+    m = timed("complexes.minimal", cx.minimal_complex, c) if rung.minimal and hasattr(cx, "minimal_complex") else c
+    d = timed("decompose", tree.decompose.decompose, m)
+    fc, hb = timed("complexes.homology", homology, m)
+    d1 = timed("complexes.first_differential", cx.induced_differential, m, fc, hb)
     tw = tree.decompose.torsion_width(d)
     timed("pages.generic", generic_pages, c, tree.pages.collapse_page(d))
     tables = timed("couples", tree.couples.couple_tables, d, tw + 2)
@@ -394,7 +404,7 @@ def main():
     processes = run_processes(trees)
     stages = [pair for rungs in ladders() for pair in run_ladder(rungs, lambda r: run_rung(r, args.repeats, trees))]
 
-    heads = ("links", "jsonio", "validate", "decompose", "homology", "d_1", "generic", "couples", "recover")
+    heads = ("links", "jsonio", "validate", "minimal", "decompose", "homology", "d_1", "generic", "couples", "recover")
     header = "%-26s %-8s %7s %8s " % ("rung", "run", "gens", "nonzeros") + " ".join("%9s" % h for h in heads)
     print("best of %d, milliseconds" % args.repeats)
     print(header)

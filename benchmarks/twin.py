@@ -19,7 +19,9 @@ repository's src, and handed to both children as JSON:
 * verify --count 40 at seeds 3, 11 and 101, as JSON and as a table;
 * link on perfbench's ladder, T(3,4), T(2,8) and T(3,5) as JSON, as a
   table and with --lambdas 1=-3/2, the ladder under three more
-  potentials, and a PD code;
+  potentials, a PD code, and the links at the edges of the minimal
+  complex the report reads: no differential, every pair cancelled, an
+  untouched strand, pairs across two letters and a potential at k = 1;
 * 32 seeded, conjugated corpus documents, each through decompose,
   pages, pages --generic and couple with --r-max, --page, --module,
   --hat-index, --r 0 and table forms, recover fed by both pages
@@ -41,9 +43,9 @@ Run from the repository root, the other tree taken from a local commit:
     python benchmarks/twin.py --against /tmp/parent/src
 
 --tree SRC puts another tree in place of this repository's src, so two
-older commits compare with each other.  The full battery, 1,124
-commands, takes about 3.3 s per tree on a 2-core 2.1 GHz VM (Python
-3.11), and 8 s in all with the set-up and both children; a child that
+older commits compare with each other.  The full battery, 1,129
+commands, takes about 2 s per tree on a 2-core 2.1 GHz VM (Python
+3.11), and 7 s in all with the set-up and both children; a child that
 runs past 600 s stops the harness.
 """
 
@@ -181,6 +183,14 @@ def link_commands(b):
             b.add("link", "--braid", word, "--strands", str(strands), *extra)
     b.add("link", "--pd", HOPF_PD)
     b.add("link", "--pd", HOPF_PD, "--free-loops", "1", "--format", "table")
+    # the minimal complex's edge cases: no differential, every pair
+    # cancelled in one degree, a strand no crossing touches, cancelled
+    # pairs across two letters, and a potential at k = 1
+    b.add("link", "--pd", "[]", "--free-loops", "2")
+    b.add("link", "--braid", "1 -1")
+    b.add("link", "--braid", "1 1", "--strands", "3")
+    b.add("link", "--braid", "1 1 -2 -2")
+    b.add("link", "--braid", "1 1 1", "--k", "1", "--lambdas", "1=2,2=-1/3")
 
 
 def twobraid_commands(b):

@@ -21,6 +21,7 @@ from .complexes import (
     first_differential,
     gaussian_eliminate,
     homology_field,
+    minimal_complex,
     reduce_mod_a,
     specialize_a_to_1,
 )
@@ -104,6 +105,7 @@ __all__ = [
     "generic_pages",
     "hn_table",
     "homology_field",
+    "minimal_complex",
     "pages_from_decomposition",
     "piece_entries",
     "reassemble",

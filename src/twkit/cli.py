@@ -31,6 +31,7 @@ from .complexes import (
     GradedComplex,
     InternalError,
     first_differential,
+    minimal_complex,
     specialize_a_to_1,
 )
 from .corpus import item_seeds, verify_item
@@ -342,7 +343,9 @@ def cmd_link(args) -> int:
     homology as a graded C[a]-module (its decomposition into k[a]{s}
     and k[a]/(a^m){s}), and the degree-preserving automorphism
     a -> c a that relates the two cubes keeps that class; over the
-    integral form every entry stays an int.
+    integral form every entry stays an int.  The report reads the
+    cube's minimal complex (complexes.minimal_complex), homotopy
+    equivalent to it over k[a], so it prints the same invariants.
     """
     if args.braid is not None:
         diagram = LinkDiagram.from_braid_text(args.braid, args.strands)
@@ -354,7 +357,7 @@ def cmd_link(args) -> int:
         potential = Sl2Potential(2 if args.k is None else args.k, _parse_lambdas(args.lambdas))
     else:
         potential = Sl2Potential.standard()
-    rep = _full_report(build_sl2_cube(diagram, potential.integral_form()))
+    rep = _full_report(minimal_complex(build_sl2_cube(diagram, potential.integral_form())))
     _emit(_render_report(rep) if args.format == "table" else jsonio.report_text(rep))
     return EXIT_OK
 

@@ -1,6 +1,7 @@
 """Bounded chain complexes of graded-free k[a]-modules, validated on
 every construction, their a=0 and a=1 specializations, Gaussian
-elimination, field homology, and the connecting-homomorphism
+elimination of one pair or of every exponent-0 pair (the minimal
+complex), field homology, and the connecting-homomorphism
 differential on the a=0 homology.
 Every complex type holds one store, degrees and mats (see
 FieldComplex), built by algebra.canonical_rows; the specializations
@@ -274,50 +275,81 @@ def gaussian_eliminate(c, hom_degree: int, row: int, col: int):
     epsilon - gamma phi^{-1} delta.
     """
     if isinstance(c, GradedComplex):
-        return GradedComplex(c.ring, *_cancel(
-            c.degrees, c.mats, hom_degree, row, col, "pivot has positive a-exponent, not invertible"
-        ))
-    if isinstance(c, FieldComplex):
-        return type(c)(*_cancel(
-            c.degrees, c.mats, hom_degree, row, col, "pivot does not preserve the level, not invertible"
-        ))
-    raise TypeError("unsupported complex type")
-
-
-def _without(row, j):
-    """Sparse row with column j removed and later columns moved left."""
-    return {c - (c > j): x for c, x in row.items() if c != j}
-
-
-def _cancel(degrees, mats, h, row, col, not_invertible):
-    """gaussian_eliminate on {i: generator degrees or levels} and {i:
-    sparse rows out of i}.  Each row of d^h loses the multiple of row
-    `row` that clears column `col` (exactla.clear_column, on a copy),
-    then row `row` and column `col` go, row `col` of d^{h-1}, column `row`
-    of d^{h+1}, emptied degrees and every map that touches them too."""
-    rows = mats.get(h)
+        not_invertible = "pivot has positive a-exponent, not invertible"
+    elif isinstance(c, FieldComplex):
+        not_invertible = "pivot does not preserve the level, not invertible"
+    else:
+        raise TypeError("unsupported complex type")
+    rows = c.mats.get(hom_degree)
     if rows is None:
-        raise ComplexError("no differential at degree %d" % h)
-    src, tgt = degrees.get(h, ()), degrees.get(h + 1, ())
+        raise ComplexError("no differential at degree %d" % hom_degree)
+    src, tgt = c.degrees.get(hom_degree, ()), c.degrees.get(hom_degree + 1, ())
     if not (0 <= col < len(src) and 0 <= row < len(tgt)):
         raise ComplexError("pivot position out of range")
     if src[col] != tgt[row]:
         raise ComplexError(not_invertible)
     if col not in rows[row]:
         raise ComplexError("pivot entry is zero")
-    degrees, mats = dict(degrees), dict(mats)
-    degrees[h] = src[:col] + src[col + 1:]
-    degrees[h + 1] = tgt[:row] + tgt[row + 1:]
-    rows = [dict(r) for r in rows]
-    for i, a in exactla.clear_column(rows, exactla.column_index(rows), row, col):
-        rows[i] = exactla.divided(rows[i], a)
-    mats[h] = [_without(full, col) for r, full in enumerate(rows) if r != row]
-    if h - 1 in mats:
-        mats[h - 1] = [r for i, r in enumerate(mats[h - 1]) if i != col]
-    if h + 1 in mats:
-        mats[h + 1] = [_without(r, row) for r in mats[h + 1]]
-    degrees = {i: v for i, v in degrees.items() if v}
-    return degrees, {i: m for i, m in mats.items() if i in degrees and i + 1 in degrees}
+    out = _cancel(c.degrees, c.mats, lambda h, r, _: col if (h, r) == (hom_degree, row) else None)
+    return GradedComplex(c.ring, *out) if isinstance(c, GradedComplex) else type(c)(*out)
+
+
+def minimal_complex(c: GradedComplex) -> GradedComplex:
+    """c with every exponent-0 pair cancelled: the k[a]-homotopy-equivalent
+    complex whose mod-a differential is zero.  One pass per degree,
+    ascending, and in d^h one row at a time: the row's lowest column
+    whose entry joins generators of equal degree is the pivot.  One pass
+    is enough: a pivot row's entries lie at or above its target's degree,
+    so the fill-in it leaves in a row passed over, whose entries all lie
+    above that row's target, is again of positive exponent, and the
+    passes of later degrees only drop rows of d^h.  The result is
+    validated; a failure there is a defect in twkit."""
+    degs = c.degrees
+
+    def pivot(h, r, row):
+        src, tdeg = degs[h], degs[h + 1][r]
+        return min((j for j in row if src[j] == tdeg), default=None)
+
+    try:
+        return GradedComplex(c.ring, *_cancel(degs, c.mats, pivot))
+    except ComplexError as e:
+        raise InternalError("minimal_complex", str(e)) from None
+
+
+def _cancel(degrees, mats, pivot):
+    """Cancel pairs on {i: generator degrees or levels} and {i: sparse
+    rows out of i}, the one cancellation body: degree by degree in
+    ascending order, and in d^h row by row, pivot(h, r, row) names the
+    column j whose entry pairs source j with target r, or None.  Each
+    other row of d^h holding column j loses the multiple of row r that
+    clears it (exactla.clear_column, on a copy, then exactla.divided),
+    and row r and column j go, with row j of d^(h-1) and column r of
+    d^(h+1); emptied degrees and every map that touches them go too."""
+    dead = {i: set() for i in degrees}
+    kept = {}
+    for h in sorted(mats):
+        gone = dead[h]
+        rows = [{j: x for j, x in row.items() if j not in gone} for row in mats[h]]
+        holders = exactla.column_index(rows)
+        for r in range(len(rows)):
+            j = pivot(h, r, rows[r])
+            if j is None:
+                continue
+            for i, a in exactla.clear_column(rows, holders, r, j):
+                rows[i] = exactla.divided(rows[i], a)
+            for u in rows[r]:
+                holders[u].discard(r)
+            gone.add(j)
+            dead[h + 1].add(r)
+        kept[h] = rows
+    live = {i: [j for j in range(len(v)) if j not in dead[i]] for i, v in degrees.items()}
+    degrees = {i: tuple(degrees[i][j] for j in js) for i, js in live.items() if js}
+    out = {}
+    for h, rows in kept.items():
+        if h in degrees and h + 1 in degrees:
+            index = {j: n for n, j in enumerate(live[h])}
+            out[h] = [{index[j]: x for j, x in rows[r].items()} for r in live[h + 1]]
+    return degrees, out
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ this kernel writes is canonical (an int when integral, a Fraction
 otherwise; see canonical), and two ints never meet in true division.
 clear_column is the one sparse pivot step, fraction-free on ints:
 row_reduce (elimination), the persistence pairing that decompose and
-generic pages read, and Gaussian elimination of a contractible pair
-all call it, on the {col: rows} index column_index builds.
+generic pages read, and Gaussian elimination of contractible pairs
+(one, or all of a complex's exponent-0 pairs) all call it, on the {col: rows} index column_index builds.
 matmul (products) follows the nonzeros too.  kernel_from_reduction
 and solution_from_reduction read the right kernel and the solutions of
 a linear system off an elimination, given the column counts the rows

@@ -1054,6 +1054,26 @@ class TestInternalInvariants:
             " (twkit twobraid --N 3 --i 1)\n"
         )
 
+    def test_minimal_complex(self, capsys, monkeypatch):
+        """A minimal complex that fails its own validation is a defect in
+        twkit (exit 5), not a bad complex (exit 2).  The broken step
+        raises the degrees of the lowest degree a map leaves by 1, off
+        the multiples of 2k = 4 its entries drop."""
+        cancel = complexes._cancel
+
+        def raised(*args):
+            degrees, mats = cancel(*args)
+            low = min(mats)
+            return {**degrees, low: tuple(s + 1 for s in degrees[low])}, mats
+
+        monkeypatch.setattr(complexes, "_cancel", raised)
+        out, err = run(capsys, "link", "--braid", "1 1 1", expect=5)
+        assert out == ""
+        assert err == (
+            "error: internal error in minimal_complex: differential at degree -3 is not homogeneous at entry (0, 0)"
+            " (twkit link --braid '1 1 1')\n"
+        )
+
     def test_the_input_is_named(self, capsys, monkeypatch, tmp_path):
         """A document path, "-" and a braid word are named as given,
         shell-quoted; inline JSON is named, not printed."""

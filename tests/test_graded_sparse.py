@@ -13,6 +13,7 @@ eliminated complex must agree with them.
 import random
 import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -34,7 +35,9 @@ from twkit.complexes import (
     GradedComplex,
     check_differentials,
     complex_from_data,
+    first_differential,
     gaussian_eliminate,
+    minimal_complex,
     persistence_pairs,
     reduce_mod_a,
     specialize_a_to_1,
@@ -426,6 +429,98 @@ def test_eliminate_at_non_unit_pivots_matches_reference(monkeypatch):
             c = assert_eliminates_as_reference(c, h, row, col)
     assert non_unit > 150
     assert sum(a != 1 for a in scales) > 150
+
+
+# -- the minimal complex ---------------------------------------------------
+
+
+def eliminated_pair_by_pair(c):
+    """(degrees, dense rows) of c with every exponent-0 pair cancelled by
+    the dense reference, one pair at a time: degrees ascending, in d^h
+    row by row, the lowest column joining the row's target to a source
+    of equal degree is the pivot, and the row that moves into the
+    pivot row's place is taken next."""
+    degrees, mats = {i: list(v) for i, v in c.degrees.items()}, dense_mats(c)
+    for h in sorted(c.degrees):
+        r = 0
+        while h in mats and r < len(mats[h]):
+            src, tdeg = degrees[h], degrees[h + 1][r]
+            cols = [j for j, x in enumerate(mats[h][r]) if x and src[j] == tdeg]
+            if cols:
+                degrees, mats = reference_eliminate_graded(degrees, mats, h, r, cols[0])
+            else:
+                r += 1
+    return degrees, mats
+
+
+def assert_minimal_as_pair_by_pair(c):
+    """minimal_complex(c) against eliminated_pair_by_pair(c): the same
+    degrees and maps; a zero mod-a differential; and the decomposition
+    and d_1 ranks of c."""
+    degrees, mats = eliminated_pair_by_pair(c)
+    out = minimal_complex(c)
+    assert {i: list(v) for i, v in out.degrees.items()} == degrees
+    assert nonzero_maps(dense_mats(out)) == nonzero_maps(mats)
+    assert_canonical(out)
+    assert not any(any(rows) for rows in reduce_mod_a(out).mats.values())
+    assert decompose(out) == decompose(c)
+    assert first_differential(out).ranks() == first_differential(c).ranks()
+    return c.total_rank() - out.total_rank()
+
+
+def with_contractible_pairs(rng, count):
+    """count seeded corpus complexes, each a random decomposition plus up
+    to four exponent-0 pairs of scalars 1, -1 or a non-unit, conjugated,
+    so their pivots are rationals and non-units, and every other one
+    made integral."""
+    out = []
+    while len(out) < count:
+        d = random_decomposition(rng, max_generators=rng.randint(4, 24))
+        degrees, rows = {}, {}
+        for _ in range(rng.randint(1, 4)):
+            i, s = rng.randint(-3, 3), rng.randint(-20, 20)
+            col, row = len(degrees.setdefault(i, [])), len(degrees.setdefault(i + 1, []))
+            degrees[i].append(s)
+            degrees[i + 1].append(s)
+            rows.setdefault(i, {})[row, col] = rng.choice(NON_UNITS + (1, -1))
+        diffs = {i: [{c: x for (r, c), x in units.items() if r == t} for t in range(len(degrees[i + 1]))]
+                 for i, units in rows.items()}
+        pairs = GradedComplex(GradedRing(d.k), degrees, diffs)
+        c = conjugate(rng, direct_sum(pairs, reassemble(d)), ops=16)
+        if len(out) % 2:
+            # every other one made integral, each map times the lcm of its
+            # denominators: an isomorphic complex whose pivots are ints
+            scales = {i: lcm(*(x.denominator for row in rows for x in row.values())) for i, rows in c.mats.items()}
+            c = GradedComplex(c.ring, c.degrees, {i: [{j: x * scales[i] for j, x in row.items()} for row in rows]
+                                                  for i, rows in c.mats.items()})
+        out.append(c)
+    return out
+
+
+def test_minimal_complex_on_the_link_ladder(cubes):
+    """perfbench's link ladder under 1=-3/2 and its integral form, which
+    twkit link builds."""
+    ladder = [c for _, c in cubes[1:8:2] + cubes[10:]]
+    assert [word for word, _ in cubes[1:8:2] + cubes[10:]] == [word for word, _ in BRAIDS[:4]] * 2
+    assert all(assert_minimal_as_pair_by_pair(c) > 0 for c in ladder)
+
+
+def test_minimal_complex_on_twobraids():
+    """The 2-braids for N <= 10 and every i, and the unreduced ones,
+    whose unit blocks cancel."""
+    inputs = [build_twobraid(TwoBraidSpec.power_basis(N, i)) for N in range(2, 11) for i in range(1, N + 1)]
+    inputs += [twobraid_unreduced(TwoBraidSpec.power_basis(N, max(1, N // 2))) for N in range(3, 11)]
+    assert sum(assert_minimal_as_pair_by_pair(c) > 0 for c in inputs) >= 8
+
+
+def test_minimal_complex_on_seeded_corpus_complexes():
+    """Conjugated corpus complexes with contractible pairs, and the
+    three-term complexes rich in non-unit pivots, int and mixed."""
+    rng = random.Random(19)
+    inputs = with_contractible_pairs(rng, 36)
+    inputs += [non_unit_complex(rng, mixed=n % 2) for n in range(30)]
+    assert {c.ring.k for c in inputs} == {1, 2, 3}
+    assert all(assert_minimal_as_pair_by_pair(c) > 0 for c in inputs)
 
 
 # -- integer inputs stay exact -------------------------------------------------

@@ -5,12 +5,14 @@ report, converting, encoding and rendering every page on its own.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from frozen_report import reference_report
 from test_integral_form import benchmark_coefficients
 from twkit import cli, jsonio
+from twkit.complexes import minimal_complex
 from twkit.links import LinkDiagram, Sl2Potential, build_sl2_cube
 from twkit.pages import PageTable
 
@@ -81,6 +83,21 @@ def test_twobraid_with_the_default_coefficient(check):
 @pytest.mark.parametrize("potential", [(), ("--lambdas", "1=-3/2")])
 def test_links(check, word, strands, potential):
     check("link", "--braid", word, "--strands", str(strands), *potential)
+
+
+@pytest.mark.parametrize("word, strands, potential", [
+    ("1 " * 7, 2, Sl2Potential.standard()),
+    ("1 2 " * 4, 3, Sl2Potential.standard()),
+    ("1 2 " * 5, 3, Sl2Potential.standard()),
+    ("1 1 1 2 -1 2", 3, Sl2Potential(1, ((1, Fraction(2)), (2, Fraction(-1, 3))))),
+], ids=["T(2,7)", "T(3,4)", "T(3,5)", "k=1"])
+def test_the_cube_and_its_minimal_complex_report_alike(word, strands, potential):
+    """twkit link reports from the cube's minimal complex: the full cube
+    gives the same report, byte for byte."""
+    c = build_sl2_cube(LinkDiagram.from_braid_text(word.strip(), strands), potential.integral_form())
+    m = minimal_complex(c)
+    assert m.total_rank() < c.total_rank()
+    assert jsonio.report_text(cli._full_report(m)) == jsonio.report_text(cli._full_report(c))
 
 
 def test_report_without_torsion_reads_as_written(check, capsys):

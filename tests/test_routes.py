@@ -69,10 +69,12 @@ ROUTES = (
           "tests/frozen_complexes.py::reference_field_validate",
           {**types("complexes.FilteredFieldComplex"), "exactla.matmul": MATMUL},
           ids("test_graded_sparse", "test_bad_field_complexes_give_the_reference_refusals")),
-    Route("complexes.gaussian_eliminate", "tests/frozen_complexes.py::reference_eliminate_graded",
+    Route("complexes.gaussian_eliminate and minimal_complex, the latter pair by pair",
+          "tests/frozen_complexes.py::reference_eliminate_graded",
           {},
           ids("test_graded_sparse", "test_eliminate_graded_matches_reference",
-              "test_eliminate_at_non_unit_pivots_matches_reference")),
+              "test_eliminate_at_non_unit_pivots_matches_reference", "test_minimal_complex_on_the_link_ladder",
+              "test_minimal_complex_on_twobraids", "test_minimal_complex_on_seeded_corpus_complexes")),
     Route("decompose: the pieces read off the persistence pairing",
           "tests/frozen_complexes.py::rational_split_pieces",
           {},
